@@ -163,10 +163,10 @@ fn bench_cluster_throughput(c: &mut Criterion) {
 }
 
 /// Contention-heavy variant: 8 client threads hammer a 4-node cluster,
-/// so every node multiplexes several clients plus nested peer RPCs over
+/// so every node multiplexes several clients plus its own forwards over
 /// the same links. The old one-connection-per-peer design collapsed here
 /// (every busy link cost a fresh TCP handshake); the multiplexed links
-/// must keep `oneshot_fallbacks` at zero.
+/// must absorb it without a single reconnect.
 fn bench_cluster_contention(c: &mut Criterion) {
     let (net, cluster) = boot(CONTENTION_SWITCHES);
     let members = net.members().to_vec();
@@ -194,7 +194,7 @@ fn bench_cluster_contention(c: &mut Criterion) {
     let hot = report.hot_stats();
     println!("cluster_contention hot stats: {hot}");
     assert_eq!(
-        hot.oneshot_fallbacks, 0,
+        hot.link_reconnects, 0,
         "contention must be absorbed by the multiplexed links"
     );
 }

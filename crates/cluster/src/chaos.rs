@@ -578,7 +578,6 @@ pub fn chaos_cluster_config() -> ClusterConfig {
     ClusterConfig {
         node: NodeConfig {
             poll_interval: Duration::from_millis(1),
-            read_timeout: Duration::from_millis(10),
             peer_connect_timeout: Duration::from_millis(200),
             peer_reply_timeout: Duration::from_millis(120),
             suspect_ttl: Duration::from_millis(250),

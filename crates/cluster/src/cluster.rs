@@ -9,8 +9,8 @@
 //!
 //! Shutdown is two-phase: every node's stop flag is set *before* any
 //! node is joined, so no node blocks waiting for a peer that has not
-//! heard the news yet; then each node drains its in-flight requests,
-//! closes its listener, and joins its workers.
+//! heard the news yet; then each node drains its responses, closes its
+//! listener and links, and joins its reactor thread.
 
 use crate::client::{Client, ClientConfig, ClientError};
 use crate::node::{Node, NodeConfig, NodeReport};
@@ -54,7 +54,7 @@ impl ClusterReport {
         self.nodes.iter().map(|n| n.errors).sum()
     }
 
-    /// Connection workers joined across all nodes.
+    /// Threads joined across all nodes: one reactor each.
     pub fn workers_joined(&self) -> usize {
         self.nodes.iter().map(|n| n.workers_joined).sum()
     }
@@ -65,7 +65,7 @@ impl ClusterReport {
     }
 
     /// Hot-path contention counters summed across all nodes. A healthy
-    /// run keeps `oneshot_fallbacks` and `link_reconnects` at zero.
+    /// run keeps `link_reconnects` at zero.
     pub fn hot_stats(&self) -> gred_dataplane::NodeHotStats {
         self.nodes
             .iter()

@@ -23,7 +23,7 @@
 //!
 //! # Multiplexed frames
 //!
-//! A multiplexed peer link (see [`crate::mux`]) opens with the
+//! A multiplexed peer link (see [`crate::node`]) opens with the
 //! [`MUX_PREAMBLE`] and then carries ordinary frames whose bodies are
 //! prefixed with an 8-byte big-endian correlation id:
 //!
@@ -249,7 +249,7 @@ pub fn decode_all(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, usize), FrameError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gred_runtime::reactor::WriteQueue;
     use proptest::prelude::*;
@@ -262,14 +262,14 @@ mod tests {
     /// A writer that accepts at most `stride` bytes per call and returns
     /// `WouldBlock` on every other call — the worst nonblocking socket:
     /// a short write is forced at every offset of the stream.
-    struct Throttled {
-        out: Vec<u8>,
+    pub(crate) struct Throttled {
+        pub(crate) out: Vec<u8>,
         stride: usize,
         starve: bool,
     }
 
     impl Throttled {
-        fn new(stride: usize) -> Throttled {
+        pub(crate) fn new(stride: usize) -> Throttled {
             Throttled {
                 out: Vec::new(),
                 stride,
@@ -295,7 +295,7 @@ mod tests {
 
     /// Flushes `wq` into `sink` to completion, bounding the retries the
     /// way a reactor's writable events would.
-    fn drain_queue(wq: &mut WriteQueue, sink: &mut Throttled) {
+    pub(crate) fn drain_queue(wq: &mut WriteQueue, sink: &mut Throttled) {
         let mut spins = 0usize;
         while !wq.flush(sink).expect("throttled sink never hard-fails") {
             spins += 1;
@@ -482,10 +482,10 @@ mod tests {
             prop_assert_eq!(parsed, packet);
         }
 
-        /// Multiplexer correlation: N concurrent waiters on one link, the
+        /// Multiplexer correlation: N continuations parked on one link, the
         /// peer's responses fed back in an arbitrary permuted order with
-        /// arbitrary chunking — every waiter receives exactly its own
-        /// response body, never a sibling's and never two.
+        /// arbitrary chunking — every continuation is completed by exactly
+        /// its own response body, never a sibling's and never twice.
         #[test]
         fn prop_demux_delivers_each_response_to_its_own_waiter(
             bodies in proptest::collection::vec(
@@ -493,10 +493,8 @@ mod tests {
             order in any::<u64>(),
             cut in any::<u16>(),
         ) {
-            let demux = crate::mux::Demux::new();
-            let waiters: Vec<_> = (0..bodies.len())
-                .map(|corr| demux.register(corr as u64).expect("fresh demux"))
-                .collect();
+            let mut parked = crate::mux::Parked::default();
+            let corrs: Vec<u64> = (0..bodies.len()).map(|waiter| parked.park(waiter)).collect();
 
             // The peer's byte stream: one mux frame per response, written
             // in a permutation derived from `order` (Fisher–Yates with a
@@ -510,7 +508,7 @@ mod tests {
             let mut stream = Vec::new();
             for &i in &perm {
                 let at = begin_frame(&mut stream);
-                stream.extend_from_slice(&(i as u64).to_be_bytes());
+                stream.extend_from_slice(&corrs[i].to_be_bytes());
                 stream.extend_from_slice(&bodies[i]);
                 finish_frame(&mut stream, at);
             }
@@ -518,20 +516,18 @@ mod tests {
             // Reassemble across an arbitrary split and route every frame.
             let cut = cut as usize % (stream.len() + 1);
             let mut dec = FrameDecoder::new();
+            let mut answered = vec![false; bodies.len()];
             for chunk in [&stream[..cut], &stream[cut..]] {
                 dec.feed(chunk);
                 while let Some(frame_body) = dec.next_frame().unwrap() {
                     let (corr, payload) = split_mux(&frame_body).expect("mux frame");
-                    prop_assert!(demux.complete(corr, payload));
+                    let waiter = parked.take(corr).expect("at most one response per waiter");
+                    prop_assert_eq!(payload.as_ref(), bodies[waiter].as_slice());
+                    answered[waiter] = true;
                 }
             }
-
-            for (corr, rx) in waiters.into_iter().enumerate() {
-                let got = rx.try_recv().expect("every waiter was answered");
-                prop_assert_eq!(got.as_ref(), bodies[corr].as_slice());
-                prop_assert!(rx.try_recv().is_err(), "at most one response per waiter");
-            }
-            prop_assert_eq!(demux.pending(), 0);
+            prop_assert!(answered.iter().all(|&a| a), "every waiter was answered");
+            prop_assert_eq!(parked.len(), 0);
         }
 
         /// The decoder never panics and never hangs on arbitrary input:
@@ -576,8 +572,8 @@ mod tests {
 
         /// The full partial-I/O pipeline, mux edition: correlated frames
         /// forced through `WouldBlock`-at-every-offset writes, then read
-        /// back one byte at a time through decoder + demux. Every waiter
-        /// gets exactly its own body, byte-exact.
+        /// back one byte at a time through decoder + continuation slab.
+        /// Every waiter gets exactly its own body, byte-exact.
         #[test]
         fn prop_mux_pipeline_survives_short_writes_and_one_byte_reads(
             bodies in proptest::collection::vec(
@@ -596,23 +592,22 @@ mod tests {
             }
             drain_queue(&mut wq, &mut sink);
 
-            let demux = crate::mux::Demux::new();
-            let waiters: Vec<_> = (0..bodies.len())
-                .map(|corr| demux.register(corr as u64).expect("fresh demux"))
-                .collect();
+            let mut parked = crate::mux::Parked::default();
+            for waiter in 0..bodies.len() {
+                // Fresh slab: the keys are 0..n, the ids written above.
+                prop_assert_eq!(parked.park(waiter), waiter as u64);
+            }
             let mut dec = FrameDecoder::new();
             for &b in &sink.out {
                 dec.feed(&[b]);
                 while let Some(frame_body) = dec.next_frame().unwrap() {
                     let (corr, payload) = split_mux(&frame_body).expect("mux frame");
-                    prop_assert!(demux.complete(corr, payload));
+                    let waiter = parked.take(corr).expect("every id is parked once");
+                    prop_assert_eq!(payload.as_ref(), bodies[waiter].as_slice());
                 }
             }
             prop_assert_eq!(dec.buffered(), 0);
-            for (corr, rx) in waiters.into_iter().enumerate() {
-                let got = rx.try_recv().expect("every waiter was answered");
-                prop_assert_eq!(got.as_ref(), bodies[corr].as_slice());
-            }
+            prop_assert_eq!(parked.len(), 0, "every waiter was answered");
         }
     }
 }

@@ -6,10 +6,11 @@
 //! simulator calls [`SwitchDataplane::decide`] in a loop and moves packets
 //! between switches with function calls. This crate replaces those
 //! function calls with sockets. Each switch becomes a [`node::Node`] — a
-//! small multi-threaded daemon that listens on a TCP address, parses
+//! single-threaded reactor that listens on a TCP address, parses
 //! length-prefixed GRED wire packets ([`frame`]), runs the *same* greedy
 //! pipeline the in-process plane runs, and forwards packets to peer nodes
-//! over multiplexed persistent connections ([`mux`]). A [`client::Client`] places and
+//! over multiplexed persistent connections, parking a continuation per
+//! frame instead of waiting for the answer. A [`client::Client`] places and
 //! retrieves data by talking to any node, and a [`cluster::Cluster`]
 //! boots one node per switch of a built
 //! [`GredNetwork`](gred::GredNetwork), wires the peer addresses, and
@@ -29,7 +30,7 @@ pub mod chaos;
 pub mod client;
 pub mod cluster;
 pub mod frame;
-pub mod mux;
+pub(crate) mod mux;
 pub mod node;
 pub mod observe;
 pub(crate) mod pipelined;
@@ -45,6 +46,5 @@ pub use client::{AdminReply, Client, ClientConfig, ClientError, Reply};
 pub use cluster::{AddrRewrite, Cluster, ClusterConfig, ClusterReport};
 pub use observe::ClusterHealth;
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME_LEN, MUX_PREAMBLE};
-pub use mux::{Demux, DispatchPool, MuxLink};
 pub use node::{Node, NodeConfig, NodeReport};
 pub use transport::SocketTransport;

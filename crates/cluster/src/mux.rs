@@ -1,916 +1,243 @@
-//! Multiplexed persistent peer links.
+//! Correlation ids for multiplexed peer links: the continuation slab.
 //!
-//! The first cluster runtime guarded each peer connection with a mutex
-//! and fell back to a one-shot TCP connection whenever the link was busy
-//! — correct, but under concurrency the fallback dominated: every
-//! contended hop paid a full TCP handshake, and throughput *fell* as
-//! client threads were added. A [`MuxLink`] removes the contention
-//! instead of dodging it: one persistent connection per peer carries any
-//! number of interleaved request/response frames, correlated by an
-//! in-band request id (see [`crate::frame`] for the layout).
+//! A peer link carries any number of interleaved request/response
+//! frames, correlated by an in-band 8-byte id (see [`crate::frame`] for
+//! the layout). The node reactor never waits for a response: it writes
+//! the request frame, *parks* what must happen when the answer arrives
+//! in a [`Parked`] slab, and goes back to its event loop. The key the
+//! slab hands out **is** the correlation id on the wire; the peer echoes
+//! it, and the reactor takes the continuation back out and runs it on
+//! the same thread.
 //!
-//! # Anatomy of a link
-//!
-//! - **Writer**: [`MuxLink::call`] allocates a fresh correlation id from
-//!   an atomic counter, registers a waiter with the [`Demux`], then takes
-//!   the writer lock just long enough to append one frame to the link's
-//!   reusable scratch buffer and write it. The lock covers a buffered
-//!   `write_all`, never a wait for the peer.
-//! - **Demux reader** (one thread per link): reassembles response
-//!   frames, splits off the correlation id, and wakes exactly the waiter
-//!   that sent the matching request. Responses may arrive in any order.
-//! - **Timeouts leave the link alive**: correlation ids are unique for
-//!   the life of a link, so a late response simply finds its waiter gone
-//!   and is dropped — no desynchronization, no teardown (the old design
-//!   had to kill the socket because the *next* request would have read
-//!   the stale response).
-//!
-//! # Why the server side needs a dispatch pool
-//!
-//! Forwarding is synchronous RPC chaining, and a chain can cross the
-//! same directed link twice (a virtual link's relay path may pass
-//! through a switch the packet later leaves again). If the serving node
-//! handled mux requests inline on its reader thread, the second crossing
-//! would wait for a reader that is itself blocked inside the first —
-//! the self-deadlock the old `try_lock` + one-shot fallback existed to
-//! avoid. [`DispatchPool`] makes the deadlock impossible by
-//! construction: submitting a job either *reserves* a provably idle
-//! worker (an atomic token handed out only by workers that are parked
-//! waiting for work) or spawns a new worker with the job as its first
-//! task. A job is never queued behind a worker that might be blocked,
-//! so every request always has a thread making progress.
+//! Keys are generational — `generation << 32 | slot` — so a key names
+//! its value only until that value is taken. A response that arrives
+//! after its continuation expired (or was failed by link death) finds
+//! nothing, even when the slot has long been reused, and is dropped:
+//! a timeout never desynchronizes a link and never tears it down.
 
-use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
-use bytes::Bytes;
-use gred_dataplane::{wire, Packet};
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread;
-use std::time::Duration;
-
-/// Hot-path counters a link feeds; shared by every link of one node so
-/// reconnects don't lose counts.
-#[derive(Debug, Default)]
-pub struct MuxMetrics {
-    /// Frames the demux readers reassembled and routed.
-    pub frames_decoded: AtomicU64,
-    /// Encodes served from an already-warm scratch buffer.
-    pub encode_buf_reuses: AtomicU64,
+/// A generational slab of parked continuations, keyed by the correlation
+/// id sent on the wire.
+#[derive(Debug)]
+pub(crate) struct Parked<T> {
+    slots: Vec<Slot<T>>,
+    free: Vec<u32>,
+    live: usize,
 }
 
-/// Routes response bodies to the waiter that sent the matching request.
-#[derive(Debug, Default)]
-pub struct Demux {
-    state: Mutex<DemuxState>,
+#[derive(Debug)]
+struct Slot<T> {
+    /// Bumped every time the slot is vacated, which kills the old key.
+    generation: u32,
+    value: Option<T>,
 }
 
-#[derive(Debug, Default)]
-struct DemuxState {
-    waiters: HashMap<u64, SyncSender<Bytes>>,
-    /// Set by [`Demux::fail_all`]; registrations after failure are
-    /// refused so a caller cannot wait on a link that will never read.
-    failed: bool,
-}
-
-impl Demux {
-    /// An empty demultiplexer.
-    pub fn new() -> Self {
-        Demux::default()
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, DemuxState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Registers a waiter for correlation id `corr`. Returns `None` when
-    /// the link already failed. A duplicate id replaces the previous
-    /// waiter — callers allocate ids from an atomic counter, so a
-    /// duplicate cannot occur within one link's lifetime.
-    pub fn register(&self, corr: u64) -> Option<Receiver<Bytes>> {
-        let mut state = self.state();
-        if state.failed {
-            return None;
-        }
-        // Capacity 1: exactly one response per id, so completion never
-        // blocks the reader thread.
-        let (tx, rx) = sync_channel(1);
-        state.waiters.insert(corr, tx);
-        Some(rx)
-    }
-
-    /// Delivers `body` to the waiter registered for `corr`. Returns
-    /// whether a waiter took it; a late response (waiter timed out and
-    /// deregistered) is dropped here, harmlessly.
-    pub fn complete(&self, corr: u64, body: Bytes) -> bool {
-        let sender = self.state().waiters.remove(&corr);
-        match sender {
-            Some(tx) => tx.send(body).is_ok(),
-            None => false,
-        }
-    }
-
-    /// Deregisters `corr` — the waiter gave up (timeout).
-    pub fn forget(&self, corr: u64) {
-        self.state().waiters.remove(&corr);
-    }
-
-    /// Fails every pending waiter (their receivers observe disconnect)
-    /// and refuses future registrations. Called when the link dies so
-    /// blocked RPC chains error out fast instead of running to their
-    /// timeouts.
-    pub fn fail_all(&self) {
-        let mut state = self.state();
-        state.failed = true;
-        state.waiters.clear();
-    }
-
-    /// Waiters currently registered.
-    pub fn pending(&self) -> usize {
-        self.state().waiters.len()
-    }
-}
-
-/// One multiplexed connection to a peer node.
-pub struct MuxLink {
-    writer: Mutex<LinkWriter>,
-    demux: Arc<Demux>,
-    next_corr: AtomicU64,
-    dead: Arc<AtomicBool>,
-    reader: Mutex<Option<thread::JoinHandle<()>>>,
-    metrics: Arc<MuxMetrics>,
-}
-
-struct LinkWriter {
-    stream: TcpStream,
-    /// Reusable encode buffer: one frame is built and written per hold
-    /// of the writer lock, so after warm-up a send allocates nothing.
-    scratch: Vec<u8>,
-}
-
-impl MuxLink {
-    /// Connects to `addr`, announces the [`MUX_PREAMBLE`], and starts the
-    /// demux reader thread.
-    ///
-    /// # Errors
-    ///
-    /// Connection, clone, or preamble-write failures.
-    pub fn connect(
-        addr: SocketAddr,
-        connect_timeout: Duration,
-        metrics: Arc<MuxMetrics>,
-    ) -> io::Result<MuxLink> {
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-        stream.set_nodelay(true)?;
-        let mut write_half = stream.try_clone()?;
-        write_half.write_all(&MUX_PREAMBLE)?;
-        let demux = Arc::new(Demux::new());
-        let dead = Arc::new(AtomicBool::new(false));
-        let reader = thread::Builder::new()
-            .name("gred-mux-demux".into())
-            .spawn({
-                let demux = Arc::clone(&demux);
-                let dead = Arc::clone(&dead);
-                let metrics = Arc::clone(&metrics);
-                // The reader owns the original stream; `close` unblocks it
-                // with a socket shutdown through the writer's clone.
-                move || demux_reader(stream, &demux, &dead, &metrics)
-            })?;
-        Ok(MuxLink {
-            writer: Mutex::new(LinkWriter {
-                stream: write_half,
-                scratch: Vec::new(),
-            }),
-            demux,
-            next_corr: AtomicU64::new(1),
-            dead,
-            reader: Mutex::new(Some(reader)),
-            metrics,
-        })
-    }
-
-    /// Whether the link has failed (peer closed, I/O error, or closed
-    /// locally). A dead link never recovers; callers reconnect.
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Relaxed)
-    }
-
-    /// Sends `packet` and waits up to `reply_timeout` for its correlated
-    /// response. Any number of calls may be in flight concurrently.
-    ///
-    /// # Errors
-    ///
-    /// - `TimedOut`: no response in time. The link **stays alive** — the
-    ///   late response is dropped by correlation id.
-    /// - `BrokenPipe`/other I/O: the link is dead; reconnect.
-    /// - `InvalidData`: the peer answered with a non-GRED body.
-    pub fn call(&self, packet: &Packet, reply_timeout: Duration) -> io::Result<Packet> {
-        let body = self.exchange_correlated(reply_timeout, |scratch| {
-            wire::encode_into(packet, scratch);
-        })?;
-        wire::parse_bytes(&body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Sends every packet in one batch frame (one syscall, one
-    /// correlation id) and waits for the correlated batch response —
-    /// the peer answers with one response per packet, in request order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`call`](MuxLink::call), plus `InvalidData`
-    /// when the peer's batch response does not carry exactly one
-    /// response per request.
-    pub fn call_batch(
-        &self,
-        packets: &[Packet],
-        reply_timeout: Duration,
-    ) -> io::Result<Vec<Packet>> {
-        let body = self.exchange_correlated(reply_timeout, |scratch| {
-            wire::encode_batch_into(packets, scratch);
-        })?;
-        let responses = wire::parse_batch_bytes(&body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if responses.len() != packets.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "batch response carries {} packets for {} requests",
-                    responses.len(),
-                    packets.len()
-                ),
-            ));
-        }
-        Ok(responses)
-    }
-
-    /// Shared request/response core: allocates a correlation id, builds
-    /// `[len][corr][body]` in the writer's scratch buffer under the lock
-    /// (`encode_body` appends the body — a single packet or a batch
-    /// container), writes the frame in one syscall, and waits for the
-    /// correlated response body.
-    fn exchange_correlated(
-        &self,
-        reply_timeout: Duration,
-        encode_body: impl FnOnce(&mut Vec<u8>),
-    ) -> io::Result<Bytes> {
-        if self.is_dead() {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "mux link is dead",
-            ));
-        }
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let rx = self
-            .demux
-            .register(corr)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::BrokenPipe, "mux link failed"))?;
-        {
-            let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-            if w.scratch.capacity() > 0 {
-                self.metrics
-                    .encode_buf_reuses
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            w.scratch.clear();
-            let at = frame::begin_frame(&mut w.scratch);
-            w.scratch.extend_from_slice(&corr.to_be_bytes());
-            encode_body(&mut w.scratch);
-            frame::finish_frame(&mut w.scratch, at);
-            let LinkWriter { stream, scratch } = &mut *w;
-            if let Err(e) = stream.write_all(scratch) {
-                drop(w);
-                self.demux.forget(corr);
-                self.fail();
-                return Err(e);
-            }
-        }
-        match rx.recv_timeout(reply_timeout) {
-            Ok(body) => Ok(body),
-            Err(RecvTimeoutError::Timeout) => {
-                self.demux.forget(corr);
-                Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "peer did not respond in time",
-                ))
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "mux link failed while waiting",
-            )),
-        }
-    }
-
-    /// Marks the link dead, fails every pending waiter, and unblocks the
-    /// reader with a socket shutdown.
-    fn fail(&self) {
-        self.dead.store(true, Ordering::Relaxed);
-        let w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.stream.shutdown(Shutdown::Both);
-        drop(w);
-        self.demux.fail_all();
-    }
-
-    /// Shuts the link down and joins its reader thread. Idempotent.
-    pub fn close(&self) {
-        self.fail();
-        let handle = self
-            .reader
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
+impl<T> Default for Parked<T> {
+    fn default() -> Self {
+        Parked {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
         }
     }
 }
 
-impl Drop for MuxLink {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
-impl std::fmt::Debug for MuxLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MuxLink")
-            .field("dead", &self.is_dead())
-            .field("pending", &self.demux.pending())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Reader-thread body: reassemble frames, route by correlation id.
-fn demux_reader(mut stream: TcpStream, demux: &Demux, dead: &AtomicBool, metrics: &MuxMetrics) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    'link: loop {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => decoder.feed(&buf[..n]),
-        }
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(body)) => {
-                    metrics.frames_decoded.fetch_add(1, Ordering::Relaxed);
-                    match frame::split_mux(&body) {
-                        Some((corr, payload)) => {
-                            demux.complete(corr, payload);
-                        }
-                        // A frame too short for a correlation id means the
-                        // peer is not speaking the mux protocol.
-                        None => break 'link,
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => break 'link,
-            }
-        }
-    }
-    dead.store(true, Ordering::Relaxed);
-    demux.fail_all();
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A grow-on-demand worker pool whose jobs never queue behind a blocked
-/// worker (see the module docs for why that matters here).
-pub struct DispatchPool {
-    inner: Arc<PoolInner>,
-    name: String,
-}
-
-struct PoolInner {
-    queue: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    /// Tokens published by workers parked in the wait loop. `submit`
-    /// consumes a token before queueing; no token means no worker is
-    /// provably free, so a new one is spawned.
-    idle: AtomicUsize,
-    /// Jobs queued *without* consuming an idle token (the spawn-failure
-    /// fallback in `submit`). The next worker to reach its publication
-    /// point settles one unit of debt by withholding its token instead of
-    /// publishing it, keeping `idle` an under- (never over-) estimate of
-    /// parked workers. Over-publication is the dangerous direction: a
-    /// phantom token lets `submit` queue a job behind a busy worker —
-    /// exactly the self-deadlock this pool exists to rule out.
-    debt: AtomicUsize,
-    spawned: AtomicUsize,
-    shutdown: AtomicBool,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
-}
-
-impl DispatchPool {
-    /// An empty pool; `name` prefixes worker thread names.
-    pub fn new(name: impl Into<String>) -> DispatchPool {
-        DispatchPool {
-            inner: Arc::new(PoolInner {
-                queue: Mutex::new(VecDeque::new()),
-                ready: Condvar::new(),
-                idle: AtomicUsize::new(0),
-                debt: AtomicUsize::new(0),
-                spawned: AtomicUsize::new(0),
-                shutdown: AtomicBool::new(false),
-                handles: Mutex::new(Vec::new()),
-            }),
-            name: name.into(),
-        }
-    }
-
-    /// Workers ever spawned (the pool grows, it never shrinks).
-    pub fn workers_spawned(&self) -> usize {
-        self.inner.spawned.load(Ordering::Relaxed)
-    }
-
-    /// Idle-worker tokens currently published. While token debt from a
-    /// spawn-failure fallback is outstanding this under-estimates the
-    /// parked workers (by design — see `PoolInner::debt`); it must never
-    /// over-estimate them.
-    pub fn idle_tokens(&self) -> usize {
-        self.inner.idle.load(Ordering::Acquire)
-    }
-
-    /// Runs `job` on a worker that is idle *now*, spawning one if none
-    /// is. After [`join`](DispatchPool::join) begins, jobs are dropped —
-    /// their requesters see the connection close instead.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let mut job: Job = Box::new(job);
-        let inner = &self.inner;
-        loop {
-            if inner.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let idle = inner.idle.load(Ordering::Acquire);
-            if idle == 0 {
-                job = match self.spawn_worker(job) {
-                    Ok(()) => return,
-                    // Thread spawn failed (resource exhaustion): fall
-                    // back to queueing and waking whoever frees up first.
-                    Err(job) => job,
-                };
-                // This job enters the queue without a consumed token, so
-                // record the debt: the worker that next publishes a token
-                // withholds it instead, keeping the idle count honest.
-                // (Without this, that worker's fresh loop-top publication
-                // plus the unpaired queued job over-publish `idle` by one,
-                // and a later submit can reserve a phantom worker.)
-                inner.debt.fetch_add(1, Ordering::AcqRel);
-                let mut q = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                q.push_back(job);
-                inner.ready.notify_one();
-                return;
-            }
-            if inner
-                .idle
-                .compare_exchange(idle, idle - 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let mut q = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                q.push_back(job);
-                inner.ready.notify_one();
-                return;
-            }
-        }
-    }
-
-    /// Spawns a worker whose first task is `job`; on spawn failure the
-    /// job is handed back.
-    fn spawn_worker(&self, job: Job) -> Result<(), Job> {
-        let inner = &self.inner;
-        let mut handles = inner.handles.lock().unwrap_or_else(PoisonError::into_inner);
-        // Checked under the handles lock so `join` (which sets the flag
-        // and takes the vector under the same lock) can never miss a
-        // handle: a spawn lands either before the take or not at all.
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = inner.spawned.fetch_add(1, Ordering::Relaxed);
-        let worker_inner = Arc::clone(inner);
-        // The job rides in a cell so a failed spawn can hand it back
-        // (the closure is dropped without running on spawn failure).
-        let cell = Arc::new(Mutex::new(Some(job)));
-        let worker_cell = Arc::clone(&cell);
-        let spawned = thread::Builder::new()
-            .name(format!("{}-dispatch-{n}", self.name))
-            .spawn(move || {
-                let first = worker_cell
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                if let Some(first) = first {
-                    worker(&worker_inner, first);
-                }
+impl<T> Parked<T> {
+    /// Parks `value` and returns the correlation id that names it.
+    pub(crate) fn park(&mut self, value: T) -> u64 {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                generation: 0,
+                value: None,
             });
-        match spawned {
-            Ok(handle) => {
-                handles.push(handle);
-                Ok(())
-            }
-            Err(_) => {
-                inner.spawned.fetch_sub(1, Ordering::Relaxed);
-                let job = cell
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .expect("unspawned worker never took its job");
-                Err(job)
-            }
-        }
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 parked continuations")
+        });
+        let slot = &mut self.slots[index as usize];
+        slot.value = Some(value);
+        self.live += 1;
+        u64::from(slot.generation) << 32 | u64::from(index)
     }
 
-    /// Stops accepting jobs and joins every worker, returning how many
-    /// were joined. Blocked jobs must be unblocked first (the node closes
-    /// its links before joining the pool, so blocked RPCs fail fast).
-    pub fn join(&self) -> usize {
-        let inner = &self.inner;
-        let handles: Vec<_> = {
-            let mut handles = inner.handles.lock().unwrap_or_else(PoisonError::into_inner);
-            inner.shutdown.store(true, Ordering::Relaxed);
-            std::mem::take(&mut *handles)
-        };
-        inner.ready.notify_all();
-        let n = handles.len();
-        for handle in handles {
-            let _ = handle.join();
-        }
-        n
+    fn slot(&self, corr: u64) -> Option<&Slot<T>> {
+        self.slots
+            .get((corr & 0xFFFF_FFFF) as usize)
+            .filter(|slot| u64::from(slot.generation) == corr >> 32)
     }
-}
 
-impl std::fmt::Debug for DispatchPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DispatchPool")
-            .field("name", &self.name)
-            .field("spawned", &self.workers_spawned())
-            .finish_non_exhaustive()
+    /// The continuation `corr` names, if it is still parked.
+    pub(crate) fn get(&self, corr: u64) -> Option<&T> {
+        self.slot(corr)?.value.as_ref()
     }
-}
 
-fn worker(inner: &PoolInner, first: Job) {
-    first();
-    loop {
-        // Settle token debt before publishing: if an unpaired job sits in
-        // the queue (spawn-failure fallback), this worker's token is
-        // considered spent on it. Withholding errs toward under-counting
-        // idle workers, which at worst spawns an extra thread — never
-        // toward the phantom reservation that could re-queue a job behind
-        // a blocked worker.
-        if inner
-            .debt
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-            .is_err()
-        {
-            inner.idle.fetch_add(1, Ordering::Release);
-        }
-        let job = {
-            let mut q = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break Some(job);
-                }
-                if inner.shutdown.load(Ordering::Relaxed) {
-                    break None;
-                }
-                let (guard, _) = inner
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-            }
-        };
-        match job {
-            Some(job) => job(),
-            None => {
-                // Retire this worker's published token so `submit` never
-                // reserves a worker that exited (guarded: a concurrent
-                // reservation may already have consumed it).
-                let _ = inner
-                    .idle
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-                return;
-            }
-        }
+    /// Mutable access to the continuation `corr` names.
+    pub(crate) fn get_mut(&mut self, corr: u64) -> Option<&mut T> {
+        self.slot(corr)?;
+        self.slots[(corr & 0xFFFF_FFFF) as usize].value.as_mut()
+    }
+
+    /// Removes and returns the continuation `corr` names. `None` for a
+    /// late id: the continuation already completed, expired, or failed.
+    pub(crate) fn take(&mut self, corr: u64) -> Option<T> {
+        self.slot(corr)?;
+        let index = (corr & 0xFFFF_FFFF) as u32;
+        let slot = &mut self.slots[index as usize];
+        let value = slot.value.take()?;
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(index);
+        self.live -= 1;
+        Some(value)
+    }
+
+    /// Continuations currently parked.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Every parked continuation with its correlation id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.slots.iter().enumerate().filter_map(|(index, slot)| {
+            let value = slot.value.as_ref()?;
+            Some((u64::from(slot.generation) << 32 | index as u64, value))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::tests::{forwarder, roundtrip, scripted_peer, test_config, with_peer};
+    use gred_dataplane::{Packet, ResponseStatus};
     use gred_hash::DataId;
+    use std::io::Read;
     use std::net::TcpListener;
-    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn demux_routes_by_correlation_id() {
-        let demux = Demux::new();
-        let rx1 = demux.register(1).unwrap();
-        let rx2 = demux.register(2).unwrap();
-        assert_eq!(demux.pending(), 2);
-        assert!(demux.complete(2, Bytes::from_static(b"two")));
-        assert!(demux.complete(1, Bytes::from_static(b"one")));
-        assert_eq!(rx1.recv().unwrap(), Bytes::from_static(b"one"));
-        assert_eq!(rx2.recv().unwrap(), Bytes::from_static(b"two"));
-        // Late response after a forget is dropped, not misdelivered.
-        let _rx3 = demux.register(3).unwrap();
-        demux.forget(3);
-        assert!(!demux.complete(3, Bytes::from_static(b"late")));
-    }
-
-    #[test]
-    fn demux_fail_all_disconnects_waiters_and_refuses_new_ones() {
-        let demux = Demux::new();
-        let rx = demux.register(7).unwrap();
-        demux.fail_all();
-        assert!(rx.recv().is_err(), "waiter observes the failure");
-        assert!(demux.register(8).is_none(), "failed demux refuses waiters");
-    }
-
-    #[test]
-    fn pool_runs_a_job_even_while_another_job_is_blocked() {
-        // The deadlock-freedom property: a blocked worker never delays a
-        // new submission.
-        let pool = DispatchPool::new("test");
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (done_tx, done_rx) = mpsc::channel::<&'static str>();
-        let first_done = done_tx.clone();
-        pool.submit(move || {
-            release_rx.recv().unwrap(); // blocks until the second job ran
-            first_done.send("first").unwrap();
-        });
-        pool.submit(move || done_tx.send("second").unwrap());
-        // The second job completes while the first is still blocked...
-        assert_eq!(
-            done_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            "second"
-        );
-        // ...and unblocks the first.
-        release_tx.send(()).unwrap();
-        assert_eq!(
-            done_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            "first"
-        );
-        assert_eq!(pool.workers_spawned(), 2, "the pool grew under blockage");
-        assert_eq!(pool.join(), 2);
-    }
-
-    #[test]
-    fn pool_reuses_idle_workers() {
-        let pool = DispatchPool::new("test");
-        for _ in 0..20 {
-            let (tx, rx) = mpsc::channel::<()>();
-            pool.submit(move || tx.send(()).unwrap());
-            rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            // A finished job is not a republished token yet: wait for
-            // the worker to park again, so every submit finds it idle.
-            wait_until("worker republished its token", || pool.idle_tokens() == 1);
-        }
-        assert_eq!(
-            pool.workers_spawned(),
-            1,
-            "sequential jobs should reuse one worker"
-        );
-        pool.join();
-    }
-
-    /// Polls `cond` for up to two seconds; panics with `what` otherwise.
-    fn wait_until(what: &str, cond: impl Fn() -> bool) {
-        for _ in 0..200 {
-            if cond() {
-                return;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
-        panic!("timed out waiting until {what}");
-    }
-
-    #[test]
-    fn spawn_fallback_queue_does_not_overpublish_idle_tokens() {
-        // Regression for the token leak: a job queued by the spawn-failure
-        // fallback enters the queue without consuming an idle token. The
-        // worker that pops it re-publishes a token at its loop top, so
-        // without debt settlement one parked worker ends up backed by TWO
-        // published tokens — and a later submit can reserve the phantom
-        // one, queueing a job behind a busy (possibly blocked) worker.
-        let pool = DispatchPool::new("test");
-        let (tx, rx) = mpsc::channel::<()>();
-        pool.submit(move || tx.send(()).unwrap());
-        rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        wait_until("the worker parks and publishes its token", || {
-            pool.idle_tokens() == 1
-        });
-        // Reproduce the fallback path exactly as `submit` does on
-        // thread-spawn failure: record debt, queue the unpaired job.
-        let (tx2, rx2) = mpsc::channel::<()>();
-        let inner = &pool.inner;
-        inner.debt.fetch_add(1, Ordering::AcqRel);
-        {
-            let mut q = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            q.push_back(Box::new(move || tx2.send(()).unwrap()) as Job);
-            inner.ready.notify_one();
-        }
-        rx2.recv_timeout(Duration::from_secs(5)).unwrap();
-        wait_until("the debt is settled", || {
-            inner.debt.load(Ordering::Acquire) == 0
-        });
-        // One parked worker, one token: the worker settled the debt by
-        // withholding its re-publication instead of minting a second one.
-        thread::sleep(Duration::from_millis(50));
-        assert_eq!(
-            pool.idle_tokens(),
-            1,
-            "an unpaired queued job must not leak an extra idle token"
-        );
-        pool.join();
-    }
-
-    #[test]
-    fn link_death_returns_the_pooled_workers_token() {
-        // A worker blocked inside a mux call must be freed by link death
-        // (EOF -> fail_all) and return to the pool with exactly one
-        // published token, reusable by the next submit.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut preamble = [0u8; 4];
-            stream.read_exact(&mut preamble).unwrap();
-            // Read the request, answer nothing, drop the socket: the
-            // demux reader sees EOF and fails every pending waiter.
-            let mut buf = [0u8; 4096];
-            let _ = stream.read(&mut buf);
-        });
-        let link = Arc::new(
-            MuxLink::connect(
-                addr,
-                Duration::from_secs(1),
-                Arc::new(MuxMetrics::default()),
-            )
-            .unwrap(),
-        );
-        let pool = DispatchPool::new("test");
-        let (done_tx, done_rx) = mpsc::channel::<io::ErrorKind>();
-        let job_link = Arc::clone(&link);
-        pool.submit(move || {
-            let err = job_link
-                .call(
-                    &Packet::retrieval(DataId::new("k")),
-                    Duration::from_secs(30),
-                )
-                .expect_err("the peer hangs up without answering");
-            done_tx.send(err.kind()).unwrap();
-        });
-        // The blocked job errors out promptly — no 30s timeout wait.
-        let kind = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(kind, io::ErrorKind::BrokenPipe);
-        assert!(link.is_dead());
-        wait_until("the freed worker parks again", || pool.idle_tokens() == 1);
-        // The returned token is real: the next job reserves the freed
-        // worker instead of spawning a second one.
-        let (tx, rx) = mpsc::channel::<()>();
-        pool.submit(move || tx.send(()).unwrap());
-        rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(
-            pool.workers_spawned(),
-            1,
-            "the freed worker should be reused, not replaced"
-        );
-        pool.join();
-        peer.join().unwrap();
-    }
-
-    #[test]
-    fn pool_join_is_idempotent_and_drops_late_jobs() {
-        let pool = DispatchPool::new("test");
-        pool.submit(|| {});
-        assert_eq!(pool.join(), 1);
-        assert_eq!(pool.join(), 0);
-        pool.submit(|| panic!("jobs after join must not run"));
-        assert_eq!(pool.join(), 0);
-    }
-
-    /// A scripted mux peer: reads the preamble, then answers every
-    /// request with its own correlation id and a recognizable payload —
-    /// deliberately batching and reordering each pair of requests.
-    fn scripted_reordering_peer(listener: TcpListener) {
-        let (mut stream, _) = listener.accept().unwrap();
-        let mut preamble = [0u8; 4];
-        stream.read_exact(&mut preamble).unwrap();
-        assert_eq!(preamble, MUX_PREAMBLE);
-        let mut decoder = FrameDecoder::new();
-        let mut buf = [0u8; 4096];
-        let mut pending: Vec<(u64, Packet)> = Vec::new();
-        loop {
-            let n = match stream.read(&mut buf) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => n,
-            };
-            decoder.feed(&buf[..n]);
-            while let Some(body) = decoder.next_frame().unwrap() {
-                let (corr, payload) = frame::split_mux(&body).unwrap();
-                pending.push((corr, wire::parse_bytes(&payload).unwrap()));
-            }
-            // Answer in reverse arrival order, two at a time.
-            if pending.len() >= 2 {
-                pending.reverse();
-                for (corr, request) in pending.drain(..) {
-                    let response = Packet::response(request.id.clone(), format!("corr-{corr}"));
-                    let mut out = Vec::new();
-                    let at = frame::begin_frame(&mut out);
-                    out.extend_from_slice(&corr.to_be_bytes());
-                    wire::encode_into(&response, &mut out);
-                    frame::finish_frame(&mut out, at);
-                    stream.write_all(&out).unwrap();
-                }
-            }
-        }
+        let mut parked = Parked::default();
+        let one = parked.park("one");
+        let two = parked.park("two");
+        assert_ne!(one, two);
+        assert_eq!(parked.len(), 2);
+        assert_eq!(parked.take(two), Some("two"));
+        assert_eq!(parked.get(one), Some(&"one"));
+        assert_eq!(parked.take(one), Some("one"));
+        // A late response after an expiry is dropped, not misdelivered —
+        // even though the slot is immediately reused by a new request.
+        let expired = parked.park("expired");
+        assert_eq!(parked.take(expired), Some("expired"));
+        let reused = parked.park("fresh");
+        assert_eq!(reused & 0xFFFF_FFFF, expired & 0xFFFF_FFFF, "same slot");
+        assert_eq!(parked.take(expired), None, "the old key is dead");
+        assert_eq!(parked.get_mut(reused), Some(&mut "fresh"));
+        assert_eq!(parked.iter().collect::<Vec<_>>(), vec![(reused, &"fresh")]);
     }
 
     #[test]
     fn concurrent_calls_each_get_their_own_response() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = thread::spawn(move || scripted_reordering_peer(listener));
-        let link = Arc::new(
-            MuxLink::connect(
-                addr,
-                Duration::from_secs(1),
-                Arc::new(MuxMetrics::default()),
-            )
-            .unwrap(),
-        );
-        // Two in-flight calls; the peer responds to them reversed. The
-        // response echoes the request's data id, so each caller proves it
-        // received the answer to *its* request, not its sibling's.
-        thread::scope(|scope| {
-            for i in 0..2 {
-                let link = Arc::clone(&link);
-                scope.spawn(move || {
-                    let id = DataId::new(format!("key-{i}"));
-                    let request = Packet::retrieval(id.clone());
-                    let reply = link.call(&request, Duration::from_secs(5)).unwrap();
-                    assert_eq!(reply.id, id, "caller {i} got a sibling's response");
-                    let text = String::from_utf8(reply.payload.to_vec()).unwrap();
-                    assert!(text.starts_with("corr-"), "unexpected payload {text}");
-                });
-            }
+        // Two forwards in flight on one link; the peer answers them in
+        // reverse arrival order. Each response echoes its request's id,
+        // so each client proves it got the answer to *its* request.
+        let reorderer = |listener: TcpListener| {
+            let mut held: Vec<(u64, Packet)> = Vec::new();
+            scripted_peer(&listener, |corr, request| {
+                held.push((corr, Packet::response(request.id, format!("corr-{corr}"))));
+                if held.len() < 2 {
+                    return Vec::new();
+                }
+                held.drain(..).rev().collect()
+            });
+        };
+        with_peer(reorderer, |peer_addr| {
+            let mut node = forwarder(peer_addr, test_config());
+            let addr = node.addr();
+            thread::scope(|scope| {
+                for i in 0..2 {
+                    scope.spawn(move || {
+                        let id = DataId::new(format!("key-{i}"));
+                        let reply = roundtrip(addr, &Packet::retrieval(id.clone()));
+                        assert_eq!(reply.id, id, "caller {i} got a sibling's response");
+                        let text = String::from_utf8(reply.payload.to_vec()).unwrap();
+                        assert!(text.starts_with("corr-"), "unexpected payload {text}");
+                    });
+                }
+            });
+            assert_eq!(node.parked_continuations(), 0);
+            node.shutdown();
         });
-        link.close();
-        assert!(link.is_dead());
-        peer.join().unwrap();
     }
 
     #[test]
     fn timeout_leaves_the_link_usable() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut preamble = [0u8; 4];
-            stream.read_exact(&mut preamble).unwrap();
-            let mut decoder = FrameDecoder::new();
-            let mut buf = [0u8; 4096];
+        let swallower = |listener: TcpListener| {
             let mut seen = 0u32;
-            loop {
-                let n = match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => return,
-                    Ok(n) => n,
-                };
-                decoder.feed(&buf[..n]);
-                while let Some(body) = decoder.next_frame().unwrap() {
-                    let (corr, payload) = frame::split_mux(&body).unwrap();
-                    seen += 1;
-                    if seen == 1 {
-                        continue; // swallow the first request: let it time out
-                    }
-                    let request = wire::parse_bytes(&payload).unwrap();
-                    let response = Packet::response(request.id.clone(), b"answered".as_ref());
-                    let mut out = Vec::new();
-                    let at = frame::begin_frame(&mut out);
-                    out.extend_from_slice(&corr.to_be_bytes());
-                    wire::encode_into(&response, &mut out);
-                    frame::finish_frame(&mut out, at);
-                    stream.write_all(&out).unwrap();
+            let mut swallowed = None;
+            scripted_peer(&listener, |corr, request| {
+                seen += 1;
+                if seen == 1 {
+                    swallowed = Some((corr, request.id));
+                    return Vec::new(); // let the first request time out
                 }
-            }
+                // Answer the second request — and, late, the first: the
+                // expired continuation's id must find nothing.
+                let (late, late_id) = swallowed.take().expect("first request seen");
+                vec![
+                    (late, Packet::response(late_id, b"late".as_ref())),
+                    (corr, Packet::response(request.id, b"answered".as_ref())),
+                ]
+            });
+        };
+        with_peer(swallower, |peer_addr| {
+            let mut cfg = test_config();
+            cfg.peer_reply_timeout = Duration::from_millis(60);
+            cfg.suspect_ttl = Duration::from_millis(1);
+            let mut node = forwarder(peer_addr, cfg);
+            let request = Packet::retrieval(DataId::new("k"));
+            let expired = roundtrip(node.addr(), &request);
+            assert_eq!(expired.status, ResponseStatus::Redirect);
+            assert_eq!(node.parked_continuations(), 0, "the expiry freed its slot");
+            thread::sleep(Duration::from_millis(5)); // let the suspicion lapse
+            let reply = roundtrip(node.addr(), &request);
+            assert_eq!(reply.payload.as_ref(), b"answered");
+            let report = node.shutdown();
+            assert_eq!(
+                report.hot.link_reconnects, 0,
+                "a timeout must not kill the link"
+            );
+            assert_eq!(report.hot.peers_suspected, 1);
         });
-        let link = MuxLink::connect(
-            addr,
-            Duration::from_secs(1),
-            Arc::new(MuxMetrics::default()),
-        )
-        .unwrap();
-        let request = Packet::retrieval(DataId::new("k"));
-        let err = link
-            .call(&request, Duration::from_millis(50))
-            .expect_err("swallowed request times out");
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert!(!link.is_dead(), "a timeout must not kill the link");
-        let reply = link.call(&request, Duration::from_secs(5)).unwrap();
-        assert_eq!(reply.payload.as_ref(), b"answered");
-        link.close();
-        peer.join().unwrap();
+    }
+
+    #[test]
+    fn demux_fail_all_disconnects_waiters_and_refuses_new_ones() {
+        // Link death fails every continuation parked on it — after one
+        // resend on a fresh link — and a peer that keeps hanging up is
+        // suspected instead of being dialed forever.
+        let hanger_up = |listener: TcpListener| {
+            for _ in 0..2 {
+                // Read the request, answer nothing, hang up.
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut buf = [0u8; 4096];
+                let _ = stream.read(&mut buf);
+            }
+        };
+        with_peer(hanger_up, |peer_addr| {
+            let mut node = forwarder(peer_addr, test_config());
+            let reply = roundtrip(node.addr(), &Packet::retrieval(DataId::new("k")));
+            assert_eq!(
+                reply.status,
+                ResponseStatus::Redirect,
+                "no 5 s timeout wait"
+            );
+            assert_eq!(node.parked_continuations(), 0);
+            assert_eq!(node.suspect_peers(), vec![1]);
+            // While the peer is suspect greedy treats it as absent: the next
+            // read is served (as a degraded miss) without touching the link.
+            let detoured = roundtrip(node.addr(), &Packet::retrieval(DataId::new("k")));
+            assert_eq!(detoured.detours, 1);
+            let report = node.shutdown();
+            assert_eq!(report.hot.link_reconnects, 1, "one resend on a fresh link");
+            assert_eq!(report.hot.redirects_issued, 1);
+        });
     }
 }

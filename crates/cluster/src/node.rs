@@ -1,57 +1,77 @@
 //! The per-switch node runtime.
 //!
-//! A [`Node`] is one GRED switch promoted to a real network endpoint:
+//! A [`Node`] is one GRED switch promoted to a real network endpoint, and
+//! it is **one thread**: a reactor that owns the listener, every accepted
+//! socket, every outbound peer link and every request in flight. All
+//! sockets are nonblocking and registered with a level-triggered epoll
+//! [`Poller`], so ten thousand mostly-idle connections cost file
+//! descriptors, not threads, and nothing the reactor runs can block.
 //!
-//! - a **reactor** (one thread) owns all inbound I/O: the listener and
-//!   every accepted socket are nonblocking and registered with a
-//!   level-triggered epoll [`Poller`], so ten thousand mostly-idle
-//!   connections cost file descriptors, not threads. Each connection is
-//!   a small state machine — sniff the first bytes to decide the
-//!   protocol (a plain client connection, or a multiplexed peer link
-//!   announced by [`MUX_PREAMBLE`]), reassemble frames with the sticky
-//!   incremental [`FrameDecoder`], absorb partial writes in a
-//!   [`WriteQueue`] — and the reactor only ever runs work that cannot
-//!   block: requests it can prove stay local are answered inline, and
-//!   everything else is handed to the dispatch pool,
-//! - the **dispatch pool** ([`DispatchPool`], grow-on-demand with idle-
-//!   token reservation) executes requests whose greedy pipeline may
-//!   block on a nested peer RPC. A finished worker encodes its response
-//!   into the connection's shared outbox and wakes the poller; the
-//!   reactor moves the bytes onto the socket. Plain connections stay
-//!   strictly in-order (one dispatched frame at a time, later frames
-//!   queue); mux connections interleave freely under correlation ids,
-//! - the **dispatcher** runs the identical greedy pipeline the in-process
-//!   plane runs ([`SwitchDataplane::decide`] /
-//!   [`SwitchDataplane::relay_next`]) and, when the decision is to
-//!   forward, relays the packet to the peer node over a persistent
-//!   multiplexed link and returns the peer's response.
+//! Each connection is a small state machine — sniff the first bytes to
+//! decide the protocol (a plain client connection, or a multiplexed link
+//! announced by [`MUX_PREAMBLE`]), reassemble frames with the sticky
+//! incremental [`FrameDecoder`], absorb partial writes in a
+//! [`WriteQueue`]. Every decoded packet runs the identical greedy
+//! pipeline the in-process plane runs ([`SwitchDataplane::decide_avoiding`]
+//! / [`SwitchDataplane::relay_next`]); a packet answered here is written
+//! straight back, a packet whose next stop is another switch becomes a
+//! parked continuation.
 //!
-//! # Forwarding = synchronous RPC chaining over multiplexed links
+//! # Forwarding = continuations on the reactor
 //!
-//! A forwarded packet travels as a nested remote call: the worker at the
-//! access node sends the packet one hop and blocks for the response,
-//! which the next node produces by (possibly) forwarding another hop,
-//! and so on until the owner switch answers. Each hop travels over the
-//! sender's one persistent [`MuxLink`] to that peer: the sender tags the
-//! request with a correlation id, any number of requests interleave on
-//! the link, and the link's demux reader wakes exactly the waiter whose
-//! id comes back (protocol details in [`crate::mux`]).
+//! ```text
+//!  origin conn ──frame──▶ route_step ×n ──▶ all answered here ─────────────┐
+//!                              │                                            │
+//!                   one frame per next-hop group,                           │
+//!                   written to that peer's link                             ▼
+//!                              │                                   (stored a write?)
+//!                              ▼                                     │yes        │no
+//!                      ┌── parked ──┐   response on the link         ▼           │
+//!                      │ corr → call│──▶ completed: fill caches, ─▶ invalidation │
+//!                      │  + deadline│    fill reply slots; last     scatter to   │
+//!                      └────────────┘    group landed ─────────────▶ every peer, │
+//!                        │        │                                 gather acks  │
+//!          link died:    │        │ deadline passed / second death:     │        ▼
+//!          resend once ◀─┘        └▶ expired: peer suspect, slots get   └─▶ answer the
+//!          on a fresh link            `Redirect` (acks: `Degraded`)         origin conn
+//! ```
 //!
-//! Two properties make this safe and fast where the earlier design
-//! (mutex-per-link, one-shot TCP fallback when busy) was only safe:
+//! A *call* is one request frame (a single packet or a "GB" batch) with
+//! one reply slot per packet. Packets bound for the same next hop travel
+//! in **one** frame over the node's persistent link to that peer — an
+//! outbound connection living in the same slab, on the same poller, as
+//! the inbound ones (lazily dialed with a nonblocking `connect(2)`, the
+//! same `GMUX` preamble and 8-byte correlation ids as ever). The reactor
+//! writes the frame, parks `{call, peer, packets, cache-fill tokens}` in
+//! the `Parked` slab under the correlation id, and returns to its event
+//! loop; the peer's response takes the continuation back out on the same
+//! thread. When a call's last group lands it either answers its origin
+//! connection or — if it stored a write — runs the invalidation phase
+//! through the same mechanism as a scatter-gather: one `Invalidate` frame
+//! to every peer back-to-back, acks counted down, the origin answered
+//! only after the last one. A clean ack therefore still proves every
+//! reachable peer dropped its cached copy.
 //!
-//! - **No self-deadlock by construction.** A chain can cross the same
-//!   directed link twice (a virtual link's relay path may pass through a
-//!   switch the packet later leaves again). Both crossings now share the
-//!   link concurrently — there is no per-link critical section to wait
-//!   on — and the serving side hands every mux request to a
-//!   [`DispatchPool`] worker that is provably idle (or freshly spawned),
-//!   never queueing a request behind a blocked thread.
-//! - **A busy link never costs a TCP handshake.** One-shot connections
-//!   remain only as an emergency path when a mux link fails *twice* in a
-//!   row (connect + reconnect); the `oneshot_fallbacks` counter stays
-//!   zero in a healthy cluster and is asserted zero in the contention
-//!   loopback test.
+//! Because nothing waits, a chain that crosses the same directed link
+//! twice (a virtual link's relay path may pass through a switch the
+//! packet later leaves again) is just two continuations parked on one
+//! link; there is no thread to deadlock.
+//!
+//! Responses find their origin by `(slot, generation)`: a connection
+//! that closed while its call was parked — even if its slot was reused —
+//! simply drops the late answer.
+//!
+//! # Failure ladder
+//!
+//! Every parked continuation carries one deadline,
+//! `now + peer_reply_timeout`; deadlines sit in one queue in expiry
+//! order, and its front is the poller's wait timeout. A link that dies
+//! (EOF, reset, failed dial) hands each continuation parked on it one
+//! resend over a fresh link; a second death, or the deadline, marks the
+//! peer suspect and fails the continuation — its reads and writes are
+//! answered `Redirect`, an invalidation downgrades the write's ack to
+//! `Degraded`. A timeout leaves the link up: the late response names a
+//! dead correlation id and is dropped.
 //!
 //! # Hops
 //!
@@ -63,17 +83,15 @@
 //!
 //! # Shutdown
 //!
-//! [`Node::shutdown`] flips an atomic flag and wakes the poller, closes
-//! every mux link (failing any waiter still blocked in a chain, so
-//! nested RPCs error out fast instead of running to their timeouts),
-//! then joins the reactor and the dispatch pool. The reactor drains in
-//! two phases: it first closes the listener and stops reading (no new
-//! work), then keeps flushing until every dispatched request has written
-//! its response — bounded by the peer reply timeout — before closing
-//! all connections. No thread outlives the node.
+//! [`Node::shutdown`] flips an atomic flag and wakes the poller. The
+//! reactor drains in two phases: it closes the listener and its peer
+//! links (every parked continuation is refused at once instead of
+//! running to its deadline) and stops reading, then keeps flushing until
+//! every response is on the wire — bounded by the peer reply timeout —
+//! before closing all connections. Joining the reactor joins the node.
 
 use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
-use crate::mux::{DispatchPool, MuxLink, MuxMetrics};
+use crate::mux::Parked;
 use crate::proto;
 use bytes::Bytes;
 use gred_cache::{ReadCache, Token};
@@ -84,7 +102,8 @@ use gred_dataplane::{
 use gred_hash::DataId;
 use gred_net::ServerId;
 use gred_runtime::reactor::{
-    set_listen_backlog, Event, Events, Interest, Poller, WriteQueue, WAKE_TOKEN,
+    connect_nonblocking, set_listen_backlog, Event, Events, Interest, Poller, WriteQueue,
+    WAKE_TOKEN,
 };
 use gred_runtime::ShardedMap;
 use std::collections::{BTreeMap, VecDeque};
@@ -105,16 +124,14 @@ pub const LOG_DIR_ENV: &str = "GRED_CLUSTER_LOG_DIR";
 /// Tuning knobs for a [`Node`].
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// Reactor tick while draining for shutdown (steady-state waits are
-    /// purely event-driven — an idle node burns no CPU).
+    /// Reactor tick while draining for shutdown, and how long the
+    /// listener stays paused after an accept error (steady-state waits
+    /// are purely event-driven — an idle node burns no CPU).
     pub poll_interval: Duration,
-    /// Read timeout on one-shot fallback links — the granularity at
-    /// which those blocked readers notice their deadline.
-    pub read_timeout: Duration,
-    /// Connect timeout for inter-node links.
+    /// How long a dial to a peer may take before the link counts as dead.
     pub peer_connect_timeout: Duration,
-    /// How long a forwarding node waits for a peer's response before
-    /// giving up on the request.
+    /// How long a parked continuation waits for a peer's response before
+    /// the node gives up on it.
     pub peer_reply_timeout: Duration,
     /// Detour budget: once a packet has been forced off the true greedy
     /// path this many times (suspect neighbors), the node aborts the
@@ -125,12 +142,12 @@ pub struct NodeConfig {
     pub max_detours: u16,
     /// How long a failed peer stays suspect before greedy forwarding
     /// optimistically retries it. Without the expiry, suspicion would be
-    /// sticky: greedy avoids a suspect, so no RPC ever succeeds against
-    /// it and nothing would clear the flag after the peer heals.
+    /// sticky: greedy avoids a suspect, so no request ever succeeds
+    /// against it and nothing would clear the flag after the peer heals.
     pub suspect_ttl: Duration,
     /// Byte budget for the node's hot-key read cache ([`ReadCache`]):
-    /// remote-destined retrievals that hit it are answered inline with
-    /// zero peer RPCs, and every locally-stored write broadcasts an
+    /// remote-destined retrievals that hit it are answered with zero
+    /// peer frames, and every locally-stored write broadcasts an
     /// invalidation to all peers before it acks. `0` disables caching
     /// entirely (every probe is a silent no-op).
     pub cache_bytes: usize,
@@ -151,7 +168,6 @@ impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
             poll_interval: Duration::from_millis(2),
-            read_timeout: Duration::from_millis(20),
             peer_connect_timeout: Duration::from_secs(1),
             peer_reply_timeout: Duration::from_secs(5),
             max_detours: 8,
@@ -179,8 +195,8 @@ pub struct NodeReport {
     pub delivered: u64,
     /// Requests that ended in an error response at this node.
     pub errors: u64,
-    /// Threads joined during shutdown: the reactor plus every
-    /// dispatch-pool worker.
+    /// Threads joined during shutdown: the reactor — exactly 1, and 0 on
+    /// a repeated shutdown.
     pub workers_joined: usize,
     /// Items in the local store at shutdown.
     pub stored_items: usize,
@@ -198,22 +214,11 @@ struct StoredItem {
     payload: Bytes,
 }
 
-/// A one-shot fallback connection plus its response reassembler. Only
-/// built when a mux link failed twice in a row.
-struct OneShotLink {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Reusable encode buffer, same scratch discipline as every other
-    /// send path (frame built in place, no intermediate allocation).
-    scratch: Vec<u8>,
-}
-
 /// Outcome of one local routing decision ([`Inner::route_step`]): either
 /// the response is ready, or the packet (already mutated for the hop —
 /// hops counted, relay/server headers set) must travel to peer `to`.
-/// Splitting the decision from the peer RPC is what lets
-/// [`Inner::handle_batch`] group every packet bound for the same next
-/// hop into a single batched RPC.
+/// Splitting the decision from the send is what lets the reactor group
+/// every packet of a call bound for the same next hop into one frame.
 enum Step {
     /// The request was answered (or refused) on this node.
     Respond {
@@ -230,8 +235,8 @@ enum Step {
         /// The packet as it must appear on the wire to `to`.
         packet: Packet,
         /// A clean greedy retrieval that missed the read cache: admit
-        /// the peer's response under this pre-RPC token (refused if an
-        /// invalidation raced past while the RPC was in flight).
+        /// the peer's response under this pre-send token (refused if an
+        /// invalidation raced past while the continuation was parked).
         fill: Option<CacheFill>,
     },
 }
@@ -259,50 +264,63 @@ struct Counters {
     relayed: AtomicU64,
     delivered: AtomicU64,
     errors: AtomicU64,
-    oneshot_fallbacks: AtomicU64,
     link_reconnects: AtomicU64,
     peers_suspected: AtomicU64,
     detour_forwards: AtomicU64,
     redirects_issued: AtomicU64,
     invalidations_rx: AtomicU64,
+    /// Frames reassembled, requests and peer responses alike.
+    frames_decoded: AtomicU64,
+    /// Frames encoded into a connection's already-warm scratch buffer.
+    encode_buf_reuses: AtomicU64,
 }
 
-/// A peer's link slot: the mutex guards only *creating or replacing*
-/// the link — calls clone the `Arc` and run outside it, so any number
-/// of requests share one link concurrently.
-type LinkSlot = Arc<Mutex<Option<Arc<MuxLink>>>>;
-
-/// Per-peer connectivity state: address, shared mux link, and the
-/// suspicion flag the greedy pipeline consults. One table per node,
-/// guarded by a `RwLock` so live reconfiguration (join/leave/restart)
-/// can grow it or repoint an address while requests are in flight.
+/// Per-peer connectivity state the greedy pipeline and stats scrapes
+/// consult. One table per node, guarded by a `RwLock` so live
+/// reconfiguration (join/leave/restart) can grow it or repoint an
+/// address while requests are in flight. The links themselves are
+/// reactor-owned connections; this is only what other threads may read.
 struct PeerTable {
     addrs: Vec<SocketAddr>,
-    links: Vec<LinkSlot>,
     /// Suspicion expiry stamps, in milliseconds since the node booted
-    /// (`0` = not suspect). Set to `now + suspect_ttl` when every way of
-    /// reaching the peer failed (mux call + reconnect + one-shot),
-    /// cleared on the next success or an explicit revive. Greedy
-    /// forwarding treats an unexpired suspect DT neighbor as absent;
-    /// once the stamp expires the peer is optimistically retried, so a
-    /// healed peer that greedy stopped talking to still recovers.
-    suspect: Vec<Arc<AtomicU64>>,
-    /// Per-peer reconnect counters: how many times this node rebuilt its
-    /// mux link to the peer after an RPC error. The sum over peers
-    /// equals the node-wide `link_reconnects` hot counter; a stats
-    /// scrape exports both so an operator can tell *which* link flaps.
-    reconnects: Vec<Arc<AtomicU64>>,
+    /// (`0` = not suspect). Set to `now + suspect_ttl` when a
+    /// continuation parked on the peer failed (deadline, or a second
+    /// link death), cleared on the next response or an explicit revive.
+    /// Greedy forwarding treats an unexpired suspect DT neighbor as
+    /// absent; once the stamp expires the peer is optimistically
+    /// retried, so a healed peer that greedy stopped talking to still
+    /// recovers.
+    suspect: Vec<AtomicU64>,
+    /// Per-peer reconnect counters: continuations resent to the peer
+    /// over a fresh link after an established one died under them. The
+    /// sum over peers equals the node-wide `link_reconnects` hot
+    /// counter; a stats scrape exports both so an operator can tell
+    /// *which* link flaps.
+    reconnects: Vec<AtomicU64>,
+    /// Whether the reactor currently holds an established link to the
+    /// peer.
+    connected: Vec<AtomicBool>,
 }
 
 impl PeerTable {
     fn new(addrs: Vec<SocketAddr>) -> PeerTable {
-        let n = addrs.len();
-        PeerTable {
-            addrs,
-            links: (0..n).map(|_| Arc::default()).collect(),
-            suspect: (0..n).map(|_| Arc::default()).collect(),
-            reconnects: (0..n).map(|_| Arc::default()).collect(),
+        let mut table = PeerTable {
+            addrs: Vec::new(),
+            suspect: Vec::new(),
+            reconnects: Vec::new(),
+            connected: Vec::new(),
+        };
+        for addr in addrs {
+            table.push(addr);
         }
+        table
+    }
+
+    fn push(&mut self, addr: SocketAddr) {
+        self.addrs.push(addr);
+        self.suspect.push(AtomicU64::new(0));
+        self.reconnects.push(AtomicU64::new(0));
+        self.connected.push(AtomicBool::new(false));
     }
 }
 
@@ -323,14 +341,10 @@ struct Inner {
     /// whenever a new forwarding plane is installed (crash/join/leave).
     cache: ReadCache,
     shutdown: AtomicBool,
-    /// Channel back to the reactor thread: the poller (for wakeups) and
-    /// the list of connections whose outbox gained response bytes.
+    /// What the public API shares with the reactor thread: the poller
+    /// (for wakeups) and the gauges a scrape reads.
     reactor: ReactorShared,
-    /// Serves requests that may block on a nested peer RPC; grow-on-
-    /// demand so a request never queues behind a blocked chain.
-    pool: DispatchPool,
     counters: Counters,
-    mux_metrics: Arc<MuxMetrics>,
     cfg: NodeConfig,
     log: Option<Mutex<std::fs::File>>,
     booted: Instant,
@@ -347,12 +361,12 @@ pub struct Node {
 impl Node {
     /// Starts serving `plane` (switch `id`) on `listener`. `peer_addrs`
     /// maps every switch id in the network to its node's address; the
-    /// node connects lazily when it first forwards to a peer.
+    /// node dials a peer lazily when it first forwards to it.
     ///
     /// # Errors
     ///
     /// I/O errors configuring the listener, opening the log file, or
-    /// spawning the accept thread.
+    /// spawning the reactor thread.
     pub fn spawn(
         id: usize,
         plane: SwitchDataplane,
@@ -384,13 +398,13 @@ impl Node {
             shutdown: AtomicBool::new(false),
             reactor: ReactorShared {
                 poller: Poller::new()?,
-                ready: Mutex::new(Vec::new()),
                 conns_open: AtomicUsize::new(0),
                 queued_bytes: AtomicU64::new(0),
+                parked: AtomicUsize::new(0),
+                #[cfg(test)]
+                accept_faults: AtomicUsize::new(0),
             },
-            pool: DispatchPool::new(format!("gred-node-{id}")),
             counters: Counters::default(),
-            mux_metrics: Arc::new(MuxMetrics::default()),
             cfg,
             log,
             booted: Instant::now(),
@@ -405,6 +419,14 @@ impl Node {
             listener: Some(listener),
             conns: Vec::new(),
             free: Vec::new(),
+            freed: Vec::new(),
+            next_gen: 0,
+            links: Vec::new(),
+            calls: Parked::default(),
+            parked: Parked::default(),
+            timers: VecDeque::new(),
+            orphans: Vec::new(),
+            touched: Vec::new(),
             read_buf: vec![0u8; 64 * 1024],
             draining: false,
             deadline: None,
@@ -463,10 +485,11 @@ impl Node {
     }
 
     /// Registers (or re-points) the address of peer switch `switch`,
-    /// growing the peer table when the switch is new. Any cached link to
-    /// that peer is dropped — the next request reconnects to the new
-    /// address — and its suspicion is cleared: a re-registered peer is
-    /// presumed alive until proven otherwise.
+    /// growing the peer table when the switch is new. A link to the old
+    /// address is dropped the next time the reactor reaches for it — the
+    /// next request dials the new address — and the peer's suspicion is
+    /// cleared: a re-registered peer is presumed alive until proven
+    /// otherwise.
     pub fn register_peer(&self, switch: usize, addr: SocketAddr) {
         let mut peers = self
             .inner
@@ -476,19 +499,11 @@ impl Node {
         while peers.addrs.len() <= switch {
             // Placeholder slots for any gap; they are re-pointed when
             // their switch registers.
-            peers.addrs.push(addr);
-            peers.links.push(Arc::default());
-            peers.suspect.push(Arc::default());
-            peers.reconnects.push(Arc::default());
+            peers.push(addr);
         }
         peers.addrs[switch] = addr;
         peers.suspect[switch].store(0, Ordering::Relaxed);
-        let slot = Arc::clone(&peers.links[switch]);
         drop(peers);
-        let stale = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-        if let Some(link) = stale {
-            link.close();
-        }
         self.inner
             .log(&format!("peer {switch} registered at {addr}"));
     }
@@ -511,7 +526,8 @@ impl Node {
             .collect()
     }
 
-    /// Marks peer `switch` suspect, exactly as a failed RPC would.
+    /// Marks peer `switch` suspect, exactly as a failed continuation
+    /// would.
     pub fn mark_peer_suspect(&self, switch: usize) {
         self.inner.mark_suspect(switch);
     }
@@ -552,7 +568,7 @@ impl Node {
 
     /// Current hot-path contention counters — readable while the node is
     /// serving, so tests can assert (for example) that a contended run
-    /// took zero one-shot fallbacks.
+    /// rebuilt no link.
     pub fn hot_stats(&self) -> NodeHotStats {
         self.inner.hot_stats()
     }
@@ -579,11 +595,11 @@ impl Node {
         self.inner.reactor.conns_open.load(Ordering::Relaxed)
     }
 
-    /// Dispatch-pool workers spawned over the node's lifetime. Together
-    /// with the single reactor thread this is the node's entire thread
-    /// budget — independent of how many connections are open.
-    pub fn dispatch_workers_spawned(&self) -> usize {
-        self.inner.pool.workers_spawned()
+    /// Continuations currently parked on peer links: forwarded frames
+    /// and invalidations whose response has neither arrived nor expired.
+    /// Zero whenever the node is idle.
+    pub fn parked_continuations(&self) -> usize {
+        self.inner.reactor.parked.load(Ordering::Relaxed)
     }
 
     /// Signals shutdown without waiting. [`Cluster`](crate::Cluster)
@@ -594,33 +610,19 @@ impl Node {
         self.inner.reactor.poller.wake();
     }
 
-    /// Stops the node: signals shutdown and wakes the poller, closes the
-    /// mux links (failing any still-blocked chain fast), then joins the
-    /// reactor — which drains in-flight requests, flushes their
-    /// responses, and closes the listener and every connection — and the
-    /// dispatch pool. Idempotent.
+    /// Stops the node: signals shutdown, wakes the poller, and joins the
+    /// reactor — which refuses whatever is still parked, flushes every
+    /// response, and closes the listener, the peer links and every
+    /// connection. Idempotent.
     pub fn shutdown(&mut self) -> NodeReport {
         self.request_shutdown();
-        let slots: Vec<_> = {
-            let peers = self
-                .inner
-                .peers
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            peers.links.iter().map(Arc::clone).collect()
-        };
-        for slot in slots {
-            let link = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-            if let Some(link) = link {
-                link.close();
+        let joined = match self.reactor.take() {
+            Some(handle) => {
+                let _ = handle.join();
+                1
             }
-        }
-        let mut joined = 0;
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-            joined += 1;
-        }
-        joined += self.inner.pool.join();
+            None => 0,
+        };
         self.inner.log(&format!("stopped; joined {joined} workers"));
         let c = &self.inner.counters;
         NodeReport {
@@ -659,15 +661,11 @@ const LISTENER_TOKEN: u64 = 0;
 /// Connection tokens start here: `token = FIRST_CONN_TOKEN + slot`.
 const FIRST_CONN_TOKEN: u64 = 1;
 
-/// State shared between the reactor thread, the dispatch pool, and the
-/// node's public API.
+/// State shared between the reactor thread and the node's public API.
 struct ReactorShared {
     /// The epoll instance; [`Poller::wake`] interrupts the reactor's
-    /// wait (shutdown requests, finished pool responses).
+    /// wait (shutdown requests).
     poller: Poller,
-    /// Connections whose outbox gained response bytes since the reactor
-    /// last looked. Workers push here, then wake the poller.
-    ready: Mutex<Vec<Arc<ConnShared>>>,
     /// Open inbound connections (gauge for [`Node::open_connections`]).
     conns_open: AtomicUsize,
     /// Bytes sitting in per-connection write queues, accepted from
@@ -676,19 +674,27 @@ struct ReactorShared {
     /// (which bracket every queue mutation), so a stats scrape can read
     /// the node's write backlog without touching reactor-owned state.
     queued_bytes: AtomicU64,
+    /// Continuations parked on peer links (gauge for
+    /// [`Node::parked_continuations`]).
+    parked: AtomicUsize,
+    /// Accepts that fail with `EMFILE` before the listener is consulted
+    /// again — how the tests put the listener into its error state.
+    #[cfg(test)]
+    accept_faults: AtomicUsize,
 }
 
-/// The slice of one connection's state a dispatch worker may touch
-/// after the reactor has moved on: finished responses are encoded into
-/// `outbox`, and `inflight` counts dispatched-but-undelivered requests
-/// so shutdown and EOF know when the connection is quiescent. The
-/// reactor re-checks `Arc::ptr_eq` before trusting `token` — a slot may
-/// have been reused by a newer connection, in which case the stale
-/// delivery is dropped exactly as a write to a closed socket would be.
-struct ConnShared {
-    token: u64,
-    outbox: Mutex<Vec<u8>>,
-    inflight: AtomicUsize,
+impl ReactorShared {
+    fn accept(&self, listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+        #[cfg(test)]
+        if self
+            .accept_faults
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            return Err(io::Error::from_raw_os_error(24)); // EMFILE
+        }
+        listener.accept()
+    }
 }
 
 /// A decoded frame body: one packet ("GR") or a batch container ("GB").
@@ -710,103 +716,166 @@ fn parse_body(body: &Bytes) -> Result<Parsed, String> {
     }
 }
 
-/// Runs the request(s) through the dispatcher, preserving arity.
-/// `inline` marks calls made on the reactor thread, which must never
-/// block on a peer RPC — see [`Inner::handle`].
-fn run_parsed(inner: &Inner, parsed: Parsed, inline: bool) -> Parsed {
-    match parsed {
-        Parsed::One(packet) => Parsed::One(inner.handle(packet, inline)),
-        Parsed::Many(packets) => Parsed::Many(inner.handle_batch(packets, inline)),
+/// Builds `[len][corr?][body]` in `out`, replacing its contents; `body`
+/// appends the frame body.
+fn frame_into(out: &mut Vec<u8>, corr: Option<u64>, body: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    let at = frame::begin_frame(out);
+    if let Some(corr) = corr {
+        out.extend_from_slice(&corr.to_be_bytes());
     }
+    body(out);
+    frame::finish_frame(out, at);
 }
 
-/// Whether every packet of `parsed` is provably served on this node.
-fn all_local(inner: &Inner, parsed: &Parsed) -> bool {
-    match parsed {
-        Parsed::One(packet) => handles_without_blocking(inner, packet),
-        Parsed::Many(packets) => packets.iter().all(|p| handles_without_blocking(inner, p)),
+/// Appends `packets` as a frame body: a "GB" container when `batch`,
+/// otherwise the one bare packet.
+fn encode_packets(packets: &[Packet], batch: bool, out: &mut Vec<u8>) {
+    if batch {
+        wire::encode_batch_into(packets, out);
+    } else {
+        wire::encode_into(&packets[0], out);
     }
-}
-
-/// Pool-worker half of the response path: encodes the finished replies
-/// into the connection's outbox (under its correlation id for mux
-/// connections) and hands the connection back to the reactor.
-fn deliver(inner: &Inner, shared: &Arc<ConnShared>, corr: Option<u64>, replies: &Parsed) {
-    {
-        let mut outbox = shared.outbox.lock().unwrap_or_else(PoisonError::into_inner);
-        if outbox.capacity() > 0 {
-            inner
-                .mux_metrics
-                .encode_buf_reuses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let at = frame::begin_frame(&mut outbox);
-        if let Some(corr) = corr {
-            outbox.extend_from_slice(&corr.to_be_bytes());
-        }
-        match replies {
-            Parsed::One(packet) => wire::encode_into(packet, &mut outbox),
-            Parsed::Many(packets) => wire::encode_batch_into(packets, &mut outbox),
-        }
-        frame::finish_frame(&mut outbox, at);
-    }
-    shared.inflight.fetch_sub(1, Ordering::AcqRel);
-    inner
-        .reactor
-        .ready
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(Arc::clone(shared));
-    inner.reactor.poller.wake();
 }
 
 /// Per-connection protocol state machine.
 enum Protocol {
     /// Undecided: collecting up to four bytes. A plain frame's first
-    /// byte is a length high byte (`<= 0x01`); a multiplexed peer link
-    /// opens with [`MUX_PREAMBLE`] (`b'G'`).
+    /// byte is a length high byte (`<= 0x01`); a multiplexed link opens
+    /// with [`MUX_PREAMBLE`] (`b'G'`).
     Sniff { preamble: [u8; 4], got: usize },
     /// Plain client connection: frames are answered in order, one at a
-    /// time — at most one frame is ever on the pool, later ones queue.
-    Plain {
-        queued: VecDeque<Bytes>,
-        /// The head-of-line frame is on the dispatch pool; the queue
-        /// holds until its response is delivered.
-        busy: bool,
-    },
-    /// Multiplexed peer link: requests interleave under correlation ids.
+    /// time — while a call is parked, later frames queue here.
+    Plain { queued: VecDeque<Bytes> },
+    /// Inbound multiplexed link (a peer's, or a pipelining client's):
+    /// requests interleave under correlation ids.
     Mux,
+    /// Outbound multiplexed link this node dialed to peer switch `peer`:
+    /// it carries our requests out and the peer's responses back.
+    /// Frames queue until the nonblocking dial is `established`.
+    Link { peer: usize, established: bool },
 }
 
-/// One inbound connection owned by the reactor.
+/// One connection owned by the reactor, inbound or outbound.
 struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
     proto: Protocol,
     decoder: FrameDecoder,
-    /// Unwritten response bytes; partial writes land here.
+    /// Unwritten bytes; partial writes land here.
     outq: WriteQueue,
-    /// Reusable encode buffer for inline responses.
+    /// Reusable encode buffer for the frames written to this connection.
     scratch: Vec<u8>,
-    shared: Arc<ConnShared>,
+    /// Distinguishes this connection from earlier tenants of its slot.
+    generation: u64,
     /// The interest currently registered with the poller.
     interest: Interest,
     /// Peer closed its write half; frames already received still get
     /// their responses, then the connection closes.
     eof: bool,
+    /// Calls from this connection parked and not yet answered.
+    inflight: usize,
     /// Pending `outq` bytes last folded into the node-wide
     /// `queued_bytes` gauge; `settle`/`close_conn` apply the delta.
     queued_reported: u64,
 }
 
-/// The event loop owning the listener, the connection slab, and all
-/// inbound I/O. Runs on the single `gred-node-{id}-reactor` thread;
-/// everything it executes inline is provably nonblocking.
+/// Where a call's answer goes. The generation makes a late answer to a
+/// closed connection die instead of reaching the slot's next tenant.
+#[derive(Clone, Copy)]
+struct Origin {
+    slot: usize,
+    generation: u64,
+    /// The request's correlation id on a mux connection.
+    corr: Option<u64>,
+}
+
+/// One request frame being served: a reply slot per packet, filled
+/// locally or by the continuations parked on its behalf.
+struct Call {
+    origin: Origin,
+    /// The request arrived as a "GB" container and is answered as one.
+    batch: bool,
+    replies: Vec<Option<Packet>>,
+    /// Reply slots acking a placement stored on this node.
+    stored: Vec<usize>,
+    /// Frames parked on this call's behalf that have not landed yet.
+    outstanding: usize,
+    /// The encoded `Invalidate` packet(s) for `stored`, once the
+    /// forwards are done and the invalidation phase runs; empty before.
+    invalidation: Vec<u8>,
+    /// Every peer confirmed the invalidation so far; a suspect or
+    /// unreachable one downgrades the stored acks to `Degraded`.
+    coherent: bool,
+}
+
+/// Packets of one call bound for the same next hop, with the reply slot
+/// and cache admission each one's response belongs to.
+#[derive(Default)]
+struct Group {
+    packets: Vec<Packet>,
+    slots: Vec<(usize, Option<CacheFill>)>,
+}
+
+/// What a parked frame carries.
+enum Work {
+    /// Packets forwarded one hop.
+    Forward(Group),
+    /// The call's invalidation frame (body in [`Call::invalidation`]).
+    Invalidate,
+}
+
+/// A continuation: one frame written to peer `to`, waiting for its
+/// correlated response.
+struct Pending {
+    call: u64,
+    to: usize,
+    /// Generation of the link connection the frame was last written to,
+    /// so a dying link fails exactly the continuations it carried.
+    link: u64,
+    /// The one resend a dead link grants has been used.
+    resent: bool,
+    work: Work,
+}
+
+/// An entry of the reactor's deadline queue.
+enum Timer {
+    /// A parked continuation's reply deadline.
+    Reply(u64),
+    /// An outbound dial's connect deadline.
+    Dial { slot: usize, generation: u64 },
+    /// Resume accepting after an accept error.
+    Accept,
+}
+
+/// The event loop owning the listener, the connection slab, the parked
+/// continuations and all I/O. Runs on the single
+/// `gred-node-{id}-reactor` thread and never blocks outside
+/// [`Poller::wait`].
 struct Reactor {
     inner: Arc<Inner>,
     listener: Option<TcpListener>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// Slots closed during the current loop iteration. They rejoin
+    /// `free` only at the next one, so a handler that finds its slot
+    /// empty knows the connection died — never that a new one moved in.
+    freed: Vec<usize>,
+    next_gen: u64,
+    /// Slot of the outbound link to each peer switch, if one is up.
+    links: Vec<Option<usize>>,
+    calls: Parked<Call>,
+    parked: Parked<Pending>,
+    /// Deadlines in expiry order. Nearly every entry is a reply deadline
+    /// `now + peer_reply_timeout`, so arming appends; the rare shorter
+    /// timer walks back from the tail to its place.
+    timers: VecDeque<(Instant, Timer)>,
+    /// Continuations whose link died (and whether it was established),
+    /// awaiting their one resend or their failure.
+    orphans: Vec<(u64, bool)>,
+    /// Origin slots answered outside their own event; they are pumped
+    /// and settled before the loop waits again.
+    touched: Vec<usize>,
     read_buf: Vec<u8>,
     draining: bool,
     deadline: Option<Instant>,
@@ -816,10 +885,10 @@ impl Reactor {
     fn run(mut self) {
         let mut events = Events::with_capacity(1024);
         loop {
-            // Steady state blocks until a socket or a wakeup fires — an
-            // idle node spends no CPU. Draining ticks so the deadline
-            // and quiescence are re-checked even without events.
-            let timeout = self.draining.then_some(self.inner.cfg.poll_interval);
+            self.free.append(&mut self.freed);
+            // Steady state blocks until a socket, a wakeup or the next
+            // deadline fires — an idle node spends no CPU.
+            let timeout = self.next_timeout();
             if let Err(e) = self.inner.reactor.poller.wait(&mut events, timeout) {
                 self.inner.log(&format!("poller wait failed: {e}"));
                 break;
@@ -834,7 +903,8 @@ impl Reactor {
                     token => self.on_conn_event(token, ev),
                 }
             }
-            self.drain_ready();
+            self.fire_timers();
+            self.settle_deferred();
             if self.draining
                 && (self.quiescent() || self.deadline.is_some_and(|d| Instant::now() >= d))
             {
@@ -849,8 +919,76 @@ impl Reactor {
         self.inner.log("reactor stopped");
     }
 
-    /// Stops taking new work: closes the listener, stops reading, and
-    /// gives in-flight requests one reply-timeout to finish writing.
+    /// How long the next wait may block: until the earliest live
+    /// deadline (settled continuations' timers are dropped on the way),
+    /// capped by the drain tick while shutting down.
+    fn next_timeout(&mut self) -> Option<Duration> {
+        while let Some((_, Timer::Reply(corr))) = self.timers.front() {
+            if self.parked.get(*corr).is_some() {
+                break;
+            }
+            self.timers.pop_front();
+        }
+        let next = self
+            .timers
+            .front()
+            .map(|(at, _)| at.saturating_duration_since(Instant::now()));
+        match (next, self.draining) {
+            (Some(next), true) => Some(next.min(self.inner.cfg.poll_interval)),
+            (None, true) => Some(self.inner.cfg.poll_interval),
+            (next, false) => next,
+        }
+    }
+
+    fn arm(&mut self, after: Duration, timer: Timer) {
+        let at = Instant::now() + after;
+        let pos = self
+            .timers
+            .iter()
+            .rposition(|(t, _)| *t <= at)
+            .map_or(0, |i| i + 1);
+        self.timers.insert(pos, (at, timer));
+    }
+
+    fn fire_timers(&mut self) {
+        let now = Instant::now();
+        while self.timers.front().is_some_and(|(at, _)| *at <= now) {
+            let (_, timer) = self.timers.pop_front().expect("front just observed");
+            match timer {
+                Timer::Reply(corr) => {
+                    if let Some(pending) = self.parked.get(corr) {
+                        self.inner
+                            .log(&format!("peer {} did not respond in time", pending.to));
+                        self.fail(corr);
+                    }
+                }
+                Timer::Dial { slot, generation } => {
+                    let dialing =
+                        self.conns
+                            .get(slot)
+                            .and_then(Option::as_ref)
+                            .is_some_and(|conn| {
+                                conn.generation == generation
+                                    && matches!(
+                                        conn.proto,
+                                        Protocol::Link {
+                                            established: false,
+                                            ..
+                                        }
+                                    )
+                            });
+                    if dialing {
+                        self.close_conn(slot);
+                    }
+                }
+                Timer::Accept => self.listen_for_accepts(true),
+            }
+        }
+    }
+
+    /// Stops taking new work: closes the listener and every peer link
+    /// (whatever is parked is refused now rather than at its deadline),
+    /// stops reading, and gives responses one reply-timeout to flush.
     fn begin_drain(&mut self) {
         self.draining = true;
         self.deadline = Some(Instant::now() + self.inner.cfg.peer_reply_timeout);
@@ -860,49 +998,36 @@ impl Reactor {
             // drain runs.
         }
         for slot in 0..self.conns.len() {
-            if let Some(conn) = self.conns[slot].as_mut() {
-                let want = Interest {
-                    read: false,
-                    write: !conn.outq.is_empty(),
-                };
-                if want != conn.interest
-                    && self
-                        .inner
-                        .reactor
-                        .poller
-                        .reregister(
-                            conn.stream.as_raw_fd(),
-                            FIRST_CONN_TOKEN + slot as u64,
-                            want,
-                        )
-                        .is_ok()
-                {
-                    conn.interest = want;
-                }
+            match self.conns[slot].as_ref().map(|conn| &conn.proto) {
+                Some(Protocol::Link { .. }) => self.close_conn(slot),
+                Some(_) => self.settle(slot, Ok(())),
+                None => {}
             }
         }
         self.inner.log("draining");
     }
 
-    /// Every dispatched request has delivered its response and every
-    /// response byte is on the wire.
+    /// Every call has been answered and every response byte is on the
+    /// wire.
     fn quiescent(&self) -> bool {
-        self.conns.iter().flatten().all(|conn| {
-            conn.outq.is_empty()
-                && conn.shared.inflight.load(Ordering::Acquire) == 0
-                && conn
-                    .shared
-                    .outbox
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_empty()
-        })
+        self.calls.len() == 0 && self.conns.iter().flatten().all(|conn| conn.outq.is_empty())
+    }
+
+    /// Turns the listener's read interest on or off.
+    fn listen_for_accepts(&mut self, read: bool) {
+        if let Some(listener) = &self.listener {
+            let _ = self.inner.reactor.poller.reregister(
+                listener.as_raw_fd(),
+                LISTENER_TOKEN,
+                Interest { read, write: false },
+            );
+        }
     }
 
     fn on_accept(&mut self) {
         loop {
             let accepted = match self.listener.as_ref() {
-                Some(listener) => listener.accept(),
+                Some(listener) => self.inner.reactor.accept(listener),
                 None => return,
             };
             match accepted {
@@ -910,9 +1035,12 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) => {
                     // Back off one tick (fd exhaustion and friends)
-                    // instead of spinning on the level-triggered event.
+                    // without stalling everything parked on this thread:
+                    // stop listening for the level-triggered event and
+                    // let the deadline queue turn it back on.
                     self.inner.log(&format!("accept error: {e}"));
-                    thread::sleep(self.inner.cfg.poll_interval);
+                    self.listen_for_accepts(false);
+                    self.arm(self.inner.cfg.poll_interval, Timer::Accept);
                     return;
                 }
             }
@@ -925,49 +1053,99 @@ impl Reactor {
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.conns.push(None);
-                self.conns.len() - 1
-            }
+        let sniff = Protocol::Sniff {
+            preamble: [0; 4],
+            got: 0,
         };
+        if self.adopt(stream, peer, sniff, Interest::READ).is_ok() {
+            self.inner.log(&format!("accepted {peer}"));
+            self.inner
+                .reactor
+                .conns_open
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Gives `stream` a slot and registers it with the poller.
+    fn adopt(
+        &mut self,
+        stream: TcpStream,
+        peer: SocketAddr,
+        proto: Protocol,
+        interest: Interest,
+    ) -> io::Result<usize> {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
         let token = FIRST_CONN_TOKEN + slot as u64;
-        if self
+        if let Err(e) = self
             .inner
             .reactor
             .poller
-            .register(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
+            .register(stream.as_raw_fd(), token, interest)
         {
             self.free.push(slot);
             let _ = stream.shutdown(Shutdown::Both);
-            return;
+            return Err(e);
         }
-        self.inner.log(&format!("accepted {peer}"));
+        self.next_gen += 1;
         self.conns[slot] = Some(Conn {
             stream,
             peer,
-            proto: Protocol::Sniff {
-                preamble: [0; 4],
-                got: 0,
-            },
+            proto,
             decoder: FrameDecoder::new(),
             outq: WriteQueue::new(),
             scratch: Vec::new(),
-            shared: Arc::new(ConnShared {
-                token,
-                outbox: Mutex::new(Vec::new()),
-                inflight: AtomicUsize::new(0),
-            }),
-            interest: Interest::READ,
+            generation: self.next_gen,
+            interest,
             eof: false,
+            inflight: 0,
             queued_reported: 0,
         });
-        self.inner
-            .reactor
-            .conns_open
-            .fetch_add(1, Ordering::Relaxed);
+        Ok(slot)
+    }
+
+    /// The slot of the link to peer switch `to`, dialing if none is up
+    /// (or the peer was re-registered at another address).
+    fn link_to(&mut self, to: usize) -> io::Result<usize> {
+        let addr = {
+            let peers = self
+                .inner
+                .peers
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            peers
+                .addrs
+                .get(to)
+                .copied()
+                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown peer switch"))?
+        };
+        if let Some(slot) = self.links.get(to).copied().flatten() {
+            if self.conns[slot].as_ref().is_some_and(|c| c.peer == addr) {
+                return Ok(slot);
+            }
+            self.close_conn(slot);
+        }
+        let stream = connect_nonblocking(addr)?;
+        let _ = stream.set_nodelay(true);
+        let proto = Protocol::Link {
+            peer: to,
+            established: false,
+        };
+        let slot = self.adopt(stream, addr, proto, Interest::READ_WRITE)?;
+        let conn = self.conns[slot].as_mut().expect("just adopted");
+        conn.outq.push(&MUX_PREAMBLE);
+        let generation = conn.generation;
+        if self.links.len() <= to {
+            self.links.resize(to + 1, None);
+        }
+        self.links[to] = Some(slot);
+        self.arm(
+            self.inner.cfg.peer_connect_timeout,
+            Timer::Dial { slot, generation },
+        );
+        Ok(slot)
     }
 
     fn on_conn_event(&mut self, token: u64, ev: Event) {
@@ -979,19 +1157,41 @@ impl Reactor {
         self.settle(slot, outcome);
     }
 
-    /// Services one readiness event: flush pending writes, then read
-    /// until the socket would block, decoding and serving as we go.
+    /// Services one readiness event: finish a dial, flush pending
+    /// writes, then read until the socket would block, decoding and
+    /// serving as we go.
     fn drive(&mut self, slot: usize, ev: Event) -> io::Result<()> {
+        let conn = self.conns[slot].as_mut().expect("live slot");
+        if let Protocol::Link {
+            peer,
+            established: established @ false,
+        } = &mut conn.proto
+        {
+            // The first event on a dialing socket is the dial's outcome.
+            if let Some(e) = conn.stream.take_error()? {
+                return Err(e);
+            }
+            if ev.hangup || !ev.writable {
+                return Err(io::ErrorKind::ConnectionAborted.into());
+            }
+            *established = true;
+            let peers = self
+                .inner
+                .peers
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(flag) = peers.connected.get(*peer) {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
         if ev.writable {
-            let conn = self.conns[slot].as_mut().expect("live slot");
             let Conn { stream, outq, .. } = conn;
             outq.flush(stream)?;
         }
-        let eof = self.conns[slot].as_ref().expect("live slot").eof;
-        if ev.readable && !eof && !self.draining {
+        if ev.readable && !conn.eof && !self.draining {
             self.fill(slot)?;
         } else if ev.hangup {
-            self.conns[slot].as_mut().expect("live slot").eof = true;
+            conn.eof = true;
         }
         Ok(())
     }
@@ -1007,18 +1207,19 @@ impl Reactor {
 
     fn fill_with(&mut self, slot: usize, buf: &mut [u8]) -> io::Result<()> {
         loop {
-            let n = {
-                let conn = self.conns[slot].as_mut().expect("live slot");
-                match conn.stream.read(buf) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        return Ok(());
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
+            // Serving a frame can close any connection, this one too.
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return Ok(());
+            };
+            let n = match conn.stream.read(buf) {
+                Ok(0) => {
+                    conn.eof = true;
+                    return Ok(());
                 }
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             };
             self.ingest(slot, &buf[..n])?;
         }
@@ -1026,18 +1227,14 @@ impl Reactor {
 
     /// Runs `bytes` through the sniff state machine, then the decoder.
     fn ingest(&mut self, slot: usize, mut bytes: &[u8]) -> io::Result<()> {
-        loop {
-            let conn = self.conns[slot].as_mut().expect("live slot");
-            let Protocol::Sniff { preamble, got } = &mut conn.proto else {
-                break;
-            };
+        let conn = self.conns[slot].as_mut().expect("live slot");
+        while let Protocol::Sniff { preamble, got } = &mut conn.proto {
             if bytes.is_empty() {
                 return Ok(());
             }
             if *got == 0 && bytes[0] != MUX_PREAMBLE[0] {
                 conn.proto = Protocol::Plain {
                     queued: VecDeque::new(),
-                    busy: false,
                 };
                 break;
             }
@@ -1055,7 +1252,6 @@ impl Reactor {
             }
             conn.proto = Protocol::Mux;
         }
-        let conn = self.conns[slot].as_mut().expect("live slot");
         conn.decoder.feed(bytes);
         self.pump(slot)
     }
@@ -1063,203 +1259,451 @@ impl Reactor {
     /// Serves every complete frame the decoder holds.
     fn pump(&mut self, slot: usize) -> io::Result<()> {
         loop {
-            let body = {
-                let conn = self.conns[slot].as_mut().expect("live slot");
-                match conn.decoder.next_frame() {
-                    Ok(Some(body)) => body,
-                    Ok(None) => break,
-                    Err(e) => {
-                        let peer = conn.peer;
-                        self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        self.inner
-                            .log(&format!("framing violation from {peer}: {e}"));
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                    }
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return Ok(());
+            };
+            let body = match conn.decoder.next_frame() {
+                Ok(Some(body)) => body,
+                Ok(None) => break,
+                Err(e) => {
+                    let peer = conn.peer;
+                    self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    self.inner
+                        .log(&format!("framing violation from {peer}: {e}"));
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
                 }
             };
             self.inner
-                .mux_metrics
+                .counters
                 .frames_decoded
                 .fetch_add(1, Ordering::Relaxed);
-            let mux = matches!(
-                self.conns[slot].as_ref().expect("live slot").proto,
-                Protocol::Mux
-            );
-            if mux {
-                self.serve_mux_frame(slot, body)?;
-            } else {
-                let conn = self.conns[slot].as_mut().expect("live slot");
-                match &mut conn.proto {
-                    Protocol::Plain { queued, .. } => queued.push_back(body),
-                    _ => unreachable!("frames decode only after the sniff"),
-                }
+            match &mut conn.proto {
+                Protocol::Plain { queued } => queued.push_back(body),
+                Protocol::Mux => self.serve_mux_frame(slot, body)?,
+                Protocol::Link { .. } => self.complete(body)?,
+                Protocol::Sniff { .. } => unreachable!("frames decode only after the sniff"),
             }
         }
         self.pump_plain(slot)
     }
 
-    /// Serves queued plain frames strictly in order: inline while every
-    /// packet provably stays local, otherwise one dispatched frame at a
-    /// time (`busy` holds the queue until its response is delivered).
+    /// Serves queued plain frames strictly in order: the queue holds
+    /// while a call from this connection is parked.
     fn pump_plain(&mut self, slot: usize) -> io::Result<()> {
         loop {
-            let body = {
-                let conn = self.conns[slot].as_mut().expect("live slot");
-                let Protocol::Plain { queued, busy } = &mut conn.proto else {
-                    return Ok(());
-                };
-                if *busy {
-                    return Ok(());
-                }
-                match queued.pop_front() {
-                    Some(body) => body,
-                    None => return Ok(()),
-                }
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return Ok(());
             };
-            let parsed = match parse_body(&body) {
-                Ok(parsed) => parsed,
-                Err(e) => {
-                    // The framing is intact but the body is not a GRED
-                    // packet: drop the peer rather than guess.
-                    let peer = self.conns[slot].as_ref().expect("live slot").peer;
-                    self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .log(&format!("unparseable packet from {peer}: {e}"));
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-                }
+            let Protocol::Plain { queued } = &mut conn.proto else {
+                return Ok(());
             };
-            if all_local(&self.inner, &parsed) {
-                let replies = run_parsed(&self.inner, parsed, true);
-                self.respond_inline(slot, None, &replies)?;
-            } else {
-                let conn = self.conns[slot].as_mut().expect("live slot");
-                if let Protocol::Plain { busy, .. } = &mut conn.proto {
-                    *busy = true;
-                }
-                conn.shared.inflight.fetch_add(1, Ordering::AcqRel);
-                let job_inner = Arc::clone(&self.inner);
-                let job_shared = Arc::clone(&conn.shared);
-                self.inner.pool.submit(move || {
-                    let replies = run_parsed(&job_inner, parsed, false);
-                    deliver(&job_inner, &job_shared, None, &replies);
-                });
+            if conn.inflight > 0 {
                 return Ok(());
             }
+            let Some(body) = queued.pop_front() else {
+                return Ok(());
+            };
+            let origin = Origin {
+                slot,
+                generation: conn.generation,
+                corr: None,
+            };
+            self.serve_body(origin, &body)?;
         }
     }
 
-    /// Serves one multiplexed frame: splits the correlation id, then
-    /// answers inline (provably local) or dispatches to the pool.
+    /// Serves one multiplexed frame under its correlation id.
     fn serve_mux_frame(&mut self, slot: usize, body: Bytes) -> io::Result<()> {
-        let peer = self.conns[slot].as_ref().expect("live slot").peer;
+        let conn = self.conns[slot].as_ref().expect("live slot");
         let Some((corr, payload)) = frame::split_mux(&body) else {
             self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-            self.inner.log(&format!("short mux frame from {peer}"));
+            self.inner
+                .log(&format!("short mux frame from {}", conn.peer));
             return Err(io::ErrorKind::InvalidData.into());
         };
-        let parsed = match parse_body(&payload) {
-            Ok(parsed) => parsed,
+        let origin = Origin {
+            slot,
+            generation: conn.generation,
+            corr: Some(corr),
+        };
+        self.serve_body(origin, &payload)
+    }
+
+    fn serve_body(&mut self, origin: Origin, body: &Bytes) -> io::Result<()> {
+        match parse_body(body) {
+            Ok(parsed) => {
+                self.serve(origin, parsed);
+                Ok(())
+            }
             Err(e) => {
-                // The peer is not speaking GRED; kill the connection
-                // rather than guess.
+                // The framing is intact but the body is not a GRED
+                // packet: drop the peer rather than guess.
+                let peer = self.conns[origin.slot].as_ref().expect("live slot").peer;
                 self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
                 self.inner
-                    .log(&format!("unparseable mux packet from {peer}: {e}"));
-                return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+                    .log(&format!("unparseable packet from {peer}: {e}"));
+                Err(io::Error::new(io::ErrorKind::InvalidData, e))
             }
-        };
-        if all_local(&self.inner, &parsed) {
-            let replies = run_parsed(&self.inner, parsed, true);
-            self.respond_inline(slot, Some(corr), &replies)
-        } else {
-            let conn = self.conns[slot].as_mut().expect("live slot");
-            conn.shared.inflight.fetch_add(1, Ordering::AcqRel);
-            let job_inner = Arc::clone(&self.inner);
-            let job_shared = Arc::clone(&conn.shared);
-            self.inner.pool.submit(move || {
-                let replies = run_parsed(&job_inner, parsed, false);
-                deliver(&job_inner, &job_shared, Some(corr), &replies);
-            });
-            Ok(())
         }
     }
 
-    /// Encodes `replies` into the connection's scratch buffer and sends
-    /// straight from the reactor thread — the fast path for requests
-    /// that never leave this node.
-    fn respond_inline(
-        &mut self,
-        slot: usize,
-        corr: Option<u64>,
-        replies: &Parsed,
-    ) -> io::Result<()> {
-        let conn = self.conns[slot].as_mut().expect("live slot");
+    /// Serves one request frame: every packet takes its local routing
+    /// step, the packets bound for the same next hop leave in one frame
+    /// per peer, and the call is answered once all of those landed (and
+    /// its writes are coherent). A frame answered entirely here never
+    /// touches the slabs.
+    fn serve(&mut self, origin: Origin, parsed: Parsed) {
+        let (steps, batch) = match parsed {
+            Parsed::One(packet) => match self.inner.route_step(packet) {
+                Step::Respond {
+                    resp,
+                    stored: false,
+                } => return self.respond(origin, std::slice::from_ref(&resp), false),
+                step => (vec![step], false),
+            },
+            Parsed::Many(packets) => (
+                packets
+                    .into_iter()
+                    .map(|packet| self.inner.route_step(packet))
+                    .collect(),
+                true,
+            ),
+        };
+        let mut call = Call {
+            origin,
+            batch,
+            replies: Vec::with_capacity(steps.len()),
+            stored: Vec::new(),
+            outstanding: 0,
+            invalidation: Vec::new(),
+            coherent: true,
+        };
+        // BTreeMap for a deterministic peer order within a call.
+        let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
+        for (i, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Respond { resp, stored } => {
+                    if stored {
+                        call.stored.push(i);
+                    }
+                    call.replies.push(Some(resp));
+                }
+                Step::Forward { to, packet, fill } => {
+                    let group = groups.entry(to).or_default();
+                    group.packets.push(packet);
+                    group.slots.push((i, fill));
+                    call.replies.push(None);
+                }
+            }
+        }
+        if let Some(conn) = self.conns[origin.slot].as_mut() {
+            conn.inflight += 1;
+        }
+        if groups.is_empty() {
+            return self.forwards_done(call);
+        }
+        call.outstanding = groups.len();
+        let key = self.calls.park(call);
+        for (to, group) in groups {
+            self.launch(key, to, Work::Forward(group));
+        }
+    }
+
+    /// Parks a continuation for one frame to peer `to` and writes it.
+    fn launch(&mut self, call: u64, to: usize, work: Work) {
+        let corr = self.parked.park(Pending {
+            call,
+            to,
+            link: 0,
+            resent: false,
+            work,
+        });
+        self.inner.reactor.parked.fetch_add(1, Ordering::Relaxed);
+        self.arm(self.inner.cfg.peer_reply_timeout, Timer::Reply(corr));
+        self.transmit(corr);
+    }
+
+    /// Writes the parked continuation `corr`'s frame to its peer's link
+    /// (dialing if need be). A link that cannot take it orphans the
+    /// continuation; [`settle_deferred`](Reactor::settle_deferred) then
+    /// walks it down the failure ladder.
+    fn transmit(&mut self, corr: u64) {
+        let to = self
+            .parked
+            .get(corr)
+            .expect("transmitting a parked frame")
+            .to;
+        let dialed = if self.draining {
+            Err(io::Error::other("node is shutting down"))
+        } else {
+            self.link_to(to)
+        };
+        let slot = match dialed {
+            Ok(slot) => slot,
+            Err(e) => {
+                self.inner.log(&format!("no link to node {to}: {e}"));
+                self.orphans.push((corr, false));
+                return;
+            }
+        };
+        let pending = self.parked.get_mut(corr).expect("still parked");
+        let conn = self.conns[slot]
+            .as_mut()
+            .expect("link_to returns a live slot");
+        pending.link = conn.generation;
         if conn.scratch.capacity() > 0 {
             self.inner
-                .mux_metrics
+                .counters
                 .encode_buf_reuses
                 .fetch_add(1, Ordering::Relaxed);
         }
-        conn.scratch.clear();
-        let at = frame::begin_frame(&mut conn.scratch);
-        if let Some(corr) = corr {
-            conn.scratch.extend_from_slice(&corr.to_be_bytes());
+        frame_into(&mut conn.scratch, Some(corr), |out| match &pending.work {
+            Work::Forward(Group { packets, .. }) => encode_packets(packets, packets.len() > 1, out),
+            Work::Invalidate => {
+                let call = self.calls.get(pending.call);
+                out.extend_from_slice(&call.expect("call outlives its frames").invalidation);
+            }
+        });
+        let sent = match conn.proto {
+            Protocol::Link {
+                established: true, ..
+            } => conn.outq.send(&mut conn.stream, &conn.scratch).map(drop),
+            _ => {
+                conn.outq.push(&conn.scratch);
+                Ok(())
+            }
+        };
+        self.settle(slot, sent);
+    }
+
+    /// A response frame arrived on a peer link: take its continuation
+    /// back out and run it. An id nothing is parked under belongs to a
+    /// continuation that already expired — the response is dropped.
+    fn complete(&mut self, body: Bytes) -> io::Result<()> {
+        let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        let (corr, payload) =
+            frame::split_mux(&body).ok_or_else(|| bad("short mux frame".into()))?;
+        let Some(pending) = self.parked.get(corr) else {
+            return Ok(());
+        };
+        let expected = match &pending.work {
+            Work::Forward(group) => group.packets.len(),
+            Work::Invalidate => self.calls.get(pending.call).map_or(0, |c| c.stored.len()),
+        };
+        // A malformed answer poisons the link, not just this frame: the
+        // error closes it and everything parked on it is resent.
+        let replies = match parse_body(&payload).map_err(bad)? {
+            Parsed::One(reply) => vec![reply],
+            Parsed::Many(replies) => replies,
+        };
+        if replies.len() != expected {
+            return Err(bad(format!(
+                "response carries {} packets for {expected} requests",
+                replies.len()
+            )));
         }
-        match replies {
-            Parsed::One(packet) => wire::encode_into(packet, &mut conn.scratch),
-            Parsed::Many(packets) => wire::encode_batch_into(packets, &mut conn.scratch),
+        let pending = self.unpark(corr).expect("observed above");
+        self.inner.clear_suspect(pending.to);
+        if let Work::Forward(Group { slots, .. }) = pending.work {
+            let call = self
+                .calls
+                .get_mut(pending.call)
+                .expect("call outlives its frames");
+            for ((i, fill), reply) in slots.into_iter().zip(replies) {
+                self.inner.maybe_cache(fill, &reply);
+                call.replies[i] = Some(reply);
+            }
         }
-        frame::finish_frame(&mut conn.scratch, at);
-        let Conn {
-            stream,
-            outq,
-            scratch,
-            ..
-        } = conn;
-        outq.send(stream, scratch)?;
+        self.landed(pending.call);
         Ok(())
     }
 
-    /// Moves finished pool responses from connection outboxes onto
-    /// their sockets, un-blocking plain queues as deliveries land.
-    fn drain_ready(&mut self) {
-        let ready = std::mem::take(
-            &mut *self
-                .inner
-                .reactor
-                .ready
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for shared in ready {
-            let slot = (shared.token - FIRST_CONN_TOKEN) as usize;
-            let outcome = {
-                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if !Arc::ptr_eq(&conn.shared, &shared) {
-                    continue; // the slot was reused by a newer connection
-                }
-                let delivered = {
-                    let mut outbox = shared.outbox.lock().unwrap_or_else(PoisonError::into_inner);
-                    if outbox.is_empty() {
-                        false
+    fn unpark(&mut self, corr: u64) -> Option<Pending> {
+        let pending = self.parked.take(corr)?;
+        self.inner.reactor.parked.fetch_sub(1, Ordering::Relaxed);
+        Some(pending)
+    }
+
+    /// Gives up on continuation `corr`: the peer is suspect from now on
+    /// (greedy routing detours around it), forwarded packets are
+    /// answered `Redirect` so the client retries instead of losing the
+    /// write silently, and an unconfirmed invalidation downgrades its
+    /// call's acks. A draining node refuses instead of accusing anyone.
+    fn fail(&mut self, corr: u64) {
+        let Some(pending) = self.unpark(corr) else {
+            return;
+        };
+        if !self.draining {
+            self.inner.mark_suspect(pending.to);
+        }
+        let call = self
+            .calls
+            .get_mut(pending.call)
+            .expect("call outlives its frames");
+        match pending.work {
+            Work::Forward(Group { packets, slots }) => {
+                for ((i, _), packet) in slots.into_iter().zip(packets) {
+                    call.replies[i] = Some(if self.draining {
+                        self.inner.refuse(&packet, "node is shutting down")
                     } else {
-                        conn.outq.push(&outbox);
-                        outbox.clear();
-                        true
-                    }
-                };
-                if delivered {
-                    if let Protocol::Plain { busy, .. } = &mut conn.proto {
-                        *busy = false;
+                        self.inner.redirect(&packet, "peer unreachable")
+                    });
+                }
+            }
+            Work::Invalidate => call.coherent = false,
+        }
+        self.landed(pending.call);
+    }
+
+    /// One of `call`'s frames landed (answered or failed); the last one
+    /// moves the call on.
+    fn landed(&mut self, call: u64) {
+        let state = self.calls.get_mut(call).expect("call outlives its frames");
+        state.outstanding -= 1;
+        if state.outstanding > 0 {
+            return;
+        }
+        let state = self.calls.take(call).expect("observed above");
+        if state.invalidation.is_empty() {
+            self.forwards_done(state);
+        } else {
+            self.answer(state);
+        }
+    }
+
+    /// Every reply slot of `call` is filled. Write-through coherence:
+    /// before a placement stored on this node acks, every remote peer is
+    /// told to drop any cached copy — one `Invalidate` frame each,
+    /// written back to back, the call answered after the last ack.
+    ///
+    /// An unreachable peer is marked suspect and the ack downgraded to
+    /// `Degraded` — never a hard failure. That keeps the guarantee exact
+    /// without sacrificing availability: after a *clean* ack no cache
+    /// anywhere can serve the old value, while a write racing a dead
+    /// peer still lands (degraded, so replication quorums don't count
+    /// it). Peers already under suspicion are not re-probed on the write
+    /// path — the first failure paid the timeout; further writes inside
+    /// the TTL just stay degraded.
+    fn forwards_done(&mut self, mut call: Call) {
+        if call.stored.is_empty() {
+            return self.answer(call);
+        }
+        let mut targets = Vec::new();
+        {
+            let now = self.inner.now_ms();
+            let peers = self
+                .inner
+                .peers
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            for (to, suspect) in peers.suspect.iter().enumerate() {
+                if to == self.inner.id {
+                    continue;
+                }
+                if suspect.load(Ordering::Relaxed) > now {
+                    call.coherent = false;
+                } else {
+                    targets.push(to);
+                }
+            }
+        }
+        if targets.is_empty() {
+            return self.answer(call); // nobody reachable could be caching
+        }
+        let packets: Vec<Packet> = call
+            .stored
+            .iter()
+            .map(|&i| {
+                let ack = call.replies[i].as_ref().expect("stored slot is answered");
+                Packet::invalidate(ack.id.clone())
+            })
+            .collect();
+        encode_packets(&packets, packets.len() > 1, &mut call.invalidation);
+        call.outstanding = targets.len();
+        let key = self.calls.park(call);
+        for to in targets {
+            self.launch(key, to, Work::Invalidate);
+        }
+    }
+
+    /// Sends `call`'s replies to the connection it came from.
+    fn answer(&mut self, mut call: Call) {
+        if !call.coherent {
+            for &i in &call.stored {
+                degrade_ack(call.replies[i].as_mut().expect("stored slot is answered"));
+            }
+        }
+        let replies: Vec<Packet> = call
+            .replies
+            .into_iter()
+            .map(|reply| reply.expect("every packet of the call is answered"))
+            .collect();
+        self.respond(call.origin, &replies, call.batch);
+        let Origin {
+            slot, generation, ..
+        } = call.origin;
+        if let Some(conn) = self.conns[slot]
+            .as_mut()
+            .filter(|conn| conn.generation == generation)
+        {
+            conn.inflight -= 1;
+            self.touched.push(slot);
+        }
+    }
+
+    /// Encodes `replies` and writes them to `origin` — unless that
+    /// connection is gone (the slot empty or re-tenanted), in which case
+    /// the answer has nowhere to go and is dropped.
+    fn respond(&mut self, origin: Origin, replies: &[Packet], batch: bool) {
+        let Some(conn) = self.conns[origin.slot]
+            .as_mut()
+            .filter(|conn| conn.generation == origin.generation)
+        else {
+            return;
+        };
+        if conn.scratch.capacity() > 0 {
+            self.inner
+                .counters
+                .encode_buf_reuses
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        frame_into(&mut conn.scratch, origin.corr, |out| {
+            encode_packets(replies, batch, out);
+        });
+        if conn.outq.send(&mut conn.stream, &conn.scratch).is_err() {
+            self.close_conn(origin.slot);
+        }
+    }
+
+    /// Runs what handlers deferred to keep themselves non-reentrant:
+    /// orphaned continuations get their one resend (or fail), and
+    /// connections answered from another connection's event resume
+    /// their plain queue and reconcile their poller interest.
+    fn settle_deferred(&mut self) {
+        loop {
+            if let Some((corr, established)) = self.orphans.pop() {
+                let draining = self.draining;
+                match self.parked.get_mut(corr) {
+                    None => {} // expired in the meantime
+                    Some(pending) if pending.resent || draining => self.fail(corr),
+                    Some(pending) => {
+                        // The peer never saw the request or its answer
+                        // was lost with the socket; requests are
+                        // idempotent either way.
+                        pending.resent = true;
+                        if established {
+                            let to = pending.to;
+                            self.inner.note_reconnect(to);
+                        }
+                        self.transmit(corr);
                     }
                 }
-                let Conn { stream, outq, .. } = conn;
-                outq.flush(stream).map(|_| ())
-            };
-            let outcome = outcome.and_then(|()| self.pump_plain(slot));
-            self.settle(slot, outcome);
+            } else if let Some(slot) = self.touched.pop() {
+                let outcome = self.pump_plain(slot);
+                self.settle(slot, outcome);
+            } else {
+                return;
+            }
         }
     }
 
@@ -1271,60 +1715,43 @@ impl Reactor {
             self.close_conn(slot);
             return;
         }
-        {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                return;
-            };
-            // Fold this connection's pending-write delta into the
-            // node-wide backlog gauge. Every path that mutates `outq`
-            // (drive/flush, inline responses, drained outboxes) ends in
-            // `settle` or `close_conn`, so the gauge tracks the true sum
-            // without the scraper touching reactor-owned state.
-            let pending = conn.outq.pending() as u64;
-            sync_queued_gauge(&self.inner, &mut conn.queued_reported, pending);
-            let want = Interest {
-                read: !conn.eof && !self.draining,
-                write: !conn.outq.is_empty(),
-            };
-            if want != conn.interest
-                && self
-                    .inner
-                    .reactor
-                    .poller
-                    .reregister(
-                        conn.stream.as_raw_fd(),
-                        FIRST_CONN_TOKEN + slot as u64,
-                        want,
-                    )
-                    .is_ok()
-            {
-                conn.interest = want;
-            }
-        }
-        self.maybe_close(slot);
-    }
-
-    /// Closes a half-closed connection once everything it asked for has
-    /// been answered and written.
-    fn maybe_close(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
+        // Fold this connection's pending-write delta into the node-wide
+        // backlog gauge. Every path that mutates `outq` ends in `settle`
+        // or `close_conn`, so the gauge tracks the true sum without the
+        // scraper touching reactor-owned state.
+        let pending = conn.outq.pending() as u64;
+        sync_queued_gauge(&self.inner, &mut conn.queued_reported, pending);
+        // (A dialing link holds its preamble queued, so it polls for the
+        // writable event that reports the dial's outcome.)
+        let want = Interest {
+            read: !conn.eof && !self.draining,
+            write: !conn.outq.is_empty(),
+        };
+        if want != conn.interest
+            && self
+                .inner
+                .reactor
+                .poller
+                .reregister(
+                    conn.stream.as_raw_fd(),
+                    FIRST_CONN_TOKEN + slot as u64,
+                    want,
+                )
+                .is_ok()
+        {
+            conn.interest = want;
+        }
+        // A half-closed connection ends once everything it asked for has
+        // been answered and written; a link ends with its peer's EOF.
         let settled = match &conn.proto {
-            Protocol::Plain { queued, busy } => queued.is_empty() && !*busy,
+            Protocol::Plain { queued } => queued.is_empty(),
             _ => true,
         };
-        let idle = conn.eof
-            && settled
-            && conn.outq.is_empty()
-            && conn.shared.inflight.load(Ordering::Acquire) == 0
-            && conn
-                .shared
-                .outbox
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty();
-        if idle {
+        let link = matches!(conn.proto, Protocol::Link { .. });
+        if conn.eof && (link || (settled && conn.outq.is_empty() && conn.inflight == 0)) {
             self.close_conn(slot);
         }
     }
@@ -1342,11 +1769,30 @@ impl Reactor {
             .poller
             .deregister(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);
-        self.free.push(slot);
-        self.inner
-            .reactor
-            .conns_open
-            .fetch_sub(1, Ordering::Relaxed);
+        self.freed.push(slot);
+        let Protocol::Link { peer, established } = conn.proto else {
+            self.inner
+                .reactor
+                .conns_open
+                .fetch_sub(1, Ordering::Relaxed);
+            return;
+        };
+        // A dead link orphans exactly the continuations it carried.
+        self.links[peer] = None;
+        let peers = self
+            .inner
+            .peers
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(flag) = peers.connected.get(peer) {
+            flag.store(false, Ordering::Relaxed);
+        }
+        self.orphans.extend(
+            self.parked
+                .iter()
+                .filter(|(_, p)| p.to == peer && p.link == conn.generation)
+                .map(|(corr, _)| (corr, established)),
+        );
     }
 }
 
@@ -1371,70 +1817,6 @@ fn sync_queued_gauge(inner: &Inner, reported: &mut u64, pending: u64) {
         std::cmp::Ordering::Equal => {}
     }
     *reported = pending;
-}
-
-/// Whether `packet` is provably served entirely on this node — no
-/// branch of [`Inner::handle`] can reach a nested peer RPC — so the
-/// demux reader may answer it inline instead of paying a dispatch-pool
-/// handoff. Conservative: `false` whenever any handler branch could
-/// block. Uses the counter-free [`SwitchDataplane::is_local_minimum`]
-/// peek so the real pipeline still counts each packet exactly once.
-fn handles_without_blocking(inner: &Inner, packet: &Packet) -> bool {
-    if packet.kind == PacketKind::RetrievalResponse {
-        return true; // refused locally
-    }
-    if packet.kind == PacketKind::Invalidate {
-        return true; // a pure cache operation, never routed
-    }
-    if matches!(packet.kind, PacketKind::Stats | PacketKind::Admin)
-        || packet.kind.is_response()
-    {
-        // The inline-serve guarantee: a scrape reads atomics, gauges,
-        // and try-locks only, and a data node answers admin verbs
-        // without acting on them (it serves `Ping` and refuses the
-        // rest) — so observability traffic can never occupy a dispatch
-        // worker or queue behind blocked data requests.
-        return true;
-    }
-    if let Some(server) = proto::server_addressed(packet) {
-        // deliver_direct or refuse — never forwards. A placement it
-        // stores, though, must run the invalidation broadcast, which
-        // blocks on every peer.
-        return !(packet.kind == PacketKind::Placement
-            && server.switch == inner.id
-            && inner.has_remote_peers());
-    }
-    if packet.relay.is_some() {
-        return false; // relay chains forward by construction
-    }
-    let plane = inner.plane();
-    if plane.server_count() == 0 {
-        return true; // transit switch: refused locally
-    }
-    // An unfiltered local minimum stays a local minimum when suspect
-    // neighbors are excluded (excluding candidates can only help), so
-    // this peek is safe even while peers are marked suspect.
-    if !plane.is_local_minimum(packet.position) {
-        // Greedy forward — unless the read cache already holds the id,
-        // in which case `greedy_step` answers with zero peer RPCs. If
-        // the entry vanishes before the step runs, the inline path
-        // degrades to a redirect rather than ever blocking the reactor.
-        return packet.kind == PacketKind::Retrieval
-            && packet.detours == 0
-            && inner.cache.contains(&packet.id);
-    }
-    if packet.kind == PacketKind::Placement && inner.has_remote_peers() {
-        return false; // the write-through broadcast blocks on peers
-    }
-    // Local delivery — unless a range extension redirects to a server
-    // behind another switch (remote takeover / redirected placement).
-    let server = ServerId {
-        switch: inner.id,
-        index: gred_hash::select_server(&packet.id, plane.server_count()),
-    };
-    plane
-        .extension_of(server)
-        .is_none_or(|takeover| takeover.switch == inner.id)
 }
 
 impl Inner {
@@ -1492,11 +1874,12 @@ impl Inner {
     fn hot_stats(&self) -> NodeHotStats {
         let cache = self.cache.stats();
         NodeHotStats {
-            oneshot_fallbacks: self.counters.oneshot_fallbacks.load(Ordering::Relaxed),
+            // Retired — removed with the next benchmark PR.
+            oneshot_fallbacks: 0,
             link_reconnects: self.counters.link_reconnects.load(Ordering::Relaxed),
             store_shard_contention: self.store.contended(),
-            frames_decoded: self.mux_metrics.frames_decoded.load(Ordering::Relaxed),
-            encode_buf_reuses: self.mux_metrics.encode_buf_reuses.load(Ordering::Relaxed),
+            frames_decoded: self.counters.frames_decoded.load(Ordering::Relaxed),
+            encode_buf_reuses: self.counters.encode_buf_reuses.load(Ordering::Relaxed),
             peers_suspected: self.counters.peers_suspected.load(Ordering::Relaxed),
             detour_forwards: self.counters.detour_forwards.load(Ordering::Relaxed),
             redirects_issued: self.counters.redirects_issued.load(Ordering::Relaxed),
@@ -1509,32 +1892,20 @@ impl Inner {
 
     /// Assembles the stats snapshot a `Stats` scrape answers with.
     /// Runs on the reactor thread, so it must never block: everything
-    /// it reads is an atomic, a gauge, or a `try_lock` — a link slot
-    /// momentarily locked by a connecting thread is reported as
-    /// connected rather than waited on.
+    /// it reads is an atomic or a gauge behind a short read lock.
     fn wire_snapshot(&self) -> StatsSnapshot {
         let now = self.now_ms();
         let links = {
             let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
-            peers
-                .links
-                .iter()
-                .enumerate()
-                .filter(|&(peer, _)| peer != self.id)
-                .map(|(peer, slot)| {
-                    let connected = match slot.try_lock() {
-                        Ok(guard) => guard.as_ref().is_some_and(|link| !link.is_dead()),
-                        // Contended = someone is connecting right now.
-                        Err(_) => true,
-                    };
-                    LinkStats {
-                        peer: peer as u32,
-                        connected,
-                        suspect_ms_left: peers.suspect[peer]
-                            .load(Ordering::Relaxed)
-                            .saturating_sub(now),
-                        reconnects: peers.reconnects[peer].load(Ordering::Relaxed),
-                    }
+            (0..peers.addrs.len())
+                .filter(|&peer| peer != self.id)
+                .map(|peer| LinkStats {
+                    peer: peer as u32,
+                    connected: peers.connected[peer].load(Ordering::Relaxed),
+                    suspect_ms_left: peers.suspect[peer]
+                        .load(Ordering::Relaxed)
+                        .saturating_sub(now),
+                    reconnects: peers.reconnects[peer].load(Ordering::Relaxed),
                 })
                 .collect()
         };
@@ -1549,118 +1920,23 @@ impl Inner {
             stored_items: self.store.len() as u64,
             open_connections: self.reactor.conns_open.load(Ordering::Relaxed) as u32,
             queued_bytes: self.reactor.queued_bytes.load(Ordering::Relaxed),
-            dispatch_workers: self.pool.workers_spawned() as u32,
+            // Retired — removed with the next benchmark PR.
+            dispatch_workers: 0,
             table_rows: self.plane().entry_count() as u64,
             hot: self.hot_stats(),
             links,
         }
     }
 
-    /// Whether this node has any peer besides itself — the write path
-    /// only pays for invalidation broadcasts when someone could be
-    /// caching.
-    fn has_remote_peers(&self) -> bool {
-        self.peers
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .addrs
-            .len()
-            > 1
-    }
-
-    /// Dispatches one request packet and produces its response.
-    /// `inline` marks calls on the reactor thread: they must never
-    /// reach [`rpc`](Inner::rpc) (enforced in `greedy_step`).
-    fn handle(&self, packet: Packet, inline: bool) -> Packet {
-        match self.route_step(packet, inline) {
-            Step::Respond { mut resp, stored } => {
-                if stored && !self.broadcast_invalidations(std::slice::from_ref(&resp.id)) {
-                    degrade_ack(&mut resp);
-                }
-                resp
-            }
-            Step::Forward { to, packet, fill } => {
-                let resp = self.rpc(to, packet);
-                self.maybe_cache(fill, &resp);
-                resp
-            }
-        }
-    }
-
-    /// Dispatches a whole batch: every packet takes its local routing
-    /// step, then all packets bound for the same next hop travel in
-    /// **one** batched peer RPC instead of one RPC each. Responses come
-    /// back in request order, each carrying its own per-packet status —
-    /// a batch is observably identical to its packets sent singly.
-    fn handle_batch(&self, packets: Vec<Packet>, inline: bool) -> Vec<Packet> {
-        let mut out: Vec<Option<Packet>> = Vec::new();
-        out.resize_with(packets.len(), || None);
-        // BTreeMap for a deterministic peer order within a batch.
-        let mut groups: BTreeMap<usize, Vec<(usize, Packet, Option<CacheFill>)>> = BTreeMap::new();
-        let mut stored_slots: Vec<usize> = Vec::new();
-        for (i, packet) in packets.into_iter().enumerate() {
-            match self.route_step(packet, inline) {
-                Step::Respond { resp, stored } => {
-                    if stored {
-                        stored_slots.push(i);
-                    }
-                    out[i] = Some(resp);
-                }
-                Step::Forward { to, packet, fill } => {
-                    groups.entry(to).or_default().push((i, packet, fill));
-                }
-            }
-        }
-        for (to, group) in groups {
-            if group.len() == 1 {
-                // A lone packet keeps the plain RPC path (identical
-                // failure semantics, no batch container overhead).
-                for (i, packet, fill) in group {
-                    let resp = self.rpc(to, packet);
-                    self.maybe_cache(fill, &resp);
-                    out[i] = Some(resp);
-                }
-            } else {
-                let (meta, fwd): (Vec<(usize, Option<CacheFill>)>, Vec<Packet>) = group
-                    .into_iter()
-                    .map(|(i, packet, fill)| ((i, fill), packet))
-                    .unzip();
-                for ((i, fill), resp) in meta.into_iter().zip(self.rpc_batch(to, fwd)) {
-                    self.maybe_cache(fill, &resp);
-                    out[i] = Some(resp);
-                }
-            }
-        }
-        // One invalidation broadcast covers every id the batch stored
-        // here — batched over the same "GB" container the data path
-        // uses, so coherence traffic amortizes exactly like writes do.
-        if !stored_slots.is_empty() {
-            let ids: Vec<DataId> = stored_slots
-                .iter()
-                .map(|&i| out[i].as_ref().expect("stored slot is answered").id.clone())
-                .collect();
-            if !self.broadcast_invalidations(&ids) {
-                for &i in &stored_slots {
-                    degrade_ack(out[i].as_mut().expect("stored slot is answered"));
-                }
-            }
-        }
-        out.into_iter()
-            .map(|resp| resp.expect("every batched packet is answered"))
-            .collect()
-    }
-
-    /// One local routing decision: runs the same pipeline [`handle`]
-    /// always ran, but stops at the point where the packet would leave
-    /// this node, returning the prepared hop instead of performing it.
-    ///
-    /// [`handle`]: Inner::handle
-    fn route_step(&self, packet: Packet, inline: bool) -> Step {
+    /// One local routing decision: runs the greedy pipeline up to the
+    /// point where the packet would leave this node, returning the
+    /// prepared hop instead of performing it. Pure local work — it never
+    /// touches a socket, which is what lets the reactor run it inline.
+    fn route_step(&self, packet: Packet) -> Step {
         if packet.kind == PacketKind::Invalidate {
             // Coherence traffic: drop any cached copy and ack. Handled
             // before the request counter — an invalidation is overhead
-            // of someone else's write, not a request of its own — and
-            // always inline (a pure cache operation never blocks).
+            // of someone else's write, not a request of its own.
             self.cache.invalidate(&packet.id);
             self.counters
                 .invalidations_rx
@@ -1672,8 +1948,7 @@ impl Inner {
         if packet.kind == PacketKind::Stats {
             // Observability: answer with a snapshot of this node's
             // counters. Handled before the request counter — a scrape
-            // must not perturb the request accounting it reports — and
-            // always inline (atomics, gauges, and try-locks only).
+            // must not perturb the request accounting it reports.
             return Step::respond(Packet::stats_response(self.wire_snapshot().encode()));
         }
         if packet.kind == PacketKind::Admin {
@@ -1686,8 +1961,11 @@ impl Inner {
                     Packet::admin_response(format!("pong from switch {}", self.id).into_bytes())
                 }
                 Ok(op) => Packet::admin_error(
-                    format!("node {} refuses {op}: lifecycle verbs need the admin endpoint", self.id)
-                        .into_bytes(),
+                    format!(
+                        "node {} refuses {op}: lifecycle verbs need the admin endpoint",
+                        self.id
+                    )
+                    .into_bytes(),
                 ),
                 Err(e) => Packet::admin_error(format!("bad admin payload: {e}").into_bytes()),
             };
@@ -1695,7 +1973,7 @@ impl Inner {
         }
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if packet.kind == PacketKind::RetrievalResponse {
-            // Responses travel back up the RPC chain, never as requests.
+            // Responses travel back along the links, never as requests.
             return Step::respond(self.refuse(&packet, "response packet arrived as a request"));
         }
         if let Some(server) = proto::server_addressed(&packet) {
@@ -1716,7 +1994,7 @@ impl Inner {
             }
             if header.dest == self.id {
                 // Virtual-link endpoint: pop the header, resume greedy.
-                return self.greedy_step(packet.without_relay(), inline);
+                return self.greedy_step(packet.without_relay());
             }
             // Intermediate relay: rewrite d.relay to the tuple's succ.
             return match self.plane().relay_next(header.dest, header.sour) {
@@ -1733,7 +2011,7 @@ impl Inner {
                 None => Step::respond(self.refuse(&packet, "no relay tuple for the virtual link")),
             };
         }
-        self.greedy_step(packet, inline)
+        self.greedy_step(packet)
     }
 
     /// Greedy pipeline step at this switch (packet not in a virtual
@@ -1741,7 +2019,7 @@ impl Inner {
     /// detours to the next-best live neighbor (or delivers locally) and
     /// counts each detour in the packet, aborting with a redirect once
     /// the budget is spent so a partitioned walk terminates observably.
-    fn greedy_step(&self, mut packet: Packet, inline: bool) -> Step {
+    fn greedy_step(&self, mut packet: Packet) -> Step {
         let plane = self.plane();
         if plane.server_count() == 0 {
             // Transit switches only relay; they are never access points
@@ -1782,7 +2060,7 @@ impl Inner {
             } => {
                 // Hot-key fast path: a clean remote-destined retrieval
                 // may be answered from the read cache with zero peer
-                // RPCs. Probed only here — local deliveries and relay
+                // frames. Probed only here — local deliveries and relay
                 // legs never consult it — so the hit rate measures
                 // forwarding actually saved. Detoured walks skip the
                 // cache entirely (probe and admission): only the true
@@ -1802,14 +2080,6 @@ impl Inner {
                 } else {
                     None
                 };
-                if inline {
-                    // The reactor only routed this here because the
-                    // cache held the id a moment ago; it vanished in
-                    // between, and the reactor must never block on the
-                    // peer RPC the forward needs. Abort with a redirect
-                    // — the client's retry lands on the pool path.
-                    return Step::respond(self.redirect(&packet, "cached entry raced away"));
-                }
                 self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
                 let mut fwd = if virtual_link {
                     packet.with_relay(self.id, next_hop, neighbor)
@@ -1906,7 +2176,7 @@ impl Inner {
             | PacketKind::StatsResponse
             | PacketKind::Admin
             | PacketKind::AdminResponse => {
-                unreachable!("rejected in handle()")
+                unreachable!("rejected in route_step()")
             }
         }
     }
@@ -1993,46 +2263,9 @@ impl Inner {
         resp
     }
 
-    /// Sends `packet` to peer switch `to` over the multiplexed link and
-    /// waits for the correlated response, reconnecting once if the link
-    /// died and falling back to a one-shot connection as a last resort.
-    /// When every path fails the peer is marked suspect (greedy routing
-    /// detours around it from now on) and the chain terminates with a
-    /// redirect so the client retries instead of losing the write
-    /// silently. Any success clears the suspicion.
-    fn rpc(&self, to: usize, packet: Packet) -> Packet {
-        match self.mux_rpc(to, &packet) {
-            Ok(resp) => {
-                self.clear_suspect(to);
-                resp
-            }
-            Err(e) => {
-                if self.shutdown.load(Ordering::Relaxed) {
-                    return self.refuse(&packet, "node is shutting down");
-                }
-                self.log(&format!(
-                    "mux rpc to node {to} failed ({e}); one-shot fallback"
-                ));
-                self.counters
-                    .oneshot_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                match self.oneshot_rpc(to, &packet) {
-                    Ok(resp) => {
-                        self.clear_suspect(to);
-                        resp
-                    }
-                    Err(e) => {
-                        self.log(&format!("one-shot rpc to node {to} failed: {e}"));
-                        self.mark_suspect(to);
-                        self.redirect(&packet, "peer unreachable")
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a mux-link rebuild towards peer `to` on both the
-    /// node-wide hot counter and the per-peer slot a scrape exports.
+    /// Records a continuation resent to peer `to` after its established
+    /// link died, on both the node-wide hot counter and the per-peer
+    /// slot a scrape exports.
     fn note_reconnect(&self, to: usize) {
         self.counters
             .link_reconnects
@@ -2043,70 +2276,14 @@ impl Inner {
         }
     }
 
-    fn mux_rpc(&self, to: usize, packet: &Packet) -> io::Result<Packet> {
-        let link = self.link(to)?;
-        match link.call(packet, self.cfg.peer_reply_timeout) {
-            Ok(resp) => Ok(resp),
-            // A timeout leaves the link healthy (the late response dies
-            // by correlation id); reconnecting would not help.
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => Err(e),
-            Err(_) => {
-                // The link died mid-call. Reconnect once and retry; the
-                // peer never saw the request or its answer was lost with
-                // the socket, and requests are idempotent either way.
-                self.note_reconnect(to);
-                let link = self.reconnect(to, &link)?;
-                link.call(packet, self.cfg.peer_reply_timeout)
-            }
-        }
-    }
-
-    /// Sends every packet to peer `to` in one batch frame and returns
-    /// the per-packet responses in request order. When the batched path
-    /// fails in any way, every packet falls back to the per-packet
-    /// [`rpc`](Inner::rpc) — requests are idempotent, and the fallback
-    /// preserves the exact singles failure semantics (one-shot rescue,
-    /// suspicion marking, redirect responses).
-    fn rpc_batch(&self, to: usize, packets: Vec<Packet>) -> Vec<Packet> {
-        match self.mux_rpc_batch(to, &packets) {
-            Ok(responses) => {
-                self.clear_suspect(to);
-                responses
-            }
-            Err(e) => {
-                self.log(&format!(
-                    "batched rpc of {} packets to node {to} failed ({e}); \
-                     falling back to per-packet rpc",
-                    packets.len()
-                ));
-                packets.into_iter().map(|p| self.rpc(to, p)).collect()
-            }
-        }
-    }
-
-    /// Batch twin of [`mux_rpc`](Inner::mux_rpc): same link lifecycle
-    /// (timeouts leave the link alive, a dead link reconnects once).
-    fn mux_rpc_batch(&self, to: usize, packets: &[Packet]) -> io::Result<Vec<Packet>> {
-        let link = self.link(to)?;
-        match link.call_batch(packets, self.cfg.peer_reply_timeout) {
-            Ok(responses) => Ok(responses),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => Err(e),
-            Err(_) => {
-                self.note_reconnect(to);
-                let link = self.reconnect(to, &link)?;
-                link.call_batch(packets, self.cfg.peer_reply_timeout)
-            }
-        }
-    }
-
     /// Admits a forwarded retrieval's response into the read cache.
     /// Only a clean authoritative hit qualifies: an `Ok`, detour-free
     /// `RetrievalResponse`. A detoured (`Degraded`) or aborted
     /// (`Redirect`) answer may come from a stand-in switch rather than
     /// the true owner and must never populate the cache; misses and
-    /// errors carry nothing worth caching. The pre-RPC token makes the
+    /// errors carry nothing worth caching. The pre-send token makes the
     /// admission epoch-fenced: if an invalidation for the id landed
-    /// while the RPC was in flight, the insert is refused.
+    /// while the continuation was parked, the insert is refused.
     fn maybe_cache(&self, fill: Option<CacheFill>, resp: &Packet) {
         let Some(fill) = fill else { return };
         if resp.kind != PacketKind::RetrievalResponse
@@ -2115,133 +2292,8 @@ impl Inner {
         {
             return;
         }
-        debug_assert!(
-            !matches!(
-                resp.status,
-                ResponseStatus::Degraded | ResponseStatus::Redirect
-            ),
-            "a detoured or redirected read must never populate the cache"
-        );
         self.cache
             .insert_if_fresh(fill.token, fill.id, resp.payload.clone());
-    }
-
-    /// Write-through coherence: before a placement stored on this node
-    /// acks, every remote peer is told to drop any cached copy of
-    /// `ids`. Returns whether every peer confirmed.
-    ///
-    /// An unreachable peer is marked suspect and the caller downgrades
-    /// the ack to `Degraded` — never a hard failure. That keeps the
-    /// guarantee exact without sacrificing availability: after a
-    /// *clean* ack no cache anywhere can serve the old value, while a
-    /// write racing a dead peer still lands (degraded, so replication
-    /// quorums don't count it). Peers already under suspicion are not
-    /// re-probed on the write path — the first failure paid the
-    /// timeout; further writes inside the TTL just stay degraded.
-    fn broadcast_invalidations(&self, ids: &[DataId]) -> bool {
-        let suspects: Vec<Arc<AtomicU64>> = {
-            let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
-            peers.suspect.iter().map(Arc::clone).collect()
-        };
-        if suspects.len() <= 1 {
-            return true; // nobody else could be caching
-        }
-        let packets: Vec<Packet> = ids
-            .iter()
-            .map(|id| Packet::invalidate(id.clone()))
-            .collect();
-        let now = self.now_ms();
-        let mut all_confirmed = true;
-        for (to, suspect) in suspects.iter().enumerate() {
-            if to == self.id {
-                continue;
-            }
-            if suspect.load(Ordering::Relaxed) > now {
-                all_confirmed = false;
-                continue;
-            }
-            let sent = match &packets[..] {
-                [single] => self.mux_rpc(to, single).is_ok(),
-                many => self.mux_rpc_batch(to, many).is_ok(),
-            };
-            if sent {
-                self.clear_suspect(to);
-            } else {
-                self.mark_suspect(to);
-                all_confirmed = false;
-            }
-        }
-        all_confirmed
-    }
-
-    /// The address and link slot for peer `to`, cloned out of the table
-    /// so no table lock is held across connects or calls.
-    fn peer_slot(&self, to: usize) -> io::Result<(SocketAddr, LinkSlot)> {
-        let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
-        match (peers.addrs.get(to), peers.links.get(to)) {
-            (Some(addr), Some(slot)) => Ok((*addr, Arc::clone(slot))),
-            _ => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "unknown peer switch",
-            )),
-        }
-    }
-
-    /// The live link to `to`, connecting if absent or dead. The slot
-    /// lock is held across at most one connect — never across a call.
-    fn link(&self, to: usize) -> io::Result<Arc<MuxLink>> {
-        let (addr, slot) = self.peer_slot(to)?;
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(link) = guard.as_ref() {
-            if !link.is_dead() {
-                return Ok(Arc::clone(link));
-            }
-        }
-        let link = Arc::new(MuxLink::connect(
-            addr,
-            self.cfg.peer_connect_timeout,
-            Arc::clone(&self.mux_metrics),
-        )?);
-        *guard = Some(Arc::clone(&link));
-        Ok(link)
-    }
-
-    /// Replaces `stale` with a fresh link — unless a concurrent caller
-    /// already did, in which case the newer link is shared.
-    fn reconnect(&self, to: usize, stale: &Arc<MuxLink>) -> io::Result<Arc<MuxLink>> {
-        let (addr, slot) = self.peer_slot(to)?;
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(current) = guard.as_ref() {
-            if !Arc::ptr_eq(current, stale) && !current.is_dead() {
-                return Ok(Arc::clone(current));
-            }
-        }
-        let link = Arc::new(MuxLink::connect(
-            addr,
-            self.cfg.peer_connect_timeout,
-            Arc::clone(&self.mux_metrics),
-        )?);
-        *guard = Some(Arc::clone(&link));
-        Ok(link)
-    }
-
-    /// Emergency path: a fresh connection carrying exactly one exchange.
-    fn oneshot_rpc(&self, to: usize, packet: &Packet) -> io::Result<Packet> {
-        let (addr, _) = self.peer_slot(to)?;
-        let stream = TcpStream::connect_timeout(&addr, self.cfg.peer_connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.cfg.read_timeout))?;
-        let mut link = OneShotLink {
-            stream,
-            decoder: FrameDecoder::new(),
-            scratch: Vec::new(),
-        };
-        exchange(
-            &mut link,
-            packet,
-            self.cfg.peer_reply_timeout,
-            &self.mux_metrics,
-        )
     }
 }
 
@@ -2255,86 +2307,91 @@ fn degrade_ack(resp: &mut Packet) {
     }
 }
 
-/// Writes one request frame on `link` and reads exactly one response
-/// frame, with `reply_timeout` bounding the wait. The frame is built in
-/// the link's scratch buffer via `begin_frame`/`encode_into`/
-/// `finish_frame` — the packet is encoded straight into the framed
-/// buffer, never encoded to a temporary and copied again.
-fn exchange(
-    link: &mut OneShotLink,
-    packet: &Packet,
-    reply_timeout: Duration,
-    metrics: &MuxMetrics,
-) -> io::Result<Packet> {
-    if link.scratch.capacity() > 0 {
-        metrics.encode_buf_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-    link.scratch.clear();
-    let at = frame::begin_frame(&mut link.scratch);
-    wire::encode_into(packet, &mut link.scratch);
-    frame::finish_frame(&mut link.scratch, at);
-    link.stream.write_all(&link.scratch)?;
-    let deadline = Instant::now() + reply_timeout;
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        if let Some(body) = link
-            .decoder
-            .next_frame()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        {
-            return wire::parse_bytes(&body)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-        }
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "peer did not respond in time",
-            ));
-        }
-        match link.stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed the link",
-                ))
-            }
-            Ok(n) => link.decoder.feed(&buf[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::client::ClientConfig;
     use crate::frame::encode_frame;
+    use crate::pipelined::PipeConn;
+    use gred_dataplane::NeighborEntry;
     use gred_geometry::Point2;
+    use std::sync::mpsc;
+
+    pub(crate) fn test_config() -> NodeConfig {
+        NodeConfig {
+            log_dir: None,
+            ..NodeConfig::default()
+        }
+    }
 
     fn spawn_single(server_count: usize) -> Node {
         let plane = SwitchDataplane::new(0, Point2::new(0.5, 0.5), server_count);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        Node::spawn(
-            0,
-            plane,
-            vec![addr],
-            listener,
-            NodeConfig {
-                log_dir: None,
-                ..NodeConfig::default()
-            },
-        )
-        .unwrap()
+        Node::spawn(0, plane, vec![addr], listener, test_config()).unwrap()
     }
 
-    fn roundtrip(addr: SocketAddr, packet: &Packet) -> Packet {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(&encode_frame(&wire::encode(packet)))
-            .unwrap();
+    /// Switch 0 of a two-switch network whose only neighbor, switch 1 at
+    /// `peer`, is closer to every id: each request is forwarded there.
+    pub(crate) fn forwarder(peer: SocketAddr, cfg: NodeConfig) -> Node {
+        let mut plane = SwitchDataplane::new(0, Point2::new(9.0, 9.0), 1);
+        plane.install_neighbor(NeighborEntry {
+            neighbor: 1,
+            position: Point2::new(0.5, 0.5),
+            via: 1,
+            physical: true,
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        Node::spawn(0, plane, vec![addr, peer], listener, cfg).unwrap()
+    }
+
+    /// Plays switch 1 for a [`forwarder`]: accepts one GMUX link and
+    /// hands each decoded `(corr, request)` to `answer`, writing back
+    /// whatever `(corr, response)` frames it returns.
+    pub(crate) fn scripted_peer(
+        listener: &TcpListener,
+        mut answer: impl FnMut(u64, Packet) -> Vec<(u64, Packet)>,
+    ) {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut preamble = [0u8; 4];
+        stream.read_exact(&mut preamble).unwrap();
+        assert_eq!(preamble, MUX_PREAMBLE);
+        let mut decoder = FrameDecoder::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            let n = match stream.read(&mut buf) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => n,
+            };
+            decoder.feed(&buf[..n]);
+            while let Some(body) = decoder.next_frame().unwrap() {
+                let (corr, payload) = frame::split_mux(&body).unwrap();
+                for (corr, response) in answer(corr, wire::parse_bytes(&payload).unwrap()) {
+                    let mut out = Vec::new();
+                    frame_into(&mut out, Some(corr), |out| {
+                        wire::encode_into(&response, out)
+                    });
+                    stream.write_all(&out).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Runs `test` against the address of a listener that `peer` serves
+    /// on a scoped thread. The peer must return once the node under test
+    /// hangs up; the scope joins it.
+    pub(crate) fn with_peer(peer: impl FnOnce(TcpListener) + Send, test: impl FnOnce(SocketAddr)) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::scope(|scope| {
+            scope.spawn(move || peer(listener));
+            test(addr);
+        });
+    }
+
+    fn read_reply(stream: &mut TcpStream) -> Packet {
         let mut decoder = FrameDecoder::new();
         let mut buf = [0u8; 4096];
         loop {
@@ -2345,6 +2402,14 @@ mod tests {
             assert_ne!(n, 0, "node closed the connection without responding");
             decoder.feed(&buf[..n]);
         }
+    }
+
+    pub(crate) fn roundtrip(addr: SocketAddr, packet: &Packet) -> Packet {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(&encode_frame(&wire::encode(packet)))
+            .unwrap();
+        read_reply(&mut stream)
     }
 
     #[test]
@@ -2370,11 +2435,7 @@ mod tests {
         assert_eq!(report.requests, 3);
         assert_eq!(report.errors, 0);
         assert_eq!(report.stored_items, 1);
-        assert_eq!(
-            report.workers_joined, 1,
-            "reactor only: requests were all-local"
-        );
-        assert_eq!(report.hot.oneshot_fallbacks, 0);
+        assert_eq!(report.workers_joined, 1, "the reactor is the whole node");
         assert_eq!(report.hot.frames_decoded, 3);
     }
 
@@ -2397,10 +2458,6 @@ mod tests {
         assert_eq!(report.hot.invalidations_rx, 1);
         assert_eq!(report.requests, 0, "coherence traffic is not a request");
         assert_eq!(report.errors, 0);
-        assert_eq!(
-            report.workers_joined, 1,
-            "invalidations are served inline on the reactor"
-        );
     }
 
     #[test]
@@ -2457,17 +2514,7 @@ mod tests {
         let plane = SwitchDataplane::transit(0);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut node = Node::spawn(
-            0,
-            plane,
-            vec![addr],
-            listener,
-            NodeConfig {
-                log_dir: None,
-                ..NodeConfig::default()
-            },
-        )
-        .unwrap();
+        let mut node = Node::spawn(0, plane, vec![addr], listener, test_config()).unwrap();
         let resp = roundtrip(node.addr(), &Packet::retrieval(DataId::new("k")));
         assert_eq!(resp.status, gred_dataplane::ResponseStatus::Error);
         let report = node.shutdown();
@@ -2512,53 +2559,6 @@ mod tests {
     }
 
     #[test]
-    fn oneshot_exchange_reuses_its_encode_buffer() {
-        // Regression: `exchange` used to double-encode via
-        // `encode_frame(&wire::encode(packet))` — two allocations and a
-        // copy per frame, and the scratch-reuse metric never ticked.
-        let mut node = spawn_single(1);
-        let stream = TcpStream::connect(node.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .unwrap();
-        let mut link = OneShotLink {
-            stream,
-            decoder: FrameDecoder::new(),
-            scratch: Vec::new(),
-        };
-        let metrics = MuxMetrics::default();
-        let id = DataId::new("oneshot");
-        let ack = exchange(
-            &mut link,
-            &Packet::placement(id.clone(), b"v".as_ref()),
-            Duration::from_secs(5),
-            &metrics,
-        )
-        .unwrap();
-        assert_eq!(ack.status, gred_dataplane::ResponseStatus::Ok);
-        assert_eq!(
-            metrics.encode_buf_reuses.load(Ordering::Relaxed),
-            0,
-            "the first exchange encodes into a cold buffer"
-        );
-        let got = exchange(
-            &mut link,
-            &Packet::retrieval(id),
-            Duration::from_secs(5),
-            &metrics,
-        )
-        .unwrap();
-        assert_eq!(got.payload.as_ref(), b"v");
-        assert_eq!(
-            metrics.encode_buf_reuses.load(Ordering::Relaxed),
-            1,
-            "the second exchange must reuse the warm scratch buffer"
-        );
-        node.shutdown();
-    }
-
-    #[test]
     fn plain_batch_frame_answers_every_packet_in_order() {
         let mut node = spawn_single(2);
         let requests = vec![
@@ -2594,30 +2594,23 @@ mod tests {
 
     #[test]
     fn mux_batch_call_round_trips_through_a_node() {
-        let node = spawn_single(1);
-        let link = MuxLink::connect(
-            node.addr(),
-            Duration::from_secs(1),
-            Arc::new(MuxMetrics::default()),
-        )
-        .unwrap();
+        let mut node = spawn_single(1);
+        let mut link = PipeConn::connect(node.addr(), &ClientConfig::default()).unwrap();
         let places: Vec<Packet> = (0..5)
             .map(|i| Packet::placement(DataId::new(format!("mb/{i}")), format!("v{i}")))
             .collect();
-        let acks = link.call_batch(&places, Duration::from_secs(5)).unwrap();
+        let acks = link.exchange(&places, Duration::from_secs(5)).unwrap();
         assert!(acks
             .iter()
             .all(|a| a.status == gred_dataplane::ResponseStatus::Ok));
         let gets: Vec<Packet> = (0..5)
             .map(|i| Packet::retrieval(DataId::new(format!("mb/{i}"))))
             .collect();
-        let replies = link.call_batch(&gets, Duration::from_secs(5)).unwrap();
+        let replies = link.exchange(&gets, Duration::from_secs(5)).unwrap();
         for (i, reply) in replies.iter().enumerate() {
             assert_eq!(reply.id, gets[i].id, "responses keep request order");
             assert_eq!(reply.payload.as_ref(), format!("v{i}").as_bytes());
         }
-        link.close();
-        let mut node = node;
         let report = node.shutdown();
         assert_eq!(report.requests, 10);
         assert_eq!(report.errors, 0);
@@ -2625,44 +2618,216 @@ mod tests {
 
     #[test]
     fn node_serves_the_mux_protocol_with_interleaved_requests() {
-        // Drive a node directly over a MuxLink — the same path peers use
-        // — with concurrent interleaved placements and retrievals.
-        let node = spawn_single(1);
-        let link = Arc::new(
-            MuxLink::connect(
-                node.addr(),
-                Duration::from_secs(1),
-                Arc::new(MuxMetrics::default()),
-            )
-            .unwrap(),
-        );
-        thread::scope(|scope| {
-            for t in 0..4 {
-                let link = Arc::clone(&link);
-                scope.spawn(move || {
-                    let id = DataId::new(format!("mux-{t}"));
-                    let payload = format!("value-{t}");
-                    let ack = link
-                        .call(
-                            &Packet::placement(id.clone(), payload.as_bytes()),
-                            Duration::from_secs(5),
-                        )
-                        .unwrap();
-                    assert_eq!(ack.status, gred_dataplane::ResponseStatus::Ok);
-                    let got = link
-                        .call(&Packet::retrieval(id.clone()), Duration::from_secs(5))
-                        .unwrap();
-                    assert_eq!(got.id, id);
-                    assert_eq!(got.payload.as_ref(), payload.as_bytes());
-                });
-            }
-        });
-        link.close();
-        let mut node = node;
+        // Drive a node over one GMUX connection — the same protocol
+        // peers use — with every request in flight at once under its
+        // own correlation id.
+        let mut node = spawn_single(1);
+        let mut link = PipeConn::connect(node.addr(), &ClientConfig::default()).unwrap();
+        let places: Vec<Packet> = (0..4)
+            .map(|t| Packet::placement(DataId::new(format!("mux-{t}")), format!("value-{t}")))
+            .collect();
+        let acks = link
+            .exchange_chunked(&places, 1, Duration::from_secs(5))
+            .unwrap();
+        assert!(acks
+            .iter()
+            .all(|a| a.status == gred_dataplane::ResponseStatus::Ok));
+        let gets: Vec<Packet> = (0..4)
+            .map(|t| Packet::retrieval(DataId::new(format!("mux-{t}"))))
+            .collect();
+        let replies = link
+            .exchange_chunked(&gets, 1, Duration::from_secs(5))
+            .unwrap();
+        for (t, reply) in replies.iter().enumerate() {
+            assert_eq!(reply.id, gets[t].id);
+            assert_eq!(reply.payload.as_ref(), format!("value-{t}").as_bytes());
+        }
         let report = node.shutdown();
         assert_eq!(report.requests, 8);
         assert_eq!(report.errors, 0);
         assert_eq!(report.stored_items, 4);
-        assert_eq!(report.hot.oneshot_fallbacks, 0);
+    }
+
+    #[test]
+    fn evicted_cache_entry_is_forwarded_not_redirected() {
+        // The reactor used to answer a remote-destined read inline only
+        // after peeking `cache.contains`; an entry evicted between that
+        // peek and the real probe came back as a spurious `Redirect`.
+        // Forwards are legal on the reactor now: a vanished entry is
+        // simply a miss, and a miss is forwarded.
+        let owner = |listener: TcpListener| {
+            scripted_peer(&listener, |corr, request| {
+                vec![(corr, Packet::response(request.id, b"owned".as_ref()))]
+            });
+        };
+        with_peer(owner, |peer_addr| {
+            let mut node = forwarder(peer_addr, test_config());
+            let id = DataId::new("raced-key");
+            let read = Packet::retrieval(id.clone());
+            assert_eq!(roundtrip(node.addr(), &read).payload.as_ref(), b"owned");
+            assert!(
+                node.inner.cache.contains(&id),
+                "the forward filled the cache"
+            );
+            assert_eq!(roundtrip(node.addr(), &read).payload.as_ref(), b"owned");
+            assert_eq!(node.hot_stats().cache_hits, 1, "the second read is a hit");
+            // Evict, as a racing invalidation or CLOCK sweep would.
+            node.inner.cache.invalidate(&id);
+            let reply = roundtrip(node.addr(), &read);
+            assert_eq!(reply.status, ResponseStatus::Ok);
+            assert_eq!(reply.payload.as_ref(), b"owned");
+            let report = node.shutdown();
+            assert_eq!(report.forwarded, 2, "miss, hit, evicted miss");
+            assert_eq!(report.hot.redirects_issued, 0);
+            assert_eq!(report.errors, 0);
+        });
+    }
+
+    #[test]
+    fn accept_errors_pause_the_listener_without_stalling_parked_forwards() {
+        // The owner answers only when told to, so the forward stays
+        // parked while the listener is driven into its error state.
+        let (release, released) = mpsc::channel::<()>();
+        let owner = move |listener: TcpListener| {
+            scripted_peer(&listener, |corr, request| {
+                released.recv().unwrap();
+                vec![(corr, Packet::response(request.id, b"late".as_ref()))]
+            });
+        };
+        with_peer(owner, |peer_addr| {
+            let mut node = forwarder(peer_addr, test_config());
+            let mut first = TcpStream::connect(node.addr()).unwrap();
+            let read = encode_frame(&wire::encode(&Packet::retrieval(DataId::new("k"))));
+            first.write_all(&read).unwrap();
+            while node.parked_continuations() == 0 {
+                thread::yield_now();
+            }
+            // Every accept now fails EMFILE-style. A second client dials in:
+            // the kernel completes its handshake, the reactor's accept fails.
+            node.inner
+                .reactor
+                .accept_faults
+                .store(usize::MAX, Ordering::Relaxed);
+            let mut second = TcpStream::connect(node.addr()).unwrap();
+            second.write_all(&read).unwrap();
+            while node.inner.reactor.accept_faults.load(Ordering::Relaxed) == usize::MAX {
+                thread::yield_now();
+            }
+            // The parked forward completes while accepts keep failing.
+            release.send(()).unwrap();
+            assert_eq!(read_reply(&mut first).payload.as_ref(), b"late");
+            assert!(node.inner.reactor.accept_faults.load(Ordering::Relaxed) > 0);
+            assert_eq!(node.open_connections(), 1, "the second dial still waits");
+            // Once accepts succeed again the deadline queue re-arms the
+            // listener and the waiting client is served.
+            node.inner.reactor.accept_faults.store(0, Ordering::Relaxed);
+            release.send(()).unwrap();
+            assert_eq!(read_reply(&mut second).payload.as_ref(), b"late");
+            let report = node.shutdown();
+            assert_eq!(report.errors, 0);
+        });
+    }
+
+    #[test]
+    fn late_completion_after_origin_slot_reuse_is_dropped() {
+        let (release, released) = mpsc::channel::<()>();
+        let owner = move |listener: TcpListener| {
+            scripted_peer(&listener, |corr, request| {
+                released.recv().unwrap();
+                let payload = request.id.as_bytes().to_vec();
+                vec![(corr, Packet::response(request.id, payload))]
+            });
+        };
+        with_peer(owner, |peer_addr| {
+            let mut node = forwarder(peer_addr, test_config());
+            // The first client parks a forward over a mux connection (served
+            // frame by frame), then kills that connection with a framing
+            // violation (an oversized length prefix).
+            let mut doomed = TcpStream::connect(node.addr()).unwrap();
+            let mut bytes = MUX_PREAMBLE.to_vec();
+            let mut request = Vec::new();
+            let read = Packet::retrieval(DataId::new("doomed"));
+            frame_into(&mut request, Some(7), |out| wire::encode_into(&read, out));
+            bytes.extend_from_slice(&request);
+            bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+            doomed.write_all(&bytes).unwrap();
+            while node.parked_continuations() == 0 || node.open_connections() != 0 {
+                thread::yield_now();
+            }
+            assert_eq!(node.parked_continuations(), 1, "the forward outlives it");
+            // The next connection moves into the vacated slot.
+            let mut heir = TcpStream::connect(node.addr()).unwrap();
+            while node.open_connections() != 1 {
+                thread::yield_now();
+            }
+            release.send(()).unwrap();
+            while node.parked_continuations() != 0 {
+                thread::yield_now();
+            }
+            // The late completion died by generation: the heir reads only
+            // the answer to its own request, never the doomed one's.
+            let own = encode_frame(&wire::encode(&Packet::retrieval(DataId::new("heir"))));
+            heir.write_all(&own).unwrap();
+            release.send(()).unwrap();
+            let reply = read_reply(&mut heir);
+            assert_eq!(reply.id, DataId::new("heir"));
+            assert_eq!(reply.payload.as_ref(), b"heir");
+            // Nothing leaked: a drain with a call still open would sit out
+            // the whole reply timeout.
+            let started = Instant::now();
+            let report = node.shutdown();
+            assert!(started.elapsed() < Duration::from_secs(2), "a call leaked");
+            assert_eq!(report.forwarded, 2);
+        });
+    }
+
+    #[test]
+    fn one_byte_at_a_time_peer_response_completes_byte_exactly() {
+        use crate::frame::tests::{drain_queue, Throttled};
+        let payload: Vec<u8> = (0..700u32).map(|i| (i * 31 % 251) as u8).collect();
+        let expected = payload.clone();
+        let dribbler = move |listener: TcpListener| {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut decoder = FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            let mut skip = MUX_PREAMBLE.len();
+            let body = loop {
+                let n = stream.read(&mut buf).unwrap();
+                let fresh = &buf[skip.min(n)..n];
+                skip -= skip.min(n);
+                decoder.feed(fresh);
+                if let Some(body) = decoder.next_frame().unwrap() {
+                    break body;
+                }
+            };
+            let (corr, request) = frame::split_mux(&body).unwrap();
+            let request = wire::parse_bytes(&request).unwrap();
+            // The response leaves through the worst sink there is — one
+            // byte accepted, one write refused, forever — and reaches
+            // the node one byte per segment.
+            let mut out = Vec::new();
+            let response = Packet::response(request.id, payload);
+            frame_into(&mut out, Some(corr), |out| {
+                wire::encode_into(&response, out)
+            });
+            let mut queue = WriteQueue::new();
+            let mut sink = Throttled::new(1);
+            queue.send(&mut sink, &out).unwrap();
+            drain_queue(&mut queue, &mut sink);
+            for byte in sink.out {
+                stream.write_all(&[byte]).unwrap();
+            }
+            let _ = stream.read(&mut buf); // hold the link until the node hangs up
+        };
+        with_peer(dribbler, |peer_addr| {
+            let mut node = forwarder(peer_addr, test_config());
+            let reply = roundtrip(node.addr(), &Packet::retrieval(DataId::new("dribble")));
+            assert_eq!(reply.status, ResponseStatus::Ok);
+            assert_eq!(reply.payload.as_ref(), &expected[..]);
+            assert_eq!(node.parked_continuations(), 0);
+            let report = node.shutdown();
+            assert_eq!(report.hot.frames_decoded, 2, "one request, one response");
+        });
     }
 }

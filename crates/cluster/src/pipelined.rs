@@ -1,7 +1,7 @@
 //! Pipelined client transport: many in-flight correlated requests.
 //!
 //! [`PipeConn`] speaks the same GMUX protocol the inter-node links use
-//! ([`crate::mux`]): a [`frame::MUX_PREAMBLE`] on connect, then
+//! ([`crate::node`]): a [`frame::MUX_PREAMBLE`] on connect, then
 //! length-prefixed frames whose first eight body bytes are a
 //! correlation id. Requests are chunked into batch containers
 //! ([`wire::encode_batch_into`]), each chunk under a fresh correlation

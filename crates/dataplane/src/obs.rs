@@ -148,8 +148,9 @@ pub struct StatsSnapshot {
     /// Bytes sitting in reactor write queues, accepted from handlers
     /// but not yet written to any socket — the node's write backlog.
     pub queued_bytes: u64,
-    /// Dispatch workers spawned since boot (never shrinks; a scrape
-    /// storm must not move it).
+    /// Retired — removed with the next benchmark PR. A node is one
+    /// reactor thread and has no dispatch workers; always zero, kept
+    /// (with its wire slot) because the benchmark reads it.
     pub dispatch_workers: u32,
     /// Rows in the node's forwarding table (DT neighbors + extensions).
     pub table_rows: u64,

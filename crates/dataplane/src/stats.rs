@@ -9,16 +9,16 @@ use serde::{Deserialize, Serialize};
 ///
 /// These exist so a concurrency regression shows up as a *metric*, not
 /// just as a benchmark slope: a healthy multiplexed deployment keeps
-/// `oneshot_fallbacks` and `link_reconnects` at zero, and
+/// `link_reconnects` at zero, and
 /// `store_shard_contention` near zero relative to `frames_decoded`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct NodeHotStats {
-    /// Emergency one-shot TCP connections opened because a multiplexed
-    /// peer link could not be used. Zero in a healthy cluster; every
-    /// increment means a request paid a full TCP handshake.
+    /// Retired — removed with the next benchmark PR. The one-shot TCP
+    /// fallback it counted no longer exists; always zero, kept (with
+    /// its wire slot) because the benchmark reads it.
     pub oneshot_fallbacks: u64,
-    /// Multiplexed peer links torn down and re-established after an
-    /// I/O failure.
+    /// Parked continuations resent over a fresh peer link because the
+    /// established link they were written to died.
     pub link_reconnects: u64,
     /// Times a store shard's lock was observed contended (a `try_lock`
     /// failed and the caller had to wait). A lock-wait *hint*, not a

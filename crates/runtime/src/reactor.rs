@@ -7,8 +7,10 @@
 //! descriptors under opaque `u64` tokens, block in [`Poller::wait`], and
 //! get back the tokens that are readable or writable. An `eventfd`
 //! registered under [`WAKE_TOKEN`] lets other threads interrupt a
-//! blocked `wait` ([`Poller::wake`]) — the mechanism dispatch-pool
-//! workers use to hand finished responses back to the reactor thread.
+//! blocked `wait` ([`Poller::wake`]) — how a node's public API (shutdown
+//! requests) reaches its reactor thread. [`connect_nonblocking`] starts
+//! an outbound TCP connect without waiting for the handshake, so a
+//! reactor can dial peers and learn the outcome from a writable event.
 //!
 //! [`WriteQueue`] is the other half of nonblocking I/O: a segmented
 //! byte queue that absorbs partial writes. Callers push whole frames;
@@ -25,7 +27,8 @@
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
 
@@ -43,6 +46,33 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0x80000;
 const EFD_CLOEXEC: c_int = 0x80000;
 const EFD_NONBLOCK: c_int = 0x800;
+
+// Values from <sys/socket.h> / <errno.h> on Linux.
+const AF_INET: c_int = 2;
+const AF_INET6: c_int = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0x800;
+const SOCK_CLOEXEC: c_int = 0x80000;
+const EINPROGRESS: i32 = 115;
+
+/// The kernel's `struct sockaddr_in`; port and address in network order.
+#[repr(C)]
+struct SockAddrIn {
+    family: u16,
+    port: [u8; 2],
+    addr: [u8; 4],
+    zero: [u8; 8],
+}
+
+/// The kernel's `struct sockaddr_in6`; port and address in network order.
+#[repr(C)]
+struct SockAddrIn6 {
+    family: u16,
+    port: [u8; 2],
+    flowinfo: u32,
+    addr: [u8; 16],
+    scope_id: u32,
+}
 
 /// The kernel's `struct epoll_event`. On x86-64 the kernel ABI packs it
 /// (no padding between the 32-bit mask and the 64-bit payload); other
@@ -64,6 +94,8 @@ extern "C" {
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
     fn listen(sockfd: c_int, backlog: c_int) -> c_int;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(sockfd: c_int, addr: *const c_void, addrlen: u32) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -93,6 +125,57 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 pub fn set_listen_backlog(fd: RawFd, backlog: u32) -> io::Result<()> {
     let backlog = c_int::try_from(backlog).unwrap_or(c_int::MAX);
     cvt(unsafe { listen(fd, backlog) }).map(|_| ())
+}
+
+/// Starts a TCP connect to `addr` without waiting for the handshake and
+/// returns the nonblocking socket. Register it for write interest: the
+/// first writable (or hangup) event means the connect finished, and
+/// [`TcpStream::take_error`] then tells success (`None`) from failure.
+///
+/// # Errors
+///
+/// `socket(2)` failures (fd exhaustion) and connect errors the kernel
+/// reports immediately (unreachable network, refused loopback dial).
+pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+    // SAFETY: plain syscall; no pointers involved.
+    let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+    // SAFETY: `fd` is a fresh socket nobody else owns; the stream closes
+    // it on every return path below.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    let ret = match addr {
+        SocketAddr::V4(v4) => {
+            let sa = SockAddrIn {
+                family: AF_INET as u16,
+                port: v4.port().to_be_bytes(),
+                addr: v4.ip().octets(),
+                zero: [0; 8],
+            };
+            // SAFETY: `sa` is a live sockaddr_in and the length is its size.
+            unsafe { connect(fd, (&raw const sa).cast(), size_of::<SockAddrIn>() as u32) }
+        }
+        SocketAddr::V6(v6) => {
+            let sa = SockAddrIn6 {
+                family: AF_INET6 as u16,
+                port: v6.port().to_be_bytes(),
+                flowinfo: v6.flowinfo(),
+                addr: v6.ip().octets(),
+                scope_id: v6.scope_id(),
+            };
+            // SAFETY: `sa` is a live sockaddr_in6 and the length is its size.
+            unsafe { connect(fd, (&raw const sa).cast(), size_of::<SockAddrIn6>() as u32) }
+        }
+    };
+    if ret < 0 {
+        let err = io::Error::last_os_error();
+        // Both mean "the handshake continues in the background".
+        let pending =
+            err.raw_os_error() == Some(EINPROGRESS) || err.kind() == io::ErrorKind::Interrupted;
+        if !pending {
+            return Err(err);
+        }
+    }
+    Ok(stream)
 }
 
 /// The token [`Poller::wait`] reports when another thread called
@@ -618,6 +701,45 @@ mod tests {
                 .unwrap(),
             0
         );
+    }
+
+    #[test]
+    fn nonblocking_connect_reports_its_outcome_through_the_poller() {
+        use std::os::fd::AsRawFd;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(4);
+
+        let mut ok = connect_nonblocking(addr).unwrap();
+        poller
+            .register(ok.as_raw_fd(), 1, Interest::READ_WRITE)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .unwrap();
+        assert!(events.iter().next().unwrap().writable);
+        assert!(ok.take_error().unwrap().is_none(), "the dial succeeded");
+        let (mut accepted, _) = listener.accept().unwrap();
+        ok.write_all(b"hi").unwrap();
+        let mut buf = [0u8; 2];
+        accepted.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"hi");
+
+        // Nobody listens on the freed port: the failure arrives either
+        // immediately or as a hangup event carrying the socket error.
+        poller.deregister(ok.as_raw_fd()).unwrap();
+        drop((listener, accepted));
+        if let Ok(refused) = connect_nonblocking(addr) {
+            poller
+                .register(refused.as_raw_fd(), 2, Interest::READ_WRITE)
+                .unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(1)))
+                .unwrap();
+            assert!(events.iter().any(|ev| ev.token == 2 && ev.hangup));
+            assert!(refused.take_error().unwrap().is_some());
+        }
     }
 
     #[test]

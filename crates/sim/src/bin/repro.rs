@@ -735,11 +735,10 @@ fn run_cluster(seed: u64, ops: usize, switches: usize) {
     println!("{report}");
     let hot = report.hot_stats();
     println!("hot path: {hot}");
-    if hot.oneshot_fallbacks > 0 || hot.link_reconnects > 0 {
+    if hot.link_reconnects > 0 {
         println!(
-            "warning: peer contention spilled past the multiplexed links \
-             ({} one-shot fallbacks, {} reconnects)",
-            hot.oneshot_fallbacks, hot.link_reconnects
+            "warning: a healthy run rebuilt peer links ({} reconnects)",
+            hot.link_reconnects
         );
     }
     println!(

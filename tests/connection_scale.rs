@@ -177,11 +177,6 @@ fn ten_thousand_connections_on_bounded_threads() {
         "10k connections grew the process by {grown} threads \
          (budget {THREAD_BUDGET}) — connection workers are back"
     );
-    assert_eq!(
-        node.dispatch_workers_spawned(),
-        0,
-        "the all-local workload must be answered inline on the reactor"
-    );
 
     // Phase 2: two-phase drain with all 10k still connected. Herds arm
     // EOF reads; the node shuts down; every socket must see a clean FIN.
