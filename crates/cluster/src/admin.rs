@@ -4,7 +4,8 @@
 //! lifecycle verb — crashing a node, reviving a slot, or re-homing keys
 //! needs the orchestrator's [`Cluster`] handle *and* the model-twin
 //! [`GredNetwork`], which no node owns. The [`AdminServer`] is that
-//! orchestrator made reachable: a tiny framed-packet endpoint that maps
+//! orchestrator made reachable: a tiny endpoint speaking the client's
+//! correlated mux protocol ([`crate::pipelined`]) that maps
 //! [`AdminOp`] verbs onto the existing live-reconfiguration API
 //! (`crash_node` + `crash_switch` + plane push, `restart_node`,
 //! `migrate_misplaced`, `add_switch` + `apply_join`, `remove_switch` +
@@ -18,7 +19,7 @@
 
 use crate::client::{AdminReply, Client, ClientError};
 use crate::cluster::{Cluster, ClusterReport};
-use crate::frame::{encode_frame, FrameDecoder};
+use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
 use gred::GredNetwork;
 use gred_dataplane::{wire, AdminOp, Packet, PacketKind};
 use std::io::{self, Read, Write};
@@ -141,14 +142,17 @@ fn serve_loop(listener: &TcpListener, stop: &AtomicBool, state: &Mutex<AdminStat
     }
 }
 
-/// Serves one connection until EOF, error, or shutdown: framed `Admin`
-/// packets in, framed `AdminResponse` packets out.
+/// Serves one connection until EOF, error, or shutdown: after the mux
+/// preamble, correlated `Admin` packets in, `AdminResponse` packets out
+/// under the same correlation id.
 fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState>) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 4096];
+    // The stream opens with the mux preamble; this is what is still due.
+    let mut preamble: &[u8] = &MUX_PREAMBLE;
     while !stop.load(Ordering::SeqCst) {
         loop {
             let body = match decoder.next_frame() {
@@ -158,11 +162,16 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
                 // no resynchronizing a length-prefixed protocol.
                 Err(_) => return,
             };
+            let Some((corr, body)) = frame::split_mux(&body) else {
+                return;
+            };
             let reply = match wire::parse_bytes(&body) {
                 Ok(packet) if packet.kind == PacketKind::Admin => {
                     match AdminOp::decode(&packet.payload) {
                         Ok(op) => apply_verb(state, &op),
-                        Err(e) => Packet::admin_error(format!("bad admin payload: {e}").into_bytes()),
+                        Err(e) => {
+                            Packet::admin_error(format!("bad admin payload: {e}").into_bytes())
+                        }
                     }
                 }
                 Ok(packet) => Packet::admin_error(
@@ -171,15 +180,27 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
                 ),
                 Err(e) => Packet::admin_error(format!("unparseable packet: {e}").into_bytes()),
             };
-            let frame = encode_frame(&wire::encode(&reply));
-            if stream.write_all(&frame).is_err() {
+            let mut out = corr.to_be_bytes().to_vec();
+            wire::encode_into(&reply, &mut out);
+            if stream.write_all(&frame::encode_frame(&out)).is_err() {
                 return;
             }
         }
         match stream.read(&mut buf) {
             Ok(0) => return,
-            Ok(n) => decoder.feed(&buf[..n]),
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+            Ok(n) => {
+                let (head, frames) = buf[..n].split_at(preamble.len().min(n));
+                if !preamble.starts_with(head) {
+                    return;
+                }
+                preamble = &preamble[head.len()..];
+                decoder.feed(frames);
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
             Err(_) => return,
         }
     }
@@ -219,7 +240,9 @@ fn apply_verb(state: &Mutex<AdminState>, op: &AdminOp) -> Packet {
         }
         AdminOp::Drain => {
             let (moved, dropped) = cluster.migrate_misplaced(net);
-            Ok(format!("drained: {moved} items re-homed, {dropped} dropped"))
+            Ok(format!(
+                "drained: {moved} items re-homed, {dropped} dropped"
+            ))
         }
         AdminOp::Join {
             neighbors,

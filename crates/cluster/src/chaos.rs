@@ -18,19 +18,28 @@
 //!   read-repair), and audit every acknowledged write at the end. The
 //!   verdict is binary: an acknowledged write that cannot be read back
 //!   is a lost write; an unacknowledged failure is an error statistic.
-//! - [`ChaosTransport`] — a [`TransportProbe`] that replays the
-//!   model-based harness's schedule over a fabric-wrapped cluster while
-//!   firing a chaos plan between operations. Node kills revive
+//! - [`ChaosTransport`] — the [`TransportProbe`] that replays the
+//!   model-based harness's schedule ([`gred_testkit::Harness::replay_probed`])
+//!   over a *real* loopback cluster: every placement and retrieval the
+//!   schedule performs in-process is repeated over TCP, and any
+//!   divergence (wrong server, wrong payload, a hit where the model
+//!   misses) is reported in the harness's violation currency. Dynamics
+//!   and range extensions arrive as `resync`: the cluster is shut down
+//!   gracefully and rebooted from the network's current tables and
+//!   store. Built with [`ChaosTransport::new`] it sits behind a fabric
+//!   and fires a chaos plan between operations — node kills revive
 //!   immediately from the model store (durable-restart semantics), so
-//!   the harness's model comparison stays exact while every fault is
-//!   masked — or honestly reported — by retries, rotation, and detours.
+//!   the model comparison stays exact while every fault is masked — or
+//!   honestly reported — by retries, rotation, and detours; built with
+//!   [`ChaosTransport::direct`] it is the same replay with no fabric
+//!   and no faults.
 
-use crate::client::{Client, ClientError};
+use crate::client::{Client, ClientError, Reply};
 use crate::cluster::{AddrRewrite, Cluster, ClusterConfig, ClusterReport};
 use crate::node::NodeConfig;
 use crate::observe::ClusterHealth;
 use gred::GredNetwork;
-use gred_dataplane::StatsSnapshot;
+use gred_dataplane::{Packet, StatsSnapshot};
 use gred_hash::DataId;
 use gred_net::{ServerId, ServerPool, Topology};
 use gred_runtime::reactor::{Events, Interest, Poller};
@@ -674,26 +683,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
                     outcome.killed.push(victim);
                     pending = Some((victim, op + RECOVERY_LAG));
                 }
-                ChaosAction::SeverLink { from, to } => {
-                    apply_link(&fabric, &net, from, to, LinkMode::Severed);
-                    outcome.link_events += 1;
-                }
-                ChaosAction::BlackHoleLink { from, to } => {
-                    apply_link(&fabric, &net, from, to, LinkMode::BlackHole);
-                    outcome.link_events += 1;
-                }
-                ChaosAction::DelayLink { from, to, millis } => {
-                    apply_link(
-                        &fabric,
-                        &net,
-                        from,
-                        to,
-                        LinkMode::Delay(Duration::from_millis(u64::from(millis))),
-                    );
-                    outcome.link_events += 1;
-                }
-                ChaosAction::HealLink { from, to } => {
-                    apply_link(&fabric, &net, from, to, LinkMode::Open);
+                link_action => {
+                    apply_link(&fabric, &net, link_action);
                     outcome.link_events += 1;
                 }
             }
@@ -829,9 +820,21 @@ fn member_client(cluster: &Cluster, net: &GredNetwork) -> Result<Client, ClientE
     cluster.client_multi(&access)
 }
 
-/// Resolves abstract link picks against live membership and applies the
-/// mode. `from == to` rotates `to` one member ahead.
-fn apply_link(fabric: &ChaosFabric, net: &GredNetwork, from: u32, to: u32, mode: LinkMode) {
+/// Applies a plan's link action: resolves its abstract picks against
+/// live membership (`from == to` rotates `to` one member ahead) and
+/// sets the mode it names. A `KillNode` is not a link action.
+fn apply_link(fabric: &ChaosFabric, net: &GredNetwork, action: ChaosAction) {
+    let (from, to, mode) = match action {
+        ChaosAction::KillNode { .. } => return,
+        ChaosAction::SeverLink { from, to } => (from, to, LinkMode::Severed),
+        ChaosAction::BlackHoleLink { from, to } => (from, to, LinkMode::BlackHole),
+        ChaosAction::DelayLink { from, to, millis } => (
+            from,
+            to,
+            LinkMode::Delay(Duration::from_millis(u64::from(millis))),
+        ),
+        ChaosAction::HealLink { from, to } => (from, to, LinkMode::Open),
+    };
     let members = net.members();
     if members.len() < 2 {
         return;
@@ -884,51 +887,70 @@ fn repair_after_crash(
     }
 }
 
-/// A [`TransportProbe`] that replays the harness schedule over a
-/// fabric-wrapped cluster while a [`ChaosPlan`] fires between
-/// operations. Node kills are followed by an immediate revival preloaded
-/// from the model store (a durable restart), so the model comparison
-/// stays exact; link faults are left for retries, client rotation, and
-/// suspect detours to absorb.
+/// The [`TransportProbe`] that replays the harness schedule over a
+/// loopback cluster. With a fabric ([`new`](ChaosTransport::new)) a
+/// [`ChaosPlan`] fires between operations: node kills are followed by an
+/// immediate revival preloaded from the model store (a durable restart),
+/// so the model comparison stays exact; link faults are left for
+/// retries, client rotation, and suspect detours to absorb. Without one
+/// ([`direct`](ChaosTransport::direct)) it is the plain socket replay.
+#[derive(Debug)]
 pub struct ChaosTransport {
     cfg: ClusterConfig,
     plan: ChaosPlan,
     cursor: usize,
     op_count: usize,
-    fabric: ChaosFabric,
+    /// `None` boots the nodes on their real addresses; the plan is then
+    /// empty, so there is no link to break.
+    fabric: Option<ChaosFabric>,
     cluster: Option<Cluster>,
     clients: HashMap<usize, Client>,
+    /// How one data request crosses the wire: [`Client::request`],
+    /// except where a test swaps in another framing of the same packet.
+    send: fn(&mut Client, &Packet) -> Result<Reply, ClientError>,
+    /// Clusters booted so far (≥ 1 after any op; +1 per resync).
+    boots: usize,
     /// Chaos events fired so far.
     faults_fired: usize,
     /// Kill/revive cycles performed so far.
     kills: usize,
 }
 
-impl std::fmt::Debug for ChaosTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosTransport")
-            .field("op_count", &self.op_count)
-            .field("faults_fired", &self.faults_fired)
-            .field("kills", &self.kills)
-            .finish_non_exhaustive()
-    }
-}
-
 impl ChaosTransport {
-    /// A transport firing `plan` over a cluster booted with the tuned
-    /// [`chaos_cluster_config`].
+    /// A transport firing `plan` over a fabric-wrapped cluster booted
+    /// with the tuned [`chaos_cluster_config`].
     pub fn new(plan: ChaosPlan) -> ChaosTransport {
         ChaosTransport {
-            cfg: chaos_cluster_config(),
+            fabric: Some(ChaosFabric::new()),
             plan,
+            ..ChaosTransport::direct(chaos_cluster_config())
+        }
+    }
+
+    /// A fault-free transport: no fabric, no plan — the harness schedule
+    /// replayed over a cluster booted with `cfg`.
+    pub fn direct(cfg: ClusterConfig) -> ChaosTransport {
+        ChaosTransport {
+            cfg,
+            plan: ChaosPlan {
+                seed: 0,
+                events: Vec::new(),
+            },
             cursor: 0,
             op_count: 0,
-            fabric: ChaosFabric::new(),
+            fabric: None,
             cluster: None,
             clients: HashMap::new(),
+            send: Client::request,
+            boots: 0,
             faults_fired: 0,
             kills: 0,
         }
+    }
+
+    /// How many times a cluster was (re)booted.
+    pub fn boots(&self) -> usize {
+        self.boots
     }
 
     /// Chaos events fired so far.
@@ -943,9 +965,13 @@ impl ChaosTransport {
 
     fn ensure(&mut self, net: &GredNetwork) -> Result<(), String> {
         if self.cluster.is_none() {
-            let cluster = Cluster::boot_with(net, self.cfg.clone(), self.fabric.rewrite())
-                .map_err(|e| format!("chaos transport: cluster boot failed: {e}"))?;
-            self.cluster = Some(cluster);
+            let booted = match &self.fabric {
+                Some(fabric) => Cluster::boot_with(net, self.cfg.clone(), fabric.rewrite()),
+                None => Cluster::boot(net, self.cfg.clone()),
+            };
+            self.cluster =
+                Some(booted.map_err(|e| format!("transport: cluster boot failed: {e}"))?);
+            self.boots += 1;
         }
         Ok(())
     }
@@ -974,51 +1000,47 @@ impl ChaosTransport {
                     // Durable restart: the store reloads from the model,
                     // the listener moves, peers re-learn the address.
                     if let Err(e) = cluster.restart_node(victim, net) {
-                        violations.push(format!(
-                            "chaos transport: reviving node {victim} failed: {e}"
-                        ));
+                        violations.push(format!("transport: reviving node {victim} failed: {e}"));
                     }
                     self.clients.remove(&victim);
                     self.kills += 1;
                 }
-                ChaosAction::SeverLink { from, to } => {
-                    apply_link(&self.fabric, net, from, to, LinkMode::Severed);
-                }
-                ChaosAction::BlackHoleLink { from, to } => {
-                    apply_link(&self.fabric, net, from, to, LinkMode::BlackHole);
-                }
-                ChaosAction::DelayLink { from, to, millis } => {
-                    apply_link(
-                        &self.fabric,
-                        net,
-                        from,
-                        to,
-                        LinkMode::Delay(Duration::from_millis(u64::from(millis))),
-                    );
-                }
-                ChaosAction::HealLink { from, to } => {
-                    apply_link(&self.fabric, net, from, to, LinkMode::Open);
+                link_action => {
+                    if let Some(fabric) = &self.fabric {
+                        apply_link(fabric, net, link_action);
+                    }
                 }
             }
         }
         violations
     }
 
-    fn with_client<T>(
+    /// Fires the due plan events, then sends `packet` through the client
+    /// attached to node `access` (booting the cluster and connecting on
+    /// first use). Returns the violations so far and the reply, if any.
+    fn call(
         &mut self,
         net: &GredNetwork,
         access: usize,
-        op: impl FnOnce(&mut Client) -> Result<T, String>,
-    ) -> Result<T, String> {
-        self.ensure(net)?;
-        let cluster = self.cluster.as_ref().expect("cluster just ensured");
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.clients.entry(access) {
-            let client = cluster
-                .client(access)
-                .map_err(|e| format!("chaos transport: connecting to node {access} failed: {e}"))?;
-            slot.insert(client);
-        }
-        op(self.clients.get_mut(&access).expect("client just ensured"))
+        op: &str,
+        packet: &Packet,
+    ) -> (Vec<String>, Option<Reply>) {
+        let mut violations = self.advance(net);
+        let reply = self.ensure(net).and_then(|()| {
+            let cluster = self.cluster.as_ref().expect("cluster just ensured");
+            if let std::collections::hash_map::Entry::Vacant(slot) = self.clients.entry(access) {
+                slot.insert(
+                    cluster.client(access).map_err(|e| {
+                        format!("transport: connecting to node {access} failed: {e}")
+                    })?,
+                );
+            }
+            let client = self.clients.get_mut(&access).expect("client just ensured");
+            (self.send)(client, packet)
+                .map_err(|e| format!("transport: {op} {:?} via node {access}: {e}", packet.id))
+        });
+        let reply = reply.map_err(|e| violations.push(e)).ok();
+        (violations, reply)
     }
 }
 
@@ -1031,24 +1053,18 @@ impl TransportProbe for ChaosTransport {
         payload: &[u8],
         expected: ServerId,
     ) -> Vec<String> {
-        let mut violations = self.advance(net);
-        let outcome = self.with_client(net, access, |client| {
-            client
-                .place(id, payload.to_vec())
-                .map_err(|e| format!("chaos transport: place {id:?} via node {access}: {e}"))
-        });
-        match outcome {
-            Ok(reply) => match reply.ack_server() {
-                Some(server) if server == expected => {}
-                Some(server) => violations.push(format!(
-                    "chaos transport: place {id:?} acked by {server} but the \
-                     in-process model stored on {expected}"
-                )),
-                None => violations.push(format!(
-                    "chaos transport: place {id:?} ack payload is not a server identity"
-                )),
-            },
-            Err(e) => violations.push(e),
+        let packet = Packet::placement(id.clone(), payload.to_vec());
+        let (mut violations, reply) = self.call(net, access, "place", &packet);
+        match reply.map(|reply| reply.ack_server()) {
+            None => {}
+            Some(Some(server)) if server == expected => {}
+            Some(Some(server)) => violations.push(format!(
+                "transport: place {id:?} acked by {server} but the \
+                 in-process model stored on {expected}"
+            )),
+            Some(None) => violations.push(format!(
+                "transport: place {id:?} ack payload is not a server identity"
+            )),
         }
         violations
     }
@@ -1060,51 +1076,47 @@ impl TransportProbe for ChaosTransport {
         id: &DataId,
         expected_payload: &[u8],
     ) -> Vec<String> {
-        let mut violations = self.advance(net);
-        let outcome = self.with_client(net, access, |client| {
-            client
-                .retrieve(id)
-                .map_err(|e| format!("chaos transport: retrieve {id:?} via node {access}: {e}"))
-        });
-        match outcome {
-            Ok(reply) if !reply.is_hit() => violations.push(format!(
-                "chaos transport: retrieve {id:?} missed over TCP but hits in-process"
+        let (mut violations, reply) =
+            self.call(net, access, "retrieve", &Packet::retrieval(id.clone()));
+        match reply {
+            Some(reply) if !reply.is_hit() => violations.push(format!(
+                "transport: retrieve {id:?} missed over TCP but hits in-process"
             )),
-            Ok(reply) if reply.payload.as_ref() != expected_payload => violations.push(format!(
-                "chaos transport: retrieve {id:?} returned {} bytes that differ \
+            Some(reply) if reply.payload.as_ref() != expected_payload => violations.push(format!(
+                "transport: retrieve {id:?} returned {} bytes that differ \
                  from the in-process payload",
                 reply.payload.len()
             )),
-            Ok(_) => {}
-            Err(e) => violations.push(e),
+            _ => {}
         }
         violations
     }
 
     fn retrieve_missing(&mut self, net: &GredNetwork, access: usize, id: &DataId) -> Vec<String> {
-        let mut violations = self.advance(net);
-        let outcome = self.with_client(net, access, |client| {
-            client
-                .retrieve(id)
-                .map_err(|e| format!("chaos transport: retrieve missing {id:?}: {e}"))
-        });
-        match outcome {
-            Ok(reply) if reply.is_hit() => violations.push(format!(
-                "chaos transport: never-placed {id:?} returned data over TCP"
-            )),
-            Ok(_) => {}
-            Err(e) => violations.push(e),
+        let (mut violations, reply) = self.call(
+            net,
+            access,
+            "retrieve missing",
+            &Packet::retrieval(id.clone()),
+        );
+        if reply.is_some_and(|reply| reply.is_hit()) {
+            violations.push(format!(
+                "transport: never-placed {id:?} returned data over TCP"
+            ));
         }
         violations
     }
 
     fn resync(&mut self, net: &GredNetwork) -> Vec<String> {
+        // Tear down gracefully — shutdown bugs get exercised for free.
         self.clients.clear();
         if let Some(cluster) = self.cluster.take() {
             cluster.shutdown();
         }
-        // Reboot behind the same fabric: every proxy re-targets to the
-        // fresh listeners, and any in-flight fault modes stay applied.
+        // Reboot eagerly so boot failures surface on the step that
+        // changed the state, not on the next data op. Behind a fabric,
+        // every proxy re-targets to the fresh listeners, and any
+        // in-flight fault modes stay applied.
         match self.ensure(net) {
             Ok(()) => Vec::new(),
             Err(e) => vec![e],
@@ -1251,5 +1263,76 @@ mod tests {
         );
         assert_eq!(outcome.killed.len(), 1);
         assert!(outcome.repro_line().contains("--seed 11"));
+    }
+
+    fn replay_harness() -> (gred_testkit::Harness, u64, Vec<gred_testkit::Op>) {
+        // A short schedule with the default op mix: places, retrievals,
+        // extensions, and dynamics all cross the TCP path.
+        let harness = gred_testkit::Harness::new(gred_testkit::HarnessConfig {
+            switches: 8,
+            max_switches: 10,
+            ..gred_testkit::HarnessConfig::default()
+        });
+        let seed = 47;
+        (harness, seed, gred_testkit::generate(seed, 24))
+    }
+
+    #[test]
+    fn probed_replay_matches_the_socket_cluster() {
+        let (harness, seed, ops) = replay_harness();
+        let mut transport = ChaosTransport::direct(ClusterConfig::default());
+        let outcome = harness.replay_probed(seed, &ops, &mut transport);
+        assert!(
+            outcome.failure.is_none(),
+            "probed run diverged: {:?}",
+            outcome.failure
+        );
+        assert!(
+            transport.boots() >= 1,
+            "at least one cluster must have booted"
+        );
+    }
+
+    /// A data request as a batch frame of one: the burst API leaves
+    /// per-packet `Error`/`Redirect` statuses in the reply, so collapse
+    /// them into the errors the single-request path would have produced.
+    fn batch_of_one(client: &mut Client, packet: &Packet) -> Result<Reply, ClientError> {
+        use gred_dataplane::ResponseStatus;
+        let reply = client
+            .request_many(std::slice::from_ref(packet))?
+            .pop()
+            .expect("one reply per packet");
+        match reply.status {
+            ResponseStatus::Error => Err(ClientError::ServerError {
+                id: packet.id.clone(),
+            }),
+            ResponseStatus::Redirect => Err(ClientError::Redirected {
+                id: packet.id.clone(),
+            }),
+            _ => Ok(reply),
+        }
+    }
+
+    /// The batch ≡ singles oracle: the *same* schedule, replayed with
+    /// every data op crossing the batch container, must produce zero
+    /// divergence from the in-process model — exactly like the
+    /// single-request replay above.
+    #[test]
+    fn probed_replay_matches_the_batched_socket_cluster() {
+        let (harness, seed, ops) = replay_harness();
+        let mut transport = ChaosTransport {
+            send: batch_of_one,
+            ..ChaosTransport::direct(ClusterConfig::default())
+        };
+        let outcome = harness.replay_probed(seed, &ops, &mut transport);
+        assert!(
+            outcome.failure.is_none(),
+            "batched probed run diverged: {:?}",
+            outcome.failure
+        );
+        assert!(
+            transport.boots() >= 1,
+            "at least one cluster must have booted"
+        );
     }
 }

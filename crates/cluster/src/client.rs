@@ -1,28 +1,33 @@
 //! Client side of the cluster protocol.
 //!
 //! A [`Client`] talks to one node at a time (any node — GRED routes from
-//! wherever the request enters) over a persistent framed TCP connection.
-//! Single requests are synchronous: write one frame, read one frame.
-//! Failures are typed ([`ClientError`]) and transient ones
-//! (connect/read errors, timeouts, framing damage, redirects) are
-//! retried a bounded number of times with doubling backoff (clamped and
-//! capped — see [`retry_backoff`]), reconnecting each time so a late
-//! response from a previous attempt can never be mistaken for the
-//! current one. A client configured with several access nodes
-//! ([`Client::connect_multi`]) **rotates** to the next one before each
-//! retry, so a crashed entry point costs one attempt, not the whole
-//! retry budget.
+//! wherever the request enters) over **one** persistent connection: the
+//! correlated mux channel of [`crate::pipelined`]. A single request
+//! ([`Client::place`], [`Client::retrieve`], [`Client::scrape`],
+//! [`Client::admin`]) is one bare packet under a fresh correlation id —
+//! a call of depth 1; a burst ([`Client::retrieve_many`],
+//! [`Client::place_many`]) is chunked into batch frames, shipped with
+//! one syscall and demultiplexed by correlation id on the way back. Both
+//! go through the same exchange routine.
 //!
-//! # Pipelined mode
+//! # Retry policy
 //!
-//! [`Client::retrieve_many`] and [`Client::place_many`] skip the
-//! write-one/read-one lockstep entirely: the whole burst is chunked
-//! into batch frames, shipped with one syscall over a correlated mux
-//! channel ([`crate::pipelined`]), and demultiplexed by correlation id
-//! on the way back. Per-packet outcomes (including `Error` and
-//! `Redirect`) are reported in each [`Reply::status`] rather than as a
-//! [`ClientError`], because sibling packets in the same burst may have
-//! succeeded.
+//! Failures are typed ([`ClientError`]). There is one policy, applied to
+//! singles and bursts alike: a *transient* failed attempt (connect/read
+//! errors, timeouts, framing damage, redirects) drops the connection,
+//! **rotates** to the next configured access node
+//! ([`Client::connect_multi`]) and retries after a doubling backoff
+//! (clamped and capped — see [`retry_backoff`]), a bounded number of
+//! times — so a crashed entry point costs one attempt, not the whole
+//! retry budget. A *definitive* answer (an in-band `Error` status, a
+//! response of the wrong kind) is returned at once and leaves the
+//! connection and the entry point alone: correlation ids keep a
+//! connection in sync whatever a call's outcome, so only a failure that
+//! another node might not repeat is a reason to move.
+//!
+//! Per-packet outcomes of a burst (including `Error` and `Redirect`) are
+//! reported in each [`Reply::status`] rather than as a [`ClientError`],
+//! because sibling packets in the same burst may have succeeded.
 //!
 //! # Replica failover
 //!
@@ -37,8 +42,8 @@
 //! first in virtual space, so the common all-healthy read pays the
 //! shortest greedy walk instead of serial 0's arbitrary one.
 
-use crate::frame::{self, FrameDecoder, FrameError};
-use crate::pipelined::PipeConn;
+use crate::frame::FrameError;
+use crate::pipelined::{Framing, PipeConn, PIPELINE_CHUNK};
 use crate::proto;
 use bytes::Bytes;
 use gred_dataplane::obs::CodecError;
@@ -46,9 +51,9 @@ use gred_dataplane::{wire, AdminOp, Packet, PacketKind, ResponseStatus, StatsSna
 use gred_geometry::Point2;
 use gred_hash::{position::virtual_position, DataId};
 use gred_net::ServerId;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::SocketAddr;
+use std::time::Duration;
 
 /// Timeouts and retry policy for a [`Client`].
 #[derive(Debug, Clone)]
@@ -204,6 +209,15 @@ pub struct Reply {
 }
 
 impl Reply {
+    fn from_response(response: Packet) -> Reply {
+        Reply {
+            status: response.status,
+            payload: response.payload,
+            hops: response.hops,
+            detours: response.detours,
+        }
+    }
+
     /// For placement acks: the server that physically stored the item.
     pub fn ack_server(&self) -> Option<ServerId> {
         proto::parse_ack(&self.payload)
@@ -251,11 +265,11 @@ pub struct ReplicatedPlacement {
 
 /// A connection to a cluster, entered through one access node at a time.
 ///
-/// The lockstep path holds at most one in-flight request; the pipelined
-/// path ([`retrieve_many`](Client::retrieve_many)) keeps many. Both
-/// reconnect lazily after errors, rotating across the configured access
-/// nodes so a dead entry point costs one attempt instead of the whole
-/// retry budget.
+/// One correlated socket carries everything: a single request is a call
+/// of depth 1, a burst ([`retrieve_many`](Client::retrieve_many)) keeps
+/// many frames in flight. It is re-dialed lazily after a transient
+/// failure, rotating across the configured access nodes so a dead entry
+/// point costs one attempt instead of the whole retry budget.
 #[derive(Debug)]
 pub struct Client {
     addrs: Vec<SocketAddr>,
@@ -265,18 +279,7 @@ pub struct Client {
     positions: Vec<Point2>,
     current: usize,
     cfg: ClientConfig,
-    conn: Option<Conn>,
-    /// Lazily opened pipelined (mux-framed) channel to the same node.
-    pipe: Option<PipeConn>,
-}
-
-#[derive(Debug)]
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Reusable encode buffer: after the first request on a connection,
-    /// building a frame allocates nothing.
-    scratch: Vec<u8>,
+    conn: Option<PipeConn>,
 }
 
 impl Client {
@@ -333,11 +336,10 @@ impl Client {
             current: 0,
             cfg,
             conn: None,
-            pipe: None,
         };
         let mut last = None;
         for _ in 0..client.addrs.len() {
-            match client.ensure_conn() {
+            match client.ensure() {
                 Ok(_) => return Ok(client),
                 Err(e) => {
                     last = Some(e);
@@ -358,10 +360,9 @@ impl Client {
         &self.addrs
     }
 
-    /// Drops both connections and advances to the next access node.
+    /// Drops the connection and advances to the next access node.
     fn rotate(&mut self) {
         self.conn = None;
-        self.pipe = None;
         self.current = (self.current + 1) % self.addrs.len();
     }
 
@@ -510,30 +511,9 @@ impl Client {
     /// [`ClientError::RetriesExhausted`] wrapping the last transient
     /// failure, or the first definitive error.
     pub fn request(&mut self, packet: &Packet) -> Result<Reply, ClientError> {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let err = match self.attempt(packet) {
-                Ok(reply) => return Ok(reply),
-                Err(e) => e,
-            };
-            // A failed attempt poisons the connection: drop it so a late
-            // response cannot desynchronize the next attempt — and
-            // rotate to the next access node, so a crashed (or
-            // redirecting) entry point doesn't burn the retry budget.
-            self.rotate();
-            if !err.transient() || attempts > self.cfg.retries {
-                return Err(if attempts > 1 {
-                    ClientError::RetriesExhausted {
-                        attempts,
-                        last: Box::new(err),
-                    }
-                } else {
-                    err
-                });
-            }
-            std::thread::sleep(retry_backoff(self.cfg.backoff, attempts));
-        }
+        self.retrying(self.cfg.retries, |client| {
+            client.attempt(packet, PacketKind::RetrievalResponse)
+        })
     }
 
     /// Scrapes the connected node's live stats snapshot over the wire.
@@ -548,28 +528,10 @@ impl Client {
     /// [`ClientError::BadSnapshot`] when the payload does not decode.
     pub fn scrape(&mut self) -> Result<StatsSnapshot, ClientError> {
         let request = Packet::stats_request();
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let err = match self.attempt_expecting(&request, PacketKind::StatsResponse) {
-                Ok(reply) => {
-                    return StatsSnapshot::decode(&reply.payload).map_err(ClientError::BadSnapshot)
-                }
-                Err(e) => e,
-            };
-            self.rotate();
-            if !err.transient() || attempts > self.cfg.retries {
-                return Err(if attempts > 1 {
-                    ClientError::RetriesExhausted {
-                        attempts,
-                        last: Box::new(err),
-                    }
-                } else {
-                    err
-                });
-            }
-            std::thread::sleep(retry_backoff(self.cfg.backoff, attempts));
-        }
+        let reply = self.retrying(self.cfg.retries, |client| {
+            client.attempt(&request, PacketKind::StatsResponse)
+        })?;
+        StatsSnapshot::decode(&reply.payload).map_err(ClientError::BadSnapshot)
     }
 
     /// Sends one admin verb and returns the endpoint's in-band answer.
@@ -583,26 +545,21 @@ impl Client {
     /// error but an [`AdminReply`] with `ok == false`.
     pub fn admin(&mut self, op: &AdminOp) -> Result<AdminReply, ClientError> {
         let request = Packet::admin_request(op.encode());
-        match self.attempt_expecting(&request, PacketKind::AdminResponse) {
-            Ok(reply) => Ok(AdminReply {
-                ok: reply.status == ResponseStatus::Ok,
-                message: String::from_utf8_lossy(&reply.payload).into_owned(),
-            }),
-            Err(e) => {
-                // Drop the (possibly desynchronized) connection, but do
-                // not re-send.
-                self.rotate();
-                Err(e)
-            }
-        }
+        let reply = self.retrying(0, |client| {
+            client.attempt(&request, PacketKind::AdminResponse)
+        })?;
+        Ok(AdminReply {
+            ok: reply.status == ResponseStatus::Ok,
+            message: String::from_utf8_lossy(&reply.payload).into_owned(),
+        })
     }
 
-    /// Retrieves every id in `ids` through the pipelined channel: one
-    /// syscall ships the burst, responses stream back out of order and
-    /// are matched by correlation id. Returns one [`Reply`] per id, in
-    /// input order. Per-packet failures (`Error`, `Redirect`) stay in
-    /// [`Reply::status`] — sibling requests may have succeeded — so
-    /// callers must check [`Reply::is_hit`] per entry.
+    /// Retrieves every id in `ids` as one burst: one syscall ships it,
+    /// responses stream back out of order and are matched by correlation
+    /// id. Returns one [`Reply`] per id, in input order. Per-packet
+    /// failures (`Error`, `Redirect`) stay in [`Reply::status`] —
+    /// sibling requests may have succeeded — so callers must check
+    /// [`Reply::is_hit`] per entry.
     ///
     /// # Errors
     ///
@@ -613,9 +570,9 @@ impl Client {
         self.request_many(&packets)
     }
 
-    /// Places every `(id, payload)` pair through the pipelined channel.
-    /// Same semantics as [`retrieve_many`](Client::retrieve_many): one
-    /// ordered [`Reply`] per item, per-packet statuses preserved.
+    /// Places every `(id, payload)` pair as one burst. Same semantics as
+    /// [`retrieve_many`](Client::retrieve_many): one ordered [`Reply`]
+    /// per item, per-packet statuses preserved.
     ///
     /// # Errors
     ///
@@ -629,14 +586,8 @@ impl Client {
         self.request_many(&packets)
     }
 
-    /// Sends a burst of request packets through the pipelined channel,
+    /// Sends a burst of request packets as chunked batch frames,
     /// applying the configured retry policy to transport failures.
-    ///
-    /// Unlike [`request`](Client::request), a timeout does **not**
-    /// rotate: correlation ids make the late response harmless (it is
-    /// dropped by id), so the pipeline and its access node are kept and
-    /// the burst is retried in place. I/O and framing damage still
-    /// poison the connection and rotate.
     ///
     /// # Errors
     ///
@@ -646,17 +597,39 @@ impl Client {
         if packets.is_empty() {
             return Ok(Vec::new());
         }
+        let responses = self.retrying(self.cfg.retries, |client| {
+            client.exchange(
+                packets,
+                Framing::Batch(PIPELINE_CHUNK),
+                PacketKind::RetrievalResponse,
+            )
+        })?;
+        Ok(responses.into_iter().map(Reply::from_response).collect())
+    }
+
+    /// The one retry policy: runs `attempt` until it succeeds, fails
+    /// definitively, or `retries` retries are spent. Only a *transient*
+    /// failure drops the connection and rotates to the next access node
+    /// (then backs off); a definitive one leaves both alone — late
+    /// answers die by correlation id, so the connection is still in
+    /// sync, and the entry point did nothing another would not.
+    fn retrying<T>(
+        &mut self,
+        retries: u32,
+        attempt: impl Fn(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let err = match self.attempt_many(packets) {
-                Ok(replies) => return Ok(replies),
+            let err = match attempt(self) {
+                Ok(value) => return Ok(value),
                 Err(e) => e,
             };
-            if !matches!(err, ClientError::Timeout { .. }) {
+            let transient = err.transient();
+            if transient {
                 self.rotate();
             }
-            if !err.transient() || attempts > self.cfg.retries {
+            if !transient || attempts > retries {
                 return Err(if attempts > 1 {
                     ClientError::RetriesExhausted {
                         attempts,
@@ -670,136 +643,43 @@ impl Client {
         }
     }
 
-    fn ensure_pipe(&mut self) -> Result<&mut PipeConn, ClientError> {
-        if self.pipe.is_none() {
-            self.pipe = Some(PipeConn::connect(self.addrs[self.current], &self.cfg)?);
-        }
-        Ok(self.pipe.as_mut().expect("pipeline just ensured"))
-    }
-
-    /// One pipelined attempt: ship the burst, demultiplex the replies.
-    fn attempt_many(&mut self, packets: &[Packet]) -> Result<Vec<Reply>, ClientError> {
-        let request_timeout = self.cfg.request_timeout;
-        let pipe = self.ensure_pipe()?;
-        let responses = pipe.exchange(packets, request_timeout)?;
-        responses
-            .into_iter()
-            .map(|response| {
-                if response.kind != PacketKind::RetrievalResponse {
-                    return Err(ClientError::UnexpectedKind(response.kind));
-                }
-                Ok(Reply {
-                    status: response.status,
-                    payload: response.payload,
-                    hops: response.hops,
-                    detours: response.detours,
-                })
-            })
-            .collect()
-    }
-
-    fn ensure_conn(&mut self) -> Result<&mut Conn, ClientError> {
+    fn ensure(&mut self) -> Result<&mut PipeConn, ClientError> {
         if self.conn.is_none() {
-            let addr = self.addrs[self.current];
-            let stream =
-                TcpStream::connect_timeout(&addr, self.cfg.connect_timeout).map_err(|e| {
-                    ClientError::Io {
-                        context: "connecting to the node",
-                        kind: e.kind(),
-                    }
-                })?;
-            stream
-                .set_nodelay(true)
-                .and_then(|_| stream.set_read_timeout(Some(self.cfg.read_timeout)))
-                .map_err(|e| ClientError::Io {
-                    context: "configuring the connection",
-                    kind: e.kind(),
-                })?;
-            self.conn = Some(Conn {
-                stream,
-                decoder: FrameDecoder::new(),
-                scratch: Vec::new(),
-            });
+            self.conn = Some(PipeConn::connect(self.addrs[self.current], &self.cfg)?);
         }
         Ok(self.conn.as_mut().expect("connection just ensured"))
     }
 
-    /// One request attempt: write the frame, read one response frame.
-    fn attempt(&mut self, packet: &Packet) -> Result<Reply, ClientError> {
-        self.attempt_expecting(packet, PacketKind::RetrievalResponse)
+    /// One attempt at a call: ship `packets` framed per `framing`,
+    /// demultiplex one response of kind `expect` per packet.
+    fn exchange(
+        &mut self,
+        packets: &[Packet],
+        framing: Framing,
+        expect: PacketKind,
+    ) -> Result<Vec<Packet>, ClientError> {
+        let timeout = self.cfg.request_timeout;
+        self.ensure()?.exchange(packets, framing, expect, timeout)
     }
 
-    /// One request attempt expecting a response of kind `expect`. Only
-    /// the data path (`RetrievalResponse`) maps `Error`/`Redirect`
-    /// statuses to typed errors — observability responses keep their
-    /// status in the [`Reply`] so the caller can read the in-band
-    /// refusal text.
-    fn attempt_expecting(
-        &mut self,
-        packet: &Packet,
-        expect: PacketKind,
-    ) -> Result<Reply, ClientError> {
-        let request_timeout = self.cfg.request_timeout;
-        let conn = self.ensure_conn()?;
-        conn.scratch.clear();
-        let at = frame::begin_frame(&mut conn.scratch);
-        wire::encode_into(packet, &mut conn.scratch);
-        frame::finish_frame(&mut conn.scratch, at);
-        conn.stream
-            .write_all(&conn.scratch)
-            .map_err(|e| ClientError::Io {
-                context: "sending the request",
-                kind: e.kind(),
-            })?;
-        let deadline = Instant::now() + request_timeout;
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            if let Some(body) = conn.decoder.next_frame().map_err(ClientError::Frame)? {
-                // Zero-copy: the reply's payload is a view of the frame
-                // body, not another allocation.
-                let response = wire::parse_bytes(&body).map_err(ClientError::Protocol)?;
-                if response.kind != expect {
-                    return Err(ClientError::UnexpectedKind(response.kind));
-                }
-                if expect == PacketKind::RetrievalResponse {
-                    if response.status == ResponseStatus::Error {
-                        return Err(ClientError::ServerError { id: response.id });
-                    }
-                    if response.status == ResponseStatus::Redirect {
-                        return Err(ClientError::Redirected { id: response.id });
-                    }
-                }
-                return Ok(Reply {
-                    status: response.status,
-                    payload: response.payload,
-                    hops: response.hops,
-                    detours: response.detours,
-                });
+    /// One attempt at a single request — a call of depth 1. Only the
+    /// data path (`RetrievalResponse`) maps `Error`/`Redirect` statuses
+    /// to typed errors — observability responses keep their status in
+    /// the [`Reply`] so the caller can read the in-band refusal text.
+    fn attempt(&mut self, packet: &Packet, expect: PacketKind) -> Result<Reply, ClientError> {
+        let response = self
+            .exchange(std::slice::from_ref(packet), Framing::Bare, expect)?
+            .pop()
+            .expect("one response per packet");
+        if expect == PacketKind::RetrievalResponse {
+            if response.status == ResponseStatus::Error {
+                return Err(ClientError::ServerError { id: response.id });
             }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout {
-                    after: request_timeout,
-                });
-            }
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(ClientError::Io {
-                        context: "reading the response",
-                        kind: io::ErrorKind::UnexpectedEof,
-                    })
-                }
-                Ok(n) => conn.decoder.feed(&buf[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => {
-                    return Err(ClientError::Io {
-                        context: "reading the response",
-                        kind: e.kind(),
-                    })
-                }
+            if response.status == ResponseStatus::Redirect {
+                return Err(ClientError::Redirected { id: response.id });
             }
         }
+        Ok(Reply::from_response(response))
     }
 }
 
@@ -898,56 +778,125 @@ mod tests {
 
     #[test]
     fn retry_rotates_across_access_nodes() {
-        use crate::frame;
-        use std::io::{Read, Write};
+        use crate::node::tests::{scripted_peer, with_peer};
         use std::net::TcpListener;
 
         // Access node A accepts, then hangs up without answering; access
         // node B answers properly. The retry must move from A to B
         // instead of re-dialing A until the budget is gone.
         let a = TcpListener::bind("127.0.0.1:0").unwrap();
-        let b = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (addr_a, addr_b) = (a.local_addr().unwrap(), b.local_addr().unwrap());
+        let addr_a = a.local_addr().unwrap();
         let dead = std::thread::spawn(move || {
             // One connection reaches A — the eager connect, reused by
             // the first request attempt (which dies on EOF).
             let Ok((stream, _)) = a.accept() else { return };
             drop(stream);
         });
-        let live = std::thread::spawn(move || {
-            let (mut stream, _) = b.accept().unwrap();
-            let mut decoder = FrameDecoder::new();
-            let mut buf = [0u8; 4096];
-            loop {
-                let n = match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => return,
-                    Ok(n) => n,
-                };
-                decoder.feed(&buf[..n]);
-                while let Some(body) = decoder.next_frame().unwrap() {
-                    let request = wire::parse_bytes(&body).unwrap();
-                    let response = Packet::response(request.id.clone(), b"from-b".as_ref());
-                    stream
-                        .write_all(&frame::encode_frame(&wire::encode(&response)))
-                        .unwrap();
-                }
-            }
-        });
-        let mut client = Client::connect_multi(
-            vec![addr_a, addr_b],
-            ClientConfig {
-                retries: 1, // one retry: only rotation can reach B
-                backoff: Duration::from_millis(1),
-                ..ClientConfig::default()
+        with_peer(
+            |b| {
+                scripted_peer(&b, |corr, request| {
+                    vec![(corr, Packet::response(request.id, b"from-b".as_ref()))]
+                })
             },
-        )
-        .unwrap();
-        let reply = client.retrieve(&DataId::new("k")).unwrap();
-        assert_eq!(reply.payload.as_ref(), b"from-b");
-        assert_eq!(client.addr(), addr_b, "the client rotated to B");
+            |addr_b| {
+                let mut client = Client::connect_multi(
+                    vec![addr_a, addr_b],
+                    ClientConfig {
+                        retries: 1, // one retry: only rotation can reach B
+                        backoff: Duration::from_millis(1),
+                        ..ClientConfig::default()
+                    },
+                )
+                .unwrap();
+                let reply = client.retrieve(&DataId::new("k")).unwrap();
+                assert_eq!(reply.payload.as_ref(), b"from-b");
+                assert_eq!(client.addr(), addr_b, "the client rotated to B");
+            },
+        );
         dead.join().unwrap();
+    }
+
+    /// A definitive refusal must not move the entry point: an in-band
+    /// `Error` reply is returned after one attempt, and the healthy,
+    /// in-sync connection to A — `replica_order`'s steering origin —
+    /// stays where it is.
+    #[test]
+    fn definitive_refusal_keeps_the_connection_and_the_entry_point() {
+        use crate::node::tests::{scripted_peer, with_peer};
+        use std::net::TcpListener;
+
+        // B listens but is never needed.
+        let b = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr_b = b.local_addr().unwrap();
+        with_peer(
+            |a| {
+                scripted_peer(&a, |corr, request| {
+                    vec![(corr, Packet::error_response(request.id))]
+                });
+                a.set_nonblocking(true).unwrap();
+                assert!(
+                    a.accept().is_err(),
+                    "both refused requests rode A's one connection"
+                );
+            },
+            |addr_a| {
+                let mut client = Client::connect_multi(
+                    vec![addr_a, addr_b],
+                    ClientConfig {
+                        backoff: Duration::from_millis(1),
+                        ..ClientConfig::default()
+                    },
+                )
+                .unwrap();
+                let id = DataId::new("k");
+                for _ in 0..2 {
+                    assert_eq!(
+                        client.retrieve(&id).unwrap_err(),
+                        ClientError::ServerError { id: id.clone() },
+                        "the refusal is returned as is, after one attempt"
+                    );
+                    assert_eq!(client.addr(), addr_a, "a refusal must not rotate");
+                }
+            },
+        );
+    }
+
+    /// Every kind of call rides the one connection: singles, bursts and
+    /// scrapes in sequence cost the node exactly one socket, and answer
+    /// as they always did.
+    #[test]
+    fn every_call_kind_shares_one_socket() {
+        let mut node = crate::node::tests::spawn_single(1);
+        let addr = node.addr();
+        assert_eq!(node.open_connections(), 0);
+
+        let mut client = Client::connect(addr, ClientConfig::default()).unwrap();
+        let (a, b) = (DataId::new("one/a"), DataId::new("one/b"));
+        let miss = client.retrieve(&a).unwrap();
+        assert_eq!((miss.status, miss.hops), (ResponseStatus::NotFound, 0));
+        let misses = client.retrieve_many(&[a.clone(), b.clone()]).unwrap();
+        assert!(misses.iter().all(|r| r.status == ResponseStatus::NotFound));
+        let snapshot = client.scrape().unwrap();
+        assert_eq!((snapshot.switch, snapshot.requests), (0, 3));
+        let ack = client.place(&a, b"va".as_ref()).unwrap();
+        assert!(ack.is_clean());
+        assert_eq!(ack.ack_server().map(|s| s.switch), Some(0));
+        let acks = client
+            .place_many(&[(b.clone(), Bytes::from_static(b"vb"))])
+            .unwrap();
+        assert!(acks[0].is_clean());
+        let hits = client.retrieve_many(&[a, b]).unwrap();
+        assert_eq!(hits[0].payload.as_ref(), b"va");
+        assert_eq!(hits[1].payload.as_ref(), b"vb");
+
+        assert_eq!(
+            node.open_connections(),
+            1,
+            "singles and bursts must share the client's one connection"
+        );
         drop(client);
-        live.join().unwrap();
+        let report = node.shutdown();
+        assert_eq!((report.requests, report.errors), (7, 0));
     }
 
     /// A client that never connects — enough to exercise pure ordering
@@ -959,7 +908,6 @@ mod tests {
             current: 0,
             cfg: ClientConfig::default(),
             conn: None,
-            pipe: None,
         }
     }
 

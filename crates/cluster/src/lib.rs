@@ -35,7 +35,6 @@ pub mod node;
 pub mod observe;
 pub(crate) mod pipelined;
 pub mod proto;
-pub mod transport;
 
 pub use admin::{admin_call, AdminServer};
 pub use chaos::{
@@ -44,7 +43,6 @@ pub use chaos::{
 };
 pub use client::{AdminReply, Client, ClientConfig, ClientError, Reply};
 pub use cluster::{AddrRewrite, Cluster, ClusterConfig, ClusterReport};
-pub use observe::ClusterHealth;
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME_LEN, MUX_PREAMBLE};
 pub use node::{Node, NodeConfig, NodeReport};
-pub use transport::SocketTransport;
+pub use observe::ClusterHealth;

@@ -2312,7 +2312,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::client::ClientConfig;
     use crate::frame::encode_frame;
-    use crate::pipelined::PipeConn;
+    use crate::pipelined::{Framing, PipeConn, PIPELINE_CHUNK};
     use gred_dataplane::NeighborEntry;
     use gred_geometry::Point2;
     use std::sync::mpsc;
@@ -2324,7 +2324,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn spawn_single(server_count: usize) -> Node {
+    pub(crate) fn spawn_single(server_count: usize) -> Node {
         let plane = SwitchDataplane::new(0, Point2::new(0.5, 0.5), server_count);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -2599,14 +2599,28 @@ pub(crate) mod tests {
         let places: Vec<Packet> = (0..5)
             .map(|i| Packet::placement(DataId::new(format!("mb/{i}")), format!("v{i}")))
             .collect();
-        let acks = link.exchange(&places, Duration::from_secs(5)).unwrap();
+        let acks = link
+            .exchange(
+                &places,
+                Framing::Batch(PIPELINE_CHUNK),
+                PacketKind::RetrievalResponse,
+                Duration::from_secs(5),
+            )
+            .unwrap();
         assert!(acks
             .iter()
             .all(|a| a.status == gred_dataplane::ResponseStatus::Ok));
         let gets: Vec<Packet> = (0..5)
             .map(|i| Packet::retrieval(DataId::new(format!("mb/{i}"))))
             .collect();
-        let replies = link.exchange(&gets, Duration::from_secs(5)).unwrap();
+        let replies = link
+            .exchange(
+                &gets,
+                Framing::Batch(PIPELINE_CHUNK),
+                PacketKind::RetrievalResponse,
+                Duration::from_secs(5),
+            )
+            .unwrap();
         for (i, reply) in replies.iter().enumerate() {
             assert_eq!(reply.id, gets[i].id, "responses keep request order");
             assert_eq!(reply.payload.as_ref(), format!("v{i}").as_bytes());
@@ -2627,7 +2641,12 @@ pub(crate) mod tests {
             .map(|t| Packet::placement(DataId::new(format!("mux-{t}")), format!("value-{t}")))
             .collect();
         let acks = link
-            .exchange_chunked(&places, 1, Duration::from_secs(5))
+            .exchange(
+                &places,
+                Framing::Batch(1),
+                PacketKind::RetrievalResponse,
+                Duration::from_secs(5),
+            )
             .unwrap();
         assert!(acks
             .iter()
@@ -2636,7 +2655,12 @@ pub(crate) mod tests {
             .map(|t| Packet::retrieval(DataId::new(format!("mux-{t}"))))
             .collect();
         let replies = link
-            .exchange_chunked(&gets, 1, Duration::from_secs(5))
+            .exchange(
+                &gets,
+                Framing::Batch(1),
+                PacketKind::RetrievalResponse,
+                Duration::from_secs(5),
+            )
             .unwrap();
         for (t, reply) in replies.iter().enumerate() {
             assert_eq!(reply.id, gets[t].id);

@@ -253,11 +253,11 @@ mod tests {
     // the scrape path depends on when replies arrive fragmented.
     mod wire_props {
         use crate::frame::{encode_frame, FrameDecoder};
+        use bytes::Bytes;
         use gred_dataplane::obs::{AdminOp, LinkStats, StatsSnapshot};
         use gred_dataplane::packet::Packet;
         use gred_dataplane::stats::NodeHotStats;
         use gred_dataplane::wire;
-        use bytes::Bytes;
         use proptest::prelude::*;
 
         /// Reassembles `frame` by feeding the decoder one byte at a
@@ -307,17 +307,24 @@ mod tests {
                 },
                 links: links
                     .iter()
-                    .map(|&(peer, connected, suspect_ms_left, reconnects)| LinkStats {
-                        peer,
-                        connected,
-                        suspect_ms_left,
-                        reconnects,
-                    })
+                    .map(
+                        |&(peer, connected, suspect_ms_left, reconnects)| LinkStats {
+                            peer,
+                            connected,
+                            suspect_ms_left,
+                            reconnects,
+                        },
+                    )
                     .collect(),
             }
         }
 
-        fn build_admin_op(tag: u8, switch: u32, neighbors: Vec<u32>, capacities: Vec<u64>) -> AdminOp {
+        fn build_admin_op(
+            tag: u8,
+            switch: u32,
+            neighbors: Vec<u32>,
+            capacities: Vec<u64>,
+        ) -> AdminOp {
             match tag {
                 0 => AdminOp::Ping,
                 1 => AdminOp::Crash { switch },

@@ -1,26 +1,28 @@
-//! Pipelined client transport: many in-flight correlated requests.
+//! The client's one connection: correlated frames, any depth.
 //!
 //! [`PipeConn`] speaks the same GMUX protocol the inter-node links use
-//! ([`crate::node`]): a [`frame::MUX_PREAMBLE`] on connect, then
-//! length-prefixed frames whose first eight body bytes are a
-//! correlation id. Requests are chunked into batch containers
-//! ([`wire::encode_batch_into`]), each chunk under a fresh correlation
-//! id, and *all* chunks are coalesced into one `write_all` — one
-//! syscall ships the whole burst, however many packets it carries. The
-//! node answers each chunk with one batch frame; responses are
-//! demultiplexed by correlation id, so chunks may complete in any
-//! order, and a frame whose id matches no in-flight chunk — the late
-//! answer to a request that already timed out — is dropped on the
-//! floor instead of being credited to a later request.
+//! ([`crate::node`]): a [`frame::MUX_PREAMBLE`] ahead of the first
+//! frame, then length-prefixed frames whose first eight body bytes are a
+//! correlation id. Every call a [`Client`](crate::client::Client) makes
+//! goes through [`PipeConn::exchange`]: the packets are laid out as
+//! frames ([`Framing`] — one bare packet for a single request, chunked
+//! batch containers for a burst), each frame under a fresh correlation
+//! id, and *all* frames are coalesced into one `write_all` — one
+//! syscall ships the whole call, however many packets it carries. The
+//! node answers each frame in the form it arrived in; responses are
+//! demultiplexed by correlation id, so frames may complete in any
+//! order, and a frame whose id matches no in-flight request — the late
+//! answer to a call that already timed out — is dropped on the floor
+//! instead of being credited to a later one. A single request is simply
+//! a call of depth 1.
 //!
-//! Because stale responses die by correlation id, a timeout does *not*
-//! poison the connection: the caller may keep pipelining on the same
-//! socket. I/O and framing damage *do* poison it; the caller drops the
-//! connection and rotates, exactly as the lockstep path does.
+//! Because stale responses die by correlation id, a connection stays in
+//! sync after *any* failed call whose frames were intact; whether to
+//! keep it is the caller's retry policy, not a protocol matter.
 
 use crate::client::{ClientConfig, ClientError};
 use crate::frame::{self, FrameDecoder};
-use gred_dataplane::{wire, Packet};
+use gred_dataplane::{wire, Packet, PacketKind};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -30,14 +32,25 @@ use std::time::{Duration, Instant};
 /// answering the first chunk while later ones are still being parsed.
 pub(crate) const PIPELINE_CHUNK: usize = 64;
 
-/// A pipelined connection to one node: mux-framed, correlation-id
-/// demultiplexed, many requests in flight per syscall.
+/// How a call's packets are laid out in frames.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Framing {
+    /// Each packet alone in its frame, as a bare "GR" packet.
+    Bare,
+    /// "GB" batch containers of at most this many packets per frame.
+    Batch(usize),
+}
+
+/// A connection to one node: mux-framed, correlation-id demultiplexed,
+/// any number of requests in flight per syscall.
 #[derive(Debug)]
 pub(crate) struct PipeConn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Reusable encode buffer: after the first burst, building the
-    /// request frames allocates nothing.
+    /// Reusable encode buffer: after the first call, building the
+    /// request frames allocates nothing. Starts out holding the mux
+    /// preamble, so the first call announces the protocol in the same
+    /// write as its frames.
     scratch: Vec<u8>,
     /// Next correlation id. Never reused within a connection, which is
     /// the invariant that makes dropping unknown ids safe.
@@ -45,11 +58,11 @@ pub(crate) struct PipeConn {
 }
 
 impl PipeConn {
-    /// Connects to `addr` and announces the mux protocol.
+    /// Connects to `addr`.
     pub(crate) fn connect(addr: SocketAddr, cfg: &ClientConfig) -> Result<PipeConn, ClientError> {
         let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout).map_err(|e| {
             ClientError::Io {
-                context: "connecting the pipelined channel",
+                context: "connecting to the node",
                 kind: e.kind(),
             }
         })?;
@@ -57,65 +70,54 @@ impl PipeConn {
             .set_nodelay(true)
             .and_then(|_| stream.set_read_timeout(Some(cfg.read_timeout)))
             .map_err(|e| ClientError::Io {
-                context: "configuring the pipelined channel",
+                context: "configuring the connection",
                 kind: e.kind(),
             })?;
-        let mut conn = PipeConn {
+        Ok(PipeConn {
             stream,
             decoder: FrameDecoder::new(),
-            scratch: Vec::new(),
+            scratch: frame::MUX_PREAMBLE.to_vec(),
             next_corr: 1,
-        };
-        conn.stream
-            .write_all(&frame::MUX_PREAMBLE)
-            .map_err(|e| ClientError::Io {
-                context: "announcing the mux protocol",
-                kind: e.kind(),
-            })?;
-        Ok(conn)
+        })
     }
 
-    /// Ships `packets` as a pipeline of batch frames and returns one
-    /// response per packet, in request order.
+    /// Ships `packets` as correlated frames laid out per `framing` and
+    /// returns one response per packet, in request order. Every
+    /// response must be of kind `expect`.
     pub(crate) fn exchange(
         &mut self,
         packets: &[Packet],
+        framing: Framing,
+        expect: PacketKind,
         timeout: Duration,
     ) -> Result<Vec<Packet>, ClientError> {
-        self.exchange_chunked(packets, PIPELINE_CHUNK, timeout)
-    }
-
-    /// [`exchange`](PipeConn::exchange) with an explicit chunk size —
-    /// tests shrink it to force many in-flight frames cheaply.
-    pub(crate) fn exchange_chunked(
-        &mut self,
-        packets: &[Packet],
-        chunk: usize,
-        timeout: Duration,
-    ) -> Result<Vec<Packet>, ClientError> {
+        let (chunk, batch) = match framing {
+            Framing::Bare => (1, false),
+            Framing::Batch(chunk) => (chunk, true),
+        };
         assert!(chunk > 0, "chunk size must be positive");
-        if packets.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Encode every chunk — each under its own correlation id — into
-        // one buffer, then ship the entire pipeline with a single write.
-        self.scratch.clear();
+        // Encode every frame — each under its own correlation id — into
+        // one buffer, then ship the entire call with a single write.
         let mut inflight: Vec<(u64, usize, usize)> = Vec::new(); // (corr, start, len)
         for (index, group) in packets.chunks(chunk).enumerate() {
             let corr = self.next_corr;
             self.next_corr += 1;
             let at = frame::begin_frame(&mut self.scratch);
             self.scratch.extend_from_slice(&corr.to_be_bytes());
-            wire::encode_batch_into(group, &mut self.scratch);
+            if batch {
+                wire::encode_batch_into(group, &mut self.scratch);
+            } else {
+                wire::encode_into(&group[0], &mut self.scratch);
+            }
             frame::finish_frame(&mut self.scratch, at);
             inflight.push((corr, index * chunk, group.len()));
         }
-        self.stream
-            .write_all(&self.scratch)
-            .map_err(|e| ClientError::Io {
-                context: "sending the pipelined requests",
-                kind: e.kind(),
-            })?;
+        let sent = self.stream.write_all(&self.scratch);
+        self.scratch.clear();
+        sent.map_err(|e| ClientError::Io {
+            context: "sending the request",
+            kind: e.kind(),
+        })?;
 
         let mut out: Vec<Option<Packet>> = Vec::with_capacity(packets.len());
         out.resize_with(packets.len(), || None);
@@ -125,18 +127,25 @@ impl PipeConn {
             while let Some(body) = self.decoder.next_frame().map_err(ClientError::Frame)? {
                 let Some((corr, payload)) = frame::split_mux(&body) else {
                     return Err(ClientError::Io {
-                        context: "demultiplexing a pipelined response",
+                        context: "demultiplexing a response",
                         kind: io::ErrorKind::InvalidData,
                     });
                 };
-                // No in-flight chunk owns this id: it is the late answer
-                // to an abandoned (timed-out) exchange. Dropping it here
-                // is what makes a timeout survivable without reconnect.
+                // No in-flight frame owns this id: it is the late answer
+                // to an abandoned (timed-out) call. Dropping it here is
+                // what keeps the connection in sync across a timeout.
                 let Some(slot) = inflight.iter().position(|(c, _, _)| *c == corr) else {
                     continue;
                 };
                 let (_, start, len) = inflight.swap_remove(slot);
-                let responses = wire::parse_batch_bytes(&payload).map_err(ClientError::Protocol)?;
+                // Zero-copy: response payloads are views of the frame
+                // body, not further allocations.
+                let responses = if batch {
+                    wire::parse_batch_bytes(&payload)
+                } else {
+                    wire::parse_bytes(&payload).map(|response| vec![response])
+                }
+                .map_err(ClientError::Protocol)?;
                 if responses.len() != len {
                     return Err(ClientError::Io {
                         context: "matching a batch response to its requests",
@@ -144,6 +153,9 @@ impl PipeConn {
                     });
                 }
                 for (offset, response) in responses.into_iter().enumerate() {
+                    if response.kind != expect {
+                        return Err(ClientError::UnexpectedKind(response.kind));
+                    }
                     out[start + offset] = Some(response);
                 }
             }
@@ -156,7 +168,7 @@ impl PipeConn {
             match self.stream.read(&mut buf) {
                 Ok(0) => {
                     return Err(ClientError::Io {
-                        context: "reading pipelined responses",
+                        context: "reading the response",
                         kind: io::ErrorKind::UnexpectedEof,
                     })
                 }
@@ -166,7 +178,7 @@ impl PipeConn {
                         || e.kind() == io::ErrorKind::TimedOut => {}
                 Err(e) => {
                     return Err(ClientError::Io {
-                        context: "reading pipelined responses",
+                        context: "reading the response",
                         kind: e.kind(),
                     })
                 }
@@ -174,7 +186,7 @@ impl PipeConn {
         }
         Ok(out
             .into_iter()
-            .map(|slot| slot.expect("every in-flight chunk resolved"))
+            .map(|slot| slot.expect("every in-flight frame resolved"))
             .collect())
     }
 }
@@ -193,7 +205,8 @@ mod tests {
         assert_eq!(pre, frame::MUX_PREAMBLE, "client must announce GMUX");
     }
 
-    /// Collects `n` mux-framed batch requests from the stream.
+    /// Collects `n` mux-framed requests (bare or batched) from the
+    /// stream.
     fn read_requests(stream: &mut TcpStream, n: usize) -> Vec<(u64, Vec<Packet>)> {
         let mut decoder = FrameDecoder::new();
         let mut buf = [0u8; 16 * 1024];
@@ -204,22 +217,37 @@ mod tests {
             decoder.feed(&buf[..read]);
             while let Some(body) = decoder.next_frame().expect("well-framed request") {
                 let (corr, payload) = frame::split_mux(&body).expect("correlated request");
-                let packets = wire::parse_batch_bytes(&payload).expect("batch request");
+                let packets = if wire::is_batch(&payload) {
+                    wire::parse_batch_bytes(&payload).expect("batch request")
+                } else {
+                    vec![wire::parse_bytes(&payload).expect("bare request")]
+                };
                 frames.push((corr, packets));
             }
         }
         frames
     }
 
-    /// Writes one mux-framed batch response under `corr`.
-    fn write_batch(stream: &mut TcpStream, corr: u64, responses: &[Packet]) {
+    /// Writes one mux-framed response under `corr`: a batch container,
+    /// or the one bare packet when the request was `bare`.
+    fn write_responses(stream: &mut TcpStream, corr: u64, responses: &[Packet], bare: bool) {
         let mut out = Vec::new();
         let at = frame::begin_frame(&mut out);
         out.extend_from_slice(&corr.to_be_bytes());
-        wire::encode_batch_into(responses, &mut out);
+        if bare {
+            wire::encode_into(&responses[0], &mut out);
+        } else {
+            wire::encode_batch_into(responses, &mut out);
+        }
         frame::finish_frame(&mut out, at);
         stream.write_all(&out).expect("response frame sends");
     }
+
+    fn write_batch(stream: &mut TcpStream, corr: u64, responses: &[Packet]) {
+        write_responses(stream, corr, responses, false);
+    }
+
+    const DATA: PacketKind = PacketKind::RetrievalResponse;
 
     fn echo_responses(requests: &[Packet], tag: &str) -> Vec<Packet> {
         requests
@@ -228,11 +256,11 @@ mod tests {
             .collect()
     }
 
-    /// The regression the satellite demands: a timed-out request's late
-    /// response must be dropped by correlation id, never credited to a
-    /// later request on the same connection.
-    #[test]
-    fn late_response_is_dropped_by_correlation_id() {
+    /// A timed-out request's late response must be dropped by
+    /// correlation id, never credited to a later request on the same
+    /// connection — whatever the framing.
+    fn late_response_is_dropped(framing: Framing) {
+        let bare = matches!(framing, Framing::Bare);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -240,6 +268,7 @@ mod tests {
             expect_preamble(&mut stream);
             // Swallow the first request until the second arrives — the
             // client times out on it and abandons the correlation id.
+            // Both reach this one accepted socket.
             let frames = read_requests(&mut stream, 2);
             let (stale_corr, stale_requests) = &frames[0];
             let (fresh_corr, fresh_requests) = &frames[1];
@@ -251,18 +280,17 @@ mod tests {
                 .iter()
                 .map(|_| Packet::response(fresh_requests[0].id.clone(), b"stale".as_ref()))
                 .collect();
-            write_batch(&mut stream, *stale_corr, &poison);
-            write_batch(
-                &mut stream,
-                *fresh_corr,
-                &echo_responses(fresh_requests, "fresh"),
-            );
+            write_responses(&mut stream, *stale_corr, &poison, bare);
+            let fresh = echo_responses(fresh_requests, "fresh");
+            write_responses(&mut stream, *fresh_corr, &fresh, bare);
         });
 
         let cfg = ClientConfig::default();
         let mut conn = PipeConn::connect(addr, &cfg).unwrap();
         let first = conn.exchange(
             &[Packet::retrieval(DataId::new("first"))],
+            framing,
+            DATA,
             Duration::from_millis(150),
         );
         assert!(
@@ -275,6 +303,8 @@ mod tests {
         let out = conn
             .exchange(
                 &[Packet::retrieval(DataId::new("second"))],
+                framing,
+                DATA,
                 Duration::from_secs(5),
             )
             .expect("the fresh exchange succeeds despite the stale frame");
@@ -284,6 +314,18 @@ mod tests {
             "the stale response leaked into a later request"
         );
         server.join().unwrap();
+    }
+
+    #[test]
+    fn late_response_is_dropped_by_correlation_id() {
+        late_response_is_dropped(Framing::Batch(PIPELINE_CHUNK));
+    }
+
+    /// The same guarantee at depth 1: the next single request on the
+    /// *same* socket gets its own reply.
+    #[test]
+    fn late_single_response_is_dropped_by_correlation_id() {
+        late_response_is_dropped(Framing::Bare);
     }
 
     /// Chunked pipeline, responses deliberately served in reverse frame
@@ -309,7 +351,12 @@ mod tests {
             .collect();
         let mut conn = PipeConn::connect(addr, &ClientConfig::default()).unwrap();
         let out = conn
-            .exchange_chunked(&packets, CHUNK, Duration::from_secs(5))
+            .exchange(
+                &packets,
+                Framing::Batch(CHUNK),
+                DATA,
+                Duration::from_secs(5),
+            )
             .unwrap();
         assert_eq!(out.len(), N);
         for (i, response) in out.iter().enumerate() {
@@ -365,7 +412,7 @@ mod tests {
                 .collect();
             let mut conn = PipeConn::connect(addr, &ClientConfig::default()).unwrap();
             let out = conn
-                .exchange_chunked(&packets, chunk, Duration::from_secs(5))
+                .exchange(&packets, Framing::Batch(chunk), DATA, Duration::from_secs(5))
                 .unwrap();
             prop_assert_eq!(out.len(), n);
             for (i, response) in out.iter().enumerate() {

@@ -108,16 +108,7 @@ pub fn route(
     position: Point2,
     id: &DataId,
 ) -> Result<Route, GredError> {
-    let mut switches = Vec::new();
-    let mut overlay = Vec::new();
-    let end = walk(planes, from, position, id, &mut switches, &mut overlay)?;
-    Ok(Route {
-        switches,
-        overlay,
-        dest: end.dest,
-        server: end.server,
-        extended_to: end.extended_to,
-    })
+    route_avoiding(planes, from, position, id, &|_| true).map(|(route, _)| route)
 }
 
 /// [`route`] with a liveness filter: DT neighbors for which `alive`
@@ -149,77 +140,23 @@ pub fn route_avoiding(
 ) -> Result<(Route, u32), GredError> {
     let mut switches = Vec::new();
     let mut overlay = Vec::new();
-    if from >= planes.len() {
-        return Err(GredError::UnknownSwitch { switch: from });
-    }
-    if planes[from].server_count() == 0 {
-        return Err(GredError::InvalidDynamics {
-            reason: "access switch is transit-only (no DT position)",
-        });
-    }
-
-    switches.push(from);
-    overlay.push(from);
-    let mut cur = from;
-    let mut detours = 0u32;
-    // Same strict-decrease bound as `walk`: the filter can only shrink
-    // the candidate set, never add a non-improving hop.
-    for _ in 0..planes.len() {
-        let (decision, detoured) = planes[cur].decide_avoiding(position, id, alive);
-        if detoured {
-            detours += 1;
-        }
-        match decision {
-            ForwardDecision::DeliverLocal {
-                server,
-                extended_to,
-            } => {
-                return Ok((
-                    Route {
-                        switches,
-                        overlay,
-                        dest: cur,
-                        server,
-                        extended_to,
-                    },
-                    detours,
-                ));
-            }
-            ForwardDecision::Forward {
-                neighbor,
-                next_hop,
-                virtual_link,
-            } => {
-                if !virtual_link {
-                    switches.push(neighbor);
-                } else {
-                    let mut relay = next_hop;
-                    switches.push(relay);
-                    let mut guard = planes.len();
-                    while relay != neighbor {
-                        let succ = planes[relay].relay_next(neighbor, cur).ok_or(
-                            GredError::RelayEntryMissing {
-                                at: relay,
-                                dest: neighbor,
-                            },
-                        )?;
-                        switches.push(succ);
-                        relay = succ;
-                        guard -= 1;
-                        if guard == 0 {
-                            return Err(GredError::RelayEntryMissing {
-                                at: relay,
-                                dest: neighbor,
-                            });
-                        }
-                    }
-                }
-                overlay.push(neighbor);
-                cur = neighbor;
-            }
-        }
-    }
-    unreachable!("greedy forwarding exceeded the switch-count bound");
+    let (end, detours) = walk(
+        planes,
+        from,
+        position,
+        id,
+        alive,
+        &mut switches,
+        &mut overlay,
+    )?;
+    let route = Route {
+        switches,
+        overlay,
+        dest: end.dest,
+        server: end.server,
+        extended_to: end.extended_to,
+    };
+    Ok((route, detours))
 }
 
 /// Allocation-free variant of [`route`] for hot loops: the hop lists are
@@ -245,21 +182,26 @@ pub fn route_with(
         from,
         position,
         id,
+        &|_| true,
         &mut scratch.switches,
         &mut scratch.overlay,
     )
+    .map(|(end, _)| end)
 }
 
-/// The greedy walk shared by [`route`] and [`route_with`]: clears and
-/// fills the caller's hop buffers, returns where the walk ended.
+/// The one greedy walk behind [`route`], [`route_with`] and
+/// [`route_avoiding`]: clears and fills the caller's hop buffers, skips
+/// DT neighbors `alive` rejects, and returns where the walk ended plus
+/// the number of detoured steps.
 fn walk(
     planes: &[SwitchDataplane],
     from: usize,
     position: Point2,
     id: &DataId,
+    alive: &dyn Fn(usize) -> bool,
     switches: &mut Vec<usize>,
     overlay: &mut Vec<usize>,
-) -> Result<RouteEnd, GredError> {
+) -> Result<(RouteEnd, u32), GredError> {
     switches.clear();
     overlay.clear();
     if from >= planes.len() {
@@ -274,19 +216,24 @@ fn walk(
     switches.push(from);
     overlay.push(from);
     let mut cur = from;
-    // Greedy distance strictly decreases per overlay hop, so the walk
-    // takes at most `planes.len()` overlay steps.
+    let mut detours = 0u32;
+    // Greedy distance strictly decreases per overlay hop — the filter
+    // can only shrink the candidate set, never add a non-improving hop —
+    // so the walk takes at most `planes.len()` overlay steps.
     for _ in 0..planes.len() {
-        match planes[cur].decide(position, id) {
+        let (decision, detoured) = planes[cur].decide_avoiding(position, id, alive);
+        detours += u32::from(detoured);
+        match decision {
             ForwardDecision::DeliverLocal {
                 server,
                 extended_to,
             } => {
-                return Ok(RouteEnd {
+                let end = RouteEnd {
                     dest: cur,
                     server,
                     extended_to,
-                });
+                };
+                return Ok((end, detours));
             }
             ForwardDecision::Forward {
                 neighbor,

@@ -173,7 +173,8 @@ impl StatsSnapshot {
             "snapshot with {} links exceeds the u16 count field",
             self.links.len()
         );
-        let mut out = Vec::with_capacity(1 + 4 + 8 * 8 + 4 + 4 + 12 * 8 + 2 + self.links.len() * 21);
+        let mut out =
+            Vec::with_capacity(1 + 4 + 8 * 8 + 4 + 4 + 12 * 8 + 2 + self.links.len() * 21);
         out.push(OBS_VERSION);
         out.extend_from_slice(&self.switch.to_be_bytes());
         out.extend_from_slice(&self.uptime_ms.to_be_bytes());
@@ -664,7 +665,10 @@ mod tests {
             AdminOp::decode(&[OBS_VERSION, 99]),
             Err(CodecError::BadTag(99))
         );
-        assert_eq!(AdminOp::decode(&[7, TAG_PING]), Err(CodecError::BadVersion(7)));
+        assert_eq!(
+            AdminOp::decode(&[7, TAG_PING]),
+            Err(CodecError::BadVersion(7))
+        );
         let mut b = AdminOp::Ping.encode();
         b.push(0);
         assert_eq!(

@@ -228,7 +228,11 @@ fn live_execute(addrs: &str, args: &[&str]) -> Result<String, String> {
             for (reporter, peer) in &health.suspects {
                 out.push_str(&format!("\n  suspect: {reporter} -> {peer}"));
             }
-            if let Some(path) = args.iter().position(|a| *a == "--json").map(|i| args.get(i + 1)) {
+            if let Some(path) = args
+                .iter()
+                .position(|a| *a == "--json")
+                .map(|i| args.get(i + 1))
+            {
                 let path = path.ok_or("--json needs a path")?;
                 std::fs::write(path, health.to_json(&snaps)).map_err(|e| e.to_string())?;
                 out.push_str(&format!("\nwrote {path}"));
@@ -273,7 +277,9 @@ fn live_execute(addrs: &str, args: &[&str]) -> Result<String, String> {
 
 /// Parses an admin verb and its operands into an [`AdminOp`].
 fn parse_admin_verb(args: &[&str]) -> Result<AdminOp, String> {
-    let verb = *args.first().ok_or("usage: admin <ping|crash|restart|drain|join|leave> [args]")?;
+    let verb = *args
+        .first()
+        .ok_or("usage: admin <ping|crash|restart|drain|join|leave> [args]")?;
     match verb {
         "ping" => Ok(AdminOp::Ping),
         "crash" => Ok(AdminOp::Crash {
@@ -558,8 +564,7 @@ mod tests {
 
         let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(6, 11));
         let pool = ServerPool::uniform(6, 2, u64::MAX);
-        let mut net =
-            GredNetwork::build(topo, pool, GredConfig::default().seeded(11)).unwrap();
+        let mut net = GredNetwork::build(topo, pool, GredConfig::default().seeded(11)).unwrap();
         for i in 0..8 {
             net.place(
                 &DataId::new(format!("live/{i}")),

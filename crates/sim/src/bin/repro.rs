@@ -385,25 +385,15 @@ fn run(experiment: &str, scale: &Scale, out: &Output, threads: usize) {
                     })
                     .collect(),
             );
-            let flash = hotspot::flash_crowd_request_load(
-                500,
-                scale.load_items.min(10_000),
-                3,
-                SEED,
-            );
+            let flash =
+                hotspot::flash_crowd_request_load(500, scale.load_items.min(10_000), 3, SEED);
             out.emit(
                 "flash_crowd",
                 "Extension: regional flash crowd on a cold key, before/after replication",
                 &["phase", "request max/avg", "peak share"],
                 flash
                     .iter()
-                    .map(|r| {
-                        vec![
-                            r.phase.to_string(),
-                            f3(r.request_max_avg),
-                            f3(r.peak_share),
-                        ]
-                    })
+                    .map(|r| vec![r.phase.to_string(), f3(r.request_max_avg), f3(r.peak_share)])
                     .collect(),
             );
         }

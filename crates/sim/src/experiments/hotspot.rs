@@ -160,7 +160,7 @@ pub fn flash_crowd_request_load(
             toggle = toggle.wrapping_add(1);
             // The flash phases route 80% of traffic at the viral key,
             // always entering through the region.
-            let flash = phase != "background" && toggle % 5 != 0;
+            let flash = phase != "background" && !toggle.is_multiple_of(5);
             let got = if flash {
                 net.retrieve_nearest(&viral, viral_copies, region_picker.pick())
                     .expect("viral key retrieves")

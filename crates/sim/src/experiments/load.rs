@@ -6,10 +6,10 @@
 
 use crate::experiments::substrate;
 use crate::metrics::max_avg;
-use crate::runner::{default_threads, parallel_map};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::ItemGenerator;
 use gred_net::ServerId;
+use gred_runtime::{default_threads, parallel_map};
 use serde::Serialize;
 use std::collections::HashMap;
 

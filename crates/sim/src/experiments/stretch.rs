@@ -2,9 +2,9 @@
 
 use crate::experiments::substrate;
 use crate::metrics::MetricSeries;
-use crate::runner::{default_threads, parallel_map};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::{AccessPicker, ItemGenerator};
+use gred_runtime::{default_threads, parallel_map};
 use serde::Serialize;
 
 /// One plotted point of a stretch figure.

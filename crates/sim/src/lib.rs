@@ -20,7 +20,6 @@ pub mod experiments;
 pub mod metrics;
 pub mod queueing;
 pub mod report;
-pub mod runner;
 pub mod systems;
 pub mod trace;
 pub mod viz;

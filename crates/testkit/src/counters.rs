@@ -54,11 +54,7 @@ impl CounterWindow {
     /// Panics if the counter *regressed* — monotonic counters never go
     /// down on a live cluster, so a negative delta means the scrape hit
     /// a restarted node or the counter is broken.
-    pub fn delta(
-        &self,
-        after: &[StatsSnapshot],
-        counter: impl Fn(&StatsSnapshot) -> u64,
-    ) -> u64 {
+    pub fn delta(&self, after: &[StatsSnapshot], counter: impl Fn(&StatsSnapshot) -> u64) -> u64 {
         let start: u64 = self.before.iter().map(&counter).sum();
         let end: u64 = after.iter().map(&counter).sum();
         assert!(
@@ -131,8 +127,10 @@ mod tests {
     use super::*;
 
     fn snap(switch: u32, hits: u64, detours: u64) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        snap.switch = switch;
+        let mut snap = StatsSnapshot {
+            switch,
+            ..StatsSnapshot::default()
+        };
         snap.hot.cache_hits = hits;
         snap.hot.detour_forwards = detours;
         snap

@@ -8,28 +8,12 @@
 //! count is sized so a batch takes roughly a millisecond. The median
 //! batch mean is reported.
 //!
-//! Results are printed human-readably and appended as JSON lines to
-//! `target/criterion-shim/results.jsonl` (override the directory with
-//! `CRITERION_SHIM_DIR`), so scripts can post-process measurements.
+//! Results are printed human-readably, one `bench: group/name time`
+//! line per benchmark.
 //!
-//! Environment knobs:
-//! - `CRITERION_SHIM_SAMPLES`: batches per benchmark (default 10)
-//! - `CRITERION_SHIM_DIR`: output directory for `results.jsonl`
-//! - `CRITERION_SHIM_MAX_SECONDS`: per-benchmark timing budget; sampling
-//!   stops early once the timed batches have consumed it (smoke runs)
-//! - `CRITERION_SHIM_FILTER`: substring of `group/bench`; non-matching
-//!   benchmarks are skipped entirely (their closures never run), so one
-//!   variant can be profiled without the rest of the suite
-//!
-//! Each JSON record carries, besides the median per-iteration `mean_ns`,
-//! the aggregate `total_ns`/`total_iters` over every timed batch — the
-//! numbers a post-processor needs to compute an honest wall-clock rate
-//! (`total_iters / total_ns`), which the median of batch means is not.
+//! Environment knob: `CRITERION_SHIM_SAMPLES`, batches per benchmark
+//! (default 10).
 
-use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Prevents the optimizer from deleting a benchmarked computation.
@@ -37,7 +21,7 @@ pub fn black_box<T>(value: T) -> T {
     std::hint::black_box(value)
 }
 
-/// Work-per-iteration annotation, echoed into the JSON record.
+/// Work-per-iteration annotation; accepted for compatibility.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Throughput {
     /// Bytes processed per iteration.
@@ -86,33 +70,19 @@ impl From<String> for BenchmarkId {
 pub struct Bencher {
     /// Mean nanoseconds per iteration, filled in by [`Bencher::iter`].
     mean_ns: f64,
-    /// Wall-clock nanoseconds spent inside timed batches.
-    total_ns: u128,
-    /// Iterations executed inside timed batches.
-    total_iters: u64,
 }
 
 impl Bencher {
     fn empty() -> Bencher {
-        Bencher {
-            mean_ns: 0.0,
-            total_ns: 0,
-            total_iters: 0,
-        }
+        Bencher { mean_ns: 0.0 }
     }
 
-    /// Times `routine`, storing the median-of-batch-means estimate plus
-    /// the aggregate wall-clock totals over all timed batches.
+    /// Times `routine`, storing the median-of-batch-means estimate.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         let samples: usize = std::env::var("CRITERION_SHIM_SAMPLES")
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(10);
-        let budget: Option<Duration> = std::env::var("CRITERION_SHIM_MAX_SECONDS")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-            .map(Duration::from_secs_f64);
 
         // Warmup & calibration: one run to size the batches.
         let t0 = Instant::now();
@@ -124,109 +94,20 @@ impl Bencher {
             (Duration::from_millis(2).as_nanos() / once.as_nanos()).clamp(1, 100_000) as usize;
 
         let mut batch_means = Vec::with_capacity(samples);
-        let mut total = Duration::ZERO;
-        let mut total_iters = 0u64;
         for _ in 0..samples {
             let start = Instant::now();
             for _ in 0..iters_per_batch {
                 black_box(routine());
             }
-            let elapsed = start.elapsed();
-            batch_means.push(elapsed.as_nanos() as f64 / iters_per_batch as f64);
-            total += elapsed;
-            total_iters += iters_per_batch as u64;
-            // At least one timed batch always lands, so a tiny budget
-            // degrades to quick-but-measured rather than empty output.
-            if budget.is_some_and(|b| total >= b) {
-                break;
-            }
+            batch_means.push(start.elapsed().as_nanos() as f64 / iters_per_batch as f64);
         }
         batch_means.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         self.mean_ns = batch_means[batch_means.len() / 2];
-        self.total_ns = total.as_nanos();
-        self.total_iters = total_iters;
     }
 }
 
-/// Whether `group/bench` survives the `CRITERION_SHIM_FILTER` knob
-/// (substring match; no filter means everything runs).
-fn selected(group: &str, bench: &str) -> bool {
-    match std::env::var("CRITERION_SHIM_FILTER") {
-        Ok(filter) if !filter.is_empty() => format!("{group}/{bench}").contains(&filter),
-        _ => true,
-    }
-}
-
-fn shim_dir() -> PathBuf {
-    std::env::var_os("CRITERION_SHIM_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/criterion-shim"))
-}
-
-fn append_result_line(line: &str) {
-    let dir = shim_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        if let Ok(mut f) = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join("results.jsonl"))
-        {
-            let _ = writeln!(f, "{line}");
-        }
-    }
-}
-
-fn record(group: &str, bench: &str, bencher: &Bencher, throughput: Option<Throughput>) {
-    let mean_ns = bencher.mean_ns;
-    let human = format_ns(mean_ns);
-    println!("bench: {group}/{bench}  {human}");
-
-    let mut line = String::new();
-    let _ = write!(
-        line,
-        "{{\"group\":\"{group}\",\"bench\":\"{bench}\",\"mean_ns\":{mean_ns:.1},\"total_ns\":{},\"total_iters\":{}",
-        bencher.total_ns, bencher.total_iters
-    );
-    match throughput {
-        Some(Throughput::Bytes(n)) => {
-            let _ = write!(line, ",\"throughput_bytes\":{n}");
-        }
-        Some(Throughput::Elements(n)) => {
-            let _ = write!(line, ",\"throughput_elements\":{n}");
-        }
-        None => {}
-    }
-    line.push('}');
-    append_result_line(&line);
-}
-
-/// Appends a join-able companion record
-/// (`{"group":…,"bench":…,"metrics":{…}}`) to the same `results.jsonl`
-/// the timing records land in. Benchmarks use this for measurements a
-/// timing loop cannot express — a cache hit rate observed over the
-/// whole run, a counter read at shutdown — keyed by the same
-/// group/bench id so post-processors (`scripts/bench_to_json.py`) can
-/// join them onto the timing record. Non-finite values are skipped:
-/// they have no JSON spelling.
-pub fn record_metrics(group: &str, bench: &str, metrics: &[(&str, f64)]) {
-    let mut line = String::new();
-    let _ = write!(
-        line,
-        "{{\"group\":\"{group}\",\"bench\":\"{bench}\",\"metrics\":{{"
-    );
-    let mut first = true;
-    for (key, value) in metrics {
-        if !value.is_finite() {
-            continue;
-        }
-        if !first {
-            line.push(',');
-        }
-        first = false;
-        let _ = write!(line, "\"{key}\":{value:.6}");
-    }
-    line.push_str("}}");
-    append_result_line(&line);
+fn record(group: &str, bench: &str, bencher: &Bencher) {
+    println!("bench: {group}/{bench}  {}", format_ns(bencher.mean_ns));
 }
 
 fn format_ns(ns: f64) -> String {
@@ -244,7 +125,6 @@ fn format_ns(ns: f64) -> String {
 /// A named collection of related benchmarks.
 pub struct BenchmarkGroup<'a> {
     name: String,
-    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -259,9 +139,8 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Annotates subsequent benchmarks with work-per-iteration.
-    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
-        self.throughput = Some(throughput);
+    /// Accepted for compatibility; the shim reports time only.
+    pub fn throughput(&mut self, _throughput: Throughput) -> &mut Self {
         self
     }
 
@@ -272,12 +151,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        if !selected(&self.name, &id.id) {
-            return self;
-        }
         let mut bencher = Bencher::empty();
         f(&mut bencher);
-        record(&self.name, &id.id, &bencher, self.throughput);
+        record(&self.name, &id.id, &bencher);
         self
     }
 
@@ -288,12 +164,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &T),
     {
         let id = id.into();
-        if !selected(&self.name, &id.id) {
-            return self;
-        }
         let mut bencher = Bencher::empty();
         f(&mut bencher, input);
-        record(&self.name, &id.id, &bencher, self.throughput);
+        record(&self.name, &id.id, &bencher);
         self
     }
 
@@ -310,7 +183,6 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.to_string(),
-            throughput: None,
             _criterion: self,
         }
     }
@@ -320,12 +192,9 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        if !selected(name, name) {
-            return self;
-        }
         let mut bencher = Bencher::empty();
         f(&mut bencher);
-        record(name, name, &bencher, None);
+        record(name, name, &bencher);
         self
     }
 
@@ -364,42 +233,6 @@ mod tests {
         let mut b = Bencher::empty();
         b.iter(|| black_box((0..100u64).sum::<u64>()));
         assert!(b.mean_ns > 0.0);
-        assert!(b.total_ns > 0, "aggregate wall clock recorded");
-        assert!(b.total_iters > 0, "aggregate iteration count recorded");
-    }
-
-    #[test]
-    fn filter_selects_by_substring() {
-        std::env::remove_var("CRITERION_SHIM_FILTER");
-        assert!(selected("group", "bench"));
-        std::env::set_var("CRITERION_SHIM_FILTER", "group/ben");
-        assert!(selected("group", "bench"));
-        assert!(!selected("group", "other"));
-        std::env::set_var("CRITERION_SHIM_FILTER", "");
-        assert!(selected("group", "other"));
-        std::env::remove_var("CRITERION_SHIM_FILTER");
-    }
-
-    #[test]
-    fn record_metrics_appends_joinable_json() {
-        let dir = std::env::temp_dir().join(format!("criterion-shim-test-{}", std::process::id()));
-        std::env::set_var("CRITERION_SHIM_DIR", &dir);
-        record_metrics(
-            "g",
-            "16sw_1c_zipf_hotkey",
-            &[("cache_hit_rate", 0.75), ("bogus", f64::NAN)],
-        );
-        std::env::remove_var("CRITERION_SHIM_DIR");
-        let written = fs::read_to_string(dir.join("results.jsonl")).unwrap();
-        let _ = fs::remove_dir_all(&dir);
-        assert!(
-            written.contains(
-                "{\"group\":\"g\",\"bench\":\"16sw_1c_zipf_hotkey\",\
-                 \"metrics\":{\"cache_hit_rate\":0.750000}}"
-            ),
-            "got {written}"
-        );
-        assert!(!written.contains("bogus"), "NaN metrics must be dropped");
     }
 
     #[test]
