@@ -21,7 +21,7 @@ use crate::client::{AdminReply, Client, ClientError};
 use crate::cluster::{Cluster, ClusterReport};
 use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
 use gred::GredNetwork;
-use gred_dataplane::{wire, AdminOp, Packet, PacketKind};
+use gred_dataplane::{AdminOp, Packet, PacketKind};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -151,6 +151,7 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
     }
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 4096];
+    let mut out = Vec::new();
     // The stream opens with the mux preamble; this is what is still due.
     let mut preamble: &[u8] = &MUX_PREAMBLE;
     while !stop.load(Ordering::SeqCst) {
@@ -162,27 +163,20 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
                 // no resynchronizing a length-prefixed protocol.
                 Err(_) => return,
             };
-            let Some((corr, body)) = frame::split_mux(&body) else {
+            // A frame that is not a call frame leaves no correlation id
+            // to answer under: hang up, as a node does.
+            let Ok((corr, body)) = frame::read_call(&body) else {
                 return;
             };
-            let reply = match wire::parse_bytes(&body) {
-                Ok(packet) if packet.kind == PacketKind::Admin => {
-                    match AdminOp::decode(&packet.payload) {
-                        Ok(op) => apply_verb(state, &op),
-                        Err(e) => {
-                            Packet::admin_error(format!("bad admin payload: {e}").into_bytes())
-                        }
-                    }
-                }
-                Ok(packet) => Packet::admin_error(
-                    format!("admin endpoint speaks Admin packets, got {}", packet.kind)
-                        .into_bytes(),
-                ),
-                Err(e) => Packet::admin_error(format!("unparseable packet: {e}").into_bytes()),
-            };
-            let mut out = corr.to_be_bytes().to_vec();
-            wire::encode_into(&reply, &mut out);
-            if stream.write_all(&frame::encode_frame(&out)).is_err() {
+            let batch = body.is_batch();
+            let replies: Vec<Packet> = body
+                .into_vec()
+                .iter()
+                .map(|packet| answer(state, packet))
+                .collect();
+            out.clear();
+            frame::write_call(&mut out, corr, &replies, batch);
+            if stream.write_all(&out).is_err() {
                 return;
             }
         }
@@ -203,6 +197,20 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
                 ) => {}
             Err(_) => return,
         }
+    }
+}
+
+/// The reply to one packet: the verb's outcome, or an in-band refusal
+/// of anything that is not a decodable `Admin` packet.
+fn answer(state: &Mutex<AdminState>, packet: &Packet) -> Packet {
+    if packet.kind != PacketKind::Admin {
+        return Packet::admin_error(
+            format!("admin endpoint speaks Admin packets, got {}", packet.kind).into_bytes(),
+        );
+    }
+    match AdminOp::decode(&packet.payload) {
+        Ok(op) => apply_verb(state, &op),
+        Err(e) => Packet::admin_error(format!("bad admin payload: {e}").into_bytes()),
     }
 }
 

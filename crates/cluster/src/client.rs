@@ -46,8 +46,7 @@ use crate::frame::FrameError;
 use crate::pipelined::{Framing, PipeConn, PIPELINE_CHUNK};
 use crate::proto;
 use bytes::Bytes;
-use gred_dataplane::obs::CodecError;
-use gred_dataplane::{wire, AdminOp, Packet, PacketKind, ResponseStatus, StatsSnapshot};
+use gred_dataplane::{AdminOp, DecodeError, Packet, PacketKind, ResponseStatus, StatsSnapshot};
 use gred_geometry::Point2;
 use gred_hash::{position::virtual_position, DataId};
 use gred_net::ServerId;
@@ -100,7 +99,7 @@ pub enum ClientError {
     /// The response stream violated the framing protocol.
     Frame(FrameError),
     /// The response frame was not a parseable GRED packet.
-    Protocol(wire::ParseError),
+    Protocol(DecodeError),
     /// The node answered with a packet kind that is not a response.
     UnexpectedKind(PacketKind),
     /// The node answered with [`ResponseStatus::Error`]: the request
@@ -137,7 +136,7 @@ pub enum ClientError {
     },
     /// A stats scrape answered with a payload that is not a decodable
     /// snapshot — a protocol bug or version skew, never transient.
-    BadSnapshot(CodecError),
+    BadSnapshot(DecodeError),
 }
 
 impl std::fmt::Display for ClientError {

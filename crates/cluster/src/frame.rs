@@ -21,23 +21,27 @@
 //! payload out of that same allocation (`wire::parse_bytes`) instead of
 //! copying it again per hop.
 //!
-//! # Multiplexed frames
+//! # Call frames
 //!
-//! A multiplexed peer link (see [`crate::node`]) opens with the
-//! [`MUX_PREAMBLE`] and then carries ordinary frames whose bodies are
-//! prefixed with an 8-byte big-endian correlation id:
+//! Every connection — a client's or a peer link — opens with the
+//! [`MUX_PREAMBLE`] and then carries *call frames*: ordinary frames
+//! whose body is an 8-byte big-endian correlation id followed by either
+//! one wire packet ("GR") or a batch container of them ("GB"):
 //!
 //! ```text
-//!  +-----------------+------------------+---------------------------+
-//!  | length (u32 be) | corr id (u64 be) | body (wire::encode bytes) |
-//!  +-----------------+------------------+---------------------------+
+//!  +-----------------+------------------+--------------------------------+
+//!  | length (u32 be) | corr id (u64 be) | "GR" packet  |  "GB" container |
+//!  +-----------------+------------------+--------------------------------+
 //! ```
 //!
-//! The preamble is unambiguous on a shared listener: a plain frame's
-//! first byte is the high byte of a length `<= MAX_FRAME_LEN` (so at most
-//! `0x01`), while the preamble starts with `b'G'` (`0x47`).
+//! [`write_call`] and [`read_call`] are the only code that knows this
+//! layout: the node, the client connection and the admin endpoint all
+//! build and take apart their frames through the pair. The preamble is a
+//! mandatory hello — a dialer that opens with anything else is closed
+//! without an answer — so there is exactly one connection protocol.
 
 use bytes::Bytes;
+use gred_dataplane::{wire, Cursor, DecodeError, Packet};
 
 /// Upper bound on a frame body. GRED identifiers and payloads are small;
 /// anything past this is a corrupt or hostile length prefix.
@@ -77,25 +81,17 @@ impl std::error::Error for FrameError {}
 /// Panics if `body` exceeds [`MAX_FRAME_LEN`] — callers frame packets they
 /// encoded themselves, which are orders of magnitude smaller.
 pub fn encode_frame(body: &[u8]) -> Vec<u8> {
-    assert!(
-        body.len() <= MAX_FRAME_LEN,
-        "frame body of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
-        body.len()
-    );
     let mut out = Vec::with_capacity(PREFIX + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    let at = begin_frame(&mut out);
     out.extend_from_slice(body);
+    finish_frame(&mut out, at);
     out
 }
 
-/// First bytes a multiplexed peer link sends after connecting, so one
-/// listener can serve both plain request/response connections and
-/// multiplexed links. See the module docs for why this cannot collide
-/// with a frame length prefix.
+/// First bytes every dialer sends after connecting: the hello that
+/// announces call frames. A node closes a connection that opens with
+/// anything else.
 pub const MUX_PREAMBLE: [u8; 4] = *b"GMUX";
-
-/// Bytes of the correlation-id prefix inside a multiplexed frame body.
-pub const MUX_CORR_LEN: usize = 8;
 
 /// Starts a frame directly inside `out` (appending, not clearing): writes
 /// a length placeholder and returns the position [`finish_frame`] patches.
@@ -123,15 +119,78 @@ pub fn finish_frame(out: &mut [u8], at: usize) {
     out[at..at + PREFIX].copy_from_slice(&(body_len as u32).to_be_bytes());
 }
 
-/// Splits a multiplexed frame body into its correlation id and the wire
-/// packet bytes (a zero-copy view of `body`). `None` when the body is too
-/// short to carry the id — a protocol violation on a mux link.
-pub fn split_mux(body: &Bytes) -> Option<(u64, Bytes)> {
-    if body.len() < MUX_CORR_LEN {
-        return None;
+/// Splits a call frame's body into its correlation id and the bytes
+/// after it (a zero-copy view of `body`).
+///
+/// # Errors
+///
+/// [`DecodeError::Truncated`] when the body is too short to carry the id.
+pub fn split_mux(body: &Bytes) -> Result<(u64, Bytes), DecodeError> {
+    let mut r = Cursor::new(body);
+    let corr = r.u64()?;
+    Ok((corr, body.slice(r.position()..)))
+}
+
+/// The packets of one call frame, in the form they travelled in. An
+/// answer takes the form of its request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Body {
+    /// One bare "GR" packet.
+    One(Packet),
+    /// A "GB" batch container.
+    Many(Vec<Packet>),
+}
+
+impl Body {
+    /// Whether the packets travelled in a "GB" container.
+    pub fn is_batch(&self) -> bool {
+        matches!(self, Body::Many(_))
     }
-    let corr = u64::from_be_bytes(body[..MUX_CORR_LEN].try_into().expect("8 bytes"));
-    Some((corr, body.slice(MUX_CORR_LEN..)))
+
+    /// The packets, in frame order.
+    pub fn into_vec(self) -> Vec<Packet> {
+        match self {
+            Body::One(packet) => vec![packet],
+            Body::Many(packets) => packets,
+        }
+    }
+}
+
+/// Appends one call frame to `out`: `[len][corr]` and then `packets` as
+/// a "GB" container when `batch`, otherwise the one bare "GR" packet.
+///
+/// # Panics
+///
+/// Panics if `batch` is false and `packets` is not exactly one packet,
+/// or if the body exceeds [`MAX_FRAME_LEN`].
+pub fn write_call(out: &mut Vec<u8>, corr: u64, packets: &[Packet], batch: bool) {
+    let at = begin_frame(out);
+    out.extend_from_slice(&corr.to_be_bytes());
+    if batch {
+        wire::encode_batch_into(packets, out);
+    } else {
+        assert_eq!(packets.len(), 1, "a bare call frame carries one packet");
+        wire::encode_into(&packets[0], out);
+    }
+    finish_frame(out, at);
+}
+
+/// Takes one call frame's body (as [`FrameDecoder`] yields it) apart:
+/// the correlation id and the packets, sniffing the "GR"/"GB" magic.
+/// Payloads are zero-copy views of `body`.
+///
+/// # Errors
+///
+/// [`DecodeError`] when the body is too short for the id or what
+/// follows it is not a well-formed packet or container.
+pub fn read_call(body: &Bytes) -> Result<(u64, Body), DecodeError> {
+    let (corr, packets) = split_mux(body)?;
+    let packets = if wire::is_batch(&packets) {
+        Body::Many(wire::parse_batch_bytes(&packets)?)
+    } else {
+        Body::One(wire::parse_bytes(&packets)?)
+    };
+    Ok((corr, packets))
 }
 
 /// Incremental frame reassembler tolerating short reads and split frames.
@@ -230,22 +289,25 @@ impl FrameDecoder {
 /// that do not form a complete frame are returned as the second element.
 pub fn decode_all(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, usize), FrameError> {
     let mut frames = Vec::new();
-    let mut at = 0;
-    while bytes.len() - at >= PREFIX {
-        let len = u32::from_be_bytes(bytes[at..at + PREFIX].try_into().expect("4 bytes")) as usize;
+    let mut rest = Cursor::new(bytes);
+    loop {
+        let mut frame = rest.clone();
+        let Ok(len) = frame.u32().map(|len| len as usize) else {
+            break;
+        };
         if len > MAX_FRAME_LEN {
             return Err(FrameError::TooLarge {
                 len,
                 max: MAX_FRAME_LEN,
             });
         }
-        if bytes.len() - at - PREFIX < len {
+        let Ok(body) = frame.take(len) else {
             break;
-        }
-        frames.push(bytes[at + PREFIX..at + PREFIX + len].to_vec());
-        at += PREFIX + len;
+        };
+        frames.push(body.to_vec());
+        rest = frame;
     }
-    Ok((frames, bytes.len() - at))
+    Ok((frames, rest.remaining()))
 }
 
 #[cfg(test)]
@@ -406,15 +468,52 @@ pub(crate) mod tests {
         assert_eq!(corr, 42);
         assert_eq!(payload.as_ref(), b"packet-bytes");
         // A 7-byte body cannot carry the 8-byte correlation id.
-        assert!(split_mux(&Bytes::copy_from_slice(&[0; 7])).is_none());
+        assert_eq!(
+            split_mux(&Bytes::copy_from_slice(&[0; 7])),
+            Err(DecodeError::Truncated { needed: 8, have: 7 })
+        );
+    }
+
+    #[test]
+    fn call_frames_round_trip_in_the_form_they_were_written() {
+        let id = |name: &str| gred_hash::DataId::new(name);
+        let packets = vec![
+            Packet::placement(id("a"), b"one".as_ref()),
+            Packet::retrieval(id("b")).with_relay(1, 2, 3),
+        ];
+        let mut out = b"earlier-bytes".to_vec();
+        write_call(&mut out, 7, &packets[..1], false);
+        write_call(&mut out, 8, &packets[..1], true);
+        write_call(&mut out, u64::MAX, &packets, true);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&out[13..]);
+        let mut calls = Vec::new();
+        while let Some(body) = dec.next_frame().unwrap() {
+            calls.push(read_call(&body).unwrap());
+        }
+        assert_eq!(
+            calls,
+            vec![
+                (7, Body::One(packets[0].clone())),
+                (8, Body::Many(packets[..1].to_vec())),
+                (u64::MAX, Body::Many(packets.clone())),
+            ]
+        );
+        assert!(!calls[0].1.is_batch() && calls[1].1.is_batch());
+        assert_eq!(calls[2].1.clone().into_vec(), packets);
     }
 
     #[test]
     fn mux_preamble_cannot_be_a_frame_prefix() {
-        // The dispatch trick in `serve_connection`: a plain frame's first
-        // byte is the high byte of a length <= MAX_FRAME_LEN.
-        let max_first_byte = (MAX_FRAME_LEN as u32).to_be_bytes()[0];
-        assert!(MUX_PREAMBLE[0] > max_first_byte);
+        // What the retired plain protocol sent: `[len][packet]` with no
+        // correlation id. The reader takes the packet's first eight
+        // bytes for an id and finds no packet behind them.
+        let packet = Packet::placement(gred_hash::DataId::new("k"), b"a longer value".as_ref());
+        let body = Bytes::from(gred_dataplane::encode(&packet));
+        assert_eq!(read_call(&body), Err(DecodeError::BadMagic));
+        // And no length prefix can spell the hello: a frame's first byte
+        // is the high byte of a length <= MAX_FRAME_LEN.
+        assert!(MUX_PREAMBLE[0] > (MAX_FRAME_LEN as u32).to_be_bytes()[0]);
     }
 
     proptest! {

@@ -7,11 +7,13 @@
 //! [`Poller`], so ten thousand mostly-idle connections cost file
 //! descriptors, not threads, and nothing the reactor runs can block.
 //!
-//! Each connection is a small state machine — sniff the first bytes to
-//! decide the protocol (a plain client connection, or a multiplexed link
-//! announced by [`MUX_PREAMBLE`]), reassemble frames with the sticky
-//! incremental [`FrameDecoder`], absorb partial writes in a
-//! [`WriteQueue`]. Every decoded packet runs the identical greedy
+//! Each connection is a small state machine — demand the
+//! [`MUX_PREAMBLE`] hello (a dialer that opens with anything else is
+//! closed, counted and logged, never answered), reassemble frames with
+//! the sticky incremental [`FrameDecoder`], take them apart with
+//! [`frame::read_call`], absorb partial writes in a [`WriteQueue`].
+//! Clients and peers speak the same one protocol: correlated call
+//! frames. Every decoded packet runs the identical greedy
 //! pipeline the in-process plane runs ([`SwitchDataplane::decide_avoiding`]
 //! / [`SwitchDataplane::relay_next`]); a packet answered here is written
 //! straight back, a packet whose next stop is another switch becomes a
@@ -90,13 +92,13 @@
 //! every response is on the wire — bounded by the peer reply timeout —
 //! before closing all connections. Joining the reactor joins the node.
 
-use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
+use crate::frame::{self, Body, FrameDecoder, MUX_PREAMBLE};
 use crate::mux::Parked;
 use crate::proto;
 use bytes::Bytes;
 use gred_cache::{ReadCache, Token};
 use gred_dataplane::{
-    wire, AdminOp, ForwardDecision, LinkStats, NodeHotStats, Packet, PacketKind, ResponseStatus,
+    AdminOp, ForwardDecision, LinkStats, NodeHotStats, Packet, PacketKind, ResponseStatus,
     StatsSnapshot, SwitchDataplane,
 };
 use gred_hash::DataId;
@@ -112,7 +114,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -322,6 +324,19 @@ impl PeerTable {
         self.reconnects.push(AtomicU64::new(0));
         self.connected.push(AtomicBool::new(false));
     }
+
+    /// Whether `peer` is under suspicion that has not expired at `now`.
+    fn suspect_at(&self, peer: usize, now: u64) -> bool {
+        self.suspect
+            .get(peer)
+            .is_some_and(|stamp| stamp.load(Ordering::Relaxed) > now)
+    }
+
+    fn set_connected(&self, peer: usize, up: bool) {
+        if let Some(flag) = self.connected.get(peer) {
+            flag.store(up, Ordering::Relaxed);
+        }
+    }
 }
 
 struct Inner {
@@ -512,17 +527,9 @@ impl Node {
     /// in ascending order.
     pub fn suspect_peers(&self) -> Vec<usize> {
         let now = self.inner.now_ms();
-        let peers = self
-            .inner
-            .peers
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        peers
-            .suspect
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.load(Ordering::Relaxed) > now)
-            .map(|(i, _)| i)
+        let peers = self.inner.peers();
+        (0..peers.suspect.len())
+            .filter(|&peer| peers.suspect_at(peer, now))
             .collect()
     }
 
@@ -697,57 +704,12 @@ impl ReactorShared {
     }
 }
 
-/// A decoded frame body: one packet ("GR") or a batch container ("GB").
-/// The response always takes the same form the request arrived in.
-enum Parsed {
-    One(Packet),
-    Many(Vec<Packet>),
-}
-
-fn parse_body(body: &Bytes) -> Result<Parsed, String> {
-    if wire::is_batch(body) {
-        wire::parse_batch_bytes(body)
-            .map(Parsed::Many)
-            .map_err(|e| e.to_string())
-    } else {
-        wire::parse_bytes(body)
-            .map(Parsed::One)
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Builds `[len][corr?][body]` in `out`, replacing its contents; `body`
-/// appends the frame body.
-fn frame_into(out: &mut Vec<u8>, corr: Option<u64>, body: impl FnOnce(&mut Vec<u8>)) {
-    out.clear();
-    let at = frame::begin_frame(out);
-    if let Some(corr) = corr {
-        out.extend_from_slice(&corr.to_be_bytes());
-    }
-    body(out);
-    frame::finish_frame(out, at);
-}
-
-/// Appends `packets` as a frame body: a "GB" container when `batch`,
-/// otherwise the one bare packet.
-fn encode_packets(packets: &[Packet], batch: bool, out: &mut Vec<u8>) {
-    if batch {
-        wire::encode_batch_into(packets, out);
-    } else {
-        wire::encode_into(&packets[0], out);
-    }
-}
-
 /// Per-connection protocol state machine.
 enum Protocol {
-    /// Undecided: collecting up to four bytes. A plain frame's first
-    /// byte is a length high byte (`<= 0x01`); a multiplexed link opens
-    /// with [`MUX_PREAMBLE`] (`b'G'`).
-    Sniff { preamble: [u8; 4], got: usize },
-    /// Plain client connection: frames are answered in order, one at a
-    /// time — while a call is parked, later frames queue here.
-    Plain { queued: VecDeque<Bytes> },
-    /// Inbound multiplexed link (a peer's, or a pipelining client's):
+    /// Accepted, and `got` bytes of the [`MUX_PREAMBLE`] hello have
+    /// arrived so far. Nothing is served before all four match.
+    Hello { got: usize },
+    /// Inbound connection past its hello (a peer's link, or a client):
     /// requests interleave under correlation ids.
     Mux,
     /// Outbound multiplexed link this node dialed to peer switch `peer`:
@@ -780,14 +742,26 @@ struct Conn {
     queued_reported: u64,
 }
 
+impl Conn {
+    /// Encodes one call frame into the connection's reusable scratch
+    /// buffer, replacing what it held.
+    fn encode_call(&mut self, counters: &Counters, corr: u64, packets: &[Packet], batch: bool) {
+        if self.scratch.capacity() > 0 {
+            counters.encode_buf_reuses.fetch_add(1, Ordering::Relaxed);
+        }
+        self.scratch.clear();
+        frame::write_call(&mut self.scratch, corr, packets, batch);
+    }
+}
+
 /// Where a call's answer goes. The generation makes a late answer to a
 /// closed connection die instead of reaching the slot's next tenant.
 #[derive(Clone, Copy)]
 struct Origin {
     slot: usize,
     generation: u64,
-    /// The request's correlation id on a mux connection.
-    corr: Option<u64>,
+    /// The request's correlation id, echoed on the answer.
+    corr: u64,
 }
 
 /// One request frame being served: a reply slot per packet, filled
@@ -801,9 +775,9 @@ struct Call {
     stored: Vec<usize>,
     /// Frames parked on this call's behalf that have not landed yet.
     outstanding: usize,
-    /// The encoded `Invalidate` packet(s) for `stored`, once the
-    /// forwards are done and the invalidation phase runs; empty before.
-    invalidation: Vec<u8>,
+    /// The `Invalidate` packet(s) for `stored`, once the forwards are
+    /// done and the invalidation phase runs; empty before.
+    invalidation: Vec<Packet>,
     /// Every peer confirmed the invalidation so far; a suspect or
     /// unreachable one downgrades the stored acks to `Degraded`.
     coherent: bool,
@@ -821,7 +795,7 @@ struct Group {
 enum Work {
     /// Packets forwarded one hop.
     Forward(Group),
-    /// The call's invalidation frame (body in [`Call::invalidation`]).
+    /// The call's invalidation frame (packets in [`Call::invalidation`]).
     Invalidate,
 }
 
@@ -1053,11 +1027,8 @@ impl Reactor {
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
-        let sniff = Protocol::Sniff {
-            preamble: [0; 4],
-            got: 0,
-        };
-        if self.adopt(stream, peer, sniff, Interest::READ).is_ok() {
+        let hello = Protocol::Hello { got: 0 };
+        if self.adopt(stream, peer, hello, Interest::READ).is_ok() {
             self.inner.log(&format!("accepted {peer}"));
             self.inner
                 .reactor
@@ -1110,11 +1081,7 @@ impl Reactor {
     /// (or the peer was re-registered at another address).
     fn link_to(&mut self, to: usize) -> io::Result<usize> {
         let addr = {
-            let peers = self
-                .inner
-                .peers
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
+            let peers = self.inner.peers();
             peers
                 .addrs
                 .get(to)
@@ -1175,14 +1142,7 @@ impl Reactor {
                 return Err(io::ErrorKind::ConnectionAborted.into());
             }
             *established = true;
-            let peers = self
-                .inner
-                .peers
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(flag) = peers.connected.get(*peer) {
-                flag.store(true, Ordering::Relaxed);
-            }
+            self.inner.peers().set_connected(*peer, true);
         }
         if ev.writable {
             let Conn { stream, outq, .. } = conn;
@@ -1225,30 +1185,21 @@ impl Reactor {
         }
     }
 
-    /// Runs `bytes` through the sniff state machine, then the decoder.
+    /// Checks `bytes` against what is still due of the hello, then feeds
+    /// the decoder.
     fn ingest(&mut self, slot: usize, mut bytes: &[u8]) -> io::Result<()> {
         let conn = self.conns[slot].as_mut().expect("live slot");
-        while let Protocol::Sniff { preamble, got } = &mut conn.proto {
-            if bytes.is_empty() {
-                return Ok(());
+        if let Protocol::Hello { got } = &mut conn.proto {
+            let due = &MUX_PREAMBLE[*got..];
+            let take = due.len().min(bytes.len());
+            if bytes[..take] != due[..take] {
+                let peer = conn.peer;
+                return Err(self.inner.violation(peer, &"no GMUX hello"));
             }
-            if *got == 0 && bytes[0] != MUX_PREAMBLE[0] {
-                conn.proto = Protocol::Plain {
-                    queued: VecDeque::new(),
-                };
-                break;
-            }
-            let take = (MUX_PREAMBLE.len() - *got).min(bytes.len());
-            preamble[*got..*got + take].copy_from_slice(&bytes[..take]);
             *got += take;
             bytes = &bytes[take..];
-            if *got < MUX_PREAMBLE.len() {
+            if take < due.len() {
                 return Ok(());
-            }
-            if *preamble != MUX_PREAMBLE {
-                // Not a frame length, not a mux preamble: drop the peer
-                // rather than guess at what it speaks.
-                return Err(io::ErrorKind::InvalidData.into());
             }
             conn.proto = Protocol::Mux;
         }
@@ -1256,93 +1207,37 @@ impl Reactor {
         self.pump(slot)
     }
 
-    /// Serves every complete frame the decoder holds.
+    /// Serves every complete frame the decoder holds: a request on an
+    /// inbound connection, a peer's response on a link. (A malformed
+    /// one closes a link too, and everything parked on it is resent.)
     fn pump(&mut self, slot: usize) -> io::Result<()> {
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return Ok(());
             };
-            let body = match conn.decoder.next_frame() {
-                Ok(Some(body)) => body,
-                Ok(None) => break,
-                Err(e) => {
-                    let peer = conn.peer;
-                    self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .log(&format!("framing violation from {peer}: {e}"));
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                }
+            let peer = conn.peer;
+            let frame = match conn.decoder.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Ok(()),
+                Err(e) => return Err(self.inner.violation(peer, &e)),
             };
             self.inner
                 .counters
                 .frames_decoded
                 .fetch_add(1, Ordering::Relaxed);
-            match &mut conn.proto {
-                Protocol::Plain { queued } => queued.push_back(body),
-                Protocol::Mux => self.serve_mux_frame(slot, body)?,
-                Protocol::Link { .. } => self.complete(body)?,
-                Protocol::Sniff { .. } => unreachable!("frames decode only after the sniff"),
-            }
-        }
-        self.pump_plain(slot)
-    }
-
-    /// Serves queued plain frames strictly in order: the queue holds
-    /// while a call from this connection is parked.
-    fn pump_plain(&mut self, slot: usize) -> io::Result<()> {
-        loop {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return Ok(());
-            };
-            let Protocol::Plain { queued } = &mut conn.proto else {
-                return Ok(());
-            };
-            if conn.inflight > 0 {
-                return Ok(());
-            }
-            let Some(body) = queued.pop_front() else {
-                return Ok(());
-            };
-            let origin = Origin {
-                slot,
-                generation: conn.generation,
-                corr: None,
-            };
-            self.serve_body(origin, &body)?;
-        }
-    }
-
-    /// Serves one multiplexed frame under its correlation id.
-    fn serve_mux_frame(&mut self, slot: usize, body: Bytes) -> io::Result<()> {
-        let conn = self.conns[slot].as_ref().expect("live slot");
-        let Some((corr, payload)) = frame::split_mux(&body) else {
-            self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .log(&format!("short mux frame from {}", conn.peer));
-            return Err(io::ErrorKind::InvalidData.into());
-        };
-        let origin = Origin {
-            slot,
-            generation: conn.generation,
-            corr: Some(corr),
-        };
-        self.serve_body(origin, &payload)
-    }
-
-    fn serve_body(&mut self, origin: Origin, body: &Bytes) -> io::Result<()> {
-        match parse_body(body) {
-            Ok(parsed) => {
-                self.serve(origin, parsed);
-                Ok(())
-            }
-            Err(e) => {
-                // The framing is intact but the body is not a GRED
-                // packet: drop the peer rather than guess.
-                let peer = self.conns[origin.slot].as_ref().expect("live slot").peer;
-                self.inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                self.inner
-                    .log(&format!("unparseable packet from {peer}: {e}"));
-                Err(io::Error::new(io::ErrorKind::InvalidData, e))
+            let (corr, body) =
+                frame::read_call(&frame).map_err(|e| self.inner.violation(peer, &e))?;
+            match conn.proto {
+                Protocol::Mux => {
+                    let origin = Origin {
+                        slot,
+                        generation: conn.generation,
+                        corr,
+                    };
+                    self.serve(origin, body);
+                }
+                Protocol::Link { .. } => self.complete(corr, body)?,
+                Protocol::Hello { .. } => unreachable!("frames decode only after the hello"),
             }
         }
     }
@@ -1352,16 +1247,16 @@ impl Reactor {
     /// per peer, and the call is answered once all of those landed (and
     /// its writes are coherent). A frame answered entirely here never
     /// touches the slabs.
-    fn serve(&mut self, origin: Origin, parsed: Parsed) {
-        let (steps, batch) = match parsed {
-            Parsed::One(packet) => match self.inner.route_step(packet) {
+    fn serve(&mut self, origin: Origin, body: Body) {
+        let (steps, batch) = match body {
+            Body::One(packet) => match self.inner.route_step(packet) {
                 Step::Respond {
                     resp,
                     stored: false,
                 } => return self.respond(origin, std::slice::from_ref(&resp), false),
                 step => (vec![step], false),
             },
-            Parsed::Many(packets) => (
+            Body::Many(packets) => (
                 packets
                     .into_iter()
                     .map(|packet| self.inner.route_step(packet))
@@ -1451,19 +1346,14 @@ impl Reactor {
             .as_mut()
             .expect("link_to returns a live slot");
         pending.link = conn.generation;
-        if conn.scratch.capacity() > 0 {
-            self.inner
-                .counters
-                .encode_buf_reuses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        frame_into(&mut conn.scratch, Some(corr), |out| match &pending.work {
-            Work::Forward(Group { packets, .. }) => encode_packets(packets, packets.len() > 1, out),
+        let packets = match &pending.work {
+            Work::Forward(group) => &group.packets,
             Work::Invalidate => {
                 let call = self.calls.get(pending.call);
-                out.extend_from_slice(&call.expect("call outlives its frames").invalidation);
+                &call.expect("call outlives its frames").invalidation
             }
-        });
+        };
+        conn.encode_call(&self.inner.counters, corr, packets, packets.len() > 1);
         let sent = match conn.proto {
             Protocol::Link {
                 established: true, ..
@@ -1479,10 +1369,7 @@ impl Reactor {
     /// A response frame arrived on a peer link: take its continuation
     /// back out and run it. An id nothing is parked under belongs to a
     /// continuation that already expired — the response is dropped.
-    fn complete(&mut self, body: Bytes) -> io::Result<()> {
-        let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-        let (corr, payload) =
-            frame::split_mux(&body).ok_or_else(|| bad("short mux frame".into()))?;
+    fn complete(&mut self, corr: u64, body: Body) -> io::Result<()> {
         let Some(pending) = self.parked.get(corr) else {
             return Ok(());
         };
@@ -1490,17 +1377,17 @@ impl Reactor {
             Work::Forward(group) => group.packets.len(),
             Work::Invalidate => self.calls.get(pending.call).map_or(0, |c| c.stored.len()),
         };
-        // A malformed answer poisons the link, not just this frame: the
+        // A mismatched answer poisons the link, not just this frame: the
         // error closes it and everything parked on it is resent.
-        let replies = match parse_body(&payload).map_err(bad)? {
-            Parsed::One(reply) => vec![reply],
-            Parsed::Many(replies) => replies,
-        };
+        let replies = body.into_vec();
         if replies.len() != expected {
-            return Err(bad(format!(
-                "response carries {} packets for {expected} requests",
-                replies.len()
-            )));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "response carries {} packets for {expected} requests",
+                    replies.len()
+                ),
+            ));
         }
         let pending = self.unpark(corr).expect("observed above");
         self.inner.clear_suspect(pending.to);
@@ -1591,16 +1478,9 @@ impl Reactor {
         let mut targets = Vec::new();
         {
             let now = self.inner.now_ms();
-            let peers = self
-                .inner
-                .peers
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (to, suspect) in peers.suspect.iter().enumerate() {
-                if to == self.inner.id {
-                    continue;
-                }
-                if suspect.load(Ordering::Relaxed) > now {
+            let peers = self.inner.peers();
+            for to in (0..peers.suspect.len()).filter(|&to| to != self.inner.id) {
+                if peers.suspect_at(to, now) {
                     call.coherent = false;
                 } else {
                     targets.push(to);
@@ -1610,7 +1490,7 @@ impl Reactor {
         if targets.is_empty() {
             return self.answer(call); // nobody reachable could be caching
         }
-        let packets: Vec<Packet> = call
+        call.invalidation = call
             .stored
             .iter()
             .map(|&i| {
@@ -1618,7 +1498,6 @@ impl Reactor {
                 Packet::invalidate(ack.id.clone())
             })
             .collect();
-        encode_packets(&packets, packets.len() > 1, &mut call.invalidation);
         call.outstanding = targets.len();
         let key = self.calls.park(call);
         for to in targets {
@@ -1661,15 +1540,7 @@ impl Reactor {
         else {
             return;
         };
-        if conn.scratch.capacity() > 0 {
-            self.inner
-                .counters
-                .encode_buf_reuses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        frame_into(&mut conn.scratch, origin.corr, |out| {
-            encode_packets(replies, batch, out);
-        });
+        conn.encode_call(&self.inner.counters, origin.corr, replies, batch);
         if conn.outq.send(&mut conn.stream, &conn.scratch).is_err() {
             self.close_conn(origin.slot);
         }
@@ -1677,8 +1548,9 @@ impl Reactor {
 
     /// Runs what handlers deferred to keep themselves non-reentrant:
     /// orphaned continuations get their one resend (or fail), and
-    /// connections answered from another connection's event resume
-    /// their plain queue and reconcile their poller interest.
+    /// connections answered from another connection's event reconcile
+    /// their poller interest (and close, if they were only waiting for
+    /// that answer).
     fn settle_deferred(&mut self) {
         loop {
             if let Some((corr, established)) = self.orphans.pop() {
@@ -1699,8 +1571,7 @@ impl Reactor {
                     }
                 }
             } else if let Some(slot) = self.touched.pop() {
-                let outcome = self.pump_plain(slot);
-                self.settle(slot, outcome);
+                self.settle(slot, Ok(()));
             } else {
                 return;
             }
@@ -1746,12 +1617,8 @@ impl Reactor {
         }
         // A half-closed connection ends once everything it asked for has
         // been answered and written; a link ends with its peer's EOF.
-        let settled = match &conn.proto {
-            Protocol::Plain { queued } => queued.is_empty(),
-            _ => true,
-        };
         let link = matches!(conn.proto, Protocol::Link { .. });
-        if conn.eof && (link || (settled && conn.outq.is_empty() && conn.inflight == 0)) {
+        if conn.eof && (link || (conn.outq.is_empty() && conn.inflight == 0)) {
             self.close_conn(slot);
         }
     }
@@ -1779,14 +1646,7 @@ impl Reactor {
         };
         // A dead link orphans exactly the continuations it carried.
         self.links[peer] = None;
-        let peers = self
-            .inner
-            .peers
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(flag) = peers.connected.get(peer) {
-            flag.store(false, Ordering::Relaxed);
-        }
+        self.inner.peers().set_connected(peer, false);
         self.orphans.extend(
             self.parked
                 .iter()
@@ -1828,6 +1688,21 @@ impl Inner {
         }
     }
 
+    /// Counts and logs a protocol violation by the dialer at `peer` —
+    /// the error closes its connection, and nothing is answered: there
+    /// is no guessing at what it speaks.
+    fn violation(&self, peer: SocketAddr, what: &dyn std::fmt::Display) -> io::Error {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        self.log(&format!("protocol violation from {peer}: {what}"));
+        io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+    }
+
+    /// The peer table, for reading. (A poisoned lock is recovered: the
+    /// table holds plain data and atomics.)
+    fn peers(&self) -> RwLockReadGuard<'_, PeerTable> {
+        self.peers.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current forwarding-plane snapshot.
     fn plane(&self) -> Arc<SwitchDataplane> {
         Arc::clone(&self.plane.read().unwrap_or_else(PoisonError::into_inner))
@@ -1846,7 +1721,7 @@ impl Inner {
         let now = self.now_ms();
         let expiry =
             now.saturating_add(u64::try_from(self.cfg.suspect_ttl.as_millis()).unwrap_or(u64::MAX));
-        let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
+        let peers = self.peers();
         if let Some(stamp) = peers.suspect.get(peer) {
             let prev = stamp.swap(expiry.max(1), Ordering::Relaxed);
             if prev <= now {
@@ -1861,7 +1736,7 @@ impl Inner {
 
     fn clear_suspect(&self, peer: usize) {
         let now = self.now_ms();
-        let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
+        let peers = self.peers();
         if let Some(stamp) = peers.suspect.get(peer) {
             let prev = stamp.swap(0, Ordering::Relaxed);
             if prev > now {
@@ -1896,7 +1771,7 @@ impl Inner {
     fn wire_snapshot(&self) -> StatsSnapshot {
         let now = self.now_ms();
         let links = {
-            let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
+            let peers = self.peers();
             (0..peers.addrs.len())
                 .filter(|&peer| peer != self.id)
                 .map(|peer| LinkStats {
@@ -2030,13 +1905,8 @@ impl Inner {
         }
         let (decision, detoured) = {
             let now = self.now_ms();
-            let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
-            let alive = |n: usize| {
-                peers
-                    .suspect
-                    .get(n)
-                    .is_none_or(|s| s.load(Ordering::Relaxed) <= now)
-            };
+            let peers = self.peers();
+            let alive = |n: usize| !peers.suspect_at(n, now);
             plane.decide_avoiding(packet.position, &packet.id, &alive)
         };
         if detoured {
@@ -2270,7 +2140,7 @@ impl Inner {
         self.counters
             .link_reconnects
             .fetch_add(1, Ordering::Relaxed);
-        let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
+        let peers = self.peers();
         if let Some(slot) = peers.reconnects.get(to) {
             slot.fetch_add(1, Ordering::Relaxed);
         }
@@ -2311,7 +2181,6 @@ fn degrade_ack(resp: &mut Packet) {
 pub(crate) mod tests {
     use super::*;
     use crate::client::ClientConfig;
-    use crate::frame::encode_frame;
     use crate::pipelined::{Framing, PipeConn, PIPELINE_CHUNK};
     use gred_dataplane::NeighborEntry;
     use gred_geometry::Point2;
@@ -2367,13 +2236,11 @@ pub(crate) mod tests {
             };
             decoder.feed(&buf[..n]);
             while let Some(body) = decoder.next_frame().unwrap() {
-                let (corr, payload) = frame::split_mux(&body).unwrap();
-                for (corr, response) in answer(corr, wire::parse_bytes(&payload).unwrap()) {
-                    let mut out = Vec::new();
-                    frame_into(&mut out, Some(corr), |out| {
-                        wire::encode_into(&response, out)
-                    });
-                    stream.write_all(&out).unwrap();
+                let (corr, Body::One(request)) = frame::read_call(&body).unwrap() else {
+                    panic!("the forwarder sends single packets");
+                };
+                for (corr, response) in answer(corr, request) {
+                    stream.write_all(&call(corr, &response)).unwrap();
                 }
             }
         }
@@ -2391,12 +2258,28 @@ pub(crate) mod tests {
         });
     }
 
+    /// One bare call frame carrying `packet` under `corr`.
+    fn call(corr: u64, packet: &Packet) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame::write_call(&mut out, corr, std::slice::from_ref(packet), false);
+        out
+    }
+
+    /// What a dialer opens with: the hello, then `packet` as its first
+    /// call.
+    fn hello(packet: &Packet) -> Vec<u8> {
+        [&MUX_PREAMBLE[..], &call(1, packet)].concat()
+    }
+
     fn read_reply(stream: &mut TcpStream) -> Packet {
         let mut decoder = FrameDecoder::new();
         let mut buf = [0u8; 4096];
         loop {
             if let Some(body) = decoder.next_frame().unwrap() {
-                return wire::parse(&body).unwrap();
+                let (_, Body::One(reply)) = frame::read_call(&body).unwrap() else {
+                    panic!("a bare request is answered bare");
+                };
+                return reply;
             }
             let n = stream.read(&mut buf).unwrap();
             assert_ne!(n, 0, "node closed the connection without responding");
@@ -2406,9 +2289,7 @@ pub(crate) mod tests {
 
     pub(crate) fn roundtrip(addr: SocketAddr, packet: &Packet) -> Packet {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(&encode_frame(&wire::encode(packet)))
-            .unwrap();
+        stream.write_all(&hello(packet)).unwrap();
         read_reply(&mut stream)
     }
 
@@ -2437,6 +2318,50 @@ pub(crate) mod tests {
         assert_eq!(report.stored_items, 1);
         assert_eq!(report.workers_joined, 1, "the reactor is the whole node");
         assert_eq!(report.hot.frames_decoded, 3);
+    }
+
+    #[test]
+    fn a_dialer_without_the_preamble_is_closed_not_served() {
+        let mut node = spawn_single(1);
+        // What the retired plain protocol opened with: a bare
+        // length-prefixed `Retrieval` frame.
+        let mut stranger = TcpStream::connect(node.addr()).unwrap();
+        let bare = crate::frame::encode_frame(&gred_dataplane::encode(&Packet::retrieval(
+            DataId::new("k"),
+        )));
+        stranger.write_all(&bare).unwrap();
+        let mut answer = Vec::new();
+        // A reset is as closed as a FIN; what matters is that no byte
+        // was ever sent back.
+        let _ = stranger.read_to_end(&mut answer);
+        assert!(answer.is_empty(), "the node answered {answer:?}");
+        while node.open_connections() != 0 {
+            thread::yield_now();
+        }
+        // The node itself is unharmed: the next dialer that says hello
+        // is served.
+        let reply = roundtrip(node.addr(), &Packet::retrieval(DataId::new("k")));
+        assert_eq!(reply.status, ResponseStatus::NotFound);
+        let report = node.shutdown();
+        assert_eq!(report.errors, 1, "the refusal is counted");
+        assert_eq!(report.requests, 1, "only the second dialer was served");
+    }
+
+    #[test]
+    fn a_preamble_split_across_four_writes_is_accepted() {
+        let mut node = spawn_single(1);
+        let mut stream = TcpStream::connect(node.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for byte in MUX_PREAMBLE {
+            stream.write_all(&[byte]).unwrap();
+            thread::sleep(Duration::from_millis(2)); // one segment each
+        }
+        stream
+            .write_all(&call(9, &Packet::retrieval(DataId::new("k"))))
+            .unwrap();
+        assert_eq!(read_reply(&mut stream).status, ResponseStatus::NotFound);
+        let report = node.shutdown();
+        assert_eq!((report.requests, report.errors), (1, 0));
     }
 
     #[test]
@@ -2559,40 +2484,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn plain_batch_frame_answers_every_packet_in_order() {
-        let mut node = spawn_single(2);
-        let requests = vec![
-            Packet::placement(DataId::new("batch/a"), b"va".as_ref()),
-            Packet::placement(DataId::new("batch/b"), b"vb".as_ref()),
-            Packet::retrieval(DataId::new("batch/a")),
-            Packet::retrieval(DataId::new("absent")),
-        ];
-        let mut stream = TcpStream::connect(node.addr()).unwrap();
-        let mut body = Vec::new();
-        wire::encode_batch_into(&requests, &mut body);
-        stream.write_all(&encode_frame(&body)).unwrap();
-        let mut decoder = FrameDecoder::new();
-        let mut buf = [0u8; 4096];
-        let replies = loop {
-            if let Some(frame_body) = decoder.next_frame().unwrap() {
-                break wire::parse_batch_bytes(&frame_body).unwrap();
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert_ne!(n, 0, "node closed without responding");
-            decoder.feed(&buf[..n]);
-        };
-        assert_eq!(replies.len(), 4, "one response per request, in order");
-        assert_eq!(replies[0].status, gred_dataplane::ResponseStatus::Ok);
-        assert_eq!(replies[1].status, gred_dataplane::ResponseStatus::Ok);
-        assert_eq!(replies[2].payload.as_ref(), b"va");
-        assert_eq!(replies[3].status, gred_dataplane::ResponseStatus::NotFound);
-        let report = node.shutdown();
-        assert_eq!(report.requests, 4, "each batched packet counts once");
-        assert_eq!(report.stored_items, 2);
-        assert_eq!(report.errors, 0);
-    }
-
-    #[test]
     fn mux_batch_call_round_trips_through_a_node() {
         let mut node = spawn_single(1);
         let mut link = PipeConn::connect(node.addr(), &ClientConfig::default()).unwrap();
@@ -2625,8 +2516,30 @@ pub(crate) mod tests {
             assert_eq!(reply.id, gets[i].id, "responses keep request order");
             assert_eq!(reply.payload.as_ref(), format!("v{i}").as_bytes());
         }
+        // Inside one container the packets are served in order: a read
+        // sees the write ahead of it, and a miss keeps its place.
+        let mixed = vec![
+            Packet::placement(DataId::new("batch/a"), b"va".as_ref()),
+            Packet::placement(DataId::new("batch/b"), b"vb".as_ref()),
+            Packet::retrieval(DataId::new("batch/a")),
+            Packet::retrieval(DataId::new("absent")),
+        ];
+        let replies = link
+            .exchange(
+                &mixed,
+                Framing::Batch(PIPELINE_CHUNK),
+                PacketKind::RetrievalResponse,
+                Duration::from_secs(5),
+            )
+            .unwrap();
+        assert_eq!(replies.len(), 4, "one response per request, in order");
+        assert_eq!(replies[0].status, gred_dataplane::ResponseStatus::Ok);
+        assert_eq!(replies[1].status, gred_dataplane::ResponseStatus::Ok);
+        assert_eq!(replies[2].payload.as_ref(), b"va");
+        assert_eq!(replies[3].status, gred_dataplane::ResponseStatus::NotFound);
         let report = node.shutdown();
-        assert_eq!(report.requests, 10);
+        assert_eq!(report.requests, 14, "each batched packet counts once");
+        assert_eq!(report.stored_items, 7);
         assert_eq!(report.errors, 0);
     }
 
@@ -2721,7 +2634,7 @@ pub(crate) mod tests {
         with_peer(owner, |peer_addr| {
             let mut node = forwarder(peer_addr, test_config());
             let mut first = TcpStream::connect(node.addr()).unwrap();
-            let read = encode_frame(&wire::encode(&Packet::retrieval(DataId::new("k"))));
+            let read = hello(&Packet::retrieval(DataId::new("k")));
             first.write_all(&read).unwrap();
             while node.parked_continuations() == 0 {
                 thread::yield_now();
@@ -2768,11 +2681,7 @@ pub(crate) mod tests {
             // frame by frame), then kills that connection with a framing
             // violation (an oversized length prefix).
             let mut doomed = TcpStream::connect(node.addr()).unwrap();
-            let mut bytes = MUX_PREAMBLE.to_vec();
-            let mut request = Vec::new();
-            let read = Packet::retrieval(DataId::new("doomed"));
-            frame_into(&mut request, Some(7), |out| wire::encode_into(&read, out));
-            bytes.extend_from_slice(&request);
+            let mut bytes = hello(&Packet::retrieval(DataId::new("doomed")));
             bytes.extend_from_slice(&u32::MAX.to_be_bytes());
             doomed.write_all(&bytes).unwrap();
             while node.parked_continuations() == 0 || node.open_connections() != 0 {
@@ -2790,7 +2699,7 @@ pub(crate) mod tests {
             }
             // The late completion died by generation: the heir reads only
             // the answer to its own request, never the doomed one's.
-            let own = encode_frame(&wire::encode(&Packet::retrieval(DataId::new("heir"))));
+            let own = hello(&Packet::retrieval(DataId::new("heir")));
             heir.write_all(&own).unwrap();
             release.send(()).unwrap();
             let reply = read_reply(&mut heir);
@@ -2825,16 +2734,13 @@ pub(crate) mod tests {
                     break body;
                 }
             };
-            let (corr, request) = frame::split_mux(&body).unwrap();
-            let request = wire::parse_bytes(&request).unwrap();
+            let (corr, Body::One(request)) = frame::read_call(&body).unwrap() else {
+                panic!("the forwarder sends single packets");
+            };
             // The response leaves through the worst sink there is — one
             // byte accepted, one write refused, forever — and reaches
             // the node one byte per segment.
-            let mut out = Vec::new();
-            let response = Packet::response(request.id, payload);
-            frame_into(&mut out, Some(corr), |out| {
-                wire::encode_into(&response, out)
-            });
+            let out = call(corr, &Packet::response(request.id, payload));
             let mut queue = WriteQueue::new();
             let mut sink = Throttled::new(1);
             queue.send(&mut sink, &out).unwrap();

@@ -247,18 +247,25 @@ mod tests {
     }
 
     // Wire round-trip properties for the observability opcodes: every
-    // Stats/Admin packet must survive encode → length-prefixed framing →
-    // byte-at-a-time FrameDecoder reassembly → parse byte-exact, both
-    // standalone and batched under a GB container. This is the property
+    // Stats/Admin packet must survive `write_call` → byte-at-a-time
+    // FrameDecoder reassembly → `read_call` byte-exact, both as a bare
+    // packet and batched under a GB container. This is the property
     // the scrape path depends on when replies arrive fragmented.
     mod wire_props {
-        use crate::frame::{encode_frame, FrameDecoder};
+        use crate::frame::{read_call, write_call, Body, FrameDecoder};
         use bytes::Bytes;
         use gred_dataplane::obs::{AdminOp, LinkStats, StatsSnapshot};
         use gred_dataplane::packet::Packet;
         use gred_dataplane::stats::NodeHotStats;
-        use gred_dataplane::wire;
         use proptest::prelude::*;
+
+        /// Ships `packets` as one call frame under `corr` through
+        /// 1-byte reassembly and returns what the reader makes of it.
+        fn round_trip(corr: u64, packets: &[Packet], batch: bool) -> (u64, Body) {
+            let mut frame = Vec::new();
+            write_call(&mut frame, corr, packets, batch);
+            read_call(&reassemble_one_byte_at_a_time(&frame)).unwrap()
+        }
 
         /// Reassembles `frame` by feeding the decoder one byte at a
         /// time, asserting no frame surfaces before the last byte.
@@ -354,11 +361,9 @@ mod tests {
             ) {
                 let snap = build_snapshot(switch, &h, &links, queued, conns);
                 let packet = Packet::stats_response(snap.encode());
-                let frame = encode_frame(&wire::encode(&packet));
-                let body = reassemble_one_byte_at_a_time(&frame);
-                let parsed = wire::parse_bytes(&body).unwrap();
-                prop_assert_eq!(&parsed, &packet);
-                let decoded = StatsSnapshot::decode(&parsed.payload).unwrap();
+                let parsed = round_trip(queued, std::slice::from_ref(&packet), false);
+                prop_assert_eq!(&parsed, &(queued, Body::One(packet)));
+                let decoded = StatsSnapshot::decode(&parsed.1.into_vec()[0].payload).unwrap();
                 prop_assert_eq!(decoded, snap);
             }
 
@@ -372,11 +377,10 @@ mod tests {
             ) {
                 let op = build_admin_op(tag, switch, neighbors, capacities);
                 let packet = Packet::admin_request(op.encode());
-                let frame = encode_frame(&wire::encode(&packet));
-                let body = reassemble_one_byte_at_a_time(&frame);
-                let parsed = wire::parse_bytes(&body).unwrap();
-                prop_assert_eq!(&parsed, &packet);
-                let decoded = AdminOp::decode(&parsed.payload).unwrap();
+                let corr = u64::from(switch);
+                let parsed = round_trip(corr, std::slice::from_ref(&packet), false);
+                prop_assert_eq!(&parsed, &(corr, Body::One(packet)));
+                let decoded = AdminOp::decode(&parsed.1.into_vec()[0].payload).unwrap();
                 prop_assert_eq!(decoded, op);
             }
 
@@ -399,13 +403,8 @@ mod tests {
                     Packet::admin_response(text.clone()),
                     Packet::admin_error(text),
                 ];
-                let mut batch = Vec::new();
-                wire::encode_batch_into(&packets, &mut batch);
-                let frame = encode_frame(&batch);
-                let body = reassemble_one_byte_at_a_time(&frame);
-                prop_assert_eq!(body.as_ref(), &batch[..]);
-                let parsed = wire::parse_batch_bytes(&body).unwrap();
-                prop_assert_eq!(parsed, packets);
+                let parsed = round_trip(h[3], &packets, true);
+                prop_assert_eq!(parsed, (h[3], Body::Many(packets)));
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use crate::client::{ClientConfig, ClientError};
 use crate::frame::{self, FrameDecoder};
-use gred_dataplane::{wire, Packet, PacketKind};
+use gred_dataplane::{Packet, PacketKind};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -102,14 +102,7 @@ impl PipeConn {
         for (index, group) in packets.chunks(chunk).enumerate() {
             let corr = self.next_corr;
             self.next_corr += 1;
-            let at = frame::begin_frame(&mut self.scratch);
-            self.scratch.extend_from_slice(&corr.to_be_bytes());
-            if batch {
-                wire::encode_batch_into(group, &mut self.scratch);
-            } else {
-                wire::encode_into(&group[0], &mut self.scratch);
-            }
-            frame::finish_frame(&mut self.scratch, at);
+            frame::write_call(&mut self.scratch, corr, group, batch);
             inflight.push((corr, index * chunk, group.len()));
         }
         let sent = self.stream.write_all(&self.scratch);
@@ -125,12 +118,9 @@ impl PipeConn {
         let mut buf = [0u8; 64 * 1024];
         loop {
             while let Some(body) = self.decoder.next_frame().map_err(ClientError::Frame)? {
-                let Some((corr, payload)) = frame::split_mux(&body) else {
-                    return Err(ClientError::Io {
-                        context: "demultiplexing a response",
-                        kind: io::ErrorKind::InvalidData,
-                    });
-                };
+                // Zero-copy: response payloads are views of the frame
+                // body, not further allocations.
+                let (corr, responses) = frame::read_call(&body).map_err(ClientError::Protocol)?;
                 // No in-flight frame owns this id: it is the late answer
                 // to an abandoned (timed-out) call. Dropping it here is
                 // what keeps the connection in sync across a timeout.
@@ -138,14 +128,7 @@ impl PipeConn {
                     continue;
                 };
                 let (_, start, len) = inflight.swap_remove(slot);
-                // Zero-copy: response payloads are views of the frame
-                // body, not further allocations.
-                let responses = if batch {
-                    wire::parse_batch_bytes(&payload)
-                } else {
-                    wire::parse_bytes(&payload).map(|response| vec![response])
-                }
-                .map_err(ClientError::Protocol)?;
+                let responses = responses.into_vec();
                 if responses.len() != len {
                     return Err(ClientError::Io {
                         context: "matching a batch response to its requests",
@@ -216,12 +199,8 @@ mod tests {
             assert!(read > 0, "client hung up before sending {n} frames");
             decoder.feed(&buf[..read]);
             while let Some(body) = decoder.next_frame().expect("well-framed request") {
-                let (corr, payload) = frame::split_mux(&body).expect("correlated request");
-                let packets = if wire::is_batch(&payload) {
-                    wire::parse_batch_bytes(&payload).expect("batch request")
-                } else {
-                    vec![wire::parse_bytes(&payload).expect("bare request")]
-                };
+                let (corr, packets) = frame::read_call(&body).expect("a call frame");
+                let packets = packets.into_vec();
                 frames.push((corr, packets));
             }
         }
@@ -232,14 +211,7 @@ mod tests {
     /// or the one bare packet when the request was `bare`.
     fn write_responses(stream: &mut TcpStream, corr: u64, responses: &[Packet], bare: bool) {
         let mut out = Vec::new();
-        let at = frame::begin_frame(&mut out);
-        out.extend_from_slice(&corr.to_be_bytes());
-        if bare {
-            wire::encode_into(&responses[0], &mut out);
-        } else {
-            wire::encode_batch_into(responses, &mut out);
-        }
-        frame::finish_frame(&mut out, at);
+        frame::write_call(&mut out, corr, responses, !bare);
         stream.write_all(&out).expect("response frame sends");
     }
 

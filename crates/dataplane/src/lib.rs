@@ -9,6 +9,8 @@
 //! `<sour, pred, succ, dest>`, and range-extension rewrites (paper
 //! Tables I/II). We reproduce that machinery in software:
 //!
+//! - [`cursor`]: the one bounds-checked big-endian cursor every decoder
+//!   reads through, and the one [`DecodeError`] they all fail with,
 //! - [`packet`]: GRED packet headers (placement/retrieval/response tags,
 //!   data id and virtual position, virtual-link relay header, payload),
 //! - [`table`]: a generic exact-match match-action table with entry
@@ -28,6 +30,7 @@
 //! depends on this forwarding logic, not on ASIC timing, so a faithful
 //! software pipeline reproduces the paper's data-plane results.
 
+pub mod cursor;
 pub mod entries;
 pub mod obs;
 pub mod packet;
@@ -38,6 +41,7 @@ pub mod switch;
 pub mod table;
 pub mod wire;
 
+pub use cursor::{Cursor, DecodeError};
 pub use entries::{DtTuple, ExtensionEntry, NeighborEntry};
 pub use obs::{AdminOp, LinkStats, StatsSnapshot};
 pub use packet::{Packet, PacketKind, RelayHeader, ResponseStatus};
@@ -46,4 +50,4 @@ pub use relay::RelayTable;
 pub use stats::{NodeHotStats, TableStats};
 pub use switch::{ForwardDecision, SwitchDataplane};
 pub use table::MatchActionTable;
-pub use wire::{encode, encode_into, parse, parse_bytes, ParseError};
+pub use wire::{encode, encode_into, parse, parse_bytes};

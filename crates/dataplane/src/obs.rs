@@ -4,102 +4,29 @@
 //! The wire layer ([`crate::wire`]) only moves opaque payload bytes;
 //! this module defines what those bytes *are* for the `Stats`/`Admin`
 //! packet kinds. Both codecs are versioned, big-endian, and total: a
-//! decoder either reproduces the encoded value byte-exactly or returns
-//! a [`CodecError`] — never a panic — because scrape responses cross
-//! trust boundaries exactly like data packets.
+//! decoder reads through the crate's one [`Cursor`] and either
+//! reproduces the encoded value byte-exactly or returns a
+//! [`DecodeError`] — never a panic, never a reservation sized by a
+//! count field alone — because scrape responses cross trust boundaries
+//! exactly like data packets.
 //!
 //! A [`StatsSnapshot`] is assembled by the node reactor *inline* (no
 //! dispatch-pool hop, no lock waits — see the node's inline-serve
 //! guarantee) and therefore only carries quantities readable from
 //! atomics, gauges, and try-locks.
 
+use crate::cursor::{Cursor, DecodeError};
 use crate::stats::NodeHotStats;
 
 /// Codec version for [`StatsSnapshot`] and [`AdminOp`] payloads.
 const OBS_VERSION: u8 = 1;
 
-/// Why an observability payload failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// Fewer bytes than the field being read requires.
-    Truncated,
-    /// Unsupported codec version byte.
-    BadVersion(u8),
-    /// Unknown admin-verb tag.
-    BadTag(u8),
-    /// Bytes remain after a complete value.
-    TrailingGarbage {
-        /// Number of unexpected trailing bytes.
-        extra: usize,
-    },
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "observability payload truncated"),
-            CodecError::BadVersion(v) => write!(f, "unsupported observability codec version {v}"),
-            CodecError::BadTag(t) => write!(f, "unknown admin verb tag {t}"),
-            CodecError::TrailingGarbage { extra } => {
-                write!(f, "{extra} trailing bytes after observability payload")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// A little big-endian cursor shared by both decoders.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, at: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        let b = *self.bytes.get(self.at).ok_or(CodecError::Truncated)?;
-        self.at += 1;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let s = self
-            .bytes
-            .get(self.at..self.at + 2)
-            .ok_or(CodecError::Truncated)?;
-        self.at += 2;
-        Ok(u16::from_be_bytes(s.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let s = self
-            .bytes
-            .get(self.at..self.at + 4)
-            .ok_or(CodecError::Truncated)?;
-        self.at += 4;
-        Ok(u32::from_be_bytes(s.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let s = self
-            .bytes
-            .get(self.at..self.at + 8)
-            .ok_or(CodecError::Truncated)?;
-        self.at += 8;
-        Ok(u64::from_be_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    fn finish(self) -> Result<(), CodecError> {
-        if self.at != self.bytes.len() {
-            return Err(CodecError::TrailingGarbage {
-                extra: self.bytes.len() - self.at,
-            });
-        }
-        Ok(())
+/// A cursor over `bytes` past the leading [`OBS_VERSION`] byte.
+fn versioned(bytes: &[u8]) -> Result<Cursor<'_>, DecodeError> {
+    let mut r = Cursor::new(bytes);
+    match r.u8()? {
+        OBS_VERSION => Ok(r),
+        other => Err(DecodeError::BadVersion(other)),
     }
 }
 
@@ -174,7 +101,7 @@ impl StatsSnapshot {
             self.links.len()
         );
         let mut out =
-            Vec::with_capacity(1 + 4 + 8 * 8 + 4 + 4 + 12 * 8 + 2 + self.links.len() * 21);
+            Vec::with_capacity(1 + 4 + 8 * 8 + 4 + 4 + 12 * 8 + 2 + self.links.len() * LINK_BYTES);
         out.push(OBS_VERSION);
         out.extend_from_slice(&self.switch.to_be_bytes());
         out.extend_from_slice(&self.uptime_ms.to_be_bytes());
@@ -205,14 +132,11 @@ impl StatsSnapshot {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] for truncated, over-long, or version-mismatched
+    /// [`DecodeError`] for truncated, over-long, or version-mismatched
     /// payloads.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != OBS_VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = versioned(bytes)?;
+        // (Field initialisers run in the order written: wire order.)
         let mut snap = StatsSnapshot {
             switch: r.u32()?,
             uptime_ms: r.u64()?,
@@ -226,20 +150,32 @@ impl StatsSnapshot {
             queued_bytes: r.u64()?,
             dispatch_workers: r.u32()?,
             table_rows: r.u64()?,
-            hot: NodeHotStats::default(),
+            hot: NodeHotStats {
+                oneshot_fallbacks: r.u64()?,
+                link_reconnects: r.u64()?,
+                store_shard_contention: r.u64()?,
+                frames_decoded: r.u64()?,
+                encode_buf_reuses: r.u64()?,
+                peers_suspected: r.u64()?,
+                detour_forwards: r.u64()?,
+                redirects_issued: r.u64()?,
+                cache_hits: r.u64()?,
+                cache_misses: r.u64()?,
+                cache_evictions: r.u64()?,
+                invalidations_rx: r.u64()?,
+            },
             links: Vec::new(),
         };
-        let mut hot = [0u64; HOT_FIELDS];
-        for field in &mut hot {
-            *field = r.u64()?;
-        }
-        snap.hot = hot_from_fields(&hot);
         let count = r.u16()? as usize;
-        snap.links.reserve(count);
+        snap.links.reserve(count.min(r.remaining() / LINK_BYTES));
         for _ in 0..count {
             snap.links.push(LinkStats {
                 peer: r.u32()?,
-                connected: r.u8()? != 0,
+                connected: match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    other => return Err(DecodeError::BadTag(other)),
+                },
                 suspect_ms_left: r.u64()?,
                 reconnects: r.u64()?,
             });
@@ -301,6 +237,9 @@ impl StatsSnapshot {
     }
 }
 
+/// Encoded size of one [`LinkStats`] row.
+const LINK_BYTES: usize = 4 + 1 + 8 + 8;
+
 /// Number of `u64` counters in [`NodeHotStats`].
 const HOT_FIELDS: usize = 12;
 
@@ -352,23 +291,6 @@ fn hot_fields(hot: &NodeHotStats) -> [u64; HOT_FIELDS] {
         cache_evictions,
         invalidations_rx,
     ]
-}
-
-fn hot_from_fields(fields: &[u64; HOT_FIELDS]) -> NodeHotStats {
-    NodeHotStats {
-        oneshot_fallbacks: fields[0],
-        link_reconnects: fields[1],
-        store_shard_contention: fields[2],
-        frames_decoded: fields[3],
-        encode_buf_reuses: fields[4],
-        peers_suspected: fields[5],
-        detour_forwards: fields[6],
-        redirects_issued: fields[7],
-        cache_hits: fields[8],
-        cache_misses: fields[9],
-        cache_evictions: fields[10],
-        invalidations_rx: fields[11],
-    }
 }
 
 /// An admin verb carried in an `Admin` packet payload.
@@ -466,14 +388,10 @@ impl AdminOp {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] for truncated payloads, unknown tags, or a
+    /// [`DecodeError`] for truncated payloads, unknown tags, or a
     /// version mismatch.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != OBS_VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = versioned(bytes)?;
         let op = match r.u8()? {
             TAG_PING => AdminOp::Ping,
             TAG_CRASH => AdminOp::Crash { switch: r.u32()? },
@@ -481,12 +399,12 @@ impl AdminOp {
             TAG_DRAIN => AdminOp::Drain,
             TAG_JOIN => {
                 let n = r.u16()? as usize;
-                let mut neighbors = Vec::with_capacity(n);
+                let mut neighbors = Vec::with_capacity(n.min(r.remaining() / 4));
                 for _ in 0..n {
                     neighbors.push(r.u32()?);
                 }
                 let c = r.u16()? as usize;
-                let mut capacities = Vec::with_capacity(c);
+                let mut capacities = Vec::with_capacity(c.min(r.remaining() / 8));
                 for _ in 0..c {
                     capacities.push(r.u64()?);
                 }
@@ -496,7 +414,7 @@ impl AdminOp {
                 }
             }
             TAG_LEAVE => AdminOp::Leave { switch: r.u32()? },
-            other => return Err(CodecError::BadTag(other)),
+            other => return Err(DecodeError::BadTag(other)),
         };
         r.finish()?;
         Ok(op)
@@ -593,11 +511,17 @@ mod tests {
         b.push(0xFF);
         assert_eq!(
             StatsSnapshot::decode(&b),
-            Err(CodecError::TrailingGarbage { extra: 1 })
+            Err(DecodeError::TrailingGarbage { extra: 1 })
         );
         let mut b = sample_snapshot().encode();
         b[0] = 9;
-        assert_eq!(StatsSnapshot::decode(&b), Err(CodecError::BadVersion(9)));
+        assert_eq!(StatsSnapshot::decode(&b), Err(DecodeError::BadVersion(9)));
+        // A boolean is 0 or 1: anything else would not re-encode to
+        // the bytes it was decoded from.
+        let mut b = sample_snapshot().encode();
+        let connected_at = b.len() - 2 * LINK_BYTES + 4;
+        b[connected_at] = 2;
+        assert_eq!(StatsSnapshot::decode(&b), Err(DecodeError::BadTag(2)));
     }
 
     #[test]
@@ -659,21 +583,22 @@ mod tests {
 
     #[test]
     fn admin_op_rejects_malformed_payloads() {
-        assert_eq!(AdminOp::decode(&[]), Err(CodecError::Truncated));
-        assert_eq!(AdminOp::decode(&[OBS_VERSION]), Err(CodecError::Truncated));
+        let truncated = |needed, have| Err(DecodeError::Truncated { needed, have });
+        assert_eq!(AdminOp::decode(&[]), truncated(1, 0));
+        assert_eq!(AdminOp::decode(&[OBS_VERSION]), truncated(2, 1));
         assert_eq!(
             AdminOp::decode(&[OBS_VERSION, 99]),
-            Err(CodecError::BadTag(99))
+            Err(DecodeError::BadTag(99))
         );
         assert_eq!(
             AdminOp::decode(&[7, TAG_PING]),
-            Err(CodecError::BadVersion(7))
+            Err(DecodeError::BadVersion(7))
         );
         let mut b = AdminOp::Ping.encode();
         b.push(0);
         assert_eq!(
             AdminOp::decode(&b),
-            Err(CodecError::TrailingGarbage { extra: 1 })
+            Err(DecodeError::TrailingGarbage { extra: 1 })
         );
         // Truncated mid-join.
         let full = AdminOp::Join {

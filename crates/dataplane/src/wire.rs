@@ -31,7 +31,13 @@
 //! routing abort on suspect peers (`Redirect`), and from a served-but-
 //! detoured delivery (`Degraded`); requests always travel with all
 //! status bits clear.
+//!
+//! Both parsers read through the crate's one bounds-checked
+//! [`Cursor`] and fail with its one [`DecodeError`]; a length or count
+//! field is the sender's claim and never sizes an allocation beyond
+//! what the bytes that arrived can hold.
 
+use crate::cursor::{Cursor, DecodeError};
 use crate::packet::{Packet, PacketKind, RelayHeader, ResponseStatus};
 use bytes::Bytes;
 use gred_geometry::Point2;
@@ -60,65 +66,6 @@ const STATUS_FLAGS: u8 = FLAG_NOT_FOUND | FLAG_ERROR | FLAG_REDIRECT | FLAG_DEGR
 /// Every flag bit this parser understands.
 const KNOWN_FLAGS: u8 = FLAG_RELAY | STATUS_FLAGS;
 
-/// Error produced by [`parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// Fewer bytes than the fixed header requires.
-    Truncated {
-        /// Bytes needed to continue parsing.
-        needed: usize,
-        /// Bytes actually available.
-        have: usize,
-    },
-    /// The first two bytes are not the GRED magic.
-    BadMagic,
-    /// Unsupported header version.
-    BadVersion(u8),
-    /// Unknown packet kind discriminant.
-    BadKind(u8),
-    /// Flags contain bits this parser does not understand.
-    UnknownFlags(u8),
-    /// Status flag bits are contradictory (both set) or set on a request
-    /// packet — only responses carry a status.
-    BadStatus {
-        /// The offending flag byte.
-        flags: u8,
-        /// The wire kind discriminant the status appeared on.
-        kind: u8,
-    },
-    /// A position coordinate is not finite.
-    BadPosition,
-    /// Bytes remain after a packet whose kind carries no payload
-    /// (retrieval requests): the buffer is corrupt or concatenated.
-    TrailingGarbage {
-        /// Number of unexpected trailing bytes.
-        extra: usize,
-    },
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::Truncated { needed, have } => {
-                write!(f, "packet truncated: need {needed} bytes, have {have}")
-            }
-            ParseError::BadMagic => write!(f, "missing GRED magic bytes"),
-            ParseError::BadVersion(v) => write!(f, "unsupported header version {v}"),
-            ParseError::BadKind(k) => write!(f, "unknown packet kind {k}"),
-            ParseError::UnknownFlags(b) => write!(f, "unknown flag bits {b:#010b}"),
-            ParseError::BadStatus { flags, kind } => {
-                write!(f, "invalid status flags {flags:#010b} on kind {kind}")
-            }
-            ParseError::BadPosition => write!(f, "non-finite virtual position"),
-            ParseError::TrailingGarbage { extra } => {
-                write!(f, "{extra} trailing bytes after a payload-less packet")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 fn kind_to_wire(kind: PacketKind) -> u8 {
     match kind {
         PacketKind::Placement => 0,
@@ -132,7 +79,7 @@ fn kind_to_wire(kind: PacketKind) -> u8 {
     }
 }
 
-fn kind_from_wire(b: u8) -> Result<PacketKind, ParseError> {
+fn kind_from_wire(b: u8) -> Result<PacketKind, DecodeError> {
     match b {
         0 => Ok(PacketKind::Placement),
         1 => Ok(PacketKind::Retrieval),
@@ -142,7 +89,7 @@ fn kind_from_wire(b: u8) -> Result<PacketKind, ParseError> {
         5 => Ok(PacketKind::StatsResponse),
         6 => Ok(PacketKind::Admin),
         7 => Ok(PacketKind::AdminResponse),
-        other => Err(ParseError::BadKind(other)),
+        other => Err(DecodeError::BadKind(other)),
     }
 }
 
@@ -206,146 +153,101 @@ pub fn encode_into(packet: &Packet, out: &mut Vec<u8>) {
     out.extend_from_slice(&packet.payload);
 }
 
+/// Parses a wire packet from a plain slice, copying it first — the
+/// convenience form of [`parse_bytes`] for callers that hold no
+/// [`Bytes`].
+///
+/// # Errors
+///
+/// Same conditions as [`parse_bytes`].
+pub fn parse(bytes: &[u8]) -> Result<Packet, DecodeError> {
+    parse_bytes(&Bytes::copy_from_slice(bytes))
+}
+
+/// Bytes of the fixed header: magic through the detour counter.
+const FIXED: usize = 2 + 1 + 1 + 1 + 2 + 8 + 8 + 2 + 2;
+
 /// Parses a wire packet — the software equivalent of the P4 programmable
-/// parser.
+/// parser. The payload is sliced out of `body` with **no copy**: every
+/// later holder of it (the node store, a forwarded packet, a response)
+/// shares the frame body's allocation.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] for truncated, malformed, or unsupported
+/// Returns a [`DecodeError`] for truncated, malformed, or unsupported
 /// packets.
-pub fn parse(bytes: &[u8]) -> Result<Packet, ParseError> {
-    let (mut packet, payload_at) = parse_header(bytes)?;
-    packet.payload = Bytes::copy_from_slice(&bytes[payload_at..]);
-    check_payload(&packet)?;
-    Ok(packet)
-}
-
-/// Parses a wire packet whose buffer is already reference-counted,
-/// slicing the payload out of `body` with **no copy** — every later
-/// holder of the payload (the node store, a forwarded packet, a
-/// response) shares the frame body's allocation.
-///
-/// # Errors
-///
-/// Same conditions as [`parse`].
-pub fn parse_bytes(body: &Bytes) -> Result<Packet, ParseError> {
-    let (mut packet, payload_at) = parse_header(body)?;
-    packet.payload = body.slice(payload_at..);
-    check_payload(&packet)?;
-    Ok(packet)
-}
-
-/// Retrieval requests, invalidation notices, and stats scrapes carry no
-/// payload, so anything past the id is not part of the packet — reject
-/// it instead of silently absorbing it.
-fn check_payload(packet: &Packet) -> Result<(), ParseError> {
-    let payload_free = matches!(
-        packet.kind,
-        PacketKind::Retrieval | PacketKind::Invalidate | PacketKind::Stats
-    );
-    if payload_free && !packet.payload.is_empty() {
-        return Err(ParseError::TrailingGarbage {
-            extra: packet.payload.len(),
-        });
+pub fn parse_bytes(body: &Bytes) -> Result<Packet, DecodeError> {
+    let mut r = Cursor::new(body);
+    // The fixed header is checked for length as a whole, so a short
+    // input is `Truncated` whatever its first bytes are.
+    let mut fixed = Cursor::new(r.take(FIXED)?);
+    if fixed.take(2)? != MAGIC {
+        return Err(DecodeError::BadMagic);
     }
-    Ok(())
-}
-
-/// Parses everything up to the payload, returning the packet (with an
-/// empty payload) and the offset where the payload starts.
-fn parse_header(bytes: &[u8]) -> Result<(Packet, usize), ParseError> {
-    const FIXED: usize = 2 + 1 + 1 + 1 + 2 + 8 + 8 + 2 + 2; // through detours
-    if bytes.len() < FIXED {
-        return Err(ParseError::Truncated {
-            needed: FIXED,
-            have: bytes.len(),
-        });
+    let version = fixed.u8()?;
+    if version != VERSION {
+        return Err(DecodeError::BadVersion(version));
     }
-    if bytes[0..2] != MAGIC {
-        return Err(ParseError::BadMagic);
-    }
-    if bytes[2] != VERSION {
-        return Err(ParseError::BadVersion(bytes[2]));
-    }
-    let flags = bytes[3];
+    let flags = fixed.u8()?;
     if flags & !KNOWN_FLAGS != 0 {
-        return Err(ParseError::UnknownFlags(flags));
+        return Err(DecodeError::UnknownFlags(flags));
     }
-    let kind = kind_from_wire(bytes[4])?;
-    let status_bits = flags & STATUS_FLAGS;
-    if status_bits.count_ones() > 1 {
-        return Err(ParseError::BadStatus {
-            flags,
-            kind: bytes[4],
-        });
-    }
-    let status = match status_bits {
+    let wire_kind = fixed.u8()?;
+    let kind = kind_from_wire(wire_kind)?;
+    let bad_status = DecodeError::BadStatus {
+        flags,
+        kind: wire_kind,
+    };
+    let status = match flags & STATUS_FLAGS {
         0 => ResponseStatus::Ok,
         FLAG_NOT_FOUND => ResponseStatus::NotFound,
         FLAG_ERROR => ResponseStatus::Error,
         FLAG_REDIRECT => ResponseStatus::Redirect,
-        _ => ResponseStatus::Degraded,
+        FLAG_DEGRADED => ResponseStatus::Degraded,
+        _ => return Err(bad_status),
     };
     // A status is a response property; a tagged request is corrupt.
     if status != ResponseStatus::Ok && !kind.is_response() {
-        return Err(ParseError::BadStatus {
-            flags,
-            kind: bytes[4],
-        });
+        return Err(bad_status);
     }
-    let id_len = u16::from_be_bytes([bytes[5], bytes[6]]) as usize;
-    let x = f64::from_be_bytes(bytes[7..15].try_into().expect("8 bytes"));
-    let y = f64::from_be_bytes(bytes[15..23].try_into().expect("8 bytes"));
+    let id_len = fixed.u16()? as usize;
+    let (x, y) = (fixed.f64()?, fixed.f64()?);
     if !x.is_finite() || !y.is_finite() {
-        return Err(ParseError::BadPosition);
+        return Err(DecodeError::BadPosition);
     }
-    let hops = u16::from_be_bytes([bytes[23], bytes[24]]);
-    let detours = u16::from_be_bytes([bytes[25], bytes[26]]);
+    let (hops, detours) = (fixed.u16()?, fixed.u16()?);
 
-    let mut offset = FIXED;
     let relay = if flags & FLAG_RELAY != 0 {
-        if bytes.len() < offset + 12 {
-            return Err(ParseError::Truncated {
-                needed: offset + 12,
-                have: bytes.len(),
-            });
-        }
-        let dest = u32::from_be_bytes(bytes[offset..offset + 4].try_into().expect("4")) as usize;
-        let sour =
-            u32::from_be_bytes(bytes[offset + 4..offset + 8].try_into().expect("4")) as usize;
-        let relay_sw =
-            u32::from_be_bytes(bytes[offset + 8..offset + 12].try_into().expect("4")) as usize;
-        offset += 12;
+        let mut header = Cursor::new(r.take(12)?);
         Some(RelayHeader {
-            dest,
-            sour,
-            relay: relay_sw,
+            dest: header.u32()? as usize,
+            sour: header.u32()? as usize,
+            relay: header.u32()? as usize,
         })
     } else {
         None
     };
-
-    if bytes.len() < offset + id_len {
-        return Err(ParseError::Truncated {
-            needed: offset + id_len,
-            have: bytes.len(),
-        });
+    let id = DataId::from_bytes(r.take(id_len)?.to_vec());
+    let payload_at = r.position();
+    // Retrieval requests, invalidation notices, and stats scrapes carry
+    // no payload, so anything past the id is not part of the packet —
+    // reject it instead of silently absorbing it.
+    if matches!(
+        kind,
+        PacketKind::Retrieval | PacketKind::Invalidate | PacketKind::Stats
+    ) {
+        r.finish()?;
     }
-    let id = DataId::from_bytes(bytes[offset..offset + id_len].to_vec());
-
-    Ok((
-        Packet {
-            kind,
-            id,
-            position: Point2::new(x, y),
-            relay,
-            status,
-            hops,
-            detours,
-            payload: Bytes::new(),
-        },
-        offset + id_len,
-    ))
+    Ok(Packet {
+        kind,
+        id,
+        position: Point2::new(x, y),
+        relay,
+        status,
+        hops,
+        detours,
+        payload: body.slice(payload_at..),
+    })
 }
 
 /// Whether `bytes` starts with the batch-container magic — the sniff a
@@ -396,52 +298,31 @@ pub fn encode_batch_into(packets: &[Packet], out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// [`ParseError::BadMagic`]/[`ParseError::BadVersion`] for a corrupt
-/// container header, [`ParseError::Truncated`] when the advertised
-/// packet lengths overrun the body, [`ParseError::TrailingGarbage`] for
+/// [`DecodeError::BadMagic`]/[`DecodeError::BadVersion`] for a corrupt
+/// container header, [`DecodeError::Truncated`] when the advertised
+/// packet lengths overrun the body, [`DecodeError::TrailingGarbage`] for
 /// bytes past the last packet, and any per-packet parse error as-is.
-pub fn parse_batch_bytes(body: &Bytes) -> Result<Vec<Packet>, ParseError> {
-    const HEADER: usize = 2 + 1 + 2;
-    if body.len() < HEADER {
-        return Err(ParseError::Truncated {
-            needed: HEADER,
-            have: body.len(),
-        });
+pub fn parse_batch_bytes(body: &Bytes) -> Result<Vec<Packet>, DecodeError> {
+    let mut r = Cursor::new(body);
+    let mut header = Cursor::new(r.take(2 + 1 + 2)?);
+    if header.take(2)? != BATCH_MAGIC {
+        return Err(DecodeError::BadMagic);
     }
-    if body[0..2] != BATCH_MAGIC {
-        return Err(ParseError::BadMagic);
+    let version = header.u8()?;
+    if version != VERSION {
+        return Err(DecodeError::BadVersion(version));
     }
-    if body[2] != VERSION {
-        return Err(ParseError::BadVersion(body[2]));
-    }
-    let count = u16::from_be_bytes([body[3], body[4]]) as usize;
-    let mut packets = Vec::with_capacity(count);
-    let mut offset = HEADER;
+    let count = header.u16()? as usize;
+    // The count is the sender's claim: reserve only for as many
+    // packets as the bytes that actually arrived could hold.
+    let mut packets = Vec::with_capacity(count.min(r.remaining() / (4 + FIXED)));
     for _ in 0..count {
-        if body.len() < offset + 4 {
-            return Err(ParseError::Truncated {
-                needed: offset + 4,
-                have: body.len(),
-            });
-        }
-        let len =
-            u32::from_be_bytes(body[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        offset += 4;
-        if body.len() < offset + len {
-            return Err(ParseError::Truncated {
-                needed: offset + len,
-                have: body.len(),
-            });
-        }
-        let slice = body.slice(offset..offset + len);
-        packets.push(parse_bytes(&slice)?);
-        offset += len;
+        let len = r.u32()? as usize;
+        let at = r.position();
+        r.take(len)?;
+        packets.push(parse_bytes(&body.slice(at..at + len))?);
     }
-    if offset != body.len() {
-        return Err(ParseError::TrailingGarbage {
-            extra: body.len() - offset,
-        });
-    }
+    r.finish()?;
     Ok(packets)
 }
 
@@ -550,7 +431,7 @@ mod tests {
     fn conflicting_status_bits_rejected() {
         let mut b = encode(&Packet::response(DataId::new("k"), b"v".as_ref()));
         b[3] = 0b0000_0110; // NotFound and Error both set
-        assert!(matches!(parse(&b), Err(ParseError::BadStatus { .. })));
+        assert!(matches!(parse(&b), Err(DecodeError::BadStatus { .. })));
     }
 
     #[test]
@@ -565,7 +446,7 @@ mod tests {
             let mut b = encode(&mk);
             b[3] |= 0b0000_0010; // NotFound on a request
             assert!(
-                matches!(parse(&b), Err(ParseError::BadStatus { .. })),
+                matches!(parse(&b), Err(DecodeError::BadStatus { .. })),
                 "{mk:?}"
             );
         }
@@ -596,7 +477,7 @@ mod tests {
         for len in 0..full.len() {
             let r = parse(&full[..len]);
             assert!(
-                matches!(r, Err(ParseError::Truncated { .. })) || r.is_err(),
+                matches!(r, Err(DecodeError::Truncated { .. })) || r.is_err(),
                 "prefix of {len} bytes must not parse"
             );
         }
@@ -607,41 +488,41 @@ mod tests {
     fn bad_magic_version_kind_flags() {
         let mut b = encode(&sample());
         b[0] = b'X';
-        assert_eq!(parse(&b), Err(ParseError::BadMagic));
+        assert_eq!(parse(&b), Err(DecodeError::BadMagic));
 
         let mut b = encode(&sample());
         b[2] = 9;
-        assert_eq!(parse(&b), Err(ParseError::BadVersion(9)));
+        assert_eq!(parse(&b), Err(DecodeError::BadVersion(9)));
 
         let mut b = encode(&sample());
         b[4] = 8;
-        assert_eq!(parse(&b), Err(ParseError::BadKind(8)));
+        assert_eq!(parse(&b), Err(DecodeError::BadKind(8)));
 
         let mut b = encode(&sample());
         b[3] = 0b1000_0000;
-        assert_eq!(parse(&b), Err(ParseError::UnknownFlags(0b1000_0000)));
+        assert_eq!(parse(&b), Err(DecodeError::UnknownFlags(0b1000_0000)));
     }
 
     #[test]
     fn non_finite_position_rejected() {
         let mut b = encode(&sample());
         b[7..15].copy_from_slice(&f64::NAN.to_be_bytes());
-        assert_eq!(parse(&b), Err(ParseError::BadPosition));
+        assert_eq!(parse(&b), Err(DecodeError::BadPosition));
     }
 
     #[test]
     fn trailing_garbage_on_retrieval_rejected() {
         let mut b = encode(&Packet::retrieval(DataId::new("key")));
         b.extend_from_slice(b"junk");
-        assert_eq!(parse(&b), Err(ParseError::TrailingGarbage { extra: 4 }));
+        assert_eq!(parse(&b), Err(DecodeError::TrailingGarbage { extra: 4 }));
         // Stats scrapes are payload-free on the wire the same way.
         let mut b = encode(&Packet::stats_request());
         b.extend_from_slice(b"xx");
-        assert_eq!(parse(&b), Err(ParseError::TrailingGarbage { extra: 2 }));
+        assert_eq!(parse(&b), Err(DecodeError::TrailingGarbage { extra: 2 }));
         // The relayed form hits the same check past the relay header.
         let mut b = encode(&Packet::retrieval(DataId::new("key")).with_relay(1, 2, 3));
         b.push(0xFF);
-        assert_eq!(parse(&b), Err(ParseError::TrailingGarbage { extra: 1 }));
+        assert_eq!(parse(&b), Err(DecodeError::TrailingGarbage { extra: 1 }));
     }
 
     #[test]
@@ -682,10 +563,10 @@ mod tests {
         // mis-sniffed frame can never be half-parsed as the wrong form.
         let mut batch = Vec::new();
         encode_batch_into(std::slice::from_ref(&sample()), &mut batch);
-        assert_eq!(parse(&batch), Err(ParseError::BadMagic));
+        assert_eq!(parse(&batch), Err(DecodeError::BadMagic));
         assert_eq!(
             parse_batch_bytes(&Bytes::from(single)),
-            Err(ParseError::BadMagic)
+            Err(DecodeError::BadMagic)
         );
     }
 
@@ -722,13 +603,13 @@ mod tests {
         extra.push(0xFF);
         assert_eq!(
             parse_batch_bytes(&Bytes::from(extra)),
-            Err(ParseError::TrailingGarbage { extra: 1 })
+            Err(DecodeError::TrailingGarbage { extra: 1 })
         );
         let mut bad_version = buf.clone();
         bad_version[2] = 9;
         assert_eq!(
             parse_batch_bytes(&Bytes::from(bad_version)),
-            Err(ParseError::BadVersion(9))
+            Err(DecodeError::BadVersion(9))
         );
     }
 
@@ -745,16 +626,17 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(ParseError::BadMagic.to_string().contains("magic"));
-        assert!(ParseError::Truncated { needed: 5, have: 2 }
+        assert!(DecodeError::BadMagic.to_string().contains("magic"));
+        assert!(DecodeError::Truncated { needed: 5, have: 2 }
             .to_string()
             .contains('5'));
-        assert!(ParseError::TrailingGarbage { extra: 3 }
+        assert!(DecodeError::TrailingGarbage { extra: 3 }
             .to_string()
             .contains('3'));
-        assert!(ParseError::BadStatus { flags: 6, kind: 0 }
+        assert!(DecodeError::BadStatus { flags: 6, kind: 0 }
             .to_string()
             .contains("status"));
+        assert!(DecodeError::BadTag(9).to_string().contains('9'));
     }
 
     proptest! {
@@ -845,7 +727,7 @@ mod tests {
             b.extend_from_slice(&garbage);
             prop_assert_eq!(
                 parse(&b),
-                Err(ParseError::TrailingGarbage { extra: garbage.len() })
+                Err(DecodeError::TrailingGarbage { extra: garbage.len() })
             );
         }
 
@@ -861,7 +743,7 @@ mod tests {
             b.extend_from_slice(&garbage);
             prop_assert_eq!(
                 parse(&b),
-                Err(ParseError::TrailingGarbage { extra: garbage.len() })
+                Err(DecodeError::TrailingGarbage { extra: garbage.len() })
             );
         }
 

@@ -155,8 +155,7 @@ fn healed_cluster_counters_settle() {
             "seed {seed}: invalidation broadcasts lost or duplicated: {probe:?}"
         );
         assert_eq!(
-            probe.nodes,
-            8,
+            probe.nodes, 8,
             "seed {seed}: every slot (including revived victims) must answer: {probe:?}"
         );
     }

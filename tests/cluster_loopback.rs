@@ -394,8 +394,20 @@ fn wire_scraped_stats_match_the_in_process_twin() {
             "node {switch}: wire hot-path counters diverge from the twin"
         );
         assert_eq!(
-            (wire.requests, wire.forwarded, wire.relayed, wire.delivered, wire.errors),
-            (twin.requests, twin.forwarded, twin.relayed, twin.delivered, twin.errors),
+            (
+                wire.requests,
+                wire.forwarded,
+                wire.relayed,
+                wire.delivered,
+                wire.errors
+            ),
+            (
+                twin.requests,
+                twin.forwarded,
+                twin.relayed,
+                twin.delivered,
+                twin.errors
+            ),
             "node {switch}: routing counters diverge"
         );
         assert_eq!(
@@ -404,15 +416,26 @@ fn wire_scraped_stats_match_the_in_process_twin() {
             "node {switch}: store/table accounting diverges"
         );
         assert_eq!(
-            (wire.open_connections, wire.queued_bytes, wire.dispatch_workers),
-            (twin.open_connections, twin.queued_bytes, twin.dispatch_workers),
+            (
+                wire.open_connections,
+                wire.queued_bytes,
+                wire.dispatch_workers
+            ),
+            (
+                twin.open_connections,
+                twin.queued_bytes,
+                twin.dispatch_workers
+            ),
             "node {switch}: reactor gauges diverge"
         );
         assert_eq!(
             wire.links, twin.links,
             "node {switch}: per-link counters diverge"
         );
-        assert_eq!(wire.queued_bytes, 0, "node {switch}: idle node has a write backlog");
+        assert_eq!(
+            wire.queued_bytes, 0,
+            "node {switch}: idle node has a write backlog"
+        );
     }
 
     drop(clients);
@@ -447,8 +470,11 @@ fn flash_crowd_cache_converges_without_stale_serves() {
 
     let mut writer = cluster.client(members[0]).expect("writer connects");
     let ack = writer.place(&viral, v1.clone()).expect("viral key places");
-    assert!(ack.is_hit() && ack.is_clean(), "healthy write must be clean");
-    let owner = ack.ack_server().expect("ack names the owner").switch as usize;
+    assert!(
+        ack.is_hit() && ack.is_clean(),
+        "healthy write must be clean"
+    );
+    let owner = ack.ack_server().expect("ack names the owner").switch;
 
     // Pick the region: access members (never the owner) whose read path
     // actually forwards the viral key and so probes + fills the read
@@ -580,7 +606,9 @@ fn scrape_storm_spawns_no_workers_and_preserves_ordering() {
     let members = net.members().to_vec();
     let access = members[0];
 
-    let ids: Vec<DataId> = (0..KEYS).map(|i| DataId::new(format!("storm/{i}"))).collect();
+    let ids: Vec<DataId> = (0..KEYS)
+        .map(|i| DataId::new(format!("storm/{i}")))
+        .collect();
     let mut writer = cluster.client(access).expect("client connects");
     for (i, id) in ids.iter().enumerate() {
         writer

@@ -21,7 +21,7 @@
 //! Repro: `cargo test -p gred-cluster --test connection_scale`
 
 use bytes::Bytes;
-use gred_cluster::frame::{encode_frame, FrameDecoder};
+use gred_cluster::frame::{read_call, write_call, Body, FrameDecoder, MUX_PREAMBLE};
 use gred_cluster::{Node, NodeConfig};
 use gred_dataplane::{Packet, SwitchDataplane};
 use gred_geometry::Point2;
@@ -254,14 +254,20 @@ fn conn_herd() {
 
     // Live traffic on the first `live` connections; the rest idle.
     let id = DataId::new("scale-key");
-    let request = encode_frame(&gred_dataplane::encode(&Packet::retrieval(id)));
+    let mut request = Vec::new();
+    write_call(&mut request, 1, &[Packet::retrieval(id)], false);
     let mut decoders: Vec<FrameDecoder> = (0..live).map(|_| FrameDecoder::new()).collect();
     let mut answered = 0u64;
-    for _ in 0..LIVE_ROUNDS {
+    for round in 0..LIVE_ROUNDS {
         for (stream, decoder) in streams.iter_mut().zip(&mut decoders) {
+            if round == 0 {
+                stream.write_all(&MUX_PREAMBLE).unwrap();
+            }
             stream.write_all(&request).unwrap();
             let body = read_frame(stream, decoder);
-            let reply = gred_dataplane::parse(&body).unwrap();
+            let (_, Body::One(reply)) = read_call(&body).unwrap() else {
+                panic!("a bare request is answered bare");
+            };
             assert_eq!(reply.status, gred_dataplane::ResponseStatus::Ok);
             assert_eq!(reply.payload.as_ref(), b"scale-payload");
             answered += 1;

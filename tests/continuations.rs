@@ -17,11 +17,11 @@
 
 use gred::plane::forwarding::route;
 use gred::{GredConfig, GredNetwork};
-use gred_cluster::frame::{begin_frame, encode_frame, finish_frame, FrameDecoder, MUX_PREAMBLE};
+use gred_cluster::frame::{read_call, write_call, Body, FrameDecoder, MUX_PREAMBLE};
 use gred_cluster::{
     chaos_cluster_config, ChaosFabric, Cluster, ClusterConfig, LinkMode, Node, NodeConfig,
 };
-use gred_dataplane::{wire, DtTuple, NeighborEntry, Packet, ResponseStatus, SwitchDataplane};
+use gred_dataplane::{DtTuple, NeighborEntry, Packet, ResponseStatus, SwitchDataplane};
 use gred_geometry::Point2;
 use gred_hash::DataId;
 use gred_net::{waxman_topology, ServerPool, WaxmanConfig};
@@ -54,18 +54,21 @@ fn thread_count() -> usize {
     line["Threads:".len()..].trim().parse().expect("a count")
 }
 
-/// One lockstep request over a fresh plain connection, raw status and
-/// all (the `Client` would retry a `Redirect` away).
+/// One lockstep request over a fresh connection, raw status and all
+/// (the `Client` would retry a `Redirect` away).
 fn roundtrip(addr: SocketAddr, packet: &Packet) -> Packet {
     let mut stream = TcpStream::connect(addr).expect("node accepts");
-    stream
-        .write_all(&encode_frame(&wire::encode(packet)))
-        .expect("request written");
+    let mut request = MUX_PREAMBLE.to_vec();
+    write_call(&mut request, 1, std::slice::from_ref(packet), false);
+    stream.write_all(&request).expect("request written");
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 4096];
     loop {
         if let Some(body) = decoder.next_frame().expect("well-framed response") {
-            return wire::parse(&body).expect("a GRED packet");
+            let (_, Body::One(reply)) = read_call(&body).expect("a call frame") else {
+                panic!("a bare request is answered bare");
+            };
+            return reply;
         }
         let n = stream.read(&mut buf).expect("response read");
         assert_ne!(n, 0, "node closed the connection without responding");
@@ -175,13 +178,8 @@ fn a_relay_path_crossing_one_link_twice_completes_at_depth_64() {
     let mut stream = TcpStream::connect(addrs[0]).expect("access node accepts");
     let mut burst = MUX_PREAMBLE.to_vec();
     for i in 0..DEPTH {
-        let at = begin_frame(&mut burst);
-        burst.extend_from_slice(&(i as u64).to_be_bytes());
-        wire::encode_into(
-            &Packet::retrieval(DataId::new(format!("deep/{i}"))),
-            &mut burst,
-        );
-        finish_frame(&mut burst, at);
+        let read = Packet::retrieval(DataId::new(format!("deep/{i}")));
+        write_call(&mut burst, i as u64, &[read], false);
     }
     stream.write_all(&burst).expect("burst written");
     stream
@@ -195,8 +193,10 @@ fn a_relay_path_crossing_one_link_twice_completes_at_depth_64() {
         assert_ne!(n, 0, "access node hung up");
         decoder.feed(&buf[..n]);
         while let Some(body) = decoder.next_frame().expect("well-framed") {
-            let corr = u64::from_be_bytes(body[..8].try_into().unwrap()) as usize;
-            let reply = wire::parse(&body[8..]).expect("a GRED packet");
+            let (corr, Body::One(reply)) = read_call(&body).expect("a call frame") else {
+                panic!("a bare request is answered bare");
+            };
+            let corr = corr as usize;
             assert_eq!(reply.status, ResponseStatus::Ok);
             assert_eq!(reply.payload.as_ref(), format!("v{corr}").as_bytes());
             assert_eq!(reply.hops, 5, "0→1→2→0→1→3");
