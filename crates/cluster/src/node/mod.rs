@@ -1,0 +1,560 @@
+//! The per-switch node runtime.
+//!
+//! A [`Node`] is one GRED switch promoted to a real network endpoint, and
+//! it is **one thread**: a reactor that owns the listener, every accepted
+//! socket, every outbound peer link and every request in flight. All
+//! sockets are nonblocking and registered with a level-triggered epoll
+//! [`Poller`], so ten thousand mostly-idle connections cost file
+//! descriptors, not threads, and nothing the reactor runs can block.
+//!
+//! Each connection is a small state machine — demand the
+//! [`MUX_PREAMBLE`] hello (a dialer that opens with anything else is
+//! closed, counted and logged, never answered), reassemble frames with
+//! the sticky incremental [`FrameDecoder`], take them apart with
+//! [`frame::read_call`], absorb partial writes in a [`WriteQueue`].
+//! Clients and peers speak the same one protocol: correlated call
+//! frames. Every decoded packet runs the identical greedy
+//! pipeline the in-process plane runs ([`SwitchDataplane::decide_avoiding`]
+//! / [`SwitchDataplane::relay_next`]); a packet answered here is written
+//! straight back, a packet whose next stop is another switch becomes a
+//! parked continuation.
+//!
+//! # Forwarding = continuations on the reactor
+//!
+//! ```text
+//!  origin conn ──frame──▶ route_step ×n ──▶ all answered here ─────────────┐
+//!                              │                                            │
+//!                   one frame per next-hop group,                           │
+//!                   written to that peer's link                             ▼
+//!                              │                                   (stored a write?)
+//!                              ▼                                     │yes        │no
+//!                      ┌── parked ──┐   response on the link         ▼           │
+//!                      │ corr → call│──▶ completed: fill caches, ─▶ invalidation │
+//!                      │  + deadline│    fill reply slots; last     scatter to   │
+//!                      └────────────┘    group landed ─────────────▶ every peer, │
+//!                        │        │                                 gather acks  │
+//!          link died:    │        │ deadline passed / second death:     │        ▼
+//!          resend once ◀─┘        └▶ expired: peer suspect, slots get   └─▶ answer the
+//!          on a fresh link            `Redirect` (acks: `Degraded`)         origin conn
+//! ```
+//!
+//! A *call* is one request frame (a single packet or a "GB" batch) with
+//! one reply slot per packet. Packets bound for the same next hop travel
+//! in **one** frame over the node's persistent link to that peer — an
+//! outbound connection living in the same slab, on the same poller, as
+//! the inbound ones (lazily dialed with a nonblocking `connect(2)`, the
+//! same `GMUX` preamble and 8-byte correlation ids as ever). The reactor
+//! writes the frame, parks `{call, peer, packets, cache-fill tokens}` in
+//! the `Parked` slab under the correlation id, and returns to its event
+//! loop; the peer's response takes the continuation back out on the same
+//! thread. When a call's last group lands it either answers its origin
+//! connection or — if it stored a write — runs the invalidation phase
+//! through the same mechanism as a scatter-gather: one `Invalidate` frame
+//! to every peer back-to-back, acks counted down, the origin answered
+//! only after the last one. A clean ack therefore still proves every
+//! reachable peer dropped its cached copy.
+//!
+//! Because nothing waits, a chain that crosses the same directed link
+//! twice (a virtual link's relay path may pass through a switch the
+//! packet later leaves again) is just two continuations parked on one
+//! link; there is no thread to deadlock.
+//!
+//! Responses find their origin by `(slot, generation)`: a connection
+//! that closed while its call was parked — even if its slot was reused —
+//! simply drops the late answer.
+//!
+//! # Failure ladder
+//!
+//! Every parked continuation carries one deadline,
+//! `now + peer_reply_timeout`; deadlines sit in one queue in expiry
+//! order, and its front is the poller's wait timeout. A link that dies
+//! (EOF, reset, failed dial) hands each continuation parked on it one
+//! resend over a fresh link; a second death, or the deadline, marks the
+//! peer suspect and fails the continuation — its reads and writes are
+//! answered `Redirect`, an invalidation downgrades the write's ack to
+//! `Degraded`. A timeout leaves the link up: the late response names a
+//! dead correlation id and is dropped.
+//!
+//! # Hops
+//!
+//! Every **physical send** increments the packet's in-band `hops`
+//! counter, and the owner switch copies the request's count into the
+//! response — so a remote client observes exactly
+//! [`Route::physical_hops`](gred::Route::physical_hops) for the same
+//! request in the in-process model (asserted in the loopback test).
+//!
+//! # Shutdown
+//!
+//! [`Node::shutdown`] flips an atomic flag and wakes the poller. The
+//! reactor drains in two phases: it closes the listener and its peer
+//! links (every parked continuation is refused at once instead of
+//! running to its deadline) and stops reading, then keeps flushing until
+//! every response is on the wire — bounded by the peer reply timeout —
+//! before closing all connections. Joining the reactor joins the node.
+//!
+//! [`MUX_PREAMBLE`]: crate::frame::MUX_PREAMBLE
+//! [`FrameDecoder`]: crate::frame::FrameDecoder
+//! [`frame::read_call`]: crate::frame::read_call
+//! [`WriteQueue`]: gred_runtime::reactor::WriteQueue
+
+use self::conn::{Reactor, ReactorShared, LISTENER_TOKEN};
+use self::peers::PeerTable;
+use self::stats::Counters;
+use bytes::Bytes;
+use gred_cache::ReadCache;
+use gred_dataplane::{NodeHotStats, StatsSnapshot, SwitchDataplane};
+use gred_hash::DataId;
+use gred_runtime::reactor::{set_listen_backlog, Interest, Poller};
+use gred_runtime::ShardedMap;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::thread;
+use std::time::{Duration, Instant};
+
+mod call;
+mod conn;
+mod peers;
+mod route;
+mod stats;
+#[cfg(test)]
+pub(crate) mod tests;
+
+/// Environment variable naming a directory for per-node log files
+/// (`node-<id>.log`). CI sets it so a failing cluster test can upload
+/// what every node saw.
+pub const LOG_DIR_ENV: &str = "GRED_CLUSTER_LOG_DIR";
+
+/// Tuning knobs for a [`Node`].
+#[derive(Debug, Clone)]
+pub struct NodeConfig {
+    /// Reactor tick while draining for shutdown, and how long the
+    /// listener stays paused after an accept error (steady-state waits
+    /// are purely event-driven — an idle node burns no CPU).
+    pub poll_interval: Duration,
+    /// How long a dial to a peer may take before the link counts as dead.
+    pub peer_connect_timeout: Duration,
+    /// How long a parked continuation waits for a peer's response before
+    /// the node gives up on it.
+    pub peer_reply_timeout: Duration,
+    /// Detour budget: once a packet has been forced off the true greedy
+    /// path this many times (suspect neighbors), the node aborts the
+    /// request with a [`ResponseStatus::Redirect`] instead of wandering —
+    /// the guarantee-violation case stays observable and bounded.
+    ///
+    /// [`ResponseStatus::Redirect`]: gred_dataplane::ResponseStatus::Redirect
+    pub max_detours: u16,
+    /// How long a failed peer stays suspect before greedy forwarding
+    /// optimistically retries it. Without the expiry, suspicion would be
+    /// sticky: greedy avoids a suspect, so no request ever succeeds
+    /// against it and nothing would clear the flag after the peer heals.
+    pub suspect_ttl: Duration,
+    /// Byte budget for the node's hot-key read cache ([`ReadCache`]):
+    /// remote-destined retrievals that hit it are answered with zero
+    /// peer frames, and every locally-stored write broadcasts an
+    /// invalidation to all peers before it acks. `0` disables caching
+    /// entirely (every probe is a silent no-op).
+    pub cache_bytes: usize,
+    /// Accept backlog requested for the listener (clamped by the kernel
+    /// to `net.core.somaxconn`). `TcpListener::bind` hardcodes 128,
+    /// which a connect burst overflows whenever the reactor thread is
+    /// momentarily descheduled — the kernel then drops the overflowing
+    /// SYN and that dialer stalls a full ~1s retransmit timeout. A node
+    /// built to hold 10k+ connections needs queue headroom to match.
+    pub listen_backlog: u32,
+    /// Directory for this node's log file; `None` disables logging.
+    pub log_dir: Option<PathBuf>,
+}
+
+impl Default for NodeConfig {
+    /// Loopback-friendly defaults; `log_dir` comes from [`LOG_DIR_ENV`]
+    /// when set.
+    fn default() -> Self {
+        NodeConfig {
+            poll_interval: Duration::from_millis(2),
+            peer_connect_timeout: Duration::from_secs(1),
+            peer_reply_timeout: Duration::from_secs(5),
+            max_detours: 8,
+            suspect_ttl: Duration::from_secs(2),
+            cache_bytes: 8 * 1024 * 1024,
+            listen_backlog: 4096,
+            log_dir: std::env::var_os(LOG_DIR_ENV).map(PathBuf::from),
+        }
+    }
+}
+
+/// Final accounting returned by [`Node::shutdown`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeReport {
+    /// The switch id this node served.
+    pub id: usize,
+    /// Requests dispatched (greedy, relay, and server-addressed).
+    pub requests: u64,
+    /// Packets forwarded one greedy hop to a peer.
+    pub forwarded: u64,
+    /// Packets relayed along a virtual link.
+    pub relayed: u64,
+    /// Requests answered from the local store (placements stored plus
+    /// retrievals served, including misses).
+    pub delivered: u64,
+    /// Requests that ended in an error response at this node.
+    pub errors: u64,
+    /// Threads joined during shutdown: the reactor — exactly 1, and 0 on
+    /// a repeated shutdown.
+    pub workers_joined: usize,
+    /// Items in the local store at shutdown.
+    pub stored_items: usize,
+    /// Hot-path contention counters (see [`NodeHotStats`]).
+    pub hot: NodeHotStats,
+}
+
+/// One stored item: which local server holds it, and its payload. The
+/// index matters because a range extension can store an item under a
+/// takeover server while `H(d) mod s` still names the primary — a
+/// retrieval must not answer for the wrong server.
+#[derive(Debug, Clone)]
+struct StoredItem {
+    index: usize,
+    payload: Bytes,
+}
+
+struct Inner {
+    id: usize,
+    /// The forwarding state, swappable at runtime: live reconfiguration
+    /// (join/leave/crash recovery) installs a fresh plane while requests
+    /// keep flowing; each request clones the `Arc` once and runs against
+    /// a consistent snapshot.
+    plane: RwLock<Arc<SwitchDataplane>>,
+    /// Packets processed by planes that have since been replaced, so
+    /// [`Node::packets_processed`] stays monotone across installs.
+    retired_processed: AtomicU64,
+    peers: RwLock<PeerTable>,
+    store: ShardedMap<DataId, StoredItem>,
+    /// Hot-key read cache consulted on the would-forward path; kept
+    /// coherent by the write-through invalidation broadcast and flushed
+    /// whenever a new forwarding plane is installed (crash/join/leave).
+    cache: ReadCache,
+    shutdown: AtomicBool,
+    /// What the public API shares with the reactor thread: the poller
+    /// (for wakeups) and the gauges a scrape reads.
+    reactor: ReactorShared,
+    counters: Counters,
+    cfg: NodeConfig,
+    log: Option<Mutex<std::fs::File>>,
+    booted: Instant,
+}
+
+/// A running GRED switch daemon. See the module docs for the threading
+/// model.
+pub struct Node {
+    inner: Arc<Inner>,
+    addr: SocketAddr,
+    reactor: Option<thread::JoinHandle<()>>,
+}
+
+impl Node {
+    /// Starts serving `plane` (switch `id`) on `listener`. `peer_addrs`
+    /// maps every switch id in the network to its node's address; the
+    /// node dials a peer lazily when it first forwards to it.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors configuring the listener, opening the log file, or
+    /// spawning the reactor thread.
+    pub fn spawn(
+        id: usize,
+        plane: SwitchDataplane,
+        peer_addrs: Vec<SocketAddr>,
+        listener: TcpListener,
+        cfg: NodeConfig,
+    ) -> io::Result<Node> {
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        set_listen_backlog(listener.as_raw_fd(), cfg.listen_backlog)?;
+        let log = match &cfg.log_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)?;
+                let file = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(dir.join(format!("node-{id}.log")))?;
+                Some(Mutex::new(file))
+            }
+            None => None,
+        };
+        let inner = Arc::new(Inner {
+            id,
+            plane: RwLock::new(Arc::new(plane)),
+            retired_processed: AtomicU64::new(0),
+            peers: RwLock::new(PeerTable::new(peer_addrs)),
+            store: ShardedMap::new(),
+            cache: ReadCache::new(cfg.cache_bytes),
+            shutdown: AtomicBool::new(false),
+            reactor: ReactorShared {
+                poller: Poller::new()?,
+                conns_open: AtomicUsize::new(0),
+                queued_bytes: AtomicU64::new(0),
+                parked: AtomicUsize::new(0),
+                #[cfg(test)]
+                accept_faults: AtomicUsize::new(0),
+            },
+            counters: Counters::default(),
+            cfg,
+            log,
+            booted: Instant::now(),
+        });
+        inner
+            .reactor
+            .poller
+            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        inner.log(&format!("listening on {addr}"));
+        let reactor = Reactor::new(Arc::clone(&inner), listener);
+        let handle = thread::Builder::new()
+            .name(format!("gred-node-{id}-reactor"))
+            .spawn(move || reactor.run())?;
+        Ok(Node {
+            inner,
+            addr,
+            reactor: Some(handle),
+        })
+    }
+
+    /// The switch id this node serves.
+    pub fn id(&self) -> usize {
+        self.inner.id
+    }
+
+    /// The address the node listens on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Packets the underlying data plane processed (greedy decisions plus
+    /// virtual-link relays) — directly comparable to the same counter on
+    /// the in-process plane. Monotone across [`Node::install_plane`].
+    pub fn packets_processed(&self) -> u64 {
+        self.inner.retired_processed.load(Ordering::Relaxed)
+            + self.inner.plane().packets_processed()
+    }
+
+    /// Replaces the forwarding state with `plane` while the node keeps
+    /// serving — the push half of live reconfiguration: the control
+    /// plane recomputes tables after a join/leave/crash and installs
+    /// them here, mirroring what `gred::control::dynamics` does to the
+    /// in-process planes. Requests already holding the old plane finish
+    /// against it; new requests see the new tables.
+    pub fn install_plane(&self, plane: SwitchDataplane) {
+        let old = {
+            let mut guard = self
+                .inner
+                .plane
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *guard, Arc::new(plane))
+        };
+        self.inner
+            .retired_processed
+            .fetch_add(old.packets_processed(), Ordering::Relaxed);
+        // A plane install accompanies a topology change (crash, join,
+        // leave): ownership moved, and ids tombstoned by a crash must
+        // not be resurrected from stale cached copies.
+        self.inner.cache.flush();
+        self.inner.log("installed a new forwarding plane");
+    }
+
+    /// Registers (or re-points) the address of peer switch `switch`,
+    /// growing the peer table when the switch is new. A link to the old
+    /// address is dropped the next time the reactor reaches for it — the
+    /// next request dials the new address — and the peer's suspicion is
+    /// cleared: a re-registered peer is presumed alive until proven
+    /// otherwise.
+    pub fn register_peer(&self, switch: usize, addr: SocketAddr) {
+        let mut peers = self
+            .inner
+            .peers
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        while peers.addrs.len() <= switch {
+            // Placeholder slots for any gap; they are re-pointed when
+            // their switch registers.
+            peers.push(addr);
+        }
+        peers.addrs[switch] = addr;
+        peers.suspect[switch].store(0, Ordering::Relaxed);
+        drop(peers);
+        self.inner
+            .log(&format!("peer {switch} registered at {addr}"));
+    }
+
+    /// Peer switches currently marked suspect (stamp not yet expired),
+    /// in ascending order.
+    pub fn suspect_peers(&self) -> Vec<usize> {
+        let now = self.inner.now_ms();
+        let peers = self.inner.peers();
+        (0..peers.suspect.len())
+            .filter(|&peer| peers.suspect_at(peer, now))
+            .collect()
+    }
+
+    /// Marks peer `switch` suspect, exactly as a failed continuation
+    /// would.
+    pub fn mark_peer_suspect(&self, switch: usize) {
+        self.inner.mark_suspect(switch);
+    }
+
+    /// Clears peer `switch`'s suspicion (the peer recovered).
+    pub fn clear_peer_suspect(&self, switch: usize) {
+        self.inner.clear_suspect(switch);
+    }
+
+    /// Removes and returns every stored item whose id satisfies `pred` —
+    /// the migration half of live reconfiguration: after new tables are
+    /// installed, keys this switch no longer owns are extracted here and
+    /// re-placed on their new owners.
+    pub fn extract_items(&self, pred: impl Fn(&DataId) -> bool) -> Vec<(DataId, Bytes)> {
+        let mut ids = Vec::new();
+        self.inner.store.for_each(|id, _| {
+            if pred(id) {
+                ids.push(id.clone());
+            }
+        });
+        ids.into_iter()
+            .filter_map(|id| {
+                let item = self.inner.store.remove(&id)?;
+                Some((id, item.payload))
+            })
+            .collect()
+    }
+
+    /// Requests this node has dispatched so far.
+    pub fn requests_served(&self) -> u64 {
+        self.inner.counters.requests.load(Ordering::Relaxed)
+    }
+
+    /// Items currently in the local store.
+    pub fn stored_items(&self) -> usize {
+        self.inner.store.len()
+    }
+
+    /// Current hot-path contention counters — readable while the node is
+    /// serving, so tests can assert (for example) that a contended run
+    /// rebuilt no link.
+    pub fn hot_stats(&self) -> NodeHotStats {
+        self.inner.hot_stats()
+    }
+
+    /// The same snapshot a wire `Stats` scrape would answer with,
+    /// assembled in-process — the parity twin tests compare against.
+    pub fn stats_snapshot(&self) -> StatsSnapshot {
+        self.inner.wire_snapshot()
+    }
+
+    /// Seeds the local store with an item held by local server `index` —
+    /// used when booting a cluster from a network that already placed
+    /// data in-process.
+    pub fn preload(&self, id: DataId, index: usize, payload: Bytes) {
+        // Preloading overwrites the store out of band, so any cached
+        // copy of the id on this node is stale by definition.
+        self.inner.cache.invalidate(&id);
+        self.inner.store.insert(id, StoredItem { index, payload });
+    }
+
+    /// Inbound connections the reactor currently holds open — the gauge
+    /// the connection-scale soak test asserts against.
+    pub fn open_connections(&self) -> usize {
+        self.inner.reactor.conns_open.load(Ordering::Relaxed)
+    }
+
+    /// Continuations currently parked on peer links: forwarded frames
+    /// and invalidations whose response has neither arrived nor expired.
+    /// Zero whenever the node is idle.
+    pub fn parked_continuations(&self) -> usize {
+        self.inner.reactor.parked.load(Ordering::Relaxed)
+    }
+
+    /// Signals shutdown without waiting. [`Cluster`](crate::Cluster)
+    /// flips every node's flag before joining any of them so peers stop
+    /// accepting new work together.
+    pub fn request_shutdown(&self) {
+        self.inner.shutdown.store(true, Ordering::Relaxed);
+        self.inner.reactor.poller.wake();
+    }
+
+    /// Stops the node: signals shutdown, wakes the poller, and joins the
+    /// reactor — which refuses whatever is still parked, flushes every
+    /// response, and closes the listener, the peer links and every
+    /// connection. Idempotent.
+    pub fn shutdown(&mut self) -> NodeReport {
+        self.request_shutdown();
+        let joined = match self.reactor.take() {
+            Some(handle) => {
+                let _ = handle.join();
+                1
+            }
+            None => 0,
+        };
+        self.inner.log(&format!("stopped; joined {joined} workers"));
+        let c = &self.inner.counters;
+        NodeReport {
+            id: self.inner.id,
+            requests: c.requests.load(Ordering::Relaxed),
+            forwarded: c.forwarded.load(Ordering::Relaxed),
+            relayed: c.relayed.load(Ordering::Relaxed),
+            delivered: c.delivered.load(Ordering::Relaxed),
+            errors: c.errors.load(Ordering::Relaxed),
+            workers_joined: joined,
+            stored_items: self.stored_items(),
+            hot: self.inner.hot_stats(),
+        }
+    }
+}
+
+impl Drop for Node {
+    fn drop(&mut self) {
+        if self.reactor.is_some() {
+            let _ = self.shutdown();
+        }
+    }
+}
+
+impl std::fmt::Debug for Node {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Node")
+            .field("id", &self.inner.id)
+            .field("addr", &self.addr)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Inner {
+    fn log(&self, msg: &str) {
+        if let Some(file) = &self.log {
+            let mut file = file.lock().expect("log lock");
+            let t = self.booted.elapsed();
+            let _ = writeln!(file, "[node {} +{:>9.3}s] {msg}", self.id, t.as_secs_f64());
+        }
+    }
+
+    /// Counts and logs a protocol violation by the dialer at `peer` —
+    /// the error closes its connection, and nothing is answered: there
+    /// is no guessing at what it speaks.
+    fn violation(&self, peer: SocketAddr, what: &dyn std::fmt::Display) -> io::Error {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        self.log(&format!("protocol violation from {peer}: {what}"));
+        io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+    }
+
+    /// The current forwarding-plane snapshot.
+    fn plane(&self) -> Arc<SwitchDataplane> {
+        Arc::clone(&self.plane.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Milliseconds since this node booted — the clock suspicion stamps
+    /// are expressed in.
+    fn now_ms(&self) -> u64 {
+        u64::try_from(self.booted.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+}

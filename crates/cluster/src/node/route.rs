@@ -1,0 +1,407 @@
+//! Routing steps: the greedy pipeline up to the point where a packet
+//! would leave this node, local delivery, and read-cache admission.
+//! Pure local work on [`Inner`] — nothing here touches a socket.
+
+use super::{Inner, StoredItem};
+use crate::proto;
+use bytes::Bytes;
+use gred_cache::Token;
+use gred_dataplane::{AdminOp, ForwardDecision, Packet, PacketKind, ResponseStatus};
+use gred_hash::DataId;
+use gred_net::ServerId;
+use std::sync::atomic::Ordering;
+
+/// Outcome of one local routing decision ([`Inner::route_step`]): either
+/// the response is ready, or the packet (already mutated for the hop —
+/// hops counted, relay/server headers set) must travel to peer `to`.
+/// Splitting the decision from the send is what lets the reactor group
+/// every packet of a call bound for the same next hop into one frame.
+pub(super) enum Step {
+    /// The request was answered (or refused) on this node.
+    Respond {
+        resp: Packet,
+        /// The response acks a placement stored on *this* node: the
+        /// write-through invalidation broadcast must run (and may
+        /// downgrade the ack) before the response leaves the node.
+        stored: bool,
+    },
+    /// The packet's next stop is peer switch `to`.
+    Forward {
+        /// Destination switch id.
+        to: usize,
+        /// The packet as it must appear on the wire to `to`.
+        packet: Packet,
+        /// A clean greedy retrieval that missed the read cache: admit
+        /// the peer's response under this pre-send token (refused if an
+        /// invalidation raced past while the continuation was parked).
+        fill: Option<CacheFill>,
+    },
+}
+
+impl Step {
+    /// A plain local answer: no store, no cache admission.
+    fn respond(resp: Packet) -> Step {
+        Step::Respond {
+            resp,
+            stored: false,
+        }
+    }
+}
+
+/// Pending read-cache admission for one forwarded retrieval.
+pub(super) struct CacheFill {
+    pub(super) id: DataId,
+    pub(super) token: Token,
+}
+
+impl Inner {
+    /// One local routing decision: runs the greedy pipeline up to the
+    /// point where the packet would leave this node, returning the
+    /// prepared hop instead of performing it. Pure local work — it never
+    /// touches a socket, which is what lets the reactor run it inline.
+    pub(super) fn route_step(&self, packet: Packet) -> Step {
+        if packet.kind == PacketKind::Invalidate {
+            // Coherence traffic: drop any cached copy and ack. Handled
+            // before the request counter — an invalidation is overhead
+            // of someone else's write, not a request of its own.
+            self.cache.invalidate(&packet.id);
+            self.counters
+                .invalidations_rx
+                .fetch_add(1, Ordering::Relaxed);
+            let mut ack = Packet::response(packet.id.clone(), Bytes::new());
+            ack.hops = packet.hops;
+            return Step::respond(ack);
+        }
+        if packet.kind == PacketKind::Stats {
+            // Observability: answer with a snapshot of this node's
+            // counters. Handled before the request counter — a scrape
+            // must not perturb the request accounting it reports.
+            return Step::respond(Packet::stats_response(self.wire_snapshot().encode()));
+        }
+        if packet.kind == PacketKind::Admin {
+            // Data nodes answer liveness probes and refuse lifecycle
+            // verbs: only the admin endpoint owns the network model and
+            // node handles those verbs act on. Refusal is in-band (an
+            // error-status AdminResponse), never a dropped frame.
+            let reply = match AdminOp::decode(&packet.payload) {
+                Ok(AdminOp::Ping) => {
+                    Packet::admin_response(format!("pong from switch {}", self.id).into_bytes())
+                }
+                Ok(op) => Packet::admin_error(
+                    format!(
+                        "node {} refuses {op}: lifecycle verbs need the admin endpoint",
+                        self.id
+                    )
+                    .into_bytes(),
+                ),
+                Err(e) => Packet::admin_error(format!("bad admin payload: {e}").into_bytes()),
+            };
+            return Step::respond(reply);
+        }
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        if packet.kind == PacketKind::RetrievalResponse {
+            // Responses travel back along the links, never as requests.
+            return Step::respond(self.refuse(&packet, "response packet arrived as a request"));
+        }
+        if let Some(server) = proto::server_addressed(&packet) {
+            if server.switch != self.id {
+                return Step::respond(
+                    self.refuse(&packet, "server-addressed packet at the wrong switch"),
+                );
+            }
+            let stored = packet.kind == PacketKind::Placement;
+            return Step::Respond {
+                resp: self.deliver_direct(packet.without_relay(), server),
+                stored,
+            };
+        }
+        if let Some(header) = packet.relay {
+            if header.relay != self.id {
+                return Step::respond(self.refuse(&packet, "relayed packet at the wrong switch"));
+            }
+            if header.dest == self.id {
+                // Virtual-link endpoint: pop the header, resume greedy.
+                return self.greedy_step(packet.without_relay());
+            }
+            // Intermediate relay: rewrite d.relay to the tuple's succ.
+            return match self.plane().relay_next(header.dest, header.sour) {
+                Some(succ) => {
+                    self.counters.relayed.fetch_add(1, Ordering::Relaxed);
+                    let mut fwd = packet.clone().with_relay(header.sour, succ, header.dest);
+                    fwd.hops = fwd.hops.saturating_add(1);
+                    Step::Forward {
+                        to: succ,
+                        packet: fwd,
+                        fill: None,
+                    }
+                }
+                None => Step::respond(self.refuse(&packet, "no relay tuple for the virtual link")),
+            };
+        }
+        self.greedy_step(packet)
+    }
+
+    /// Greedy pipeline step at this switch (packet not in a virtual
+    /// link). Suspect DT neighbors are treated as absent: the walk
+    /// detours to the next-best live neighbor (or delivers locally) and
+    /// counts each detour in the packet, aborting with a redirect once
+    /// the budget is spent so a partitioned walk terminates observably.
+    fn greedy_step(&self, mut packet: Packet) -> Step {
+        let plane = self.plane();
+        if plane.server_count() == 0 {
+            // Transit switches only relay; they are never access points
+            // and never DT members (mirrors `route`'s InvalidDynamics).
+            return Step::respond(
+                self.refuse(&packet, "transit switch cannot run the greedy pipeline"),
+            );
+        }
+        let (decision, detoured) = {
+            let now = self.now_ms();
+            let peers = self.peers();
+            let alive = |n: usize| !peers.suspect_at(n, now);
+            plane.decide_avoiding(packet.position, &packet.id, &alive)
+        };
+        if detoured {
+            self.counters
+                .detour_forwards
+                .fetch_add(1, Ordering::Relaxed);
+            packet.detours = packet.detours.saturating_add(1);
+            if packet.detours > self.cfg.max_detours {
+                return Step::respond(self.redirect(&packet, "detour budget exhausted"));
+            }
+        }
+        match decision {
+            ForwardDecision::DeliverLocal {
+                server,
+                extended_to,
+            } => self.deliver_step(packet, server, extended_to),
+            ForwardDecision::Forward {
+                neighbor,
+                next_hop,
+                virtual_link,
+            } => {
+                // Hot-key fast path: a clean remote-destined retrieval
+                // may be answered from the read cache with zero peer
+                // frames. Probed only here — local deliveries and relay
+                // legs never consult it — so the hit rate measures
+                // forwarding actually saved. Detoured walks skip the
+                // cache entirely (probe and admission): only the true
+                // greedy path's answers are trusted.
+                let fill = if packet.kind == PacketKind::Retrieval && packet.detours == 0 {
+                    let token = self.cache.begin_read(&packet.id);
+                    if let Some(payload) = self.cache.get(&packet.id) {
+                        let mut resp = Packet::response(packet.id.clone(), payload);
+                        resp.hops = packet.hops;
+                        resp.detours = packet.detours;
+                        return Step::respond(resp);
+                    }
+                    Some(CacheFill {
+                        id: packet.id.clone(),
+                        token,
+                    })
+                } else {
+                    None
+                };
+                self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+                let mut fwd = if virtual_link {
+                    packet.with_relay(self.id, next_hop, neighbor)
+                } else {
+                    packet
+                };
+                fwd.hops = fwd.hops.saturating_add(1);
+                Step::Forward {
+                    to: next_hop,
+                    packet: fwd,
+                    fill,
+                }
+            }
+        }
+    }
+
+    /// Owner-switch delivery: this switch is closest to `H(d)`.
+    fn deliver_step(
+        &self,
+        packet: Packet,
+        server: ServerId,
+        extended_to: Option<ServerId>,
+    ) -> Step {
+        match packet.kind {
+            PacketKind::Placement => {
+                let target = extended_to.unwrap_or(server);
+                if target.switch == self.id {
+                    Step::Respond {
+                        resp: self.store_local(&packet, target),
+                        stored: true,
+                    }
+                } else {
+                    // The extension redirected the write to a server
+                    // behind another switch. The redirected copy
+                    // supersedes any stale primary copy (mirrors
+                    // `GredNetwork::place`) — including a cached one.
+                    self.store.remove(&packet.id);
+                    self.cache.invalidate(&packet.id);
+                    let mut fwd = proto::address_to_server(packet, target);
+                    fwd.hops = fwd.hops.saturating_add(1);
+                    Step::Forward {
+                        to: target.switch,
+                        packet: fwd,
+                        fill: None,
+                    }
+                }
+            }
+            PacketKind::Retrieval => {
+                // Ask the primary, then the takeover. The paper duplicates
+                // the request to both "at the same time"; querying in
+                // order is observably equivalent and keeps the response
+                // deterministic.
+                if let Some(found) = self.lookup_local(&packet, server) {
+                    return Step::respond(found);
+                }
+                match extended_to {
+                    Some(takeover) if takeover.switch == self.id => Step::respond(
+                        self.lookup_local(&packet, takeover)
+                            .unwrap_or_else(|| self.respond_miss(&packet)),
+                    ),
+                    Some(takeover) => {
+                        let mut fwd = proto::address_to_server(packet, takeover);
+                        fwd.hops = fwd.hops.saturating_add(1);
+                        Step::Forward {
+                            to: takeover.switch,
+                            packet: fwd,
+                            fill: None,
+                        }
+                    }
+                    None => Step::respond(self.respond_miss(&packet)),
+                }
+            }
+            PacketKind::RetrievalResponse
+            | PacketKind::Invalidate
+            | PacketKind::Stats
+            | PacketKind::StatsResponse
+            | PacketKind::Admin
+            | PacketKind::AdminResponse => {
+                unreachable!("rejected in route_step()")
+            }
+        }
+    }
+
+    /// Serves a packet addressed at one specific local server.
+    fn deliver_direct(&self, packet: Packet, server: ServerId) -> Packet {
+        match packet.kind {
+            PacketKind::Placement => self.store_local(&packet, server),
+            PacketKind::Retrieval => self
+                .lookup_local(&packet, server)
+                .unwrap_or_else(|| self.respond_miss(&packet)),
+            PacketKind::RetrievalResponse
+            | PacketKind::Invalidate
+            | PacketKind::Stats
+            | PacketKind::StatsResponse
+            | PacketKind::Admin
+            | PacketKind::AdminResponse => {
+                unreachable!("rejected in route_step()")
+            }
+        }
+    }
+
+    /// Stores the placement payload under local server `target` and acks
+    /// with the storing server's identity. The payload `Bytes` still
+    /// shares the decoded frame's allocation — storing it is a
+    /// refcount bump, not a copy.
+    fn store_local(&self, packet: &Packet, target: ServerId) -> Packet {
+        debug_assert_eq!(target.switch, self.id);
+        // The owner can also be an access node for the same id: its own
+        // cached copy is superseded the moment the write lands.
+        self.cache.invalidate(&packet.id);
+        self.store.insert(
+            packet.id.clone(),
+            StoredItem {
+                index: target.index,
+                payload: packet.payload.clone(),
+            },
+        );
+        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        let mut ack = Packet::response(packet.id.clone(), proto::ack_payload(target));
+        ack.hops = packet.hops;
+        ack.detours = packet.detours;
+        if packet.detours > 0 {
+            // Stored, but the greedy walk detoured: the storing switch
+            // may not be the true owner, so the ack does not count as a
+            // clean copy for replication quorums.
+            ack.status = gred_dataplane::ResponseStatus::Degraded;
+        }
+        ack
+    }
+
+    /// A hit response if local server `server` stores the packet's id.
+    /// Only the cheap `Bytes` clone happens under the shard lock.
+    fn lookup_local(&self, packet: &Packet, server: ServerId) -> Option<Packet> {
+        debug_assert_eq!(server.switch, self.id);
+        let payload = self.store.read(&packet.id, |item| {
+            item.filter(|item| item.index == server.index)
+                .map(|item| item.payload.clone())
+        })?;
+        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        let mut resp = Packet::response(packet.id.clone(), payload);
+        resp.hops = packet.hops;
+        resp.detours = packet.detours;
+        if packet.detours > 0 {
+            resp.status = gred_dataplane::ResponseStatus::Degraded;
+        }
+        Some(resp)
+    }
+
+    fn respond_miss(&self, packet: &Packet) -> Packet {
+        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        let mut resp = Packet::not_found(packet.id.clone());
+        resp.hops = packet.hops;
+        resp.detours = packet.detours;
+        resp
+    }
+
+    pub(super) fn refuse(&self, packet: &Packet, why: &str) -> Packet {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        self.log(&format!("refused {} for {}: {why}", packet.kind, packet.id));
+        let mut resp = Packet::error_response(packet.id.clone());
+        resp.hops = packet.hops;
+        resp.detours = packet.detours;
+        resp
+    }
+
+    /// Aborts the request with a [`Redirect`] response: nothing was
+    /// served; the client should retry through another access node.
+    ///
+    /// [`Redirect`]: gred_dataplane::ResponseStatus::Redirect
+    pub(super) fn redirect(&self, packet: &Packet, why: &str) -> Packet {
+        self.counters
+            .redirects_issued
+            .fetch_add(1, Ordering::Relaxed);
+        self.log(&format!(
+            "redirected {} for {}: {why}",
+            packet.kind, packet.id
+        ));
+        let mut resp = Packet::redirect_response(packet.id.clone());
+        resp.hops = packet.hops;
+        resp.detours = packet.detours;
+        resp
+    }
+
+    /// Admits a forwarded retrieval's response into the read cache.
+    /// Only a clean authoritative hit qualifies: an `Ok`, detour-free
+    /// `RetrievalResponse`. A detoured (`Degraded`) or aborted
+    /// (`Redirect`) answer may come from a stand-in switch rather than
+    /// the true owner and must never populate the cache; misses and
+    /// errors carry nothing worth caching. The pre-send token makes the
+    /// admission epoch-fenced: if an invalidation for the id landed
+    /// while the continuation was parked, the insert is refused.
+    pub(super) fn maybe_cache(&self, fill: Option<CacheFill>, resp: &Packet) {
+        let Some(fill) = fill else { return };
+        if resp.kind != PacketKind::RetrievalResponse
+            || resp.status != ResponseStatus::Ok
+            || resp.detours != 0
+        {
+            return;
+        }
+        self.cache
+            .insert_if_fresh(fill.token, fill.id, resp.payload.clone());
+    }
+}
