@@ -35,10 +35,9 @@
 //! ```
 //!
 //! [`write_call`] and [`read_call`] are the only code that knows this
-//! layout: the node, the client connection and the admin endpoint all
-//! build and take apart their frames through the pair. The preamble is a
-//! mandatory hello — a dialer that opens with anything else is closed
-//! without an answer — so there is exactly one connection protocol.
+//! layout; the node, the client connection and the admin endpoint all
+//! go through the pair. The preamble is a mandatory hello — a dialer
+//! that opens with anything else is closed without an answer.
 
 use bytes::Bytes;
 use gred_dataplane::{wire, Cursor, DecodeError, Packet};
@@ -181,8 +180,7 @@ pub fn write_call(out: &mut Vec<u8>, corr: u64, packets: &[Packet], batch: bool)
 ///
 /// # Errors
 ///
-/// [`DecodeError`] when the body is too short for the id or what
-/// follows it is not a well-formed packet or container.
+/// [`DecodeError`] when the id or what follows it is malformed.
 pub fn read_call(body: &Bytes) -> Result<(u64, Body), DecodeError> {
     let (corr, packets) = split_mux(body)?;
     let packets = if wire::is_batch(&packets) {

@@ -1,12 +1,10 @@
 //! The one bounds-checked big-endian cursor, and the one decode error.
 //!
-//! Every decoder in the workspace — the packet parser and the batch
-//! container ([`crate::wire`]), the stats snapshot and admin verbs
-//! ([`crate::obs`]), and the cluster's call frame — reads its input
-//! through [`Cursor`], so "no decoder reads past its input" and "no
-//! decoder panics on hostile bytes" are properties of the few lines
-//! below rather than of each format. All of them fail with the same
-//! [`DecodeError`].
+//! Every decoder — packets and batch containers ([`crate::wire`]), the
+//! stats snapshot and admin verbs ([`crate::obs`]), the cluster's call
+//! frame — reads through [`Cursor`] and fails with [`DecodeError`], so
+//! "never reads past its input, never panics on hostile bytes" is a
+//! property of the few lines below rather than of each format.
 
 /// Why a byte string failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -32,10 +32,9 @@
 //! detoured delivery (`Degraded`); requests always travel with all
 //! status bits clear.
 //!
-//! Both parsers read through the crate's one bounds-checked
-//! [`Cursor`] and fail with its one [`DecodeError`]; a length or count
-//! field is the sender's claim and never sizes an allocation beyond
-//! what the bytes that arrived can hold.
+//! Both parsers read through the crate's one bounds-checked [`Cursor`]
+//! and fail with its [`DecodeError`]; a count field is the sender's
+//! claim and never sizes an allocation beyond what the bytes can hold.
 
 use crate::cursor::{Cursor, DecodeError};
 use crate::packet::{Packet, PacketKind, RelayHeader, ResponseStatus};
@@ -218,11 +217,10 @@ pub fn parse_bytes(body: &Bytes) -> Result<Packet, DecodeError> {
     let (hops, detours) = (fixed.u16()?, fixed.u16()?);
 
     let relay = if flags & FLAG_RELAY != 0 {
-        let mut header = Cursor::new(r.take(12)?);
         Some(RelayHeader {
-            dest: header.u32()? as usize,
-            sour: header.u32()? as usize,
-            relay: header.u32()? as usize,
+            dest: r.u32()? as usize,
+            sour: r.u32()? as usize,
+            relay: r.u32()? as usize,
         })
     } else {
         None

@@ -75,39 +75,39 @@ fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (out, LARGEST.with(Cell::get))
 }
 
-/// A decoder under test: decodes the bytes and, when that succeeds,
-/// encodes the value again.
-type Codec = fn(&[u8]) -> Result<Vec<u8>, DecodeError>;
+/// A decoder under test: the name failures report it by, and a function
+/// that decodes the bytes and, when that succeeds, encodes the value
+/// again.
+type Named = (&'static str, fn(&[u8]) -> Result<Vec<u8>, DecodeError>);
 
-const CODECS: [(&str, Codec); 5] = [
-    ("wire::parse_bytes", |bytes| {
-        wire::parse_bytes(&Bytes::copy_from_slice(bytes)).map(|packet| wire::encode(&packet))
-    }),
-    ("wire::parse_batch_bytes", |bytes| {
-        wire::parse_batch_bytes(&Bytes::copy_from_slice(bytes)).map(|packets| {
-            let mut out = Vec::new();
-            wire::encode_batch_into(&packets, &mut out);
-            out
-        })
-    }),
-    ("StatsSnapshot::decode", |bytes| {
-        StatsSnapshot::decode(bytes).map(|snapshot| snapshot.encode())
-    }),
-    ("AdminOp::decode", |bytes| {
-        AdminOp::decode(bytes).map(|op| op.encode())
-    }),
-    ("frame::read_call", |bytes| {
-        read_call(&Bytes::copy_from_slice(bytes)).map(|(corr, body)| {
-            let batch = body.is_batch();
-            let mut out = Vec::new();
-            write_call(&mut out, corr, &body.into_vec(), batch);
-            out.split_off(4) // the length prefix belongs to the framing
-        })
-    }),
-];
+const PACKET: Named = ("wire::parse_bytes", |bytes| {
+    wire::parse_bytes(&Bytes::copy_from_slice(bytes)).map(|packet| wire::encode(&packet))
+});
+const BATCH: Named = ("wire::parse_batch_bytes", |bytes| {
+    wire::parse_batch_bytes(&Bytes::copy_from_slice(bytes)).map(|packets| {
+        let mut out = Vec::new();
+        wire::encode_batch_into(&packets, &mut out);
+        out
+    })
+});
+const SNAPSHOT: Named = ("StatsSnapshot::decode", |bytes| {
+    StatsSnapshot::decode(bytes).map(|snapshot| snapshot.encode())
+});
+const ADMIN: Named = ("AdminOp::decode", |bytes| {
+    AdminOp::decode(bytes).map(|op| op.encode())
+});
+const CALL: Named = ("frame::read_call", |bytes| {
+    read_call(&Bytes::copy_from_slice(bytes)).map(|(corr, body)| {
+        let batch = body.is_batch();
+        let mut out = Vec::new();
+        write_call(&mut out, corr, &body.into_vec(), batch);
+        out.split_off(4) // the length prefix belongs to the framing
+    })
+});
+const CODECS: [Named; 5] = [PACKET, BATCH, SNAPSHOT, ADMIN, CALL];
 
 /// Holds one decoder to the suite's rules on one input.
-fn check(name: &str, codec: Codec, bytes: &[u8]) -> Result<(), DecodeError> {
+fn check((name, codec): Named, bytes: &[u8]) -> Result<(), DecodeError> {
     let (outcome, largest) = largest_allocation(|| codec(bytes));
     // The most a decoder may reserve is room for the values the input
     // can actually hold; the in-memory `Packet` (≈ 3.6 × its 31-byte
@@ -127,13 +127,13 @@ fn check(name: &str, codec: Codec, bytes: &[u8]) -> Result<(), DecodeError> {
 
 /// Every truncation and, at every offset, one single-byte mutation of
 /// a valid encoding.
-fn torture(name: &str, codec: Codec, valid: &[u8], flip: u8) {
-    check(name, codec, valid).unwrap_or_else(|e| panic!("{name} refused a valid encoding: {e}"));
+fn torture(codec: Named, valid: &[u8], flip: u8) {
+    check(codec, valid).unwrap_or_else(|e| panic!("{} refused a valid encoding: {e}", codec.0));
     let mut bytes = valid.to_vec();
     for (at, &original) in valid.iter().enumerate() {
-        let _ = check(name, codec, &valid[..at]);
+        let _ = check(codec, &valid[..at]);
         bytes[at] = original ^ flip;
-        let _ = check(name, codec, &bytes);
+        let _ = check(codec, &bytes);
         bytes[at] = original;
     }
 }
@@ -303,7 +303,7 @@ fn a_count_field_never_sizes_an_allocation() {
     // before the first length check, once.
     let claim = b"GB\x01\xff\xff";
     assert_eq!(
-        check(CODECS[1].0, CODECS[1].1, claim),
+        check(BATCH, claim),
         Err(DecodeError::Truncated { needed: 9, have: 5 })
     );
     // The same claim in a snapshot's link count and a join's two lists.
@@ -311,12 +311,12 @@ fn a_count_field_never_sizes_an_allocation() {
     let at = snapshot.len() - 2;
     snapshot[at..].copy_from_slice(&[0xff, 0xff]);
     assert!(matches!(
-        check(CODECS[2].0, CODECS[2].1, &snapshot),
+        check(SNAPSHOT, &snapshot),
         Err(DecodeError::Truncated { .. })
     ));
     for join in [&[1, 4, 0xff, 0xff][..], &[1, 4, 0, 0, 0xff, 0xff][..]] {
         assert!(matches!(
-            check(CODECS[3].0, CODECS[3].1, join),
+            check(ADMIN, join),
             Err(DecodeError::Truncated { .. })
         ));
     }
@@ -325,14 +325,14 @@ fn a_count_field_never_sizes_an_allocation() {
 #[test]
 fn every_truncation_and_mutation_of_the_golden_vectors_is_handled() {
     for flip in [0x01, 0x80, 0xff] {
-        torture(CODECS[0].0, CODECS[0].1, &unhex(GOLDEN_PACKET), flip);
-        torture(CODECS[1].0, CODECS[1].1, &unhex(GOLDEN_BATCH), flip);
-        torture(CODECS[2].0, CODECS[2].1, &unhex(GOLDEN_SNAPSHOT), flip);
-        torture(CODECS[3].0, CODECS[3].1, &unhex(GOLDEN_JOIN), flip);
+        torture(PACKET, &unhex(GOLDEN_PACKET), flip);
+        torture(BATCH, &unhex(GOLDEN_BATCH), flip);
+        torture(SNAPSHOT, &unhex(GOLDEN_SNAPSHOT), flip);
+        torture(ADMIN, &unhex(GOLDEN_JOIN), flip);
         for (packets, batch) in [(vec![golden_packet()], false), (golden_batch(), true)] {
             let mut call = Vec::new();
             write_call(&mut call, 0x0102_0304_0506_0708, &packets, batch);
-            torture(CODECS[4].0, CODECS[4].1, &call[4..], flip);
+            torture(CALL, &call[4..], flip);
         }
     }
 }
@@ -346,16 +346,16 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..192),
         corr in any::<u64>(),
     ) {
-        for (name, codec) in CODECS {
-            let _ = check(name, codec, &bytes);
+        for codec in CODECS {
+            let _ = check(codec, &bytes);
         }
         for prefix in [&b"GR\x01"[..], b"GB\x01", b"\x01", b"\x01\x04"] {
             let dressed = [prefix, &bytes].concat();
-            for (name, codec) in CODECS {
-                let _ = check(name, codec, &dressed);
+            for codec in CODECS {
+                let _ = check(codec, &dressed);
             }
             let call = [&corr.to_be_bytes()[..], &dressed].concat();
-            let _ = check(CODECS[4].0, CODECS[4].1, &call);
+            let _ = check(CALL, &call);
         }
     }
 
@@ -380,10 +380,10 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let packets: Vec<Packet> = specs.into_iter().map(packet_of).collect();
-        torture(CODECS[0].0, CODECS[0].1, &wire::encode(&packets[0]), flip);
+        torture(PACKET, &wire::encode(&packets[0]), flip);
         let mut batch = Vec::new();
         wire::encode_batch_into(&packets, &mut batch);
-        torture(CODECS[1].0, CODECS[1].1, &batch, flip);
+        torture(BATCH, &batch, flip);
 
         let c = &counters;
         let snapshot = StatsSnapshot {
@@ -423,7 +423,7 @@ proptest! {
                 })
                 .collect(),
         };
-        torture(CODECS[2].0, CODECS[2].1, &snapshot.encode(), flip);
+        torture(SNAPSHOT, &snapshot.encode(), flip);
 
         let switch = c[0] as u32;
         let op = match tag {
@@ -434,12 +434,12 @@ proptest! {
             4 => AdminOp::Join { neighbors, capacities: c[..3].to_vec() },
             _ => AdminOp::Leave { switch },
         };
-        torture(CODECS[3].0, CODECS[3].1, &op.encode(), flip);
+        torture(ADMIN, &op.encode(), flip);
 
         for (packets, batch) in [(&packets[..1], false), (&packets[..], true)] {
             let mut call = Vec::new();
             write_call(&mut call, c[1], packets, batch);
-            torture(CODECS[4].0, CODECS[4].1, &call[4..], flip);
+            torture(CALL, &call[4..], flip);
             prop_assert_eq!(
                 read_call(&Bytes::copy_from_slice(&call[4..])).map(|(_, body)| body),
                 Ok(if batch { Body::Many(packets.to_vec()) } else { Body::One(packets[0].clone()) })
