@@ -19,7 +19,7 @@
 
 use crate::client::{AdminReply, Client, ClientError};
 use crate::cluster::{Cluster, ClusterReport};
-use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
+use crate::frame::{self, FrameDecoder};
 use gred::GredNetwork;
 use gred_dataplane::{AdminOp, Packet, PacketKind};
 use std::io::{self, Read, Write};
@@ -152,8 +152,8 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 4096];
     let mut out = Vec::new();
-    // The stream opens with the mux preamble; this is what is still due.
-    let mut preamble: &[u8] = &MUX_PREAMBLE;
+    // The stream opens with the mux preamble; this much of it arrived.
+    let mut hello = 0;
     while !stop.load(Ordering::SeqCst) {
         loop {
             let body = match decoder.next_frame() {
@@ -182,14 +182,10 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
         }
         match stream.read(&mut buf) {
             Ok(0) => return,
-            Ok(n) => {
-                let (head, frames) = buf[..n].split_at(preamble.len().min(n));
-                if !preamble.starts_with(head) {
-                    return;
-                }
-                preamble = &preamble[head.len()..];
-                decoder.feed(frames);
-            }
+            Ok(n) => match frame::strip_hello(&mut hello, &buf[..n]) {
+                Some(frames) => decoder.feed(frames),
+                None => return,
+            },
             Err(e)
                 if matches!(
                     e.kind(),
@@ -279,5 +275,47 @@ fn apply_verb(state: &Mutex<AdminState>, op: &AdminOp) -> Packet {
     match outcome {
         Ok(msg) => Packet::admin_response(msg.into_bytes()),
         Err(msg) => Packet::admin_error(msg.into_bytes()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterConfig;
+    use crate::frame::MUX_PREAMBLE;
+    use crate::node::tests::{call, read_reply};
+    use gred::GredConfig;
+    use gred_net::{ServerPool, Topology};
+
+    #[test]
+    fn the_hello_is_enforced_like_a_node_enforces_it() {
+        let topo = Topology::from_links(2, &[(0, 1)]).unwrap();
+        let pool = ServerPool::uniform(2, 1, 100);
+        let net = GredNetwork::build(topo, pool, GredConfig::with_iterations(0)).unwrap();
+        let cluster = Cluster::boot(&net, ClusterConfig::default()).unwrap();
+        let admin = AdminServer::spawn(cluster, net).unwrap();
+        let ping = call(7, &Packet::admin_request(AdminOp::Ping.encode()));
+
+        // A preamble split across four writes is accepted.
+        let mut split = TcpStream::connect(admin.addr()).unwrap();
+        split.set_nodelay(true).unwrap();
+        for byte in MUX_PREAMBLE {
+            split.write_all(&[byte]).unwrap();
+            thread::sleep(Duration::from_millis(2)); // one segment each
+        }
+        split.write_all(&ping).unwrap();
+        let pong = read_reply(&mut split);
+        assert_eq!(pong.kind, PacketKind::AdminResponse);
+        assert!(pong.payload.starts_with(b"pong"), "{pong:?}");
+        drop(split); // the endpoint serves one connection at a time
+
+        // A dialer that opens with anything else is closed, unanswered.
+        let mut stranger = TcpStream::connect(admin.addr()).unwrap();
+        stranger.write_all(&ping).unwrap();
+        let mut answer = Vec::new();
+        // A reset is as closed as a FIN; no byte may come back.
+        let _ = stranger.read_to_end(&mut answer);
+        assert!(answer.is_empty(), "the endpoint answered {answer:?}");
+        admin.shutdown();
     }
 }

@@ -92,6 +92,20 @@ pub fn encode_frame(body: &[u8]) -> Vec<u8> {
 /// anything else.
 pub const MUX_PREAMBLE: [u8; 4] = *b"GMUX";
 
+/// Checks newly arrived `bytes` against what is still due of the
+/// [`MUX_PREAMBLE`], of which `got` bytes arrived earlier. Advances
+/// `got` and returns the bytes after the hello (none until `got` reaches
+/// the preamble's length), or `None`: the dialer does not speak GMUX.
+pub fn strip_hello<'a>(got: &mut usize, bytes: &'a [u8]) -> Option<&'a [u8]> {
+    let due = &MUX_PREAMBLE[*got..];
+    let (head, rest) = bytes.split_at(due.len().min(bytes.len()));
+    if !due.starts_with(head) {
+        return None;
+    }
+    *got += head.len();
+    Some(rest)
+}
+
 /// Starts a frame directly inside `out` (appending, not clearing): writes
 /// a length placeholder and returns the position [`finish_frame`] patches.
 /// The pair lets hot paths build `prefix + body` in one reusable buffer

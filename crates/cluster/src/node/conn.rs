@@ -516,17 +516,14 @@ impl Reactor {
     fn ingest(&mut self, slot: usize, mut bytes: &[u8]) -> io::Result<()> {
         let conn = self.conns[slot].as_mut().expect("live slot");
         if let Protocol::Hello { got } = &mut conn.proto {
-            let due = &MUX_PREAMBLE[*got..];
-            let take = due.len().min(bytes.len());
-            if bytes[..take] != due[..take] {
+            let Some(rest) = frame::strip_hello(got, bytes) else {
                 let peer = conn.peer;
                 return Err(self.inner.violation(peer, &"no GMUX hello"));
-            }
-            *got += take;
-            bytes = &bytes[take..];
-            if take < due.len() {
+            };
+            if *got < MUX_PREAMBLE.len() {
                 return Ok(());
             }
+            bytes = rest;
             conn.proto = Protocol::Mux;
         }
         conn.decoder.feed(bytes);

@@ -13,11 +13,10 @@
 //! the sticky incremental [`FrameDecoder`], take them apart with
 //! [`frame::read_call`], absorb partial writes in a [`WriteQueue`].
 //! Clients and peers speak the same one protocol: correlated call
-//! frames. Every decoded packet runs the identical greedy
-//! pipeline the in-process plane runs ([`SwitchDataplane::decide_avoiding`]
-//! / [`SwitchDataplane::relay_next`]); a packet answered here is written
-//! straight back, a packet whose next stop is another switch becomes a
-//! parked continuation.
+//! frames. Every decoded packet runs the very function the in-process
+//! plane walks ([`SwitchDataplane::step`]); a packet answered here is
+//! written straight back, a packet whose next stop is another switch
+//! becomes a parked continuation.
 //!
 //! # Forwarding = continuations on the reactor
 //!

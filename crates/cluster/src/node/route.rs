@@ -1,12 +1,19 @@
-//! Routing steps: the greedy pipeline up to the point where a packet
-//! would leave this node, local delivery, and read-cache admission.
-//! Pure local work on [`Inner`] — nothing here touches a socket.
+//! Routing steps: what this node does with one packet up to the point
+//! where it would leave the node. The switch program itself — relay
+//! header, greedy pipeline — is [`SwitchDataplane::step`], the function
+//! the in-process model walks; this module is only what a *node* adds
+//! around it: kind dispatch and server-addressed delivery before it,
+//! then, in order, the detour budget, the read-cache probe and the send
+//! (or the store, when the step delivers here). Pure local work on
+//! [`Inner`] — nothing here touches a socket.
+//!
+//! [`SwitchDataplane::step`]: gred_dataplane::SwitchDataplane::step
 
 use super::{Inner, StoredItem};
 use crate::proto;
 use bytes::Bytes;
 use gred_cache::Token;
-use gred_dataplane::{AdminOp, ForwardDecision, Packet, PacketKind, ResponseStatus};
+use gred_dataplane::{AdminOp, Delivery, Hop, Packet, PacketKind, ResponseStatus};
 use gred_hash::DataId;
 use gred_net::ServerId;
 use std::sync::atomic::Ordering;
@@ -46,6 +53,19 @@ impl Step {
             stored: false,
         }
     }
+
+    /// The packet leaves for `to`, one hop older.
+    fn forward(mut packet: Packet, to: usize, fill: Option<CacheFill>) -> Step {
+        packet.hops = packet.hops.saturating_add(1);
+        Step::Forward { to, packet, fill }
+    }
+
+    /// The packet leaves for `server`'s switch, addressed at the server
+    /// itself so greedy forwarding cannot route it back to the owner.
+    fn to_server(packet: Packet, server: ServerId) -> Step {
+        let packet = proto::address_to_server(packet, server);
+        Step::forward(packet, server.switch, None)
+    }
 }
 
 /// Pending read-cache admission for one forwarded retrieval.
@@ -55,11 +75,11 @@ pub(super) struct CacheFill {
 }
 
 impl Inner {
-    /// One local routing decision: runs the greedy pipeline up to the
-    /// point where the packet would leave this node, returning the
-    /// prepared hop instead of performing it. Pure local work — it never
-    /// touches a socket, which is what lets the reactor run it inline.
-    pub(super) fn route_step(&self, packet: Packet) -> Step {
+    /// One local routing decision: runs the packet up to the point where
+    /// it would leave this node, returning the prepared hop instead of
+    /// performing it. Pure local work — it never touches a socket, which
+    /// is what lets the reactor run it inline.
+    pub(super) fn route_step(&self, mut packet: Packet) -> Step {
         if packet.kind == PacketKind::Invalidate {
             // Coherence traffic: drop any cached copy and ack. Handled
             // before the request counter — an invalidation is overhead
@@ -115,53 +135,25 @@ impl Inner {
                 stored,
             };
         }
-        if let Some(header) = packet.relay {
-            if header.relay != self.id {
-                return Step::respond(self.refuse(&packet, "relayed packet at the wrong switch"));
-            }
-            if header.dest == self.id {
-                // Virtual-link endpoint: pop the header, resume greedy.
-                return self.greedy_step(packet.without_relay());
-            }
-            // Intermediate relay: rewrite d.relay to the tuple's succ.
-            return match self.plane().relay_next(header.dest, header.sour) {
-                Some(succ) => {
-                    self.counters.relayed.fetch_add(1, Ordering::Relaxed);
-                    let mut fwd = packet.clone().with_relay(header.sour, succ, header.dest);
-                    fwd.hops = fwd.hops.saturating_add(1);
-                    Step::Forward {
-                        to: succ,
-                        packet: fwd,
-                        fill: None,
-                    }
-                }
-                None => Step::respond(self.refuse(&packet, "no relay tuple for the virtual link")),
-            };
-        }
-        self.greedy_step(packet)
-    }
-
-    /// Greedy pipeline step at this switch (packet not in a virtual
-    /// link). Suspect DT neighbors are treated as absent: the walk
-    /// detours to the next-best live neighbor (or delivers locally) and
-    /// counts each detour in the packet, aborting with a redirect once
-    /// the budget is spent so a partitioned walk terminates observably.
-    fn greedy_step(&self, mut packet: Packet) -> Step {
-        let plane = self.plane();
-        if plane.server_count() == 0 {
-            // Transit switches only relay; they are never access points
-            // and never DT members (mirrors `route`'s InvalidDynamics).
-            return Step::respond(
-                self.refuse(&packet, "transit switch cannot run the greedy pipeline"),
-            );
-        }
-        let (decision, detoured) = {
+        // Everything else is the switch program itself: relay-header
+        // handling, then the greedy pipeline with suspect DT neighbors
+        // treated as absent.
+        let stepped = {
             let now = self.now_ms();
             let peers = self.peers();
             let alive = |n: usize| !peers.suspect_at(n, now);
-            plane.decide_avoiding(packet.position, &packet.id, &alive)
+            self.plane()
+                .step(packet.position, &packet.id, packet.relay, &alive)
+        };
+        let (hop, detoured) = match stepped {
+            Ok(stepped) => stepped,
+            Err(refusal) => return Step::respond(self.refuse(&packet, refusal)),
         };
         if detoured {
+            // The walk took the next-best live neighbor (or delivered
+            // here): count it in the packet and abort with a redirect
+            // once the budget is spent, so a partitioned walk terminates
+            // observably.
             self.counters
                 .detour_forwards
                 .fetch_add(1, Ordering::Relaxed);
@@ -170,16 +162,14 @@ impl Inner {
                 return Step::respond(self.redirect(&packet, "detour budget exhausted"));
             }
         }
-        match decision {
-            ForwardDecision::DeliverLocal {
-                server,
-                extended_to,
-            } => self.deliver_step(packet, server, extended_to),
-            ForwardDecision::Forward {
-                neighbor,
-                next_hop,
-                virtual_link,
-            } => {
+        match hop {
+            Hop::Deliver(delivery) => self.deliver_step(packet, delivery),
+            Hop::Relay { to, relay } => {
+                self.counters.relayed.fetch_add(1, Ordering::Relaxed);
+                packet.relay = Some(relay);
+                Step::forward(packet, to, None)
+            }
+            Hop::Forward { to, relay } => {
                 // Hot-key fast path: a clean remote-destined retrieval
                 // may be answered from the read cache with zero peer
                 // frames. Probed only here — local deliveries and relay
@@ -203,76 +193,40 @@ impl Inner {
                     None
                 };
                 self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                let mut fwd = if virtual_link {
-                    packet.with_relay(self.id, next_hop, neighbor)
-                } else {
-                    packet
-                };
-                fwd.hops = fwd.hops.saturating_add(1);
-                Step::Forward {
-                    to: next_hop,
-                    packet: fwd,
-                    fill,
-                }
+                packet.relay = relay;
+                Step::forward(packet, to, fill)
             }
         }
     }
 
     /// Owner-switch delivery: this switch is closest to `H(d)`.
-    fn deliver_step(
-        &self,
-        packet: Packet,
-        server: ServerId,
-        extended_to: Option<ServerId>,
-    ) -> Step {
+    fn deliver_step(&self, packet: Packet, delivery: Delivery) -> Step {
         match packet.kind {
             PacketKind::Placement => {
-                let target = extended_to.unwrap_or(server);
+                let target = delivery.write_target();
                 if target.switch == self.id {
-                    Step::Respond {
+                    return Step::Respond {
                         resp: self.store_local(&packet, target),
                         stored: true,
-                    }
-                } else {
-                    // The extension redirected the write to a server
-                    // behind another switch. The redirected copy
-                    // supersedes any stale primary copy (mirrors
-                    // `GredNetwork::place`) — including a cached one.
-                    self.store.remove(&packet.id);
-                    self.cache.invalidate(&packet.id);
-                    let mut fwd = proto::address_to_server(packet, target);
-                    fwd.hops = fwd.hops.saturating_add(1);
-                    Step::Forward {
-                        to: target.switch,
-                        packet: fwd,
-                        fill: None,
-                    }
+                    };
                 }
+                // The extension redirected the write to a server behind
+                // another switch. The redirected copy supersedes any
+                // stale primary copy — including a cached one.
+                self.store.remove(&packet.id);
+                self.cache.invalidate(&packet.id);
+                Step::to_server(packet, target)
             }
             PacketKind::Retrieval => {
-                // Ask the primary, then the takeover. The paper duplicates
-                // the request to both "at the same time"; querying in
-                // order is observably equivalent and keeps the response
-                // deterministic.
-                if let Some(found) = self.lookup_local(&packet, server) {
-                    return Step::respond(found);
-                }
-                match extended_to {
-                    Some(takeover) if takeover.switch == self.id => Step::respond(
-                        self.lookup_local(&packet, takeover)
-                            .unwrap_or_else(|| self.respond_miss(&packet)),
-                    ),
-                    Some(takeover) => {
-                        let mut fwd = proto::address_to_server(packet, takeover);
-                        fwd.hops = fwd.hops.saturating_add(1);
-                        Step::Forward {
-                            to: takeover.switch,
-                            packet: fwd,
-                            fill: None,
-                        }
+                for server in delivery.read_order() {
+                    if server.switch != self.id {
+                        return Step::to_server(packet, server);
                     }
-                    None => Step::respond(self.respond_miss(&packet)),
+                    if let Some(found) = self.lookup_local(&packet, server) {
+                        return Step::respond(found);
+                    }
                 }
+                Step::respond(self.respond_miss(&packet))
             }
             PacketKind::RetrievalResponse
             | PacketKind::Invalidate
@@ -358,7 +312,7 @@ impl Inner {
         resp
     }
 
-    pub(super) fn refuse(&self, packet: &Packet, why: &str) -> Packet {
+    pub(super) fn refuse(&self, packet: &Packet, why: impl std::fmt::Display) -> Packet {
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
         self.log(&format!("refused {} for {}: {why}", packet.kind, packet.id));
         let mut resp = Packet::error_response(packet.id.clone());

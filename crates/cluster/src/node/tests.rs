@@ -85,7 +85,7 @@ pub(crate) fn with_peer(peer: impl FnOnce(TcpListener) + Send, test: impl FnOnce
 }
 
 /// One bare call frame carrying `packet` under `corr`.
-fn call(corr: u64, packet: &Packet) -> Vec<u8> {
+pub(crate) fn call(corr: u64, packet: &Packet) -> Vec<u8> {
     let mut out = Vec::new();
     frame::write_call(&mut out, corr, std::slice::from_ref(packet), false);
     out
@@ -97,7 +97,7 @@ fn hello(packet: &Packet) -> Vec<u8> {
     [&MUX_PREAMBLE[..], &call(1, packet)].concat()
 }
 
-fn read_reply(stream: &mut TcpStream) -> Packet {
+pub(crate) fn read_reply(stream: &mut TcpStream) -> Packet {
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 4096];
     loop {

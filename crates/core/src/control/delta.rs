@@ -31,7 +31,7 @@
 //! of relay tables (every kept chain remains a shortest path).
 
 use crate::control::dt::DtGraph;
-use gred_dataplane::SwitchDataplane;
+use gred_dataplane::{link_hops, SwitchDataplane};
 use gred_net::Topology;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -186,18 +186,10 @@ pub(crate) fn affected_members(
 }
 
 /// Hop length of member `u`'s installed virtual-link chain to `v`
-/// starting at `via`, by walking the exact relay tuples. `None` if the
-/// chain is broken or loops (defensive; installed chains never do).
+/// starting at `via`. `None` if the chain is broken or loops (defensive;
+/// installed chains never do).
 fn chain_len(planes: &[SwitchDataplane], u: usize, via: usize, v: usize) -> Option<usize> {
-    let mut at = via;
-    let mut len = 1usize;
-    let mut guard = planes.len();
-    while at != v {
-        at = planes.get(at)?.relay_lookup(v, u)?.succ;
-        len += 1;
-        guard = guard.checked_sub(1)?;
-    }
-    Some(len)
+    link_hops(planes, u, via, v).ok()
 }
 
 /// Removes member `u`'s outgoing forwarding state: all neighbor entries,

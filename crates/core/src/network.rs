@@ -12,7 +12,7 @@ use crate::control::regulation::refine_positions_with;
 use crate::control::DtGraph;
 use crate::error::GredError;
 use crate::store::DataStore;
-use gred_dataplane::{SwitchDataplane, TableStats};
+use gred_dataplane::{link_hops, BrokenAt, SwitchDataplane, TableStats};
 use gred_geometry::Point2;
 use gred_hash::DataId;
 use gred_net::{ServerId, ServerPool, Topology};
@@ -728,27 +728,9 @@ impl GredNetwork {
                 if entry.physical {
                     continue;
                 }
-                let mut at = entry.via;
-                let mut guard = self.topology.switch_count();
-                while at != entry.neighbor {
-                    match self.dataplanes[at].relay_next(entry.neighbor, u) {
-                        Some(next) => at = next,
-                        None => {
-                            problems.push(format!(
-                                "virtual link {u}->{}: relay chain broken at {at}",
-                                entry.neighbor
-                            ));
-                            break;
-                        }
-                    }
-                    guard -= 1;
-                    if guard == 0 {
-                        problems.push(format!(
-                            "virtual link {u}->{}: relay chain loops",
-                            entry.neighbor
-                        ));
-                        break;
-                    }
+                let v = entry.neighbor;
+                if let Err(BrokenAt(at)) = link_hops(&self.dataplanes, u, entry.via, v) {
+                    problems.push(format!("virtual link {u}->{v}: relay chain broken at {at}"));
                 }
             }
         }

@@ -1,14 +1,15 @@
 //! Network-wide greedy forwarding (Algorithm 2 executed hop by hop).
 //!
-//! A request enters at an access switch and is forwarded by each switch's
-//! pre-installed data plane: compare every physical and DT neighbor's
-//! distance to the data position, move to the strict minimum, stop when
-//! the local switch is closest. Virtual links are walked through their
-//! relay switches, each consuming one physical hop — the quantity the
-//! routing-stretch metric counts.
+//! A request enters at an access switch and is handed from switch to
+//! switch; at each one [`SwitchDataplane::step`] — the same function a
+//! cluster node runs per packet — handles the virtual-link header and
+//! the greedy comparison: move to the strict minimum, stop when the
+//! local switch is closest. Every send, including each relay leg of a
+//! virtual link, is one physical hop — the quantity the routing-stretch
+//! metric counts. This module only records where the packet went.
 
 use crate::error::GredError;
-use gred_dataplane::{ForwardDecision, SwitchDataplane};
+use gred_dataplane::{Delivery, Hop, Refusal, RelayHeader, SwitchDataplane};
 use gred_geometry::Point2;
 use gred_hash::DataId;
 use gred_net::ServerId;
@@ -38,6 +39,15 @@ impl Route {
     /// Greedy (overlay) hops taken on the DT.
     pub fn overlay_hops(&self) -> u32 {
         (self.overlay.len() - 1) as u32
+    }
+
+    /// The owner switch's delivery: which server takes a write, which
+    /// servers answer a read.
+    pub fn delivery(&self) -> Delivery {
+        Delivery {
+            server: self.server,
+            extended_to: self.extended_to,
+        }
     }
 }
 
@@ -189,10 +199,10 @@ pub fn route_with(
     .map(|(end, _)| end)
 }
 
-/// The one greedy walk behind [`route`], [`route_with`] and
-/// [`route_avoiding`]: clears and fills the caller's hop buffers, skips
-/// DT neighbors `alive` rejects, and returns where the walk ended plus
-/// the number of detoured steps.
+/// The one walk behind [`route`], [`route_with`] and [`route_avoiding`]:
+/// hands the packet's routing fields to [`SwitchDataplane::step`] at one
+/// switch after another. Clears and fills the caller's hop buffers and
+/// returns where the walk ended plus the number of detoured steps.
 fn walk(
     planes: &[SwitchDataplane],
     from: usize,
@@ -207,27 +217,33 @@ fn walk(
     if from >= planes.len() {
         return Err(GredError::UnknownSwitch { switch: from });
     }
-    if planes[from].server_count() == 0 {
-        return Err(GredError::InvalidDynamics {
-            reason: "access switch is transit-only (no DT position)",
-        });
-    }
-
     switches.push(from);
-    overlay.push(from);
-    let mut cur = from;
-    let mut detours = 0u32;
+    let (mut cur, mut relay, mut detours) = (from, None, 0u32);
+    let missing = |at, relay: Option<RelayHeader>| GredError::RelayEntryMissing {
+        at,
+        dest: relay.map_or(at, |header| header.dest),
+    };
     // Greedy distance strictly decreases per overlay hop — the filter
     // can only shrink the candidate set, never add a non-improving hop —
-    // so the walk takes at most `planes.len()` overlay steps.
-    for _ in 0..planes.len() {
-        let (decision, detoured) = planes[cur].decide_avoiding(position, id, alive);
+    // and an installed relay chain is a simple path: at most
+    // `planes.len()` overlay hops of fewer than `planes.len()` sends
+    // each. Only a looping relay chain can outlast the bound.
+    for _ in 0..planes.len() * planes.len() {
+        let stepped = planes[cur].step(position, id, relay, alive);
+        let (hop, detoured) = stepped.map_err(|refusal| match refusal {
+            Refusal::TransitGreedy => GredError::InvalidDynamics {
+                reason: "access switch is transit-only (no DT position)",
+            },
+            Refusal::NoRelayTuple => missing(cur, relay),
+            Refusal::WrongSwitch => unreachable!("the walk goes where the header says"),
+        })?;
         detours += u32::from(detoured);
-        match decision {
-            ForwardDecision::DeliverLocal {
+        (cur, relay) = match hop {
+            Hop::Deliver(Delivery {
                 server,
                 extended_to,
-            } => {
+            }) => {
+                overlay.push(cur);
                 let end = RouteEnd {
                     dest: cur,
                     server,
@@ -235,146 +251,25 @@ fn walk(
                 };
                 return Ok((end, detours));
             }
-            ForwardDecision::Forward {
-                neighbor,
-                next_hop,
-                virtual_link,
-            } => {
-                if !virtual_link {
-                    switches.push(neighbor);
-                } else {
-                    // Walk the virtual link through its relays.
-                    let mut relay = next_hop;
-                    switches.push(relay);
-                    let mut guard = planes.len();
-                    while relay != neighbor {
-                        let succ = planes[relay].relay_next(neighbor, cur).ok_or(
-                            GredError::RelayEntryMissing {
-                                at: relay,
-                                dest: neighbor,
-                            },
-                        )?;
-                        switches.push(succ);
-                        relay = succ;
-                        guard -= 1;
-                        if guard == 0 {
-                            return Err(GredError::RelayEntryMissing {
-                                at: relay,
-                                dest: neighbor,
-                            });
-                        }
-                    }
-                }
-                overlay.push(neighbor);
-                cur = neighbor;
+            Hop::Forward { to, relay } => {
+                overlay.push(cur);
+                (to, relay)
             }
-        }
+            Hop::Relay { to, relay } => (to, Some(relay)),
+        };
+        switches.push(cur);
     }
-    unreachable!("greedy forwarding exceeded the switch-count bound");
-}
-
-/// Packet-level forwarding: drives an actual [`gred_dataplane::Packet`]
-/// through the switches, manipulating its virtual-link relay header
-/// exactly as the paper's Section V-A prescribes:
-///
-/// - entering a virtual link from `u` toward DT neighbor `v` sets
-///   `d = <dest: v, sour: u, relay: first-hop>`,
-/// - a relay switch `w = d.relay` looks up its tuple for `d.dest`, sets
-///   `d.relay = t.succ`, and forwards,
-/// - the endpoint `u = d.dest` pops the header and resumes greedy
-///   forwarding.
-///
-/// Returns the delivered packet (relay header cleared) and the same
-/// [`Route`] that [`route`] computes — the two implementations
-/// cross-check each other in tests.
-///
-/// # Errors
-///
-/// Same conditions as [`route`].
-pub fn forward_packet(
-    planes: &[SwitchDataplane],
-    mut packet: gred_dataplane::Packet,
-    from: usize,
-) -> Result<(gred_dataplane::Packet, Route), GredError> {
-    if from >= planes.len() {
-        return Err(GredError::UnknownSwitch { switch: from });
-    }
-    if planes[from].server_count() == 0 {
-        return Err(GredError::InvalidDynamics {
-            reason: "access switch is transit-only (no DT position)",
-        });
-    }
-
-    let mut switches = vec![from];
-    let mut overlay = vec![from];
-    let mut cur = from;
-    for _ in 0..planes.len() {
-        debug_assert!(
-            !packet.in_virtual_link(),
-            "greedy step starts outside links"
-        );
-        match planes[cur].decide(packet.position, &packet.id) {
-            ForwardDecision::DeliverLocal {
-                server,
-                extended_to,
-            } => {
-                return Ok((
-                    packet,
-                    Route {
-                        switches,
-                        overlay,
-                        dest: cur,
-                        server,
-                        extended_to,
-                    },
-                ));
-            }
-            ForwardDecision::Forward {
-                neighbor,
-                next_hop,
-                virtual_link,
-            } => {
-                if virtual_link {
-                    packet = packet.with_relay(cur, next_hop, neighbor);
-                    let mut guard = planes.len();
-                    while let Some(header) = packet.relay {
-                        let at = header.relay;
-                        switches.push(at);
-                        if at == header.dest {
-                            packet = packet.without_relay();
-                            break;
-                        }
-                        let succ = planes[at].relay_next(header.dest, header.sour).ok_or(
-                            GredError::RelayEntryMissing {
-                                at,
-                                dest: header.dest,
-                            },
-                        )?;
-                        packet = packet.with_relay(header.sour, succ, header.dest);
-                        guard -= 1;
-                        if guard == 0 {
-                            return Err(GredError::RelayEntryMissing {
-                                at,
-                                dest: header.dest,
-                            });
-                        }
-                    }
-                } else {
-                    switches.push(neighbor);
-                }
-                overlay.push(neighbor);
-                cur = neighbor;
-            }
-        }
-    }
-    unreachable!("greedy forwarding exceeded the switch-count bound");
+    Err(missing(cur, relay))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GredConfig;
     use crate::control::{install_dataplanes, DtGraph};
-    use gred_net::{ServerPool, Topology};
+    use crate::network::GredNetwork;
+    use gred_dataplane::Packet;
+    use gred_net::{waxman_topology, ServerPool, Topology, WaxmanConfig};
 
     /// Line 0-1-2-3 where 0 and 3 store data; 1, 2 are transit relays.
     fn setup_line() -> Vec<SwitchDataplane> {
@@ -512,55 +407,6 @@ mod tests {
             GredError::RelayEntryMissing { at: 2, dest: 3 }
         ));
     }
-}
-
-#[cfg(test)]
-mod packet_level_tests {
-    use super::*;
-    use crate::config::GredConfig;
-    use crate::control::{install_dataplanes, DtGraph};
-    use crate::network::GredNetwork;
-    use gred_dataplane::Packet;
-    use gred_net::{waxman_topology, ServerPool, Topology, WaxmanConfig};
-
-    #[test]
-    fn packet_walk_agrees_with_route_everywhere() {
-        let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(25, 31));
-        let pool = ServerPool::uniform(25, 3, u64::MAX);
-        let net =
-            GredNetwork::build(topo, pool, GredConfig::with_iterations(10).seeded(31)).unwrap();
-        for i in 0..60 {
-            let id = DataId::new(format!("pkt/{i}"));
-            let access = i % 25;
-            let packet = Packet::retrieval(id.clone());
-            let pos = packet.position;
-            let (delivered, pkt_route) = forward_packet(net.dataplanes(), packet, access).unwrap();
-            let plain_route = route(net.dataplanes(), access, pos, &id).unwrap();
-            assert_eq!(pkt_route, plain_route, "key {i} from {access}");
-            assert!(!delivered.in_virtual_link(), "relay header must be popped");
-        }
-    }
-
-    #[test]
-    fn packet_walk_through_virtual_link_pops_header() {
-        // Line 0-1-2-3 with transit middle: forces a virtual link.
-        let topo = Topology::from_links(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let pool = ServerPool::from_capacities(vec![vec![10], vec![], vec![], vec![10]]);
-        let dt = DtGraph::build(
-            vec![0, 3],
-            &[Point2::new(0.25, 0.5), Point2::new(0.75, 0.5)],
-        )
-        .unwrap();
-        let planes = install_dataplanes(&topo, &pool, &dt).unwrap();
-
-        let mut packet = Packet::placement(DataId::new("k"), b"v".as_ref());
-        packet.position = Point2::new(0.8, 0.5); // near switch 3
-        let (delivered, r) = forward_packet(&planes, packet, 0).unwrap();
-        assert_eq!(r.switches, vec![0, 1, 2, 3]);
-        assert_eq!(r.dest, 3);
-        assert!(!delivered.in_virtual_link());
-        assert_eq!(delivered.payload.as_ref(), b"v");
-    }
 
     #[test]
     fn wire_parse_then_forward() {
@@ -573,7 +419,36 @@ mod packet_level_tests {
         let original = Packet::placement(DataId::new("wire/key"), b"bytes".as_ref());
         let wire = gred_dataplane::wire::encode(&original);
         let parsed = gred_dataplane::wire::parse(&wire).unwrap();
-        let (_, r) = forward_packet(net.dataplanes(), parsed, 4).unwrap();
+        let r = route(net.dataplanes(), 4, parsed.position, &parsed.id).unwrap();
         assert_eq!(r.server, net.responsible_server(&DataId::new("wire/key")));
+    }
+
+    #[test]
+    fn route_fingerprint_matches_the_recorded_walk() {
+        // FNV-1a over every field of 60 routes (44 of them cross a
+        // virtual link). The constant was recorded from `walk` when it
+        // was a greedy loop with a nested relay-chain loop, before it
+        // became a loop over `SwitchDataplane::step`: any hop the step
+        // decides differently moves it.
+        let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(25, 31));
+        let pool = ServerPool::uniform(25, 3, u64::MAX);
+        let net =
+            GredNetwork::build(topo, pool, GredConfig::with_iterations(10).seeded(31)).unwrap();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: usize| hash = (hash ^ v as u64).wrapping_mul(0x0100_0000_01b3);
+        for i in 0..60 {
+            let id = DataId::new(format!("pkt/{i}"));
+            let r = route(net.dataplanes(), i % 25, net.position_of_id(&id), &id).unwrap();
+            for list in [&r.switches, &r.overlay] {
+                mix(list.len());
+                list.iter().for_each(|&s| mix(s));
+            }
+            for server in [Some(r.server), r.extended_to] {
+                mix(server.map_or(usize::MAX, |s| s.switch));
+                mix(server.map_or(usize::MAX, |s| s.index));
+            }
+            mix(r.dest);
+        }
+        assert_eq!(hash, 0x0d56_68e0_f7fe_fd95);
     }
 }

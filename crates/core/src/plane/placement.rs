@@ -46,7 +46,7 @@ impl GredNetwork {
         let position = self.position_of_id(id);
         let r = route(self.dataplanes(), access_switch, position, id)?;
         let primary = r.server;
-        let mut target = r.extended_to.unwrap_or(primary);
+        let mut target = r.delivery().write_target();
 
         // Capacity management. Capacities are soft in the paper (they
         // drive extension, not failure); a placement only fails when

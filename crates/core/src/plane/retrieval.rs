@@ -52,10 +52,7 @@ impl GredNetwork {
         let position = self.position_of_id(id);
         let r = route(self.dataplanes(), access_switch, position, id)?;
 
-        let mut queried = vec![r.server];
-        if let Some(takeover) = r.extended_to {
-            queried.push(takeover);
-        }
+        let queried: Vec<ServerId> = r.delivery().read_order().collect();
         let responder = queried
             .iter()
             .copied()

@@ -141,6 +141,13 @@ impl<'a> Cursor<'a> {
         self.array().map(f64::from_be_bytes)
     }
 
+    /// An empty vector for `count` items of at least `item_bytes` encoded
+    /// bytes each. A count field is the sender's claim, not a size: the
+    /// reservation is bounded by what the bytes still unread could hold.
+    pub fn vec_for<T>(&self, count: usize, item_bytes: usize) -> Vec<T> {
+        Vec::with_capacity(count.min(self.remaining() / item_bytes))
+    }
+
     /// Ends the decode: the whole input must have been consumed.
     ///
     /// # Errors

@@ -21,6 +21,9 @@
 //! - [`entries`]: the concrete entry types GRED installs,
 //! - [`switch`]: the per-switch data plane — tables plus the greedy
 //!   next-hop selection pipeline (Algorithm 2's data-plane half),
+//! - [`step`]: the one per-switch step — relay-header handling
+//!   (Section V-A) then the greedy pipeline — that the in-process model
+//!   walks and a cluster node wraps,
 //! - [`stats`]: per-switch and network-wide table-occupancy statistics
 //!   (Fig. 9(d)),
 //! - [`obs`]: observability payloads — the stats snapshot a node serves
@@ -34,9 +37,9 @@ pub mod cursor;
 pub mod entries;
 pub mod obs;
 pub mod packet;
-pub mod pipeline;
 pub mod relay;
 pub mod stats;
+pub mod step;
 pub mod switch;
 pub mod table;
 pub mod wire;
@@ -45,9 +48,9 @@ pub use cursor::{Cursor, DecodeError};
 pub use entries::{DtTuple, ExtensionEntry, NeighborEntry};
 pub use obs::{AdminOp, LinkStats, StatsSnapshot};
 pub use packet::{Packet, PacketKind, RelayHeader, ResponseStatus};
-pub use pipeline::Pipeline;
 pub use relay::RelayTable;
 pub use stats::{NodeHotStats, TableStats};
+pub use step::{link_hops, BrokenAt, Delivery, Hop, Refusal};
 pub use switch::{ForwardDecision, SwitchDataplane};
 pub use table::MatchActionTable;
 pub use wire::{encode, encode_into, parse, parse_bytes};

@@ -167,7 +167,7 @@ impl StatsSnapshot {
             links: Vec::new(),
         };
         let count = r.u16()? as usize;
-        snap.links.reserve(count.min(r.remaining() / LINK_BYTES));
+        snap.links = r.vec_for(count, LINK_BYTES);
         for _ in 0..count {
             snap.links.push(LinkStats {
                 peer: r.u32()?,
@@ -399,12 +399,12 @@ impl AdminOp {
             TAG_DRAIN => AdminOp::Drain,
             TAG_JOIN => {
                 let n = r.u16()? as usize;
-                let mut neighbors = Vec::with_capacity(n.min(r.remaining() / 4));
+                let mut neighbors = r.vec_for(n, 4);
                 for _ in 0..n {
                     neighbors.push(r.u32()?);
                 }
                 let c = r.u16()? as usize;
-                let mut capacities = Vec::with_capacity(c.min(r.remaining() / 8));
+                let mut capacities = r.vec_for(c, 8);
                 for _ in 0..c {
                     capacities.push(r.u64()?);
                 }

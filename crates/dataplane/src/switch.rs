@@ -18,6 +18,13 @@
 //!    table.
 //! 3. **Extension table** — range-extension rewrites (paper Tables I/II)
 //!    consulted when the switch delivers locally.
+//!
+//! This module holds the tables and the lookups on them. What a switch
+//! *does* with a packet — relay-header handling, then [`decide_avoiding`]
+//! — is [`SwitchDataplane::step`] in [`crate::step`], the only caller of
+//! the data-path lookups outside tests and benchmarks.
+//!
+//! [`decide_avoiding`]: SwitchDataplane::decide_avoiding
 
 use crate::entries::{DtTuple, ExtensionEntry, NeighborEntry};
 use crate::relay::RelayTable;
@@ -151,11 +158,6 @@ impl SwitchDataplane {
         self.position
     }
 
-    /// Updates the virtual-space position (re-embedding / refinement).
-    pub fn set_position(&mut self, position: Point2) {
-        self.position = position;
-    }
-
     /// Number of directly attached servers.
     pub fn server_count(&self) -> usize {
         self.server_count
@@ -217,8 +219,9 @@ impl SwitchDataplane {
 
     /// Counter-free *exact* relay lookup: the logical tuple installed for
     /// `(dest, sour)`, with no dest-only fallback and no packet counted.
-    /// Controller-side maintenance (chain walking during delta rebuilds)
-    /// uses this; the data path uses [`SwitchDataplane::relay_next`].
+    /// Controller-side chain walking ([`crate::link_hops`]) uses this;
+    /// the data path ([`SwitchDataplane::step`]) uses
+    /// [`SwitchDataplane::relay_next`].
     pub fn relay_lookup(&self, dest: usize, sour: usize) -> Option<&DtTuple> {
         self.relays.lookup(dest, sour)
     }
@@ -261,8 +264,7 @@ impl SwitchDataplane {
     /// Total *installed* forwarding entries across all tables — the
     /// metric of Fig. 9(d). Relay entries are counted in their
     /// compressed, hardware form (one wildcard per destination plus
-    /// exceptions), not one per logical path; see
-    /// [`SwitchDataplane::relay_path_count`] for the logical count.
+    /// exceptions), not one per logical path.
     pub fn entry_count(&self) -> usize {
         self.neighbors.len() + self.relays.installed_len() + self.extensions.len()
     }
@@ -274,24 +276,6 @@ impl SwitchDataplane {
             self.relays.installed_len(),
             self.extensions.len(),
         )
-    }
-
-    /// Number of logical virtual-link paths relayed through this switch
-    /// (what the uncompressed table's entry count used to be).
-    pub fn relay_path_count(&self) -> usize {
-        self.relays.len()
-    }
-
-    /// Counter-free peek at the greedy outcome: whether this switch is
-    /// the local minimum for `data_position` (no neighbor strictly
-    /// closer), i.e. whether [`decide`](Self::decide) would deliver
-    /// locally. Does not count as a processed packet — node runtimes use
-    /// it to classify a request before running the real pipeline.
-    pub fn is_local_minimum(&self, data_position: Point2) -> bool {
-        let own = self.position.distance_squared(data_position);
-        self.neighbors
-            .iter()
-            .all(|(_, e)| e.position.distance_squared(data_position) >= own)
     }
 
     /// The greedy pipeline (Algorithm 2): compare every neighbor's
@@ -325,7 +309,8 @@ impl SwitchDataplane {
     /// # Panics
     ///
     /// Panics if called on a transit switch (no servers), exactly like
-    /// [`decide`](Self::decide).
+    /// [`decide`](Self::decide); [`step`](Self::step) refuses such a
+    /// packet before it gets here.
     pub fn decide_avoiding(
         &self,
         data_position: Point2,
@@ -404,29 +389,6 @@ mod tests {
             position: Point2::new(x, y),
             via: neighbor,
             physical: true,
-        }
-    }
-
-    #[test]
-    fn local_minimum_peek_agrees_with_decide_and_does_not_count() {
-        let mut sw = SwitchDataplane::new(3, Point2::new(0.5, 0.5), 4);
-        sw.install_neighbor(entry(1, 0.0, 0.0));
-        sw.install_neighbor(entry(2, 1.0, 1.0));
-        let id = DataId::new("k");
-        for pos in [
-            Point2::new(0.5, 0.52),
-            Point2::new(0.1, 0.1),
-            Point2::new(0.9, 0.9),
-        ] {
-            let counted = sw.packets_processed();
-            let peek = sw.is_local_minimum(pos);
-            assert_eq!(
-                sw.packets_processed(),
-                counted,
-                "the peek must not count as a processed packet"
-            );
-            let local = matches!(sw.decide(pos, &id), ForwardDecision::DeliverLocal { .. });
-            assert_eq!(peek, local, "peek disagrees with decide at {pos:?}");
         }
     }
 

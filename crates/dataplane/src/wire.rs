@@ -311,9 +311,7 @@ pub fn parse_batch_bytes(body: &Bytes) -> Result<Vec<Packet>, DecodeError> {
         return Err(DecodeError::BadVersion(version));
     }
     let count = header.u16()? as usize;
-    // The count is the sender's claim: reserve only for as many
-    // packets as the bytes that actually arrived could hold.
-    let mut packets = Vec::with_capacity(count.min(r.remaining() / (4 + FIXED)));
+    let mut packets = r.vec_for(count, 4 + FIXED);
     for _ in 0..count {
         let len = r.u32()? as usize;
         let at = r.position();

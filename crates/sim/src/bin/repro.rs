@@ -6,11 +6,10 @@
 //! repro soak [--seed <n>] [--ops <n>] [--switches <n>]
 //! repro cluster [--seed <n>] [--ops <n>] [--switches <n>]
 //! repro chaos [--seed <n>] [--ops <n>] [--switches <n>] [--kills <n>]
+//! repro stats [--seed <n>] [--ops <n>] [--switches <n>] [--json <path>]
 //!
-//! experiments: fig7a fig7b fig8 fig9a fig9b fig9c fig9d
-//!              fig11a fig11b fig11c tables churn churn-owners
-//!              embedding qdelay availability hotspot contention fload
-//!              cdf overhead hetero build-report all
+//! experiments: one per row of the `EXPERIMENTS` table below, or `all`
+//!              (the default); any other word prints the full list
 //!
 //! --paper       run at the paper's full scale (minutes) instead of the
 //!               quick preset (seconds)
@@ -39,6 +38,10 @@
 //! plan and workload are pure functions of `--seed`/`--ops`, so the
 //! printed repro line replays the same faults. Set `GRED_CHAOS_DIR` to
 //! also write the fault schedule to a file (CI uploads it on failure).
+//!
+//! `stats` boots a loopback cluster, runs a small seeded workload, then
+//! scrapes every node purely over the wire and prints per-node, per-link
+//! and cluster-health snapshots (`--json` also writes them to a file).
 //! ```
 
 use gred_net::LatencyModel;
@@ -46,7 +49,7 @@ use gred_sim::experiments::{
     availability, churn, contention, control_overhead, delay, embedding, forwarding_load,
     heterogeneity, hotspot, load, stretch, table_entries, testbed,
 };
-use gred_sim::report::{f3, render_csv, render_table};
+use gred_sim::report::{cells, f3, render_csv, render_table};
 use std::path::PathBuf;
 
 const SEED: u64 = 2019;
@@ -133,365 +136,404 @@ impl Output {
     }
 }
 
-fn stretch_rows(rows: &[stretch::StretchRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| vec![r.x.to_string(), r.system.clone(), f3(r.mean), f3(r.ci90)])
-        .collect()
+/// One table an experiment prints and, with `--csv`, writes to
+/// `<dir>/<csv>.csv`. `rows` gets the scale and `--threads`.
+struct Table {
+    csv: &'static str,
+    title: &'static str,
+    headers: &'static [&'static str],
+    rows: fn(&Scale, usize) -> Vec<Vec<String>>,
 }
 
-fn load_rows(rows: &[load::LoadRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| vec![r.x.to_string(), r.system.clone(), f3(r.max_avg)])
-        .collect()
+/// What running an experiment does.
+enum Run {
+    /// Computes and emits each table in turn.
+    Tables(&'static [Table]),
+    /// Prints free-form text of its own.
+    Text(fn()),
 }
 
-fn run(experiment: &str, scale: &Scale, out: &Output, threads: usize) {
-    match experiment {
-        "fig7a" | "fig7b" => {
-            let rows =
-                testbed::testbed_experiment(scale.testbed_requests, scale.testbed_items, SEED);
-            out.emit(
-                "fig7",
-                "Fig. 7(a)/(b): P4 testbed — stretch and load balance",
-                &["system", "mean stretch", "max/avg"],
-                rows.iter()
-                    .map(|r| vec![r.system.clone(), f3(r.stretch), f3(r.max_avg)])
-                    .collect(),
-            );
-        }
-        "fig8" => {
-            let rows = delay::response_delay(&scale.delay_requests, LatencyModel::default(), SEED);
-            out.emit(
-                "fig8",
-                "Fig. 8: average response delay vs retrieval requests",
-                &["requests", "system", "avg delay (us)"],
-                rows.iter()
-                    .map(|r| vec![r.requests.to_string(), r.system.clone(), f3(r.avg_delay_us)])
-                    .collect(),
-            );
-        }
-        "fig9a" => {
-            let rows =
-                stretch::stretch_vs_network_size(&scale.stretch_sizes, scale.stretch_items, SEED);
-            out.emit(
-                "fig9a",
-                "Fig. 9(a): routing stretch vs network size",
-                &["switches", "system", "mean stretch", "ci90"],
-                stretch_rows(&rows),
-            );
-        }
-        "fig9b" => {
-            let rows = stretch::stretch_vs_min_degree(
-                &scale.degrees,
-                scale.degree_switches,
-                scale.stretch_items,
-                SEED,
-            );
-            out.emit(
-                "fig9b",
-                "Fig. 9(b): routing stretch vs min degree",
-                &["min degree", "system", "mean stretch", "ci90"],
-                stretch_rows(&rows),
-            );
-        }
-        "fig9c" => {
-            let rows =
-                stretch::stretch_with_extension(&scale.stretch_sizes, scale.stretch_items, SEED);
-            out.emit(
-                "fig9c",
-                "Fig. 9(c): stretch with range extension",
-                &["switches", "system", "mean stretch", "ci90"],
-                stretch_rows(&rows),
-            );
-        }
-        "fig9d" => {
-            let rows = table_entries::entries_vs_network_size(&scale.entry_sizes, SEED);
-            out.emit(
-                "fig9d",
-                "Fig. 9(d): forwarding entries per switch vs network size",
-                &["switches", "mean entries", "ci90", "min", "max"],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            r.switches.to_string(),
-                            f3(r.mean),
-                            f3(r.ci90),
-                            r.min.to_string(),
-                            r.max.to_string(),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        "fig11a" => {
-            let rows = load::load_vs_network_size(&scale.load_servers, scale.load_items, SEED);
-            out.emit(
-                "fig11a",
-                "Fig. 11(a): load balance vs number of servers",
-                &["servers", "system", "max/avg"],
-                load_rows(&rows),
-            );
-        }
-        "fig11b" => {
-            let rows = load::load_vs_items(&scale.item_sweep, scale.sweep_servers, SEED);
-            out.emit(
-                "fig11b",
-                "Fig. 11(b): load balance vs number of items",
-                &["items", "system", "max/avg"],
-                load_rows(&rows),
-            );
-        }
-        "fig11c" => {
-            let rows = load::load_vs_iterations(
-                &scale.iteration_sweep,
-                scale.load_items,
-                scale.sweep_servers,
-                SEED,
-            );
-            out.emit(
-                "fig11c",
-                "Fig. 11(c): load balance vs iterations T",
-                &["T", "system", "max/avg"],
-                load_rows(&rows),
-            );
-        }
-        "tables" => print_extension_tables(),
-        "qdelay" => {
-            let rows = delay::response_delay_with_queueing(
-                &scale.delay_requests,
-                LatencyModel::default(),
-                50_000.0, // 50 ms arrival window: visible queueing at 1000 requests
-                SEED,
-            );
-            out.emit(
-                "qdelay",
-                "Extension: response delay with FIFO server queueing",
-                &["requests", "system", "avg delay (us)"],
-                rows.iter()
-                    .map(|r| vec![r.requests.to_string(), r.system.clone(), f3(r.avg_delay_us)])
-                    .collect(),
-            );
-        }
-        "hetero" => {
-            let rows = heterogeneity::heterogeneous_load(25, scale.load_items.min(30_000), SEED);
-            out.emit(
-                "hetero",
-                "Extension: heterogeneous server counts — why range extension exists",
-                &["system", "per-server max/avg"],
-                rows.iter()
-                    .map(|r| vec![r.system.clone(), f3(r.max_avg)])
-                    .collect(),
-            );
-        }
-        "overhead" => {
-            let rows = control_overhead::join_overhead(&scale.churn_sizes, SEED);
-            out.emit(
-                "overhead",
-                "Extension: control-plane update footprint of a join",
-                &[
-                    "switches",
-                    "switches touched",
-                    "entry delta",
-                    "newcomer entries",
-                ],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            r.switches.to_string(),
-                            r.switches_touched.to_string(),
-                            r.entry_delta.to_string(),
-                            r.newcomer_entries.to_string(),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        "cdf" => {
-            use gred_sim::trace::TraceCollector;
-            use gred_sim::workload::{AccessPicker, ItemGenerator};
-            let (topo, pool) = gred_sim::experiments::substrate(60, 10, 3, SEED);
-            let net =
-                gred::GredNetwork::build(topo, pool, gred::GredConfig::default().seeded(SEED))
-                    .expect("builds");
-            let mut traces = TraceCollector::new();
-            let mut gen = ItemGenerator::new("cdf");
-            let mut picker = AccessPicker::new(net.members(), SEED);
-            for _ in 0..scale.load_items.min(2_000) {
-                traces.trace_request(&net, &gen.next_id(), picker.pick());
-            }
-            out.emit(
-                "cdf",
-                "Extension: GRED per-request stretch distribution",
-                &["quantile", "stretch"],
-                [0.5, 0.9, 0.95, 0.99, 1.0]
-                    .iter()
-                    .map(|&q| vec![format!("p{:.0}", q * 100.0), f3(traces.stretch_quantile(q))])
-                    .collect(),
-            );
-        }
-        "fload" => {
-            let rows = forwarding_load::forwarding_load(30, 2_000, SEED);
-            out.emit(
-                "fload",
-                "Extension: per-switch forwarding-load concentration",
-                &["system", "max/avg", "total switch visits"],
-                rows.iter()
-                    .map(|r| vec![r.system.clone(), f3(r.max_avg), r.total_visits.to_string()])
-                    .collect(),
-            );
-        }
-        "contention" => {
-            let rows = contention::contention_completion(
-                &scale.delay_requests,
-                1_000.0,
-                gred_net::LinkParams::default(),
-                SEED,
-            );
-            out.emit(
-                "contention",
-                "Extension: completion time under link contention — GRED vs Chord",
-                &["requests", "system", "mean completion (us)"],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            r.requests.to_string(),
-                            r.system.clone(),
-                            f3(r.mean_completion_us),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        "hotspot" => {
-            let rows = hotspot::hotspot_request_load(
-                &[0.0, 0.8, 1.2],
-                &[1, 4],
-                500,
-                10,
-                scale.load_items.min(10_000),
-                SEED,
-            );
-            out.emit(
-                "hotspot",
-                "Extension: request load under Zipf popularity, with hot-item replication",
-                &["zipf s", "hot replicas", "request max/avg"],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            format!("{:.1}", r.zipf_s),
-                            r.hot_replicas.to_string(),
-                            f3(r.request_max_avg),
-                        ]
-                    })
-                    .collect(),
-            );
-            let flash =
-                hotspot::flash_crowd_request_load(500, scale.load_items.min(10_000), 3, SEED);
-            out.emit(
-                "flash_crowd",
-                "Extension: regional flash crowd on a cold key, before/after replication",
-                &["phase", "request max/avg", "peak share"],
-                flash
-                    .iter()
-                    .map(|r| vec![r.phase.to_string(), f3(r.request_max_avg), f3(r.peak_share)])
-                    .collect(),
-            );
-        }
-        "churn-owners" => {
-            let rows = churn::owner_churn_comparison(&scale.churn_sizes, 5_000, SEED);
-            out.emit(
-                "churn_owners",
-                "Extension: ownership churn on join — GRED vs Chord",
-                &["switches", "system", "moved fraction", "fair share"],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            r.switches.to_string(),
-                            r.system.clone(),
-                            f3(r.moved_fraction),
-                            f3(r.fair_share),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        "availability" => {
-            let rows = availability::availability_under_crashes(
-                &[1, 2, 3],
-                scale.churn_sizes[0] / 5,
-                scale.churn_sizes[0],
-                scale.churn_items.min(500),
-                SEED,
-            );
-            out.emit(
-                "availability",
-                "Extension: availability under edge-node crashes",
-                &["replicas", "failures", "availability"],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            r.replicas.to_string(),
-                            r.failures.to_string(),
-                            f3(r.availability),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        "churn" => {
-            let rows = churn::churn_migration(&scale.churn_sizes, scale.churn_items, SEED);
-            out.emit(
-                "churn",
-                "Extension: migration volume on join/leave (Section VI claim)",
-                &["switches", "event", "moved fraction", "fair share"],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            r.switches.to_string(),
-                            r.event.clone(),
-                            f3(r.moved_fraction),
-                            f3(r.fair_share),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        "embedding" => {
-            let rows =
-                embedding::embedding_ablation(&scale.stretch_sizes, scale.stretch_items, SEED);
-            out.emit(
-                "embedding",
-                "Ablation: M-position vs oracle vs random coordinates",
-                &["switches", "source", "mean stretch", "ci90"],
-                rows.iter()
-                    .map(|r| {
-                        vec![
-                            r.switches.to_string(),
-                            r.source.clone(),
-                            f3(r.mean),
-                            f3(r.ci90),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        "build-report" => {
-            let rows = build_report_rows(scale.build_switches, threads);
-            out.emit(
-                "build-report",
-                "Instrumentation: control-plane build phases by variant and thread count",
-                &["variant", "threads", "phase", "items", "wall (ms)"],
-                rows,
-            );
-        }
-        other => {
-            eprintln!("unknown experiment {other:?}");
-            eprintln!(
-                "choose one of: fig7a fig7b fig8 fig9a fig9b fig9c fig9d fig11a fig11b fig11c tables churn churn-owners embedding qdelay availability hotspot contention fload cdf overhead hetero build-report soak cluster chaos all"
-            );
-            std::process::exit(2);
-        }
+/// An experiment: the subcommand names that select it and what it runs.
+struct Experiment {
+    names: &'static [&'static str],
+    run: Run,
+}
+
+/// Every experiment, in the order `repro all` runs them. The
+/// unknown-name message and `all` are read off this table; nothing else
+/// lists the names.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        names: &["fig7a", "fig7b"],
+        run: Run::Tables(&[Table {
+            csv: "fig7",
+            title: "Fig. 7(a)/(b): P4 testbed — stretch and load balance",
+            headers: &["system", "mean stretch", "max/avg"],
+            rows: |s, _| {
+                cells(&testbed::testbed_experiment(
+                    s.testbed_requests,
+                    s.testbed_items,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fig8"],
+        run: Run::Tables(&[Table {
+            csv: "fig8",
+            title: "Fig. 8: average response delay vs retrieval requests",
+            headers: &["requests", "system", "avg delay (us)"],
+            rows: |s, _| {
+                cells(&delay::response_delay(
+                    &s.delay_requests,
+                    LatencyModel::default(),
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fig9a"],
+        run: Run::Tables(&[Table {
+            csv: "fig9a",
+            title: "Fig. 9(a): routing stretch vs network size",
+            headers: &["switches", "system", "mean stretch", "ci90"],
+            rows: |s, _| {
+                cells(&stretch::stretch_vs_network_size(
+                    &s.stretch_sizes,
+                    s.stretch_items,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fig9b"],
+        run: Run::Tables(&[Table {
+            csv: "fig9b",
+            title: "Fig. 9(b): routing stretch vs min degree",
+            headers: &["min degree", "system", "mean stretch", "ci90"],
+            rows: |s, _| {
+                cells(&stretch::stretch_vs_min_degree(
+                    &s.degrees,
+                    s.degree_switches,
+                    s.stretch_items,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fig9c"],
+        run: Run::Tables(&[Table {
+            csv: "fig9c",
+            title: "Fig. 9(c): stretch with range extension",
+            headers: &["switches", "system", "mean stretch", "ci90"],
+            rows: |s, _| {
+                cells(&stretch::stretch_with_extension(
+                    &s.stretch_sizes,
+                    s.stretch_items,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fig9d"],
+        run: Run::Tables(&[Table {
+            csv: "fig9d",
+            title: "Fig. 9(d): forwarding entries per switch vs network size",
+            headers: &["switches", "mean entries", "ci90", "min", "max"],
+            rows: |s, _| {
+                cells(&table_entries::entries_vs_network_size(
+                    &s.entry_sizes,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fig11a"],
+        run: Run::Tables(&[Table {
+            csv: "fig11a",
+            title: "Fig. 11(a): load balance vs number of servers",
+            headers: &["servers", "system", "max/avg"],
+            rows: |s, _| {
+                cells(&load::load_vs_network_size(
+                    &s.load_servers,
+                    s.load_items,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fig11b"],
+        run: Run::Tables(&[Table {
+            csv: "fig11b",
+            title: "Fig. 11(b): load balance vs number of items",
+            headers: &["items", "system", "max/avg"],
+            rows: |s, _| cells(&load::load_vs_items(&s.item_sweep, s.sweep_servers, SEED)),
+        }]),
+    },
+    Experiment {
+        names: &["fig11c"],
+        run: Run::Tables(&[Table {
+            csv: "fig11c",
+            title: "Fig. 11(c): load balance vs iterations T",
+            headers: &["T", "system", "max/avg"],
+            rows: |s, _| {
+                cells(&load::load_vs_iterations(
+                    &s.iteration_sweep,
+                    s.load_items,
+                    s.sweep_servers,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["tables"],
+        run: Run::Text(print_extension_tables),
+    },
+    Experiment {
+        names: &["churn"],
+        run: Run::Tables(&[Table {
+            csv: "churn",
+            title: "Extension: migration volume on join/leave (Section VI claim)",
+            headers: &["switches", "event", "moved fraction", "fair share"],
+            rows: |s, _| cells(&churn::churn_migration(&s.churn_sizes, s.churn_items, SEED)),
+        }]),
+    },
+    Experiment {
+        names: &["churn-owners"],
+        run: Run::Tables(&[Table {
+            csv: "churn_owners",
+            title: "Extension: ownership churn on join — GRED vs Chord",
+            headers: &["switches", "system", "moved fraction", "fair share"],
+            rows: |s, _| cells(&churn::owner_churn_comparison(&s.churn_sizes, 5_000, SEED)),
+        }]),
+    },
+    Experiment {
+        names: &["embedding"],
+        run: Run::Tables(&[Table {
+            csv: "embedding",
+            title: "Ablation: M-position vs oracle vs random coordinates",
+            headers: &["switches", "source", "mean stretch", "ci90"],
+            rows: |s, _| {
+                cells(&embedding::embedding_ablation(
+                    &s.stretch_sizes,
+                    s.stretch_items,
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["qdelay"],
+        run: Run::Tables(&[Table {
+            csv: "qdelay",
+            title: "Extension: response delay with FIFO server queueing",
+            headers: &["requests", "system", "avg delay (us)"],
+            rows: |s, _| {
+                cells(&delay::response_delay_with_queueing(
+                    &s.delay_requests,
+                    LatencyModel::default(),
+                    50_000.0, // 50 ms arrival window: visible queueing at 1000 requests
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["availability"],
+        run: Run::Tables(&[Table {
+            csv: "availability",
+            title: "Extension: availability under edge-node crashes",
+            headers: &["replicas", "failures", "availability"],
+            rows: |s, _| {
+                cells(&availability::availability_under_crashes(
+                    &[1, 2, 3],
+                    s.churn_sizes[0] / 5,
+                    s.churn_sizes[0],
+                    s.churn_items.min(500),
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["hotspot"],
+        run: Run::Tables(&[
+            Table {
+                csv: "hotspot",
+                title: "Extension: request load under Zipf popularity, with hot-item replication",
+                headers: &["zipf s", "hot replicas", "request max/avg"],
+                rows: |s, _| {
+                    cells(&hotspot::hotspot_request_load(
+                        &[0.0, 0.8, 1.2],
+                        &[1, 4],
+                        500,
+                        10,
+                        s.load_items.min(10_000),
+                        SEED,
+                    ))
+                },
+            },
+            Table {
+                csv: "flash_crowd",
+                title: "Extension: regional flash crowd on a cold key, before/after replication",
+                headers: &["phase", "request max/avg", "peak share"],
+                rows: |s, _| {
+                    cells(&hotspot::flash_crowd_request_load(
+                        500,
+                        s.load_items.min(10_000),
+                        3,
+                        SEED,
+                    ))
+                },
+            },
+        ]),
+    },
+    Experiment {
+        names: &["contention"],
+        run: Run::Tables(&[Table {
+            csv: "contention",
+            title: "Extension: completion time under link contention — GRED vs Chord",
+            headers: &["requests", "system", "mean completion (us)"],
+            rows: |s, _| {
+                cells(&contention::contention_completion(
+                    &s.delay_requests,
+                    1_000.0,
+                    gred_net::LinkParams::default(),
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["fload"],
+        run: Run::Tables(&[Table {
+            csv: "fload",
+            title: "Extension: per-switch forwarding-load concentration",
+            headers: &["system", "max/avg", "total switch visits"],
+            rows: |_, _| cells(&forwarding_load::forwarding_load(30, 2_000, SEED)),
+        }]),
+    },
+    Experiment {
+        names: &["cdf"],
+        run: Run::Tables(&[Table {
+            csv: "cdf",
+            title: "Extension: GRED per-request stretch distribution",
+            headers: &["quantile", "stretch"],
+            rows: |s, _| stretch_cdf_rows(s.load_items.min(2_000)),
+        }]),
+    },
+    Experiment {
+        names: &["overhead"],
+        run: Run::Tables(&[Table {
+            csv: "overhead",
+            title: "Extension: control-plane update footprint of a join",
+            headers: &[
+                "switches",
+                "switches touched",
+                "entry delta",
+                "newcomer entries",
+            ],
+            rows: |s, _| cells(&control_overhead::join_overhead(&s.churn_sizes, SEED)),
+        }]),
+    },
+    Experiment {
+        names: &["hetero"],
+        run: Run::Tables(&[Table {
+            csv: "hetero",
+            title: "Extension: heterogeneous server counts — why range extension exists",
+            headers: &["system", "per-server max/avg"],
+            rows: |s, _| {
+                cells(&heterogeneity::heterogeneous_load(
+                    25,
+                    s.load_items.min(30_000),
+                    SEED,
+                ))
+            },
+        }]),
+    },
+    Experiment {
+        names: &["build-report"],
+        run: Run::Tables(&[Table {
+            csv: "build-report",
+            title: "Instrumentation: control-plane build phases by variant and thread count",
+            headers: &["variant", "threads", "phase", "items", "wall (ms)"],
+            rows: |s, threads| build_report_rows(s.build_switches, threads),
+        }]),
+    },
+];
+
+/// An acceptance harness: prints its own text, so `all` leaves it out.
+/// All four take `--seed`, `--ops` and `--switches`; `run` gets those
+/// three and the command line for whatever else it reads.
+struct Harness {
+    name: &'static str,
+    ops: u64,
+    switches: u64,
+    min_switches: usize,
+    run: fn(u64, usize, usize, &Args),
+}
+
+const HARNESSES: &[Harness] = &[
+    Harness {
+        name: "soak",
+        ops: 2000,
+        switches: 12,
+        min_switches: 4,
+        run: |seed, ops, switches, _| run_soak(seed, ops, switches),
+    },
+    Harness {
+        name: "cluster",
+        ops: 500,
+        switches: 12,
+        min_switches: 4,
+        run: |seed, ops, switches, _| run_cluster(seed, ops, switches),
+    },
+    Harness {
+        name: "chaos",
+        ops: 500,
+        switches: 16,
+        min_switches: 5,
+        run: |seed, ops, switches, args| {
+            run_chaos_cmd(seed, ops, switches, args.number("--kills", 2) as usize)
+        },
+    },
+    Harness {
+        name: "stats",
+        ops: 100,
+        switches: 8,
+        min_switches: 4,
+        run: |seed, ops, switches, args| {
+            run_stats(seed, ops, switches, args.value("--json").map(PathBuf::from))
+        },
+    },
+];
+
+/// GRED's per-request stretch quantiles over `requests` traced requests
+/// on a 60-switch network.
+fn stretch_cdf_rows(requests: usize) -> Vec<Vec<String>> {
+    use gred_sim::trace::TraceCollector;
+    use gred_sim::workload::{AccessPicker, ItemGenerator};
+    let (topo, pool) = gred_sim::experiments::substrate(60, 10, 3, SEED);
+    let net = gred::GredNetwork::build(topo, pool, gred::GredConfig::default().seeded(SEED))
+        .expect("builds");
+    let mut traces = TraceCollector::new();
+    let mut gen = ItemGenerator::new("cdf");
+    let mut picker = AccessPicker::new(net.members(), SEED);
+    for _ in 0..requests {
+        traces.trace_request(&net, &gen.next_id(), picker.pick());
     }
+    [0.5, 0.9, 0.95, 0.99, 1.0]
+        .iter()
+        .map(|&q| vec![format!("p{:.0}", q * 100.0), f3(traces.stretch_quantile(q))])
+        .collect()
 }
 
 /// Paper Tables I/II: the forwarding-rule rewrite a range extension
@@ -891,114 +933,88 @@ fn run_chaos_cmd(seed: u64, ops: usize, switches: usize, kills: usize) {
     println!("chaos passed: zero acknowledged writes lost");
 }
 
+/// The command line after the program name.
+struct Args(Vec<String>);
+
+/// Flags that are followed by a value — which is therefore never the
+/// experiment name.
+const VALUE_FLAGS: [&str; 7] = [
+    "--csv",
+    "--threads",
+    "--seed",
+    "--ops",
+    "--switches",
+    "--kills",
+    "--json",
+];
+
+impl Args {
+    /// The word after `flag`, when both are there.
+    fn value(&self, flag: &str) -> Option<&str> {
+        debug_assert!(VALUE_FLAGS.contains(&flag));
+        let at = self.0.iter().position(|a| a == flag)?;
+        self.0.get(at + 1).map(String::as_str)
+    }
+
+    /// `flag`'s value as a number; `default` when absent or not one.
+    fn number(&self, flag: &str, default: u64) -> u64 {
+        self.value(flag)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// The first word that is neither a flag nor a flag's value.
+    fn experiment(&self) -> &str {
+        let words = self.0.iter().enumerate().filter(|&(i, word)| {
+            let follows_value_flag = i > 0 && VALUE_FLAGS.contains(&self.0[i - 1].as_str());
+            !word.starts_with("--") && !follows_value_flag
+        });
+        words.map(|(_, word)| word.as_str()).next().unwrap_or("all")
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper = args.iter().any(|a| a == "--paper");
-    let csv_dir = args
+    let args = Args(std::env::args().skip(1).collect());
+    let name = args.experiment();
+    if let Some(harness) = HARNESSES.iter().find(|harness| harness.name == name) {
+        let seed = args.number("--seed", SEED);
+        let ops = args.number("--ops", harness.ops) as usize;
+        let switches = args.number("--switches", harness.switches) as usize;
+        return (harness.run)(seed, ops, switches.max(harness.min_switches), &args);
+    }
+    let chosen: Vec<&Experiment> = EXPERIMENTS
         .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(gred_runtime::default_threads)
-        .max(1);
-    let scale = if paper {
+        .filter(|e| name == "all" || e.names.contains(&name))
+        .collect();
+    if chosen.is_empty() {
+        let experiments = EXPERIMENTS.iter().flat_map(|e| e.names).copied();
+        let harnesses = HARNESSES.iter().map(|harness| harness.name);
+        let names: Vec<&str> = experiments.chain(harnesses).chain(["all"]).collect();
+        eprintln!("unknown experiment {name:?}");
+        eprintln!("choose one of: {}", names.join(" "));
+        std::process::exit(2);
+    }
+    let scale = if args.0.iter().any(|a| a == "--paper") {
         Scale::paper()
     } else {
         Scale::quick()
     };
-    let out = Output { csv_dir };
-    let experiment = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            let is_flag = a.starts_with("--");
-            let is_flag_value = i > 0
-                && (args[i - 1] == "--csv"
-                    || args[i - 1] == "--threads"
-                    || args[i - 1] == "--seed"
-                    || args[i - 1] == "--ops"
-                    || args[i - 1] == "--switches"
-                    || args[i - 1] == "--kills"
-                    || args[i - 1] == "--json");
-            !is_flag && !is_flag_value
-        })
-        .map(|(_, a)| a.as_str())
-        .next()
-        .unwrap_or("all");
-
-    if matches!(experiment, "soak" | "cluster" | "chaos" | "stats") {
-        let flag = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
-        };
-        let seed = flag("--seed").unwrap_or(SEED);
-        match experiment {
-            "cluster" => {
-                let switches = (flag("--switches").unwrap_or(12) as usize).max(4);
-                let ops = flag("--ops").unwrap_or(500) as usize;
-                run_cluster(seed, ops, switches);
-            }
-            "chaos" => {
-                let switches = (flag("--switches").unwrap_or(16) as usize).max(5);
-                let ops = flag("--ops").unwrap_or(500) as usize;
-                let kills = flag("--kills").unwrap_or(2) as usize;
-                run_chaos_cmd(seed, ops, switches, kills);
-            }
-            "stats" => {
-                let switches = (flag("--switches").unwrap_or(8) as usize).max(4);
-                let ops = flag("--ops").unwrap_or(100) as usize;
-                let json = args
-                    .iter()
-                    .position(|a| a == "--json")
-                    .and_then(|i| args.get(i + 1))
-                    .map(PathBuf::from);
-                run_stats(seed, ops, switches, json);
-            }
-            _ => {
-                let switches = (flag("--switches").unwrap_or(12) as usize).max(4);
-                let ops = flag("--ops").unwrap_or(2000) as usize;
-                run_soak(seed, ops, switches);
+    let out = Output {
+        csv_dir: args.value("--csv").map(PathBuf::from),
+    };
+    let threads = args
+        .value("--threads")
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or_else(gred_runtime::default_threads)
+        .max(1);
+    for experiment in chosen {
+        match experiment.run {
+            Run::Text(print) => print(),
+            Run::Tables(tables) => {
+                for t in tables {
+                    out.emit(t.csv, t.title, t.headers, (t.rows)(&scale, threads));
+                }
             }
         }
-        return;
-    }
-
-    let all = [
-        "fig7a",
-        "fig8",
-        "fig9a",
-        "fig9b",
-        "fig9c",
-        "fig9d",
-        "fig11a",
-        "fig11b",
-        "fig11c",
-        "tables",
-        "churn",
-        "churn-owners",
-        "embedding",
-        "qdelay",
-        "availability",
-        "hotspot",
-        "contention",
-        "fload",
-        "cdf",
-        "overhead",
-        "hetero",
-        "build-report",
-    ];
-    if experiment == "all" {
-        for e in all {
-            run(e, &scale, &out, threads);
-        }
-    } else {
-        run(experiment, &scale, &out, threads);
     }
 }

@@ -7,6 +7,7 @@
 //! leave), and measure the fraction of items still retrievable via
 //! nearest-copy retrieval.
 
+use crate::report::{f3, Cells};
 use bytes::Bytes;
 use gred::{GredConfig, GredError, GredNetwork};
 use gred_hash::DataId;
@@ -24,6 +25,16 @@ pub struct AvailabilityRow {
     pub failures: usize,
     /// Fraction of items still retrievable.
     pub availability: f64,
+}
+
+impl Cells for AvailabilityRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.replicas.to_string(),
+            self.failures.to_string(),
+            f3(self.availability),
+        ]
+    }
 }
 
 /// Crashes `failures` random switches under each replication factor in

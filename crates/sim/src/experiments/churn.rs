@@ -6,6 +6,7 @@
 //! roughly `1/(n+1)` of the keys (the newcomer's Voronoi cell) and leave
 //! the rest untouched; a leave should move only the leaver's share.
 
+use crate::report::{f3, Cells};
 use bytes::Bytes;
 use gred::{GredConfig, GredNetwork};
 use gred_hash::DataId;
@@ -24,6 +25,17 @@ pub struct ChurnRow {
     pub moved_fraction: f64,
     /// The ideal fraction (newcomer/leaver's fair share of the keys).
     pub fair_share: f64,
+}
+
+impl Cells for ChurnRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.switches.to_string(),
+            self.event.clone(),
+            f3(self.moved_fraction),
+            f3(self.fair_share),
+        ]
+    }
 }
 
 fn snapshot(net: &GredNetwork) -> HashMap<DataId, gred_net::ServerId> {
@@ -138,6 +150,17 @@ pub struct OwnerChurnRow {
     pub moved_fraction: f64,
     /// The joining node's fair share of the key space.
     pub fair_share: f64,
+}
+
+impl Cells for OwnerChurnRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.switches.to_string(),
+            self.system.clone(),
+            f3(self.moved_fraction),
+            f3(self.fair_share),
+        ]
+    }
 }
 
 /// Compares ownership churn on a node join: GRED (one new DT site claims

@@ -9,6 +9,7 @@
 //! link simulator ([`gred_net::events`]) and reports mean completion
 //! time.
 
+use crate::report::{f3, Cells};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::{AccessPicker, ItemGenerator};
 use gred_chord::ChordConfig;
@@ -25,6 +26,16 @@ pub struct ContentionRow {
     pub system: String,
     /// Mean request completion time in microseconds.
     pub mean_completion_us: f64,
+}
+
+impl Cells for ContentionRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.requests.to_string(),
+            self.system.clone(),
+            f3(self.mean_completion_us),
+        ]
+    }
 }
 
 /// Gathers the physical switch path of one request under each system.

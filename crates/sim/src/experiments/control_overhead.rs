@@ -7,6 +7,7 @@
 //! join and count how many switches saw any change.
 
 use crate::experiments::substrate;
+use crate::report::Cells;
 use gred::{GredConfig, GredNetwork};
 use gred_dataplane::SwitchDataplane;
 use serde::Serialize;
@@ -23,6 +24,17 @@ pub struct ControlOverheadRow {
     pub entry_delta: i64,
     /// Entries installed on the joining switch itself.
     pub newcomer_entries: usize,
+}
+
+impl Cells for ControlOverheadRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.switches.to_string(),
+            self.switches_touched.to_string(),
+            self.entry_delta.to_string(),
+            self.newcomer_entries.to_string(),
+        ]
+    }
 }
 
 /// A switch's installed state, as comparable sets.

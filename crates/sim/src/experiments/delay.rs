@@ -6,6 +6,7 @@
 //! because delay is a function of path length (stretch ≈ 1 for both), not
 //! of request volume.
 
+use crate::report::{f3, Cells};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::{AccessPicker, ItemGenerator};
 use gred_net::{testbed_topology, LatencyModel};
@@ -20,6 +21,16 @@ pub struct DelayRow {
     pub system: String,
     /// Average response delay in microseconds.
     pub avg_delay_us: f64,
+}
+
+impl Cells for DelayRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.requests.to_string(),
+            self.system.clone(),
+            f3(self.avg_delay_us),
+        ]
+    }
 }
 
 /// Issues each batch size in `request_counts` against a pre-loaded

@@ -15,6 +15,7 @@
 //! changes — which cleanly separates the embedding's contribution.
 
 use crate::metrics::MetricSeries;
+use crate::report::{f3, Cells};
 use crate::workload::{AccessPicker, ItemGenerator};
 use gred::{GredConfig, GredNetwork};
 use gred_geometry::Point2;
@@ -34,6 +35,17 @@ pub struct EmbeddingRow {
     pub mean: f64,
     /// 90% confidence half-width.
     pub ci90: f64,
+}
+
+impl Cells for EmbeddingRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.switches.to_string(),
+            self.source.clone(),
+            f3(self.mean),
+            f3(self.ci90),
+        ]
+    }
 }
 
 fn measure(net: &GredNetwork, items: usize, seed: u64) -> MetricSeries {

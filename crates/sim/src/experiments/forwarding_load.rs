@@ -8,6 +8,7 @@
 //! concentration against Chord's underlay usage.
 
 use crate::metrics::max_avg;
+use crate::report::{f3, Cells};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::{AccessPicker, ItemGenerator};
 use gred_chord::{ChordConfig, ChordNetwork};
@@ -23,6 +24,16 @@ pub struct ForwardingLoadRow {
     /// Total switch-visits across all requests (lower = less network
     /// work; proportional to aggregate bandwidth use).
     pub total_visits: u64,
+}
+
+impl Cells for ForwardingLoadRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.system.clone(),
+            f3(self.max_avg),
+            self.total_visits.to_string(),
+        ]
+    }
 }
 
 /// Serves `requests` random retrievals on a fixed substrate and reports

@@ -10,6 +10,7 @@
 //! extension claws back.
 
 use crate::metrics::max_avg;
+use crate::report::{f3, Cells};
 use crate::workload::ItemGenerator;
 use bytes::Bytes;
 use gred::{GredConfig, GredError, GredNetwork};
@@ -27,6 +28,12 @@ pub struct HeterogeneityRow {
     pub system: String,
     /// Per-server `max/avg` item load.
     pub max_avg: f64,
+}
+
+impl Cells for HeterogeneityRow {
+    fn cells(&self) -> Vec<String> {
+        vec![self.system.clone(), f3(self.max_avg)]
+    }
 }
 
 /// Builds a pool with per-switch server counts uniform in

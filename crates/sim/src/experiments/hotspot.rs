@@ -9,6 +9,7 @@
 //! effects.
 
 use crate::metrics::max_avg;
+use crate::report::{f3, Cells};
 use crate::workload::{AccessPicker, ZipfPicker};
 use bytes::Bytes;
 use gred::{GredConfig, GredNetwork};
@@ -26,6 +27,16 @@ pub struct HotspotRow {
     pub hot_replicas: u32,
     /// `max/avg` of *requests served* per server.
     pub request_max_avg: f64,
+}
+
+impl Cells for HotspotRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            format!("{:.1}", self.zipf_s),
+            self.hot_replicas.to_string(),
+            f3(self.request_max_avg),
+        ]
+    }
 }
 
 /// Serves `requests` Zipf-distributed retrievals over a `catalog_size`
@@ -97,6 +108,16 @@ pub struct FlashCrowdRow {
     /// Fraction of the phase's requests served by the single busiest
     /// server — how much of the crowd one box absorbs.
     pub peak_share: f64,
+}
+
+impl Cells for FlashCrowdRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.phase.to_string(),
+            f3(self.request_max_avg),
+            f3(self.peak_share),
+        ]
+    }
 }
 
 /// The flash-crowd scenario: a key that nobody requested suddenly goes

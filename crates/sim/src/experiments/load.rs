@@ -6,6 +6,7 @@
 
 use crate::experiments::substrate;
 use crate::metrics::max_avg;
+use crate::report::{f3, Cells};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::ItemGenerator;
 use gred_net::ServerId;
@@ -22,6 +23,12 @@ pub struct LoadRow {
     pub system: String,
     /// The `max/avg` load-balance metric (1 is perfect).
     pub max_avg: f64,
+}
+
+impl Cells for LoadRow {
+    fn cells(&self) -> Vec<String> {
+        vec![self.x.to_string(), self.system.clone(), f3(self.max_avg)]
+    }
 }
 
 /// Computes `max/avg` after hashing `items` ids into `sut`.

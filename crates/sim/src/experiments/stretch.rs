@@ -2,6 +2,7 @@
 
 use crate::experiments::substrate;
 use crate::metrics::MetricSeries;
+use crate::report::{f3, Cells};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::{AccessPicker, ItemGenerator};
 use gred_runtime::{default_threads, parallel_map};
@@ -18,6 +19,17 @@ pub struct StretchRow {
     pub mean: f64,
     /// 90% confidence half-width (the paper's error bars).
     pub ci90: f64,
+}
+
+impl Cells for StretchRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.x.to_string(),
+            self.system.clone(),
+            f3(self.mean),
+            f3(self.ci90),
+        ]
+    }
 }
 
 /// The three systems every stretch figure compares.

@@ -6,6 +6,7 @@
 //! is modest.
 
 use crate::experiments::substrate;
+use crate::report::{f3, Cells};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use serde::Serialize;
 
@@ -22,6 +23,18 @@ pub struct TableEntriesRow {
     pub min: usize,
     /// Most entries on any switch.
     pub max: usize,
+}
+
+impl Cells for TableEntriesRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.switches.to_string(),
+            f3(self.mean),
+            f3(self.ci90),
+            self.min.to_string(),
+            self.max.to_string(),
+        ]
+    }
 }
 
 /// Measures average per-switch forwarding-table occupancy for GRED

@@ -5,6 +5,7 @@
 //! `max/avg` over GRED-NoCVT.
 
 use crate::metrics::{max_avg, MetricSeries};
+use crate::report::{f3, Cells};
 use crate::systems::{ComparedSystem, SystemUnderTest};
 use crate::workload::{AccessPicker, ItemGenerator};
 use gred_net::testbed_topology;
@@ -21,6 +22,12 @@ pub struct TestbedRow {
     pub stretch: f64,
     /// `max/avg` over the 12 servers (Fig. 7b).
     pub max_avg: f64,
+}
+
+impl Cells for TestbedRow {
+    fn cells(&self) -> Vec<String> {
+        vec![self.system.clone(), f3(self.stretch), f3(self.max_avg)]
+    }
 }
 
 /// The two systems the prototype compares (T = 50 per the paper).

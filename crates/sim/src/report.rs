@@ -51,6 +51,18 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
+/// A result row that knows its own table cells; implemented beside each
+/// experiment's row type, so `repro` formats no row itself.
+pub trait Cells {
+    /// This row's cells, one per column, as they are printed.
+    fn cells(&self) -> Vec<String>;
+}
+
+/// Every row's cells.
+pub fn cells<R: Cells>(rows: &[R]) -> Vec<Vec<String>> {
+    rows.iter().map(Cells::cells).collect()
+}
+
 /// Renders rows as CSV (RFC-4180-style quoting for cells containing
 /// commas, quotes, or newlines).
 ///
