@@ -137,9 +137,10 @@ impl Output {
 }
 
 /// One table an experiment prints and, with `--csv`, writes to
-/// `<dir>/<csv>.csv`. `rows` gets the scale and `--threads`.
+/// `<dir>/<csv>.csv`; `csv` is given only where the file is not named
+/// after the experiment. `rows` gets the scale and `--threads`.
 struct Table {
-    csv: &'static str,
+    csv: Option<&'static str>,
     title: &'static str,
     headers: &'static [&'static str],
     rows: fn(&Scale, usize) -> Vec<Vec<String>>,
@@ -166,7 +167,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig7a", "fig7b"],
         run: Run::Tables(&[Table {
-            csv: "fig7",
+            csv: Some("fig7"),
             title: "Fig. 7(a)/(b): P4 testbed — stretch and load balance",
             headers: &["system", "mean stretch", "max/avg"],
             rows: |s, _| {
@@ -181,7 +182,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig8"],
         run: Run::Tables(&[Table {
-            csv: "fig8",
+            csv: None,
             title: "Fig. 8: average response delay vs retrieval requests",
             headers: &["requests", "system", "avg delay (us)"],
             rows: |s, _| {
@@ -196,7 +197,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig9a"],
         run: Run::Tables(&[Table {
-            csv: "fig9a",
+            csv: None,
             title: "Fig. 9(a): routing stretch vs network size",
             headers: &["switches", "system", "mean stretch", "ci90"],
             rows: |s, _| {
@@ -211,7 +212,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig9b"],
         run: Run::Tables(&[Table {
-            csv: "fig9b",
+            csv: None,
             title: "Fig. 9(b): routing stretch vs min degree",
             headers: &["min degree", "system", "mean stretch", "ci90"],
             rows: |s, _| {
@@ -227,7 +228,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig9c"],
         run: Run::Tables(&[Table {
-            csv: "fig9c",
+            csv: None,
             title: "Fig. 9(c): stretch with range extension",
             headers: &["switches", "system", "mean stretch", "ci90"],
             rows: |s, _| {
@@ -242,7 +243,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig9d"],
         run: Run::Tables(&[Table {
-            csv: "fig9d",
+            csv: None,
             title: "Fig. 9(d): forwarding entries per switch vs network size",
             headers: &["switches", "mean entries", "ci90", "min", "max"],
             rows: |s, _| {
@@ -256,7 +257,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig11a"],
         run: Run::Tables(&[Table {
-            csv: "fig11a",
+            csv: None,
             title: "Fig. 11(a): load balance vs number of servers",
             headers: &["servers", "system", "max/avg"],
             rows: |s, _| {
@@ -271,7 +272,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig11b"],
         run: Run::Tables(&[Table {
-            csv: "fig11b",
+            csv: None,
             title: "Fig. 11(b): load balance vs number of items",
             headers: &["items", "system", "max/avg"],
             rows: |s, _| cells(&load::load_vs_items(&s.item_sweep, s.sweep_servers, SEED)),
@@ -280,7 +281,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fig11c"],
         run: Run::Tables(&[Table {
-            csv: "fig11c",
+            csv: None,
             title: "Fig. 11(c): load balance vs iterations T",
             headers: &["T", "system", "max/avg"],
             rows: |s, _| {
@@ -300,7 +301,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["churn"],
         run: Run::Tables(&[Table {
-            csv: "churn",
+            csv: None,
             title: "Extension: migration volume on join/leave (Section VI claim)",
             headers: &["switches", "event", "moved fraction", "fair share"],
             rows: |s, _| cells(&churn::churn_migration(&s.churn_sizes, s.churn_items, SEED)),
@@ -309,7 +310,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["churn-owners"],
         run: Run::Tables(&[Table {
-            csv: "churn_owners",
+            csv: Some("churn_owners"),
             title: "Extension: ownership churn on join — GRED vs Chord",
             headers: &["switches", "system", "moved fraction", "fair share"],
             rows: |s, _| cells(&churn::owner_churn_comparison(&s.churn_sizes, 5_000, SEED)),
@@ -318,7 +319,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["embedding"],
         run: Run::Tables(&[Table {
-            csv: "embedding",
+            csv: None,
             title: "Ablation: M-position vs oracle vs random coordinates",
             headers: &["switches", "source", "mean stretch", "ci90"],
             rows: |s, _| {
@@ -333,7 +334,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["qdelay"],
         run: Run::Tables(&[Table {
-            csv: "qdelay",
+            csv: None,
             title: "Extension: response delay with FIFO server queueing",
             headers: &["requests", "system", "avg delay (us)"],
             rows: |s, _| {
@@ -349,7 +350,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["availability"],
         run: Run::Tables(&[Table {
-            csv: "availability",
+            csv: None,
             title: "Extension: availability under edge-node crashes",
             headers: &["replicas", "failures", "availability"],
             rows: |s, _| {
@@ -367,7 +368,7 @@ const EXPERIMENTS: &[Experiment] = &[
         names: &["hotspot"],
         run: Run::Tables(&[
             Table {
-                csv: "hotspot",
+                csv: None,
                 title: "Extension: request load under Zipf popularity, with hot-item replication",
                 headers: &["zipf s", "hot replicas", "request max/avg"],
                 rows: |s, _| {
@@ -382,7 +383,7 @@ const EXPERIMENTS: &[Experiment] = &[
                 },
             },
             Table {
-                csv: "flash_crowd",
+                csv: Some("flash_crowd"),
                 title: "Extension: regional flash crowd on a cold key, before/after replication",
                 headers: &["phase", "request max/avg", "peak share"],
                 rows: |s, _| {
@@ -399,7 +400,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["contention"],
         run: Run::Tables(&[Table {
-            csv: "contention",
+            csv: None,
             title: "Extension: completion time under link contention — GRED vs Chord",
             headers: &["requests", "system", "mean completion (us)"],
             rows: |s, _| {
@@ -415,7 +416,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["fload"],
         run: Run::Tables(&[Table {
-            csv: "fload",
+            csv: None,
             title: "Extension: per-switch forwarding-load concentration",
             headers: &["system", "max/avg", "total switch visits"],
             rows: |_, _| cells(&forwarding_load::forwarding_load(30, 2_000, SEED)),
@@ -424,7 +425,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["cdf"],
         run: Run::Tables(&[Table {
-            csv: "cdf",
+            csv: None,
             title: "Extension: GRED per-request stretch distribution",
             headers: &["quantile", "stretch"],
             rows: |s, _| stretch_cdf_rows(s.load_items.min(2_000)),
@@ -433,7 +434,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["overhead"],
         run: Run::Tables(&[Table {
-            csv: "overhead",
+            csv: None,
             title: "Extension: control-plane update footprint of a join",
             headers: &[
                 "switches",
@@ -447,7 +448,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["hetero"],
         run: Run::Tables(&[Table {
-            csv: "hetero",
+            csv: None,
             title: "Extension: heterogeneous server counts — why range extension exists",
             headers: &["system", "per-server max/avg"],
             rows: |s, _| {
@@ -462,7 +463,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["build-report"],
         run: Run::Tables(&[Table {
-            csv: "build-report",
+            csv: None,
             title: "Instrumentation: control-plane build phases by variant and thread count",
             headers: &["variant", "threads", "phase", "items", "wall (ms)"],
             rows: |s, threads| build_report_rows(s.build_switches, threads),
@@ -1012,7 +1013,8 @@ fn main() {
             Run::Text(print) => print(),
             Run::Tables(tables) => {
                 for t in tables {
-                    out.emit(t.csv, t.title, t.headers, (t.rows)(&scale, threads));
+                    let csv = t.csv.unwrap_or(experiment.names[0]);
+                    out.emit(csv, t.title, t.headers, (t.rows)(&scale, threads));
                 }
             }
         }
