@@ -215,6 +215,12 @@ fn answer(state: &Mutex<AdminState>, packet: &Packet) -> Packet {
 fn apply_verb(state: &Mutex<AdminState>, op: &AdminOp) -> Packet {
     let mut guard = state.lock().expect("admin state poisoned");
     let AdminState { cluster, net } = &mut *guard;
+    // `crash_node` and `restart_node` index the slot they are given.
+    if let AdminOp::Crash { switch } | AdminOp::Restart { switch } = op {
+        if *switch as usize >= cluster.len() {
+            return Packet::admin_error(format!("switch {switch} does not exist").into_bytes());
+        }
+    }
     let outcome: Result<String, String> = match op {
         AdminOp::Ping => Ok(format!("pong: {} live nodes", cluster.live_nodes().count())),
         AdminOp::Crash { switch } => {
@@ -287,13 +293,33 @@ mod tests {
     use gred::GredConfig;
     use gred_net::{ServerPool, Topology};
 
-    #[test]
-    fn the_hello_is_enforced_like_a_node_enforces_it() {
+    fn two_node_admin() -> AdminServer {
         let topo = Topology::from_links(2, &[(0, 1)]).unwrap();
         let pool = ServerPool::uniform(2, 1, 100);
         let net = GredNetwork::build(topo, pool, GredConfig::with_iterations(0)).unwrap();
         let cluster = Cluster::boot(&net, ClusterConfig::default()).unwrap();
-        let admin = AdminServer::spawn(cluster, net).unwrap();
+        AdminServer::spawn(cluster, net).unwrap()
+    }
+
+    #[test]
+    fn out_of_range_switch_is_refused_in_band() {
+        let admin = two_node_admin();
+        for op in [
+            AdminOp::Crash { switch: 999 },
+            AdminOp::Restart { switch: 999 },
+        ] {
+            let reply = admin_call(admin.addr(), &op).unwrap();
+            assert!(!reply.ok, "{op:?} accepted");
+            assert_eq!(reply.message, "switch 999 does not exist");
+        }
+        let pong = admin_call(admin.addr(), &AdminOp::Ping).unwrap();
+        assert!(pong.ok && pong.message.starts_with("pong"), "{pong:?}");
+        admin.shutdown();
+    }
+
+    #[test]
+    fn the_hello_is_enforced_like_a_node_enforces_it() {
+        let admin = two_node_admin();
         let ping = call(7, &Packet::admin_request(AdminOp::Ping.encode()));
 
         // A preamble split across four writes is accepted.

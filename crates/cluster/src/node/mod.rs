@@ -398,17 +398,6 @@ impl Node {
             .collect()
     }
 
-    /// Marks peer `switch` suspect, exactly as a failed continuation
-    /// would.
-    pub fn mark_peer_suspect(&self, switch: usize) {
-        self.inner.mark_suspect(switch);
-    }
-
-    /// Clears peer `switch`'s suspicion (the peer recovered).
-    pub fn clear_peer_suspect(&self, switch: usize) {
-        self.inner.clear_suspect(switch);
-    }
-
     /// Removes and returns every stored item whose id satisfies `pred` —
     /// the migration half of live reconfiguration: after new tables are
     /// installed, keys this switch no longer owns are extracted here and
@@ -426,11 +415,6 @@ impl Node {
                 Some((id, item.payload))
             })
             .collect()
-    }
-
-    /// Requests this node has dispatched so far.
-    pub fn requests_served(&self) -> u64 {
-        self.inner.counters.requests.load(Ordering::Relaxed)
     }
 
     /// Items currently in the local store.

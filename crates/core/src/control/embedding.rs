@@ -184,31 +184,28 @@ pub fn m_position_landmark_with(
     landmarks: usize,
     seed: u64,
     threads: usize,
-    mut report: Option<&mut gred_runtime::BuildReport>,
+    report: Option<&mut gred_runtime::BuildReport>,
 ) -> Result<Embedding, GredError> {
     if members.is_empty() {
         return Err(GredError::NoStorageSwitches);
     }
+    // A caller that wants no report still runs the same phases, into one
+    // that is dropped.
+    let mut unread = gred_runtime::BuildReport::new(threads);
+    let report = report.unwrap_or(&mut unread);
     let n = members.len();
     let k = landmarks.clamp(3, n.max(3));
     if k >= n || n <= 3 {
         // Too few members to subsample: the exact path is both cheaper
         // and what the equivalence story expects.
-        return match report.as_deref_mut() {
-            Some(r) => r.phase("embedding", n, || m_position_with(topo, members, threads)),
-            None => m_position_with(topo, members, threads),
-        };
+        return report.phase("embedding", n, || m_position_with(topo, members, threads));
     }
 
     // Phase 1: seeded max-min landmark sampling with batched BFS rows.
     let mut chosen = vec![false; n];
     let mut landmark_members: Vec<usize> = Vec::with_capacity(k);
     let mut rows: Vec<Vec<u32>> = Vec::with_capacity(k);
-    let sample = |topo: &Topology,
-                  chosen: &mut Vec<bool>,
-                  landmark_members: &mut Vec<usize>,
-                  rows: &mut Vec<Vec<u32>>|
-     -> Result<(), GredError> {
+    report.phase("landmark_bfs", k, || -> Result<(), GredError> {
         let first = (seed % n as u64) as usize;
         chosen[first] = true;
         landmark_members.push(members[first]);
@@ -242,20 +239,11 @@ pub fn m_position_landmark_with(
             }
         }
         Ok(())
-    };
-    match report.as_deref_mut() {
-        Some(r) => r.phase("landmark_bfs", k, || {
-            sample(topo, &mut chosen, &mut landmark_members, &mut rows)
-        })?,
-        None => sample(topo, &mut chosen, &mut landmark_members, &mut rows)?,
-    }
+    })?;
 
     // Phase 2: classical MDS on the k × k landmark distance matrix.
     let l = Matrix::from_fn(k, k, |i, j| f64::from(rows[i][landmark_members[j]]));
-    let emb = match report.as_deref_mut() {
-        Some(r) => r.phase("landmark_embed", k, || landmark_mds(&l, 2)),
-        None => landmark_mds(&l, 2),
-    }?;
+    let emb = report.phase("landmark_embed", k, || landmark_mds(&l, 2))?;
 
     // Phase 3: trilaterate every member against the landmark frame.
     // Landmarks keep their exact classical coordinates; everyone else is
@@ -272,12 +260,9 @@ pub fn m_position_landmark_with(
         let dists: Vec<f64> = rows.iter().map(|row| f64::from(row[member])).collect();
         emb.place(&dists)
     };
-    let coords = match report {
-        Some(r) => r.phase("trilateration", n - k, || {
-            gred_runtime::parallel_map_min_chunk(members.to_vec(), threads, 64, place)
-        }),
-        None => gred_runtime::parallel_map_min_chunk(members.to_vec(), threads, 64, place),
-    };
+    let coords = report.phase("trilateration", n - k, || {
+        gred_runtime::parallel_map_min_chunk(members.to_vec(), threads, 64, place)
+    });
     let (positions, scale) = normalize_to_unit_square(&coords);
 
     Ok(Embedding {

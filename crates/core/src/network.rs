@@ -4,7 +4,9 @@
 use crate::config::GredConfig;
 use crate::control::delta::{affected_members, strip_member_state, DeltaReport, TopologyChange};
 use crate::control::dynamics::leave_membership;
-use crate::control::embedding::{embed_new_switch, m_position_landmark_with, m_position_with};
+use crate::control::embedding::{
+    embed_new_switch, m_position_landmark_with, m_position_with, separate_duplicates, Embedding,
+};
 use crate::control::installer::{
     apply_member_entries, install_dataplanes_with, member_virtual_paths,
 };
@@ -39,6 +41,32 @@ pub struct GredNetwork {
     extensions: HashMap<ServerId, ServerId>,
     /// Virtual-distance-per-hop factor recorded by the embedding.
     scale: f64,
+}
+
+/// Topology, pool and DT after a batch of joins and leaves, not yet
+/// installed on any switch.
+struct Evolved {
+    topology: Topology,
+    pool: ServerPool,
+    dt: DtGraph,
+    /// Switch ids created by joins, in order.
+    joined: Vec<usize>,
+    /// Switch ids removed by leaves, in order.
+    left: Vec<usize>,
+}
+
+/// The storage switches (those with a server) of a pool that describes
+/// `topology`, ascending.
+fn storage_switches(topology: &Topology, pool: &ServerPool) -> Result<Vec<usize>, GredError> {
+    if topology.switch_count() != pool.switch_count() {
+        return Err(GredError::SwitchCountMismatch {
+            topology: topology.switch_count(),
+            pool: pool.switch_count(),
+        });
+    }
+    Ok((0..topology.switch_count())
+        .filter(|&s| pool.servers_at(s) > 0)
+        .collect())
 }
 
 impl GredNetwork {
@@ -76,18 +104,9 @@ impl GredNetwork {
         pool: ServerPool,
         config: GredConfig,
     ) -> Result<(Self, BuildReport), GredError> {
-        if topology.switch_count() != pool.switch_count() {
-            return Err(GredError::SwitchCountMismatch {
-                topology: topology.switch_count(),
-                pool: pool.switch_count(),
-            });
-        }
+        let members = storage_switches(&topology, &pool)?;
         let threads = config.effective_threads();
         let mut report = BuildReport::new(threads);
-        let members: Vec<usize> = (0..topology.switch_count())
-            .filter(|&s| pool.servers_at(s) > 0)
-            .collect();
-        let member_count = members.len();
         let embedding = match config.landmarks {
             // Landmark path records its own finer-grained phases
             // (landmark_bfs / landmark_embed / trilateration), or plain
@@ -100,39 +119,13 @@ impl GredNetwork {
                 threads,
                 Some(&mut report),
             )?,
-            None => report.phase("embedding", member_count, || {
+            None => report.phase("embedding", members.len(), || {
                 m_position_with(&topology, &members, threads)
             })?,
         };
-        let samples = config.regulation.iterations * config.regulation.samples_per_iteration;
-        let refined = report.phase("regulation", samples, || {
-            refine_positions_with(
-                &embedding.positions,
-                &config.regulation,
-                config.seed,
-                threads,
-            )
-        });
-        let dt = report.phase("triangulation", member_count, || {
-            DtGraph::build(members, &refined)
-        })?;
-        let dataplanes = report.phase("installation", member_count, || {
-            install_dataplanes_with(&topology, &pool, &dt, threads)
-        })?;
+        let net = Self::from_embedding(topology, pool, config, embedding, &mut report)?;
         report.finish();
-        Ok((
-            GredNetwork {
-                topology,
-                pool,
-                config,
-                dt,
-                dataplanes,
-                store: DataStore::new(),
-                extensions: HashMap::new(),
-                scale: embedding.scale,
-            },
-            report,
-        ))
+        Ok((net, report))
     }
 
     /// Builds a network from caller-supplied virtual positions instead of
@@ -154,15 +147,7 @@ impl GredNetwork {
         positions: &[Point2],
         config: GredConfig,
     ) -> Result<Self, GredError> {
-        if topology.switch_count() != pool.switch_count() {
-            return Err(GredError::SwitchCountMismatch {
-                topology: topology.switch_count(),
-                pool: pool.switch_count(),
-            });
-        }
-        let members: Vec<usize> = (0..topology.switch_count())
-            .filter(|&s| pool.servers_at(s) > 0)
-            .collect();
+        let members = storage_switches(&topology, &pool)?;
         if members.is_empty() {
             return Err(GredError::NoStorageSwitches);
         }
@@ -173,11 +158,42 @@ impl GredNetwork {
             });
         }
         let mut given = positions.to_vec();
-        crate::control::embedding::separate_duplicates(&mut given);
+        separate_duplicates(&mut given);
+        let embedding = Embedding {
+            members,
+            positions: given,
+            scale: 1.0,
+        };
+        let mut unread = BuildReport::new(config.effective_threads());
+        Self::from_embedding(topology, pool, config, embedding, &mut unread)
+    }
+
+    /// The pipeline downstream of the embedding — C-regulation, multi-hop
+    /// DT, entry installation — each recorded as a phase of `report`.
+    fn from_embedding(
+        topology: Topology,
+        pool: ServerPool,
+        config: GredConfig,
+        embedding: Embedding,
+        report: &mut BuildReport,
+    ) -> Result<Self, GredError> {
         let threads = config.effective_threads();
-        let refined = refine_positions_with(&given, &config.regulation, config.seed, threads);
-        let dt = DtGraph::build(members, &refined)?;
-        let dataplanes = install_dataplanes_with(&topology, &pool, &dt, threads)?;
+        let member_count = embedding.members.len();
+        let samples = config.regulation.iterations * config.regulation.samples_per_iteration;
+        let refined = report.phase("regulation", samples, || {
+            refine_positions_with(
+                &embedding.positions,
+                &config.regulation,
+                config.seed,
+                threads,
+            )
+        });
+        let dt = report.phase("triangulation", member_count, || {
+            DtGraph::build(embedding.members, &refined)
+        })?;
+        let dataplanes = report.phase("installation", member_count, || {
+            install_dataplanes_with(&topology, &pool, &dt, threads)
+        })?;
         Ok(GredNetwork {
             topology,
             pool,
@@ -186,7 +202,7 @@ impl GredNetwork {
             dataplanes,
             store: DataStore::new(),
             extensions: HashMap::new(),
-            scale: 1.0,
+            scale: embedding.scale,
         })
     }
 
@@ -342,58 +358,12 @@ impl GredNetwork {
         links: &[usize],
         capacities: Vec<u64>,
     ) -> Result<usize, GredError> {
-        if capacities.is_empty() {
-            return Err(GredError::InvalidDynamics {
-                reason: "a joining edge node needs at least one server",
-            });
-        }
-        if links.is_empty() {
-            return Err(GredError::InvalidDynamics {
-                reason: "a joining switch needs at least one link",
-            });
-        }
-        // Extend the physical plane.
-        let new_switch = self.topology.switch_count();
-        let mut topo = self.topology.clone();
-        // Grow the adjacency by rebuilding with one more switch.
-        let mut grown = Topology::new(new_switch + 1);
-        for (a, b) in topo.links() {
-            grown.add_link(a, b)?;
-        }
-        for &l in links {
-            grown.add_link(new_switch, l)?;
-        }
-        topo = grown;
-
-        // Embed the newcomer against the fixed existing positions.
-        let embedding_view = crate::control::Embedding {
-            members: self.dt.members().to_vec(),
-            positions: self
-                .dt
-                .members()
-                .iter()
-                .map(|&m| self.dt.position_of(m).expect("member has position"))
-                .collect(),
-            scale: self.scale,
-        };
-        let mut position = embed_new_switch(&topo, &embedding_view, new_switch)?;
-        // Nudge until distinct from every existing position.
-        let mut all = embedding_view.positions.clone();
-        all.push(position);
-        crate::control::embedding::separate_duplicates(&mut all);
-        position = *all.last().expect("nonempty");
-
-        let dt = self.dt.with_joined(new_switch, position)?;
-
-        self.pool.push_switch(capacities);
-        let dataplanes =
-            install_dataplanes_with(&topo, &self.pool, &dt, self.config.effective_threads())?;
-
-        self.topology = topo;
-        self.dt = dt;
-        self.dataplanes = dataplanes;
-        self.reinstall_extensions();
-        self.migrate_all();
+        let next = self.evolve(&[TopologyChange::Join {
+            links: links.to_vec(),
+            capacities,
+        }])?;
+        let new_switch = next.joined[0];
+        self.rebuild(next)?;
         Ok(new_switch)
     }
 
@@ -407,52 +377,8 @@ impl GredNetwork {
     /// - [`GredError::Disconnected`] when removing it would disconnect the
     ///   remaining members.
     pub fn remove_switch(&mut self, switch: usize) -> Result<(), GredError> {
-        let change = leave_membership(&self.dt, switch)?;
-
-        // Check the remaining members stay mutually reachable without it.
-        let mut topo = self.topology.clone();
-        topo.isolate(switch);
-        let probe = change.members[0];
-        let hops = topo.bfs_hops(probe);
-        if change.members.iter().any(|&m| hops[m] == u32::MAX) {
-            return Err(GredError::Disconnected);
-        }
-
-        // Retract extensions touching the leaving switch.
-        let touching: Vec<ServerId> = self
-            .extensions
-            .iter()
-            .filter(|(o, t)| o.switch == switch || t.switch == switch)
-            .map(|(&o, _)| o)
-            .collect();
-        for original in touching {
-            // Items come home (or to wherever they belong) before the
-            // switch disappears.
-            let _ = self.retract_range(original);
-        }
-
-        // Take the leaving switch's data with us.
-        let orphans = self.store.drain_switch(switch);
-
-        let dt = DtGraph::build(change.members, &change.positions)?;
-        let mut pool = self.pool.clone();
-        pool.clear_switch(switch);
-        let dataplanes =
-            install_dataplanes_with(&topo, &pool, &dt, self.config.effective_threads())?;
-
-        self.topology = topo;
-        self.pool = pool;
-        self.dt = dt;
-        self.dataplanes = dataplanes;
-        self.reinstall_extensions();
-
-        for (id, payload) in orphans {
-            let owner = self.responsible_server(&id);
-            let target = self.extension_of(owner).unwrap_or(owner);
-            self.store.insert(target, id, payload);
-        }
-        self.migrate_all();
-        Ok(())
+        let next = self.evolve(&[TopologyChange::Leave { switch }])?;
+        self.rebuild(next)
     }
 
     /// Applies a batch of joins/leaves with an *incremental* control-plane
@@ -475,10 +401,82 @@ impl GredNetwork {
     /// [`Self::remove_switch`].
     pub fn apply_delta(&mut self, changes: &[TopologyChange]) -> Result<DeltaReport, GredError> {
         let start = std::time::Instant::now();
+        let next = self.evolve(changes)?;
+        self.retract_touching(&next.left);
+        let (topo, dt, left) = (&next.topology, &next.dt, &next.left);
 
-        // Phase 1: evolve topology/membership/positions on clones, event
-        // by event, exactly as the one-at-a-time path would (each join is
-        // embedded against the state its predecessors left behind).
+        // The affected set, against the pre-batch planes.
+        let affected = affected_members(
+            &self.dt,
+            dt,
+            &self.topology,
+            topo,
+            &self.dataplanes,
+            &next.joined,
+            left,
+        );
+
+        // Strip stale state — affected members' outgoing chains, every
+        // leaver's chains, then the leaver planes themselves.
+        let mut planes = self.dataplanes.clone();
+        let mut tuples_removed = 0;
+        for &u in affected.iter().chain(left) {
+            if u < planes.len() {
+                tuples_removed += strip_member_state(&mut planes, u);
+            }
+        }
+        for &l in left {
+            if l < planes.len() {
+                planes[l] = SwitchDataplane::transit(l);
+            }
+        }
+
+        // Fresh planes for joiners (a join-then-leave within the batch
+        // ends up transit).
+        for s in planes.len()..topo.switch_count() {
+            planes.push(match dt.position_of(s) {
+                Some(pos) if next.pool.servers_at(s) > 0 => {
+                    SwitchDataplane::new(s, pos, next.pool.servers_at(s))
+                }
+                _ => SwitchDataplane::transit(s),
+            });
+        }
+
+        // Reinstall only the affected cells — path search in parallel,
+        // entries applied serially in member order, same discipline as
+        // the full installer.
+        let threads = self.config.effective_threads();
+        let affected: Vec<usize> = affected.into_iter().collect();
+        let paths_per_member =
+            gred_runtime::parallel_map_min_chunk(affected.clone(), threads, 8, |u| {
+                member_virtual_paths(topo, dt, u)
+            });
+        for (&u, member_paths) in affected.iter().zip(paths_per_member) {
+            apply_member_entries(
+                &mut planes,
+                topo,
+                dt,
+                u,
+                member_paths.ok_or(GredError::Disconnected)?,
+            );
+        }
+
+        let members_total = dt.len();
+        self.commit(next.topology, next.pool, next.dt, planes, &next.left);
+        Ok(DeltaReport {
+            joined: next.joined,
+            left: next.left,
+            affected,
+            members_total,
+            relay_tuples_removed: tuples_removed,
+            wall: start.elapsed(),
+        })
+    }
+
+    /// Topology, pool, DT and positions after `changes`, event by event
+    /// (each join is embedded against the state its predecessors left
+    /// behind). Works on clones: a refused event leaves `self` untouched.
+    fn evolve(&self, changes: &[TopologyChange]) -> Result<Evolved, GredError> {
         let mut topo = self.topology.clone();
         let mut pool = self.pool.clone();
         let mut dt = self.dt.clone();
@@ -501,7 +499,9 @@ impl GredNetwork {
                     for &l in links {
                         topo.add_link(new_switch, l)?;
                     }
-                    let embedding_view = crate::control::Embedding {
+                    // Embed the newcomer against the fixed existing
+                    // positions, then nudge it until distinct from all.
+                    let mut view = Embedding {
                         members: dt.members().to_vec(),
                         positions: dt
                             .members()
@@ -510,20 +510,19 @@ impl GredNetwork {
                             .collect(),
                         scale: self.scale,
                     };
-                    let mut position = embed_new_switch(&topo, &embedding_view, new_switch)?;
-                    let mut all = embedding_view.positions.clone();
-                    all.push(position);
-                    crate::control::embedding::separate_duplicates(&mut all);
-                    position = *all.last().expect("nonempty");
+                    let position = embed_new_switch(&topo, &view, new_switch)?;
+                    view.positions.push(position);
+                    separate_duplicates(&mut view.positions);
+                    let position = *view.positions.last().expect("nonempty");
                     dt = dt.with_joined(new_switch, position)?;
                     pool.push_switch(capacities.clone());
                     joined.push(new_switch);
                 }
                 TopologyChange::Leave { switch } => {
                     let change = leave_membership(&dt, *switch)?;
+                    // The remaining members must stay mutually reachable.
                     topo.isolate(*switch);
-                    let probe = change.members[0];
-                    let hops = topo.bfs_hops(probe);
+                    let hops = topo.bfs_hops(change.members[0]);
                     if change.members.iter().any(|&m| hops[m] == u32::MAX) {
                         return Err(GredError::Disconnected);
                     }
@@ -533,11 +532,20 @@ impl GredNetwork {
                 }
             }
         }
+        Ok(Evolved {
+            topology: topo,
+            pool,
+            dt,
+            joined,
+            left,
+        })
+    }
 
-        // Phase 2: retract range extensions touching a leaver while the
-        // old tables still route (data comes home under the old state,
-        // exactly like `remove_switch`).
-        for &l in &left {
+    /// Retracts every range extension touching a leaver while the old
+    /// tables still route: items come home (or to wherever they belong)
+    /// before the switch disappears.
+    fn retract_touching(&mut self, left: &[usize]) {
+        for &l in left {
             let touching: Vec<ServerId> = self
                 .extensions
                 .iter()
@@ -548,87 +556,48 @@ impl GredNetwork {
                 let _ = self.retract_range(original);
             }
         }
+    }
 
-        // Phase 3: the affected set, against the pre-batch planes.
-        let affected = affected_members(
-            &self.dt,
-            &dt,
-            &self.topology,
-            &topo,
-            &self.dataplanes,
-            &joined,
-            &left,
-        );
+    /// The per-event path: every switch's entries installed from scratch
+    /// on the evolved state.
+    fn rebuild(&mut self, next: Evolved) -> Result<(), GredError> {
+        self.retract_touching(&next.left);
+        let mut planes = install_dataplanes_with(
+            &next.topology,
+            &next.pool,
+            &next.dt,
+            self.config.effective_threads(),
+        )?;
+        self.reinstall_extensions(&mut planes);
+        self.commit(next.topology, next.pool, next.dt, planes, &next.left);
+        Ok(())
+    }
 
-        // Phase 4: strip stale state — affected members' outgoing chains,
-        // every leaver's chains, then the leaver planes themselves.
-        let mut planes = self.dataplanes.clone();
-        let mut tuples_removed = 0;
-        for &u in affected.iter().chain(&left) {
-            if u < planes.len() {
-                tuples_removed += strip_member_state(&mut planes, u);
-            }
-        }
-        for &l in &left {
-            if l < planes.len() {
-                planes[l] = SwitchDataplane::transit(l);
-            }
-        }
-
-        // Phase 5: fresh planes for joiners (a join-then-leave within the
-        // batch ends up transit).
-        for s in planes.len()..topo.switch_count() {
-            planes.push(match dt.position_of(s) {
-                Some(pos) if pool.servers_at(s) > 0 => {
-                    SwitchDataplane::new(s, pos, pool.servers_at(s))
-                }
-                _ => SwitchDataplane::transit(s),
-            });
-        }
-
-        // Phase 6: reinstall only the affected cells — path search in
-        // parallel, entries applied serially in member order, same
-        // discipline as the full installer.
-        let threads = self.config.effective_threads();
-        let affected: Vec<usize> = affected.into_iter().collect();
-        let paths_per_member =
-            gred_runtime::parallel_map_min_chunk(affected.clone(), threads, 8, |u| {
-                member_virtual_paths(&topo, &dt, u)
-            });
-        for (&u, member_paths) in affected.iter().zip(paths_per_member) {
-            apply_member_entries(
-                &mut planes,
-                &topo,
-                &dt,
-                u,
-                member_paths.ok_or(GredError::Disconnected)?,
-            );
-        }
-
-        // Phase 7: commit, rehome the leavers' data, migrate.
+    /// Swaps in an evolved control plane with its installed `dataplanes`,
+    /// re-homes the data the leavers `left` behind and migrates every key
+    /// whose owner changed.
+    fn commit(
+        &mut self,
+        topology: Topology,
+        pool: ServerPool,
+        dt: DtGraph,
+        dataplanes: Vec<SwitchDataplane>,
+        left: &[usize],
+    ) {
         let orphans: Vec<_> = left
             .iter()
             .flat_map(|&l| self.store.drain_switch(l))
             .collect();
-        let members_total = dt.len();
-        self.topology = topo;
+        self.topology = topology;
         self.pool = pool;
         self.dt = dt;
-        self.dataplanes = planes;
+        self.dataplanes = dataplanes;
         for (id, payload) in orphans {
             let owner = self.responsible_server(&id);
             let target = self.extension_of(owner).unwrap_or(owner);
             self.store.insert(target, id, payload);
         }
         self.migrate_all();
-        Ok(DeltaReport {
-            joined,
-            left,
-            affected,
-            members_total,
-            relay_tuples_removed: tuples_removed,
-            wall: start.elapsed(),
-        })
     }
 
     /// An edge node *crashes*: unlike the graceful [`Self::remove_switch`],
@@ -757,16 +726,16 @@ impl GredNetwork {
         problems
     }
 
-    /// Re-installs extension rewrite entries into the freshly rebuilt
-    /// data planes.
-    fn reinstall_extensions(&mut self) {
+    /// Re-installs extension rewrite entries into freshly rebuilt
+    /// `planes`, forgetting any whose original server is gone.
+    fn reinstall_extensions(&mut self, planes: &mut [SwitchDataplane]) {
         let entries: Vec<(ServerId, ServerId)> =
             self.extensions.iter().map(|(&o, &t)| (o, t)).collect();
         for (original, takeover) in entries {
-            if original.switch < self.dataplanes.len()
-                && self.dataplanes[original.switch].server_count() > original.index
+            if original.switch < planes.len()
+                && planes[original.switch].server_count() > original.index
             {
-                self.dataplanes[original.switch]
+                planes[original.switch]
                     .install_extension(gred_dataplane::ExtensionEntry { original, takeover });
             } else {
                 self.extensions.remove(&original);
@@ -1139,6 +1108,49 @@ mod tests {
             "failed batch mutated state"
         );
         assert_eq!(net.topology().switch_count(), 10);
+    }
+
+    #[test]
+    fn disconnecting_dynamics_fail_alike_on_both_paths() {
+        let mut net = build_net(10, 37);
+        // The pendant hangs off switch 0 alone, so 0 leaving would cut
+        // it from every other member.
+        let pendant = net.add_switch(&[0], vec![100_000]).unwrap();
+        let before = network_fingerprint(&net);
+        assert_eq!(net.remove_switch(0), Err(GredError::Disconnected));
+        assert_eq!(
+            net.apply_delta(&[TopologyChange::Leave { switch: 0 }])
+                .unwrap_err(),
+            GredError::Disconnected
+        );
+        assert_eq!(network_fingerprint(&net), before);
+
+        // A joiner whose only link is a switch that already left reaches
+        // no member: in one batch, and event by event.
+        let rejoin = TopologyChange::Join {
+            links: vec![pendant],
+            capacities: vec![100_000],
+        };
+        assert_eq!(
+            net.apply_delta(&[TopologyChange::Leave { switch: pendant }, rejoin.clone()])
+                .unwrap_err(),
+            GredError::Disconnected
+        );
+        assert_eq!(network_fingerprint(&net), before);
+        net.remove_switch(pendant).unwrap();
+        let before = network_fingerprint(&net);
+        assert_eq!(
+            net.add_switch(&[pendant], vec![100_000]),
+            Err(GredError::Disconnected)
+        );
+        assert_eq!(
+            net.apply_delta(&[rejoin]).unwrap_err(),
+            GredError::Disconnected
+        );
+        assert_eq!(network_fingerprint(&net), before);
+        assert_eq!(net.topology().switch_count(), 11);
+        assert_eq!(net.pool().switch_count(), 11);
+        assert!(net.verify_invariants().is_empty());
     }
 
     #[test]

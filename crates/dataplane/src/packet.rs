@@ -313,12 +313,6 @@ impl Packet {
         p
     }
 
-    /// Whether the packet is currently traversing a virtual link
-    /// (`d.relay != null` in the paper's notation).
-    pub fn in_virtual_link(&self) -> bool {
-        self.relay.is_some()
-    }
-
     /// Enters a virtual link from `sour` to `dest`, initially addressed to
     /// `relay`.
     pub fn with_relay(mut self, sour: usize, relay: usize, dest: usize) -> Self {
@@ -356,9 +350,8 @@ mod tests {
     #[test]
     fn relay_header_lifecycle() {
         let p = Packet::retrieval(DataId::new("k"));
-        assert!(!p.in_virtual_link());
+        assert_eq!(p.relay, None);
         let p = p.with_relay(1, 2, 5);
-        assert!(p.in_virtual_link());
         assert_eq!(
             p.relay,
             Some(RelayHeader {
@@ -368,7 +361,7 @@ mod tests {
             })
         );
         let p = p.without_relay();
-        assert!(!p.in_virtual_link());
+        assert_eq!(p.relay, None);
     }
 
     #[test]

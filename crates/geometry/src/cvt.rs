@@ -11,8 +11,8 @@
 //! draws `samples` uniform points, assigns each to its nearest site, and
 //! moves every site toward the centroid of its assigned samples. We provide
 //! that method ([`c_regulation`]) plus the deterministic exact-centroid
-//! Lloyd step ([`lloyd_step`]) as an ablation baseline, and both sampled and
-//! exact CVT energies.
+//! Lloyd step ([`lloyd_step`]) as an ablation baseline, and the exact CVT
+//! energy ([`cvt_energy_exact`]).
 
 use crate::point::nearest_index;
 use crate::voronoi::voronoi_cells;
@@ -79,21 +79,6 @@ pub fn cvt_energy_exact(sites: &[Point2], bounds: &Polygon) -> f64 {
         .zip(sites)
         .map(|(cell, &site)| cell.second_moment_about(site))
         .sum()
-}
-
-/// Monte-Carlo estimate of the CVT energy using `samples` uniform points in
-/// the unit square.
-pub fn cvt_energy_sampled(sites: &[Point2], samples: usize, rng: &mut impl Rng) -> f64 {
-    if sites.is_empty() || samples == 0 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for _ in 0..samples {
-        let p = Point2::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-        let k = nearest_index(sites, p).expect("sites nonempty");
-        total += sites[k].distance_squared(p);
-    }
-    total / samples as f64
 }
 
 /// The paper's C-regulation refinement (Algorithm 1).
@@ -236,7 +221,6 @@ mod tests {
     fn empty_sites_ok() {
         let mut rng = StdRng::seed_from_u64(2);
         assert!(c_regulation(&[], &CRegulationConfig::default(), &mut rng).is_empty());
-        assert_eq!(cvt_energy_sampled(&[], 100, &mut rng), 0.0);
     }
 
     #[test]
@@ -308,18 +292,6 @@ mod tests {
             );
             prev = e;
         }
-    }
-
-    #[test]
-    fn sampled_energy_matches_exact() {
-        let sites = random_sites(9, 23);
-        let mut rng = StdRng::seed_from_u64(8);
-        let sampled = cvt_energy_sampled(&sites, 40_000, &mut rng);
-        let exact = cvt_energy_exact(&sites, &Polygon::unit_square());
-        assert!(
-            (sampled - exact).abs() < 0.15 * exact.max(1e-6),
-            "sampled={sampled}, exact={exact}"
-        );
     }
 
     #[test]

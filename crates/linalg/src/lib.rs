@@ -24,10 +24,8 @@ pub mod eigen;
 pub mod matrix;
 pub mod mds;
 pub mod mds_landmark;
-pub mod power;
 
 pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use matrix::Matrix;
 pub use mds::{classical_mds, double_center, MdsError};
 pub use mds_landmark::{landmark_mds, LandmarkEmbedding};
-pub use power::power_eigen;

@@ -165,14 +165,7 @@ impl Topology {
     /// The full all-pairs shortest-path (hop) matrix — the matrix `L` the
     /// M-position algorithm embeds.
     pub fn shortest_path_matrix(&self) -> Vec<Vec<u32>> {
-        self.shortest_path_matrix_with(1)
-    }
-
-    /// [`Topology::shortest_path_matrix`] computed on `threads` worker
-    /// threads. Every source row is an independent BFS, so the result is
-    /// identical for any thread count.
-    pub fn shortest_path_matrix_with(&self, threads: usize) -> Vec<Vec<u32>> {
-        gred_runtime::parallel_map((0..self.adj.len()).collect(), threads, |s| self.bfs_hops(s))
+        (0..self.adj.len()).map(|s| self.bfs_hops(s)).collect()
     }
 
     /// One shortest path from `a` to `b` (inclusive of both endpoints),

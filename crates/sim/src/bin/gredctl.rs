@@ -26,7 +26,7 @@
 //! gredctl --live 127.0.0.1:4999 admin join 0,2 10000,10000
 //! ```
 
-use gred::{GredConfig, GredNetwork};
+use gred::{GredConfig, GredError, GredNetwork};
 use gred_cluster::{admin_call, Client, ClientConfig, ClusterHealth};
 use gred_dataplane::{AdminOp, StatsSnapshot};
 use gred_hash::DataId;
@@ -147,6 +147,11 @@ impl Console {
                     .map(|a| a.parse().map_err(|_| format!("bad switch {a:?}")))
                     .collect::<Result<_, _>>()?;
                 let net = self.net()?;
+                // The newcomer copies its first neighbour's server count,
+                // so that link is looked up before `add_switch` checks it.
+                if links[0] >= net.pool().switch_count() {
+                    return Err(GredError::UnknownSwitch { switch: links[0] }.to_string());
+                }
                 let servers = net.pool().servers_at(links[0]).max(1);
                 let new = net
                     .add_switch(&links, vec![u64::MAX; servers])
@@ -505,10 +510,17 @@ mod tests {
 
     #[test]
     fn errors_are_reported_not_fatal() {
-        let out = run_script(&["build 5 1 1", "get missing/key 0", "bogus", "place x"]);
+        let out = run_script(&[
+            "build 5 1 1",
+            "get missing/key 0",
+            "bogus",
+            "place x",
+            "join 999",
+        ]);
         assert!(out[1].as_ref().unwrap_err().contains("not found"));
         assert!(out[2].as_ref().unwrap_err().contains("unknown command"));
         assert!(out[3].as_ref().unwrap_err().contains("usage"));
+        assert_eq!(out[4], Err("switch 999 does not exist".to_string()));
     }
 
     #[test]

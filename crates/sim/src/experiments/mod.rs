@@ -12,9 +12,8 @@
 //! migration-locality claim and [`embedding`] ablates the M-position
 //! embedding against oracle and random coordinates.
 //!
-//! Every function takes explicit parameters so the `repro` binary and the
-//! Criterion benches can run quick and paper-scale variants of the same
-//! code.
+//! Every function takes explicit parameters so the `repro` binary can run
+//! quick and paper-scale variants of the same code.
 
 pub mod availability;
 pub mod churn;

@@ -1,9 +1,8 @@
 //! Per-request trace records.
 //!
 //! Experiments report aggregates; traces keep the raw per-request rows
-//! (key, access switch, owner, hops, stretch) for offline analysis. The
-//! collector aggregates on the fly and exports CSV via
-//! [`crate::report::render_csv`].
+//! (key, access switch, owner, hops, stretch) and answer stretch
+//! quantiles over them.
 
 use gred::GredNetwork;
 use gred_hash::DataId;
@@ -82,14 +81,6 @@ impl TraceCollector {
         self.traces.is_empty()
     }
 
-    /// Mean stretch over the traced requests (0 when empty).
-    pub fn mean_stretch(&self) -> f64 {
-        if self.traces.is_empty() {
-            return 0.0;
-        }
-        self.traces.iter().map(|t| t.stretch).sum::<f64>() / self.traces.len() as f64
-    }
-
     /// The `q`-quantile (0–1) of per-request stretch, by nearest rank.
     ///
     /// # Panics
@@ -102,37 +93,6 @@ impl TraceCollector {
         xs.sort_by(f64::total_cmp);
         let rank = ((xs.len() as f64 - 1.0) * q).round() as usize;
         xs[rank]
-    }
-
-    /// Renders the traces as CSV.
-    pub fn to_csv(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .traces
-            .iter()
-            .map(|t| {
-                vec![
-                    t.key.clone(),
-                    t.access.to_string(),
-                    t.owner.to_string(),
-                    t.hops.to_string(),
-                    t.overlay_hops.to_string(),
-                    t.shortest.to_string(),
-                    format!("{:.4}", t.stretch),
-                ]
-            })
-            .collect();
-        crate::report::render_csv(
-            &[
-                "key",
-                "access",
-                "owner",
-                "hops",
-                "overlay_hops",
-                "shortest",
-                "stretch",
-            ],
-            &rows,
-        )
     }
 }
 
@@ -157,7 +117,6 @@ mod tests {
             c.trace_request(&net, &DataId::new(format!("t/{i}")), i % 15);
         }
         assert_eq!(c.len(), 40);
-        assert!(c.mean_stretch() >= 1.0);
         assert!(c.stretch_quantile(1.0) >= c.stretch_quantile(0.5));
         assert!(c.stretch_quantile(0.0) >= 1.0);
     }
@@ -172,17 +131,6 @@ mod tests {
         assert!(t.hops >= t.shortest);
         assert!(t.overlay_hops <= t.hops);
         assert_eq!(t.stretch, crate::metrics::stretch(t.hops, t.shortest));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let net = net();
-        let mut c = TraceCollector::new();
-        c.trace_request(&net, &DataId::new("csv-key"), 0);
-        let csv = c.to_csv();
-        assert!(csv.starts_with("key,access,owner"));
-        assert!(csv.contains("csv-key"));
-        assert_eq!(csv.lines().count(), 2);
     }
 
     #[test]

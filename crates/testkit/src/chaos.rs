@@ -134,13 +134,6 @@ impl ChaosPlan {
         events.sort_by_key(|e| e.at_op);
         ChaosPlan { seed, events }
     }
-
-    /// Events firing before operation `op`, in order. The runner calls
-    /// this with a cursor it advances itself; the method exists so ad-hoc
-    /// inspection (artifact dumps, tests) needs no cursor bookkeeping.
-    pub fn due_before(&self, op: usize) -> impl Iterator<Item = &ChaosEvent> {
-        self.events.iter().filter(move |e| e.at_op <= op)
-    }
 }
 
 #[cfg(test)]
