@@ -21,9 +21,12 @@
 //!   peer RPC and inserts through [`ReadCache::insert_if_fresh`], which
 //!   refuses when the epoch moved: a write that invalidated the id while
 //!   the read was in flight can never be shadowed by the stale payload
-//!   arriving late. Entries remember the epoch they were admitted under
-//!   (their serial stamp), so a hit can always be dated against the
-//!   shard's invalidation history.
+//!   arriving late. A token also tells whether its shard is still
+//!   [pristine](Token::is_pristine): untouched by any write's
+//!   invalidation ([`ReadCache::take_invalidation`]);
+//! - **two-tier** — an entry admitted as *shared* may also answer other
+//!   switches' requests ([`ReadCache::get_shared`]); a plain one only
+//!   this node's own.
 //!
 //! The cache stores whole replica ids (`DataId::replica(k)` values are
 //! distinct keys), so coherence is per replica copy — the same unit the
@@ -47,10 +50,8 @@ const ENTRY_OVERHEAD: usize = 64;
 /// One cached payload.
 struct Entry {
     payload: Bytes,
-    /// The shard epoch this entry was admitted under — its serial
-    /// stamp. Strictly older than the epoch after any later
-    /// invalidation touching the shard.
-    stamp: u64,
+    /// Admitted with [`ReadCache::insert_shared_if_fresh`].
+    shared: bool,
     /// CLOCK second-chance bit, set by hits, cleared by the sweep.
     referenced: bool,
 }
@@ -71,6 +72,8 @@ struct Shard {
     bytes: usize,
     /// Bumped by every invalidation or flush touching this shard.
     epoch: u64,
+    /// A write has invalidated an id in this shard.
+    touched: bool,
 }
 
 /// Snapshot of a token taken by [`ReadCache::begin_read`]: which shard
@@ -79,6 +82,15 @@ struct Shard {
 pub struct Token {
     shard: usize,
     epoch: u64,
+    touched: bool,
+}
+
+impl Token {
+    /// Whether no write had invalidated anything in the token's shard
+    /// when the token was taken.
+    pub fn is_pristine(&self) -> bool {
+        !self.touched
+    }
 }
 
 /// Monotonic cache counters, all relaxed atomics.
@@ -199,11 +211,20 @@ impl ReadCache {
     /// referenced bit. A disabled cache returns `None` without
     /// counting.
     pub fn get(&self, id: &DataId) -> Option<Bytes> {
+        self.probe(id, false)
+    }
+
+    /// Like [`get`](ReadCache::get), but only a shared entry is a hit.
+    pub fn get_shared(&self, id: &DataId) -> Option<Bytes> {
+        self.probe(id, true)
+    }
+
+    fn probe(&self, id: &DataId, shared_only: bool) -> Option<Bytes> {
         if !self.is_enabled() {
             return None;
         }
         let mut shard = self.lock(&self.shards[self.shard_index(id)]);
-        match shard.map.get_mut(id) {
+        match shard.map.get_mut(id).filter(|e| e.shared || !shared_only) {
             Some(entry) => {
                 entry.referenced = true;
                 let payload = entry.payload.clone();
@@ -219,39 +240,34 @@ impl ReadCache {
         }
     }
 
-    /// Whether `id` is cached right now, with no counter or CLOCK side
-    /// effects — the reactor's cheap inline-eligibility probe.
-    pub fn contains(&self, id: &DataId) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
-        self.lock(&self.shards[self.shard_index(id)])
-            .map
-            .contains_key(id)
-    }
-
-    /// The serial stamp (admission epoch) of `id`'s entry, if cached.
-    pub fn stamp(&self, id: &DataId) -> Option<u64> {
-        self.lock(&self.shards[self.shard_index(id)])
-            .map
-            .get(id)
-            .map(|e| e.stamp)
-    }
-
     /// Snapshots the invalidation epoch of `id`'s shard. Take the token
     /// *before* issuing the read RPC whose response may populate the
     /// cache; [`ReadCache::insert_if_fresh`] then refuses the insert if
     /// any invalidation touched the shard in between.
     pub fn begin_read(&self, id: &DataId) -> Token {
         let shard = self.shard_index(id);
-        let epoch = self.lock(&self.shards[shard]).epoch;
-        Token { shard, epoch }
+        let guard = self.lock(&self.shards[shard]);
+        Token {
+            shard,
+            epoch: guard.epoch,
+            touched: guard.touched,
+        }
     }
 
     /// Admits `payload` under `id` unless the shard's epoch moved past
     /// `token` (an invalidation raced the read) or the entry cannot fit
     /// the per-shard budget. Returns whether the entry was admitted.
     pub fn insert_if_fresh(&self, token: Token, id: DataId, payload: Bytes) -> bool {
+        self.admit(token, id, payload, false)
+    }
+
+    /// Like [`insert_if_fresh`](ReadCache::insert_if_fresh), admitting a
+    /// shared entry.
+    pub fn insert_shared_if_fresh(&self, token: Token, id: DataId, payload: Bytes) -> bool {
+        self.admit(token, id, payload, true)
+    }
+
+    fn admit(&self, token: Token, id: DataId, payload: Bytes, shared: bool) -> bool {
         let need = cost(&payload);
         if need > self.per_shard_budget {
             return false;
@@ -262,12 +278,11 @@ impl ReadCache {
             return false;
         }
         self.evict_for(&mut shard, need);
-        let stamp = shard.epoch;
         match shard.map.insert(
             id.clone(),
             Entry {
                 payload,
-                stamp,
+                shared,
                 referenced: false,
             },
         ) {
@@ -310,11 +325,22 @@ impl ReadCache {
     /// an in-flight read of `id` can no longer populate the cache with
     /// the superseded payload. Returns whether an entry was dropped.
     pub fn invalidate(&self, id: &DataId) -> bool {
+        self.drop_id(id, false)
+    }
+
+    /// Like [`invalidate`](ReadCache::invalidate), for a write's
+    /// invalidation: the shard is no longer pristine.
+    pub fn take_invalidation(&self, id: &DataId) -> bool {
+        self.drop_id(id, true)
+    }
+
+    fn drop_id(&self, id: &DataId, by_write: bool) -> bool {
         if !self.is_enabled() {
             return false;
         }
         let mut shard = self.lock(&self.shards[self.shard_index(id)]);
         shard.epoch += 1;
+        shard.touched |= by_write;
         match shard.map.remove(id) {
             Some(entry) => {
                 shard.bytes -= cost(&entry.payload);
@@ -359,6 +385,12 @@ mod tests {
         c.insert_if_fresh(token, id, Bytes::copy_from_slice(payload))
     }
 
+    /// Whether `key` is cached, without a counter or CLOCK side effect.
+    fn holds(c: &ReadCache, key: &str) -> bool {
+        let id = DataId::new(key);
+        c.lock(&c.shards[c.shard_index(&id)]).map.contains_key(&id)
+    }
+
     #[test]
     fn round_trip_and_counters() {
         let c = cache(1 << 16);
@@ -369,7 +401,7 @@ mod tests {
         let stats = c.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(c.len(), 1);
-        assert!(c.contains(&id));
+        assert!(holds(&c, "k"));
     }
 
     #[test]
@@ -393,7 +425,7 @@ mod tests {
         let token = c.begin_read(&id);
         c.invalidate(&id);
         assert!(!c.insert_if_fresh(token, id.clone(), Bytes::from_static(b"stale")));
-        assert!(!c.contains(&id), "the stale payload must not be admitted");
+        assert!(!holds(&c, "k"), "the stale payload must not be admitted");
         // A token taken after the invalidation admits fine.
         let fresh = c.begin_read(&id);
         assert!(c.insert_if_fresh(fresh, id.clone(), Bytes::from_static(b"new")));
@@ -401,17 +433,25 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_serial_stamped_by_the_shard_epoch() {
+    fn only_shared_entries_answer_get_shared() {
         let c = cache(1 << 16);
-        assert!(admit(&c, "a", b"v"));
-        let first = c.stamp(&DataId::new("a")).expect("cached");
-        c.invalidate(&DataId::new("a"));
-        assert!(admit(&c, "a", b"v2"));
-        let second = c.stamp(&DataId::new("a")).expect("cached");
+        let (plain, shared) = (DataId::new("plain"), DataId::new("shared"));
+        assert!(admit(&c, "plain", b"p"));
+        let token = c.begin_read(&shared);
+        assert!(token.is_pristine());
+        assert!(c.insert_shared_if_fresh(token, shared.clone(), Bytes::from_static(b"s")));
+        assert_eq!(c.get_shared(&plain), None);
+        assert_eq!(c.get_shared(&shared).as_deref(), Some(b"s".as_ref()));
+        assert_eq!(c.get(&plain).as_deref(), Some(b"p".as_ref()));
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        c.invalidate(&DataId::new("elsewhere"));
         assert!(
-            second > first,
-            "re-admission after invalidation must carry a newer stamp"
+            c.begin_read(&plain).is_pristine(),
+            "a drop that is no write"
         );
+        c.take_invalidation(&DataId::new("elsewhere"));
+        assert!(!c.begin_read(&plain).is_pristine(), "one shard: touched");
     }
 
     #[test]
@@ -426,11 +466,11 @@ mod tests {
         assert!(admit(&c, "c", b"cccc"));
         assert_eq!(c.len(), 2, "budget holds two entries");
         assert!(
-            c.contains(&DataId::new("a")),
+            holds(&c, "a"),
             "the referenced entry survives the first sweep"
         );
-        assert!(!c.contains(&DataId::new("b")), "the cold entry is evicted");
-        assert!(c.contains(&DataId::new("c")));
+        assert!(!holds(&c, "b"), "the cold entry is evicted");
+        assert!(holds(&c, "c"));
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -446,7 +486,7 @@ mod tests {
         assert!(admit(&c, "c", b"cccc"));
         assert!(admit(&c, "d", b"dddd"));
         assert_eq!(c.len(), 2);
-        assert!(c.contains(&DataId::new("d")));
+        assert!(holds(&c, "d"));
     }
 
     #[test]
@@ -463,7 +503,7 @@ mod tests {
         assert!(!c.is_enabled());
         assert!(!admit(&c, "k", b"v"));
         assert_eq!(c.get(&DataId::new("k")), None);
-        assert!(!c.contains(&DataId::new("k")));
+        assert!(c.is_empty());
         // Disabled probes are silent: no counters move.
         assert_eq!(c.stats(), CacheStats::default());
     }

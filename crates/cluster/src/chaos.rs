@@ -518,7 +518,13 @@ pub struct ChaosOutcome {
 /// full-cluster scrapes bracketing a burst of fresh unreplicated writes.
 /// The counter-asserted chaos invariants read these numbers instead of
 /// grepping logs: a healed cluster stops detouring, drains its suspect
-/// set, and delivers every write's invalidation broadcast to all peers.
+/// set, and delivers every write's invalidations to all their targets.
+///
+/// Every live node reads each probe key before the first scrape. The
+/// keys do not exist yet, so each read is a miss that must leave no
+/// sharer behind, and each probe write is a first insert: its targets
+/// are unknown, it invalidates every peer, and so it exercises every
+/// link of the storing node.
 #[derive(Debug, Clone)]
 pub struct HealProbe {
     /// Cluster-total `detour_forwards` at the first post-heal scrape.
@@ -536,7 +542,7 @@ pub struct HealProbe {
     /// Live nodes scraped.
     pub nodes: usize,
     /// Δ cluster-total `invalidations_rx` across the probe writes. Each
-    /// clean write broadcasts to every peer but the storing node, so a
+    /// clean first insert notifies every peer but the storing node, so a
     /// settled cluster shows exactly `clean_writes * (nodes - 1)`.
     pub invalidations_delta: u64,
     /// The second scrape's per-node snapshots (the CI artifact payload).
@@ -759,13 +765,22 @@ const PROBE_WRITES: usize = 6;
 /// itself failed (a node unreachable mid-scrape), never a failed
 /// invariant — the invariants live in the numbers.
 fn heal_probe(cluster: &Cluster, net: &GredNetwork, cfg: &ChaosConfig) -> Option<HealProbe> {
+    let ids: Vec<DataId> = (0..PROBE_WRITES)
+        .map(|i| DataId::new(format!("heal-probe-{}-{i}", cfg.seed)))
+        .collect();
+    for (switch, _) in cluster.live_nodes() {
+        let mut reader = cluster.client(switch).ok()?;
+        for id in &ids {
+            // A transit relay refuses; a member answers `NotFound`.
+            let _ = reader.retrieve(id);
+        }
+    }
     let before = ClusterHealth::aggregate(&cluster.scrape().ok()?);
     let mut client = member_client(cluster, net).ok()?;
     let mut clean_writes = 0;
     let mut degraded_writes = 0;
-    for i in 0..PROBE_WRITES {
-        let id = DataId::new(format!("heal-probe-{}-{i}", cfg.seed));
-        match client.place(&id, format!("probe-{i}").into_bytes()) {
+    for (i, id) in ids.iter().enumerate() {
+        match client.place(id, format!("probe-{i}").into_bytes()) {
             Ok(reply) if reply.is_clean() => clean_writes += 1,
             Ok(_) => degraded_writes += 1,
             Err(_) => {}

@@ -3,7 +3,7 @@
 //! failure ladder they walk down.
 
 use super::conn::{Protocol, Reactor, Timer};
-use super::route::{CacheFill, Step};
+use super::route::{CacheFill, Fanout, Step};
 use crate::frame::Body;
 use gred_dataplane::{Packet, ResponseStatus};
 use std::collections::BTreeMap;
@@ -27,14 +27,14 @@ pub(super) struct Call {
     /// The request arrived as a "GB" container and is answered as one.
     batch: bool,
     replies: Vec<Option<Packet>>,
-    /// Reply slots acking a placement stored on this node.
-    stored: Vec<usize>,
+    /// Reply slots acking a placement stored on this node, with the
+    /// invalidations each owes.
+    stored: Vec<(usize, Fanout)>,
     /// Frames parked on this call's behalf that have not landed yet.
     outstanding: usize,
-    /// The `Invalidate` packet(s) for `stored`, once the forwards are
-    /// done and the invalidation phase runs; empty before.
-    invalidation: Vec<Packet>,
-    /// Every peer confirmed the invalidation so far; a suspect or
+    /// The forwards are done and the invalidation phase runs.
+    invalidating: bool,
+    /// Every target confirmed its invalidation so far; a suspect or
     /// unreachable one downgrades the stored acks to `Degraded`.
     coherent: bool,
 }
@@ -51,8 +51,8 @@ struct Group {
 enum Work {
     /// Packets forwarded one hop.
     Forward(Group),
-    /// The call's invalidation frame (packets in [`Call::invalidation`]).
-    Invalidate,
+    /// One `Invalidate` per stored id of the call the peer may cache.
+    Invalidate(Vec<Packet>),
 }
 
 /// A continuation: one frame written to peer `to`, waiting for its
@@ -77,10 +77,9 @@ impl Reactor {
     pub(super) fn serve(&mut self, origin: Origin, body: Body) {
         let (steps, batch) = match body {
             Body::One(packet) => match self.inner.route_step(packet) {
-                Step::Respond {
-                    resp,
-                    stored: false,
-                } => return self.respond(origin, std::slice::from_ref(&resp), false),
+                Step::Respond { resp, fanout: None } => {
+                    return self.respond(origin, std::slice::from_ref(&resp), false)
+                }
                 step => (vec![step], false),
             },
             Body::Many(packets) => (
@@ -97,16 +96,16 @@ impl Reactor {
             replies: Vec::with_capacity(steps.len()),
             stored: Vec::new(),
             outstanding: 0,
-            invalidation: Vec::new(),
+            invalidating: false,
             coherent: true,
         };
         // BTreeMap for a deterministic peer order within a call.
         let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
         for (i, step) in steps.into_iter().enumerate() {
             match step {
-                Step::Respond { resp, stored } => {
-                    if stored {
-                        call.stored.push(i);
+                Step::Respond { resp, fanout } => {
+                    if let Some(fanout) = fanout {
+                        call.stored.push((i, fanout));
                     }
                     call.replies.push(Some(resp));
                 }
@@ -175,10 +174,7 @@ impl Reactor {
         pending.link = conn.generation;
         let packets = match &pending.work {
             Work::Forward(group) => &group.packets,
-            Work::Invalidate => {
-                let call = self.calls.get(pending.call);
-                &call.expect("call outlives its frames").invalidation
-            }
+            Work::Invalidate(packets) => packets,
         };
         conn.encode_call(&self.inner.counters, corr, packets, packets.len() > 1);
         let sent = match conn.proto {
@@ -202,7 +198,7 @@ impl Reactor {
         };
         let expected = match &pending.work {
             Work::Forward(group) => group.packets.len(),
-            Work::Invalidate => self.calls.get(pending.call).map_or(0, |c| c.stored.len()),
+            Work::Invalidate(packets) => packets.len(),
         };
         // A mismatched answer poisons the link, not just this frame: the
         // error closes it and everything parked on it is resent.
@@ -264,7 +260,7 @@ impl Reactor {
                     });
                 }
             }
-            Work::Invalidate => call.coherent = false,
+            Work::Invalidate(_) => call.coherent = false,
         }
         self.landed(pending.call);
     }
@@ -278,65 +274,82 @@ impl Reactor {
             return;
         }
         let state = self.calls.take(call).expect("observed above");
-        if state.invalidation.is_empty() {
-            self.forwards_done(state);
-        } else {
+        if state.invalidating {
             self.answer(state);
+        } else {
+            self.forwards_done(state);
         }
     }
 
     /// Every reply slot of `call` is filled. Write-through coherence:
-    /// before a placement stored on this node acks, every remote peer is
-    /// told to drop any cached copy — one `Invalidate` frame each,
-    /// written back to back, the call answered after the last ack.
+    /// before a placement stored on this node acks, every switch that may
+    /// cache an older copy (its [`Fanout`] targets) is told to drop it —
+    /// one `Invalidate` frame per such peer, carrying just the call's ids
+    /// that peer may hold, written back to back, the call answered after
+    /// the last ack.
     ///
-    /// An unreachable peer is marked suspect and the ack downgraded to
+    /// An unreachable target is marked suspect and the ack downgraded to
     /// `Degraded` — never a hard failure. That keeps the guarantee exact
     /// without sacrificing availability: after a *clean* ack no cache
     /// anywhere can serve the old value, while a write racing a dead
-    /// peer still lands (degraded, so replication quorums don't count
-    /// it). Peers already under suspicion are not re-probed on the write
-    /// path — the first failure paid the timeout; further writes inside
-    /// the TTL just stay degraded.
+    /// sharer still lands (degraded, so replication quorums don't count
+    /// it). Targets already under suspicion are not re-probed on the
+    /// write path — the first failure paid the timeout; further writes
+    /// inside the TTL just stay degraded. A suspect peer that is no
+    /// target cannot hold a copy and costs the write nothing.
     fn forwards_done(&mut self, mut call: Call) {
         if call.stored.is_empty() {
             return self.answer(call);
         }
-        let mut targets = Vec::new();
+        // BTreeMap for a deterministic peer order within a call.
+        let mut frames: BTreeMap<usize, Vec<Packet>> = BTreeMap::new();
         {
-            let now = self.inner.now_ms();
+            let (me, now) = (self.inner.id, self.inner.now_ms());
             let peers = self.inner.peers();
-            for to in (0..peers.suspect.len()).filter(|&to| to != self.inner.id) {
-                if peers.suspect_at(to, now) {
-                    call.coherent = false;
-                } else {
-                    targets.push(to);
+            for (slot, fanout) in &call.stored {
+                let ack = call.replies[*slot]
+                    .as_ref()
+                    .expect("stored slot is answered");
+                let notice = Packet::invalidate(ack.id.clone());
+                let mut owe = |to: usize| {
+                    if peers.suspect_at(to, now) {
+                        call.coherent = false;
+                    } else {
+                        frames.entry(to).or_default().push(notice.clone());
+                    }
+                };
+                match fanout.targets.known() {
+                    Some(ids) => ids.iter().for_each(|&id| owe(id as usize)),
+                    None => (0..peers.suspect.len())
+                        .filter(|&to| to != me)
+                        .for_each(owe),
                 }
             }
         }
-        if targets.is_empty() {
+        if frames.is_empty() {
             return self.answer(call); // nobody reachable could be caching
         }
-        call.invalidation = call
-            .stored
-            .iter()
-            .map(|&i| {
-                let ack = call.replies[i].as_ref().expect("stored slot is answered");
-                Packet::invalidate(ack.id.clone())
-            })
-            .collect();
-        call.outstanding = targets.len();
+        call.outstanding = frames.len();
+        call.invalidating = true;
         let key = self.calls.park(call);
-        for to in targets {
-            self.launch(key, to, Work::Invalidate);
+        for (to, packets) in frames {
+            self.launch(key, to, Work::Invalidate(packets));
         }
     }
 
-    /// Sends `call`'s replies to the connection it came from.
+    /// Sends `call`'s replies to the connection it came from. A write
+    /// whose every target confirmed is settled first; one that could not
+    /// reach them all keeps its targets owed to the next write, and its
+    /// ack is downgraded.
     fn answer(&mut self, mut call: Call) {
-        if !call.coherent {
-            for &i in &call.stored {
-                degrade_ack(call.replies[i].as_mut().expect("stored slot is answered"));
+        for (slot, fanout) in &call.stored {
+            let ack = call.replies[*slot]
+                .as_mut()
+                .expect("stored slot is answered");
+            if call.coherent {
+                self.inner.settle(&ack.id, fanout.serial);
+            } else {
+                degrade_ack(ack);
             }
         }
         let replies: Vec<Packet> = call
@@ -374,8 +387,8 @@ impl Reactor {
     }
 }
 
-/// Downgrades a clean placement ack whose invalidation broadcast could
-/// not reach every peer: the write landed, but some cache may still
+/// Downgrades a clean placement ack whose invalidations could not reach
+/// every target: the write landed, but some cache may still
 /// hold the old value, so the copy must not count toward a replication
 /// quorum. Already-degraded (detoured) acks are left alone.
 fn degrade_ack(resp: &mut Packet) {

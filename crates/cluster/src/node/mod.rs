@@ -30,7 +30,7 @@
 //!                      ┌── parked ──┐   response on the link         ▼           │
 //!                      │ corr → call│──▶ completed: fill caches, ─▶ invalidation │
 //!                      │  + deadline│    fill reply slots; last     scatter to   │
-//!                      └────────────┘    group landed ─────────────▶ every peer, │
+//!                      └────────────┘    group landed ─────────────▶ sharers,    │
 //!                        │        │                                 gather acks  │
 //!          link died:    │        │ deadline passed / second death:     │        ▼
 //!          resend once ◀─┘        └▶ expired: peer suspect, slots get   └─▶ answer the
@@ -49,9 +49,29 @@
 //! thread. When a call's last group lands it either answers its origin
 //! connection or — if it stored a write — runs the invalidation phase
 //! through the same mechanism as a scatter-gather: one `Invalidate` frame
-//! to every peer back-to-back, acks counted down, the origin answered
-//! only after the last one. A clean ack therefore still proves every
-//! reachable peer dropped its cached copy.
+//! per sharer back-to-back, acks counted down, the origin answered only
+//! after the last one.
+//!
+//! # Who can hold a copy
+//!
+//! A retrieval that misses the cache of the node it entered (its access
+//! node) leaves stamped with that node's id (the wire's `sharer` field).
+//! The owner that answers from its store records the id on the item and
+//! marks the reply [`Cacheable::BySharer`]: only that access node may
+//! keep it. An item whose readers the owner does not track — one it did
+//! not store from the wire, or one more switches read than its set
+//! holds — is marked [`Cacheable::Anywhere`] instead: every switch on
+//! the way back may keep it, since its next write invalidates every peer
+//! anyway, and a transit switch may answer later requests from such a
+//! copy. That answer is marked [`Cacheable::WhenPristine`]: a switch
+//! keeps it only if no write's invalidation ever reached its cache shard
+//! for the id, so a switch that was already told to drop the id cannot
+//! take back an older copy from a cache the same write has not reached
+//! yet. An
+//! overwrite invalidates the old copy's readers — plus whatever an
+//! earlier write of the same item has not confirmed yet — or every peer
+//! when they are unknown. A clean ack therefore still proves no
+//! reachable cache holds an older value.
 //!
 //! Because nothing waits, a chain that crosses the same directed link
 //! twice (a virtual link's relay path may pass through a switch the
@@ -91,6 +111,9 @@
 //! every response is on the wire — bounded by the peer reply timeout —
 //! before closing all connections. Joining the reactor joins the node.
 //!
+//! [`Cacheable::BySharer`]: gred_dataplane::Cacheable::BySharer
+//! [`Cacheable::Anywhere`]: gred_dataplane::Cacheable::Anywhere
+//! [`Cacheable::WhenPristine`]: gred_dataplane::Cacheable::WhenPristine
 //! [`MUX_PREAMBLE`]: crate::frame::MUX_PREAMBLE
 //! [`FrameDecoder`]: crate::frame::FrameDecoder
 //! [`frame::read_call`]: crate::frame::read_call
@@ -153,9 +176,10 @@ pub struct NodeConfig {
     pub suspect_ttl: Duration,
     /// Byte budget for the node's hot-key read cache ([`ReadCache`]):
     /// remote-destined retrievals that hit it are answered with zero
-    /// peer frames, and every locally-stored write broadcasts an
-    /// invalidation to all peers before it acks. `0` disables caching
-    /// entirely (every probe is a silent no-op).
+    /// further peer frames; a miss at the node a retrieval entered is
+    /// forwarded stamped with this node's id, so the owner invalidates
+    /// this cache on the next write. `0` disables caching entirely: no
+    /// probe, no stamp.
     pub cache_bytes: usize,
     /// Accept backlog requested for the listener (clamped by the kernel
     /// to `net.core.somaxconn`). `TcpListener::bind` hardcodes 128,
@@ -210,14 +234,79 @@ pub struct NodeReport {
     pub hot: NodeHotStats,
 }
 
-/// One stored item: which local server holds it, and its payload. The
-/// index matters because a range extension can store an item under a
-/// takeover server while `H(d) mod s` still names the primary — a
-/// retrieval must not answer for the wrong server.
+/// One stored item: which local server holds it, its payload, and who
+/// may cache it. The index matters because a range extension can store
+/// an item under a takeover server while `H(d) mod s` still names the
+/// primary — a retrieval must not answer for the wrong server.
 #[derive(Debug, Clone)]
 struct StoredItem {
     index: usize,
     payload: Bytes,
+    /// The write that stored this copy (`0`: not a wire write), so that
+    /// write's completion can tell its own copy from a later one.
+    serial: u64,
+    /// Access switches this copy was read by.
+    readers: Sharers,
+    /// Switches that may still cache an older copy: the targets of the
+    /// write that stored this one, until it confirmed them all.
+    pending: Sharers,
+}
+
+/// Most switch ids a [`Sharers`] set tracks before it gives up and
+/// becomes [`Sharers::All`].
+const SHARER_SLOTS: usize = 8;
+
+/// A bounded set of switch ids that may cache an item, or `All` when
+/// that is unknown or too many to track.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sharers {
+    Known { ids: [u32; SHARER_SLOTS], len: u8 },
+    All,
+}
+
+impl Sharers {
+    const NONE: Sharers = Sharers::Known {
+        ids: [0; SHARER_SLOTS],
+        len: 0,
+    };
+
+    fn add(&mut self, id: u32) {
+        let Sharers::Known { ids, len } = self else {
+            return;
+        };
+        let held = usize::from(*len);
+        if ids[..held].contains(&id) {
+            return;
+        }
+        if held == SHARER_SLOTS {
+            *self = Sharers::All;
+        } else {
+            ids[held] = id;
+            *len += 1;
+        }
+    }
+
+    fn union(mut self, other: Sharers) -> Sharers {
+        match other.known() {
+            Some(ids) => {
+                ids.iter().for_each(|&id| self.add(id));
+                self
+            }
+            None => Sharers::All,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.known().is_some_and(<[u32]>::is_empty)
+    }
+
+    /// The ids, or `None` for `All`.
+    fn known(&self) -> Option<&[u32]> {
+        match self {
+            Sharers::Known { ids, len } => Some(&ids[..usize::from(*len)]),
+            Sharers::All => None,
+        }
+    }
 }
 
 struct Inner {
@@ -232,9 +321,12 @@ struct Inner {
     retired_processed: AtomicU64,
     peers: RwLock<PeerTable>,
     store: ShardedMap<DataId, StoredItem>,
-    /// Hot-key read cache consulted on the would-forward path; kept
-    /// coherent by the write-through invalidation broadcast and flushed
-    /// whenever a new forwarding plane is installed (crash/join/leave).
+    /// Serial of the last write stored here (see [`StoredItem::serial`]).
+    writes: AtomicU64,
+    /// Hot-key read cache consulted on the would-forward path; filled
+    /// only with replies this node may keep (see the module docs), kept
+    /// coherent by the owners' invalidations, and flushed whenever a new
+    /// forwarding plane is installed (crash/join/leave).
     cache: ReadCache,
     shutdown: AtomicBool,
     /// What the public API shares with the reactor thread: the poller
@@ -290,6 +382,7 @@ impl Node {
             retired_processed: AtomicU64::new(0),
             peers: RwLock::new(PeerTable::new(peer_addrs)),
             store: ShardedMap::new(),
+            writes: AtomicU64::new(0),
             cache: ReadCache::new(cfg.cache_bytes),
             shutdown: AtomicBool::new(false),
             reactor: ReactorShared {
@@ -437,12 +530,22 @@ impl Node {
 
     /// Seeds the local store with an item held by local server `index` —
     /// used when booting a cluster from a network that already placed
-    /// data in-process.
+    /// data in-process, and to re-home migrated items. Nobody's reads of
+    /// it were seen here, so its first overwrite invalidates every peer.
     pub fn preload(&self, id: DataId, index: usize, payload: Bytes) {
         // Preloading overwrites the store out of band, so any cached
-        // copy of the id on this node is stale by definition.
+        // copy of the id on this node is stale by definition. It is no
+        // write — it invalidates no other cache — so the shard stays
+        // pristine for cache-to-cache fills (see `maybe_cache`).
         self.inner.cache.invalidate(&id);
-        self.inner.store.insert(id, StoredItem { index, payload });
+        let item = StoredItem {
+            index,
+            payload,
+            serial: 0,
+            readers: Sharers::All,
+            pending: Sharers::NONE,
+        };
+        self.inner.store.insert(id, item);
     }
 
     /// Inbound connections the reactor currently holds open — the gauge

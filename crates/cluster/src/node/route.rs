@@ -4,16 +4,17 @@
 //! the in-process model walks; this module is only what a *node* adds
 //! around it: kind dispatch and server-addressed delivery before it,
 //! then, in order, the detour budget, the read-cache probe and the send
-//! (or the store, when the step delivers here). Pure local work on
-//! [`Inner`] — nothing here touches a socket.
+//! — or, when the step delivers here, the store and its sharer
+//! bookkeeping. Pure local work on [`Inner`] — nothing here
+//! touches a socket.
 //!
 //! [`SwitchDataplane::step`]: gred_dataplane::SwitchDataplane::step
 
-use super::{Inner, StoredItem};
+use super::{Inner, Sharers, StoredItem};
 use crate::proto;
 use bytes::Bytes;
 use gred_cache::Token;
-use gred_dataplane::{AdminOp, Delivery, Hop, Packet, PacketKind, ResponseStatus};
+use gred_dataplane::{AdminOp, Cacheable, Delivery, Hop, Packet, PacketKind, ResponseStatus};
 use gred_hash::DataId;
 use gred_net::ServerId;
 use std::sync::atomic::Ordering;
@@ -27,10 +28,11 @@ pub(super) enum Step {
     /// The request was answered (or refused) on this node.
     Respond {
         resp: Packet,
-        /// The response acks a placement stored on *this* node: the
-        /// write-through invalidation broadcast must run (and may
-        /// downgrade the ack) before the response leaves the node.
-        stored: bool,
+        /// The response acks a placement stored on *this* node that owes
+        /// these invalidations: they must run (and may downgrade the
+        /// ack) before the response leaves the node. `None` when no
+        /// switch can cache an older copy.
+        fanout: Option<Fanout>,
     },
     /// The packet's next stop is peer switch `to`.
     Forward {
@@ -38,20 +40,26 @@ pub(super) enum Step {
         to: usize,
         /// The packet as it must appear on the wire to `to`.
         packet: Packet,
-        /// A clean greedy retrieval that missed the read cache: admit
-        /// the peer's response under this pre-send token (refused if an
+        /// A clean retrieval that missed this node's cache: admit the
+        /// peer's response under this pre-send token (refused if an
         /// invalidation raced past while the continuation was parked).
         fill: Option<CacheFill>,
     },
 }
 
+/// The invalidations one stored write owes before it may ack.
+#[derive(Clone, Copy)]
+pub(super) struct Fanout {
+    /// The write's [`StoredItem::serial`].
+    pub(super) serial: u64,
+    /// Every switch that may cache an older copy of the item.
+    pub(super) targets: Sharers,
+}
+
 impl Step {
     /// A plain local answer: no store, no cache admission.
     fn respond(resp: Packet) -> Step {
-        Step::Respond {
-            resp,
-            stored: false,
-        }
+        Step::Respond { resp, fanout: None }
     }
 
     /// The packet leaves for `to`, one hop older.
@@ -72,6 +80,8 @@ impl Step {
 pub(super) struct CacheFill {
     pub(super) id: DataId,
     pub(super) token: Token,
+    /// This node is the request's access node, stamped as its sharer.
+    pub(super) access: bool,
 }
 
 impl Inner {
@@ -84,7 +94,7 @@ impl Inner {
             // Coherence traffic: drop any cached copy and ack. Handled
             // before the request counter — an invalidation is overhead
             // of someone else's write, not a request of its own.
-            self.cache.invalidate(&packet.id);
+            self.cache.take_invalidation(&packet.id);
             self.counters
                 .invalidations_rx
                 .fetch_add(1, Ordering::Relaxed);
@@ -129,11 +139,7 @@ impl Inner {
                     self.refuse(&packet, "server-addressed packet at the wrong switch"),
                 );
             }
-            let stored = packet.kind == PacketKind::Placement;
-            return Step::Respond {
-                resp: self.deliver_direct(packet.without_relay(), server),
-                stored,
-            };
+            return self.deliver_direct(packet.without_relay(), server);
         }
         // Everything else is the switch program itself: relay-header
         // handling, then the greedy pipeline with suspect DT neighbors
@@ -171,23 +177,42 @@ impl Inner {
             }
             Hop::Forward { to, relay } => {
                 // Hot-key fast path: a clean remote-destined retrieval
-                // may be answered from the read cache with zero peer
-                // frames. Probed only here — local deliveries and relay
-                // legs never consult it — so the hit rate measures
-                // forwarding actually saved. Detoured walks skip the
-                // cache entirely (probe and admission): only the true
-                // greedy path's answers are trusted.
-                let fill = if packet.kind == PacketKind::Retrieval && packet.detours == 0 {
+                // may be answered from the read cache with zero further
+                // peer frames. The access node (the request entered the
+                // cluster here) may answer from any entry; a miss leaves
+                // stamped with its id, so the owner records who will
+                // cache the reply. A transit node answers only from a
+                // shared entry — a copy whose owner tracks no readers —
+                // and its answer is marked as a cache's. Local
+                // deliveries, relay legs and detoured walks never probe
+                // or fill. `maybe_cache` holds the admission rules.
+                let fill = if packet.kind == PacketKind::Retrieval
+                    && packet.detours == 0
+                    && self.cache.is_enabled()
+                {
+                    let access = packet.hops == 0;
                     let token = self.cache.begin_read(&packet.id);
-                    if let Some(payload) = self.cache.get(&packet.id) {
+                    let hit = if access {
+                        self.cache.get(&packet.id)
+                    } else {
+                        self.cache.get_shared(&packet.id)
+                    };
+                    if let Some(payload) = hit {
                         let mut resp = Packet::response(packet.id.clone(), payload);
                         resp.hops = packet.hops;
                         resp.detours = packet.detours;
+                        if !access {
+                            resp.cacheable = Cacheable::WhenPristine;
+                        }
                         return Step::respond(resp);
+                    }
+                    if access {
+                        packet.sharer = Some(self.id);
                     }
                     Some(CacheFill {
                         id: packet.id.clone(),
                         token,
+                        access,
                     })
                 } else {
                     None
@@ -205,16 +230,13 @@ impl Inner {
             PacketKind::Placement => {
                 let target = delivery.write_target();
                 if target.switch == self.id {
-                    return Step::Respond {
-                        resp: self.store_local(&packet, target),
-                        stored: true,
-                    };
+                    return self.store_local(&packet, target, false);
                 }
                 // The extension redirected the write to a server behind
                 // another switch. The redirected copy supersedes any
                 // stale primary copy — including a cached one.
                 self.store.remove(&packet.id);
-                self.cache.invalidate(&packet.id);
+                self.cache.take_invalidation(&packet.id);
                 Step::to_server(packet, target)
             }
             PacketKind::Retrieval => {
@@ -239,13 +261,16 @@ impl Inner {
         }
     }
 
-    /// Serves a packet addressed at one specific local server.
-    fn deliver_direct(&self, packet: Packet, server: ServerId) -> Packet {
+    /// Serves a packet addressed at one specific local server. A write
+    /// here is a range extension's: the copies it supersedes may sit on
+    /// other switches, so it invalidates every peer.
+    fn deliver_direct(&self, packet: Packet, server: ServerId) -> Step {
         match packet.kind {
-            PacketKind::Placement => self.store_local(&packet, server),
-            PacketKind::Retrieval => self
-                .lookup_local(&packet, server)
-                .unwrap_or_else(|| self.respond_miss(&packet)),
+            PacketKind::Placement => self.store_local(&packet, server, true),
+            PacketKind::Retrieval => Step::respond(
+                self.lookup_local(&packet, server)
+                    .unwrap_or_else(|| self.respond_miss(&packet)),
+            ),
             PacketKind::RetrievalResponse
             | PacketKind::Invalidate
             | PacketKind::Stats
@@ -258,21 +283,36 @@ impl Inner {
     }
 
     /// Stores the placement payload under local server `target` and acks
-    /// with the storing server's identity. The payload `Bytes` still
-    /// shares the decoded frame's allocation — storing it is a
-    /// refcount bump, not a copy.
-    fn store_local(&self, packet: &Packet, target: ServerId) -> Packet {
+    /// with the storing server's identity. The payload is copied out of
+    /// the decoded frame: sharing the frame's allocation would let one
+    /// long-lived item pin the whole frame it arrived in.
+    ///
+    /// The ack owes an invalidation to every switch that may cache an
+    /// older copy: the old copy's readers plus what its own write has not
+    /// confirmed yet — or every peer when there is no old copy here or
+    /// the write must `broadcast`. The old copy's sets are taken and the
+    /// new copy stored in one step under the shard lock, so no read can
+    /// fall between them unrecorded.
+    fn store_local(&self, packet: &Packet, target: ServerId, broadcast: bool) -> Step {
         debug_assert_eq!(target.switch, self.id);
         // The owner can also be an access node for the same id: its own
         // cached copy is superseded the moment the write lands.
-        self.cache.invalidate(&packet.id);
-        self.store.insert(
-            packet.id.clone(),
-            StoredItem {
+        self.cache.take_invalidation(&packet.id);
+        let serial = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
+        let targets = self.store.insert_with(packet.id.clone(), |old| {
+            let targets = match old {
+                Some(old) if !broadcast => old.readers.union(old.pending),
+                _ => Sharers::All,
+            };
+            let item = StoredItem {
                 index: target.index,
-                payload: packet.payload.clone(),
-            },
-        );
+                payload: Bytes::copy_from_slice(&packet.payload),
+                serial,
+                readers: Sharers::NONE,
+                pending: targets,
+            };
+            (item, targets)
+        });
         self.counters.delivered.fetch_add(1, Ordering::Relaxed);
         let mut ack = Packet::response(packet.id.clone(), proto::ack_payload(target));
         ack.hops = packet.hops;
@@ -283,21 +323,49 @@ impl Inner {
             // clean copy for replication quorums.
             ack.status = gred_dataplane::ResponseStatus::Degraded;
         }
-        ack
+        Step::Respond {
+            resp: ack,
+            fanout: (!targets.is_empty()).then_some(Fanout { serial, targets }),
+        }
+    }
+
+    /// A write's invalidations were all confirmed: if its copy is still
+    /// the stored one, no switch can hold anything older any more.
+    pub(super) fn settle(&self, id: &DataId, serial: u64) {
+        self.store.update(id, |item| {
+            if let Some(item) = item.filter(|item| item.serial == serial) {
+                item.pending = Sharers::NONE;
+            }
+        });
     }
 
     /// A hit response if local server `server` stores the packet's id.
-    /// Only the cheap `Bytes` clone happens under the shard lock.
+    /// The access switch stamped on the request, if it is a peer, is
+    /// recorded as a reader of the copy it gets, in the same step under
+    /// the shard lock — a write replacing that copy afterwards is sure to
+    /// see it. Only that and the cheap `Bytes` clone happen under the lock.
+    /// A copy whose readers are unknown anyway is marked cacheable
+    /// `Anywhere`: its next write invalidates every switch.
     fn lookup_local(&self, packet: &Packet, server: ServerId) -> Option<Packet> {
         debug_assert_eq!(server.switch, self.id);
-        let payload = self.store.read(&packet.id, |item| {
-            item.filter(|item| item.index == server.index)
-                .map(|item| item.payload.clone())
+        let sharer = packet
+            .sharer
+            .filter(|&s| s != self.id && s < self.peers().addrs.len())
+            .and_then(|s| u32::try_from(s).ok());
+        let (payload, untracked) = self.store.update(&packet.id, |item| {
+            let item = item.filter(|item| item.index == server.index)?;
+            if let Some(sharer) = sharer {
+                item.readers.add(sharer);
+            }
+            Some((item.payload.clone(), item.readers == Sharers::All))
         })?;
         self.counters.delivered.fetch_add(1, Ordering::Relaxed);
         let mut resp = Packet::response(packet.id.clone(), payload);
         resp.hops = packet.hops;
         resp.detours = packet.detours;
+        if untracked {
+            resp.cacheable = Cacheable::Anywhere;
+        }
         if packet.detours > 0 {
             resp.status = gred_dataplane::ResponseStatus::Degraded;
         }
@@ -340,22 +408,43 @@ impl Inner {
     }
 
     /// Admits a forwarded retrieval's response into the read cache.
-    /// Only a clean authoritative hit qualifies: an `Ok`, detour-free
-    /// `RetrievalResponse`. A detoured (`Degraded`) or aborted
+    /// Only a clean hit qualifies: an `Ok`, detour-free
+    /// `RetrievalResponse` whose [`Cacheable`] mark lets this node keep
+    /// it. A `BySharer` copy is kept by the stamped access node alone,
+    /// as a plain entry: the owner invalidates exactly its sharers. An
+    /// `Anywhere` copy is kept by any node, as a shared entry: its
+    /// owner's next write invalidates every switch. A cache's
+    /// (`WhenPristine`) answer is kept only if no write has ever
+    /// invalidated anything in this node's shard for the id: a node that
+    /// was already told to drop the id must not take back an older copy
+    /// from a cache the same write has not reached yet. A detoured (`Degraded`) or aborted
     /// (`Redirect`) answer may come from a stand-in switch rather than
     /// the true owner and must never populate the cache; misses and
     /// errors carry nothing worth caching. The pre-send token makes the
     /// admission epoch-fenced: if an invalidation for the id landed
-    /// while the continuation was parked, the insert is refused.
+    /// while the continuation was parked, the insert is refused. The
+    /// payload is copied: it shares the whole response frame's
+    /// allocation, which a long-lived entry would otherwise pin.
     pub(super) fn maybe_cache(&self, fill: Option<CacheFill>, resp: &Packet) {
         let Some(fill) = fill else { return };
+        let shared = match resp.cacheable {
+            Cacheable::BySharer if fill.access => false,
+            Cacheable::Anywhere => true,
+            Cacheable::WhenPristine if fill.token.is_pristine() => true,
+            Cacheable::BySharer | Cacheable::WhenPristine => return,
+        };
         if resp.kind != PacketKind::RetrievalResponse
             || resp.status != ResponseStatus::Ok
             || resp.detours != 0
         {
             return;
         }
-        self.cache
-            .insert_if_fresh(fill.token, fill.id, resp.payload.clone());
+        let payload = Bytes::copy_from_slice(&resp.payload);
+        if shared {
+            self.cache
+                .insert_shared_if_fresh(fill.token, fill.id, payload);
+        } else {
+            self.cache.insert_if_fresh(fill.token, fill.id, payload);
+        }
     }
 }

@@ -4,7 +4,7 @@ use crate::client::ClientConfig;
 use crate::frame::{self, Body, FrameDecoder, MUX_PREAMBLE};
 use crate::pipelined::{Framing, PipeConn, PIPELINE_CHUNK};
 use crate::proto;
-use gred_dataplane::{NeighborEntry, Packet, PacketKind, ResponseStatus};
+use gred_dataplane::{Cacheable, NeighborEntry, Packet, PacketKind, ResponseStatus};
 use gred_geometry::Point2;
 use gred_net::ServerId;
 use gred_runtime::reactor::WriteQueue;
@@ -219,6 +219,7 @@ fn detoured_or_redirected_responses_never_populate_the_cache() {
         Some(CacheFill {
             id: id.clone(),
             token,
+            access: true,
         })
     };
 
@@ -428,10 +429,7 @@ fn evicted_cache_entry_is_forwarded_not_redirected() {
         let id = DataId::new("raced-key");
         let read = Packet::retrieval(id.clone());
         assert_eq!(roundtrip(node.addr(), &read).payload.as_ref(), b"owned");
-        assert!(
-            node.inner.cache.contains(&id),
-            "the forward filled the cache"
-        );
+        assert_eq!(node.inner.cache.len(), 1, "the forward filled the cache");
         assert_eq!(roundtrip(node.addr(), &read).payload.as_ref(), b"owned");
         assert_eq!(node.hot_stats().cache_hits, 1, "the second read is a hit");
         // Evict, as a racing invalidation or CLOCK sweep would.
@@ -585,4 +583,272 @@ fn one_byte_at_a_time_peer_response_completes_byte_exactly() {
         let report = node.shutdown();
         assert_eq!(report.hot.frames_decoded, 2, "one request, one response");
     });
+}
+
+/// A star: switch 0 owns every id and has no neighbors; switches
+/// `1..n` each know only switch 0, which is closer to every id, so a
+/// read entering at `k` is forwarded to 0 stamped with `k`.
+fn star(n: usize, cfg: &NodeConfig) -> Vec<Node> {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    listeners
+        .into_iter()
+        .enumerate()
+        .map(|(id, listener)| {
+            let plane = if id == 0 {
+                SwitchDataplane::new(0, Point2::new(0.5, 0.5), 1)
+            } else {
+                let mut plane = SwitchDataplane::new(id, Point2::new(9.0, 9.0), 1);
+                plane.install_neighbor(NeighborEntry {
+                    neighbor: 0,
+                    position: Point2::new(0.5, 0.5),
+                    via: 0,
+                    physical: true,
+                });
+                plane
+            };
+            Node::spawn(id, plane, addrs.clone(), listener, cfg.clone()).unwrap()
+        })
+        .collect()
+}
+
+/// Writes `value` through the owner and returns its ack status with the
+/// invalidations each node received for it.
+fn write(nodes: &[Node], id: &DataId, value: &str) -> (ResponseStatus, Vec<u64>) {
+    let rx = || -> Vec<u64> {
+        nodes
+            .iter()
+            .map(|n| n.hot_stats().invalidations_rx)
+            .collect()
+    };
+    let before = rx();
+    let ack = roundtrip(nodes[0].addr(), &Packet::placement(id.clone(), value));
+    let got = rx().iter().zip(before).map(|(a, b)| a - b).collect();
+    (ack.status, got)
+}
+
+fn read_via(node: &Node, id: &DataId) -> Bytes {
+    let reply = roundtrip(node.addr(), &Packet::retrieval(id.clone()));
+    assert_eq!(reply.status, ResponseStatus::Ok);
+    reply.payload
+}
+
+#[test]
+fn an_overwrite_invalidates_exactly_the_old_sharers() {
+    let mut nodes = star(4, &test_config());
+    let id = DataId::new("shared");
+    assert_eq!(
+        write(&nodes, &id, "v1"),
+        (ResponseStatus::Ok, vec![0, 1, 1, 1])
+    );
+    read_via(&nodes[1], &id);
+    read_via(&nodes[2], &id);
+    assert_eq!(
+        write(&nodes, &id, "v2"),
+        (ResponseStatus::Ok, vec![0, 1, 1, 0])
+    );
+    // The clean write settled: only readers of v2 are owed the next one.
+    assert_eq!(read_via(&nodes[3], &id).as_ref(), b"v2");
+    assert_eq!(
+        write(&nodes, &id, "v3"),
+        (ResponseStatus::Ok, vec![0, 0, 0, 1])
+    );
+    assert_eq!(write(&nodes, &id, "v4"), (ResponseStatus::Ok, vec![0; 4]));
+    for node in &mut nodes {
+        assert_eq!(node.shutdown().errors, 0);
+    }
+}
+
+#[test]
+fn writes_with_unknown_sharers_broadcast() {
+    let mut nodes = star(3, &test_config());
+    let everyone = (ResponseStatus::Ok, vec![0, 1, 1]);
+    // A first insert: no old copy to know the readers of.
+    let id = DataId::new("fresh");
+    assert_eq!(write(&nodes, &id, "v1"), everyone);
+    // A preloaded item, and one migrated in (extracted, then preloaded).
+    let preloaded = DataId::new("preloaded");
+    nodes[0].preload(preloaded.clone(), 0, Bytes::from_static(b"p"));
+    // Its readers are unknown: any switch may cache it until it is
+    // written, and the write reaches them all.
+    let cacheable = |id: &DataId| {
+        let read = Packet::retrieval(id.clone());
+        roundtrip(nodes[0].addr(), &read).cacheable
+    };
+    assert_eq!(cacheable(&preloaded), Cacheable::Anywhere);
+    assert_eq!(write(&nodes, &preloaded, "v1"), everyone);
+    assert_eq!(cacheable(&preloaded), Cacheable::BySharer);
+    let moved = nodes[0].extract_items(|k| *k == preloaded);
+    for (k, payload) in moved {
+        nodes[0].preload(k, 0, payload);
+    }
+    assert_eq!(write(&nodes, &preloaded, "v2"), everyone);
+    // A server-addressed (range extension) write, though `id` has no
+    // readers: the copies it supersedes may live on another switch.
+    let server = ServerId {
+        switch: 0,
+        index: 0,
+    };
+    let addressed = proto::address_to_server(Packet::placement(id.clone(), "v2"), server);
+    let before = nodes[1].hot_stats().invalidations_rx;
+    assert_eq!(
+        roundtrip(nodes[0].addr(), &addressed).status,
+        ResponseStatus::Ok
+    );
+    assert_eq!(nodes[1].hot_stats().invalidations_rx - before, 1);
+    for node in &mut nodes {
+        assert_eq!(node.shutdown().errors, 0);
+    }
+}
+
+#[test]
+fn only_a_suspect_sharer_degrades_the_ack() {
+    let mut nodes = star(4, &test_config());
+    let id = DataId::new("suspects");
+    write(&nodes, &id, "v1");
+    read_via(&nodes[1], &id);
+    nodes[0].inner.mark_suspect(3);
+    assert_eq!(
+        write(&nodes, &id, "v2"),
+        (ResponseStatus::Ok, vec![0, 1, 0, 0])
+    );
+    read_via(&nodes[1], &id);
+    nodes[0].inner.mark_suspect(1);
+    assert_eq!(
+        write(&nodes, &id, "v3"),
+        (ResponseStatus::Degraded, vec![0; 4])
+    );
+    for node in &mut nodes {
+        node.shutdown();
+    }
+}
+
+#[test]
+fn only_a_caching_access_node_stamps_itself_as_sharer() {
+    for (cache_bytes, stamp) in [(0, None), (test_config().cache_bytes, Some(0))] {
+        let (seen, stamps) = mpsc::channel();
+        let owner = move |listener: TcpListener| {
+            scripted_peer(&listener, |corr, request| {
+                seen.send(request.sharer).unwrap();
+                vec![(corr, Packet::response(request.id, b"v".as_ref()))]
+            });
+        };
+        with_peer(owner, |peer_addr| {
+            let cfg = NodeConfig {
+                cache_bytes,
+                ..test_config()
+            };
+            let mut node = forwarder(peer_addr, cfg);
+            roundtrip(node.addr(), &Packet::retrieval(DataId::new("k")));
+            node.shutdown();
+        });
+        assert_eq!(stamps.recv().unwrap(), stamp, "cache_bytes = {cache_bytes}");
+    }
+}
+
+#[test]
+fn a_transit_node_serves_and_keeps_only_untracked_copies() {
+    let owner = |listener: TcpListener| {
+        scripted_peer(&listener, |corr, request| {
+            // One hop from the client: the forwarder was the access node.
+            let stamp = (request.hops == 1).then_some(0);
+            assert_eq!(request.sharer, stamp, "only the access node stamps");
+            let mut reply = Packet::response(request.id.clone(), b"v".as_ref());
+            if request.id == DataId::new("untracked") {
+                reply.cacheable = Cacheable::Anywhere;
+            }
+            vec![(corr, reply)]
+        });
+    };
+    with_peer(owner, |peer_addr| {
+        let mut node = forwarder(peer_addr, test_config());
+        let in_transit = |key: &str| {
+            let mut read = Packet::retrieval(DataId::new(key));
+            read.hops = 1;
+            roundtrip(node.addr(), &read)
+        };
+        assert_eq!(in_transit("tracked").cacheable, Cacheable::BySharer);
+        assert_eq!(in_transit("untracked").cacheable, Cacheable::Anywhere);
+        assert_eq!(node.inner.cache.len(), 1, "only the untracked copy is kept");
+        let hit = in_transit("untracked");
+        assert_eq!(hit.payload.as_ref(), b"v");
+        assert_eq!(hit.cacheable, Cacheable::WhenPristine, "marked a cache's");
+        // The access node's own tracked copy is never lent out in transit.
+        let access = roundtrip(node.addr(), &Packet::retrieval(DataId::new("tracked")));
+        assert_eq!(
+            access.cacheable,
+            Cacheable::BySharer,
+            "forwarded, then kept"
+        );
+        assert_eq!(in_transit("tracked").cacheable, Cacheable::BySharer);
+        let report = node.shutdown();
+        assert_eq!(report.forwarded, 4, "every read but the one transit hit");
+    });
+}
+
+#[test]
+fn a_cache_answer_fills_only_a_pristine_shard() {
+    let mut node = spawn_single(1);
+    let id = DataId::new("k");
+    let mut cached = Packet::response(id.clone(), b"v".as_ref());
+    cached.cacheable = Cacheable::WhenPristine;
+    let fill = |token| {
+        Some(CacheFill {
+            id: id.clone(),
+            token,
+            access: true,
+        })
+    };
+    node.inner
+        .maybe_cache(fill(node.inner.cache.begin_read(&id)), &cached);
+    assert_eq!(node.inner.cache.len(), 1, "a pristine shard keeps it");
+    roundtrip(node.addr(), &Packet::invalidate(id.clone()));
+    node.inner
+        .maybe_cache(fill(node.inner.cache.begin_read(&id)), &cached);
+    assert!(
+        node.inner.cache.is_empty(),
+        "a shard a write reached does not"
+    );
+    node.shutdown();
+}
+
+#[test]
+fn an_owner_records_only_sharers_from_its_peer_table() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let plane = SwitchDataplane::new(0, Point2::new(0.5, 0.5), 1);
+    let mut node = Node::spawn(0, plane, vec![addr; 3], listener, test_config()).unwrap();
+    let id = DataId::new("k");
+    let item = StoredItem {
+        index: 0,
+        payload: Bytes::from_static(b"v"),
+        serial: 0,
+        readers: Sharers::NONE,
+        pending: Sharers::NONE,
+    };
+    node.inner.store.insert(id.clone(), item);
+    for sharer in [9, 0, 2, u32::MAX as usize] {
+        let mut read = Packet::retrieval(id.clone());
+        read.sharer = Some(sharer);
+        assert_eq!(roundtrip(addr, &read).payload.as_ref(), b"v");
+    }
+    let readers = node.inner.store.read(&id, |item| item.unwrap().readers);
+    assert_eq!(readers.known(), Some(&[2][..]), "only peer 2 is a sharer");
+    node.shutdown();
+}
+
+#[test]
+fn a_sharer_set_overflows_into_all() {
+    let mut set = Sharers::NONE;
+    for id in 0..SHARER_SLOTS as u32 {
+        set.add(id);
+        set.add(id);
+    }
+    assert_eq!(set.known().map(<[u32]>::len), Some(SHARER_SLOTS));
+    assert_eq!(Sharers::NONE.union(set), set);
+    set.add(99);
+    assert_eq!(set, Sharers::All);
+    assert_eq!(Sharers::NONE.union(Sharers::All), Sharers::All);
 }

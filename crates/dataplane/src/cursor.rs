@@ -22,7 +22,8 @@ pub enum DecodeError {
     BadVersion(u8),
     /// Unknown packet kind discriminant.
     BadKind(u8),
-    /// Flags contain bits this parser does not understand.
+    /// Flags contain bits this parser does not understand, or a bit the
+    /// packet's kind may not carry.
     UnknownFlags(u8),
     /// Status flag bits are contradictory (both set) or set on a request
     /// packet — only responses carry a status.

@@ -47,7 +47,7 @@ pub mod wire;
 pub use cursor::{Cursor, DecodeError};
 pub use entries::{DtTuple, ExtensionEntry, NeighborEntry};
 pub use obs::{AdminOp, LinkStats, StatsSnapshot};
-pub use packet::{Packet, PacketKind, RelayHeader, ResponseStatus};
+pub use packet::{Cacheable, Packet, PacketKind, RelayHeader, ResponseStatus};
 pub use relay::RelayTable;
 pub use stats::{NodeHotStats, TableStats};
 pub use step::{link_hops, BrokenAt, Delivery, Hop, Refusal};

@@ -122,6 +122,25 @@ impl std::fmt::Display for ResponseStatus {
     }
 }
 
+/// Which read caches a retrieval response may fill on its way back to
+/// the access switch. Every other kind carries the default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Cacheable {
+    /// The owner answered and recorded the access switch stamped as the
+    /// request's [`sharer`](Packet::sharer): only that switch may keep it.
+    #[default]
+    BySharer,
+    /// The owner answered an item whose readers it does not track: any
+    /// switch may keep it, since the item's next write invalidates every
+    /// switch.
+    Anywhere,
+    /// A cache answered from such a copy. A switch may keep it only if no
+    /// write's invalidation has ever reached its cache shard for the id:
+    /// the copy may predate a write whose invalidation that switch
+    /// already took.
+    WhenPristine,
+}
+
 /// Virtual-link relay header: present while the packet is being tunnelled
 /// between two multi-hop DT neighbors. Field names follow the paper's
 /// `d = <d.dest, d.sour, d.relay, d.data>`.
@@ -167,70 +186,55 @@ pub struct Packet {
     /// delivery) was used instead. Nonzero detours on a delivered packet
     /// mean the one-hop routing guarantee may not hold for it.
     pub detours: u16,
+    /// The access switch that will cache the answer to this retrieval —
+    /// stamped by that switch when it forwards the request, so the owner
+    /// can record who holds a copy and invalidate only them on the next
+    /// write. Only ever set on [`PacketKind::Retrieval`].
+    pub sharer: Option<usize>,
+    /// Which caches may keep this response (responses only).
+    pub cacheable: Cacheable,
     /// Payload (data contents for placements, empty for retrievals).
     pub payload: Bytes,
 }
 
 impl Packet {
-    /// A placement request for `id` carrying `payload`.
-    pub fn placement(id: DataId, payload: impl Into<Bytes>) -> Self {
+    /// A packet of `kind` for `id` at its hashed position, with every
+    /// header field at its request default.
+    fn new(kind: PacketKind, id: DataId, payload: Bytes) -> Self {
         let position = gred_hash::virtual_position(&id);
         Packet {
-            kind: PacketKind::Placement,
+            kind,
             position: Point2::new(position.0, position.1),
             id,
             relay: None,
             status: ResponseStatus::Ok,
             hops: 0,
             detours: 0,
-            payload: payload.into(),
+            sharer: None,
+            cacheable: Cacheable::BySharer,
+            payload,
         }
+    }
+
+    /// A placement request for `id` carrying `payload`.
+    pub fn placement(id: DataId, payload: impl Into<Bytes>) -> Self {
+        Packet::new(PacketKind::Placement, id, payload.into())
     }
 
     /// A retrieval request for `id`.
     pub fn retrieval(id: DataId) -> Self {
-        let position = gred_hash::virtual_position(&id);
-        Packet {
-            kind: PacketKind::Retrieval,
-            position: Point2::new(position.0, position.1),
-            id,
-            relay: None,
-            status: ResponseStatus::Ok,
-            hops: 0,
-            detours: 0,
-            payload: Bytes::new(),
-        }
+        Packet::new(PacketKind::Retrieval, id, Bytes::new())
     }
 
     /// A response to a retrieval, carrying the stored payload.
     pub fn response(id: DataId, payload: impl Into<Bytes>) -> Self {
-        let position = gred_hash::virtual_position(&id);
-        Packet {
-            kind: PacketKind::RetrievalResponse,
-            position: Point2::new(position.0, position.1),
-            id,
-            relay: None,
-            status: ResponseStatus::Ok,
-            hops: 0,
-            detours: 0,
-            payload: payload.into(),
-        }
+        Packet::new(PacketKind::RetrievalResponse, id, payload.into())
     }
 
     /// An invalidation notice for `id`: the receiver must drop any
     /// cached copy before the sender's write acks. Payload-free.
     pub fn invalidate(id: DataId) -> Self {
-        let position = gred_hash::virtual_position(&id);
-        Packet {
-            kind: PacketKind::Invalidate,
-            position: Point2::new(position.0, position.1),
-            id,
-            relay: None,
-            status: ResponseStatus::Ok,
-            hops: 0,
-            detours: 0,
-            payload: Bytes::new(),
-        }
+        Packet::new(PacketKind::Invalidate, id, Bytes::new())
     }
 
     /// A stats scrape request. Observability packets concern no data
@@ -238,18 +242,7 @@ impl Packet {
     /// position, which routing never looks at — stats are answered by
     /// whichever node receives them).
     pub fn stats_request() -> Self {
-        let id = DataId::new(OBS_STATS_ID);
-        let position = gred_hash::virtual_position(&id);
-        Packet {
-            kind: PacketKind::Stats,
-            position: Point2::new(position.0, position.1),
-            id,
-            relay: None,
-            status: ResponseStatus::Ok,
-            hops: 0,
-            detours: 0,
-            payload: Bytes::new(),
-        }
+        Packet::new(PacketKind::Stats, DataId::new(OBS_STATS_ID), Bytes::new())
     }
 
     /// A stats scrape answer carrying an encoded snapshot.
@@ -262,18 +255,7 @@ impl Packet {
 
     /// An admin verb carrying an encoded `AdminOp` payload.
     pub fn admin_request(payload: impl Into<Bytes>) -> Self {
-        let id = DataId::new(OBS_ADMIN_ID);
-        let position = gred_hash::virtual_position(&id);
-        Packet {
-            kind: PacketKind::Admin,
-            position: Point2::new(position.0, position.1),
-            id,
-            relay: None,
-            status: ResponseStatus::Ok,
-            hops: 0,
-            detours: 0,
-            payload: payload.into(),
-        }
+        Packet::new(PacketKind::Admin, DataId::new(OBS_ADMIN_ID), payload.into())
     }
 
     /// A successful admin answer carrying UTF-8 result text.

@@ -4,7 +4,8 @@
 //! headers to be defined". This module defines the custom GRED header the
 //! prototype parses and reproduces that parser: a byte-level encoding of
 //! [`Packet`] with a fixed header, an optional virtual-link relay header
-//! (present iff the RELAY flag is set), and the payload.
+//! (present iff the RELAY flag is set), an optional sharer id (present
+//! iff the SHARER flag is set), and the payload.
 //!
 //! ```text
 //!  0       1       2       3       4
@@ -14,11 +15,15 @@
 //!  | kind  |      id_len (u16)     |            bit2 = status error
 //!  +-------+-------+-------+-------+            bit3 = status redirect
 //!  |        pos_x  (f64 be)        |            bit4 = status degraded
-//!  |        pos_y  (f64 be)        |     kind: 0 place, 1 retrieve,
-//!  +---------------+---------------+           2 response, 3 invalidate,
-//!  | hops (u16 be) | detours (u16) |           4 stats, 5 stats-resp,
-//!  +---------------+---------------+           6 admin, 7 admin-resp
+//!  |        pos_y  (f64 be)        |            bit5 = sharer present
+//!  +---------------+---------------+            bit6 = cacheable anywhere
+//!  | hops (u16 be) | detours (u16) |            bit7 = cacheable if pristine
+//!  +---------------+---------------+     kind: 0 place, 1 retrieve,
+//!                                              2 response, 3 invalidate,
+//!                                              4 stats, 5 stats-resp,
+//!                                              6 admin, 7 admin-resp
 //!  | [relay: dest, sour, relay as u32 be each — iff flag bit0]
+//!  | [sharer: access switch id, u32 be — iff flag bit5]
 //!  +-------------------------------+
 //!  | id bytes (id_len)             |
 //!  | payload (rest of the packet)  |
@@ -32,12 +37,18 @@
 //! detoured delivery (`Degraded`); requests always travel with all
 //! status bits clear.
 //!
+//! Flag bit 5 is valid only on a retrieval: it carries the access switch
+//! that will cache the answer, so the owner learns who holds a copy.
+//! Bits 6 and 7 are mutually exclusive and valid only on a retrieval
+//! response: they say which caches may keep it ([`Cacheable`]). A packet
+//! without any of them encodes exactly as it did before they existed.
+//!
 //! Both parsers read through the crate's one bounds-checked [`Cursor`]
 //! and fail with its [`DecodeError`]; a count field is the sender's
 //! claim and never sizes an allocation beyond what the bytes can hold.
 
 use crate::cursor::{Cursor, DecodeError};
-use crate::packet::{Packet, PacketKind, RelayHeader, ResponseStatus};
+use crate::packet::{Cacheable, Packet, PacketKind, RelayHeader, ResponseStatus};
 use bytes::Bytes;
 use gred_geometry::Point2;
 use gred_hash::DataId;
@@ -60,10 +71,16 @@ const FLAG_ERROR: u8 = 0b0000_0100;
 const FLAG_REDIRECT: u8 = 0b0000_1000;
 /// Flag bit: response status `Degraded` (served via a detour).
 const FLAG_DEGRADED: u8 = 0b0001_0000;
+/// Flag bit: a sharer id follows the relay header (retrievals only).
+const FLAG_SHARER: u8 = 0b0010_0000;
+/// Flag bit: [`Cacheable::Anywhere`] (retrieval responses only).
+const FLAG_ANYWHERE: u8 = 0b0100_0000;
+/// Flag bit: [`Cacheable::WhenPristine`] (retrieval responses only).
+const FLAG_PRISTINE: u8 = 0b1000_0000;
 /// Every status flag bit (mutually exclusive on the wire).
 const STATUS_FLAGS: u8 = FLAG_NOT_FOUND | FLAG_ERROR | FLAG_REDIRECT | FLAG_DEGRADED;
-/// Every flag bit this parser understands.
-const KNOWN_FLAGS: u8 = FLAG_RELAY | STATUS_FLAGS;
+/// Both cacheability flag bits (mutually exclusive on the wire).
+const CACHEABLE_FLAGS: u8 = FLAG_ANYWHERE | FLAG_PRISTINE;
 
 fn kind_to_wire(kind: PacketKind) -> u8 {
     match kind {
@@ -100,8 +117,9 @@ fn kind_from_wire(b: u8) -> Result<PacketKind, DecodeError> {
 /// length field); GRED identifiers are short names.
 pub fn encode(packet: &Packet) -> Vec<u8> {
     let id_bytes = packet.id.as_bytes();
-    let relay_len = if packet.relay.is_some() { 12 } else { 0 };
-    let mut out = Vec::with_capacity(29 + relay_len + id_bytes.len() + packet.payload.len());
+    let headers =
+        12 * usize::from(packet.relay.is_some()) + 4 * usize::from(packet.sharer.is_some());
+    let mut out = Vec::with_capacity(29 + headers + id_bytes.len() + packet.payload.len());
     encode_into(packet, &mut out);
     out
 }
@@ -126,6 +144,14 @@ pub fn encode_into(packet: &Packet, out: &mut Vec<u8>) {
     if packet.relay.is_some() {
         flags |= FLAG_RELAY;
     }
+    if packet.sharer.is_some() {
+        flags |= FLAG_SHARER;
+    }
+    match packet.cacheable {
+        Cacheable::BySharer => {}
+        Cacheable::Anywhere => flags |= FLAG_ANYWHERE,
+        Cacheable::WhenPristine => flags |= FLAG_PRISTINE,
+    }
     match packet.status {
         ResponseStatus::Ok => {}
         ResponseStatus::NotFound => flags |= FLAG_NOT_FOUND,
@@ -148,6 +174,9 @@ pub fn encode_into(packet: &Packet, out: &mut Vec<u8>) {
         out.extend_from_slice(&(relay.sour as u32).to_be_bytes());
         out.extend_from_slice(&(relay.relay as u32).to_be_bytes());
     }
+    if let Some(sharer) = packet.sharer {
+        out.extend_from_slice(&(sharer as u32).to_be_bytes());
+    }
     out.extend_from_slice(id_bytes);
     out.extend_from_slice(&packet.payload);
 }
@@ -168,8 +197,8 @@ const FIXED: usize = 2 + 1 + 1 + 1 + 2 + 8 + 8 + 2 + 2;
 
 /// Parses a wire packet — the software equivalent of the P4 programmable
 /// parser. The payload is sliced out of `body` with **no copy**: every
-/// later holder of it (the node store, a forwarded packet, a response)
-/// shares the frame body's allocation.
+/// later holder of it (a forwarded packet, a response) shares the frame
+/// body's allocation.
 ///
 /// # Errors
 ///
@@ -188,11 +217,20 @@ pub fn parse_bytes(body: &Bytes) -> Result<Packet, DecodeError> {
         return Err(DecodeError::BadVersion(version));
     }
     let flags = fixed.u8()?;
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(DecodeError::UnknownFlags(flags));
-    }
     let wire_kind = fixed.u8()?;
     let kind = kind_from_wire(wire_kind)?;
+    // The cache bits ride only on the kind they are for.
+    if (flags & FLAG_SHARER != 0 && kind != PacketKind::Retrieval)
+        || (flags & CACHEABLE_FLAGS != 0 && kind != PacketKind::RetrievalResponse)
+    {
+        return Err(DecodeError::UnknownFlags(flags));
+    }
+    let cacheable = match flags & CACHEABLE_FLAGS {
+        0 => Cacheable::BySharer,
+        FLAG_ANYWHERE => Cacheable::Anywhere,
+        FLAG_PRISTINE => Cacheable::WhenPristine,
+        _ => return Err(DecodeError::UnknownFlags(flags)),
+    };
     let bad_status = DecodeError::BadStatus {
         flags,
         kind: wire_kind,
@@ -225,6 +263,11 @@ pub fn parse_bytes(body: &Bytes) -> Result<Packet, DecodeError> {
     } else {
         None
     };
+    let sharer = if flags & FLAG_SHARER != 0 {
+        Some(r.u32()? as usize)
+    } else {
+        None
+    };
     let id = DataId::from_bytes(r.take(id_len)?.to_vec());
     let payload_at = r.position();
     // Retrieval requests, invalidation notices, and stats scrapes carry
@@ -244,6 +287,8 @@ pub fn parse_bytes(body: &Bytes) -> Result<Packet, DecodeError> {
         status,
         hops,
         detours,
+        sharer,
+        cacheable,
         payload: body.slice(payload_at..),
     })
 }
@@ -377,6 +422,41 @@ mod tests {
                 relay: 7
             })
         );
+    }
+
+    #[test]
+    fn sharer_rides_only_on_retrievals() {
+        let mut p = Packet::retrieval(DataId::new("k")).with_relay(3, 7, 12);
+        let plain = encode(&p);
+        p.sharer = Some(5);
+        let stamped = encode(&p);
+        assert_eq!(stamped.len(), plain.len() + 4, "one u32, nothing else");
+        assert_eq!(parse(&stamped).unwrap(), p);
+        for mut other in [
+            Packet::placement(DataId::new("k"), b"v".as_ref()),
+            Packet::response(DataId::new("k"), b"v".as_ref()),
+            Packet::invalidate(DataId::new("k")),
+        ] {
+            other.sharer = Some(5);
+            let b = encode(&other);
+            assert_eq!(parse(&b), Err(DecodeError::UnknownFlags(b[3])), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn cacheability_rides_only_on_retrieval_responses() {
+        for cacheable in [Cacheable::Anywhere, Cacheable::WhenPristine] {
+            let mut p = Packet::response(DataId::new("k"), b"v".as_ref());
+            p.cacheable = cacheable;
+            assert_eq!(parse(&encode(&p)).unwrap(), p);
+            let mut other = Packet::retrieval(DataId::new("k"));
+            other.cacheable = cacheable;
+            let b = encode(&other);
+            assert_eq!(parse(&b), Err(DecodeError::UnknownFlags(b[3])));
+        }
+        let mut both = encode(&Packet::response(DataId::new("k"), b"v".as_ref()));
+        both[3] |= 0b1100_0000;
+        assert_eq!(parse(&both), Err(DecodeError::UnknownFlags(0b1100_0000)));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!   to wait, so "the store serializes" shows up as a counter instead
 //!   of a profile.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,6 +109,31 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         f(self.lock(shard).get(key))
     }
 
+    /// Like [`read`](ShardedMap::read), with write access to the value.
+    pub fn update<R>(&self, key: &K, f: impl FnOnce(Option<&mut V>) -> R) -> R {
+        let shard = self.shard_of(key);
+        f(self.lock(shard).get_mut(key))
+    }
+
+    /// Stores the value `f` builds from the old one (if any) under `key`,
+    /// in one step under the shard lock — nothing reads or writes `key`
+    /// in between — and returns what `f` returned beside the value.
+    pub fn insert_with<R>(&self, key: K, f: impl FnOnce(Option<&V>) -> (V, R)) -> R {
+        let shard = self.shard_of(&key);
+        match self.lock(shard).entry(key) {
+            Entry::Occupied(mut slot) => {
+                let (value, out) = f(Some(slot.get()));
+                slot.insert(value);
+                out
+            }
+            Entry::Vacant(slot) => {
+                let (value, out) = f(None);
+                slot.insert(value);
+                out
+            }
+        }
+    }
+
     /// A clone of the value under `key`.
     pub fn get_cloned(&self, key: &K) -> Option<V>
     where
@@ -184,6 +210,22 @@ mod tests {
         let len = map.read(&7, |v| v.map(Vec::len));
         assert_eq!(len, Some(3));
         assert!(map.read(&8, |v| v.is_none()));
+    }
+
+    #[test]
+    fn update_and_insert_with_see_the_old_value() {
+        let map: ShardedMap<u32, u32> = ShardedMap::new();
+        assert_eq!(map.insert_with(1, |old| (10, old.copied())), None);
+        assert_eq!(
+            map.insert_with(1, |old| (old.unwrap() + 1, old.copied())),
+            Some(10)
+        );
+        assert_eq!(
+            map.update(&1, |v| v.map(|v| std::mem::replace(v, 0))),
+            Some(11)
+        );
+        assert_eq!(map.get_cloned(&1), Some(0));
+        assert!(map.update(&2, |v| v.is_none()));
     }
 
     #[test]

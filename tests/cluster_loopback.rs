@@ -451,9 +451,10 @@ fn wire_scraped_stats_match_the_in_process_twin() {
 ///
 /// - once each regional node has seen the key, the crowd converges to a
 ///   100% cache hit rate — zero further misses cluster-wide,
-/// - a version bump of the viral key invalidates every peer's cache
-///   (`invalidations_rx` rises by exactly n−1 for the one clean write)
-///   and **no read ever returns the stale bytes**,
+/// - a version bump of the viral key invalidates exactly the regional
+///   caches that read it (`invalidations_rx` rises by exactly the region
+///   size for the one clean write) and **no read ever returns the stale
+///   bytes**,
 /// - the crowd re-converges on the new version just as fast.
 #[test]
 fn flash_crowd_cache_converges_without_stale_serves() {
@@ -527,20 +528,20 @@ fn flash_crowd_cache_converges_without_stale_serves() {
     let after = ClusterHealth::aggregate(&crowd);
 
     // Phase 2 — the story develops: v2 overwrites the viral key. The
-    // one clean write must invalidate every peer's cache, and not a
-    // single subsequent read may serve the stale v1 bytes.
+    // one clean write must invalidate every regional cache — the only
+    // switches that read the key — and not a single subsequent read may
+    // serve the stale v1 bytes.
     let ack = writer.place(&viral, v2.clone()).expect("v2 write lands");
     assert!(ack.is_hit() && ack.is_clean(), "v2 write must be clean");
     let healed = scrape(&cluster);
     assert_eq!(
         ClusterHealth::aggregate(&healed).invalidations_rx - after.invalidations_rx,
-        (cluster.len() - 1) as u64,
-        "one clean write must invalidate exactly the n-1 peers"
+        REGION as u64,
+        "one clean write must invalidate exactly the regional sharers"
     );
 
-    // One refill round: every regional node (and any cache-probing
-    // relay on its path to the owner) misses once and re-fills — but
-    // serves v2, never the stale bytes.
+    // One refill round: every regional node misses once and re-fills —
+    // but serves v2, never the stale bytes.
     let window = gred_testkit::CounterWindow::open(healed);
     for (m, client) in &mut region {
         let reply = client.retrieve(&viral).expect("refill read answers");

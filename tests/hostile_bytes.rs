@@ -13,7 +13,8 @@
 //!   no input is silently reinterpreted.
 //!
 //! Four golden vectors, captured from the encoders before the decoders
-//! moved onto the cursor, pin the formats themselves.
+//! moved onto the cursor, pin the formats themselves; a fifth pins the
+//! one header field added since, a retrieval's sharer id.
 //!
 //! Repro: `cargo test -p gred-cluster --test hostile_bytes`
 
@@ -188,6 +189,14 @@ fn golden_packet() -> Packet {
     packet
 }
 
+fn golden_sharer_retrieval() -> Packet {
+    let mut packet = Packet::retrieval(DataId::new("cam/7")).with_relay(3, 7, 12);
+    packet.position = Point2::new(0.25, 0.75);
+    packet.hops = 1;
+    packet.sharer = Some(4);
+    packet
+}
+
 fn golden_batch() -> Vec<Packet> {
     let mut a = Packet::placement(DataId::new("a"), b"one".as_ref());
     a.position = Point2::new(0.5, 0.125);
@@ -259,6 +268,9 @@ fn unhex(hex: &str) -> Vec<u8> {
 const GOLDEN_PACKET: &str = "\
     475201110200053fd00000000000003fe8000000000000000500020000000c00\
     0000030000000763616d2f376672616d65";
+const GOLDEN_SHARER_RETRIEVAL: &str = "\
+    475201210100053fd00000000000003fe8000000000000000100000000000c00\
+    000003000000070000000463616d2f37";
 const GOLDEN_BATCH: &str = "\
     47420100020000001f475201000000013fe00000000000003fc0000000000000\
     00000000616f6e650000001d475201000100023ff00000000000000000000000\
@@ -298,6 +310,19 @@ fn golden_vectors_pin_the_four_formats() {
 }
 
 #[test]
+fn golden_sharer_retrieval_pins_the_flag_and_its_kind() {
+    let bytes = unhex(GOLDEN_SHARER_RETRIEVAL);
+    assert_eq!(wire::encode(&golden_sharer_retrieval()), bytes);
+    assert_eq!(wire::parse(&bytes), Ok(golden_sharer_retrieval()));
+    // The same bytes under any other kind are refused, not reread.
+    for kind in [0, 2, 3, 4, 5, 6, 7] {
+        let mut other = bytes.clone();
+        other[4] = kind;
+        assert_eq!(wire::parse(&other), Err(DecodeError::UnknownFlags(0x21)));
+    }
+}
+
+#[test]
 fn a_count_field_never_sizes_an_allocation() {
     // Five bytes claiming 65,535 packets: ≈ 7 MB of `Packet`s reserved
     // before the first length check, once.
@@ -326,6 +351,7 @@ fn a_count_field_never_sizes_an_allocation() {
 fn every_truncation_and_mutation_of_the_golden_vectors_is_handled() {
     for flip in [0x01, 0x80, 0xff] {
         torture(PACKET, &unhex(GOLDEN_PACKET), flip);
+        torture(PACKET, &unhex(GOLDEN_SHARER_RETRIEVAL), flip);
         torture(BATCH, &unhex(GOLDEN_BATCH), flip);
         torture(SNAPSHOT, &unhex(GOLDEN_SNAPSHOT), flip);
         torture(ADMIN, &unhex(GOLDEN_JOIN), flip);
