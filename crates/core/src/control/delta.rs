@@ -9,6 +9,13 @@
 //! which members are *affected* by a batch of joins/leaves and strips
 //! their stale forwarding state, so only those cells are recomputed.
 //!
+//! Every step of a batch costs what the change touches, not what the
+//! network holds: each join and leave updates the DT locally
+//! ([`DtGraph::with_joined`], [`DtGraph::with_left`]), the affected
+//! members' paths are searched before anything is mutated (so a
+//! disconnecting batch leaves the network untouched), and the installed
+//! planes are then patched in place rather than copied.
+//!
 //! A member is affected when any of the following holds:
 //!
 //! 1. its DT neighbor set changed (this covers new members and every

@@ -150,6 +150,34 @@ impl DtGraph {
         let change = crate::control::dynamics::join_membership(self, switch, position)?;
         DtGraph::build(change.members, &change.positions)
     }
+
+    /// Incremental leave (paper Section VI): removes `switch`, and only
+    /// its DT cell is re-triangulated, via
+    /// [`Triangulation::with_removed`]. No other member moves.
+    ///
+    /// # Errors
+    ///
+    /// [`GredError::InvalidDynamics`] when `switch` is not a member or is
+    /// the last one.
+    pub fn with_left(&self, switch: usize) -> Result<DtGraph, GredError> {
+        let Some(idx) = self.index_of(switch) else {
+            return Err(GredError::InvalidDynamics {
+                reason: "switch is not a DT member",
+            });
+        };
+        if self.len() == 1 {
+            return Err(GredError::InvalidDynamics {
+                reason: "cannot remove the last storage switch",
+            });
+        }
+        let triangulation = self.triangulation.with_removed(idx)?;
+        let mut members = self.members.clone();
+        members.remove(idx);
+        Ok(DtGraph {
+            members,
+            triangulation,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -269,6 +297,73 @@ mod join_tests {
         .unwrap();
         assert!(matches!(
             dt.with_joined(4, Point2::new(0.5, 0.6)),
+            Err(GredError::InvalidDynamics { .. })
+        ));
+    }
+}
+
+#[cfg(test)]
+mod leave_tests {
+    use super::*;
+
+    fn dt3() -> DtGraph {
+        DtGraph::build(
+            vec![1, 4, 6],
+            &[
+                Point2::new(0.2, 0.2),
+                Point2::new(0.8, 0.2),
+                Point2::new(0.5, 0.8),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn leave_removes_only_target() {
+        let left = dt3().with_left(4).unwrap();
+        assert_eq!(left.members(), &[1, 6]);
+        assert_eq!(left.position_of(1), dt3().position_of(1));
+        assert_eq!(left.position_of(6), dt3().position_of(6));
+        assert_eq!(left.edges(), vec![(1, 6)]);
+    }
+
+    #[test]
+    fn leave_matches_a_rebuild_of_the_rest() {
+        // Members 10, 20, ... on a jittered 6×6 grid; every leave must
+        // give the DT a rebuild of the remaining members gives.
+        let members: Vec<usize> = (1..=36).map(|k| 10 * k).collect();
+        let positions: Vec<Point2> = (0..36u32)
+            .map(|k| {
+                let jitter = f64::from((k * 7919) % 97) / 97.0 * 0.05;
+                Point2::new(
+                    0.1 + f64::from(k / 6) * 0.15 + jitter,
+                    0.1 + f64::from(k % 6) * 0.15 - jitter / 2.0,
+                )
+            })
+            .collect();
+        let dt = DtGraph::build(members.clone(), &positions).unwrap();
+        for (idx, &m) in members.iter().enumerate() {
+            let left = dt.with_left(m).unwrap();
+            let (mut rest, mut at) = (members.clone(), positions.clone());
+            rest.remove(idx);
+            at.remove(idx);
+            assert_eq!(left.edges(), DtGraph::build(rest, &at).unwrap().edges());
+        }
+    }
+
+    #[test]
+    fn leave_non_member_fails() {
+        assert!(matches!(
+            dt3().with_left(2),
+            Err(GredError::InvalidDynamics { .. })
+        ));
+    }
+
+    #[test]
+    fn cannot_remove_last_member() {
+        let dt = DtGraph::build(vec![3], &[Point2::new(0.5, 0.5)]).unwrap();
+        assert!(matches!(
+            dt.with_left(3),
             Err(GredError::InvalidDynamics { .. })
         ));
     }

@@ -1,22 +1,22 @@
-//! Network dynamics: computing the control-plane state deltas when edge
-//! nodes join or leave (paper Section VI).
+//! Network dynamics: the membership tables of a join that cannot take the
+//! incremental path (paper Section VI).
 //!
 //! The paper's incremental story: a joining node gets a position, DT edges
 //! to its new neighbors, and forwarding entries; only data at those
 //! neighbors is re-examined. A leaving node's DT edges are removed, its
-//! neighbors re-triangulate locally, and its data migrates to them. We
-//! realize the same end state by keeping every *existing* position fixed
-//! (so ownership of unaffected keys cannot change), computing the
-//! newcomer's position locally, and rebuilding the triangulation over the
-//! fixed position set — the rebuilt DT is exactly the incrementally
-//! updated one, because a DT is uniquely determined by its sites (up to
-//! co-circular ties).
+//! neighbors re-triangulate locally, and its data migrates to them. Every
+//! *existing* position stays fixed, so ownership of unaffected keys cannot
+//! change. [`DtGraph::with_joined`] and [`DtGraph::with_left`] update the
+//! triangulation locally. Only a join whose switch id sorts below an
+//! existing member needs the tables here, and it rebuilds the
+//! triangulation over them — the same DT, because a DT is uniquely
+//! determined by its sites (up to co-circular ties).
 
 use crate::control::dt::DtGraph;
 use crate::error::GredError;
 use gred_geometry::Point2;
 
-/// The member/position tables of a network after a join or leave.
+/// The member/position tables of a network after a join.
 #[derive(Debug, Clone)]
 pub struct MembershipChange {
     /// New sorted member list.
@@ -51,33 +51,6 @@ pub fn join_membership(
     Ok(MembershipChange { members, positions })
 }
 
-/// Removes `switch` from the membership.
-///
-/// # Errors
-///
-/// [`GredError::InvalidDynamics`] if the switch is not a member or is the
-/// last one.
-pub fn leave_membership(dt: &DtGraph, switch: usize) -> Result<MembershipChange, GredError> {
-    let Some(idx) = dt.index_of(switch) else {
-        return Err(GredError::InvalidDynamics {
-            reason: "switch is not a DT member",
-        });
-    };
-    if dt.len() == 1 {
-        return Err(GredError::InvalidDynamics {
-            reason: "cannot remove the last storage switch",
-        });
-    }
-    let mut members: Vec<usize> = dt.members().to_vec();
-    let mut positions: Vec<Point2> = members
-        .iter()
-        .map(|&m| dt.position_of(m).expect("member has a position"))
-        .collect();
-    members.remove(idx);
-    positions.remove(idx);
-    Ok(MembershipChange { members, positions })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,32 +80,6 @@ mod tests {
     fn join_existing_member_fails() {
         assert!(matches!(
             join_membership(&dt3(), 4, Point2::new(0.5, 0.5)),
-            Err(GredError::InvalidDynamics { .. })
-        ));
-    }
-
-    #[test]
-    fn leave_removes_only_target() {
-        let change = leave_membership(&dt3(), 4).unwrap();
-        assert_eq!(change.members, vec![1, 6]);
-        assert_eq!(change.positions.len(), 2);
-        assert!(change.positions[0].distance(Point2::new(0.2, 0.2)) < 1e-6);
-        assert!(change.positions[1].distance(Point2::new(0.5, 0.8)) < 1e-6);
-    }
-
-    #[test]
-    fn leave_non_member_fails() {
-        assert!(matches!(
-            leave_membership(&dt3(), 2),
-            Err(GredError::InvalidDynamics { .. })
-        ));
-    }
-
-    #[test]
-    fn cannot_remove_last_member() {
-        let dt = DtGraph::build(vec![3], &[Point2::new(0.5, 0.5)]).unwrap();
-        assert!(matches!(
-            leave_membership(&dt, 3),
             Err(GredError::InvalidDynamics { .. })
         ));
     }

@@ -3,7 +3,6 @@
 
 use crate::config::GredConfig;
 use crate::control::delta::{affected_members, strip_member_state, DeltaReport, TopologyChange};
-use crate::control::dynamics::leave_membership;
 use crate::control::embedding::{
     embed_new_switch, m_position_landmark_with, m_position_with, separate_duplicates, Embedding,
 };
@@ -393,7 +392,9 @@ impl GredNetwork {
     ///
     /// Events apply in order; a later event may reference a switch created
     /// by an earlier `Join` in the same batch. On error nothing observable
-    /// changes (changes are validated against clones before commit).
+    /// changes: the batch is evolved on clones and the affected members'
+    /// paths are searched before anything is mutated; only then are the
+    /// installed planes patched in place.
     ///
     /// # Errors
     ///
@@ -402,11 +403,11 @@ impl GredNetwork {
     pub fn apply_delta(&mut self, changes: &[TopologyChange]) -> Result<DeltaReport, GredError> {
         let start = std::time::Instant::now();
         let next = self.evolve(changes)?;
-        self.retract_touching(&next.left);
         let (topo, dt, left) = (&next.topology, &next.dt, &next.left);
 
-        // The affected set, against the pre-batch planes.
-        let affected = affected_members(
+        // The affected set, against the pre-batch planes, and its path
+        // search (in parallel) — the last step that can fail.
+        let affected: Vec<usize> = affected_members(
             &self.dt,
             dt,
             &self.topology,
@@ -414,11 +415,22 @@ impl GredNetwork {
             &self.dataplanes,
             &next.joined,
             left,
-        );
+        )
+        .into_iter()
+        .collect();
+        let threads = self.config.effective_threads();
+        let paths_per_member: Vec<_> =
+            gred_runtime::parallel_map_min_chunk(affected.clone(), threads, 8, |u| {
+                member_virtual_paths(topo, dt, u)
+            })
+            .into_iter()
+            .collect::<Option<_>>()
+            .ok_or(GredError::Disconnected)?;
 
+        self.retract_touching(left);
         // Strip stale state — affected members' outgoing chains, every
         // leaver's chains, then the leaver planes themselves.
-        let mut planes = self.dataplanes.clone();
+        let mut planes = std::mem::take(&mut self.dataplanes);
         let mut tuples_removed = 0;
         for &u in affected.iter().chain(left) {
             if u < planes.len() {
@@ -442,23 +454,10 @@ impl GredNetwork {
             });
         }
 
-        // Reinstall only the affected cells — path search in parallel,
-        // entries applied serially in member order, same discipline as
-        // the full installer.
-        let threads = self.config.effective_threads();
-        let affected: Vec<usize> = affected.into_iter().collect();
-        let paths_per_member =
-            gred_runtime::parallel_map_min_chunk(affected.clone(), threads, 8, |u| {
-                member_virtual_paths(topo, dt, u)
-            });
+        // Reinstall only the affected cells, entries applied serially in
+        // member order — the same discipline as the full installer.
         for (&u, member_paths) in affected.iter().zip(paths_per_member) {
-            apply_member_entries(
-                &mut planes,
-                topo,
-                dt,
-                u,
-                member_paths.ok_or(GredError::Disconnected)?,
-            );
+            apply_member_entries(&mut planes, topo, dt, u, member_paths);
         }
 
         let members_total = dt.len();
@@ -519,14 +518,13 @@ impl GredNetwork {
                     joined.push(new_switch);
                 }
                 TopologyChange::Leave { switch } => {
-                    let change = leave_membership(&dt, *switch)?;
+                    dt = dt.with_left(*switch)?;
                     // The remaining members must stay mutually reachable.
                     topo.isolate(*switch);
-                    let hops = topo.bfs_hops(change.members[0]);
-                    if change.members.iter().any(|&m| hops[m] == u32::MAX) {
+                    let hops = topo.bfs_hops(dt.members()[0]);
+                    if dt.members().iter().any(|&m| hops[m] == u32::MAX) {
                         return Err(GredError::Disconnected);
                     }
-                    dt = DtGraph::build(change.members, &change.positions)?;
                     pool.clear_switch(*switch);
                     left.push(*switch);
                 }

@@ -20,10 +20,13 @@
 //! triangulation of the snapped points.
 //!
 //! Construction is flip-based: fan-triangulate the convex hull, insert
-//! interior points by triangle/edge splitting, and restore the empty
-//! circumcircle property with Lawson edge flips. Degenerate inputs (all
-//! points collinear) fall back to the 1D Delaunay graph — the path along
-//! the sorted points — on which greedy routing still delivers.
+//! interior points by triangle/edge splitting (each located by a walk
+//! across triangles), and restore the empty circumcircle property with
+//! Lawson edge flips. Degenerate inputs (all points collinear) fall back
+//! to the 1D Delaunay graph — the path along the sorted points — on which
+//! greedy routing still delivers. Joins and leaves update an existing
+//! triangulation locally ([`Triangulation::with_inserted`],
+//! [`Triangulation::with_removed`]).
 
 use crate::Point2;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -211,29 +214,95 @@ impl Builder {
         }
     }
 
-    /// Finds the live triangle containing `p` (exact). Interior points of
-    /// the current triangulation always land somewhere.
+    /// Finds the live triangle containing `p` (exact) by a visibility
+    /// walk from the newest live triangle: while `p` lies strictly right
+    /// of an edge of the current triangle, step across that edge. The
+    /// walk never cycles on a Delaunay triangulation; past a step cap it
+    /// falls back to scanning every triangle all the same. `None` when
+    /// `p` lies outside the triangulated region, which is convex.
     fn locate(&self, p: IPoint) -> Option<Location> {
-        for (id, t) in self.tris.iter().enumerate() {
-            let Some(t) = t else { continue };
-            let [a, b, c] = *t;
-            let o_ab = iorient(self.pts[a], self.pts[b], p);
-            let o_bc = iorient(self.pts[b], self.pts[c], p);
-            let o_ca = iorient(self.pts[c], self.pts[a], p);
-            if o_ab >= 0 && o_bc >= 0 && o_ca >= 0 {
-                if o_ab == 0 {
-                    return Some(Location::OnEdge(a, b));
-                }
-                if o_bc == 0 {
-                    return Some(Location::OnEdge(b, c));
-                }
-                if o_ca == 0 {
-                    return Some(Location::OnEdge(c, a));
-                }
-                return Some(Location::Inside(id));
+        let mut id = self.tris.iter().rposition(Option::is_some)?;
+        for _ in 0..self.tris.len() {
+            let t = self.tris[id].expect("the walk visits live triangles");
+            let Some(k) =
+                (0..3).find(|&k| iorient(self.pts[t[k]], self.pts[t[(k + 1) % 3]], p) < 0)
+            else {
+                return self.location_in(id, p);
+            };
+            match self.edge_tris[&edge_key(t[k], t[(k + 1) % 3])]
+                .iter()
+                .find(|&&other| other != id)
+            {
+                Some(&next) => id = next,
+                // A boundary edge faces `p`.
+                None => return None,
             }
         }
-        None
+        (0..self.tris.len()).find_map(|id| self.location_in(id, p))
+    }
+
+    /// Where `p` lies in live triangle `id`, if inside it or on its
+    /// boundary.
+    fn location_in(&self, id: usize, p: IPoint) -> Option<Location> {
+        let [a, b, c] = self.tris[id]?;
+        let o_ab = iorient(self.pts[a], self.pts[b], p);
+        let o_bc = iorient(self.pts[b], self.pts[c], p);
+        let o_ca = iorient(self.pts[c], self.pts[a], p);
+        if o_ab < 0 || o_bc < 0 || o_ca < 0 {
+            return None;
+        }
+        Some(if o_ab == 0 {
+            Location::OnEdge(a, b)
+        } else if o_bc == 0 {
+            Location::OnEdge(b, c)
+        } else if o_ca == 0 {
+            Location::OnEdge(c, a)
+        } else {
+            Location::Inside(id)
+        })
+    }
+
+    /// Inserts point `p` (already in `pts`) and restores the Delaunay
+    /// property around it. A point outside the triangulated region is
+    /// fanned to every boundary edge it strictly sees (the standard
+    /// incremental hull extension). Returns `false`, with nothing
+    /// changed, when such a point is collinear with the whole silhouette.
+    fn insert(&mut self, p: usize) -> bool {
+        let first_new = self.tris.len();
+        let mut seeds = match self.locate(self.pts[p]) {
+            Some(Location::Inside(id)) => self.split_triangle(id, p),
+            // Interior edges split both adjacent triangles; a boundary
+            // edge splits its single triangle and `p` becomes a collinear
+            // boundary vertex (distinct points put it strictly between the
+            // endpoints, so both halves are non-degenerate).
+            Some(Location::OnEdge(a, b)) => self.split_edge(a, b, p),
+            None => {
+                let visible = self.visible_hull_edges(self.pts[p]);
+                if visible.is_empty() {
+                    return false;
+                }
+                visible
+                    .into_iter()
+                    .map(|(u, v)| {
+                        self.add_tri([u, v, p]);
+                        edge_key(u, v)
+                    })
+                    .collect()
+            }
+        };
+        // The new point's spokes, read off the triangles just added.
+        let mut spokes: Vec<(usize, usize)> = self.tris[first_new..]
+            .iter()
+            .flatten()
+            .flatten()
+            .filter(|&&v| v != p)
+            .map(|&v| edge_key(v, p))
+            .collect();
+        spokes.sort_unstable();
+        spokes.dedup();
+        seeds.extend(spokes);
+        self.legalize(seeds);
+        true
     }
 
     /// Boundary edges (those with a single adjacent triangle) strictly
@@ -468,7 +537,7 @@ impl Triangulation {
         }
 
         let mut b = Builder {
-            pts: ipoints.clone(),
+            pts: ipoints,
             tris: Vec::new(),
             edge_tris: HashMap::new(),
         };
@@ -485,28 +554,23 @@ impl Triangulation {
         // Non-hull points are interior to the hull, or on its boundary
         // (collinear with a hull edge) — `locate` finds both exactly.
         for &i in &order {
-            if on_hull.contains(&i) {
-                continue;
+            if !on_hull.contains(&i) {
+                let placed = b.insert(i);
+                debug_assert!(placed, "non-hull point lies inside or on the hull");
             }
-            let loc = b
-                .locate(ipoints[i])
-                .expect("non-hull point lies inside or on the hull triangulation");
-            let mut seeds = match loc {
-                Location::Inside(id) => b.split_triangle(id, i),
-                Location::OnEdge(a, bb) => b.split_edge(a, bb, i),
-            };
-            seeds.extend(
-                b.edge_tris
-                    .keys()
-                    .filter(|&&(x, y)| x == i || y == i)
-                    .copied()
-                    .collect::<Vec<_>>(),
-            );
-            b.legalize(seeds);
         }
         b.legalize_to_fixed_point();
+        let triangles = b.tris.into_iter().flatten().collect();
+        Ok(Triangulation::from_triangles(b.pts, snapped, triangles))
+    }
 
-        let triangles: Vec<[usize; 3]> = b.tris.iter().flatten().copied().collect();
+    /// A triangulation of `ipoints` (snapped to `points`) from its CCW
+    /// `triangles`, which must cover a non-collinear point set.
+    fn from_triangles(
+        ipoints: Vec<IPoint>,
+        points: Vec<Point2>,
+        triangles: Vec<[usize; 3]>,
+    ) -> Self {
         let mut neighbors = vec![BTreeSet::new(); ipoints.len()];
         for t in &triangles {
             for (x, y) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
@@ -514,13 +578,13 @@ impl Triangulation {
                 neighbors[y].insert(x);
             }
         }
-        Ok(Triangulation {
+        Triangulation {
             ipoints,
-            points: snapped,
+            points,
             triangles,
             neighbors,
             collinear: false,
-        })
+        }
     }
 
     /// The triangulated points (lattice-snapped), in input order.
@@ -675,75 +739,91 @@ impl Triangulation {
 
         let mut b = Builder {
             pts: self.ipoints.clone(),
-            tris: self.triangles.iter().map(|&t| Some(t)).collect(),
+            tris: Vec::with_capacity(self.triangles.len() + 4),
             edge_tris: HashMap::new(),
         };
-        for (id, t) in self.triangles.iter().enumerate() {
-            for (x, y) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
-                b.edge_tris.entry(edge_key(x, y)).or_default().push(id);
-            }
+        for &t in &self.triangles {
+            b.add_tri(t);
         }
         b.pts.push(ip);
-        let new_idx = b.pts.len() - 1;
-        let mut seeds = match b.locate(ip) {
-            Some(Location::Inside(id)) => b.split_triangle(id, new_idx),
-            Some(Location::OnEdge(x, y)) => {
-                // Interior edges split both adjacent triangles; a
-                // hull-boundary edge splits its single triangle and the
-                // new point becomes a collinear boundary vertex (the
-                // duplicate check above guarantees it is strictly between
-                // the endpoints, so both halves are non-degenerate).
-                b.split_edge(x, y, new_idx)
-            }
-            None => {
-                // Outside the hull: fan the new point to every strictly
-                // visible boundary edge (the standard incremental hull
-                // extension), then legalize outward from the covered
-                // edges. Join positions land out here routinely — e.g.
-                // when the local embedding clamps them to the unit-square
-                // border — and the from-scratch rebuild this used to do
-                // is O(n²) at 10k members.
-                let visible = b.visible_hull_edges(ip);
-                if visible.is_empty() {
-                    // p is collinear with the entire silhouette; punt to
-                    // the full construction.
-                    return rebuild();
-                }
-                visible
-                    .iter()
-                    .map(|&(u, v)| {
-                        b.add_tri([u, v, new_idx]);
-                        edge_key(u, v)
-                    })
-                    .collect()
-            }
-        };
-        seeds.extend(
-            b.edge_tris
-                .keys()
-                .filter(|&&(x, y)| x == new_idx || y == new_idx)
-                .copied()
-                .collect::<Vec<_>>(),
-        );
-        b.legalize(seeds);
-
-        let triangles: Vec<[usize; 3]> = b.tris.iter().flatten().copied().collect();
-        let mut neighbors = vec![BTreeSet::new(); b.pts.len()];
-        for t in &triangles {
-            for (x, y) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
-                neighbors[x].insert(y);
-                neighbors[y].insert(x);
-            }
+        // Outside the hull the point is fanned to the edges it sees. Join
+        // positions land out there routinely — e.g. when the local
+        // embedding clamps them to the unit-square border. A point
+        // collinear with the entire silhouette punts to the full
+        // construction.
+        if !b.insert(b.pts.len() - 1) {
+            return rebuild();
         }
         let mut points = self.points.clone();
         points.push(unquantize(ip));
-        Ok(Triangulation {
-            ipoints: b.pts,
-            points,
-            triangles,
-            neighbors,
-            collinear: false,
-        })
+        let triangles = b.tris.into_iter().flatten().collect();
+        Ok(Triangulation::from_triangles(b.pts, points, triangles))
+    }
+
+    /// Incremental deletion (the paper's Section VI leave): returns the
+    /// triangulation without point `i`, re-triangulating only the hole
+    /// its star leaves. Points above `i` move down one index; every point
+    /// keeps its position.
+    ///
+    /// The hole is filled with the triangles of the DT of `i`'s link (its
+    /// DT neighbors) whose centroid lies in `i`'s old star. The star's
+    /// boundary edges are Delaunay in the link, so no link-DT triangle
+    /// crosses the boundary — even on co-circular ties: a link edge
+    /// crossing a boundary edge `(u, v)` needs an endpoint on the far arc
+    /// of the empty circle through `i`, `u` and `v`, and `i`'s DT edge to
+    /// that endpoint would cross `(u, v)`. Collinear input and a collinear
+    /// remainder fall back to a full rebuild. The result is the DT of the
+    /// remaining points either way (up to co-circular ties).
+    ///
+    /// # Errors
+    ///
+    /// [`DelaunayError::Empty`] when `i` is the only point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn with_removed(&self, i: usize) -> Result<Triangulation, DelaunayError> {
+        assert!(i < self.points.len(), "point index out of range");
+        let rebuild = || {
+            let mut pts = self.points.clone();
+            pts.remove(i);
+            Triangulation::new(&pts)
+        };
+        if self.collinear {
+            return rebuild();
+        }
+        let (star, mut kept): (Vec<[usize; 3]>, Vec<[usize; 3]>) =
+            self.triangles.iter().partition(|t| t.contains(&i));
+        let link: Vec<usize> = self.neighbors(i).collect();
+        let link_points: Vec<Point2> = link.iter().map(|&v| self.points[v]).collect();
+        let link_dt = Triangulation::new(&link_points).expect("link points are distinct and valid");
+        // The centroid test runs on coordinates ×3, so it stays exact.
+        let tripled = |v: usize| (3 * self.ipoints[v].0, 3 * self.ipoints[v].1);
+        let in_star = |c: IPoint| {
+            star.iter().any(|t| {
+                let [a, b, d] = t.map(tripled);
+                iorient(a, b, c) >= 0 && iorient(b, d, c) >= 0 && iorient(d, a, c) >= 0
+            })
+        };
+        for t in link_dt.triangles() {
+            let t = t.map(|k| link[k]);
+            let centroid = t.iter().fold((0, 0), |(x, y), &v| {
+                (x + self.ipoints[v].0, y + self.ipoints[v].1)
+            });
+            if in_star(centroid) {
+                kept.push(t);
+            }
+        }
+        if kept.is_empty() {
+            return rebuild();
+        }
+        let down = |v: usize| if v > i { v - 1 } else { v };
+        let triangles = kept.into_iter().map(|t| t.map(down)).collect();
+        let mut ipoints = self.ipoints.clone();
+        ipoints.remove(i);
+        let mut points = self.points.clone();
+        points.remove(i);
+        Ok(Triangulation::from_triangles(ipoints, points, triangles))
     }
 }
 
@@ -1113,6 +1193,34 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn edge_fingerprint_matches_the_recorded_build() {
+        // FNV-1a over the sorted edge list of 2,000 seeded points, every
+        // 50th on the border line x = 0.001 where the embedding clamps
+        // positions. The constant was recorded when `locate` scanned
+        // every triangle, before it became a walk: any edge the walk
+        // builds differently moves it.
+        let mut rng = StdRng::seed_from_u64(2019);
+        let pts: Vec<Point2> = (0..2000)
+            .map(|k| {
+                let y = rng.gen_range(0.0..1.0);
+                let x = if k % 50 == 0 {
+                    0.001
+                } else {
+                    rng.gen_range(0.0..1.0)
+                };
+                Point2::new(x, y)
+            })
+            .collect();
+        let edges = Triangulation::new(&pts).unwrap().edges();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in edges.iter().flat_map(|&(a, b)| [a, b]) {
+            hash = (hash ^ v as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(edges.len(), 5978);
+        assert_eq!(hash, 0xaa62_396d_bf39_582a);
+    }
 }
 
 #[cfg(test)]
@@ -1375,6 +1483,113 @@ mod incremental_tests {
         let grown = dt.with_inserted(Point2::new(0.5, 0.9)).unwrap();
         assert!(!grown.is_collinear());
         assert_eq!(grown.triangles().len(), 2);
+    }
+
+    /// Removes every point of `pts` in turn: each result must be the
+    /// from-scratch DT of the rest, and re-inserting the point must give
+    /// back the original edges.
+    fn check_every_removal(pts: &[Point2]) {
+        let dt = Triangulation::new(pts).unwrap();
+        let n = pts.len();
+        for i in 0..n {
+            let removed = dt.with_removed(i).unwrap();
+            let mut rest = pts.to_vec();
+            rest.remove(i);
+            let scratch = Triangulation::new(&rest).unwrap();
+            assert_eq!(removed.delaunay_violation(), None, "removing {i}");
+            assert_eq!(removed.is_collinear(), scratch.is_collinear());
+            assert_eq!(edge_set(&removed), edge_set(&scratch), "removing {i}");
+            let back = removed.with_inserted(pts[i]).unwrap();
+            let up = |j: usize| match j {
+                _ if j == n - 1 => i,
+                _ if j >= i => j + 1,
+                _ => j,
+            };
+            let restored: BTreeSet<(usize, usize)> = back
+                .edges()
+                .into_iter()
+                .map(|(a, b)| edge_key(up(a), up(b)))
+                .collect();
+            assert_eq!(restored, edge_set(&dt), "re-inserting {i}");
+        }
+    }
+
+    #[test]
+    fn removal_matches_rebuild_for_every_point() {
+        // Interior points, hull corners, and a run on the border line
+        // x = 0.001 between two of them (hull points collinear with
+        // their hull edge).
+        let mut pts = random_points(25, 41);
+        pts.extend(
+            [(0.001, 0.0), (0.001, 1.0), (1.0, 0.0), (1.0, 1.0)].map(|(x, y)| Point2::new(x, y)),
+        );
+        pts.extend((1..6).map(|k| Point2::new(0.001, 0.15 * k as f64)));
+        check_every_removal(&pts);
+    }
+
+    #[test]
+    fn removal_down_to_a_collinear_remainder_rebuilds() {
+        let pts: Vec<Point2> = [(0.1, 0.5), (0.5, 0.5), (0.9, 0.5), (0.3, 0.5), (0.5, 0.9)]
+            .map(|(x, y)| Point2::new(x, y))
+            .to_vec();
+        let line = Triangulation::new(&pts).unwrap().with_removed(4).unwrap();
+        assert!(line.is_collinear());
+        assert_eq!(line.edges(), vec![(0, 3), (1, 2), (1, 3)]);
+        let mut dt = line;
+        while dt.points().len() > 1 {
+            dt = dt.with_removed(0).unwrap();
+        }
+        assert_eq!(dt.with_removed(0).unwrap_err(), DelaunayError::Empty);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// On a coarse grid (co-circular ties everywhere, so the edge set
+        /// is not unique) every removal still leaves a Delaunay
+        /// triangulation of the rebuild's region, with its triangle count.
+        #[test]
+        fn prop_removal_from_a_grid_subset_stays_a_delaunay_cover(
+            cells in proptest::collection::hash_set((0u32..6, 0u32..6), 3..30),
+        ) {
+            let pts: Vec<Point2> = cells
+                .into_iter()
+                .map(|(x, y)| Point2::new(f64::from(x) / 8.0, f64::from(y) / 8.0))
+                .collect();
+            let area = |t: &Triangulation| -> f64 {
+                let p = t.points();
+                t.triangles()
+                    .iter()
+                    .map(|t| crate::predicates::orient2d(p[t[0]], p[t[1]], p[t[2]]) / 2.0)
+                    .sum()
+            };
+            let dt = Triangulation::new(&pts).unwrap();
+            for i in 0..pts.len() {
+                let removed = dt.with_removed(i).unwrap();
+                let mut rest = pts.clone();
+                rest.remove(i);
+                let scratch = Triangulation::new(&rest).unwrap();
+                proptest::prop_assert_eq!(removed.delaunay_violation(), None);
+                proptest::prop_assert_eq!(removed.triangles().len(), scratch.triangles().len());
+                proptest::prop_assert_eq!(area(&removed), area(&scratch));
+            }
+        }
+
+        /// Removing any point, from any set mixing interior points with a
+        /// run on the clamped border line, equals a rebuild without it.
+        #[test]
+        fn prop_removal_matches_rebuild(
+            inner in proptest::collection::vec((0.05f64..0.95, 0.05f64..0.95), 0..30),
+            border in proptest::collection::vec(0.0f64..1.0, 0..8),
+        ) {
+            let pts: Vec<Point2> = border
+                .iter()
+                .map(|&y| Point2::new(0.001, y))
+                .chain(inner.iter().map(|&(x, y)| Point2::new(x, y)))
+                .collect();
+            proptest::prop_assume!(pts.len() >= 2 && Triangulation::new(&pts).is_ok());
+            check_every_removal(&pts);
+        }
     }
 
     #[test]
