@@ -450,16 +450,16 @@ impl Client {
     /// `virtual_position(id.replica(i))`, so the nearest one is the
     /// cheapest greedy walk from here.
     pub fn replica_order(&self, id: &DataId, count: u32) -> Vec<u32> {
-        let mut serials: Vec<u32> = (0..count).collect();
         let Some(&from) = self.positions.get(self.current) else {
-            return serials;
+            return (0..count).collect();
         };
-        serials.sort_by(|&a, &b| {
-            let da = replica_distance_squared(from, id, a);
-            let db = replica_distance_squared(from, id, b);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        serials
+        // Each serial is hashed once, not once per comparison.
+        let mut by_distance: Vec<(f64, u32)> = (0..count)
+            .map(|serial| (replica_distance_squared(from, id, serial), serial))
+            .collect();
+        by_distance
+            .sort_by(|(da, _), (db, _)| da.partial_cmp(db).unwrap_or(std::cmp::Ordering::Equal));
+        by_distance.into_iter().map(|(_, serial)| serial).collect()
     }
 
     /// Retrieves `id` by walking its replica serials until one copy

@@ -310,7 +310,7 @@ impl Reactor {
                 let ack = call.replies[*slot]
                     .as_ref()
                     .expect("stored slot is answered");
-                let notice = Packet::invalidate(ack.id.clone());
+                let notice = Packet::notice_for(ack);
                 let mut owe = |to: usize| {
                     if peers.suspect_at(to, now) {
                         call.coherent = false;

@@ -98,9 +98,7 @@ impl Inner {
             self.counters
                 .invalidations_rx
                 .fetch_add(1, Ordering::Relaxed);
-            let mut ack = Packet::response(packet.id.clone(), Bytes::new());
-            ack.hops = packet.hops;
-            return Step::respond(ack);
+            return Step::respond(Packet::answer(&packet, Bytes::new()));
         }
         if packet.kind == PacketKind::Stats {
             // Observability: answer with a snapshot of this node's
@@ -198,9 +196,7 @@ impl Inner {
                         self.cache.get_shared(&packet.id)
                     };
                     if let Some(payload) = hit {
-                        let mut resp = Packet::response(packet.id.clone(), payload);
-                        resp.hops = packet.hops;
-                        resp.detours = packet.detours;
+                        let mut resp = Packet::answer(&packet, payload);
                         if !access {
                             resp.cacheable = Cacheable::WhenPristine;
                         }
@@ -314,14 +310,12 @@ impl Inner {
             (item, targets)
         });
         self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-        let mut ack = Packet::response(packet.id.clone(), proto::ack_payload(target));
-        ack.hops = packet.hops;
-        ack.detours = packet.detours;
+        let mut ack = Packet::answer(packet, proto::ack_payload(target));
         if packet.detours > 0 {
             // Stored, but the greedy walk detoured: the storing switch
             // may not be the true owner, so the ack does not count as a
             // clean copy for replication quorums.
-            ack.status = gred_dataplane::ResponseStatus::Degraded;
+            ack.status = ResponseStatus::Degraded;
         }
         Step::Respond {
             resp: ack,
@@ -360,32 +354,28 @@ impl Inner {
             Some((item.payload.clone(), item.readers == Sharers::All))
         })?;
         self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-        let mut resp = Packet::response(packet.id.clone(), payload);
-        resp.hops = packet.hops;
-        resp.detours = packet.detours;
+        let mut resp = Packet::answer(packet, payload);
         if untracked {
             resp.cacheable = Cacheable::Anywhere;
         }
         if packet.detours > 0 {
-            resp.status = gred_dataplane::ResponseStatus::Degraded;
+            resp.status = ResponseStatus::Degraded;
         }
         Some(resp)
     }
 
     fn respond_miss(&self, packet: &Packet) -> Packet {
         self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-        let mut resp = Packet::not_found(packet.id.clone());
-        resp.hops = packet.hops;
-        resp.detours = packet.detours;
+        let mut resp = Packet::answer(packet, Bytes::new());
+        resp.status = ResponseStatus::NotFound;
         resp
     }
 
     pub(super) fn refuse(&self, packet: &Packet, why: impl std::fmt::Display) -> Packet {
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
         self.log(&format!("refused {} for {}: {why}", packet.kind, packet.id));
-        let mut resp = Packet::error_response(packet.id.clone());
-        resp.hops = packet.hops;
-        resp.detours = packet.detours;
+        let mut resp = Packet::answer(packet, Bytes::new());
+        resp.status = ResponseStatus::Error;
         resp
     }
 
@@ -401,9 +391,8 @@ impl Inner {
             "redirected {} for {}: {why}",
             packet.kind, packet.id
         ));
-        let mut resp = Packet::redirect_response(packet.id.clone());
-        resp.hops = packet.hops;
-        resp.detours = packet.detours;
+        let mut resp = Packet::answer(packet, Bytes::new());
+        resp.status = ResponseStatus::Redirect;
         resp
     }
 

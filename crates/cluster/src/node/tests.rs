@@ -852,3 +852,73 @@ fn a_sharer_set_overflows_into_all() {
     assert_eq!(set, Sharers::All);
     assert_eq!(Sharers::NONE.union(Sharers::All), Sharers::All);
 }
+
+/// Every answer a node builds echoes its request's position, which is
+/// `H(id)`: a node answers without hashing, so a position it failed to
+/// carry over would show here.
+#[test]
+fn every_answer_carries_its_requests_position() {
+    let hashed = |reply: &Packet| {
+        let (x, y) = gred_hash::virtual_position(&reply.id);
+        assert_eq!(reply.position, Point2::new(x, y), "{reply:?}");
+    };
+
+    let mut owner = spawn_single(1);
+    let id = DataId::new("pos/owned");
+    let ask = |request: Packet| {
+        let reply = roundtrip(owner.addr(), &request);
+        hashed(&reply);
+        reply
+    };
+    let ack = ask(Packet::placement(id.clone(), "v"));
+    assert_eq!(proto::parse_ack(&ack.payload).map(|s| s.switch), Some(0));
+    assert_eq!(ask(Packet::retrieval(id.clone())).payload.as_ref(), b"v");
+    let miss = ask(Packet::retrieval(DataId::new("pos/absent")));
+    assert_eq!(miss.status, ResponseStatus::NotFound);
+    let inv = ask(Packet::invalidate(id.clone()));
+    assert_eq!(
+        (inv.kind, inv.status),
+        (PacketKind::RetrievalResponse, ResponseStatus::Ok)
+    );
+    let refused = ask(Packet::response(id, b"x".as_ref()));
+    assert_eq!(refused.status, ResponseStatus::Error);
+    assert_eq!(owner.shutdown().errors, 1);
+
+    // Behind a forwarder: the peer owns every id and answers with an
+    // untracked copy, which the access node and a transit node both keep.
+    let peer = |listener: TcpListener| {
+        scripted_peer(&listener, |corr, request| {
+            let mut reply = Packet::response(request.id, b"v".as_ref());
+            reply.cacheable = Cacheable::Anywhere;
+            vec![(corr, reply)]
+        });
+    };
+    with_peer(peer, |peer_addr| {
+        let cfg = NodeConfig {
+            suspect_ttl: Duration::from_secs(60),
+            ..test_config()
+        };
+        let max_detours = cfg.max_detours;
+        let mut node = forwarder(peer_addr, cfg);
+        let ask = |request: Packet| {
+            let reply = roundtrip(node.addr(), &request);
+            hashed(&reply);
+            reply
+        };
+        let access = Packet::retrieval(DataId::new("pos/access"));
+        ask(access.clone());
+        assert_eq!(ask(access).payload.as_ref(), b"v", "an access hit");
+        let mut transit = Packet::retrieval(DataId::new("pos/transit"));
+        transit.hops = 1;
+        ask(transit.clone());
+        assert_eq!(ask(transit).cacheable, Cacheable::WhenPristine);
+        assert_eq!(node.hot_stats().cache_hits, 2);
+        // With its only neighbor suspect the walk detours, and a request
+        // with no detour budget left is redirected.
+        node.inner.mark_suspect(1);
+        let mut spent = Packet::retrieval(DataId::new("pos/redirect"));
+        spent.detours = max_detours;
+        assert_eq!(ask(spent).status, ResponseStatus::Redirect);
+        node.shutdown();
+    });
+}

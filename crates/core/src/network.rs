@@ -272,8 +272,11 @@ impl GredNetwork {
     /// switch in the virtual space, then `H(d) mod s`. Greedy forwarding
     /// from any access switch provably reaches this same server.
     pub fn responsible_server(&self, id: &DataId) -> ServerId {
-        let switch = self.dt.nearest_switch(self.position_of_id(id));
-        let index = gred_hash::select_server(id, self.pool.servers_at(switch));
+        // One digest serves both the position and the server pick.
+        let digest = id.digest();
+        let (x, y) = gred_hash::position::digest_position(&digest);
+        let switch = self.dt.nearest_switch(Point2::new(x, y));
+        let index = gred_hash::server::digest_server(&digest, self.pool.servers_at(switch));
         ServerId { switch, index }
     }
 

@@ -171,7 +171,9 @@ pub struct Packet {
     pub id: DataId,
     /// The identifier's position in the virtual space (`H(d)` reduced to
     /// the unit square). Stored in the header so every switch on the path
-    /// can compare neighbor distances without re-hashing.
+    /// can compare neighbor distances without re-hashing: the client
+    /// hashes once, a response echoes its request's position, and
+    /// nothing after the client hashes the id again to route it.
     pub position: Point2,
     /// Virtual-link relay header, when traversing a virtual link.
     pub relay: Option<RelayHeader>,
@@ -201,10 +203,16 @@ impl Packet {
     /// A packet of `kind` for `id` at its hashed position, with every
     /// header field at its request default.
     fn new(kind: PacketKind, id: DataId, payload: Bytes) -> Self {
-        let position = gred_hash::virtual_position(&id);
+        let (x, y) = gred_hash::virtual_position(&id);
+        Packet::at(kind, id, Point2::new(x, y), payload)
+    }
+
+    /// A packet of `kind` for `id` at `position`, which must be `H(id)`'s,
+    /// with every other header field at its request default.
+    fn at(kind: PacketKind, id: DataId, position: Point2, payload: Bytes) -> Self {
         Packet {
             kind,
-            position: Point2::new(position.0, position.1),
+            position,
             id,
             relay: None,
             status: ResponseStatus::Ok,
@@ -231,10 +239,38 @@ impl Packet {
         Packet::new(PacketKind::RetrievalResponse, id, payload.into())
     }
 
+    /// A node's answer to `request`: an `Ok` response for the same id
+    /// carrying `payload`, with the request's hop and detour counts. It
+    /// takes the request's position, which already is `H(id)`, so
+    /// building it hashes nothing.
+    pub fn answer(request: &Packet, payload: impl Into<Bytes>) -> Self {
+        let mut p = Packet::at(
+            PacketKind::RetrievalResponse,
+            request.id.clone(),
+            request.position,
+            payload.into(),
+        );
+        p.hops = request.hops;
+        p.detours = request.detours;
+        p
+    }
+
     /// An invalidation notice for `id`: the receiver must drop any
     /// cached copy before the sender's write acks. Payload-free.
     pub fn invalidate(id: DataId) -> Self {
         Packet::new(PacketKind::Invalidate, id, Bytes::new())
+    }
+
+    /// The invalidation notice a write owes for the id `ack` answers,
+    /// at `ack`'s position: what [`invalidate`](Packet::invalidate)
+    /// builds, without hashing the id again.
+    pub fn notice_for(ack: &Packet) -> Self {
+        Packet::at(
+            PacketKind::Invalidate,
+            ack.id.clone(),
+            ack.position,
+            Bytes::new(),
+        )
     }
 
     /// A stats scrape request. Observability packets concern no data
@@ -327,6 +363,24 @@ mod tests {
         assert_eq!(get.position, resp.position);
         let (x, y) = gred_hash::virtual_position(&id);
         assert_eq!(place.position, Point2::new(x, y));
+    }
+
+    #[test]
+    fn answers_and_notices_inherit_without_hashing() {
+        let id = DataId::new("k");
+        let mut request = Packet::placement(id.clone(), b"v".as_ref());
+        request.hops = 3;
+        request.detours = 1;
+        request.position = Point2::new(0.25, 0.75); // not H(k): visibly copied
+        let answer = Packet::answer(&request, b"ack".as_ref());
+        let mut want = Packet::response(id.clone(), b"ack".as_ref());
+        want.position = request.position;
+        want.hops = 3;
+        want.detours = 1;
+        assert_eq!(answer, want);
+        let mut notice = Packet::invalidate(id);
+        notice.position = request.position;
+        assert_eq!(Packet::notice_for(&answer), notice);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! paper). This crate provides:
 //!
 //! - [`sha256`]: a from-scratch FIPS 180-4 SHA-256 implementation, so the
-//!   repository carries no external cryptography dependency,
+//!   repository carries no external cryptography dependency: SHA-NI when
+//!   the CPU has it, portable rounds otherwise, both tested,
 //! - [`position`]: the digest → `[0,1]²` coordinate mapping,
 //! - [`server`]: the `H(d) mod s` rule a switch uses to pick one of its
 //!   attached edge servers,

@@ -5,7 +5,7 @@
 //! the data's hash modulo `s`. Because SHA-256 output is uniform, the rule
 //! balances load across the servers behind one switch.
 
-use crate::DataId;
+use crate::{DataId, Digest};
 
 /// Selects the serial number (in `0..servers`) of the edge server that
 /// stores `id`, among the `servers` servers attached to the owning switch.
@@ -23,8 +23,25 @@ use crate::DataId;
 /// assert_eq!(s, select_server(&DataId::new("k"), 4));
 /// ```
 pub fn select_server(id: &DataId, servers: usize) -> usize {
+    digest_server(&id.digest(), servers)
+}
+
+/// [`select_server`] on a digest already computed, for a caller that
+/// also needs the digest's position: `H(d) mod s`, read off the
+/// digest's first eight bytes.
+///
+/// # Panics
+///
+/// Panics if `servers == 0`.
+///
+/// ```
+/// use gred_hash::{server::digest_server, select_server, DataId};
+/// let id = DataId::new("k");
+/// assert_eq!(digest_server(&id.digest(), 4), select_server(&id, 4));
+/// ```
+pub fn digest_server(digest: &Digest, servers: usize) -> usize {
     assert!(servers > 0, "switch must have at least one edge server");
-    (id.digest().head_u64() % servers as u64) as usize
+    (digest.head_u64() % servers as u64) as usize
 }
 
 #[cfg(test)]

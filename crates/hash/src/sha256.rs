@@ -2,9 +2,11 @@
 //!
 //! The paper adopts SHA-256 as the hash function that maps data identifiers
 //! into the virtual space (Section III). We implement the full compression
-//! function here rather than pulling in a cryptography crate; the
-//! implementation is validated against the official NIST test vectors in the
-//! unit tests below.
+//! function here rather than pulling in a cryptography crate, twice: on the
+//! x86 SHA extensions (SHA-NI) when the CPU has them, detected at run time,
+//! and as portable rounds otherwise. The unit tests below call both
+//! directly, check them against the official NIST test vectors, and check
+//! them against each other on random states, blocks and messages.
 
 /// A 32-byte SHA-256 digest.
 ///
@@ -43,6 +45,15 @@ impl Digest {
     /// `H(d) mod s` server-selection rule.
     pub fn head_u64(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().expect("slice is 8 bytes"))
+    }
+
+    /// The digest a final hash state spells: its words, big-endian.
+    fn from_state(state: &[u32; 8]) -> Self {
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
     }
 }
 
@@ -126,14 +137,16 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         while rest.len() >= 64 {
             let (block, tail) = rest.split_at(64);
-            self.compress(block.try_into().expect("block is 64 bytes"));
+            compress(
+                &mut self.state,
+                block.try_into().expect("block is 64 bytes"),
+            );
             rest = tail;
         }
         if !rest.is_empty() {
@@ -144,85 +157,148 @@ impl Sha256 {
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update_padding_byte();
-        while self.buf_len != 56 {
-            self.update_zero_byte();
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length —
+        // one block, or two when the length no longer fits behind the
+        // buffered bytes.
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        for block in tail[..end].chunks_exact(64) {
+            compress(
+                &mut self.state,
+                block.try_into().expect("block is 64 bytes"),
+            );
         }
-        self.total_len = 0; // neutralize length tracking during padding
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        Digest::from_state(&self.state)
+    }
+}
+
+/// Folds one 64-byte block into `state`: on the CPU's SHA extensions
+/// when it has them, with the portable rounds otherwise.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    if !compress_shani(state, block) {
+        compress_portable(state, block);
+    }
+}
+
+/// The FIPS 180-4 compression function, one round at a time.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn update_padding_byte(&mut self) {
-        self.push_byte(0x80);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
     }
 
-    fn update_zero_byte(&mut self) {
-        self.push_byte(0x00);
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
+}
 
-    fn push_byte(&mut self, b: u8) {
-        self.buf[self.buf_len] = b;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
+/// The same compression on the x86 SHA extensions. Returns `false`, with
+/// `state` untouched, on a CPU that lacks them.
+#[cfg(target_arch = "x86_64")]
+fn compress_shani(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    if !(is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1")) {
+        return false;
     }
+    // SAFETY: `shani::compress` executes SHA, SSSE3 and SSE4.1
+    // instructions, and the runtime check above found all of them on this
+    // CPU (SSE4.1 implies SSSE3). Its memory accesses stay inside `state`
+    // and `block`, both borrowed for the call.
+    unsafe { shani::compress(state, block) };
+    true
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+/// No SHA extensions off x86-64: the portable rounds always run.
+#[cfg(not(target_arch = "x86_64"))]
+fn compress_shani(_state: &mut [u32; 8], _block: &[u8; 64]) -> bool {
+    false
+}
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    /// One block through `sha256rnds2`, four rounds per step, with the
+    /// message schedule kept as a ring of four 4-word vectors.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the SHA, SSSE3 and SSE4.1 extensions.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte order within each 32-bit word: big-endian message words.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // `sha256rnds2` wants the state as (a, b, e, f) and (c, d, g, h).
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let mut w = [0, 16, 32, 48]
+            .map(|at| _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(at).cast()), be));
+        // Sixteen steps of four rounds. Step `4 * quad + j` uses ring slot
+        // `j`; from the second quad on, the slot first advances four
+        // words: W[t..t+4] from W[t-16..], W[t-12..], W[t-8..] and
+        // W[t-4..], which are slots j, j+1, j+2 and j+3.
+        for quad in 0..4 {
+            for j in 0..4 {
+                if quad > 0 {
+                    let (w16, w12, w8, w4) = (w[j], w[(j + 1) % 4], w[(j + 2) % 4], w[(j + 3) % 4]);
+                    let sum =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
+                    w[j] = _mm_sha256msg2_epu32(sum, w4);
+                }
+                let k = _mm_loadu_si128(K.as_ptr().add(16 * quad + 4 * j).cast());
+                let wk = _mm_add_epi32(w[j], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgef);
     }
 }
 
@@ -252,6 +328,39 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    type Compress = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// Both compression functions, called directly: on a CPU with the SHA
+    /// extensions the dispatcher never runs the portable rounds. Without
+    /// them only the portable one is returned, and the skip is said.
+    fn paths() -> Vec<(&'static str, Compress)> {
+        let mut paths: Vec<(&'static str, Compress)> = vec![("portable", compress_portable)];
+        if compress_shani(&mut H0.clone(), &[0; 64]) {
+            paths.push(("sha-ni", |state, block| {
+                assert!(compress_shani(state, block))
+            }));
+        } else {
+            eprintln!("SHA-NI half skipped: this CPU lacks the SHA or SSE4.1 extensions");
+        }
+        paths
+    }
+
+    /// SHA-256 of `data` through `compress` alone, padded here rather
+    /// than by [`Sha256::finalize`].
+    fn digest_via(compress: Compress, data: &[u8]) -> Digest {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress(&mut state, block.try_into().unwrap());
+        }
+        Digest::from_state(&state)
+    }
+
     /// NIST FIPS 180-4 / NESSIE test vectors.
     #[test]
     fn nist_vectors() {
@@ -275,20 +384,26 @@ mod tests {
         ];
         for (input, expected) in cases {
             assert_eq!(&digest(input).to_hex(), expected, "input {input:?}");
+            for (path, compress) in paths() {
+                let got = digest_via(compress, input).to_hex();
+                assert_eq!(&got, expected, "{path}, input {input:?}");
+            }
         }
     }
 
     #[test]
     fn million_a() {
+        const EXPECTED: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(h.finalize().to_hex(), EXPECTED);
+        let message = vec![b'a'; 1_000_000];
+        for (path, compress) in paths() {
+            assert_eq!(digest_via(compress, &message).to_hex(), EXPECTED, "{path}");
+        }
     }
 
     #[test]
@@ -320,6 +435,45 @@ mod tests {
     fn display_is_hex() {
         let d = digest(b"abc");
         assert_eq!(d.to_string(), d.to_hex());
+    }
+
+    proptest! {
+        /// The two compressions agree on any state and block, not just on
+        /// the states a real message reaches.
+        #[test]
+        fn prop_compressions_agree(
+            state in proptest::collection::vec(any::<u32>(), 8usize),
+            block in proptest::collection::vec(any::<u8>(), 64usize),
+        ) {
+            let state: [u32; 8] = state.try_into().unwrap();
+            let block: [u8; 64] = block.try_into().unwrap();
+            let mut want = state;
+            compress_portable(&mut want, &block);
+            for (path, compress) in paths() {
+                let mut got = state;
+                compress(&mut got, &block);
+                prop_assert_eq!(got, want, "{}", path);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every length 0–300 — the 55/56, 63/64 and 119/120 padding
+        /// edges included — hashes alike through either compression and
+        /// through `finalize`'s block padding.
+        #[test]
+        fn prop_digests_agree_for_every_length_to_300(
+            data in proptest::collection::vec(any::<u8>(), 300usize),
+        ) {
+            for len in 0..=data.len() {
+                let want = digest(&data[..len]);
+                for (path, compress) in paths() {
+                    prop_assert_eq!(digest_via(compress, &data[..len]), want, "{} len={}", path, len);
+                }
+            }
+        }
     }
 
     proptest! {
