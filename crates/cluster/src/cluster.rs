@@ -4,18 +4,20 @@
 //! Booting binds every listener first (loopback, ephemeral ports), so
 //! the complete peer address map exists before any node starts serving —
 //! no node can observe a half-wired cluster. Data already placed
-//! in-process is preloaded into the owning nodes' stores, letting a
-//! cluster take over a simulated network mid-experiment.
+//! in-process is preloaded into the owning nodes, one command per node,
+//! letting a cluster take over a simulated network mid-experiment.
 //!
-//! Shutdown is two-phase: every node's stop flag is set *before* any
+//! Shutdown is two-phase: every node is told to drain *before* any
 //! node is joined, so no node blocks waiting for a peer that has not
 //! heard the news yet; then each node drains its responses, closes its
 //! listener and links, and joins its reactor thread.
 
 use crate::client::{Client, ClientConfig, ClientError};
 use crate::node::{Node, NodeConfig, NodeReport};
+use bytes::Bytes;
 use gred::GredNetwork;
 use gred_geometry::Point2;
+use gred_hash::DataId;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -168,12 +170,8 @@ impl Cluster {
             client_cfg: cfg.client,
             rewrite,
         };
-        for (server, id) in net.store().all_locations() {
-            if let Some(payload) = net.store().get(server, &id) {
-                cluster
-                    .node(server.switch)
-                    .preload(id, server.index, payload.clone());
-            }
+        for (switch, items) in placed_items(net).into_iter().enumerate() {
+            cluster.node(switch).preload_many(items);
         }
         Ok(cluster)
     }
@@ -305,13 +303,7 @@ impl Cluster {
             listener,
             self.node_cfg.clone(),
         )?;
-        for (server, id) in net.store().all_locations() {
-            if server.switch == switch {
-                if let Some(payload) = net.store().get(server, &id) {
-                    node.preload(id, server.index, payload.clone());
-                }
-            }
-        }
+        node.preload_many(placed_items(net).swap_remove(switch));
         self.nodes[switch] = Some(node);
         // Tell every live peer about the new listener; register_peer
         // also clears the suspect flag, restoring the one-hop routes.
@@ -342,19 +334,21 @@ impl Cluster {
     pub fn migrate_misplaced(&self, net: &GredNetwork) -> (usize, usize) {
         let mut moved = 0;
         let mut dropped = 0;
-        let mut displaced = Vec::new();
+        let mut arrivals = vec![Vec::new(); self.nodes.len()];
         for (switch, node) in self.live_nodes() {
             let evicted = node.extract_items(|id| net.responsible_server(id).switch != switch);
-            displaced.extend(evicted);
-        }
-        for (id, payload) in displaced {
-            let owner = net.responsible_server(&id);
-            match self.try_node(owner.switch) {
-                Some(node) => {
-                    node.preload(id, owner.index, payload);
-                    moved += 1;
+            for (id, payload) in evicted {
+                let owner = net.responsible_server(&id);
+                match self.try_node(owner.switch) {
+                    Some(_) => arrivals[owner.switch].push((id, owner.index, payload)),
+                    None => dropped += 1,
                 }
-                None => dropped += 1,
+            }
+        }
+        for (switch, items) in arrivals.into_iter().enumerate() {
+            if !items.is_empty() {
+                moved += items.len();
+                self.node(switch).preload_many(items);
             }
         }
         (moved, dropped)
@@ -414,6 +408,18 @@ impl Cluster {
             .collect();
         ClusterReport { nodes }
     }
+}
+
+/// What `net` has placed, as `(id, server index, payload)` lists indexed
+/// by switch — each node's preload, handed over in one command.
+fn placed_items(net: &GredNetwork) -> Vec<Vec<(DataId, usize, Bytes)>> {
+    let mut items = vec![Vec::new(); net.topology().switch_count()];
+    for (server, id) in net.store().all_locations() {
+        if let Some(payload) = net.store().get(server, &id) {
+            items[server.switch].push((id, server.index, payload.clone()));
+        }
+    }
+    items
 }
 
 /// The peer address map node `switch` should dial, with every non-self

@@ -5,10 +5,9 @@
 use super::conn::{Protocol, Reactor, Timer};
 use super::route::{CacheFill, Fanout, Step};
 use crate::frame::Body;
-use gred_dataplane::{Packet, ResponseStatus};
+use gred_dataplane::{Packet, PacketKind, ResponseStatus};
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::Ordering;
 
 /// Where a call's answer goes. The generation makes a late answer to a
 /// closed connection die instead of reaching the slot's next tenant.
@@ -76,7 +75,7 @@ impl Reactor {
     /// touches the slabs.
     pub(super) fn serve(&mut self, origin: Origin, body: Body) {
         let (steps, batch) = match body {
-            Body::One(packet) => match self.inner.route_step(packet) {
+            Body::One(packet) => match self.step(packet) {
                 Step::Respond { resp, fanout: None } => {
                     return self.respond(origin, std::slice::from_ref(&resp), false)
                 }
@@ -85,7 +84,7 @@ impl Reactor {
             Body::Many(packets) => (
                 packets
                     .into_iter()
-                    .map(|packet| self.inner.route_step(packet))
+                    .map(|packet| self.step(packet))
                     .collect(),
                 true,
             ),
@@ -130,6 +129,19 @@ impl Reactor {
         }
     }
 
+    /// One packet's local routing step. A `Stats` scrape is answered
+    /// here, where the connection gauges live, and before the request
+    /// counter — a scrape must not perturb the accounting it reports.
+    /// Every other packet takes the switch's own
+    /// [`route_step`](super::State::route_step).
+    fn step(&mut self, packet: Packet) -> Step {
+        if packet.kind == PacketKind::Stats {
+            let snapshot = self.wire_snapshot().encode();
+            return Step::respond(Packet::stats_response(snapshot));
+        }
+        self.state.route_step(packet)
+    }
+
     /// Parks a continuation for one frame to peer `to` and writes it.
     fn launch(&mut self, call: u64, to: usize, work: Work) {
         let corr = self.parked.park(Pending {
@@ -139,8 +151,7 @@ impl Reactor {
             resent: false,
             work,
         });
-        self.inner.reactor.parked.fetch_add(1, Ordering::Relaxed);
-        self.arm(self.inner.cfg.peer_reply_timeout, Timer::Reply(corr));
+        self.arm(self.state.cfg.peer_reply_timeout, Timer::Reply(corr));
         self.transmit(corr);
     }
 
@@ -162,7 +173,7 @@ impl Reactor {
         let slot = match dialed {
             Ok(slot) => slot,
             Err(e) => {
-                self.inner.log(&format!("no link to node {to}: {e}"));
+                self.state.log(&format!("no link to node {to}: {e}"));
                 self.orphans.push((corr, false));
                 return;
             }
@@ -176,7 +187,7 @@ impl Reactor {
             Work::Forward(group) => &group.packets,
             Work::Invalidate(packets) => packets,
         };
-        conn.encode_call(&self.inner.counters, corr, packets, packets.len() > 1);
+        conn.encode_call(&mut self.state.counters, corr, packets, packets.len() > 1);
         let sent = match conn.proto {
             Protocol::Link {
                 established: true, ..
@@ -212,26 +223,20 @@ impl Reactor {
                 ),
             ));
         }
-        let pending = self.unpark(corr).expect("observed above");
-        self.inner.clear_suspect(pending.to);
+        let pending = self.parked.take(corr).expect("observed above");
+        self.state.clear_suspect(pending.to);
         if let Work::Forward(Group { slots, .. }) = pending.work {
             let call = self
                 .calls
                 .get_mut(pending.call)
                 .expect("call outlives its frames");
             for ((i, fill), reply) in slots.into_iter().zip(replies) {
-                self.inner.maybe_cache(fill, &reply);
+                self.state.maybe_cache(fill, &reply);
                 call.replies[i] = Some(reply);
             }
         }
         self.landed(pending.call);
         Ok(())
-    }
-
-    fn unpark(&mut self, corr: u64) -> Option<Pending> {
-        let pending = self.parked.take(corr)?;
-        self.inner.reactor.parked.fetch_sub(1, Ordering::Relaxed);
-        Some(pending)
     }
 
     /// Gives up on continuation `corr`: the peer is suspect from now on
@@ -240,11 +245,11 @@ impl Reactor {
     /// write silently, and an unconfirmed invalidation downgrades its
     /// call's acks. A draining node refuses instead of accusing anyone.
     pub(super) fn fail(&mut self, corr: u64) {
-        let Some(pending) = self.unpark(corr) else {
+        let Some(pending) = self.parked.take(corr) else {
             return;
         };
         if !self.draining {
-            self.inner.mark_suspect(pending.to);
+            self.state.mark_suspect(pending.to);
         }
         let call = self
             .calls
@@ -254,9 +259,9 @@ impl Reactor {
             Work::Forward(Group { packets, slots }) => {
                 for ((i, _), packet) in slots.into_iter().zip(packets) {
                     call.replies[i] = Some(if self.draining {
-                        self.inner.refuse(&packet, "node is shutting down")
+                        self.state.refuse(&packet, "node is shutting down")
                     } else {
-                        self.inner.redirect(&packet, "peer unreachable")
+                        self.state.redirect(&packet, "peer unreachable")
                     });
                 }
             }
@@ -304,15 +309,15 @@ impl Reactor {
         // BTreeMap for a deterministic peer order within a call.
         let mut frames: BTreeMap<usize, Vec<Packet>> = BTreeMap::new();
         {
-            let (me, now) = (self.inner.id, self.inner.now_ms());
-            let peers = self.inner.peers();
+            let state = &self.state;
+            let now = state.now_ms();
             for (slot, fanout) in &call.stored {
                 let ack = call.replies[*slot]
                     .as_ref()
                     .expect("stored slot is answered");
                 let notice = Packet::notice_for(ack);
                 let mut owe = |to: usize| {
-                    if peers.suspect_at(to, now) {
+                    if state.suspect_at(to, now) {
                         call.coherent = false;
                     } else {
                         frames.entry(to).or_default().push(notice.clone());
@@ -320,8 +325,8 @@ impl Reactor {
                 };
                 match fanout.targets.known() {
                     Some(ids) => ids.iter().for_each(|&id| owe(id as usize)),
-                    None => (0..peers.suspect.len())
-                        .filter(|&to| to != me)
+                    None => (0..state.peers.len())
+                        .filter(|&to| to != state.id)
                         .for_each(owe),
                 }
             }
@@ -347,7 +352,7 @@ impl Reactor {
                 .as_mut()
                 .expect("stored slot is answered");
             if call.coherent {
-                self.inner.settle(&ack.id, fanout.serial);
+                self.state.settle(&ack.id, fanout.serial);
             } else {
                 degrade_ack(ack);
             }
@@ -380,7 +385,7 @@ impl Reactor {
         else {
             return;
         };
-        conn.encode_call(&self.inner.counters, origin.corr, replies, batch);
+        conn.encode_call(&mut self.state.counters, origin.corr, replies, batch);
         if conn.outq.send(&mut conn.stream, &conn.scratch).is_err() {
             self.close_conn(origin.slot);
         }

@@ -3,7 +3,7 @@
 
 use super::call::{Call, Origin, Pending};
 use super::stats::Counters;
-use super::Inner;
+use super::{Command, NodeReport, State};
 use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
 use crate::mux::Parked;
 use gred_dataplane::Packet;
@@ -14,8 +14,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Registration token of the node's TCP listener.
@@ -23,42 +22,6 @@ pub(super) const LISTENER_TOKEN: u64 = 0;
 
 /// Connection tokens start here: `token = FIRST_CONN_TOKEN + slot`.
 const FIRST_CONN_TOKEN: u64 = 1;
-
-/// State shared between the reactor thread and the node's public API.
-pub(super) struct ReactorShared {
-    /// The epoll instance; [`Poller::wake`] interrupts the reactor's
-    /// wait (shutdown requests).
-    pub(super) poller: Poller,
-    /// Open inbound connections (gauge for [`Node::open_connections`]).
-    pub(super) conns_open: AtomicUsize,
-    /// Bytes sitting in per-connection write queues, accepted from
-    /// handlers but not yet handed to a socket. Maintained by the
-    /// reactor thread via per-connection deltas in `settle`/`close_conn`
-    /// (which bracket every queue mutation), so a stats scrape can read
-    /// the node's write backlog without touching reactor-owned state.
-    pub(super) queued_bytes: AtomicU64,
-    /// Continuations parked on peer links (gauge for
-    /// [`Node::parked_continuations`]).
-    pub(super) parked: AtomicUsize,
-    /// Accepts that fail with `EMFILE` before the listener is consulted
-    /// again — how the tests put the listener into its error state.
-    #[cfg(test)]
-    pub(super) accept_faults: AtomicUsize,
-}
-
-impl ReactorShared {
-    fn accept(&self, listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
-        #[cfg(test)]
-        if self
-            .accept_faults
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return Err(io::Error::from_raw_os_error(24)); // EMFILE
-        }
-        listener.accept()
-    }
-}
 
 /// Per-connection protocol state machine.
 pub(super) enum Protocol {
@@ -93,9 +56,6 @@ pub(super) struct Conn {
     eof: bool,
     /// Calls from this connection parked and not yet answered.
     pub(super) inflight: usize,
-    /// Pending `outq` bytes last folded into the node-wide
-    /// `queued_bytes` gauge; `settle`/`close_conn` apply the delta.
-    queued_reported: u64,
 }
 
 impl Conn {
@@ -103,13 +63,13 @@ impl Conn {
     /// buffer, replacing what it held.
     pub(super) fn encode_call(
         &mut self,
-        counters: &Counters,
+        counters: &mut Counters,
         corr: u64,
         packets: &[Packet],
         batch: bool,
     ) {
         if self.scratch.capacity() > 0 {
-            counters.encode_buf_reuses.fetch_add(1, Ordering::Relaxed);
+            counters.hot.encode_buf_reuses += 1;
         }
         self.scratch.clear();
         frame::write_call(&mut self.scratch, corr, packets, batch);
@@ -126,12 +86,16 @@ pub(super) enum Timer {
     Accept,
 }
 
-/// The event loop owning the listener, the connection slab, the parked
-/// continuations and all I/O. Runs on the single
-/// `gred-node-{id}-reactor` thread and never blocks outside
+/// The event loop owning the switch's [`State`], the listener, the
+/// connection slab, the parked continuations and all I/O. Runs on the
+/// single `gred-node-{id}-reactor` thread and never blocks outside
 /// [`Poller::wait`].
 pub(super) struct Reactor {
-    pub(super) inner: Arc<Inner>,
+    pub(super) state: State,
+    /// Shared with the [`Node`](super::Node) handle, which wakes it
+    /// after mailing a command.
+    poller: Arc<Poller>,
+    commands: mpsc::Receiver<Command>,
     listener: Option<TcpListener>,
     pub(super) conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -157,14 +121,26 @@ pub(super) struct Reactor {
     read_buf: Vec<u8>,
     pub(super) draining: bool,
     deadline: Option<Instant>,
+    /// Accepts that fail with `EMFILE` before the listener is consulted
+    /// again — how the tests put the listener into its error state.
+    #[cfg(test)]
+    pub(super) accept_faults: usize,
 }
 
 impl Reactor {
-    /// A reactor serving `listener` on behalf of `inner`, with nothing
-    /// accepted, dialed or parked yet.
-    pub(super) fn new(inner: Arc<Inner>, listener: TcpListener) -> Reactor {
+    /// A reactor serving `listener` for the switch `state` describes,
+    /// taking commands from `commands`, with nothing accepted, dialed or
+    /// parked yet.
+    pub(super) fn new(
+        state: State,
+        listener: TcpListener,
+        poller: Arc<Poller>,
+        commands: mpsc::Receiver<Command>,
+    ) -> Reactor {
         Reactor {
-            inner,
+            state,
+            poller,
+            commands,
             listener: Some(listener),
             conns: Vec::new(),
             free: Vec::new(),
@@ -179,22 +155,25 @@ impl Reactor {
             read_buf: vec![0u8; 64 * 1024],
             draining: false,
             deadline: None,
+            #[cfg(test)]
+            accept_faults: 0,
         }
     }
 
-    pub(super) fn run(mut self) {
+    /// Serves until drained, then returns the final accounting.
+    pub(super) fn run(mut self) -> NodeReport {
         let mut events = Events::with_capacity(1024);
         loop {
             self.free.append(&mut self.freed);
             // Steady state blocks until a socket, a wakeup or the next
             // deadline fires — an idle node spends no CPU.
             let timeout = self.next_timeout();
-            if let Err(e) = self.inner.reactor.poller.wait(&mut events, timeout) {
-                self.inner.log(&format!("poller wait failed: {e}"));
+            if let Err(e) = self.poller.wait(&mut events, timeout) {
+                self.state.log(&format!("poller wait failed: {e}"));
                 break;
             }
-            if !self.draining && self.inner.shutdown.load(Ordering::Relaxed) {
-                self.begin_drain();
+            while let Ok(command) = self.commands.try_recv() {
+                command(&mut self);
             }
             for ev in events.iter() {
                 match ev.token {
@@ -216,7 +195,8 @@ impl Reactor {
         for slot in 0..self.conns.len() {
             self.close_conn(slot);
         }
-        self.inner.log("reactor stopped");
+        self.state.log("reactor stopped");
+        self.state.report()
     }
 
     /// How long the next wait may block: until the earliest live
@@ -234,8 +214,8 @@ impl Reactor {
             .front()
             .map(|(at, _)| at.saturating_duration_since(Instant::now()));
         match (next, self.draining) {
-            (Some(next), true) => Some(next.min(self.inner.cfg.poll_interval)),
-            (None, true) => Some(self.inner.cfg.poll_interval),
+            (Some(next), true) => Some(next.min(self.state.cfg.poll_interval)),
+            (None, true) => Some(self.state.cfg.poll_interval),
             (next, false) => next,
         }
     }
@@ -257,7 +237,7 @@ impl Reactor {
             match timer {
                 Timer::Reply(corr) => {
                     if let Some(pending) = self.parked.get(corr) {
-                        self.inner
+                        self.state
                             .log(&format!("peer {} did not respond in time", pending.to));
                         self.fail(corr);
                     }
@@ -289,11 +269,15 @@ impl Reactor {
     /// Stops taking new work: closes the listener and every peer link
     /// (whatever is parked is refused now rather than at its deadline),
     /// stops reading, and gives responses one reply-timeout to flush.
-    fn begin_drain(&mut self) {
+    /// Once draining, a repeated call does nothing.
+    pub(super) fn begin_drain(&mut self) {
+        if self.draining {
+            return;
+        }
         self.draining = true;
-        self.deadline = Some(Instant::now() + self.inner.cfg.peer_reply_timeout);
+        self.deadline = Some(Instant::now() + self.state.cfg.peer_reply_timeout);
         if let Some(listener) = self.listener.take() {
-            let _ = self.inner.reactor.poller.deregister(listener.as_raw_fd());
+            let _ = self.poller.deregister(listener.as_raw_fd());
             // Dropping closes it: new connections are refused while the
             // drain runs.
         }
@@ -304,7 +288,7 @@ impl Reactor {
                 None => {}
             }
         }
-        self.inner.log("draining");
+        self.state.log("draining");
     }
 
     /// Every call has been answered and every response byte is on the
@@ -313,10 +297,20 @@ impl Reactor {
         self.calls.len() == 0 && self.conns.iter().flatten().all(|conn| conn.outq.is_empty())
     }
 
+    /// Inbound connections held open: every connection but the peer
+    /// links.
+    pub(super) fn inbound(&self) -> usize {
+        self.conns
+            .iter()
+            .flatten()
+            .filter(|conn| !matches!(conn.proto, Protocol::Link { .. }))
+            .count()
+    }
+
     /// Turns the listener's read interest on or off.
     fn listen_for_accepts(&mut self, read: bool) {
         if let Some(listener) = &self.listener {
-            let _ = self.inner.reactor.poller.reregister(
+            let _ = self.poller.reregister(
                 listener.as_raw_fd(),
                 LISTENER_TOKEN,
                 Interest { read, write: false },
@@ -324,11 +318,19 @@ impl Reactor {
         }
     }
 
+    fn accept(&mut self) -> Option<io::Result<(TcpStream, SocketAddr)>> {
+        #[cfg(test)]
+        if let Some(left) = self.accept_faults.checked_sub(1) {
+            self.accept_faults = left;
+            return Some(Err(io::Error::from_raw_os_error(24))); // EMFILE
+        }
+        Some(self.listener.as_ref()?.accept())
+    }
+
     fn on_accept(&mut self) {
         loop {
-            let accepted = match self.listener.as_ref() {
-                Some(listener) => self.inner.reactor.accept(listener),
-                None => return,
+            let Some(accepted) = self.accept() else {
+                return;
             };
             match accepted {
                 Ok((stream, peer)) => self.admit(stream, peer),
@@ -338,9 +340,9 @@ impl Reactor {
                     // without stalling everything parked on this thread:
                     // stop listening for the level-triggered event and
                     // let the deadline queue turn it back on.
-                    self.inner.log(&format!("accept error: {e}"));
+                    self.state.log(&format!("accept error: {e}"));
                     self.listen_for_accepts(false);
-                    self.arm(self.inner.cfg.poll_interval, Timer::Accept);
+                    self.arm(self.state.cfg.poll_interval, Timer::Accept);
                     return;
                 }
             }
@@ -355,11 +357,7 @@ impl Reactor {
         }
         let hello = Protocol::Hello { got: 0 };
         if self.adopt(stream, peer, hello, Interest::READ).is_ok() {
-            self.inner.log(&format!("accepted {peer}"));
-            self.inner
-                .reactor
-                .conns_open
-                .fetch_add(1, Ordering::Relaxed);
+            self.state.log(&format!("accepted {peer}"));
         }
     }
 
@@ -376,12 +374,7 @@ impl Reactor {
             self.conns.len() - 1
         });
         let token = FIRST_CONN_TOKEN + slot as u64;
-        if let Err(e) = self
-            .inner
-            .reactor
-            .poller
-            .register(stream.as_raw_fd(), token, interest)
-        {
+        if let Err(e) = self.poller.register(stream.as_raw_fd(), token, interest) {
             self.free.push(slot);
             let _ = stream.shutdown(Shutdown::Both);
             return Err(e);
@@ -398,7 +391,6 @@ impl Reactor {
             interest,
             eof: false,
             inflight: 0,
-            queued_reported: 0,
         });
         Ok(slot)
     }
@@ -406,14 +398,12 @@ impl Reactor {
     /// The slot of the link to peer switch `to`, dialing if none is up
     /// (or the peer was re-registered at another address).
     pub(super) fn link_to(&mut self, to: usize) -> io::Result<usize> {
-        let addr = {
-            let peers = self.inner.peers();
-            peers
-                .addrs
-                .get(to)
-                .copied()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown peer switch"))?
-        };
+        let addr = self
+            .state
+            .peers
+            .get(to)
+            .map(|peer| peer.addr)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown peer switch"))?;
         if let Some(slot) = self.links.get(to).copied().flatten() {
             if self.conns[slot].as_ref().is_some_and(|c| c.peer == addr) {
                 return Ok(slot);
@@ -435,7 +425,7 @@ impl Reactor {
         }
         self.links[to] = Some(slot);
         self.arm(
-            self.inner.cfg.peer_connect_timeout,
+            self.state.cfg.peer_connect_timeout,
             Timer::Dial { slot, generation },
         );
         Ok(slot)
@@ -468,7 +458,7 @@ impl Reactor {
                 return Err(io::ErrorKind::ConnectionAborted.into());
             }
             *established = true;
-            self.inner.peers().set_connected(*peer, true);
+            self.state.peers[*peer].connected = true;
         }
         if ev.writable {
             let Conn { stream, outq, .. } = conn;
@@ -518,7 +508,7 @@ impl Reactor {
         if let Protocol::Hello { got } = &mut conn.proto {
             let Some(rest) = frame::strip_hello(got, bytes) else {
                 let peer = conn.peer;
-                return Err(self.inner.violation(peer, &"no GMUX hello"));
+                return Err(self.state.violation(peer, &"no GMUX hello"));
             };
             if *got < MUX_PREAMBLE.len() {
                 return Ok(());
@@ -542,14 +532,11 @@ impl Reactor {
             let frame = match conn.decoder.next_frame() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return Ok(()),
-                Err(e) => return Err(self.inner.violation(peer, &e)),
+                Err(e) => return Err(self.state.violation(peer, &e)),
             };
-            self.inner
-                .counters
-                .frames_decoded
-                .fetch_add(1, Ordering::Relaxed);
+            self.state.counters.hot.frames_decoded += 1;
             let (corr, body) =
-                frame::read_call(&frame).map_err(|e| self.inner.violation(peer, &e))?;
+                frame::read_call(&frame).map_err(|e| self.state.violation(peer, &e))?;
             match conn.proto {
                 Protocol::Mux => {
                     let origin = Origin {
@@ -583,8 +570,8 @@ impl Reactor {
                         // idempotent either way.
                         pending.resent = true;
                         if established {
-                            let to = pending.to;
-                            self.inner.note_reconnect(to);
+                            self.state.counters.hot.link_reconnects += 1;
+                            self.state.peers[pending.to].reconnects += 1;
                         }
                         self.transmit(corr);
                     }
@@ -608,12 +595,6 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        // Fold this connection's pending-write delta into the node-wide
-        // backlog gauge. Every path that mutates `outq` ends in `settle`
-        // or `close_conn`, so the gauge tracks the true sum without the
-        // scraper touching reactor-owned state.
-        let pending = conn.outq.pending() as u64;
-        sync_queued_gauge(&self.inner, &mut conn.queued_reported, pending);
         // (A dialing link holds its preamble queued, so it polls for the
         // writable event that reports the dial's outcome.)
         let want = Interest {
@@ -622,8 +603,6 @@ impl Reactor {
         };
         if want != conn.interest
             && self
-                .inner
-                .reactor
                 .poller
                 .reregister(
                     conn.stream.as_raw_fd(),
@@ -643,29 +622,18 @@ impl Reactor {
     }
 
     pub(super) fn close_conn(&mut self, slot: usize) {
-        let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
             return;
         };
-        // Bytes queued on a dying connection will never be written;
-        // return them to the gauge.
-        sync_queued_gauge(&self.inner, &mut conn.queued_reported, 0);
-        let _ = self
-            .inner
-            .reactor
-            .poller
-            .deregister(conn.stream.as_raw_fd());
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);
         self.freed.push(slot);
         let Protocol::Link { peer, established } = conn.proto else {
-            self.inner
-                .reactor
-                .conns_open
-                .fetch_sub(1, Ordering::Relaxed);
             return;
         };
         // A dead link orphans exactly the continuations it carried.
         self.links[peer] = None;
-        self.inner.peers().set_connected(peer, false);
+        self.state.peers[peer].connected = false;
         self.orphans.extend(
             self.parked
                 .iter()
@@ -673,27 +641,4 @@ impl Reactor {
                 .map(|(corr, _)| (corr, established)),
         );
     }
-}
-
-/// Reconciles one connection's contribution to the node-wide
-/// write-backlog gauge: `reported` is what the gauge currently carries
-/// for this connection, `pending` is the truth. Only the reactor thread
-/// calls this, but the gauge itself is read lock-free by scrapes.
-fn sync_queued_gauge(inner: &Inner, reported: &mut u64, pending: u64) {
-    match pending.cmp(reported) {
-        std::cmp::Ordering::Greater => {
-            inner
-                .reactor
-                .queued_bytes
-                .fetch_add(pending - *reported, Ordering::Relaxed);
-        }
-        std::cmp::Ordering::Less => {
-            inner
-                .reactor
-                .queued_bytes
-                .fetch_sub(*reported - pending, Ordering::Relaxed);
-        }
-        std::cmp::Ordering::Equal => {}
-    }
-    *reported = pending;
 }

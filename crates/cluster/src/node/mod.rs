@@ -102,14 +102,32 @@
 //! [`Route::physical_hops`](gred::Route::physical_hops) for the same
 //! request in the in-process model (asserted in the loopback test).
 //!
+//! # Ownership
+//!
+//! The reactor owns all of the node's state — the forwarding plane, the
+//! peer table, the store, the read cache, the counters, the log file —
+//! as plain fields it mutates through `&mut self`; no lock or atomic
+//! guards any of it. A [`Node`] is a mailbox: each of its methods sends
+//! a closure down an `mpsc` channel and wakes the poller, and all but
+//! [`Node::request_shutdown`] wait for the reply. The reactor runs the
+//! queued closures between two event batches, so a control verb
+//! (install a plane, re-point a peer, preload or extract items) finds
+//! and leaves the state exactly as a request does, and
+//! [`Node::stats_snapshot`] runs the code a wire `Stats` scrape runs.
+//! Once the reactor has exited nothing runs them: a verb is dropped, and
+//! an accessor answers from the final [`NodeReport`]
+//! ([`Node::stored_items`], [`Node::hot_stats`]) or with an empty value
+//! (zero, an empty list, a default snapshot) — it never waits.
+//!
 //! # Shutdown
 //!
-//! [`Node::shutdown`] flips an atomic flag and wakes the poller. The
-//! reactor drains in two phases: it closes the listener and its peer
-//! links (every parked continuation is refused at once instead of
-//! running to its deadline) and stops reading, then keeps flushing until
-//! every response is on the wire — bounded by the peer reply timeout —
-//! before closing all connections. Joining the reactor joins the node.
+//! [`Node::shutdown`] mails the drain command. The reactor drains in two
+//! phases: it closes the listener and its peer links (every parked
+//! continuation is refused at once instead of running to its deadline)
+//! and stops reading, then keeps flushing until every response is on the
+//! wire — bounded by the peer reply timeout — before closing all
+//! connections and returning its final [`NodeReport`]. Joining the
+//! reactor joins the node.
 //!
 //! [`Cacheable::BySharer`]: gred_dataplane::Cacheable::BySharer
 //! [`Cacheable::Anywhere`]: gred_dataplane::Cacheable::Anywhere
@@ -119,21 +137,21 @@
 //! [`frame::read_call`]: crate::frame::read_call
 //! [`WriteQueue`]: gred_runtime::reactor::WriteQueue
 
-use self::conn::{Reactor, ReactorShared, LISTENER_TOKEN};
-use self::peers::PeerTable;
+use self::conn::{Reactor, LISTENER_TOKEN};
+use self::peers::Peer;
 use self::stats::Counters;
 use bytes::Bytes;
 use gred_cache::ReadCache;
 use gred_dataplane::{NodeHotStats, StatsSnapshot, SwitchDataplane};
 use gred_hash::DataId;
 use gred_runtime::reactor::{set_listen_backlog, Interest, Poller};
-use gred_runtime::ShardedMap;
+use std::collections::HashMap;
+use std::fs::File;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -210,7 +228,7 @@ impl Default for NodeConfig {
 }
 
 /// Final accounting returned by [`Node::shutdown`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeReport {
     /// The switch id this node served.
     pub id: usize,
@@ -309,41 +327,48 @@ impl Sharers {
     }
 }
 
-struct Inner {
+/// Everything the switch knows, owned by its reactor thread as plain
+/// fields (see the module docs).
+struct State {
     id: usize,
-    /// The forwarding state, swappable at runtime: live reconfiguration
-    /// (join/leave/crash recovery) installs a fresh plane while requests
-    /// keep flowing; each request clones the `Arc` once and runs against
-    /// a consistent snapshot.
-    plane: RwLock<Arc<SwitchDataplane>>,
+    /// The forwarding state. Live reconfiguration (join/leave/crash
+    /// recovery) installs a fresh plane between two event batches, so
+    /// every request runs against one plane.
+    plane: SwitchDataplane,
     /// Packets processed by planes that have since been replaced, so
     /// [`Node::packets_processed`] stays monotone across installs.
-    retired_processed: AtomicU64,
-    peers: RwLock<PeerTable>,
-    store: ShardedMap<DataId, StoredItem>,
+    retired_processed: u64,
+    /// Every switch of the network, by id.
+    peers: Vec<Peer>,
+    store: HashMap<DataId, StoredItem>,
     /// Serial of the last write stored here (see [`StoredItem::serial`]).
-    writes: AtomicU64,
+    writes: u64,
     /// Hot-key read cache consulted on the would-forward path; filled
     /// only with replies this node may keep (see the module docs), kept
     /// coherent by the owners' invalidations, and flushed whenever a new
     /// forwarding plane is installed (crash/join/leave).
     cache: ReadCache,
-    shutdown: AtomicBool,
-    /// What the public API shares with the reactor thread: the poller
-    /// (for wakeups) and the gauges a scrape reads.
-    reactor: ReactorShared,
     counters: Counters,
     cfg: NodeConfig,
-    log: Option<Mutex<std::fs::File>>,
+    log: Option<File>,
     booted: Instant,
 }
 
-/// A running GRED switch daemon. See the module docs for the threading
-/// model.
+/// A control verb: runs on the reactor thread between two event
+/// batches.
+type Command = Box<dyn FnOnce(&mut Reactor) + Send>;
+
+/// A running GRED switch daemon: the mailbox of its reactor thread. See
+/// the module docs for the threading model.
 pub struct Node {
-    inner: Arc<Inner>,
+    id: usize,
     addr: SocketAddr,
-    reactor: Option<thread::JoinHandle<()>>,
+    mailbox: mpsc::Sender<Command>,
+    /// The reactor's poller, held here only to wake it after a send.
+    poller: Arc<Poller>,
+    reactor: Option<thread::JoinHandle<NodeReport>>,
+    /// The reactor's final accounting once joined; empty until then.
+    report: NodeReport,
 }
 
 impl Node {
@@ -372,51 +397,63 @@ impl Node {
                     .create(true)
                     .append(true)
                     .open(dir.join(format!("node-{id}.log")))?;
-                Some(Mutex::new(file))
+                Some(file)
             }
             None => None,
         };
-        let inner = Arc::new(Inner {
+        let poller = Arc::new(Poller::new()?);
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        let state = State {
             id,
-            plane: RwLock::new(Arc::new(plane)),
-            retired_processed: AtomicU64::new(0),
-            peers: RwLock::new(PeerTable::new(peer_addrs)),
-            store: ShardedMap::new(),
-            writes: AtomicU64::new(0),
+            plane,
+            retired_processed: 0,
+            peers: peer_addrs.into_iter().map(Peer::new).collect(),
+            store: HashMap::new(),
+            writes: 0,
             cache: ReadCache::new(cfg.cache_bytes),
-            shutdown: AtomicBool::new(false),
-            reactor: ReactorShared {
-                poller: Poller::new()?,
-                conns_open: AtomicUsize::new(0),
-                queued_bytes: AtomicU64::new(0),
-                parked: AtomicUsize::new(0),
-                #[cfg(test)]
-                accept_faults: AtomicUsize::new(0),
-            },
             counters: Counters::default(),
             cfg,
             log,
             booted: Instant::now(),
-        });
-        inner
-            .reactor
-            .poller
-            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        inner.log(&format!("listening on {addr}"));
-        let reactor = Reactor::new(Arc::clone(&inner), listener);
+        };
+        state.log(&format!("listening on {addr}"));
+        let (mailbox, commands) = mpsc::channel();
+        let reactor = Reactor::new(state, listener, Arc::clone(&poller), commands);
         let handle = thread::Builder::new()
             .name(format!("gred-node-{id}-reactor"))
             .spawn(move || reactor.run())?;
         Ok(Node {
-            inner,
+            id,
             addr,
+            mailbox,
+            poller,
             reactor: Some(handle),
+            report: NodeReport {
+                id,
+                ..NodeReport::default()
+            },
         })
+    }
+
+    /// Runs `query` on the reactor and waits for its answer: `None` once
+    /// the reactor has exited, because the dropped closure takes its
+    /// reply channel with it.
+    fn ask<R: Send + 'static>(
+        &self,
+        query: impl FnOnce(&mut Reactor) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (reply, answer) = mpsc::channel();
+        let command = move |reactor: &mut Reactor| {
+            let _ = reply.send(query(reactor));
+        };
+        self.mailbox.send(Box::new(command)).ok()?;
+        self.poller.wake();
+        answer.recv().ok()
     }
 
     /// The switch id this node serves.
     pub fn id(&self) -> usize {
-        self.inner.id
+        self.id
     }
 
     /// The address the node listens on.
@@ -426,35 +463,30 @@ impl Node {
 
     /// Packets the underlying data plane processed (greedy decisions plus
     /// virtual-link relays) — directly comparable to the same counter on
-    /// the in-process plane. Monotone across [`Node::install_plane`].
+    /// the in-process plane. Monotone across [`Node::install_plane`];
+    /// `0` once the reactor has exited.
     pub fn packets_processed(&self) -> u64 {
-        self.inner.retired_processed.load(Ordering::Relaxed)
-            + self.inner.plane().packets_processed()
+        self.ask(|r| r.state.retired_processed + r.state.plane.packets_processed())
+            .unwrap_or(0)
     }
 
     /// Replaces the forwarding state with `plane` while the node keeps
     /// serving — the push half of live reconfiguration: the control
     /// plane recomputes tables after a join/leave/crash and installs
     /// them here, mirroring what `gred::control::dynamics` does to the
-    /// in-process planes. Requests already holding the old plane finish
-    /// against it; new requests see the new tables.
+    /// in-process planes. Requests served before the install ran on the
+    /// old plane; every later one sees the new tables.
     pub fn install_plane(&self, plane: SwitchDataplane) {
-        let old = {
-            let mut guard = self
-                .inner
-                .plane
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            std::mem::replace(&mut *guard, Arc::new(plane))
-        };
-        self.inner
-            .retired_processed
-            .fetch_add(old.packets_processed(), Ordering::Relaxed);
-        // A plane install accompanies a topology change (crash, join,
-        // leave): ownership moved, and ids tombstoned by a crash must
-        // not be resurrected from stale cached copies.
-        self.inner.cache.flush();
-        self.inner.log("installed a new forwarding plane");
+        self.ask(move |r| {
+            let state = &mut r.state;
+            let old = std::mem::replace(&mut state.plane, plane);
+            state.retired_processed += old.packets_processed();
+            // A plane install accompanies a topology change (crash, join,
+            // leave): ownership moved, and ids tombstoned by a crash must
+            // not be resurrected from stale cached copies.
+            state.cache.flush();
+            state.log("installed a new forwarding plane");
+        });
     }
 
     /// Registers (or re-points) the address of peer switch `switch`,
@@ -464,68 +496,75 @@ impl Node {
     /// cleared: a re-registered peer is presumed alive until proven
     /// otherwise.
     pub fn register_peer(&self, switch: usize, addr: SocketAddr) {
-        let mut peers = self
-            .inner
-            .peers
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        while peers.addrs.len() <= switch {
-            // Placeholder slots for any gap; they are re-pointed when
-            // their switch registers.
-            peers.push(addr);
-        }
-        peers.addrs[switch] = addr;
-        peers.suspect[switch].store(0, Ordering::Relaxed);
-        drop(peers);
-        self.inner
-            .log(&format!("peer {switch} registered at {addr}"));
+        self.ask(move |r| {
+            let state = &mut r.state;
+            if state.peers.len() <= switch {
+                // Placeholder slots for any gap; they are re-pointed when
+                // their switch registers.
+                state.peers.resize(switch + 1, Peer::new(addr));
+            }
+            let peer = &mut state.peers[switch];
+            peer.addr = addr;
+            peer.suspect = 0;
+            state.log(&format!("peer {switch} registered at {addr}"));
+        });
     }
 
     /// Peer switches currently marked suspect (stamp not yet expired),
-    /// in ascending order.
+    /// in ascending order; empty once the reactor has exited.
     pub fn suspect_peers(&self) -> Vec<usize> {
-        let now = self.inner.now_ms();
-        let peers = self.inner.peers();
-        (0..peers.suspect.len())
-            .filter(|&peer| peers.suspect_at(peer, now))
-            .collect()
+        self.ask(|r| {
+            let now = r.state.now_ms();
+            (0..r.state.peers.len())
+                .filter(|&peer| r.state.suspect_at(peer, now))
+                .collect()
+        })
+        .unwrap_or_default()
     }
 
     /// Removes and returns every stored item whose id satisfies `pred` —
     /// the migration half of live reconfiguration: after new tables are
     /// installed, keys this switch no longer owns are extracted here and
-    /// re-placed on their new owners.
+    /// re-placed on their new owners. Empty once the reactor has exited.
     pub fn extract_items(&self, pred: impl Fn(&DataId) -> bool) -> Vec<(DataId, Bytes)> {
-        let mut ids = Vec::new();
-        self.inner.store.for_each(|id, _| {
-            if pred(id) {
-                ids.push(id.clone());
-            }
-        });
-        ids.into_iter()
-            .filter_map(|id| {
-                let item = self.inner.store.remove(&id)?;
-                Some((id, item.payload))
-            })
-            .collect()
+        // `pred` may borrow the caller's data, so it runs on this
+        // thread: the reactor lists the ids, then removes those chosen.
+        let ids = self
+            .ask(|r| r.state.store.keys().cloned().collect::<Vec<_>>())
+            .unwrap_or_default();
+        let chosen: Vec<DataId> = ids.into_iter().filter(|id| pred(id)).collect();
+        self.ask(move |r| {
+            chosen
+                .into_iter()
+                .filter_map(|id| {
+                    let item = r.state.store.remove(&id)?;
+                    Some((id, item.payload))
+                })
+                .collect()
+        })
+        .unwrap_or_default()
     }
 
-    /// Items currently in the local store.
+    /// Items currently in the local store; once the reactor has exited,
+    /// the count it reported (`0` before [`Node::shutdown`] joined it).
     pub fn stored_items(&self) -> usize {
-        self.inner.store.len()
+        self.ask(|r| r.state.store.len())
+            .unwrap_or(self.report.stored_items)
     }
 
     /// Current hot-path contention counters — readable while the node is
     /// serving, so tests can assert (for example) that a contended run
-    /// rebuilt no link.
+    /// rebuilt no link. Once the reactor has exited, the counters it
+    /// reported (zero before [`Node::shutdown`] joined it).
     pub fn hot_stats(&self) -> NodeHotStats {
-        self.inner.hot_stats()
+        self.ask(|r| r.state.hot_stats()).unwrap_or(self.report.hot)
     }
 
-    /// The same snapshot a wire `Stats` scrape would answer with,
-    /// assembled in-process — the parity twin tests compare against.
+    /// The same snapshot a wire `Stats` scrape would answer with, built
+    /// by the same code — the parity twin tests compare against. A
+    /// default (all-zero) snapshot once the reactor has exited.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.inner.wire_snapshot()
+        self.ask(|r| r.wire_snapshot()).unwrap_or_default()
     }
 
     /// Seeds the local store with an item held by local server `index` —
@@ -533,67 +572,76 @@ impl Node {
     /// data in-process, and to re-home migrated items. Nobody's reads of
     /// it were seen here, so its first overwrite invalidates every peer.
     pub fn preload(&self, id: DataId, index: usize, payload: Bytes) {
-        // Preloading overwrites the store out of band, so any cached
-        // copy of the id on this node is stale by definition. It is no
-        // write — it invalidates no other cache — so the shard stays
-        // pristine for cache-to-cache fills (see `maybe_cache`).
-        self.inner.cache.invalidate(&id);
-        let item = StoredItem {
-            index,
-            payload,
-            serial: 0,
-            readers: Sharers::All,
-            pending: Sharers::NONE,
-        };
-        self.inner.store.insert(id, item);
+        self.preload_many(vec![(id, index, payload)]);
+    }
+
+    /// [`Node::preload`] for every `(id, index, payload)` of `items`, in
+    /// one round trip to the reactor.
+    pub(crate) fn preload_many(&self, items: Vec<(DataId, usize, Bytes)>) {
+        self.ask(move |r| {
+            let state = &mut r.state;
+            for (id, index, payload) in items {
+                // Preloading overwrites the store out of band, so any
+                // cached copy of the id on this node is stale by
+                // definition. It is no write — it invalidates no other
+                // cache — so the shard stays pristine for cache-to-cache
+                // fills (see `maybe_cache`).
+                state.cache.invalidate(&id);
+                let item = StoredItem {
+                    index,
+                    payload,
+                    serial: 0,
+                    readers: Sharers::All,
+                    pending: Sharers::NONE,
+                };
+                state.store.insert(id, item);
+            }
+        });
     }
 
     /// Inbound connections the reactor currently holds open — the gauge
-    /// the connection-scale soak test asserts against.
+    /// the connection-scale soak test asserts against. `0` once the
+    /// reactor has exited.
     pub fn open_connections(&self) -> usize {
-        self.inner.reactor.conns_open.load(Ordering::Relaxed)
+        self.ask(|r| r.inbound()).unwrap_or(0)
     }
 
     /// Continuations currently parked on peer links: forwarded frames
     /// and invalidations whose response has neither arrived nor expired.
-    /// Zero whenever the node is idle.
+    /// Zero whenever the node is idle, and once the reactor has exited.
     pub fn parked_continuations(&self) -> usize {
-        self.inner.reactor.parked.load(Ordering::Relaxed)
+        self.ask(|r| r.parked.len()).unwrap_or(0)
     }
 
     /// Signals shutdown without waiting. [`Cluster`](crate::Cluster)
-    /// flips every node's flag before joining any of them so peers stop
+    /// signals every node before joining any of them so peers stop
     /// accepting new work together.
     pub fn request_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        self.inner.reactor.poller.wake();
+        if self.mailbox.send(Box::new(Reactor::begin_drain)).is_ok() {
+            self.poller.wake();
+        }
     }
 
-    /// Stops the node: signals shutdown, wakes the poller, and joins the
-    /// reactor — which refuses whatever is still parked, flushes every
-    /// response, and closes the listener, the peer links and every
-    /// connection. Idempotent.
+    /// Stops the node: signals shutdown and joins the reactor — which
+    /// refuses whatever is still parked, flushes every response, closes
+    /// the listener, the peer links and every connection, and returns
+    /// its final accounting. Idempotent.
     pub fn shutdown(&mut self) -> NodeReport {
         self.request_shutdown();
         let joined = match self.reactor.take() {
             Some(handle) => {
-                let _ = handle.join();
+                // A reactor that panicked leaves no accounting: the
+                // report stays empty.
+                if let Ok(report) = handle.join() {
+                    self.report = report;
+                }
                 1
             }
             None => 0,
         };
-        self.inner.log(&format!("stopped; joined {joined} workers"));
-        let c = &self.inner.counters;
         NodeReport {
-            id: self.inner.id,
-            requests: c.requests.load(Ordering::Relaxed),
-            forwarded: c.forwarded.load(Ordering::Relaxed),
-            relayed: c.relayed.load(Ordering::Relaxed),
-            delivered: c.delivered.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
             workers_joined: joined,
-            stored_items: self.stored_items(),
-            hot: self.inner.hot_stats(),
+            ..self.report.clone()
         }
     }
 }
@@ -609,16 +657,15 @@ impl Drop for Node {
 impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node")
-            .field("id", &self.inner.id)
+            .field("id", &self.id)
             .field("addr", &self.addr)
             .finish_non_exhaustive()
     }
 }
 
-impl Inner {
+impl State {
     fn log(&self, msg: &str) {
-        if let Some(file) = &self.log {
-            let mut file = file.lock().expect("log lock");
+        if let Some(mut file) = self.log.as_ref() {
             let t = self.booted.elapsed();
             let _ = writeln!(file, "[node {} +{:>9.3}s] {msg}", self.id, t.as_secs_f64());
         }
@@ -627,15 +674,10 @@ impl Inner {
     /// Counts and logs a protocol violation by the dialer at `peer` —
     /// the error closes its connection, and nothing is answered: there
     /// is no guessing at what it speaks.
-    fn violation(&self, peer: SocketAddr, what: &dyn std::fmt::Display) -> io::Error {
-        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+    fn violation(&mut self, peer: SocketAddr, what: &dyn std::fmt::Display) -> io::Error {
+        self.counters.errors += 1;
         self.log(&format!("protocol violation from {peer}: {what}"));
         io::Error::new(io::ErrorKind::InvalidData, what.to_string())
-    }
-
-    /// The current forwarding-plane snapshot.
-    fn plane(&self) -> Arc<SwitchDataplane> {
-        Arc::clone(&self.plane.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Milliseconds since this node booted — the clock suspicion stamps

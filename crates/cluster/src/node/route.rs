@@ -5,21 +5,20 @@
 //! around it: kind dispatch and server-addressed delivery before it,
 //! then, in order, the detour budget, the read-cache probe and the send
 //! — or, when the step delivers here, the store and its sharer
-//! bookkeeping. Pure local work on [`Inner`] — nothing here
-//! touches a socket.
+//! bookkeeping. Pure local work on the switch's [`State`] — nothing
+//! here touches a socket.
 //!
 //! [`SwitchDataplane::step`]: gred_dataplane::SwitchDataplane::step
 
-use super::{Inner, Sharers, StoredItem};
+use super::{Sharers, State, StoredItem};
 use crate::proto;
 use bytes::Bytes;
 use gred_cache::Token;
 use gred_dataplane::{AdminOp, Cacheable, Delivery, Hop, Packet, PacketKind, ResponseStatus};
 use gred_hash::DataId;
 use gred_net::ServerId;
-use std::sync::atomic::Ordering;
 
-/// Outcome of one local routing decision ([`Inner::route_step`]): either
+/// Outcome of one local routing decision ([`State::route_step`]): either
 /// the response is ready, or the packet (already mutated for the hop —
 /// hops counted, relay/server headers set) must travel to peer `to`.
 /// Splitting the decision from the send is what lets the reactor group
@@ -58,7 +57,7 @@ pub(super) struct Fanout {
 
 impl Step {
     /// A plain local answer: no store, no cache admission.
-    fn respond(resp: Packet) -> Step {
+    pub(super) fn respond(resp: Packet) -> Step {
         Step::Respond { resp, fanout: None }
     }
 
@@ -84,27 +83,19 @@ pub(super) struct CacheFill {
     pub(super) access: bool,
 }
 
-impl Inner {
+impl State {
     /// One local routing decision: runs the packet up to the point where
     /// it would leave this node, returning the prepared hop instead of
     /// performing it. Pure local work — it never touches a socket, which
     /// is what lets the reactor run it inline.
-    pub(super) fn route_step(&self, mut packet: Packet) -> Step {
+    pub(super) fn route_step(&mut self, mut packet: Packet) -> Step {
         if packet.kind == PacketKind::Invalidate {
             // Coherence traffic: drop any cached copy and ack. Handled
             // before the request counter — an invalidation is overhead
             // of someone else's write, not a request of its own.
             self.cache.take_invalidation(&packet.id);
-            self.counters
-                .invalidations_rx
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.hot.invalidations_rx += 1;
             return Step::respond(Packet::answer(&packet, Bytes::new()));
-        }
-        if packet.kind == PacketKind::Stats {
-            // Observability: answer with a snapshot of this node's
-            // counters. Handled before the request counter — a scrape
-            // must not perturb the request accounting it reports.
-            return Step::respond(Packet::stats_response(self.wire_snapshot().encode()));
         }
         if packet.kind == PacketKind::Admin {
             // Data nodes answer liveness probes and refuse lifecycle
@@ -126,7 +117,7 @@ impl Inner {
             };
             return Step::respond(reply);
         }
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests += 1;
         if packet.kind == PacketKind::RetrievalResponse {
             // Responses travel back along the links, never as requests.
             return Step::respond(self.refuse(&packet, "response packet arrived as a request"));
@@ -144,9 +135,8 @@ impl Inner {
         // treated as absent.
         let stepped = {
             let now = self.now_ms();
-            let peers = self.peers();
-            let alive = |n: usize| !peers.suspect_at(n, now);
-            self.plane()
+            let alive = |n: usize| !self.suspect_at(n, now);
+            self.plane
                 .step(packet.position, &packet.id, packet.relay, &alive)
         };
         let (hop, detoured) = match stepped {
@@ -158,9 +148,7 @@ impl Inner {
             // here): count it in the packet and abort with a redirect
             // once the budget is spent, so a partitioned walk terminates
             // observably.
-            self.counters
-                .detour_forwards
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.hot.detour_forwards += 1;
             packet.detours = packet.detours.saturating_add(1);
             if packet.detours > self.cfg.max_detours {
                 return Step::respond(self.redirect(&packet, "detour budget exhausted"));
@@ -169,7 +157,7 @@ impl Inner {
         match hop {
             Hop::Deliver(delivery) => self.deliver_step(packet, delivery),
             Hop::Relay { to, relay } => {
-                self.counters.relayed.fetch_add(1, Ordering::Relaxed);
+                self.counters.relayed += 1;
                 packet.relay = Some(relay);
                 Step::forward(packet, to, None)
             }
@@ -213,7 +201,7 @@ impl Inner {
                 } else {
                     None
                 };
-                self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+                self.counters.forwarded += 1;
                 packet.relay = relay;
                 Step::forward(packet, to, fill)
             }
@@ -221,7 +209,7 @@ impl Inner {
     }
 
     /// Owner-switch delivery: this switch is closest to `H(d)`.
-    fn deliver_step(&self, packet: Packet, delivery: Delivery) -> Step {
+    fn deliver_step(&mut self, packet: Packet, delivery: Delivery) -> Step {
         match packet.kind {
             PacketKind::Placement => {
                 let target = delivery.write_target();
@@ -252,7 +240,7 @@ impl Inner {
             | PacketKind::StatsResponse
             | PacketKind::Admin
             | PacketKind::AdminResponse => {
-                unreachable!("rejected in route_step()")
+                unreachable!("answered before delivery")
             }
         }
     }
@@ -260,7 +248,7 @@ impl Inner {
     /// Serves a packet addressed at one specific local server. A write
     /// here is a range extension's: the copies it supersedes may sit on
     /// other switches, so it invalidates every peer.
-    fn deliver_direct(&self, packet: Packet, server: ServerId) -> Step {
+    fn deliver_direct(&mut self, packet: Packet, server: ServerId) -> Step {
         match packet.kind {
             PacketKind::Placement => self.store_local(&packet, server, true),
             PacketKind::Retrieval => Step::respond(
@@ -273,7 +261,7 @@ impl Inner {
             | PacketKind::StatsResponse
             | PacketKind::Admin
             | PacketKind::AdminResponse => {
-                unreachable!("rejected in route_step()")
+                unreachable!("answered before delivery")
             }
         }
     }
@@ -286,30 +274,27 @@ impl Inner {
     /// The ack owes an invalidation to every switch that may cache an
     /// older copy: the old copy's readers plus what its own write has not
     /// confirmed yet — or every peer when there is no old copy here or
-    /// the write must `broadcast`. The old copy's sets are taken and the
-    /// new copy stored in one step under the shard lock, so no read can
-    /// fall between them unrecorded.
-    fn store_local(&self, packet: &Packet, target: ServerId, broadcast: bool) -> Step {
+    /// the write must `broadcast`.
+    fn store_local(&mut self, packet: &Packet, target: ServerId, broadcast: bool) -> Step {
         debug_assert_eq!(target.switch, self.id);
         // The owner can also be an access node for the same id: its own
         // cached copy is superseded the moment the write lands.
         self.cache.take_invalidation(&packet.id);
-        let serial = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        let targets = self.store.insert_with(packet.id.clone(), |old| {
-            let targets = match old {
-                Some(old) if !broadcast => old.readers.union(old.pending),
-                _ => Sharers::All,
-            };
-            let item = StoredItem {
-                index: target.index,
-                payload: Bytes::copy_from_slice(&packet.payload),
-                serial,
-                readers: Sharers::NONE,
-                pending: targets,
-            };
-            (item, targets)
-        });
-        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        self.writes += 1;
+        let serial = self.writes;
+        let targets = match self.store.get(&packet.id) {
+            Some(old) if !broadcast => old.readers.union(old.pending),
+            _ => Sharers::All,
+        };
+        let item = StoredItem {
+            index: target.index,
+            payload: Bytes::copy_from_slice(&packet.payload),
+            serial,
+            readers: Sharers::NONE,
+            pending: targets,
+        };
+        self.store.insert(packet.id.clone(), item);
+        self.counters.delivered += 1;
         let mut ack = Packet::answer(packet, proto::ack_payload(target));
         if packet.detours > 0 {
             // Stored, but the greedy walk detoured: the storing switch
@@ -325,35 +310,33 @@ impl Inner {
 
     /// A write's invalidations were all confirmed: if its copy is still
     /// the stored one, no switch can hold anything older any more.
-    pub(super) fn settle(&self, id: &DataId, serial: u64) {
-        self.store.update(id, |item| {
-            if let Some(item) = item.filter(|item| item.serial == serial) {
-                item.pending = Sharers::NONE;
-            }
-        });
+    pub(super) fn settle(&mut self, id: &DataId, serial: u64) {
+        if let Some(item) = self.store.get_mut(id).filter(|item| item.serial == serial) {
+            item.pending = Sharers::NONE;
+        }
     }
 
     /// A hit response if local server `server` stores the packet's id.
     /// The access switch stamped on the request, if it is a peer, is
-    /// recorded as a reader of the copy it gets, in the same step under
-    /// the shard lock — a write replacing that copy afterwards is sure to
-    /// see it. Only that and the cheap `Bytes` clone happen under the lock.
-    /// A copy whose readers are unknown anyway is marked cacheable
-    /// `Anywhere`: its next write invalidates every switch.
-    fn lookup_local(&self, packet: &Packet, server: ServerId) -> Option<Packet> {
+    /// recorded as a reader of the copy it gets, so a write replacing
+    /// that copy afterwards invalidates it. A copy whose readers are
+    /// unknown anyway is marked cacheable `Anywhere`: its next write
+    /// invalidates every switch.
+    fn lookup_local(&mut self, packet: &Packet, server: ServerId) -> Option<Packet> {
         debug_assert_eq!(server.switch, self.id);
         let sharer = packet
             .sharer
-            .filter(|&s| s != self.id && s < self.peers().addrs.len())
+            .filter(|&s| s != self.id && s < self.peers.len())
             .and_then(|s| u32::try_from(s).ok());
-        let (payload, untracked) = self.store.update(&packet.id, |item| {
-            let item = item.filter(|item| item.index == server.index)?;
-            if let Some(sharer) = sharer {
-                item.readers.add(sharer);
-            }
-            Some((item.payload.clone(), item.readers == Sharers::All))
-        })?;
-        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        let item = self
+            .store
+            .get_mut(&packet.id)
+            .filter(|item| item.index == server.index)?;
+        if let Some(sharer) = sharer {
+            item.readers.add(sharer);
+        }
+        let (payload, untracked) = (item.payload.clone(), item.readers == Sharers::All);
+        self.counters.delivered += 1;
         let mut resp = Packet::answer(packet, payload);
         if untracked {
             resp.cacheable = Cacheable::Anywhere;
@@ -364,15 +347,15 @@ impl Inner {
         Some(resp)
     }
 
-    fn respond_miss(&self, packet: &Packet) -> Packet {
-        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+    fn respond_miss(&mut self, packet: &Packet) -> Packet {
+        self.counters.delivered += 1;
         let mut resp = Packet::answer(packet, Bytes::new());
         resp.status = ResponseStatus::NotFound;
         resp
     }
 
-    pub(super) fn refuse(&self, packet: &Packet, why: impl std::fmt::Display) -> Packet {
-        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+    pub(super) fn refuse(&mut self, packet: &Packet, why: impl std::fmt::Display) -> Packet {
+        self.counters.errors += 1;
         self.log(&format!("refused {} for {}: {why}", packet.kind, packet.id));
         let mut resp = Packet::answer(packet, Bytes::new());
         resp.status = ResponseStatus::Error;
@@ -383,10 +366,8 @@ impl Inner {
     /// served; the client should retry through another access node.
     ///
     /// [`Redirect`]: gred_dataplane::ResponseStatus::Redirect
-    pub(super) fn redirect(&self, packet: &Packet, why: &str) -> Packet {
-        self.counters
-            .redirects_issued
-            .fetch_add(1, Ordering::Relaxed);
+    pub(super) fn redirect(&mut self, packet: &Packet, why: &str) -> Packet {
+        self.counters.hot.redirects_issued += 1;
         self.log(&format!(
             "redirected {} for {}: {why}",
             packet.kind, packet.id

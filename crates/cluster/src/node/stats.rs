@@ -1,82 +1,93 @@
-//! The node's counters and the two views of them: the in-process hot
-//! counter block and the snapshot a wire `Stats` scrape answers with.
+//! The node's counters and the three views of them: the in-process hot
+//! counter block, the snapshot a wire `Stats` scrape answers with, and
+//! the final report.
 
-use super::Inner;
+use super::conn::Reactor;
+use super::{NodeReport, State};
 use gred_dataplane::{LinkStats, NodeHotStats, StatsSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 #[derive(Debug, Default)]
 pub(super) struct Counters {
-    pub(super) requests: AtomicU64,
-    pub(super) forwarded: AtomicU64,
-    pub(super) relayed: AtomicU64,
-    pub(super) delivered: AtomicU64,
-    pub(super) errors: AtomicU64,
-    pub(super) link_reconnects: AtomicU64,
-    pub(super) peers_suspected: AtomicU64,
-    pub(super) detour_forwards: AtomicU64,
-    pub(super) redirects_issued: AtomicU64,
-    pub(super) invalidations_rx: AtomicU64,
-    /// Frames reassembled, requests and peer responses alike.
-    pub(super) frames_decoded: AtomicU64,
-    /// Frames encoded into a connection's already-warm scratch buffer.
-    pub(super) encode_buf_reuses: AtomicU64,
+    pub(super) requests: u64,
+    pub(super) forwarded: u64,
+    pub(super) relayed: u64,
+    pub(super) delivered: u64,
+    pub(super) errors: u64,
+    /// Counted in place, except the cache's fields, which the cache
+    /// keeps itself, and the retired ones, which stay zero.
+    pub(super) hot: NodeHotStats,
 }
 
-impl Inner {
+impl State {
     pub(super) fn hot_stats(&self) -> NodeHotStats {
         let cache = self.cache.stats();
         NodeHotStats {
-            // Retired — removed with the next benchmark PR.
-            oneshot_fallbacks: 0,
-            link_reconnects: self.counters.link_reconnects.load(Ordering::Relaxed),
-            store_shard_contention: self.store.contended(),
-            frames_decoded: self.counters.frames_decoded.load(Ordering::Relaxed),
-            encode_buf_reuses: self.counters.encode_buf_reuses.load(Ordering::Relaxed),
-            peers_suspected: self.counters.peers_suspected.load(Ordering::Relaxed),
-            detour_forwards: self.counters.detour_forwards.load(Ordering::Relaxed),
-            redirects_issued: self.counters.redirects_issued.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
-            invalidations_rx: self.counters.invalidations_rx.load(Ordering::Relaxed),
+            ..self.counters.hot
         }
     }
 
-    /// Assembles the stats snapshot a `Stats` scrape answers with.
-    /// Runs on the reactor thread, so it must never block: everything
-    /// it reads is an atomic or a gauge behind a short read lock.
+    /// The final accounting the reactor returns when it exits;
+    /// [`Node::shutdown`](super::Node::shutdown) fills in
+    /// `workers_joined`.
+    pub(super) fn report(&self) -> NodeReport {
+        let c = &self.counters;
+        NodeReport {
+            id: self.id,
+            requests: c.requests,
+            forwarded: c.forwarded,
+            relayed: c.relayed,
+            delivered: c.delivered,
+            errors: c.errors,
+            workers_joined: 0,
+            stored_items: self.store.len(),
+            hot: self.hot_stats(),
+        }
+    }
+}
+
+impl Reactor {
+    /// Assembles the stats snapshot a `Stats` scrape answers with. The
+    /// write backlog is summed over the connections' queues here, at
+    /// scrape time.
     pub(super) fn wire_snapshot(&self) -> StatsSnapshot {
-        let now = self.now_ms();
-        let links = {
-            let peers = self.peers();
-            (0..peers.addrs.len())
-                .filter(|&peer| peer != self.id)
-                .map(|peer| LinkStats {
-                    peer: peer as u32,
-                    connected: peers.connected[peer].load(Ordering::Relaxed),
-                    suspect_ms_left: peers.suspect[peer]
-                        .load(Ordering::Relaxed)
-                        .saturating_sub(now),
-                    reconnects: peers.reconnects[peer].load(Ordering::Relaxed),
-                })
-                .collect()
-        };
+        let state = &self.state;
+        let now = state.now_ms();
+        let links = state
+            .peers
+            .iter()
+            .enumerate()
+            .filter(|&(peer, _)| peer != state.id)
+            .map(|(peer, p)| LinkStats {
+                peer: peer as u32,
+                connected: p.connected,
+                suspect_ms_left: p.suspect.saturating_sub(now),
+                reconnects: p.reconnects,
+            })
+            .collect();
+        let c = &state.counters;
         StatsSnapshot {
-            switch: self.id as u32,
+            switch: state.id as u32,
             uptime_ms: now,
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            forwarded: self.counters.forwarded.load(Ordering::Relaxed),
-            relayed: self.counters.relayed.load(Ordering::Relaxed),
-            delivered: self.counters.delivered.load(Ordering::Relaxed),
-            errors: self.counters.errors.load(Ordering::Relaxed),
-            stored_items: self.store.len() as u64,
-            open_connections: self.reactor.conns_open.load(Ordering::Relaxed) as u32,
-            queued_bytes: self.reactor.queued_bytes.load(Ordering::Relaxed),
+            requests: c.requests,
+            forwarded: c.forwarded,
+            relayed: c.relayed,
+            delivered: c.delivered,
+            errors: c.errors,
+            stored_items: state.store.len() as u64,
+            open_connections: self.inbound() as u32,
+            queued_bytes: self
+                .conns
+                .iter()
+                .flatten()
+                .map(|conn| conn.outq.pending() as u64)
+                .sum(),
             // Retired — removed with the next benchmark PR.
             dispatch_workers: 0,
-            table_rows: self.plane().entry_count() as u64,
-            hot: self.hot_stats(),
+            table_rows: state.plane.entry_count() as u64,
+            hot: state.hot_stats(),
             links,
         }
     }

@@ -19,6 +19,12 @@ pub(crate) fn test_config() -> NodeConfig {
     }
 }
 
+/// Runs `f` on `node`'s reactor-owned state, between two event batches.
+fn on_state<R: Send + 'static>(node: &Node, f: impl FnOnce(&mut State) -> R + Send + 'static) -> R {
+    node.ask(move |r| f(&mut r.state))
+        .expect("the reactor is running")
+}
+
 pub(crate) fn spawn_single(server_count: usize) -> Node {
     let plane = SwitchDataplane::new(0, Point2::new(0.5, 0.5), server_count);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -196,15 +202,18 @@ fn invalidate_frames_drop_cached_entries_inline() {
     let id = DataId::new("inv-key");
     // Seed the read cache directly (a single node never forwards,
     // so the population path cannot run here).
-    let token = node.inner.cache.begin_read(&id);
-    assert!(node
-        .inner
-        .cache
-        .insert_if_fresh(token, id.clone(), Bytes::from_static(b"v")));
+    let seed = id.clone();
+    assert!(on_state(&node, move |state| {
+        let token = state.cache.begin_read(&seed);
+        state
+            .cache
+            .insert_if_fresh(token, seed, Bytes::from_static(b"v"))
+    }));
     let resp = roundtrip(node.addr(), &Packet::invalidate(id.clone()));
     assert_eq!(resp.status, gred_dataplane::ResponseStatus::Ok);
     assert!(resp.payload.is_empty());
-    assert!(node.inner.cache.get(&id).is_none(), "the entry is dropped");
+    let cached = on_state(&node, move |state| state.cache.get(&id));
+    assert!(cached.is_none(), "the entry is dropped");
     let report = node.shutdown();
     assert_eq!(report.hot.invalidations_rx, 1);
     assert_eq!(report.requests, 0, "coherence traffic is not a request");
@@ -215,49 +224,41 @@ fn invalidate_frames_drop_cached_entries_inline() {
 fn detoured_or_redirected_responses_never_populate_the_cache() {
     let mut node = spawn_single(1);
     let id = DataId::new("detour-no-fill");
-    let fill = |token| {
-        Some(CacheFill {
-            id: id.clone(),
-            token,
-            access: true,
+    // Offers `resp` to the cache as the answer to a forwarded read, and
+    // returns what the cache then holds for the id.
+    let offer = |resp: Packet| {
+        let id = id.clone();
+        on_state(&node, move |state| {
+            let token = state.cache.begin_read(&id);
+            let fill = CacheFill {
+                id: id.clone(),
+                token,
+                access: true,
+            };
+            state.maybe_cache(Some(fill), &resp);
+            state.cache.get(&id)
         })
     };
 
     let mut degraded = Packet::response(id.clone(), b"stale".as_ref());
     degraded.status = gred_dataplane::ResponseStatus::Degraded;
     degraded.detours = 1;
-    let token = node.inner.cache.begin_read(&id);
-    node.inner.maybe_cache(fill(token), &degraded);
     assert!(
-        node.inner.cache.get(&id).is_none(),
+        offer(degraded).is_none(),
         "a degraded (detoured) read must never populate the cache"
     );
-
-    let redirect = Packet::redirect_response(id.clone());
-    let token = node.inner.cache.begin_read(&id);
-    node.inner.maybe_cache(fill(token), &redirect);
     assert!(
-        node.inner.cache.get(&id).is_none(),
+        offer(Packet::redirect_response(id.clone())).is_none(),
         "a redirected read must never populate the cache"
     );
-
-    let miss = Packet::not_found(id.clone());
-    let token = node.inner.cache.begin_read(&id);
-    node.inner.maybe_cache(fill(token), &miss);
-    assert!(node.inner.cache.get(&id).is_none(), "misses are not cached");
+    assert!(
+        offer(Packet::not_found(id.clone())).is_none(),
+        "misses are not cached"
+    );
 
     // The clean authoritative answer is the only one admitted.
     let ok = Packet::response(id.clone(), b"fresh".as_ref());
-    let token = node.inner.cache.begin_read(&id);
-    node.inner.maybe_cache(fill(token), &ok);
-    assert_eq!(
-        node.inner
-            .cache
-            .get(&id)
-            .expect("clean hit cached")
-            .as_ref(),
-        b"fresh"
-    );
+    assert_eq!(offer(ok).expect("clean hit cached").as_ref(), b"fresh");
     node.shutdown();
 }
 
@@ -308,6 +309,47 @@ fn shutdown_is_idempotent_and_drains_workers() {
     assert_eq!(second.workers_joined, 0, "workers join exactly once");
     // The listener is closed: new connections are refused.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+}
+
+/// Every accessor of a node whose reactor has exited returns at once:
+/// with an empty value while the reactor is drained but not joined, and
+/// from its final report once joined.
+#[test]
+fn accessors_after_the_reactor_exits_answer_without_waiting() {
+    let mut node = spawn_single(1);
+    node.preload(DataId::new("k"), 0, Bytes::from_static(b"v"));
+    let _ = roundtrip(node.addr(), &Packet::retrieval(DataId::new("k")));
+    node.request_shutdown();
+    let reactor = node.reactor.as_ref().expect("not joined yet");
+    while !reactor.is_finished() {
+        thread::yield_now();
+    }
+    let check = |node: &Node, stored: usize, hot: NodeHotStats| {
+        assert_eq!(node.stored_items(), stored);
+        assert_eq!(node.hot_stats(), hot);
+        assert_eq!(node.packets_processed(), 0);
+        assert_eq!(node.stats_snapshot(), StatsSnapshot::default());
+        assert_eq!(node.suspect_peers(), Vec::<usize>::new());
+        assert_eq!(node.extract_items(|_| true), Vec::new());
+        assert_eq!(node.open_connections(), 0);
+        assert_eq!(node.parked_continuations(), 0);
+        node.install_plane(SwitchDataplane::new(0, Point2::new(0.5, 0.5), 1));
+        node.register_peer(1, node.addr());
+        node.preload(DataId::new("late"), 0, Bytes::new());
+        node.request_shutdown();
+    };
+    check(&node, 0, NodeHotStats::default());
+    let report = node.shutdown();
+    assert_eq!((report.workers_joined, report.stored_items), (1, 1));
+    assert_eq!(report.requests, 1);
+    check(&node, 1, report.hot);
+    assert_eq!(
+        node.shutdown(),
+        NodeReport {
+            workers_joined: 0,
+            ..report
+        }
+    );
 }
 
 #[test]
@@ -429,11 +471,13 @@ fn evicted_cache_entry_is_forwarded_not_redirected() {
         let id = DataId::new("raced-key");
         let read = Packet::retrieval(id.clone());
         assert_eq!(roundtrip(node.addr(), &read).payload.as_ref(), b"owned");
-        assert_eq!(node.inner.cache.len(), 1, "the forward filled the cache");
+        let cached = on_state(&node, |state| state.cache.len());
+        assert_eq!(cached, 1, "the forward filled the cache");
         assert_eq!(roundtrip(node.addr(), &read).payload.as_ref(), b"owned");
         assert_eq!(node.hot_stats().cache_hits, 1, "the second read is a hit");
         // Evict, as a racing invalidation or CLOCK sweep would.
-        node.inner.cache.invalidate(&id);
+        let evict = id.clone();
+        on_state(&node, move |state| state.cache.invalidate(&evict));
         let reply = roundtrip(node.addr(), &read);
         assert_eq!(reply.status, ResponseStatus::Ok);
         assert_eq!(reply.payload.as_ref(), b"owned");
@@ -465,23 +509,21 @@ fn accept_errors_pause_the_listener_without_stalling_parked_forwards() {
         }
         // Every accept now fails EMFILE-style. A second client dials in:
         // the kernel completes its handshake, the reactor's accept fails.
-        node.inner
-            .reactor
-            .accept_faults
-            .store(usize::MAX, Ordering::Relaxed);
+        let faults = |node: &Node| node.ask(|r| r.accept_faults).unwrap();
+        node.ask(|r| r.accept_faults = usize::MAX);
         let mut second = TcpStream::connect(node.addr()).unwrap();
         second.write_all(&read).unwrap();
-        while node.inner.reactor.accept_faults.load(Ordering::Relaxed) == usize::MAX {
+        while faults(&node) == usize::MAX {
             thread::yield_now();
         }
         // The parked forward completes while accepts keep failing.
         release.send(()).unwrap();
         assert_eq!(read_reply(&mut first).payload.as_ref(), b"late");
-        assert!(node.inner.reactor.accept_faults.load(Ordering::Relaxed) > 0);
+        assert!(faults(&node) > 0);
         assert_eq!(node.open_connections(), 1, "the second dial still waits");
         // Once accepts succeed again the deadline queue re-arms the
         // listener and the waiting client is served.
-        node.inner.reactor.accept_faults.store(0, Ordering::Relaxed);
+        node.ask(|r| r.accept_faults = 0);
         release.send(()).unwrap();
         assert_eq!(read_reply(&mut second).payload.as_ref(), b"late");
         let report = node.shutdown();
@@ -709,13 +751,13 @@ fn only_a_suspect_sharer_degrades_the_ack() {
     let id = DataId::new("suspects");
     write(&nodes, &id, "v1");
     read_via(&nodes[1], &id);
-    nodes[0].inner.mark_suspect(3);
+    on_state(&nodes[0], |state| state.mark_suspect(3));
     assert_eq!(
         write(&nodes, &id, "v2"),
         (ResponseStatus::Ok, vec![0, 1, 0, 0])
     );
     read_via(&nodes[1], &id);
-    nodes[0].inner.mark_suspect(1);
+    on_state(&nodes[0], |state| state.mark_suspect(1));
     assert_eq!(
         write(&nodes, &id, "v3"),
         (ResponseStatus::Degraded, vec![0; 4])
@@ -771,7 +813,8 @@ fn a_transit_node_serves_and_keeps_only_untracked_copies() {
         };
         assert_eq!(in_transit("tracked").cacheable, Cacheable::BySharer);
         assert_eq!(in_transit("untracked").cacheable, Cacheable::Anywhere);
-        assert_eq!(node.inner.cache.len(), 1, "only the untracked copy is kept");
+        let cached = on_state(&node, |state| state.cache.len());
+        assert_eq!(cached, 1, "only the untracked copy is kept");
         let hit = in_transit("untracked");
         assert_eq!(hit.payload.as_ref(), b"v");
         assert_eq!(hit.cacheable, Cacheable::WhenPristine, "marked a cache's");
@@ -792,25 +835,25 @@ fn a_transit_node_serves_and_keeps_only_untracked_copies() {
 fn a_cache_answer_fills_only_a_pristine_shard() {
     let mut node = spawn_single(1);
     let id = DataId::new("k");
-    let mut cached = Packet::response(id.clone(), b"v".as_ref());
-    cached.cacheable = Cacheable::WhenPristine;
-    let fill = |token| {
-        Some(CacheFill {
-            id: id.clone(),
-            token,
-            access: true,
+    // Offers a cache's answer for the id; returns the entries kept.
+    let offer = || {
+        let id = id.clone();
+        on_state(&node, move |state| {
+            let mut cached = Packet::response(id.clone(), b"v".as_ref());
+            cached.cacheable = Cacheable::WhenPristine;
+            let token = state.cache.begin_read(&id);
+            let fill = CacheFill {
+                id,
+                token,
+                access: true,
+            };
+            state.maybe_cache(Some(fill), &cached);
+            state.cache.len()
         })
     };
-    node.inner
-        .maybe_cache(fill(node.inner.cache.begin_read(&id)), &cached);
-    assert_eq!(node.inner.cache.len(), 1, "a pristine shard keeps it");
+    assert_eq!(offer(), 1, "a pristine shard keeps it");
     roundtrip(node.addr(), &Packet::invalidate(id.clone()));
-    node.inner
-        .maybe_cache(fill(node.inner.cache.begin_read(&id)), &cached);
-    assert!(
-        node.inner.cache.is_empty(),
-        "a shard a write reached does not"
-    );
+    assert_eq!(offer(), 0, "a shard a write reached does not");
     node.shutdown();
 }
 
@@ -828,13 +871,14 @@ fn an_owner_records_only_sharers_from_its_peer_table() {
         readers: Sharers::NONE,
         pending: Sharers::NONE,
     };
-    node.inner.store.insert(id.clone(), item);
+    let stored = id.clone();
+    on_state(&node, move |state| state.store.insert(stored, item));
     for sharer in [9, 0, 2, u32::MAX as usize] {
         let mut read = Packet::retrieval(id.clone());
         read.sharer = Some(sharer);
         assert_eq!(roundtrip(addr, &read).payload.as_ref(), b"v");
     }
-    let readers = node.inner.store.read(&id, |item| item.unwrap().readers);
+    let readers = on_state(&node, move |state| state.store[&id].readers);
     assert_eq!(readers.known(), Some(&[2][..]), "only peer 2 is a sharer");
     node.shutdown();
 }
@@ -915,7 +959,7 @@ fn every_answer_carries_its_requests_position() {
         assert_eq!(node.hot_stats().cache_hits, 2);
         // With its only neighbor suspect the walk detours, and a request
         // with no detour budget left is redirected.
-        node.inner.mark_suspect(1);
+        on_state(&node, |state| state.mark_suspect(1));
         let mut spent = Packet::retrieval(DataId::new("pos/redirect"));
         spent.detours = max_detours;
         assert_eq!(ask(spent).status, ResponseStatus::Redirect);

@@ -7,10 +7,9 @@ use serde::{Deserialize, Serialize};
 /// Hot-path health counters a node runtime (e.g. `gred-cluster`'s
 /// per-switch daemon) accumulates while serving requests.
 ///
-/// These exist so a concurrency regression shows up as a *metric*, not
-/// just as a benchmark slope: a healthy multiplexed deployment keeps
-/// `link_reconnects` at zero, and
-/// `store_shard_contention` near zero relative to `frames_decoded`.
+/// These exist so a regression shows up as a *metric*, not just as a
+/// benchmark slope: a healthy multiplexed deployment keeps
+/// `link_reconnects` at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct NodeHotStats {
     /// Retired — removed with the next benchmark PR. The one-shot TCP
@@ -20,10 +19,9 @@ pub struct NodeHotStats {
     /// Parked continuations resent over a fresh peer link because the
     /// established link they were written to died.
     pub link_reconnects: u64,
-    /// Times a store shard's lock was observed contended (a `try_lock`
-    /// failed and the caller had to wait). A lock-wait *hint*, not a
-    /// duration: it counts contended acquisitions, cheap enough to keep
-    /// on in production.
+    /// Retired — removed with the next benchmark PR. The node's store
+    /// is a plain map its reactor owns, with no lock to contend; always
+    /// zero, kept (with its wire slot) because the benchmark reads it.
     pub store_shard_contention: u64,
     /// Frames reassembled and parsed by this node (client connections,
     /// multiplexed peer servers, and demux readers combined).

@@ -3,8 +3,10 @@
 //!
 //! Four pieces live here:
 //!
-//! - [`ShardedMap`]: a lock-sharded hash map for hot concurrent state
-//!   (node stores, KV metadata) with an observable contention hint.
+//! - [`ShardedMap`]: a lock-sharded hash map with an observable
+//!   contention hint. No crate of the workspace uses it any more (a
+//!   node's store is a plain map its reactor owns); it stays until the
+//!   benchmark's layer probe stops timing it.
 //! - [`reactor`]: level-triggered `epoll` readiness polling
 //!   ([`Poller`]) and partial-write absorption ([`WriteQueue`]) — the
 //!   nonblocking-I/O substrate the cluster node runtime and the chaos
