@@ -10,16 +10,25 @@
 //! their stale forwarding state, so only those cells are recomputed.
 //!
 //! Every step of a batch costs what the change touches, not what the
-//! network holds: each join and leave updates the DT locally
-//! ([`DtGraph::with_joined`], [`DtGraph::with_left`]), the affected
-//! members' paths are searched before anything is mutated (so a
-//! disconnecting batch leaves the network untouched), and the installed
-//! planes are then patched in place rather than copied.
+//! network holds: the batch edits one copy of the DT in place, each join
+//! and leave re-triangulating only its own cell ([`DtGraph::join`],
+//! [`DtGraph::leave`]); a joiner is separated from the members alone;
+//! only the members a join or leave touched are checked for changed DT
+//! neighbors; the affected members' paths are searched before anything is
+//! mutated (so a disconnecting batch leaves the network untouched); and
+//! the installed planes are then patched in place rather than copied.
+//! What still costs O(members) per event is a pass over flat arrays:
+//! [`crate::control::embedding::embed_new_switch`]'s stress descent, the
+//! joiner's BFS (one for the descent, one for trigger 4) and a leave's
+//! connectivity BFS.
 //!
 //! A member is affected when any of the following holds:
 //!
 //! 1. its DT neighbor set changed (this covers new members and every
-//!    survivor adjacent to a joiner or leaver in either triangulation),
+//!    survivor adjacent to a joiner or leaver in either triangulation —
+//!    an insertion changes only the joiner's and its new neighbors'
+//!    sets, a deletion only its old neighbors', so only those are
+//!    compared),
 //! 2. it gained a physical link to a joiner, or lost one to a leaver —
 //!    physical member neighbors are greedy candidates even when they are
 //!    not DT-adjacent, so the candidate set changes either way,
@@ -30,6 +39,17 @@
 //!    alternatives keep the old path: a joining switch takes the largest
 //!    id, so it is appended at the end of its endpoints' neighbor sets
 //!    and cannot change BFS discovery order unless strictly closer.
+//!
+//! Trigger 4 scans only members near the joiner. Every installed chain
+//! is a shortest path of the current topology (joins that shorten one
+//! reinstall it, leaves only lengthen paths and reinstall the chains they
+//! cut), so a link's two directions have the same length, at most `L`,
+//! the bound [`crate::GredNetwork`] keeps on installed link length (a
+//! full installation sets it, each delta raises it to its longest new
+//! path). A link `u`–`v` shortened
+//! through joiner `j` has `hops(j, u) + hops(j, v) < L`, so one endpoint
+//! lies within `⌊(L − 1)/2⌋` hops of `j`, and scanning that endpoint's
+//! entries finds the link.
 //!
 //! Everything outside the affected set keeps its installed entries
 //! verbatim. Leaves may still shift BFS tie-breaks elsewhere, so the
@@ -93,32 +113,55 @@ impl DeltaReport {
     }
 }
 
-/// The members of `new_dt` whose forwarding state must be recomputed for
-/// the batch that turned `old_dt` into `new_dt` (see the module docs for
-/// the four triggers). `planes` is the pre-batch installed state; a
-/// joiner that also left within the batch has no plane and is skipped.
-pub(crate) fn affected_members(
-    old_dt: &DtGraph,
-    new_dt: &DtGraph,
-    old_topo: &Topology,
-    new_topo: &Topology,
-    planes: &[SwitchDataplane],
-    joiners: &[usize],
-    leavers: &[usize],
+/// One batch as the triggers see it: the control plane before and after,
+/// and what the batch did.
+pub(crate) struct Batch<'a> {
+    pub old_dt: &'a DtGraph,
+    pub new_dt: &'a DtGraph,
+    pub old_topo: &'a Topology,
+    pub new_topo: &'a Topology,
+    /// The pre-batch installed planes; a joiner has none.
+    pub planes: &'a [SwitchDataplane],
+    pub joiners: &'a [usize],
+    pub leavers: &'a [usize],
+    /// Every switch whose DT neighbors an event of the batch may have
+    /// changed: each joiner with its neighbors after joining, each
+    /// leaver's neighbors before leaving.
+    pub touched: &'a [usize],
+    /// Upper bound on the hop length of every installed virtual link.
+    pub longest_link: usize,
+}
+
+/// The members of `batch.new_dt` whose forwarding state must be
+/// recomputed (see the module docs for the four triggers). A joiner that
+/// also left within the batch has no plane and is skipped.
+pub(crate) fn affected_members(batch: &Batch) -> BTreeSet<usize> {
+    affected_with(batch, shortened_near)
+}
+
+/// [`affected_members`] with trigger 4 computed by `shortened`.
+pub(crate) fn affected_with(
+    batch: &Batch,
+    shortened: impl Fn(&Batch, usize, &BTreeSet<usize>) -> Vec<usize>,
 ) -> BTreeSet<usize> {
+    let Batch {
+        old_dt,
+        new_dt,
+        old_topo,
+        new_topo,
+        planes,
+        joiners,
+        leavers,
+        ..
+    } = *batch;
     let mut affected = BTreeSet::new();
 
     // (1) DT adjacency changed, or the member is new.
-    for &m in new_dt.members() {
-        if !old_dt.is_member(m) {
-            affected.insert(m);
+    for &m in batch.touched {
+        if !new_dt.is_member(m) || affected.contains(&m) {
             continue;
         }
-        let mut old_n = old_dt.neighbors_of(m);
-        let mut new_n = new_dt.neighbors_of(m);
-        old_n.sort_unstable();
-        new_n.sort_unstable();
-        if old_n != new_n {
+        if !old_dt.is_member(m) || old_dt.neighbors_of(m) != new_dt.neighbors_of(m) {
             affected.insert(m);
         }
     }
@@ -131,21 +174,13 @@ pub(crate) fn affected_members(
         if j >= new_topo.switch_count() {
             continue;
         }
-        for nb in new_topo.neighbors(j) {
-            if new_dt.is_member(nb) {
-                affected.insert(nb);
-            }
-        }
+        affected.extend(new_topo.neighbors(j).filter(|&nb| new_dt.is_member(nb)));
     }
     for &l in leavers {
         if l >= old_topo.switch_count() {
             continue;
         }
-        for nb in old_topo.neighbors(l) {
-            if new_dt.is_member(nb) {
-                affected.insert(nb);
-            }
-        }
+        affected.extend(old_topo.neighbors(l).filter(|&nb| new_dt.is_member(nb)));
     }
 
     // (3) Chains through a leaver: every intermediate of a virtual-link
@@ -153,43 +188,89 @@ pub(crate) fn affected_members(
     // sources whose chains it carried.
     for &l in leavers {
         let Some(plane) = planes.get(l) else { continue };
-        for t in plane.relay_entries() {
-            if new_dt.is_member(t.sour) {
-                affected.insert(t.sour);
-            }
-        }
+        affected.extend(
+            plane
+                .relay_entries()
+                .map(|t| t.sour)
+                .filter(|&s| new_dt.is_member(s)),
+        );
     }
 
     // (4) Virtual links strictly shortened by a joiner. Both endpoints
     // reinstall so the two directions stay consistent.
     for &j in joiners {
-        if j >= new_topo.switch_count() {
-            continue;
-        }
-        let hops = new_topo.bfs_hops(j);
-        let mut shortened: Vec<(usize, usize)> = Vec::new();
-        for &u in new_dt.members() {
-            if affected.contains(&u) {
-                continue;
-            }
-            let Some(plane) = planes.get(u) else { continue };
-            for entry in plane.neighbor_entries().filter(|e| !e.physical) {
-                let v = entry.neighbor;
-                if hops[u] == u32::MAX || hops[v] == u32::MAX {
-                    continue;
-                }
-                let through = hops[u] as usize + hops[v] as usize;
-                if chain_len(planes, u, entry.via, v).is_some_and(|old| through < old) {
-                    shortened.push((u, v));
-                }
-            }
-        }
-        for (u, v) in shortened {
-            affected.insert(u);
-            affected.insert(v);
+        if j < new_topo.switch_count() {
+            let found = shortened(batch, j, &affected);
+            affected.extend(found);
         }
     }
     affected
+}
+
+/// Trigger 4 for joiner `j`: both endpoints of every virtual link that a
+/// path through `j` strictly shortens, read off the members within
+/// `⌊(L − 1)/2⌋` hops of `j` (module docs). A link is walked only when a
+/// path through `j` could beat the bound at all, and links whose
+/// endpoints are both `affected` already are skipped.
+fn shortened_near(batch: &Batch, j: usize, affected: &BTreeSet<usize>) -> Vec<usize> {
+    let hops = batch.new_topo.bfs_hops(j);
+    let radius = batch.longest_link.saturating_sub(1) / 2;
+    let mut out = Vec::new();
+    for u in (0..hops.len()).filter(|&u| hops[u] as usize <= radius) {
+        let Some(plane) = batch.planes.get(u) else {
+            continue;
+        };
+        if !batch.new_dt.is_member(u) {
+            continue;
+        }
+        for entry in plane.neighbor_entries().filter(|e| !e.physical) {
+            let v = entry.neighbor;
+            if hops[v] == u32::MAX
+                || !batch.new_dt.is_member(v)
+                || (affected.contains(&u) && affected.contains(&v))
+            {
+                continue;
+            }
+            let through = hops[u] as usize + hops[v] as usize;
+            if through < batch.longest_link
+                && chain_len(batch.planes, u, entry.via, v).is_some_and(|old| through < old)
+            {
+                out.extend([u, v]);
+            }
+        }
+    }
+    out
+}
+
+/// Trigger 4 over every unaffected member's links, however far from
+/// `j`: the oracle [`shortened_near`] is tested against.
+#[cfg(test)]
+pub(crate) fn shortened_anywhere(
+    batch: &Batch,
+    j: usize,
+    affected: &BTreeSet<usize>,
+) -> Vec<usize> {
+    let hops = batch.new_topo.bfs_hops(j);
+    let mut out = Vec::new();
+    for &u in batch.new_dt.members() {
+        if affected.contains(&u) {
+            continue;
+        }
+        let Some(plane) = batch.planes.get(u) else {
+            continue;
+        };
+        for entry in plane.neighbor_entries().filter(|e| !e.physical) {
+            let v = entry.neighbor;
+            if hops[u] == u32::MAX || hops[v] == u32::MAX {
+                continue;
+            }
+            let through = hops[u] as usize + hops[v] as usize;
+            if chain_len(batch.planes, u, entry.via, v).is_some_and(|old| through < old) {
+                out.extend([u, v]);
+            }
+        }
+    }
+    out
 }
 
 /// Hop length of member `u`'s installed virtual-link chain to `v`
@@ -274,6 +355,38 @@ mod tests {
         (topo, dt, planes)
     }
 
+    /// [`affected_members`] with every member of either DT touched and
+    /// no bound on link length: triggers 1 and 4 check everyone.
+    fn affected(
+        old_dt: &DtGraph,
+        new_dt: &DtGraph,
+        old_topo: &Topology,
+        new_topo: &Topology,
+        planes: &[SwitchDataplane],
+        joiners: &[usize],
+        leavers: &[usize],
+    ) -> Vec<usize> {
+        let touched: Vec<usize> = old_dt
+            .members()
+            .iter()
+            .chain(new_dt.members())
+            .copied()
+            .collect();
+        affected_members(&Batch {
+            old_dt,
+            new_dt,
+            old_topo,
+            new_topo,
+            planes,
+            joiners,
+            leavers,
+            touched: &touched,
+            longest_link: planes.len(),
+        })
+        .into_iter()
+        .collect()
+    }
+
     #[test]
     fn chain_len_walks_installed_tuples() {
         let (_, _, planes) = line_planes();
@@ -301,14 +414,14 @@ mod tests {
         let (topo, dt, planes) = line_planes();
         // Switch 2 "leaves" (it is pure transit here, but the trigger
         // logic only reads its relay table): both chain sources flagged.
-        let affected = affected_members(&dt, &dt, &topo, &topo, &planes, &[], &[2]);
-        assert_eq!(affected.into_iter().collect::<Vec<_>>(), vec![0, 3]);
+        let affected = affected(&dt, &dt, &topo, &topo, &planes, &[], &[2]);
+        assert_eq!(affected, vec![0, 3]);
     }
 
     #[test]
     fn unchanged_dt_and_no_churn_affects_nobody() {
         let (topo, dt, planes) = line_planes();
-        let affected = affected_members(&dt, &dt, &topo, &topo, &planes, &[], &[]);
+        let affected = affected(&dt, &dt, &topo, &topo, &planes, &[], &[]);
         assert!(affected.is_empty());
     }
 
@@ -318,7 +431,7 @@ mod tests {
         // Joiner 4 wired to 0 and 3 directly: the 3-hop virtual link
         // 0↔3 is strictly shortened to 2 hops through it.
         let topo = Topology::from_links(5, &[(0, 1), (1, 2), (2, 3), (4, 0), (4, 3)]).unwrap();
-        let affected = affected_members(&dt, &dt, &old_topo, &topo, &planes, &[4], &[]);
+        let affected = affected(&dt, &dt, &old_topo, &topo, &planes, &[4], &[]);
         assert!(affected.contains(&0) && affected.contains(&3));
     }
 
@@ -328,7 +441,7 @@ mod tests {
         // Joiner 4 wired to 1 and 2: the path through it is still 3
         // hops — no strict improvement, nobody reinstalls.
         let topo = Topology::from_links(5, &[(0, 1), (1, 2), (2, 3), (4, 1), (4, 2)]).unwrap();
-        let affected = affected_members(&dt, &dt, &old_topo, &topo, &planes, &[4], &[]);
+        let affected = affected(&dt, &dt, &old_topo, &topo, &planes, &[4], &[]);
         assert!(affected.is_empty());
     }
 
@@ -350,8 +463,8 @@ mod tests {
         ];
         let mut isolated = topo.clone();
         isolated.isolate(2);
-        let affected = affected_members(&dt, &dt, &topo, &isolated, &planes, &[], &[2]);
-        assert_eq!(affected.into_iter().collect::<Vec<_>>(), vec![0, 1]);
+        let affected = affected(&dt, &dt, &topo, &isolated, &planes, &[], &[2]);
+        assert_eq!(affected, vec![0, 1]);
     }
 
     #[test]

@@ -121,45 +121,42 @@ impl DtGraph {
         &self.triangulation
     }
 
-    /// Incremental join (paper Section VI): inserts `switch` at
+    /// Incremental join (paper Section VI), in place: inserts `switch` at
     /// `position` without moving any existing site. When the new switch
     /// id is larger than every current member (always true for
-    /// freshly-added switches) the triangulation is updated in place via
-    /// [`Triangulation::with_inserted`]; otherwise the graph is rebuilt —
-    /// the resulting DT is identical either way.
+    /// freshly-added switches) the triangulation is updated locally via
+    /// [`Triangulation::insert`]; otherwise the graph is rebuilt — the
+    /// resulting DT is identical either way.
     ///
     /// # Errors
     ///
     /// [`GredError::InvalidDynamics`] when `switch` is already a member;
-    /// triangulation errors otherwise.
-    pub fn with_joined(&self, switch: usize, position: Point2) -> Result<DtGraph, GredError> {
+    /// triangulation errors otherwise. On error `self` is unchanged.
+    pub fn join(&mut self, switch: usize, position: Point2) -> Result<(), GredError> {
         if self.is_member(switch) {
             return Err(GredError::InvalidDynamics {
                 reason: "switch is already a DT member",
             });
         }
         if self.members.last().is_some_and(|&m| switch > m) {
-            let triangulation = self.triangulation.with_inserted(position)?;
-            let mut members = self.members.clone();
-            members.push(switch);
-            return Ok(DtGraph {
-                members,
-                triangulation,
-            });
+            self.triangulation.insert(position)?;
+            self.members.push(switch);
+            return Ok(());
         }
         let change = crate::control::dynamics::join_membership(self, switch, position)?;
-        DtGraph::build(change.members, &change.positions)
+        *self = DtGraph::build(change.members, &change.positions)?;
+        Ok(())
     }
 
-    /// Incremental leave (paper Section VI): removes `switch`, and only
-    /// its DT cell is re-triangulated, via
-    /// [`Triangulation::with_removed`]. No other member moves.
+    /// Incremental leave (paper Section VI), in place: removes `switch`,
+    /// and only its DT cell is re-triangulated, via
+    /// [`Triangulation::remove`]. No other member moves.
     ///
     /// # Errors
     ///
     /// [`GredError::InvalidDynamics`] when `switch` is not a member or is
-    /// the last one.
-    pub fn with_left(&self, switch: usize) -> Result<DtGraph, GredError> {
+    /// the last one; `self` is then unchanged.
+    pub fn leave(&mut self, switch: usize) -> Result<(), GredError> {
         let Some(idx) = self.index_of(switch) else {
             return Err(GredError::InvalidDynamics {
                 reason: "switch is not a DT member",
@@ -170,13 +167,9 @@ impl DtGraph {
                 reason: "cannot remove the last storage switch",
             });
         }
-        let triangulation = self.triangulation.with_removed(idx)?;
-        let mut members = self.members.clone();
-        members.remove(idx);
-        Ok(DtGraph {
-            members,
-            triangulation,
-        })
+        self.triangulation.remove(idx)?;
+        self.members.remove(idx);
+        Ok(())
     }
 }
 
@@ -262,7 +255,8 @@ mod join_tests {
             ],
         )
         .unwrap();
-        let joined = dt.with_joined(9, Point2::new(0.5, 0.4)).unwrap();
+        let mut joined = dt.clone();
+        joined.join(9, Point2::new(0.5, 0.4)).unwrap();
         assert_eq!(joined.members(), &[1, 4, 6, 9]);
         for &m in dt.members() {
             assert_eq!(joined.position_of(m), dt.position_of(m), "member {m} moved");
@@ -283,20 +277,21 @@ mod join_tests {
             ],
         )
         .unwrap();
-        let joined = dt.with_joined(2, Point2::new(0.5, 0.4)).unwrap();
+        let mut joined = dt.clone();
+        joined.join(2, Point2::new(0.5, 0.4)).unwrap();
         assert_eq!(joined.members(), &[2, 4, 6, 8]);
         assert!(joined.is_member(2));
     }
 
     #[test]
     fn join_existing_member_rejected() {
-        let dt = DtGraph::build(
+        let mut dt = DtGraph::build(
             vec![1, 4],
             &[Point2::new(0.25, 0.5), Point2::new(0.75, 0.5)],
         )
         .unwrap();
         assert!(matches!(
-            dt.with_joined(4, Point2::new(0.5, 0.6)),
+            dt.join(4, Point2::new(0.5, 0.6)),
             Err(GredError::InvalidDynamics { .. })
         ));
     }
@@ -320,7 +315,8 @@ mod leave_tests {
 
     #[test]
     fn leave_removes_only_target() {
-        let left = dt3().with_left(4).unwrap();
+        let mut left = dt3();
+        left.leave(4).unwrap();
         assert_eq!(left.members(), &[1, 6]);
         assert_eq!(left.position_of(1), dt3().position_of(1));
         assert_eq!(left.position_of(6), dt3().position_of(6));
@@ -343,7 +339,8 @@ mod leave_tests {
             .collect();
         let dt = DtGraph::build(members.clone(), &positions).unwrap();
         for (idx, &m) in members.iter().enumerate() {
-            let left = dt.with_left(m).unwrap();
+            let mut left = dt.clone();
+            left.leave(m).unwrap();
             let (mut rest, mut at) = (members.clone(), positions.clone());
             rest.remove(idx);
             at.remove(idx);
@@ -354,16 +351,16 @@ mod leave_tests {
     #[test]
     fn leave_non_member_fails() {
         assert!(matches!(
-            dt3().with_left(2),
+            dt3().leave(2),
             Err(GredError::InvalidDynamics { .. })
         ));
     }
 
     #[test]
     fn cannot_remove_last_member() {
-        let dt = DtGraph::build(vec![3], &[Point2::new(0.5, 0.5)]).unwrap();
+        let mut dt = DtGraph::build(vec![3], &[Point2::new(0.5, 0.5)]).unwrap();
         assert!(matches!(
-            dt.with_left(3),
+            dt.leave(3),
             Err(GredError::InvalidDynamics { .. })
         ));
     }

@@ -6,7 +6,7 @@
 //! neighbors is re-examined. A leaving node's DT edges are removed, its
 //! neighbors re-triangulate locally, and its data migrates to them. Every
 //! *existing* position stays fixed, so ownership of unaffected keys cannot
-//! change. [`DtGraph::with_joined`] and [`DtGraph::with_left`] update the
+//! change. [`DtGraph::join`] and [`DtGraph::leave`] update the
 //! triangulation locally. Only a join whose switch id sorts below an
 //! existing member needs the tables here, and it rebuilds the
 //! triangulation over them — the same DT, because a DT is uniquely

@@ -272,63 +272,72 @@ pub fn m_position_landmark_with(
     })
 }
 
-/// Spreads coincident (or near-coincident) points apart deterministically
-/// on tiny circles so the Delaunay construction sees distinct sites.
-///
-/// Semantically this is the all-pairs sweep: for each round, every ordered
-/// pair `(i, j)` with `i < j` is checked in ascending order and `j` is
-/// nudged when the pair sits closer than [`MIN_SEPARATION`]. The
-/// implementation buckets points into a `MIN_SEPARATION`-sized grid so each
-/// `i` only examines its 3×3 neighborhood — O(n) per round instead of
-/// O(n²) — which matters at 10k members where this runs on every join.
-/// The displacement of `j` depends only on `(j, round)` and each `j` is
-/// checked exactly once per `(i, round)`, so the grid walk reproduces the
-/// naive sweep bit for bit (asserted by `grid_sweep_matches_naive_sweep`).
-pub(crate) fn separate_duplicates(positions: &mut [Point2]) {
-    const GOLDEN_ANGLE: f64 = 2.399_963_229_728_653;
-    let cell = |p: Point2| -> (i64, i64) {
-        (
-            (p.x / MIN_SEPARATION).floor() as i64,
-            (p.y / MIN_SEPARATION).floor() as i64,
-        )
-    };
-    let mut grid: std::collections::HashMap<(i64, i64), Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, &p) in positions.iter().enumerate() {
-        grid.entry(cell(p)).or_default().push(i);
+/// Full rounds of [`separate_duplicates`] before its fallback search.
+const NUDGE_ROUNDS: usize = 16;
+
+const GOLDEN_ANGLE: f64 = 2.399_963_229_728_653;
+
+/// `p` moved by `r` along `angle`, kept inside the unit square's margin.
+fn step_toward(p: Point2, r: f64, angle: f64) -> Point2 {
+    Point2::new(
+        (p.x + r * angle.cos()).clamp(0.001, 0.999),
+        (p.y + r * angle.sin()).clamp(0.001, 0.999),
+    )
+}
+
+/// Where round `round` of the sweep moves point `j` from `p`.
+fn nudge(p: Point2, j: usize, round: usize) -> Point2 {
+    let angle = GOLDEN_ANGLE * (j as f64 + 1.0) + round as f64;
+    step_toward(p, MIN_SEPARATION * (1.0 + round as f64), angle)
+}
+
+/// The first point `clear` accepts on a golden-angle spiral around `from`
+/// (radius `MIN_SEPARATION · √k` at step `k`, turned by point `j`'s
+/// index). The spiral's points inside the square sit about 1.8 ×
+/// `MIN_SEPARATION` apart, so each existing point blocks O(1) of them and
+/// the search ends within O(points) steps.
+fn free_spot(from: Point2, j: usize, clear: impl Fn(Point2) -> bool) -> Point2 {
+    let mut k = 1usize;
+    loop {
+        let angle = GOLDEN_ANGLE * (k + j) as f64;
+        let p = step_toward(from, MIN_SEPARATION * (k as f64).sqrt(), angle);
+        if clear(p) {
+            return p;
+        }
+        k += 1;
     }
-    let mut candidates = Vec::new();
-    for round in 0..16 {
+}
+
+/// Spreads coincident (or near-coincident) points apart deterministically
+/// on tiny circles so the Delaunay construction sees distinct sites, and
+/// leaves every pair at least [`MIN_SEPARATION`] apart.
+///
+/// Semantically this is the all-pairs sweep: for each of up to
+/// [`NUDGE_ROUNDS`] rounds, every ordered pair `(i, j)` with `i < j` is
+/// checked in ascending order and `j` is nudged when the pair sits closer
+/// than [`MIN_SEPARATION`]. The implementation buckets points into a
+/// `MIN_SEPARATION`-sized grid so each `i` only examines its 3×3
+/// neighborhood — O(n) per round instead of O(n²). The displacement of
+/// `j` depends only on `(j, round)` and each `j` is checked exactly once
+/// per `(i, round)`, so the grid walk reproduces the naive sweep bit for
+/// bit (asserted by `grid_sweep_matches_naive_sweep`).
+///
+/// Because a nudge depends only on the index and the round, points that
+/// start clamped into the same corner walk the same nudges, and sixteen
+/// rounds need not end clear. When they do not, each point still closer
+/// than `MIN_SEPARATION` to an earlier one moves, in index order, to the
+/// first [`free_spot`] clear of every other point.
+pub(crate) fn separate_duplicates(positions: &mut [Point2]) {
+    let mut grid = Grid::new(positions);
+    for round in 0..NUDGE_ROUNDS {
         let mut any = false;
         for i in 0..positions.len() {
-            let (cx, cy) = cell(positions[i]);
-            candidates.clear();
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    if let Some(bucket) = grid.get(&(cx + dx, cy + dy)) {
-                        candidates.extend(bucket.iter().copied().filter(|&j| j > i));
-                    }
-                }
-            }
+            let mut candidates = grid.around(positions[i]);
+            candidates.retain(|&j| j > i);
             candidates.sort_unstable();
-            for &j in &candidates {
+            for j in candidates {
                 if positions[i].distance(positions[j]) < MIN_SEPARATION {
-                    let angle = GOLDEN_ANGLE * (j as f64 + 1.0) + round as f64;
-                    let r = MIN_SEPARATION * (1.0 + round as f64);
-                    let from = cell(positions[j]);
-                    positions[j] = Point2::new(
-                        (positions[j].x + r * angle.cos()).clamp(0.001, 0.999),
-                        (positions[j].y + r * angle.sin()).clamp(0.001, 0.999),
-                    );
-                    let to = cell(positions[j]);
-                    if to != from {
-                        let bucket = grid.get_mut(&from).expect("point is in its cell");
-                        bucket.retain(|&x| x != j);
-                        if bucket.is_empty() {
-                            grid.remove(&from);
-                        }
-                        grid.entry(to).or_default().push(j);
-                    }
+                    grid.relocate(positions, j, nudge(positions[j], j, round));
                     any = true;
                 }
             }
@@ -336,6 +345,94 @@ pub(crate) fn separate_duplicates(positions: &mut [Point2]) {
         if !any {
             return;
         }
+    }
+    let crowded = |grid: &Grid, positions: &[Point2], j: usize, p: Point2, below: usize| {
+        grid.around(p)
+            .into_iter()
+            .any(|i| i != j && i < below && positions[i].distance(p) < MIN_SEPARATION)
+    };
+    for j in 0..positions.len() {
+        if crowded(&grid, positions, j, positions[j], j) {
+            let to = free_spot(positions[j], j, |p| {
+                !crowded(&grid, positions, j, p, positions.len())
+            });
+            grid.relocate(positions, j, to);
+        }
+    }
+}
+
+/// Point indices bucketed by `MIN_SEPARATION`-sized cell: every point
+/// within `MIN_SEPARATION` of `p` lies in the 3×3 cells around `p`'s.
+struct Grid(std::collections::HashMap<(i64, i64), Vec<usize>>);
+
+impl Grid {
+    fn new(positions: &[Point2]) -> Self {
+        let mut grid = Grid(std::collections::HashMap::new());
+        for (i, &p) in positions.iter().enumerate() {
+            grid.0.entry(Grid::cell(p)).or_default().push(i);
+        }
+        grid
+    }
+
+    fn cell(p: Point2) -> (i64, i64) {
+        (
+            (p.x / MIN_SEPARATION).floor() as i64,
+            (p.y / MIN_SEPARATION).floor() as i64,
+        )
+    }
+
+    /// The points in the 3×3 cells around `p`, in no particular order.
+    fn around(&self, p: Point2) -> Vec<usize> {
+        let (cx, cy) = Grid::cell(p);
+        let mut out = Vec::new();
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                if let Some(bucket) = self.0.get(&(cx + dx, cy + dy)) {
+                    out.extend_from_slice(bucket);
+                }
+            }
+        }
+        out
+    }
+
+    /// Moves point `j` to `to`, re-bucketing it.
+    fn relocate(&mut self, positions: &mut [Point2], j: usize, to: Point2) {
+        let (from, into) = (Grid::cell(positions[j]), Grid::cell(to));
+        positions[j] = to;
+        if into != from {
+            let bucket = self.0.get_mut(&from).expect("point is in its cell");
+            bucket.retain(|&x| x != j);
+            if bucket.is_empty() {
+                self.0.remove(&from);
+            }
+            self.0.entry(into).or_default().push(j);
+        }
+    }
+}
+
+/// [`separate_duplicates`] for one point `p` joining `members`, which are
+/// already pairwise at least [`MIN_SEPARATION`] apart: only `p` (index
+/// `members.len()` of the sweep) can move, so only it is checked — O(members)
+/// per round, with no grid. Returns where `p` ends up.
+pub(crate) fn separate_joiner(members: &[Point2], mut p: Point2) -> Point2 {
+    let j = members.len();
+    let crowded = |p: Point2| members.iter().any(|q| q.distance(p) < MIN_SEPARATION);
+    for round in 0..NUDGE_ROUNDS {
+        let mut any = false;
+        for q in members {
+            if q.distance(p) < MIN_SEPARATION {
+                p = nudge(p, j, round);
+                any = true;
+            }
+        }
+        if !any {
+            return p;
+        }
+    }
+    if crowded(p) {
+        free_spot(p, j, |c| !crowded(c))
+    } else {
+        p
     }
 }
 
@@ -585,6 +682,123 @@ mod tests {
             separate_duplicates(&mut grid);
             separate_duplicates_naive(&mut naive);
             assert_eq!(grid, naive, "n={n}");
+        }
+    }
+
+    /// The members near the corner (0.001, 0.999) that a 2,000-member
+    /// churn stream had built when its next joiner, clamped into that
+    /// corner, walked sixteen rounds of nudges and stopped 5.8e-5 from
+    /// the last one listed here.
+    const CROWDED_CORNER: [(f64, f64); 31] = [
+        (0.0010000001639127731, 0.9989999998360872),
+        (0.0010000001639127731, 0.998778366483748),
+        (0.0010000001639127731, 0.9974485663697124),
+        (0.0010000001639127731, 0.9970052996650338),
+        (0.0010000001639127731, 0.9927942650392652),
+        (0.0033338135108351707, 0.9989999998360872),
+        (0.0010000001639127731, 0.9981134664267302),
+        (0.005361851304769516, 0.9989999998360872),
+        (0.0038394704461097717, 0.9989999998360872),
+        (0.002840384840965271, 0.995887728407979),
+        (0.0011030100286006927, 0.9979485906660557),
+        (0.0010000001639127731, 0.9983350997790694),
+        (0.0010000001639127731, 0.9985567331314087),
+        (0.002055239863693714, 0.9976432109251618),
+        (0.0015791254118084908, 0.99779590126127),
+        (0.002518116496503353, 0.9980249777436256),
+        (0.002980993129312992, 0.9984067436307669),
+        (0.003443869762122631, 0.9987885095179081),
+        (0.0031040506437420845, 0.9989999998360872),
+        (0.002384365536272526, 0.9989999998360872),
+        (0.0016646813601255417, 0.9989999998360872),
+        (0.001911872997879982, 0.9964471710845828),
+        (0.005028192885220051, 0.9967808611690998),
+        (0.003925969824194908, 0.9963064100593328),
+        (0.005240847356617451, 0.998063350096345),
+        (0.004415047354996204, 0.9989999998360872),
+        (0.0019289087504148483, 0.9986073030158877),
+        (0.0010000001639127731, 0.9982146061956882),
+        (0.0010000001639127731, 0.9978219084441662),
+        (0.0010000001639127731, 0.9959034956991673),
+        (0.0010000001639127731, 0.9943777788430452),
+    ];
+
+    #[test]
+    fn a_joiner_clamped_into_a_crowded_corner_lands_clear() {
+        // A nudge depends only on the sweep index and the round, and a
+        // join+leave stream keeps the joiner's index (here 2,000) fixed,
+        // so corner joiners walk the same sixteen nudges and the last
+        // can end on an earlier one. Members far from the corner fill
+        // the indices below the crowd.
+        let mut members: Vec<Point2> = (0..2000 - CROWDED_CORNER.len())
+            .map(|k| Point2::new(0.3 + 0.01 * (k % 40) as f64, 0.3 + 0.01 * (k / 40) as f64))
+            .collect();
+        members.extend(CROWDED_CORNER.iter().map(|&(x, y)| Point2::new(x, y)));
+        let corner = Point2::new(0.001, 0.999);
+        let mut swept = members.clone();
+        swept.push(corner);
+        separate_duplicates(&mut swept);
+        let joined = swept[2000];
+        assert_eq!(&swept[..2000], &members[..], "members stay put");
+        assert!(members.iter().all(|q| q.distance(joined) >= MIN_SEPARATION));
+        assert_eq!(separate_joiner(&members, corner), joined);
+    }
+
+    #[test]
+    fn the_build_sweep_leaves_every_pair_separated() {
+        // Three more points clamped into the crowded corner, as a build
+        // sees them: sixteen rounds cannot clear them all.
+        let mut pts: Vec<Point2> = (0..2000 - CROWDED_CORNER.len())
+            .map(|k| Point2::new(0.3 + 0.01 * (k % 40) as f64, 0.3 + 0.01 * (k / 40) as f64))
+            .chain(CROWDED_CORNER.iter().map(|&(x, y)| Point2::new(x, y)))
+            .collect();
+        pts.extend([Point2::new(0.001, 0.999); 3]);
+        separate_duplicates(&mut pts);
+        for i in 0..pts.len() {
+            for j in i + 1..pts.len() {
+                assert!(pts[i].distance(pts[j]) >= MIN_SEPARATION, "{i} and {j}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// On members already pairwise separated, separating a joiner
+        /// alone moves it exactly where the full sweep does, and the
+        /// sweep moves nobody else — including when a crowded corner
+        /// sends the joiner to the free-spot search.
+        #[test]
+        fn prop_joiner_separation_matches_the_sweep(
+            cells in proptest::collection::hash_set((0u32..130, 0u32..4), 0..500),
+            far in proptest::collection::vec((0.05f64..0.95, 0.05f64..0.95), 0..20),
+            at in 0usize..3,
+        ) {
+            // Lattice points along the two border lines at the corner
+            // (0.001, 0.999), where clamped joiners pile up.
+            let spacing = 1.05 * MIN_SEPARATION;
+            let along = |a: u32, b: u32| (0.001 + f64::from(b) * spacing, 0.999 - f64::from(a) * spacing);
+            let mut members: Vec<Point2> = cells
+                .iter()
+                .flat_map(|&(a, b)| [along(a, b), along(b, a)])
+                .map(|(x, y)| Point2::new(x, y))
+                .collect();
+            members.sort_by(|p, q| p.x.total_cmp(&q.x).then(p.y.total_cmp(&q.y)));
+            members.dedup();
+            members.extend(far.iter().map(|&(x, y)| Point2::new(x, y)));
+            let mut separated = members.clone();
+            separate_duplicates(&mut separated);
+            proptest::prop_assume!(separated == members);
+            let joiner = match at {
+                0 => Point2::new(0.001, 0.999),
+                1 => Point2::new(0.001 + 1.3 * spacing, 0.999 - 2.5 * spacing),
+                _ => far.first().map_or(Point2::new(0.5, 0.5), |&(x, y)| Point2::new(x, y)),
+            };
+            let mut swept = members.clone();
+            swept.push(joiner);
+            separate_duplicates(&mut swept);
+            proptest::prop_assert_eq!(&swept[..members.len()], &members[..]);
+            proptest::prop_assert_eq!(separate_joiner(&members, joiner), swept[members.len()]);
         }
     }
 

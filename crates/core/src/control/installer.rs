@@ -29,11 +29,12 @@ pub fn install_dataplanes(
     pool: &ServerPool,
     dt: &DtGraph,
 ) -> Result<Vec<SwitchDataplane>, GredError> {
-    install_dataplanes_with(topo, pool, dt, 1)
+    install_dataplanes_with(topo, pool, dt, 1).map(|(planes, _)| planes)
 }
 
 /// [`install_dataplanes`] with the per-member virtual-link shortest paths
-/// computed on `threads` worker threads.
+/// computed on `threads` worker threads. Also returns the hop length of
+/// the longest virtual link installed.
 ///
 /// Only the path *search* runs concurrently; entries are applied to the
 /// data planes serially, in member order, so the installed tables are
@@ -48,7 +49,7 @@ pub fn install_dataplanes_with(
     pool: &ServerPool,
     dt: &DtGraph,
     threads: usize,
-) -> Result<Vec<SwitchDataplane>, GredError> {
+) -> Result<(Vec<SwitchDataplane>, usize), GredError> {
     let n = topo.switch_count();
     let mut planes: Vec<SwitchDataplane> = (0..n)
         .map(|s| match dt.position_of(s) {
@@ -66,16 +67,15 @@ pub fn install_dataplanes_with(
         });
 
     // Phase 2 (serial, member order): apply entries to the data planes.
+    let mut longest = 0;
     for (&u, member_paths) in dt.members().iter().zip(paths_per_member) {
-        apply_member_entries(
-            &mut planes,
-            topo,
-            dt,
-            u,
-            member_paths.ok_or(GredError::Disconnected)?,
-        );
+        let paths = member_paths.ok_or(GredError::Disconnected)?;
+        longest = longest.max(apply_member_entries(&mut planes, topo, dt, u, paths));
     }
-    Ok(planes)
+    for plane in &mut planes {
+        plane.shrink_to_fit();
+    }
+    Ok((planes, longest))
 }
 
 /// The shortest physical path from member `u` to each of its multi-hop DT
@@ -106,13 +106,19 @@ pub(crate) fn member_virtual_paths(
 /// Applies member `u`'s forwarding entries to the data planes: physical
 /// member-neighbor entries, multi-hop DT neighbor entries, and relay
 /// tuples at every intermediate switch of each virtual-link path.
+/// Returns the hop length of `u`'s longest virtual link (0 if none).
 pub(crate) fn apply_member_entries(
     planes: &mut [SwitchDataplane],
     topo: &Topology,
     dt: &DtGraph,
     u: usize,
     member_paths: Vec<(usize, Vec<usize>)>,
-) {
+) -> usize {
+    let longest = member_paths
+        .iter()
+        .map(|(_, p)| p.len() - 1)
+        .max()
+        .unwrap_or(0);
     // Physical neighbors that are members: direct greedy candidates
     // (Algorithm 2 considers physical neighbors alongside DT ones).
     for v in topo.neighbors(u) {
@@ -145,6 +151,7 @@ pub(crate) fn apply_member_entries(
             });
         }
     }
+    longest
 }
 
 #[cfg(test)]

@@ -2,9 +2,12 @@
 //! per-switch data planes, and the edge servers' stores.
 
 use crate::config::GredConfig;
-use crate::control::delta::{affected_members, strip_member_state, DeltaReport, TopologyChange};
+use crate::control::delta::{
+    affected_members, strip_member_state, Batch, DeltaReport, TopologyChange,
+};
 use crate::control::embedding::{
-    embed_new_switch, m_position_landmark_with, m_position_with, separate_duplicates, Embedding,
+    embed_new_switch, m_position_landmark_with, m_position_with, separate_duplicates,
+    separate_joiner, Embedding,
 };
 use crate::control::installer::{
     apply_member_entries, install_dataplanes_with, member_virtual_paths,
@@ -40,6 +43,11 @@ pub struct GredNetwork {
     extensions: HashMap<ServerId, ServerId>,
     /// Virtual-distance-per-hop factor recorded by the embedding.
     scale: f64,
+    /// Upper bound on the hop length of every installed virtual link:
+    /// set by each full installation, raised by each delta. It bounds
+    /// how far from a joiner trigger 4 of [`crate::control::delta`]
+    /// looks.
+    longest_link: usize,
 }
 
 /// Topology, pool and DT after a batch of joins and leaves, not yet
@@ -52,6 +60,10 @@ struct Evolved {
     joined: Vec<usize>,
     /// Switch ids removed by leaves, in order.
     left: Vec<usize>,
+    /// Switches whose DT neighbors an event may have changed: each
+    /// joiner with its neighbors after joining, each leaver's neighbors
+    /// before leaving.
+    touched: Vec<usize>,
 }
 
 /// The storage switches (those with a server) of a pool that describes
@@ -190,7 +202,7 @@ impl GredNetwork {
         let dt = report.phase("triangulation", member_count, || {
             DtGraph::build(embedding.members, &refined)
         })?;
-        let dataplanes = report.phase("installation", member_count, || {
+        let (dataplanes, longest_link) = report.phase("installation", member_count, || {
             install_dataplanes_with(&topology, &pool, &dt, threads)
         })?;
         Ok(GredNetwork {
@@ -202,6 +214,7 @@ impl GredNetwork {
             store: DataStore::new(),
             extensions: HashMap::new(),
             scale: embedding.scale,
+            longest_link,
         })
     }
 
@@ -410,15 +423,17 @@ impl GredNetwork {
 
         // The affected set, against the pre-batch planes, and its path
         // search (in parallel) — the last step that can fail.
-        let affected: Vec<usize> = affected_members(
-            &self.dt,
-            dt,
-            &self.topology,
-            topo,
-            &self.dataplanes,
-            &next.joined,
-            left,
-        )
+        let affected: Vec<usize> = affected_members(&Batch {
+            old_dt: &self.dt,
+            new_dt: dt,
+            old_topo: &self.topology,
+            new_topo: topo,
+            planes: &self.dataplanes,
+            joiners: &next.joined,
+            leavers: left,
+            touched: &next.touched,
+            longest_link: self.longest_link,
+        })
         .into_iter()
         .collect();
         let threads = self.config.effective_threads();
@@ -460,7 +475,9 @@ impl GredNetwork {
         // Reinstall only the affected cells, entries applied serially in
         // member order — the same discipline as the full installer.
         for (&u, member_paths) in affected.iter().zip(paths_per_member) {
-            apply_member_entries(&mut planes, topo, dt, u, member_paths);
+            let longest = apply_member_entries(&mut planes, topo, dt, u, member_paths);
+            self.longest_link = self.longest_link.max(longest);
+            planes[u].shrink_to_fit();
         }
 
         let members_total = dt.len();
@@ -481,9 +498,11 @@ impl GredNetwork {
     fn evolve(&self, changes: &[TopologyChange]) -> Result<Evolved, GredError> {
         let mut topo = self.topology.clone();
         let mut pool = self.pool.clone();
+        // The batch's one DT copy; every event edits it in place.
         let mut dt = self.dt.clone();
         let mut joined = Vec::new();
         let mut left = Vec::new();
+        let mut touched = Vec::new();
         for change in changes {
             match change {
                 TopologyChange::Join { links, capacities } => {
@@ -502,8 +521,8 @@ impl GredNetwork {
                         topo.add_link(new_switch, l)?;
                     }
                     // Embed the newcomer against the fixed existing
-                    // positions, then nudge it until distinct from all.
-                    let mut view = Embedding {
+                    // positions, then move it clear of all of them.
+                    let view = Embedding {
                         members: dt.members().to_vec(),
                         positions: dt
                             .members()
@@ -513,15 +532,17 @@ impl GredNetwork {
                         scale: self.scale,
                     };
                     let position = embed_new_switch(&topo, &view, new_switch)?;
-                    view.positions.push(position);
-                    separate_duplicates(&mut view.positions);
-                    let position = *view.positions.last().expect("nonempty");
-                    dt = dt.with_joined(new_switch, position)?;
+                    dt.join(new_switch, separate_joiner(&view.positions, position))?;
+                    touched.push(new_switch);
+                    touched.extend(dt.neighbors_of(new_switch));
                     pool.push_switch(capacities.clone());
                     joined.push(new_switch);
                 }
                 TopologyChange::Leave { switch } => {
-                    dt = dt.with_left(*switch)?;
+                    if dt.is_member(*switch) {
+                        touched.extend(dt.neighbors_of(*switch));
+                    }
+                    dt.leave(*switch)?;
                     // The remaining members must stay mutually reachable.
                     topo.isolate(*switch);
                     let hops = topo.bfs_hops(dt.members()[0]);
@@ -539,6 +560,7 @@ impl GredNetwork {
             dt,
             joined,
             left,
+            touched,
         })
     }
 
@@ -563,12 +585,13 @@ impl GredNetwork {
     /// on the evolved state.
     fn rebuild(&mut self, next: Evolved) -> Result<(), GredError> {
         self.retract_touching(&next.left);
-        let mut planes = install_dataplanes_with(
+        let (mut planes, longest_link) = install_dataplanes_with(
             &next.topology,
             &next.pool,
             &next.dt,
             self.config.effective_threads(),
         )?;
+        self.longest_link = longest_link;
         self.reinstall_extensions(&mut planes);
         self.commit(next.topology, next.pool, next.dt, planes, &next.left);
         Ok(())
@@ -1151,6 +1174,77 @@ mod tests {
         assert_eq!(network_fingerprint(&net), before);
         assert_eq!(net.topology().switch_count(), 11);
         assert_eq!(net.pool().switch_count(), 11);
+        assert!(net.verify_invariants().is_empty());
+    }
+
+    #[test]
+    fn bounded_triggers_match_the_full_scans() {
+        // Seeded join+leave churn. For every batch, the affected set
+        // apply_delta computes (trigger 1 over the touched members only,
+        // trigger 4 over the members near each joiner) equals trigger 1
+        // over every member and trigger 4 over every installed link.
+        use crate::control::delta::{affected_with, shortened_anywhere};
+        let mut net = build_net(90, 41);
+        let mut state = 41u64;
+        let mut pick = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut shortcuts = 0;
+        for batch_no in 0..80 {
+            let n = net.topology().switch_count();
+            let members = net.members().to_vec();
+            let batch = vec![
+                TopologyChange::Join {
+                    links: vec![members[pick(members.len())], members[pick(members.len())]],
+                    capacities: vec![100_000],
+                },
+                TopologyChange::Leave {
+                    switch: members[pick(members.len())],
+                },
+                TopologyChange::Join {
+                    links: vec![n, pick(n)],
+                    capacities: vec![100_000],
+                },
+            ];
+            let Ok(next) = net.evolve(&batch) else {
+                continue;
+            };
+            let everyone: Vec<usize> = net
+                .members()
+                .iter()
+                .chain(next.dt.members())
+                .copied()
+                .collect();
+            let batch_view = |touched| Batch {
+                old_dt: &net.dt,
+                new_dt: &next.dt,
+                old_topo: &net.topology,
+                new_topo: &next.topology,
+                planes: &net.dataplanes,
+                joiners: &next.joined,
+                leavers: &next.left,
+                touched,
+                longest_link: net.longest_link,
+            };
+            let oracle = affected_with(&batch_view(&everyone), shortened_anywhere);
+            let bounded = affected_members(&batch_view(&next.touched));
+            assert_eq!(bounded, oracle, "batch {batch_no}");
+            let near_only = affected_with(&batch_view(&everyone), |_, _, _| Vec::new());
+            shortcuts += oracle.len() - near_only.len();
+            let report = net.apply_delta(&batch).unwrap();
+            assert_eq!(report.affected, oracle.into_iter().collect::<Vec<_>>());
+            // The kept bound covers every installed chain.
+            for (u, plane) in net.dataplanes.iter().enumerate() {
+                for e in plane.neighbor_entries().filter(|e| !e.physical) {
+                    let hops = link_hops(&net.dataplanes, u, e.via, e.neighbor).unwrap();
+                    assert!(hops <= net.longest_link, "link {u}->{}", e.neighbor);
+                }
+            }
+        }
+        assert!(shortcuts > 0, "no batch exercised trigger 4");
         assert!(net.verify_invariants().is_empty());
     }
 

@@ -23,129 +23,26 @@
 //! match wins, anything else with a matching `dest` falls back to the
 //! smallest-source tuple's successor.
 //!
-//! The representation is **canonical**: it is a pure function of the
-//! logical tuple set, independent of install order, so two controllers
-//! that install the same paths in different orders (full rebuild vs
-//! delta rebuild, any thread count) produce bit-identical tables.
+//! The table stores the logical tuples themselves, one flat `Vec` sorted
+//! by `(dest, sour)`: a destination's tuples are a contiguous run whose
+//! first element is its wildcard default, so both lookups are binary
+//! searches and the installed footprint is counted, not stored. The
+//! representation is **canonical**: it is a pure function of the logical
+//! tuple set, independent of install order, so two controllers that
+//! install the same paths in different orders (full rebuild vs delta
+//! rebuild, any thread count) produce bit-identical tables.
 
 use crate::entries::DtTuple;
-use std::collections::BTreeMap;
-
-/// All relay state for one destination: the wildcard default plus the
-/// covered/exception split of the remaining tuples.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DestRelays {
-    /// The smallest-source tuple — the installed wildcard `(dest, *)`.
-    default: DtTuple,
-    /// Tuples whose successor equals the default's: represented by the
-    /// wildcard, no installed entry of their own. Keyed by source.
-    covered: BTreeMap<usize, DtTuple>,
-    /// Tuples whose successor differs: one installed exact-match entry
-    /// each. Keyed by source.
-    exceptions: BTreeMap<usize, DtTuple>,
-}
-
-impl DestRelays {
-    /// Installed (hardware) entries for this destination: the wildcard
-    /// plus one per exception.
-    fn installed(&self) -> usize {
-        1 + self.exceptions.len()
-    }
-
-    /// Rebuilds the canonical split from an iterator of tuples (all with
-    /// the same dest, distinct sours). Returns `None` when empty.
-    fn canonicalize(tuples: impl IntoIterator<Item = DtTuple>) -> Option<DestRelays> {
-        let mut by_sour: BTreeMap<usize, DtTuple> = BTreeMap::new();
-        for t in tuples {
-            by_sour.insert(t.sour, t);
-        }
-        let (_, default) = by_sour.pop_first()?;
-        let mut covered = BTreeMap::new();
-        let mut exceptions = BTreeMap::new();
-        for (sour, t) in by_sour {
-            if t.succ == default.succ {
-                covered.insert(sour, t);
-            } else {
-                exceptions.insert(sour, t);
-            }
-        }
-        Some(DestRelays {
-            default,
-            covered,
-            exceptions,
-        })
-    }
-
-    /// All tuples for this destination in ascending source order.
-    fn tuples(&self) -> impl Iterator<Item = &DtTuple> {
-        // The three parts hold disjoint sources and each BTreeMap
-        // iterates in ascending order; a three-way merge preserves the
-        // global ascending-source order without collecting.
-        MergeBySour {
-            default: Some(&self.default),
-            covered: self.covered.values().peekable(),
-            exceptions: self.exceptions.values().peekable(),
-        }
-    }
-
-    fn get(&self, sour: usize) -> Option<&DtTuple> {
-        if self.default.sour == sour {
-            return Some(&self.default);
-        }
-        self.covered
-            .get(&sour)
-            .or_else(|| self.exceptions.get(&sour))
-    }
-}
-
-/// Ascending-source merge over a destination's default/covered/exception
-/// tuples.
-struct MergeBySour<'a, C, E>
-where
-    C: Iterator<Item = &'a DtTuple>,
-    E: Iterator<Item = &'a DtTuple>,
-{
-    default: Option<&'a DtTuple>,
-    covered: std::iter::Peekable<C>,
-    exceptions: std::iter::Peekable<E>,
-}
-
-impl<'a, C, E> Iterator for MergeBySour<'a, C, E>
-where
-    C: Iterator<Item = &'a DtTuple>,
-    E: Iterator<Item = &'a DtTuple>,
-{
-    type Item = &'a DtTuple;
-
-    fn next(&mut self) -> Option<&'a DtTuple> {
-        let mut best: Option<(usize, u8)> = None;
-        if let Some(t) = self.default {
-            best = Some((t.sour, 0));
-        }
-        if let Some(t) = self.covered.peek() {
-            if best.is_none_or(|(s, _)| t.sour < s) {
-                best = Some((t.sour, 1));
-            }
-        }
-        if let Some(t) = self.exceptions.peek() {
-            if best.is_none_or(|(s, _)| t.sour < s) {
-                best = Some((t.sour, 2));
-            }
-        }
-        match best? {
-            (_, 0) => self.default.take(),
-            (_, 1) => self.covered.next(),
-            _ => self.exceptions.next(),
-        }
-    }
-}
 
 /// The compressed relay table: per-destination wildcard defaults plus
 /// exception entries, canonical in the logical tuple set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelayTable {
-    dests: BTreeMap<usize, DestRelays>,
-    logical: usize,
+    /// Every logical tuple, sorted by `(dest, sour)`.
+    tuples: Vec<DtTuple>,
+    /// Installed entries: one wildcard per destination plus one per
+    /// exception.
+    installed: usize,
     high_water: usize,
 }
 
@@ -159,100 +56,100 @@ impl RelayTable {
     /// An empty table.
     pub fn new() -> Self {
         RelayTable {
-            dests: BTreeMap::new(),
-            logical: 0,
+            tuples: Vec::new(),
+            installed: 0,
             high_water: 0,
         }
+    }
+
+    /// The slot of `(dest, sour)`, or where it would be inserted.
+    fn slot(&self, dest: usize, sour: usize) -> Result<usize, usize> {
+        self.tuples
+            .binary_search_by_key(&(dest, sour), |t| (t.dest, t.sour))
+    }
+
+    /// `dest`'s tuples, the wildcard default first.
+    fn run(&self, dest: usize) -> &[DtTuple] {
+        let start = self.tuples.partition_point(|t| t.dest < dest);
+        let len = self.tuples[start..].partition_point(|t| t.dest == dest);
+        &self.tuples[start..start + len]
+    }
+
+    /// Installed entries for `dest`: the wildcard plus its exceptions.
+    fn installed_for(&self, dest: usize) -> usize {
+        match self.run(dest) {
+            [] => 0,
+            [default, rest @ ..] => 1 + rest.iter().filter(|t| t.succ != default.succ).count(),
+        }
+    }
+
+    /// Applies `edit` to the tuples, keeping the installed count of
+    /// `dest` (the only destination `edit` touches) current.
+    fn edit_run<R>(&mut self, dest: usize, edit: impl FnOnce(&mut Vec<DtTuple>) -> R) -> R {
+        let before = self.installed_for(dest);
+        let out = edit(&mut self.tuples);
+        self.installed = self.installed + self.installed_for(dest) - before;
+        self.high_water = self.high_water.max(self.installed);
+        out
     }
 
     /// Installs (or replaces) the tuple for `(tuple.dest, tuple.sour)`,
     /// returning the previous tuple at that key.
     pub fn insert(&mut self, tuple: DtTuple) -> Option<DtTuple> {
-        let bucket = self.dests.remove(&tuple.dest);
-        let mut previous = None;
-        let rebuilt = match bucket {
-            None => DestRelays::canonicalize([tuple]),
-            Some(b) => {
-                let mut all: Vec<DtTuple> = b.tuples().copied().collect();
-                if let Some(slot) = all.iter_mut().find(|t| t.sour == tuple.sour) {
-                    previous = Some(*slot);
-                    *slot = tuple;
-                } else {
-                    all.push(tuple);
-                }
-                DestRelays::canonicalize(all)
+        let slot = self.slot(tuple.dest, tuple.sour);
+        self.edit_run(tuple.dest, |tuples| match slot {
+            Ok(at) => Some(std::mem::replace(&mut tuples[at], tuple)),
+            Err(at) => {
+                tuples.insert(at, tuple);
+                None
             }
-        };
-        let bucket = rebuilt.expect("insert always leaves at least one tuple");
-        self.dests.insert(tuple.dest, bucket);
-        if previous.is_none() {
-            self.logical += 1;
-        }
-        self.high_water = self.high_water.max(self.installed_len());
-        previous
+        })
     }
 
     /// Removes the tuple for `(dest, sour)`, if present. When the removed
-    /// tuple was the wildcard default, the next-smallest source is
-    /// promoted and the covered/exception split is recomputed, keeping
-    /// the representation canonical.
+    /// tuple was the wildcard default, the next-smallest source becomes
+    /// the default.
     pub fn remove(&mut self, dest: usize, sour: usize) -> Option<DtTuple> {
-        let bucket = self.dests.remove(&dest)?;
-        if bucket.get(sour).is_none() {
-            self.dests.insert(dest, bucket);
-            return None;
-        }
-        let mut removed = None;
-        let remaining: Vec<DtTuple> = bucket
-            .tuples()
-            .copied()
-            .filter(|t| {
-                if t.sour == sour {
-                    removed = Some(*t);
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        if let Some(rebuilt) = DestRelays::canonicalize(remaining) {
-            self.dests.insert(dest, rebuilt);
-        }
-        self.logical -= 1;
-        removed
+        let at = self.slot(dest, sour).ok()?;
+        Some(self.edit_run(dest, |tuples| {
+            let removed = tuples.remove(at);
+            crate::table::release_slack(tuples);
+            removed
+        }))
     }
 
     /// The tuple installed for exactly `(dest, sour)`, if any.
     pub fn lookup(&self, dest: usize, sour: usize) -> Option<&DtTuple> {
-        self.dests.get(&dest)?.get(sour)
+        let at = self.slot(dest, sour).ok()?;
+        Some(&self.tuples[at])
     }
 
     /// The successor for a relayed packet addressed to `(dest, sour)`:
-    /// the exact tuple's successor when installed, otherwise the
+    /// the exact tuple's successor when installed (an exception's own, or
+    /// a covered tuple's, which equals the default's), otherwise the
     /// destination's wildcard default (the smallest-source tuple, exactly
     /// the paper's dest-only fallback). `None` when no tuple matches the
     /// destination at all.
     pub fn next_hop(&self, dest: usize, sour: usize) -> Option<usize> {
-        let bucket = self.dests.get(&dest)?;
-        Some(match bucket.exceptions.get(&sour) {
-            Some(t) => t.succ,
-            None => bucket.default.succ,
-        })
+        match self.slot(dest, sour) {
+            Ok(at) => Some(self.tuples[at].succ),
+            Err(_) => self.run(dest).first().map(|t| t.succ),
+        }
     }
 
     /// Iterates over the logical tuples in `(dest, sour)` order.
     pub fn iter(&self) -> impl Iterator<Item = &DtTuple> {
-        self.dests.values().flat_map(DestRelays::tuples)
+        self.tuples.iter()
     }
 
     /// Number of logical tuples (virtual-link paths through this switch).
     pub fn len(&self) -> usize {
-        self.logical
+        self.tuples.len()
     }
 
     /// Whether the table holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.logical == 0
+        self.tuples.is_empty()
     }
 
     /// Installed (hardware) entries: one wildcard per destination plus
@@ -260,7 +157,7 @@ impl RelayTable {
     /// footprint a real match-action table would hold and the statistic
     /// exported for the paper's entry-count metric.
     pub fn installed_len(&self) -> usize {
-        self.dests.values().map(DestRelays::installed).sum()
+        self.installed
     }
 
     /// Highest installed-entry count ever reached.
@@ -268,16 +165,22 @@ impl RelayTable {
         self.high_water
     }
 
+    /// Releases storage beyond the installed tuples.
+    pub fn shrink_to_fit(&mut self) {
+        self.tuples.shrink_to_fit();
+    }
+
     /// Removes every tuple.
     pub fn clear(&mut self) {
-        self.dests.clear();
-        self.logical = 0;
+        self.tuples.clear();
+        self.installed = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn t(sour: usize, pred: usize, succ: usize, dest: usize) -> DtTuple {
         DtTuple {

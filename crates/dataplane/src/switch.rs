@@ -84,7 +84,9 @@ pub struct SwitchDataplane {
     id: usize,
     position: Point2,
     server_count: usize,
-    neighbors: MatchActionTable<usize, NeighborEntry>,
+    /// Sorted by neighbor id, one entry per neighbor: the key lives in
+    /// the entry, so the table stores nothing else.
+    neighbors: Vec<NeighborEntry>,
     relays: RelayTable,
     extensions: MatchActionTable<ServerId, ExtensionEntry>,
     /// P4-style counter: packets this switch processed (greedy decisions
@@ -125,7 +127,7 @@ impl SwitchDataplane {
             id,
             position,
             server_count,
-            neighbors: MatchActionTable::new("gred_neighbors"),
+            neighbors: Vec::new(),
             relays: RelayTable::new(),
             extensions: MatchActionTable::new("gred_extensions"),
             processed: AtomicU64::new(0),
@@ -141,7 +143,7 @@ impl SwitchDataplane {
             id,
             position: Point2::ORIGIN,
             server_count: 0,
-            neighbors: MatchActionTable::new("gred_neighbors"),
+            neighbors: Vec::new(),
             relays: RelayTable::new(),
             extensions: MatchActionTable::new("gred_extensions"),
             processed: AtomicU64::new(0),
@@ -165,12 +167,23 @@ impl SwitchDataplane {
 
     /// Installs (or replaces) a neighbor entry.
     pub fn install_neighbor(&mut self, entry: NeighborEntry) {
-        self.neighbors.insert(entry.neighbor, entry);
+        match self.neighbor_slot(entry.neighbor) {
+            Ok(at) => self.neighbors[at] = entry,
+            Err(at) => self.neighbors.insert(at, entry),
+        }
     }
 
     /// Removes the entry for `neighbor`, if any.
     pub fn remove_neighbor(&mut self, neighbor: usize) -> Option<NeighborEntry> {
-        self.neighbors.remove(&neighbor)
+        let at = self.neighbor_slot(neighbor).ok()?;
+        let entry = self.neighbors.remove(at);
+        crate::table::release_slack(&mut self.neighbors);
+        Some(entry)
+    }
+
+    fn neighbor_slot(&self, neighbor: usize) -> Result<usize, usize> {
+        self.neighbors
+            .binary_search_by_key(&neighbor, |e| e.neighbor)
     }
 
     /// Removes every neighbor entry (controller-side maintenance before a
@@ -179,9 +192,16 @@ impl SwitchDataplane {
         self.neighbors.clear();
     }
 
+    /// Releases table storage beyond the installed entries (controller-side
+    /// maintenance once a member's entries are installed).
+    pub fn shrink_to_fit(&mut self) {
+        self.neighbors.shrink_to_fit();
+        self.relays.shrink_to_fit();
+    }
+
     /// Iterates over installed neighbor entries.
     pub fn neighbor_entries(&self) -> impl Iterator<Item = &NeighborEntry> {
-        self.neighbors.iter().map(|(_, e)| e)
+        self.neighbors.iter()
     }
 
     /// Installs a virtual-link relay tuple (keyed by `(dest, sour)`).
@@ -330,7 +350,7 @@ impl SwitchDataplane {
         let mut best_d = own;
         let mut best_all: Option<&NeighborEntry> = None;
         let mut best_all_d = own;
-        for (_, entry) in self.neighbors.iter() {
+        for entry in &self.neighbors {
             let d = entry.position.distance_squared(data_position);
             let better = |cur: Option<&NeighborEntry>, cur_d: f64| match cur {
                 _ if d < cur_d => true,

@@ -5,8 +5,10 @@
 //! data is applied. GRED's scalability argument (Fig. 9(d)) is about the
 //! *number of entries* these tables need, so the table tracks its
 //! occupancy and high-water mark.
-
-use std::collections::BTreeMap;
+//!
+//! Entries live in one `Vec` sorted by key: a lookup is a binary search,
+//! iteration is in key order, and a table of a few dozen entries costs
+//! one allocation rather than a tree of nodes.
 
 /// An exact-match table mapping keys to action data.
 ///
@@ -20,7 +22,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchActionTable<K, A> {
     name: &'static str,
-    entries: BTreeMap<K, A>,
+    /// Sorted by key, keys unique.
+    entries: Vec<(K, A)>,
     high_water: usize,
 }
 
@@ -29,7 +32,7 @@ impl<K: Ord, A> MatchActionTable<K, A> {
     pub fn new(name: &'static str) -> Self {
         MatchActionTable {
             name,
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             high_water: 0,
         }
     }
@@ -42,24 +45,39 @@ impl<K: Ord, A> MatchActionTable<K, A> {
     /// Installs (or replaces) an entry, returning the previous action data
     /// if the key was already present.
     pub fn insert(&mut self, key: K, action: A) -> Option<A> {
-        let prev = self.entries.insert(key, action);
+        let prev = match self.find(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, action)),
+            Err(at) => {
+                self.entries.insert(at, (key, action));
+                None
+            }
+        };
         self.high_water = self.high_water.max(self.entries.len());
         prev
     }
 
     /// Removes an entry.
     pub fn remove(&mut self, key: &K) -> Option<A> {
-        self.entries.remove(key)
+        let at = self.find(key).ok()?;
+        let (_, action) = self.entries.remove(at);
+        release_slack(&mut self.entries);
+        Some(action)
     }
 
     /// Looks up the action data for `key`.
     pub fn lookup(&self, key: &K) -> Option<&A> {
-        self.entries.get(key)
+        let at = self.find(key).ok()?;
+        Some(&self.entries[at].1)
     }
 
     /// Whether `key` has an entry.
     pub fn contains(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
+        self.find(key).is_ok()
+    }
+
+    /// The slot of `key`, or where it would be inserted.
+    fn find(&self, key: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key))
     }
 
     /// Current number of installed entries.
@@ -79,12 +97,21 @@ impl<K: Ord, A> MatchActionTable<K, A> {
 
     /// Iterates over entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &A)> {
-        self.entries.iter()
+        self.entries.iter().map(|(k, a)| (k, a))
     }
 
     /// Removes all entries.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+}
+
+/// Halves `v`'s storage once it is three-quarters empty, so a table that
+/// shrinks under churn gives memory back without reallocating on every
+/// removal.
+pub(crate) fn release_slack<T>(v: &mut Vec<T>) {
+    if v.len() * 4 <= v.capacity() {
+        v.shrink_to(v.len() * 2);
     }
 }
 

@@ -25,11 +25,11 @@
 //! Lawson edge flips. Degenerate inputs (all points collinear) fall back
 //! to the 1D Delaunay graph — the path along the sorted points — on which
 //! greedy routing still delivers. Joins and leaves update an existing
-//! triangulation locally ([`Triangulation::with_inserted`],
-//! [`Triangulation::with_removed`]).
+//! triangulation in place ([`Triangulation::insert`],
+//! [`Triangulation::remove`]), touching only the triangles they replace.
 
 use crate::Point2;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Lattice resolution: input coordinates are snapped to multiples of
 /// `1 / QUANT_SCALE` (2⁻³⁰ ≈ 9.3e-10).
@@ -147,12 +147,11 @@ impl std::error::Error for DelaunayError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Triangulation {
-    ipoints: Vec<IPoint>,
     points: Vec<Point2>,
-    /// Live triangles, each CCW. Indices into `points`.
-    triangles: Vec<[usize; 3]>,
-    /// DT adjacency per point.
-    neighbors: Vec<BTreeSet<usize>>,
+    /// The snapped points and their triangles (none for collinear input).
+    mesh: Mesh,
+    /// DT adjacency per point, each list sorted and duplicate-free.
+    neighbors: Vec<Vec<usize>>,
     /// True when the input was collinear and the graph is the sorted path.
     collinear: bool,
 }
@@ -165,21 +164,53 @@ fn edge_key(a: usize, b: usize) -> (usize, usize) {
     }
 }
 
-/// Internal mutable builder state.
-struct Builder {
+/// A triangle slot that holds no live triangle.
+const DEAD: [usize; 3] = [usize::MAX; 3];
+
+/// Points and CCW triangles, with each point's incident triangles: every
+/// edge lookup, point location and flip reads only the triangles around
+/// the vertices it touches, so an insertion or deletion costs what it
+/// changes. Both construction and the incremental updates run on it.
+#[derive(Debug, Clone)]
+struct Mesh {
     pts: Vec<IPoint>,
-    tris: Vec<Option<[usize; 3]>>,
-    /// Sorted vertex pair -> ids of live triangles sharing the edge.
-    edge_tris: HashMap<(usize, usize), Vec<usize>>,
+    /// Triangle slots; a `DEAD` slot is listed in `free` for reuse.
+    tris: Vec<[usize; 3]>,
+    free: Vec<usize>,
+    /// Live triangle slots per point, in the order they were added.
+    incident: Vec<Vec<usize>>,
+    /// The most recently added triangle, where point location starts.
+    newest: usize,
 }
 
 /// Where a point landed during location.
 enum Location {
     Inside(usize),
     OnEdge(usize, usize),
+    /// Outside the triangulated region, strictly right of boundary edge
+    /// `(u, v)` (directed with the interior on its left).
+    Outside(usize, usize),
 }
 
-impl Builder {
+impl Mesh {
+    fn new(pts: Vec<IPoint>) -> Self {
+        Mesh {
+            incident: vec![Vec::new(); pts.len()],
+            pts,
+            tris: Vec::new(),
+            free: Vec::new(),
+            newest: 0,
+        }
+    }
+
+    fn live(&self) -> impl Iterator<Item = (usize, [usize; 3])> + '_ {
+        self.tris
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| **t != DEAD)
+            .map(|(id, &t)| (id, t))
+    }
+
     fn ccw(&self, t: [usize; 3]) -> [usize; 3] {
         if iorient(self.pts[t[0]], self.pts[t[1]], self.pts[t[2]]) < 0 {
             [t[0], t[2], t[1]]
@@ -194,48 +225,87 @@ impl Builder {
             iorient(self.pts[t[0]], self.pts[t[1]], self.pts[t[2]]) > 0,
             "degenerate triangle {t:?}"
         );
-        let id = self.tris.len();
-        self.tris.push(Some(t));
-        for (a, b) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
-            self.edge_tris.entry(edge_key(a, b)).or_default().push(id);
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.tris[id] = t;
+                id
+            }
+            None => {
+                self.tris.push(t);
+                self.tris.len() - 1
+            }
+        };
+        for v in t {
+            self.incident[v].push(id);
         }
+        self.newest = id;
         id
     }
 
     fn remove_tri(&mut self, id: usize) {
-        let t = self.tris[id].take().expect("removing a live triangle");
-        for (a, b) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
-            let key = edge_key(a, b);
-            let v = self.edge_tris.get_mut(&key).expect("edge index exists");
-            v.retain(|&x| x != id);
-            if v.is_empty() {
-                self.edge_tris.remove(&key);
-            }
+        let t = std::mem::replace(&mut self.tris[id], DEAD);
+        debug_assert!(t != DEAD, "removing a live triangle");
+        for v in t {
+            self.incident[v].retain(|&x| x != id);
+        }
+        self.free.push(id);
+    }
+
+    /// The live triangles with edge `(a, b)`, in the order they were added.
+    fn edge_tris(&self, a: usize, b: usize) -> impl Iterator<Item = usize> + '_ {
+        self.incident[a]
+            .iter()
+            .copied()
+            .filter(move |&id| self.tris[id].contains(&b))
+    }
+
+    /// The two triangles of edge `(a, b)`, when it has two.
+    fn interior_edge(&self, a: usize, b: usize) -> Option<(usize, usize)> {
+        let mut ids = self.edge_tris(a, b);
+        match (ids.next(), ids.next(), ids.next()) {
+            (Some(id1), Some(id2), None) => Some((id1, id2)),
+            _ => None,
         }
     }
 
-    /// Finds the live triangle containing `p` (exact) by a visibility
-    /// walk from the newest live triangle: while `p` lies strictly right
-    /// of an edge of the current triangle, step across that edge. The
-    /// walk never cycles on a Delaunay triangulation; past a step cap it
-    /// falls back to scanning every triangle all the same. `None` when
-    /// `p` lies outside the triangulated region, which is convex.
+    /// The other live triangle on the edge from `a` to `b` of triangle `id`.
+    fn across(&self, id: usize, a: usize, b: usize) -> Option<usize> {
+        self.edge_tris(a, b).find(|&other| other != id)
+    }
+
+    /// The sorted, distinct points sharing a triangle with `v`.
+    fn adjacent(&self, v: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = self.incident[v]
+            .iter()
+            .flat_map(|&id| self.tris[id])
+            .filter(|&u| u != v)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Finds where `p` lies by a visibility walk from the newest triangle:
+    /// while `p` lies strictly right of an edge of the current triangle,
+    /// step across that edge. The walk never cycles on a Delaunay
+    /// triangulation; past a step cap it falls back to scanning every
+    /// triangle all the same, and a point outside that scan finds no
+    /// edge for is left to the caller's rebuild (`None`). The
+    /// triangulated region is convex, so a walk that meets a boundary
+    /// edge facing `p` has left it.
     fn locate(&self, p: IPoint) -> Option<Location> {
-        let mut id = self.tris.iter().rposition(Option::is_some)?;
+        let mut id = self.newest;
         for _ in 0..self.tris.len() {
-            let t = self.tris[id].expect("the walk visits live triangles");
+            let t = self.tris[id];
             let Some(k) =
                 (0..3).find(|&k| iorient(self.pts[t[k]], self.pts[t[(k + 1) % 3]], p) < 0)
             else {
                 return self.location_in(id, p);
             };
-            match self.edge_tris[&edge_key(t[k], t[(k + 1) % 3])]
-                .iter()
-                .find(|&&other| other != id)
-            {
-                Some(&next) => id = next,
-                // A boundary edge faces `p`.
-                None => return None,
+            let (u, v) = (t[k], t[(k + 1) % 3]);
+            match self.across(id, u, v) {
+                Some(next) => id = next,
+                None => return Some(Location::Outside(u, v)),
             }
         }
         (0..self.tris.len()).find_map(|id| self.location_in(id, p))
@@ -244,7 +314,10 @@ impl Builder {
     /// Where `p` lies in live triangle `id`, if inside it or on its
     /// boundary.
     fn location_in(&self, id: usize, p: IPoint) -> Option<Location> {
-        let [a, b, c] = self.tris[id]?;
+        let [a, b, c] = self.tris[id];
+        if a == usize::MAX {
+            return None;
+        }
         let o_ab = iorient(self.pts[a], self.pts[b], p);
         let o_bc = iorient(self.pts[b], self.pts[c], p);
         let o_ca = iorient(self.pts[c], self.pts[a], p);
@@ -262,70 +335,75 @@ impl Builder {
         })
     }
 
-    /// Inserts point `p` (already in `pts`) and restores the Delaunay
-    /// property around it. A point outside the triangulated region is
-    /// fanned to every boundary edge it strictly sees (the standard
-    /// incremental hull extension). Returns `false`, with nothing
-    /// changed, when such a point is collinear with the whole silhouette.
-    fn insert(&mut self, p: usize) -> bool {
-        let first_new = self.tris.len();
+    /// Inserts point `p` (already in `pts`, with no triangles) and
+    /// restores the Delaunay property around it. A point outside the
+    /// triangulated region is fanned to every boundary edge it strictly
+    /// sees (the standard incremental hull extension). Returns `Ok(false)`,
+    /// with nothing changed, when `p` cannot be located, and `Err(q)` when
+    /// `p` coincides with point `q`.
+    fn insert(&mut self, p: usize) -> Result<bool, usize> {
         let mut seeds = match self.locate(self.pts[p]) {
             Some(Location::Inside(id)) => self.split_triangle(id, p),
             // Interior edges split both adjacent triangles; a boundary
             // edge splits its single triangle and `p` becomes a collinear
             // boundary vertex (distinct points put it strictly between the
             // endpoints, so both halves are non-degenerate).
-            Some(Location::OnEdge(a, b)) => self.split_edge(a, b, p),
-            None => {
-                let visible = self.visible_hull_edges(self.pts[p]);
-                if visible.is_empty() {
-                    return false;
+            Some(Location::OnEdge(a, b)) => {
+                if let Some(q) = [a, b].into_iter().find(|&q| self.pts[q] == self.pts[p]) {
+                    return Err(q);
                 }
-                visible
-                    .into_iter()
-                    .map(|(u, v)| {
-                        self.add_tri([u, v, p]);
-                        edge_key(u, v)
-                    })
-                    .collect()
+                self.split_edge(a, b, p)
             }
+            Some(Location::Outside(u, v)) => {
+                let visible = self.visible_hull_edges(u, v, self.pts[p]);
+                for &(u, v) in &visible {
+                    self.add_tri([u, v, p]);
+                }
+                visible.into_iter().map(|(u, v)| edge_key(u, v)).collect()
+            }
+            None => return Ok(false),
         };
-        // The new point's spokes, read off the triangles just added.
-        let mut spokes: Vec<(usize, usize)> = self.tris[first_new..]
-            .iter()
-            .flatten()
-            .flatten()
-            .filter(|&&v| v != p)
-            .map(|&v| edge_key(v, p))
-            .collect();
-        spokes.sort_unstable();
-        spokes.dedup();
-        seeds.extend(spokes);
+        // The new point's spokes: its triangles are the ones just added.
+        seeds.extend(self.adjacent(p).into_iter().map(|v| edge_key(v, p)));
         self.legalize(seeds);
-        true
+        Ok(true)
     }
 
-    /// Boundary edges (those with a single adjacent triangle) strictly
-    /// visible from exterior point `p`, directed so the triangulation's
-    /// interior lies on the left. Sorted for deterministic fan insertion.
-    fn visible_hull_edges(&self, p: IPoint) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (&key, ids) in &self.edge_tris {
-            if ids.len() != 1 {
-                continue;
-            }
-            let t = self.tris[ids[0]].expect("edge index refers to live triangle");
-            // Recover the directed orientation of `key` within the CCW
-            // triangle: one of the two directions appears in its cycle.
-            let directed = [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])];
-            let (u, v) = if directed.contains(&key) {
-                key
-            } else {
-                (key.1, key.0)
-            };
-            if iorient(self.pts[u], self.pts[v], p) < 0 {
-                out.push((u, v));
-            }
+    /// The boundary edges strictly visible from exterior point `p`, found
+    /// by walking the boundary both ways from visible edge `(u, v)` (a
+    /// convex region's visible edges are contiguous), directed so the
+    /// interior lies on the left and sorted for deterministic fan
+    /// insertion.
+    fn visible_hull_edges(&self, u: usize, v: usize, p: IPoint) -> Vec<(usize, usize)> {
+        // The boundary edge leaving `v` (forward) or entering `u`
+        // (backward): in a CCW triangle `(x, y, z)` the edge from `x` to
+        // `y` is on the boundary when no other triangle has it.
+        let boundary = |at: usize, forward: bool| -> (usize, usize) {
+            self.incident[at]
+                .iter()
+                .find_map(|&id| {
+                    let t = self.tris[id];
+                    let k = t.iter().position(|&x| x == at).expect("incident");
+                    let e = if forward {
+                        (at, t[(k + 1) % 3])
+                    } else {
+                        (t[(k + 2) % 3], at)
+                    };
+                    self.across(id, e.0, e.1).is_none().then_some(e)
+                })
+                .expect("a boundary vertex has boundary edges both ways")
+        };
+        let sees = |(a, b): (usize, usize)| iorient(self.pts[a], self.pts[b], p) < 0;
+        let mut out = vec![(u, v)];
+        let mut e = boundary(v, true);
+        while sees(e) && e != (u, v) {
+            out.push(e);
+            e = boundary(e.1, true);
+        }
+        let mut e = boundary(u, false);
+        while sees(e) && !out.contains(&e) {
+            out.push(e);
+            e = boundary(e.0, false);
         }
         out.sort_unstable();
         out
@@ -333,7 +411,7 @@ impl Builder {
 
     /// Splits triangle `id` by strictly-interior point `p_idx`.
     fn split_triangle(&mut self, id: usize, p_idx: usize) -> Vec<(usize, usize)> {
-        let [a, b, c] = self.tris[id].expect("splitting a live triangle");
+        let [a, b, c] = self.tris[id];
         self.remove_tri(id);
         self.add_tri([a, b, p_idx]);
         self.add_tri([b, c, p_idx]);
@@ -344,14 +422,10 @@ impl Builder {
     /// Splits edge `(a, b)` by a point lying exactly on it, dividing each
     /// adjacent triangle in two.
     fn split_edge(&mut self, a: usize, b: usize, p_idx: usize) -> Vec<(usize, usize)> {
-        let ids: Vec<usize> = self
-            .edge_tris
-            .get(&edge_key(a, b))
-            .cloned()
-            .unwrap_or_default();
+        let ids: Vec<usize> = self.edge_tris(a, b).collect();
         let mut affected = Vec::new();
         for id in ids {
-            let t = self.tris[id].expect("edge index refers to live triangle");
+            let t = self.tris[id];
             let opp = *t
                 .iter()
                 .find(|&&v| v != a && v != b)
@@ -371,17 +445,11 @@ impl Builder {
     fn legalize(&mut self, seeds: Vec<(usize, usize)>) -> usize {
         let mut flips = 0;
         let mut queue: VecDeque<(usize, usize)> = seeds.into();
-        while let Some(key) = queue.pop_front() {
-            let Some(ids) = self.edge_tris.get(&key) else {
-                continue;
-            };
-            if ids.len() != 2 {
+        while let Some((a, b)) = queue.pop_front() {
+            let Some((id1, id2)) = self.interior_edge(a, b) else {
                 continue; // hull edge or stale
-            }
-            let (id1, id2) = (ids[0], ids[1]);
-            let t1 = self.tris[id1].expect("live");
-            let t2 = self.tris[id2].expect("live");
-            let (a, b) = key;
+            };
+            let (t1, t2) = (self.tris[id1], self.tris[id2]);
             let c = *t1
                 .iter()
                 .find(|&&v| v != a && v != b)
@@ -425,15 +493,47 @@ impl Builder {
         flips
     }
 
+    /// Every edge, sorted.
+    fn edges(&self) -> Vec<(usize, usize)> {
+        let mut all: Vec<(usize, usize)> = self
+            .live()
+            .flat_map(|(_, t)| [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])])
+            .map(|(a, b)| edge_key(a, b))
+            .collect();
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
     /// Re-runs legalization over every edge until no flip fires — a cheap
     /// belt-and-braces pass that certifies the local Delaunay property.
     fn legalize_to_fixed_point(&mut self) {
-        loop {
-            let all: Vec<(usize, usize)> = self.edge_tris.keys().copied().collect();
-            if self.legalize(all) == 0 {
-                break;
+        while self.legalize(self.edges()) > 0 {}
+    }
+
+    /// Deletes point `i`, which no triangle uses any more: points above
+    /// it move down one index, and the triangle slots are compacted.
+    fn delete_point(&mut self, i: usize) {
+        debug_assert!(self.incident[i].is_empty(), "point {i} still in use");
+        self.pts.remove(i);
+        self.incident.remove(i);
+        let mut slot = vec![usize::MAX; self.tris.len()];
+        let mut tris = Vec::with_capacity(self.tris.len() - self.free.len());
+        for (id, t) in self.live() {
+            slot[id] = tris.len();
+            tris.push(t.map(|v| if v > i { v - 1 } else { v }));
+        }
+        for list in &mut self.incident {
+            for id in list.iter_mut() {
+                *id = slot[*id];
             }
         }
+        self.newest = match slot.get(self.newest) {
+            Some(&id) if id != usize::MAX => id,
+            _ => tris.len().saturating_sub(1),
+        };
+        self.tris = tris;
+        self.free.clear();
     }
 }
 
@@ -485,6 +585,13 @@ fn int_convex_hull(pts: &[IPoint]) -> Vec<usize> {
     lower
 }
 
+fn check_coordinate(p: Point2, index: usize) -> Result<(), DelaunayError> {
+    if !p.is_finite() || p.x.abs() > MAX_COORD || p.y.abs() > MAX_COORD {
+        return Err(DelaunayError::InvalidCoordinate { index });
+    }
+    Ok(())
+}
+
 impl Triangulation {
     /// Triangulates `points` (snapped to the 2⁻³⁰ lattice).
     ///
@@ -499,10 +606,8 @@ impl Triangulation {
         if points.is_empty() {
             return Err(DelaunayError::Empty);
         }
-        for (i, p) in points.iter().enumerate() {
-            if !p.is_finite() || p.x.abs() > MAX_COORD || p.y.abs() > MAX_COORD {
-                return Err(DelaunayError::InvalidCoordinate { index: i });
-            }
+        for (i, &p) in points.iter().enumerate() {
+            check_coordinate(p, i)?;
         }
         let ipoints: Vec<IPoint> = points.iter().map(|&p| quantize(p)).collect();
         let snapped: Vec<Point2> = ipoints.iter().map(|&p| unquantize(p)).collect();
@@ -520,71 +625,56 @@ impl Triangulation {
         }
 
         let hull = int_convex_hull(&ipoints);
+        let mut mesh = Mesh::new(ipoints);
         if hull.len() < 3 {
             // Collinear (or < 3 points): Delaunay graph is the sorted path.
-            let mut neighbors = vec![BTreeSet::new(); ipoints.len()];
+            let mut neighbors = vec![Vec::new(); snapped.len()];
             for w in order.windows(2) {
-                neighbors[w[0]].insert(w[1]);
-                neighbors[w[1]].insert(w[0]);
+                neighbors[w[0]].push(w[1]);
+                neighbors[w[1]].push(w[0]);
+            }
+            for list in &mut neighbors {
+                list.sort_unstable();
             }
             return Ok(Triangulation {
-                ipoints,
                 points: snapped,
-                triangles: Vec::new(),
+                mesh,
                 neighbors,
                 collinear: true,
             });
         }
 
-        let mut b = Builder {
-            pts: ipoints,
-            tris: Vec::new(),
-            edge_tris: HashMap::new(),
-        };
-
         // Fan triangulation of the hull, then legalize it.
         for i in 1..hull.len() - 1 {
-            b.add_tri([hull[0], hull[i], hull[i + 1]]);
+            mesh.add_tri([hull[0], hull[i], hull[i + 1]]);
         }
-        let on_hull: BTreeSet<usize> = hull.iter().copied().collect();
-        let seeds: Vec<(usize, usize)> = b.edge_tris.keys().copied().collect();
-        b.legalize(seeds);
+        let mut on_hull = vec![false; snapped.len()];
+        for &h in &hull {
+            on_hull[h] = true;
+        }
+        mesh.legalize(mesh.edges());
 
         // Insert the remaining points (in sorted order for determinism).
         // Non-hull points are interior to the hull, or on its boundary
         // (collinear with a hull edge) — `locate` finds both exactly.
         for &i in &order {
-            if !on_hull.contains(&i) {
-                let placed = b.insert(i);
-                debug_assert!(placed, "non-hull point lies inside or on the hull");
+            if !on_hull[i] {
+                let placed = mesh.insert(i);
+                debug_assert_eq!(
+                    placed,
+                    Ok(true),
+                    "non-hull point lies inside or on the hull"
+                );
             }
         }
-        b.legalize_to_fixed_point();
-        let triangles = b.tris.into_iter().flatten().collect();
-        Ok(Triangulation::from_triangles(b.pts, snapped, triangles))
-    }
-
-    /// A triangulation of `ipoints` (snapped to `points`) from its CCW
-    /// `triangles`, which must cover a non-collinear point set.
-    fn from_triangles(
-        ipoints: Vec<IPoint>,
-        points: Vec<Point2>,
-        triangles: Vec<[usize; 3]>,
-    ) -> Self {
-        let mut neighbors = vec![BTreeSet::new(); ipoints.len()];
-        for t in &triangles {
-            for (x, y) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
-                neighbors[x].insert(y);
-                neighbors[y].insert(x);
-            }
-        }
-        Triangulation {
-            ipoints,
-            points,
-            triangles,
+        mesh.legalize_to_fixed_point();
+        let neighbors = (0..snapped.len()).map(|v| mesh.adjacent(v)).collect();
+        Ok(Triangulation {
+            points: snapped,
+            mesh,
             neighbors,
             collinear: false,
-        }
+        })
     }
 
     /// The triangulated points (lattice-snapped), in input order.
@@ -593,8 +683,8 @@ impl Triangulation {
     }
 
     /// The triangles (CCW vertex index triples). Empty for collinear input.
-    pub fn triangles(&self) -> &[[usize; 3]] {
-        &self.triangles
+    pub fn triangles(&self) -> Vec<[usize; 3]> {
+        self.mesh.live().map(|(_, t)| t).collect()
     }
 
     /// Whether the input was collinear (graph degraded to a path).
@@ -602,7 +692,7 @@ impl Triangulation {
         self.collinear
     }
 
-    /// The DT neighbors of point `i`.
+    /// The DT neighbors of point `i`, ascending.
     ///
     /// # Panics
     ///
@@ -633,11 +723,12 @@ impl Triangulation {
     /// lattice; ties broken lexicographically by coordinates).
     pub fn nearest(&self, target: Point2) -> usize {
         let t = quantize(target);
+        let pts = &self.mesh.pts;
         let mut best = 0usize;
-        let mut best_d = idist2(self.ipoints[0], t);
-        for i in 1..self.ipoints.len() {
-            let d = idist2(self.ipoints[i], t);
-            if d < best_d || (d == best_d && self.ipoints[i] < self.ipoints[best]) {
+        let mut best_d = idist2(pts[0], t);
+        for (i, &q) in pts.iter().enumerate().skip(1) {
+            let d = idist2(q, t);
+            if d < best_d || (d == best_d && q < pts[best]) {
                 best = i;
                 best_d = d;
             }
@@ -658,18 +749,17 @@ impl Triangulation {
     pub fn greedy_route(&self, from: usize, target: Point2) -> Vec<usize> {
         assert!(from < self.points.len(), "start index out of range");
         let t = quantize(target);
+        let pts = &self.mesh.pts;
         let mut path = vec![from];
         let mut cur = from;
         // Distance strictly decreases, so the walk visits ≤ n points.
         for _ in 0..self.points.len() {
-            let cur_d = idist2(self.ipoints[cur], t);
+            let cur_d = idist2(pts[cur], t);
             let mut best = cur;
             let mut best_d = cur_d;
             for n in self.neighbors(cur) {
-                let d = idist2(self.ipoints[n], t);
-                if d < best_d
-                    || (d == best_d && best != cur && self.ipoints[n] < self.ipoints[best])
-                {
+                let d = idist2(pts[n], t);
+                if d < best_d || (d == best_d && best != cur && pts[n] < pts[best]) {
                     best = n;
                     best_d = d;
                 }
@@ -685,15 +775,14 @@ impl Triangulation {
 
     /// Verifies the empty-circumcircle property for every triangle with
     /// exact arithmetic (used by tests; O(n·t)). Returns the first
-    /// violation as `(triangle_index, offending_point)`.
+    /// violation as `(triangle_index, offending_point)`, indexing
+    /// [`Triangulation::triangles`].
     pub fn delaunay_violation(&self) -> Option<(usize, usize)> {
-        for (ti, t) in self.triangles.iter().enumerate() {
-            let (a, b, c) = (self.ipoints[t[0]], self.ipoints[t[1]], self.ipoints[t[2]]);
-            for pi in 0..self.ipoints.len() {
-                if t.contains(&pi) {
-                    continue;
-                }
-                if i_incircle(a, b, c, self.ipoints[pi]) > 0 {
+        let pts = &self.mesh.pts;
+        for (ti, t) in self.triangles().into_iter().enumerate() {
+            let (a, b, c) = (pts[t[0]], pts[t[1]], pts[t[2]]);
+            for (pi, &q) in pts.iter().enumerate() {
+                if !t.contains(&pi) && i_incircle(a, b, c, q) > 0 {
                     return Some((ti, pi));
                 }
             }
@@ -701,69 +790,67 @@ impl Triangulation {
         None
     }
 
-    /// Incremental insertion (the paper's Section VI join): returns a new
-    /// triangulation containing `p` as the last point, updating only the
-    /// region around `p` when `p` falls inside the current hull; existing
-    /// points keep their indices.
+    /// Incremental insertion (the paper's Section VI join), in place: `p`
+    /// becomes the last point, existing points keep their indices, and
+    /// only the triangles whose circumcircles hold `p` are replaced.
     ///
-    /// Points outside the current convex hull (or collinear inputs)
-    /// degrade gracefully to a full rebuild — the result is identical
-    /// either way because a point set has a unique DT (up to co-circular
-    /// ties).
+    /// A point outside the current convex hull is fanned to the hull
+    /// edges it sees. Collinear history degrades to a full rebuild — the
+    /// result is identical either way because a point set has a unique
+    /// DT (up to co-circular ties).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Triangulation::new`]; on error `self` is
+    /// unchanged.
+    pub fn insert(&mut self, p: Point2) -> Result<(), DelaunayError> {
+        let n = self.points.len();
+        check_coordinate(p, n)?;
+        let ip = quantize(p);
+        if !self.collinear {
+            self.mesh.pts.push(ip);
+            self.mesh.incident.push(Vec::new());
+            match self.mesh.insert(n) {
+                Ok(true) => {
+                    self.points.push(unquantize(ip));
+                    self.neighbors.push(Vec::new());
+                    for v in std::iter::once(n).chain(self.mesh.adjacent(n)) {
+                        self.neighbors[v] = self.mesh.adjacent(v);
+                    }
+                    return Ok(());
+                }
+                outcome => {
+                    self.mesh.pts.pop();
+                    self.mesh.incident.pop();
+                    if let Err(first) = outcome {
+                        return Err(DelaunayError::DuplicatePoint { first, second: n });
+                    }
+                }
+            }
+        }
+        // Collinear history, or a point the walk could not place:
+        // rebuild from scratch.
+        let mut pts = self.points.clone();
+        pts.push(p);
+        *self = Triangulation::new(&pts)?;
+        Ok(())
+    }
+
+    /// [`Triangulation::insert`] on a copy.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Triangulation::new`].
     pub fn with_inserted(&self, p: Point2) -> Result<Triangulation, DelaunayError> {
-        if !p.is_finite() || p.x.abs() > MAX_COORD || p.y.abs() > MAX_COORD {
-            return Err(DelaunayError::InvalidCoordinate {
-                index: self.points.len(),
-            });
-        }
-        let ip = quantize(p);
-        if let Some(first) = self.ipoints.iter().position(|&q| q == ip) {
-            return Err(DelaunayError::DuplicatePoint {
-                first,
-                second: self.points.len(),
-            });
-        }
-        // Collinear history or degenerate placement: rebuild from scratch.
-        let rebuild = || {
-            let mut pts = self.points.clone();
-            pts.push(p);
-            Triangulation::new(&pts)
-        };
-        if self.collinear {
-            return rebuild();
-        }
-
-        let mut b = Builder {
-            pts: self.ipoints.clone(),
-            tris: Vec::with_capacity(self.triangles.len() + 4),
-            edge_tris: HashMap::new(),
-        };
-        for &t in &self.triangles {
-            b.add_tri(t);
-        }
-        b.pts.push(ip);
-        // Outside the hull the point is fanned to the edges it sees. Join
-        // positions land out there routinely — e.g. when the local
-        // embedding clamps them to the unit-square border. A point
-        // collinear with the entire silhouette punts to the full
-        // construction.
-        if !b.insert(b.pts.len() - 1) {
-            return rebuild();
-        }
-        let mut points = self.points.clone();
-        points.push(unquantize(ip));
-        let triangles = b.tris.into_iter().flatten().collect();
-        Ok(Triangulation::from_triangles(b.pts, points, triangles))
+        let mut grown = self.clone();
+        grown.insert(p)?;
+        Ok(grown)
     }
 
-    /// Incremental deletion (the paper's Section VI leave): returns the
-    /// triangulation without point `i`, re-triangulating only the hole
-    /// its star leaves. Points above `i` move down one index; every point
-    /// keeps its position.
+    /// Incremental deletion (the paper's Section VI leave), in place:
+    /// removes point `i`, re-triangulating only the hole its star leaves.
+    /// Points above `i` move down one index; every point keeps its
+    /// position.
     ///
     /// The hole is filled with the triangles of the DT of `i`'s link (its
     /// DT neighbors) whose centroid lies in `i`'s old star. The star's
@@ -777,53 +864,86 @@ impl Triangulation {
     ///
     /// # Errors
     ///
+    /// [`DelaunayError::Empty`] when `i` is the only point; `self` is
+    /// then unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn remove(&mut self, i: usize) -> Result<(), DelaunayError> {
+        assert!(i < self.points.len(), "point index out of range");
+        let rebuild = |this: &mut Triangulation| {
+            let mut pts = this.points.clone();
+            pts.remove(i);
+            *this = Triangulation::new(&pts)?;
+            Ok(())
+        };
+        if self.collinear {
+            return rebuild(self);
+        }
+        let star: Vec<usize> = self.mesh.incident[i].clone();
+        let link = &self.neighbors[i];
+        let link_points: Vec<Point2> = link.iter().map(|&v| self.points[v]).collect();
+        let link_dt = Triangulation::new(&link_points).expect("link points are distinct and valid");
+        // The centroid test runs on coordinates ×3, so it stays exact.
+        let pts = &self.mesh.pts;
+        let tripled = |v: usize| (3 * pts[v].0, 3 * pts[v].1);
+        let in_star = |c: IPoint| {
+            star.iter().any(|&id| {
+                let [a, b, d] = self.mesh.tris[id].map(tripled);
+                iorient(a, b, c) >= 0 && iorient(b, d, c) >= 0 && iorient(d, a, c) >= 0
+            })
+        };
+        let fill: Vec<[usize; 3]> = link_dt
+            .triangles()
+            .into_iter()
+            .map(|t| t.map(|k| link[k]))
+            .filter(|t| {
+                in_star(
+                    t.iter()
+                        .fold((0, 0), |(x, y), &v| (x + pts[v].0, y + pts[v].1)),
+                )
+            })
+            .collect();
+        let live = self.mesh.tris.len() - self.mesh.free.len();
+        if live == star.len() && fill.is_empty() {
+            // No triangle left: the remainder is collinear.
+            return rebuild(self);
+        }
+        let link = std::mem::take(&mut self.neighbors[i]);
+        for id in star {
+            self.mesh.remove_tri(id);
+        }
+        for t in fill {
+            self.mesh.add_tri(t);
+        }
+        for &v in &link {
+            self.neighbors[v] = self.mesh.adjacent(v);
+        }
+        self.mesh.delete_point(i);
+        self.points.remove(i);
+        self.neighbors.remove(i);
+        for list in &mut self.neighbors {
+            for v in list.iter_mut().filter(|v| **v > i) {
+                *v -= 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Triangulation::remove`] on a copy.
+    ///
+    /// # Errors
+    ///
     /// [`DelaunayError::Empty`] when `i` is the only point.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn with_removed(&self, i: usize) -> Result<Triangulation, DelaunayError> {
-        assert!(i < self.points.len(), "point index out of range");
-        let rebuild = || {
-            let mut pts = self.points.clone();
-            pts.remove(i);
-            Triangulation::new(&pts)
-        };
-        if self.collinear {
-            return rebuild();
-        }
-        let (star, mut kept): (Vec<[usize; 3]>, Vec<[usize; 3]>) =
-            self.triangles.iter().partition(|t| t.contains(&i));
-        let link: Vec<usize> = self.neighbors(i).collect();
-        let link_points: Vec<Point2> = link.iter().map(|&v| self.points[v]).collect();
-        let link_dt = Triangulation::new(&link_points).expect("link points are distinct and valid");
-        // The centroid test runs on coordinates ×3, so it stays exact.
-        let tripled = |v: usize| (3 * self.ipoints[v].0, 3 * self.ipoints[v].1);
-        let in_star = |c: IPoint| {
-            star.iter().any(|t| {
-                let [a, b, d] = t.map(tripled);
-                iorient(a, b, c) >= 0 && iorient(b, d, c) >= 0 && iorient(d, a, c) >= 0
-            })
-        };
-        for t in link_dt.triangles() {
-            let t = t.map(|k| link[k]);
-            let centroid = t.iter().fold((0, 0), |(x, y), &v| {
-                (x + self.ipoints[v].0, y + self.ipoints[v].1)
-            });
-            if in_star(centroid) {
-                kept.push(t);
-            }
-        }
-        if kept.is_empty() {
-            return rebuild();
-        }
-        let down = |v: usize| if v > i { v - 1 } else { v };
-        let triangles = kept.into_iter().map(|t| t.map(down)).collect();
-        let mut ipoints = self.ipoints.clone();
-        ipoints.remove(i);
-        let mut points = self.points.clone();
-        points.remove(i);
-        Ok(Triangulation::from_triangles(ipoints, points, triangles))
+        let mut shrunk = self.clone();
+        shrunk.remove(i)?;
+        Ok(shrunk)
     }
 }
 
@@ -1286,7 +1406,7 @@ mod proptests {
                 .collect();
             let dt = Triangulation::new(&pts).unwrap();
             prop_assert_eq!(
-                empty_circumcircle_violation(dt.points(), dt.triangles()).is_none(),
+                empty_circumcircle_violation(dt.points(), &dt.triangles()).is_none(),
                 dt.delaunay_violation().is_none()
             );
         }

@@ -1,7 +1,7 @@
 //! Undirected switch-level topology with hop-count shortest paths.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Error manipulating a [`Topology`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,16 +50,52 @@ impl std::error::Error for TopologyError {}
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Each switch's neighbors are a sorted, duplicate-free `Vec`: iteration
+/// is ascending (the BFS tie-break every path search relies on), a link
+/// test is a binary search, and a clone is one copy per switch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "TopologyRepr", into = "TopologyRepr")]
 pub struct Topology {
-    adj: Vec<BTreeSet<usize>>,
+    adj: Vec<Vec<usize>>,
+}
+
+/// The serialized form of a [`Topology`]: one neighbor list per switch,
+/// the shape a derived `Serialize` has always written. Reading goes
+/// through [`Topology::from_links`], so unsorted, duplicate or one-sided
+/// lists come back as the sorted symmetric adjacency, and out-of-range
+/// ids or self-loops are refused.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TopologyRepr {
+    /// `adj[s]` lists the switches linked to `s`.
+    pub adj: Vec<Vec<usize>>,
+}
+
+impl TryFrom<TopologyRepr> for Topology {
+    type Error = TopologyError;
+
+    fn try_from(repr: TopologyRepr) -> Result<Self, TopologyError> {
+        let links: Vec<(usize, usize)> = repr
+            .adj
+            .iter()
+            .enumerate()
+            .flat_map(|(a, ns)| ns.iter().map(move |&b| (a, b)))
+            .collect();
+        Topology::from_links(repr.adj.len(), &links)
+    }
+}
+
+impl From<Topology> for TopologyRepr {
+    fn from(topology: Topology) -> Self {
+        TopologyRepr { adj: topology.adj }
+    }
 }
 
 impl Topology {
     /// An edgeless topology with `n` switches.
     pub fn new(n: usize) -> Self {
         Topology {
-            adj: vec![BTreeSet::new(); n],
+            adj: vec![Vec::new(); n],
         }
     }
 
@@ -98,14 +134,17 @@ impl Topology {
         if a == b {
             return Err(TopologyError::SelfLoop { switch: a });
         }
-        self.adj[a].insert(b);
-        self.adj[b].insert(a);
+        for (s, t) in [(a, b), (b, a)] {
+            if let Err(at) = self.adj[s].binary_search(&t) {
+                self.adj[s].insert(at, t);
+            }
+        }
         Ok(())
     }
 
     /// Whether switches `a` and `b` share a link.
     pub fn has_link(&self, a: usize, b: usize) -> bool {
-        self.adj.get(a).is_some_and(|s| s.contains(&b))
+        self.adj.get(a).is_some_and(|s| s.binary_search(&b).is_ok())
     }
 
     /// The physical neighbors of switch `s`.
@@ -137,7 +176,7 @@ impl Topology {
 
     /// Total number of links.
     pub fn link_count(&self) -> usize {
-        self.adj.iter().map(BTreeSet::len).sum::<usize>() / 2
+        self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Hop distances from `source` to every switch (`u32::MAX` when
@@ -282,7 +321,7 @@ impl Topology {
     /// delta rebuild path, which grows the network one join at a time
     /// without reconstructing the whole adjacency structure.
     pub fn add_switch(&mut self) -> usize {
-        self.adj.push(BTreeSet::new());
+        self.adj.push(Vec::new());
         self.adj.len() - 1
     }
 
@@ -302,11 +341,10 @@ impl Topology {
     /// Panics if `s` is out of range.
     pub fn isolate(&mut self, s: usize) {
         assert!(s < self.adj.len(), "switch {s} out of range");
-        let ns: Vec<usize> = self.adj[s].iter().copied().collect();
-        for n in ns {
-            self.adj[n].remove(&s);
+        for n in std::mem::take(&mut self.adj[s]) {
+            let at = self.adj[n].binary_search(&s).expect("links are symmetric");
+            self.adj[n].remove(at);
         }
-        self.adj[s].clear();
     }
 }
 
@@ -665,5 +703,86 @@ mod edge_list_tests {
     fn blank_lines_tolerated() {
         let t = Topology::from_edge_list("switches 2\n\n0 1\n\n").unwrap();
         assert!(t.has_link(0, 1));
+    }
+}
+
+#[cfg(test)]
+mod serde_tests {
+    use super::*;
+
+    /// `repr` as JSON, byte for byte what a derived `Serialize` writes
+    /// for `struct { adj: Vec<_> }` of integer sequences.
+    fn to_json(repr: &TopologyRepr) -> String {
+        let lists: Vec<String> = repr
+            .adj
+            .iter()
+            .map(|ns| {
+                let ids: Vec<String> = ns.iter().map(usize::to_string).collect();
+                format!("[{}]", ids.join(","))
+            })
+            .collect();
+        format!("{{\"adj\":[{}]}}", lists.join(","))
+    }
+
+    /// The inverse of [`to_json`] for well-formed input.
+    fn from_json(text: &str) -> TopologyRepr {
+        let body = text
+            .strip_prefix("{\"adj\":[")
+            .and_then(|t| t.strip_suffix("]}"))
+            .expect("an adj object");
+        let adj = if body.is_empty() {
+            Vec::new()
+        } else {
+            body.strip_prefix('[')
+                .and_then(|t| t.strip_suffix(']'))
+                .expect("a list of lists")
+                .split("],[")
+                .map(|list| {
+                    list.split(',')
+                        .filter(|id| !id.is_empty())
+                        .map(|id| id.parse().expect("an id"))
+                        .collect()
+                })
+                .collect()
+        };
+        TopologyRepr { adj }
+    }
+
+    #[test]
+    fn json_round_trip_keeps_the_derived_bytes() {
+        let t = Topology::from_links(4, &[(2, 0), (0, 1), (3, 0)]).unwrap();
+        let json = to_json(&t.clone().into());
+        assert_eq!(json, r#"{"adj":[[1,2,3],[0],[0],[0]]}"#);
+        assert_eq!(Topology::try_from(from_json(&json)).unwrap(), t);
+        let empty = to_json(&Topology::new(0).into());
+        assert_eq!(empty, r#"{"adj":[]}"#);
+        assert_eq!(
+            Topology::try_from(from_json(&empty)).unwrap(),
+            Topology::new(0)
+        );
+    }
+
+    #[test]
+    fn reading_restores_the_sorted_symmetric_invariant() {
+        // Unsorted, duplicated and one-sided lists read as the same
+        // topology their links describe.
+        let messy = from_json(r#"{"adj":[[3,1,1],[],[0],[]]}"#);
+        let t = Topology::try_from(messy).unwrap();
+        assert_eq!(
+            t,
+            Topology::from_links(4, &[(0, 1), (0, 3), (2, 0)]).unwrap()
+        );
+        assert_eq!(to_json(&t.into()), r#"{"adj":[[1,2,3],[0],[0],[0]]}"#);
+        assert_eq!(
+            Topology::try_from(from_json(r#"{"adj":[[5],[]]}"#)),
+            Err(TopologyError::SwitchOutOfRange {
+                switch: 5,
+                count: 2
+            })
+        );
+        assert_eq!(
+            Topology::try_from(from_json(r#"{"adj":[[0]]}"#)),
+            Err(TopologyError::SelfLoop { switch: 0 })
+        );
     }
 }

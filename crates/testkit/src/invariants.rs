@@ -59,7 +59,7 @@ fn check_delaunay(net: &GredNetwork, out: &mut Vec<String>) {
     if tri.is_collinear() {
         return;
     }
-    if let Some((t, p)) = empty_circumcircle_violation(tri.points(), tri.triangles()) {
+    if let Some((t, p)) = empty_circumcircle_violation(tri.points(), &tri.triangles()) {
         out.push(format!(
             "delaunay: triangle {t} has point {p} inside its circumcircle"
         ));
