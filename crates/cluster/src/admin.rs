@@ -12,10 +12,11 @@
 //! `apply_leave`), so chaos scenarios and operator runbooks can be
 //! driven entirely over TCP.
 //!
-//! The endpoint is deliberately serial: one poll-loop thread accepts
-//! and serves one connection at a time under a read timeout. Admin
-//! traffic is rare and every verb mutates shared cluster state anyway,
-//! so serialization is the semantics, not a bottleneck.
+//! The endpoint is deliberately serial: one serve thread owns the
+//! cluster and its model twin, and accepts and serves one connection at
+//! a time under a read timeout. Admin traffic is rare and every verb
+//! mutates the cluster anyway, so serialization is the semantics, not a
+//! bottleneck.
 
 use crate::client::{AdminReply, Client, ClientError};
 use crate::cluster::{Cluster, ClusterReport};
@@ -24,18 +25,17 @@ use gred::GredNetwork;
 use gred_dataplane::{AdminOp, Packet, PacketKind};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, TryRecvError};
 use std::thread;
 use std::time::Duration;
 
 /// How long the serving loop blocks in `accept`/`read` before
-/// re-checking the stop flag. Small enough that shutdown feels
+/// re-checking the stop channel. Small enough that shutdown feels
 /// immediate, large enough to stay off the scheduler.
 const POLL: Duration = Duration::from_millis(5);
 
-/// The cluster plus its model twin, guarded together so every admin
-/// verb sees the two in sync.
+/// The cluster plus its model twin, owned together by the serve thread
+/// so every admin verb sees the two in sync.
 struct AdminState {
     cluster: Cluster,
     net: GredNetwork,
@@ -43,14 +43,13 @@ struct AdminState {
 
 /// A wire-reachable admin endpoint for one [`Cluster`].
 ///
-/// Owns the cluster and its model twin for its lifetime; tests and the
-/// `repro` harness reach them through [`AdminServer::with`], and
-/// [`AdminServer::shutdown`] hands the final accounting back.
+/// Its serve thread owns the cluster and its model twin for the
+/// endpoint's lifetime; [`AdminServer::shutdown`] stops it and hands
+/// the final accounting back.
 pub struct AdminServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    state: Arc<Mutex<AdminState>>,
-    serve: Option<thread::JoinHandle<()>>,
+    /// Dropping the sender tells the serve thread to stop.
+    serve: Option<(mpsc::Sender<()>, thread::JoinHandle<ClusterReport>)>,
 }
 
 impl AdminServer {
@@ -64,20 +63,17 @@ impl AdminServer {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let state = Arc::new(Mutex::new(AdminState { cluster, net }));
-        let serve = {
-            let stop = Arc::clone(&stop);
-            let state = Arc::clone(&state);
-            thread::Builder::new()
-                .name("gred-admin".into())
-                .spawn(move || serve_loop(&listener, &stop, &state))?
-        };
+        let (stopper, stop) = mpsc::channel();
+        let mut state = AdminState { cluster, net };
+        let serve = thread::Builder::new()
+            .name("gred-admin".into())
+            .spawn(move || {
+                serve_loop(&listener, &stop, &mut state);
+                state.cluster.shutdown()
+            })?;
         Ok(AdminServer {
             addr,
-            stop,
-            state,
-            serve: Some(serve),
+            serve: Some((stopper, serve)),
         })
     }
 
@@ -86,36 +82,28 @@ impl AdminServer {
         self.addr
     }
 
-    /// Runs `f` with the cluster and model twin locked — the in-process
-    /// escape hatch for tests that mix wire verbs with direct calls.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Cluster, &mut GredNetwork) -> R) -> R {
-        let mut state = self.state.lock().expect("admin state poisoned");
-        let AdminState { cluster, net } = &mut *state;
-        f(cluster, net)
-    }
-
     /// Stops serving and gracefully shuts the cluster down, returning
     /// its final accounting.
+    ///
+    /// # Panics
+    ///
+    /// If the serve thread panicked.
     pub fn shutdown(mut self) -> ClusterReport {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(serve) = self.serve.take() {
-            let _ = serve.join();
-        }
-        let state = Arc::clone(&self.state);
-        drop(self);
-        let state = Arc::try_unwrap(state)
-            .map(|m| m.into_inner().expect("admin state poisoned"))
-            .unwrap_or_else(|_| panic!("admin state still shared after join"));
-        state.cluster.shutdown()
+        self.stop().expect("the admin serve thread panicked")
+    }
+
+    /// Closes the stop channel and joins the serve thread: its report,
+    /// or `None` if it panicked or was already joined.
+    fn stop(&mut self) -> Option<ClusterReport> {
+        let (stopper, serve) = self.serve.take()?;
+        drop(stopper);
+        serve.join().ok()
     }
 }
 
 impl Drop for AdminServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(serve) = self.serve.take() {
-            let _ = serve.join();
-        }
+        self.stop();
     }
 }
 
@@ -132,11 +120,15 @@ pub fn admin_call(addr: SocketAddr, op: &AdminOp) -> Result<AdminReply, ClientEr
     client.admin(op)
 }
 
-fn serve_loop(listener: &TcpListener, stop: &AtomicBool, state: &Mutex<AdminState>) {
-    while !stop.load(Ordering::SeqCst) {
+/// Whether the [`AdminServer`] closed the stop channel.
+fn stopped(stop: &mpsc::Receiver<()>) -> bool {
+    stop.try_recv() == Err(TryRecvError::Disconnected)
+}
+
+fn serve_loop(listener: &TcpListener, stop: &mpsc::Receiver<()>, state: &mut AdminState) {
+    while !stopped(stop) {
         match listener.accept() {
             Ok((stream, _)) => serve_conn(stream, stop, state),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
             Err(_) => thread::sleep(POLL),
         }
     }
@@ -145,7 +137,7 @@ fn serve_loop(listener: &TcpListener, stop: &AtomicBool, state: &Mutex<AdminStat
 /// Serves one connection until EOF, error, or shutdown: after the mux
 /// preamble, correlated `Admin` packets in, `AdminResponse` packets out
 /// under the same correlation id.
-fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState>) {
+fn serve_conn(mut stream: TcpStream, stop: &mpsc::Receiver<()>, state: &mut AdminState) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
@@ -154,7 +146,7 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
     let mut out = Vec::new();
     // The stream opens with the mux preamble; this much of it arrived.
     let mut hello = 0;
-    while !stop.load(Ordering::SeqCst) {
+    while !stopped(stop) {
         loop {
             let body = match decoder.next_frame() {
                 Ok(Some(body)) => body,
@@ -198,7 +190,7 @@ fn serve_conn(mut stream: TcpStream, stop: &AtomicBool, state: &Mutex<AdminState
 
 /// The reply to one packet: the verb's outcome, or an in-band refusal
 /// of anything that is not a decodable `Admin` packet.
-fn answer(state: &Mutex<AdminState>, packet: &Packet) -> Packet {
+fn answer(state: &mut AdminState, packet: &Packet) -> Packet {
     if packet.kind != PacketKind::Admin {
         return Packet::admin_error(
             format!("admin endpoint speaks Admin packets, got {}", packet.kind).into_bytes(),
@@ -212,9 +204,8 @@ fn answer(state: &Mutex<AdminState>, packet: &Packet) -> Packet {
 
 /// Maps one verb onto the live-reconfiguration API. Every failure is an
 /// in-band error reply — the endpoint never panics on operator input.
-fn apply_verb(state: &Mutex<AdminState>, op: &AdminOp) -> Packet {
-    let mut guard = state.lock().expect("admin state poisoned");
-    let AdminState { cluster, net } = &mut *guard;
+fn apply_verb(state: &mut AdminState, op: &AdminOp) -> Packet {
+    let AdminState { cluster, net } = state;
     // `crash_node` and `restart_node` index the slot they are given.
     if let AdminOp::Crash { switch } | AdminOp::Restart { switch } = op {
         if *switch as usize >= cluster.len() {

@@ -9,7 +9,9 @@
 //!   (connections reset, new dials refused), black-holed (bytes accepted
 //!   and silently dropped — the sender learns only by timeout), or
 //!   delayed. Clients are never proxied: faults hit the peer mesh, where
-//!   the failure-detection and detour machinery lives.
+//!   the failure-detection and detour machinery lives. One poller thread
+//!   owns every proxy; the hook and the mode setters reach it through
+//!   its [`Mailbox`], so a mode is in force when the setter returns.
 //! - [`run_chaos`] — the acceptance scenario: boot a cluster behind the
 //!   fabric, run a seeded replicated workload while a
 //!   [`ChaosPlan`](gred_testkit::ChaosPlan) kills nodes and breaks
@@ -42,15 +44,14 @@ use gred::GredNetwork;
 use gred_dataplane::{Packet, StatsSnapshot};
 use gred_hash::DataId;
 use gred_net::{ServerId, ServerPool, Topology};
-use gred_runtime::reactor::{Events, Interest, Poller};
+use gred_runtime::reactor::{Command, Events, Interest, Mailbox, Poller};
 use gred_testkit::{ChaosAction, ChaosPlan, TransportProbe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -73,34 +74,6 @@ pub enum LinkMode {
     Delay(Duration),
 }
 
-/// Per-link control block shared between the driver and the poller.
-#[derive(Debug, Clone, Copy)]
-struct LinkCtl {
-    /// The proxy's own listen address (what the `from` node dials).
-    addr: SocketAddr,
-    /// Where accepted connections are forwarded (the `to` node's real
-    /// listener) — re-pointed when the node restarts.
-    target: SocketAddr,
-    mode: LinkMode,
-}
-
-struct FabricShared {
-    stop: AtomicBool,
-    ctl: Mutex<FabricCtl>,
-    /// The shared reactor poller: every proxy listener and connection is
-    /// registered read-interest, so an idle fabric blocks instead of
-    /// ticking. Control changes (`set_mode`, new proxies, stop) wake it.
-    poller: Poller,
-}
-
-#[derive(Default)]
-struct FabricCtl {
-    links: HashMap<(usize, usize), LinkCtl>,
-    /// Listeners bound by `proxy_addr` on the driver thread, waiting for
-    /// the poller to adopt them.
-    incoming: Vec<((usize, usize), TcpListener)>,
-}
-
 /// One proxied connection: bytes flow client → `up` → server and
 /// server → `down` → client, each chunk stamped for delay injection.
 struct ProxyConn {
@@ -111,22 +84,38 @@ struct ProxyConn {
     dead: bool,
 }
 
+/// The proxy of one directed link.
 struct ProxyLink {
-    key: (usize, usize),
+    /// What the `from` node dials.
     listener: TcpListener,
+    /// Where accepted connections are forwarded (the `to` node's real
+    /// listener) — re-pointed when the node restarts.
+    target: SocketAddr,
+    mode: LinkMode,
     conns: Vec<ProxyConn>,
 }
 
+/// Everything the fabric's poller thread owns: the shared reactor
+/// poller, where every proxy listener and connection is registered
+/// read-interest, and every directed link's proxy.
+struct Fabric {
+    poller: Arc<Poller>,
+    links: HashMap<(usize, usize), ProxyLink>,
+    stopped: bool,
+}
+
 /// A fleet of per-directed-link loopback proxies with runtime fault
-/// injection, driven by one background poller thread.
+/// injection, driven by one background poller thread that owns every
+/// link. The methods reach it through its mailbox and return once the
+/// thread has applied them.
 pub struct ChaosFabric {
-    shared: Arc<FabricShared>,
-    poller: Option<thread::JoinHandle<()>>,
+    mailbox: Mailbox<Fabric>,
+    thread: Option<thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ChaosFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let links = self.shared.ctl.lock().expect("fabric lock").links.len();
+        let links = self.mailbox.ask(|fabric| fabric.links.len());
         f.debug_struct("ChaosFabric")
             .field("links", &links)
             .finish_non_exhaustive()
@@ -143,54 +132,65 @@ impl ChaosFabric {
     /// Starts the fabric's poller thread. Proxies appear lazily as the
     /// rewrite hook is called.
     pub fn new() -> ChaosFabric {
-        let shared = Arc::new(FabricShared {
-            stop: AtomicBool::new(false),
-            ctl: Mutex::new(FabricCtl::default()),
-            poller: Poller::new().expect("creating the fabric poller"),
-        });
-        let poller_shared = Arc::clone(&shared);
-        let poller = thread::Builder::new()
+        let poller = Arc::new(Poller::new().expect("creating the fabric poller"));
+        let (mailbox, commands) = Mailbox::new(Arc::clone(&poller));
+        let fabric = Fabric {
+            poller,
+            links: HashMap::new(),
+            stopped: false,
+        };
+        let thread = thread::Builder::new()
             .name("chaos-fabric".into())
-            .spawn(move || poll_loop(&poller_shared))
+            .spawn(move || fabric.run(&commands))
             .expect("spawning the fabric poller");
         ChaosFabric {
-            shared,
-            poller: Some(poller),
+            mailbox,
+            thread: Some(thread),
         }
     }
 
     /// The [`AddrRewrite`] hook to pass to [`Cluster::boot_with`]: every
-    /// directed peer link gets (or re-targets) its own proxy.
+    /// directed peer link gets (or re-targets) its own proxy. Once the
+    /// fabric has shut down, the hook leaves addresses as they are.
     pub fn rewrite(&self) -> AddrRewrite {
-        let shared = Arc::clone(&self.shared);
-        Arc::new(move |from, to, real| proxy_addr(&shared, from, to, real))
+        let mailbox = self.mailbox.clone();
+        Arc::new(move |from, to, real| {
+            match mailbox.ask(move |fabric| fabric.proxy_addr((from, to), real)) {
+                Some(addr) => addr.expect("binding a chaos proxy"),
+                None => real,
+            }
+        })
     }
 
     /// Sets the fault mode of the directed link `from → to`. Severing
-    /// kills its live connections on the next poller tick.
+    /// closes its live connections before this returns.
     pub fn set_mode(&self, from: usize, to: usize, mode: LinkMode) {
-        let mut ctl = self.shared.ctl.lock().expect("fabric lock");
-        if let Some(link) = ctl.links.get_mut(&(from, to)) {
-            link.mode = mode;
-        }
-        drop(ctl);
-        self.shared.poller.wake();
+        self.mailbox.ask(move |fabric| {
+            if let Some(link) = fabric.links.get_mut(&(from, to)) {
+                link.mode = mode;
+                if mode == LinkMode::Severed {
+                    for conn in link.conns.drain(..) {
+                        conn.deregister(&fabric.poller);
+                    }
+                }
+            }
+        });
     }
 
     /// The current mode of `from → to`, if that link exists.
     pub fn mode(&self, from: usize, to: usize) -> Option<LinkMode> {
-        let ctl = self.shared.ctl.lock().expect("fabric lock");
-        ctl.links.get(&(from, to)).map(|l| l.mode)
+        self.mailbox
+            .ask(move |fabric| fabric.links.get(&(from, to)).map(|l| l.mode))
+            .flatten()
     }
 
     /// Restores every link to transparent forwarding.
     pub fn heal_all(&self) {
-        let mut ctl = self.shared.ctl.lock().expect("fabric lock");
-        for link in ctl.links.values_mut() {
-            link.mode = LinkMode::Open;
-        }
-        drop(ctl);
-        self.shared.poller.wake();
+        self.mailbox.ask(|fabric| {
+            for link in fabric.links.values_mut() {
+                link.mode = LinkMode::Open;
+            }
+        });
     }
 
     /// Stops the poller and drops every proxy.
@@ -199,9 +199,8 @@ impl ChaosFabric {
     }
 
     fn stop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.poller.wake();
-        if let Some(handle) = self.poller.take() {
+        self.mailbox.tell(|fabric| fabric.stopped = true);
+        if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
     }
@@ -213,91 +212,72 @@ impl Drop for ChaosFabric {
     }
 }
 
-/// Create-or-retarget the proxy for `from → to`. Called on the driver
-/// thread via the rewrite hook, including again after `to` restarts —
-/// the existing proxy then simply points at the new real listener.
-fn proxy_addr(shared: &FabricShared, from: usize, to: usize, real: SocketAddr) -> SocketAddr {
-    let mut ctl = shared.ctl.lock().expect("fabric lock");
-    if let Some(link) = ctl.links.get_mut(&(from, to)) {
-        link.target = real;
-        return link.addr;
-    }
-    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("binding a chaos proxy");
-    listener
-        .set_nonblocking(true)
-        .expect("non-blocking chaos proxy listener");
-    let addr = listener.local_addr().expect("chaos proxy address");
-    ctl.links.insert(
-        (from, to),
-        LinkCtl {
-            addr,
-            target: real,
-            mode: LinkMode::Open,
-        },
-    );
-    ctl.incoming.push(((from, to), listener));
-    drop(ctl);
-    shared.poller.wake();
-    addr
-}
-
 /// Registration token shared by every fabric fd. Tokens are not used
 /// for dispatch — any wakeup runs a full service pass over every link,
 /// and each pass reads every socket to `WouldBlock`, so level-triggered
 /// readiness never re-fires for data the pass already consumed.
 const FABRIC_TOKEN: u64 = 0;
 
-fn poll_loop(shared: &FabricShared) {
-    let mut links: Vec<ProxyLink> = Vec::new();
-    let mut events = Events::with_capacity(256);
-    while !shared.stop.load(Ordering::Acquire) {
-        // Snapshot controls and adopt freshly bound listeners.
-        let modes: HashMap<(usize, usize), LinkCtl> = {
-            let mut ctl = shared.ctl.lock().expect("fabric lock");
-            for (key, listener) in ctl.incoming.drain(..) {
-                let _ = shared
-                    .poller
-                    .register(listener.as_raw_fd(), FABRIC_TOKEN, Interest::READ);
-                links.push(ProxyLink {
-                    key,
-                    listener,
-                    conns: Vec::new(),
-                });
+impl Fabric {
+    fn run(mut self, commands: &mpsc::Receiver<Command<Fabric>>) {
+        let mut events = Events::with_capacity(256);
+        while !self.stopped {
+            for link in self.links.values_mut() {
+                service_link(link, &self.poller);
             }
-            ctl.links.clone()
+            // Queued chunks (delay injection, or a downstream write that
+            // would block) need a timed retry; with nothing queued, block
+            // until a socket fires or a command wakes us — an idle fabric
+            // burns no CPU.
+            let queued = self.links.values().any(|l| {
+                l.conns
+                    .iter()
+                    .any(|c| !c.up.is_empty() || !c.down.is_empty())
+            });
+            let timeout = queued.then_some(Duration::from_millis(1));
+            if self.poller.wait(&mut events, timeout).is_err() {
+                break;
+            }
+            while let Ok(command) = commands.try_recv() {
+                command(&mut self);
+            }
+        }
+    }
+
+    /// Create-or-retarget the proxy for `key`, including again after
+    /// its `to` node restarts — the existing proxy then simply points at
+    /// the new real listener.
+    fn proxy_addr(&mut self, key: (usize, usize), real: SocketAddr) -> io::Result<SocketAddr> {
+        if let Some(link) = self.links.get_mut(&key) {
+            link.target = real;
+            return link.listener.local_addr();
+        }
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        self.poller
+            .register(listener.as_raw_fd(), FABRIC_TOKEN, Interest::READ)?;
+        let link = ProxyLink {
+            listener,
+            target: real,
+            mode: LinkMode::Open,
+            conns: Vec::new(),
         };
-        for link in &mut links {
-            let Some(ctl) = modes.get(&link.key) else {
-                continue;
-            };
-            service_link(link, ctl, &shared.poller);
-        }
-        // Queued chunks (delay injection, or a downstream write that
-        // would block) need a timed retry; with nothing queued, block
-        // until a socket fires or a control change wakes us — an idle
-        // fabric burns no CPU.
-        let queued = links.iter().any(|l| {
-            l.conns
-                .iter()
-                .any(|c| !c.up.is_empty() || !c.down.is_empty())
-        });
-        let timeout = queued.then_some(Duration::from_millis(1));
-        if shared.poller.wait(&mut events, timeout).is_err() {
-            break;
-        }
+        self.links.insert(key, link);
+        Ok(addr)
     }
 }
 
 /// Services one link's listener and connections. New connections are
-/// registered with the fabric poller; severed or dead ones are
-/// deregistered as they drop.
-fn service_link(link: &mut ProxyLink, ctl: &LinkCtl, poller: &Poller) {
+/// registered with the fabric poller; dead ones are deregistered as
+/// they drop.
+fn service_link(link: &mut ProxyLink, poller: &Poller) {
     // Accept new dials. Severed links accept-and-drop so the dialer sees
     // a prompt EOF rather than a connect timeout.
     loop {
         match link.listener.accept() {
             Ok((client, _)) => {
-                if ctl.mode == LinkMode::Severed {
+                if link.mode == LinkMode::Severed {
                     drop(client);
                     continue;
                 }
@@ -307,7 +287,7 @@ fn service_link(link: &mut ProxyLink, ctl: &LinkCtl, poller: &Poller) {
                 // Connect upstream now; loopback either succeeds or
                 // refuses fast. A dead target closes the conn, which the
                 // dialing node reads as link death — exactly right.
-                let server = TcpStream::connect_timeout(&ctl.target, Duration::from_millis(100))
+                let server = TcpStream::connect_timeout(&link.target, Duration::from_millis(100))
                     .ok()
                     .and_then(|s| s.set_nonblocking(true).ok().map(|()| s));
                 let Some(server) = server else {
@@ -338,17 +318,11 @@ fn service_link(link: &mut ProxyLink, ctl: &LinkCtl, poller: &Poller) {
             Err(_) => break,
         }
     }
-    if ctl.mode == LinkMode::Severed {
-        for conn in link.conns.drain(..) {
-            conn.deregister(poller);
-        }
-        return;
-    }
-    let delay = match ctl.mode {
+    let delay = match link.mode {
         LinkMode::Delay(d) => d,
         _ => Duration::ZERO,
     };
-    let black_hole = ctl.mode == LinkMode::BlackHole;
+    let black_hole = link.mode == LinkMode::BlackHole;
     for conn in &mut link.conns {
         service_conn(conn, delay, black_hole);
     }
@@ -1191,26 +1165,16 @@ mod tests {
             "a severed link must refuse new traffic"
         );
 
-        // Healed: traffic flows again. The poller applies the mode change
-        // on its next tick, so a dial can still land on the stale severed
-        // clone of the link map — retry until the heal takes effect.
+        // Healed: the mode is in force once `set_mode` returns, so the
+        // first dial after it echoes.
         fabric.set_mode(0, 1, LinkMode::Open);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut healed = TcpStream::connect(proxy).unwrap();
-            healed
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .unwrap();
-            if healed.write_all(b"back").is_ok() && healed.read_exact(&mut buf).is_ok() {
-                assert_eq!(&buf, b"back");
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "healed link never resumed echoing"
-            );
-            thread::sleep(Duration::from_millis(10));
-        }
+        let mut healed = TcpStream::connect(proxy).unwrap();
+        healed
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        healed.write_all(b"back").unwrap();
+        healed.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"back");
 
         let mut quit = TcpStream::connect(proxy).unwrap();
         quit.write_all(b"quit").unwrap();
@@ -1244,8 +1208,6 @@ mod tests {
         conn.set_read_timeout(Some(Duration::from_millis(150)))
             .unwrap();
         fabric.set_mode(2, 3, LinkMode::BlackHole);
-        // Give the poller a tick to observe the mode change.
-        thread::sleep(Duration::from_millis(10));
         conn.write_all(b"void").unwrap();
         let mut buf = [0u8; 4];
         let got = conn.read(&mut buf);

@@ -3,12 +3,12 @@
 
 use super::call::{Call, Origin, Pending};
 use super::stats::Counters;
-use super::{Command, NodeReport, State};
+use super::{NodeReport, State};
 use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
 use crate::mux::Parked;
 use gred_dataplane::Packet;
 use gred_runtime::reactor::{
-    connect_nonblocking, Event, Events, Interest, Poller, WriteQueue, WAKE_TOKEN,
+    connect_nonblocking, Command, Event, Events, Interest, Poller, WriteQueue, WAKE_TOKEN,
 };
 use std::collections::VecDeque;
 use std::io::{self, Read};
@@ -95,7 +95,7 @@ pub(super) struct Reactor {
     /// Shared with the [`Node`](super::Node) handle, which wakes it
     /// after mailing a command.
     poller: Arc<Poller>,
-    commands: mpsc::Receiver<Command>,
+    commands: mpsc::Receiver<Command<Reactor>>,
     listener: Option<TcpListener>,
     pub(super) conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -135,7 +135,7 @@ impl Reactor {
         state: State,
         listener: TcpListener,
         poller: Arc<Poller>,
-        commands: mpsc::Receiver<Command>,
+        commands: mpsc::Receiver<Command<Reactor>>,
     ) -> Reactor {
         Reactor {
             state,

@@ -64,7 +64,7 @@
 //! the way back may keep it, since its next write invalidates every peer
 //! anyway, and a transit switch may answer later requests from such a
 //! copy. That answer is marked [`Cacheable::WhenPristine`]: a switch
-//! keeps it only if no write's invalidation ever reached its cache shard
+//! keeps it only if no write's invalidation ever reached its cache bucket
 //! for the id, so a switch that was already told to drop the id cannot
 //! take back an older copy from a cache the same write has not reached
 //! yet. An
@@ -107,9 +107,9 @@
 //! The reactor owns all of the node's state — the forwarding plane, the
 //! peer table, the store, the read cache, the counters, the log file —
 //! as plain fields it mutates through `&mut self`; no lock or atomic
-//! guards any of it. A [`Node`] is a mailbox: each of its methods sends
-//! a closure down an `mpsc` channel and wakes the poller, and all but
-//! [`Node::request_shutdown`] wait for the reply. The reactor runs the
+//! guards any of it. A [`Node`] is a [`Mailbox`]: each of its methods
+//! sends a closure down an `mpsc` channel and wakes the poller, and all
+//! but [`Node::request_shutdown`] wait for the reply. The reactor runs the
 //! queued closures between two event batches, so a control verb
 //! (install a plane, re-point a peer, preload or extract items) finds
 //! and leaves the state exactly as a request does, and
@@ -144,14 +144,14 @@ use bytes::Bytes;
 use gred_cache::ReadCache;
 use gred_dataplane::{NodeHotStats, StatsSnapshot, SwitchDataplane};
 use gred_hash::DataId;
-use gred_runtime::reactor::{set_listen_backlog, Interest, Poller};
+use gred_runtime::reactor::{set_listen_backlog, Interest, Mailbox, Poller};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -167,6 +167,14 @@ pub(crate) mod tests;
 /// (`node-<id>.log`). CI sets it so a failing cluster test can upload
 /// what every node saw.
 pub const LOG_DIR_ENV: &str = "GRED_CLUSTER_LOG_DIR";
+
+/// Accept backlog requested for the listener (clamped by the kernel to
+/// `net.core.somaxconn`). `TcpListener::bind` hardcodes 128, which a
+/// connect burst overflows whenever the reactor thread is momentarily
+/// descheduled — the kernel then drops the overflowing SYN and that
+/// dialer stalls a full ~1s retransmit timeout. A node built to hold
+/// 10k+ connections needs queue headroom to match.
+const LISTEN_BACKLOG: u32 = 4096;
 
 /// Tuning knobs for a [`Node`].
 #[derive(Debug, Clone)]
@@ -199,13 +207,6 @@ pub struct NodeConfig {
     /// this cache on the next write. `0` disables caching entirely: no
     /// probe, no stamp.
     pub cache_bytes: usize,
-    /// Accept backlog requested for the listener (clamped by the kernel
-    /// to `net.core.somaxconn`). `TcpListener::bind` hardcodes 128,
-    /// which a connect burst overflows whenever the reactor thread is
-    /// momentarily descheduled — the kernel then drops the overflowing
-    /// SYN and that dialer stalls a full ~1s retransmit timeout. A node
-    /// built to hold 10k+ connections needs queue headroom to match.
-    pub listen_backlog: u32,
     /// Directory for this node's log file; `None` disables logging.
     pub log_dir: Option<PathBuf>,
 }
@@ -221,7 +222,6 @@ impl Default for NodeConfig {
             max_detours: 8,
             suspect_ttl: Duration::from_secs(2),
             cache_bytes: 8 * 1024 * 1024,
-            listen_backlog: 4096,
             log_dir: std::env::var_os(LOG_DIR_ENV).map(PathBuf::from),
         }
     }
@@ -354,18 +354,12 @@ struct State {
     booted: Instant,
 }
 
-/// A control verb: runs on the reactor thread between two event
-/// batches.
-type Command = Box<dyn FnOnce(&mut Reactor) + Send>;
-
 /// A running GRED switch daemon: the mailbox of its reactor thread. See
 /// the module docs for the threading model.
 pub struct Node {
     id: usize,
     addr: SocketAddr,
-    mailbox: mpsc::Sender<Command>,
-    /// The reactor's poller, held here only to wake it after a send.
-    poller: Arc<Poller>,
+    mailbox: Mailbox<Reactor>,
     reactor: Option<thread::JoinHandle<NodeReport>>,
     /// The reactor's final accounting once joined; empty until then.
     report: NodeReport,
@@ -389,7 +383,7 @@ impl Node {
     ) -> io::Result<Node> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        set_listen_backlog(listener.as_raw_fd(), cfg.listen_backlog)?;
+        set_listen_backlog(listener.as_raw_fd(), LISTEN_BACKLOG)?;
         let log = match &cfg.log_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
@@ -417,8 +411,8 @@ impl Node {
             booted: Instant::now(),
         };
         state.log(&format!("listening on {addr}"));
-        let (mailbox, commands) = mpsc::channel();
-        let reactor = Reactor::new(state, listener, Arc::clone(&poller), commands);
+        let (mailbox, commands) = Mailbox::new(Arc::clone(&poller));
+        let reactor = Reactor::new(state, listener, poller, commands);
         let handle = thread::Builder::new()
             .name(format!("gred-node-{id}-reactor"))
             .spawn(move || reactor.run())?;
@@ -426,29 +420,12 @@ impl Node {
             id,
             addr,
             mailbox,
-            poller,
             reactor: Some(handle),
             report: NodeReport {
                 id,
                 ..NodeReport::default()
             },
         })
-    }
-
-    /// Runs `query` on the reactor and waits for its answer: `None` once
-    /// the reactor has exited, because the dropped closure takes its
-    /// reply channel with it.
-    fn ask<R: Send + 'static>(
-        &self,
-        query: impl FnOnce(&mut Reactor) -> R + Send + 'static,
-    ) -> Option<R> {
-        let (reply, answer) = mpsc::channel();
-        let command = move |reactor: &mut Reactor| {
-            let _ = reply.send(query(reactor));
-        };
-        self.mailbox.send(Box::new(command)).ok()?;
-        self.poller.wake();
-        answer.recv().ok()
     }
 
     /// The switch id this node serves.
@@ -466,7 +443,8 @@ impl Node {
     /// the in-process plane. Monotone across [`Node::install_plane`];
     /// `0` once the reactor has exited.
     pub fn packets_processed(&self) -> u64 {
-        self.ask(|r| r.state.retired_processed + r.state.plane.packets_processed())
+        self.mailbox
+            .ask(|r| r.state.retired_processed + r.state.plane.packets_processed())
             .unwrap_or(0)
     }
 
@@ -477,7 +455,7 @@ impl Node {
     /// in-process planes. Requests served before the install ran on the
     /// old plane; every later one sees the new tables.
     pub fn install_plane(&self, plane: SwitchDataplane) {
-        self.ask(move |r| {
+        self.mailbox.ask(move |r| {
             let state = &mut r.state;
             let old = std::mem::replace(&mut state.plane, plane);
             state.retired_processed += old.packets_processed();
@@ -496,7 +474,7 @@ impl Node {
     /// cleared: a re-registered peer is presumed alive until proven
     /// otherwise.
     pub fn register_peer(&self, switch: usize, addr: SocketAddr) {
-        self.ask(move |r| {
+        self.mailbox.ask(move |r| {
             let state = &mut r.state;
             if state.peers.len() <= switch {
                 // Placeholder slots for any gap; they are re-pointed when
@@ -513,13 +491,14 @@ impl Node {
     /// Peer switches currently marked suspect (stamp not yet expired),
     /// in ascending order; empty once the reactor has exited.
     pub fn suspect_peers(&self) -> Vec<usize> {
-        self.ask(|r| {
-            let now = r.state.now_ms();
-            (0..r.state.peers.len())
-                .filter(|&peer| r.state.suspect_at(peer, now))
-                .collect()
-        })
-        .unwrap_or_default()
+        self.mailbox
+            .ask(|r| {
+                let now = r.state.now_ms();
+                (0..r.state.peers.len())
+                    .filter(|&peer| r.state.suspect_at(peer, now))
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     /// Removes and returns every stored item whose id satisfies `pred` —
@@ -530,25 +509,28 @@ impl Node {
         // `pred` may borrow the caller's data, so it runs on this
         // thread: the reactor lists the ids, then removes those chosen.
         let ids = self
+            .mailbox
             .ask(|r| r.state.store.keys().cloned().collect::<Vec<_>>())
             .unwrap_or_default();
         let chosen: Vec<DataId> = ids.into_iter().filter(|id| pred(id)).collect();
-        self.ask(move |r| {
-            chosen
-                .into_iter()
-                .filter_map(|id| {
-                    let item = r.state.store.remove(&id)?;
-                    Some((id, item.payload))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+        self.mailbox
+            .ask(move |r| {
+                chosen
+                    .into_iter()
+                    .filter_map(|id| {
+                        let item = r.state.store.remove(&id)?;
+                        Some((id, item.payload))
+                    })
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     /// Items currently in the local store; once the reactor has exited,
     /// the count it reported (`0` before [`Node::shutdown`] joined it).
     pub fn stored_items(&self) -> usize {
-        self.ask(|r| r.state.store.len())
+        self.mailbox
+            .ask(|r| r.state.store.len())
             .unwrap_or(self.report.stored_items)
     }
 
@@ -557,14 +539,16 @@ impl Node {
     /// rebuilt no link. Once the reactor has exited, the counters it
     /// reported (zero before [`Node::shutdown`] joined it).
     pub fn hot_stats(&self) -> NodeHotStats {
-        self.ask(|r| r.state.hot_stats()).unwrap_or(self.report.hot)
+        self.mailbox
+            .ask(|r| r.state.hot_stats())
+            .unwrap_or(self.report.hot)
     }
 
     /// The same snapshot a wire `Stats` scrape would answer with, built
     /// by the same code — the parity twin tests compare against. A
     /// default (all-zero) snapshot once the reactor has exited.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.ask(|r| r.wire_snapshot()).unwrap_or_default()
+        self.mailbox.ask(|r| r.wire_snapshot()).unwrap_or_default()
     }
 
     /// Seeds the local store with an item held by local server `index` —
@@ -578,13 +562,13 @@ impl Node {
     /// [`Node::preload`] for every `(id, index, payload)` of `items`, in
     /// one round trip to the reactor.
     pub(crate) fn preload_many(&self, items: Vec<(DataId, usize, Bytes)>) {
-        self.ask(move |r| {
+        self.mailbox.ask(move |r| {
             let state = &mut r.state;
             for (id, index, payload) in items {
                 // Preloading overwrites the store out of band, so any
                 // cached copy of the id on this node is stale by
                 // definition. It is no write — it invalidates no other
-                // cache — so the shard stays pristine for cache-to-cache
+                // cache — so the bucket stays pristine for cache-to-cache
                 // fills (see `maybe_cache`).
                 state.cache.invalidate(&id);
                 let item = StoredItem {
@@ -603,23 +587,21 @@ impl Node {
     /// the connection-scale soak test asserts against. `0` once the
     /// reactor has exited.
     pub fn open_connections(&self) -> usize {
-        self.ask(|r| r.inbound()).unwrap_or(0)
+        self.mailbox.ask(|r| r.inbound()).unwrap_or(0)
     }
 
     /// Continuations currently parked on peer links: forwarded frames
     /// and invalidations whose response has neither arrived nor expired.
     /// Zero whenever the node is idle, and once the reactor has exited.
     pub fn parked_continuations(&self) -> usize {
-        self.ask(|r| r.parked.len()).unwrap_or(0)
+        self.mailbox.ask(|r| r.parked.len()).unwrap_or(0)
     }
 
     /// Signals shutdown without waiting. [`Cluster`](crate::Cluster)
     /// signals every node before joining any of them so peers stop
     /// accepting new work together.
     pub fn request_shutdown(&self) {
-        if self.mailbox.send(Box::new(Reactor::begin_drain)).is_ok() {
-            self.poller.wake();
-        }
+        self.mailbox.tell(Reactor::begin_drain);
     }
 
     /// Stops the node: signals shutdown and joins the reactor — which

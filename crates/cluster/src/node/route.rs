@@ -385,7 +385,7 @@ impl State {
     /// `Anywhere` copy is kept by any node, as a shared entry: its
     /// owner's next write invalidates every switch. A cache's
     /// (`WhenPristine`) answer is kept only if no write has ever
-    /// invalidated anything in this node's shard for the id: a node that
+    /// invalidated anything in this node's cache bucket for the id: a node that
     /// was already told to drop the id must not take back an older copy
     /// from a cache the same write has not reached yet. A detoured (`Degraded`) or aborted
     /// (`Redirect`) answer may come from a stand-in switch rather than

@@ -21,7 +21,8 @@ pub(crate) fn test_config() -> NodeConfig {
 
 /// Runs `f` on `node`'s reactor-owned state, between two event batches.
 fn on_state<R: Send + 'static>(node: &Node, f: impl FnOnce(&mut State) -> R + Send + 'static) -> R {
-    node.ask(move |r| f(&mut r.state))
+    node.mailbox
+        .ask(move |r| f(&mut r.state))
         .expect("the reactor is running")
 }
 
@@ -509,8 +510,8 @@ fn accept_errors_pause_the_listener_without_stalling_parked_forwards() {
         }
         // Every accept now fails EMFILE-style. A second client dials in:
         // the kernel completes its handshake, the reactor's accept fails.
-        let faults = |node: &Node| node.ask(|r| r.accept_faults).unwrap();
-        node.ask(|r| r.accept_faults = usize::MAX);
+        let faults = |node: &Node| node.mailbox.ask(|r| r.accept_faults).unwrap();
+        node.mailbox.ask(|r| r.accept_faults = usize::MAX);
         let mut second = TcpStream::connect(node.addr()).unwrap();
         second.write_all(&read).unwrap();
         while faults(&node) == usize::MAX {
@@ -523,7 +524,7 @@ fn accept_errors_pause_the_listener_without_stalling_parked_forwards() {
         assert_eq!(node.open_connections(), 1, "the second dial still waits");
         // Once accepts succeed again the deadline queue re-arms the
         // listener and the waiting client is served.
-        node.ask(|r| r.accept_faults = 0);
+        node.mailbox.ask(|r| r.accept_faults = 0);
         release.send(()).unwrap();
         assert_eq!(read_reply(&mut second).payload.as_ref(), b"late");
         let report = node.shutdown();

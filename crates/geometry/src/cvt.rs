@@ -27,17 +27,14 @@ pub struct CRegulationConfig {
     pub iterations: usize,
     /// Uniform sample points drawn per iteration (paper: 1000).
     pub samples_per_iteration: usize,
-    /// Optional early-exit threshold on the sampled CVT energy.
-    pub energy_threshold: Option<f64>,
 }
 
 impl Default for CRegulationConfig {
-    /// The paper's defaults: `T = 50`, 1000 samples, no energy threshold.
+    /// The paper's defaults: `T = 50`, 1000 samples.
     fn default() -> Self {
         CRegulationConfig {
             iterations: 50,
             samples_per_iteration: 1000,
-            energy_threshold: None,
         }
     }
 }
@@ -83,11 +80,10 @@ pub fn cvt_energy_exact(sites: &[Point2], bounds: &Polygon) -> f64 {
 
 /// The paper's C-regulation refinement (Algorithm 1).
 ///
-/// Runs up to `config.iterations` iterations; each draws
+/// Runs `config.iterations` iterations; each draws
 /// `config.samples_per_iteration` uniform sample points in the unit square,
 /// assigns every sample to its nearest site, and moves each site to the
-/// centroid of its assigned samples. Iteration stops early when the sampled
-/// CVT energy drops below `config.energy_threshold`, if one is set.
+/// centroid of its assigned samples.
 ///
 /// Returns the refined sites (always the same count as the input, in the
 /// same order). With `config.iterations == 0` the input is returned
@@ -153,37 +149,27 @@ pub fn c_regulation_with(
             |batch: &[Point2]| {
                 let mut sums = vec![Point2::ORIGIN; sites_now.len()];
                 let mut counts = vec![0usize; sites_now.len()];
-                let mut energy = 0.0;
                 for &p in batch {
                     let k = nearest_index(sites_now, p).expect("sites nonempty");
                     sums[k] = sums[k] + p;
                     counts[k] += 1;
-                    energy += sites_now[k].distance_squared(p);
                 }
-                (sums, counts, energy)
+                (sums, counts)
             },
         );
 
         let mut sums = vec![Point2::ORIGIN; current.len()];
         let mut counts = vec![0usize; current.len()];
-        let mut energy = 0.0;
-        for (batch_sums, batch_counts, batch_energy) in partials {
+        for (batch_sums, batch_counts) in partials {
             for k in 0..current.len() {
                 sums[k] = sums[k] + batch_sums[k];
                 counts[k] += batch_counts[k];
             }
-            energy += batch_energy;
         }
 
         for k in 0..current.len() {
             if counts[k] > 0 {
                 current[k] = sums[k] * (1.0 / counts[k] as f64);
-            }
-        }
-        if let Some(threshold) = config.energy_threshold {
-            let energy = energy / config.samples_per_iteration.max(1) as f64;
-            if energy < threshold {
-                break;
             }
         }
     }
@@ -292,20 +278,6 @@ mod tests {
             );
             prev = e;
         }
-    }
-
-    #[test]
-    fn energy_threshold_short_circuits() {
-        let sites = random_sites(8, 29);
-        let mut rng = StdRng::seed_from_u64(9);
-        let config = CRegulationConfig {
-            iterations: 1000,
-            samples_per_iteration: 200,
-            energy_threshold: Some(f64::INFINITY),
-        };
-        // Threshold met after the first iteration — must not run all 1000.
-        let out = c_regulation(&sites, &config, &mut rng);
-        assert_eq!(out.len(), sites.len());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! supplies those geometric building blocks:
 //!
 //! - [`point`]: the [`Point2`] type and distance/tie-breaking rules,
-//! - [`predicates`]: orientation and in-circumcircle tests,
+//! - [`predicates`]: the floating-point orientation test,
 //! - [`hull`]: convex hull (monotone chain),
 //! - [`polygon`]: convex polygon clipping, area, centroid, second moment,
 //! - [`delaunay`]: a flip-based Delaunay [`Triangulation`] with greedy

@@ -1,10 +1,11 @@
-//! Geometric predicates: orientation and in-circumcircle tests.
+//! The floating-point orientation test and the tolerance the polygon
+//! and hull code share.
 //!
-//! These are evaluated in `f64` with a small tolerance. GRED's switch
-//! positions come from an MDS embedding followed by randomized CVT
-//! refinement, so exactly degenerate configurations (collinear triples,
-//! co-circular quadruples) essentially never arise; the tolerance guards the
-//! flip loop in [`crate::delaunay`] against cycling on near-degenerate input.
+//! [`orient2d`] is evaluated in `f64`; [`EPS`] is the tolerance under
+//! which the convex hull and polygon clipping treat a value as zero. The
+//! Delaunay triangulation uses neither: its orientation and in-circle
+//! tests run in exact integer arithmetic on a snapped lattice (see
+//! [`crate::delaunay`]).
 
 use crate::Point2;
 
@@ -29,63 +30,6 @@ pub fn orient2d(a: Point2, b: Point2, c: Point2) -> f64 {
     (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 }
 
-/// Whether `(a, b, c)` are collinear within tolerance.
-pub fn collinear(a: Point2, b: Point2, c: Point2) -> bool {
-    let det = orient2d(a, b, c);
-    let scale = (b - a).norm_squared().max((c - a).norm_squared()).max(1.0);
-    det.abs() <= EPS * scale
-}
-
-/// In-circumcircle determinant for counter-clockwise triangle `(a, b, c)`.
-///
-/// Positive when `d` lies strictly inside the circumcircle of the triangle,
-/// negative when outside, near zero when co-circular. The caller must pass a
-/// counter-clockwise triangle; with a clockwise triangle the sign inverts.
-pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
-    let adx = a.x - d.x;
-    let ady = a.y - d.y;
-    let bdx = b.x - d.x;
-    let bdy = b.y - d.y;
-    let cdx = c.x - d.x;
-    let cdy = c.y - d.y;
-
-    let ad2 = adx * adx + ady * ady;
-    let bd2 = bdx * bdx + bdy * bdy;
-    let cd2 = cdx * cdx + cdy * cdy;
-
-    adx * (bdy * cd2 - bd2 * cdy) - ady * (bdx * cd2 - bd2 * cdx) + ad2 * (bdx * cdy - bdy * cdx)
-}
-
-/// Whether `d` is strictly inside the circumcircle of CCW triangle
-/// `(a, b, c)`, with a relative tolerance so co-circular points are treated
-/// as *not* inside (preventing flip cycles).
-pub fn in_circumcircle(a: Point2, b: Point2, c: Point2, d: Point2) -> bool {
-    let det = incircle(a, b, c, d);
-    // Scale tolerance by a magnitude estimate of the determinant terms.
-    let m = [a, b, c]
-        .iter()
-        .map(|p| p.distance_squared(d))
-        .fold(1.0f64, f64::max);
-    det > EPS * m * m
-}
-
-/// Circumcenter of triangle `(a, b, c)`.
-///
-/// Returns `None` when the triangle is (nearly) degenerate.
-pub fn circumcenter(a: Point2, b: Point2, c: Point2) -> Option<Point2> {
-    let d = 2.0 * orient2d(a, b, c);
-    let scale = (b - a).norm_squared().max((c - a).norm_squared()).max(1.0);
-    if d.abs() <= EPS * scale {
-        return None;
-    }
-    let a2 = a.norm_squared();
-    let b2 = b.norm_squared();
-    let c2 = c.norm_squared();
-    let ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d;
-    let uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d;
-    Some(Point2::new(ux, uy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,99 +44,7 @@ mod tests {
         assert_eq!(orient2d(a, b, Point2::new(2.0, 0.0)), 0.0);
     }
 
-    #[test]
-    fn collinear_detection() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(1.0, 1.0);
-        assert!(collinear(a, b, Point2::new(2.0, 2.0)));
-        assert!(!collinear(a, b, Point2::new(2.0, 2.1)));
-    }
-
-    #[test]
-    fn incircle_unit_circle() {
-        // CCW triangle inscribed in the unit circle.
-        let a = Point2::new(1.0, 0.0);
-        let b = Point2::new(0.0, 1.0);
-        let c = Point2::new(-1.0, 0.0);
-        assert!(in_circumcircle(a, b, c, Point2::new(0.0, 0.0)));
-        assert!(!in_circumcircle(a, b, c, Point2::new(2.0, 0.0)));
-        // Co-circular point is not *strictly* inside.
-        assert!(!in_circumcircle(a, b, c, Point2::new(0.0, -1.0)));
-    }
-
-    #[test]
-    fn circumcenter_known() {
-        let c = circumcenter(
-            Point2::new(0.0, 0.0),
-            Point2::new(2.0, 0.0),
-            Point2::new(0.0, 2.0),
-        )
-        .unwrap();
-        assert!((c.x - 1.0).abs() < 1e-12);
-        assert!((c.y - 1.0).abs() < 1e-12);
-        // Degenerate (collinear) triangle has no circumcenter.
-        assert!(circumcenter(
-            Point2::new(0.0, 0.0),
-            Point2::new(1.0, 0.0),
-            Point2::new(2.0, 0.0)
-        )
-        .is_none());
-    }
-
     proptest! {
-        /// The circumcenter is equidistant from all three vertices.
-        #[test]
-        fn prop_circumcenter_equidistant(
-            ax in -5.0f64..5.0, ay in -5.0f64..5.0,
-            bx in -5.0f64..5.0, by in -5.0f64..5.0,
-            cx in -5.0f64..5.0, cy in -5.0f64..5.0,
-        ) {
-            let a = Point2::new(ax, ay);
-            let b = Point2::new(bx, by);
-            let c = Point2::new(cx, cy);
-            prop_assume!(orient2d(a, b, c).abs() > 1e-6);
-            let o = circumcenter(a, b, c).unwrap();
-            let ra = o.distance(a);
-            prop_assert!((o.distance(b) - ra).abs() < 1e-6 * ra.max(1.0));
-            prop_assert!((o.distance(c) - ra).abs() < 1e-6 * ra.max(1.0));
-        }
-
-        /// incircle is antisymmetric under swapping two triangle vertices.
-        #[test]
-        fn prop_incircle_orientation_antisymmetry(
-            ax in -5.0f64..5.0, ay in -5.0f64..5.0,
-            bx in -5.0f64..5.0, by in -5.0f64..5.0,
-            cx in -5.0f64..5.0, cy in -5.0f64..5.0,
-            dx in -5.0f64..5.0, dy in -5.0f64..5.0,
-        ) {
-            let a = Point2::new(ax, ay);
-            let b = Point2::new(bx, by);
-            let c = Point2::new(cx, cy);
-            let d = Point2::new(dx, dy);
-            let fwd = incircle(a, b, c, d);
-            let swapped = incircle(b, a, c, d);
-            prop_assert!((fwd + swapped).abs() <= 1e-7 * fwd.abs().max(swapped.abs()).max(1.0));
-        }
-
-        /// Points inside the circumcircle test positive for CCW triangles.
-        #[test]
-        fn prop_center_always_inside(
-            ax in -5.0f64..5.0, ay in -5.0f64..5.0,
-            bx in -5.0f64..5.0, by in -5.0f64..5.0,
-            cx in -5.0f64..5.0, cy in -5.0f64..5.0,
-        ) {
-            let mut a = Point2::new(ax, ay);
-            let b = Point2::new(bx, by);
-            let mut c = Point2::new(cx, cy);
-            prop_assume!(orient2d(a, b, c).abs() > 1e-3);
-            if orient2d(a, b, c) < 0.0 {
-                std::mem::swap(&mut a, &mut c);
-            }
-            let o = circumcenter(a, b, c).unwrap();
-            prop_assume!(o.is_finite());
-            prop_assert!(incircle(a, b, c, o) > 0.0);
-        }
-
         /// orient2d flips sign under a transposition and is invariant under
         /// cyclic rotation of its arguments.
         #[test]
@@ -212,52 +64,6 @@ mod tests {
             // Transpositions negate it.
             prop_assert!((orient2d(a, c, b) + base).abs() <= tol);
             prop_assert!((orient2d(b, a, c) + base).abs() <= tol);
-        }
-
-        /// incircle is invariant under cyclic permutation of the triangle.
-        #[test]
-        fn prop_incircle_cyclic_invariance(
-            ax in -5.0f64..5.0, ay in -5.0f64..5.0,
-            bx in -5.0f64..5.0, by in -5.0f64..5.0,
-            cx in -5.0f64..5.0, cy in -5.0f64..5.0,
-            dx in -5.0f64..5.0, dy in -5.0f64..5.0,
-        ) {
-            let a = Point2::new(ax, ay);
-            let b = Point2::new(bx, by);
-            let c = Point2::new(cx, cy);
-            let d = Point2::new(dx, dy);
-            let base = incircle(a, b, c, d);
-            let tol = 1e-7 * base.abs().max(1.0);
-            prop_assert!((incircle(b, c, a, d) - base).abs() <= tol);
-            prop_assert!((incircle(c, a, b, d) - base).abs() <= tol);
-        }
-
-        /// collinear gives the same verdict for every ordering of a triple.
-        #[test]
-        fn prop_collinear_permutation_invariant(
-            ax in -5.0f64..5.0, ay in -5.0f64..5.0,
-            bx in -5.0f64..5.0, by in -5.0f64..5.0,
-            cx in -5.0f64..5.0, cy in -5.0f64..5.0,
-            exactly in any::<bool>(),
-        ) {
-            let a = Point2::new(ax, ay);
-            let b = Point2::new(bx, by);
-            // Half the cases force an exactly collinear triple, so both
-            // verdicts are exercised.
-            let c = if exactly {
-                Point2::new(ax + 2.0 * (bx - ax), ay + 2.0 * (by - ay))
-            } else {
-                Point2::new(cx, cy)
-            };
-            // Near the tolerance threshold different orderings may scale
-            // differently; stay clear of the boundary.
-            let det = orient2d(a, b, c).abs();
-            let scale = (b - a).norm_squared().max((c - a).norm_squared()).max(1.0);
-            prop_assume!(det <= 0.1 * EPS * scale || det >= 10.0 * EPS * scale);
-            let verdict = collinear(a, b, c);
-            for (x, y, z) in [(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)] {
-                prop_assert_eq!(collinear(x, y, z), verdict);
-            }
         }
     }
 }

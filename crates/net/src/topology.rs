@@ -631,81 +631,6 @@ mod stats_tests {
     }
 }
 
-impl Topology {
-    /// Serializes the topology as a plain edge list: first line
-    /// `switches <n>`, then one `a b` pair per line, sorted. A stable
-    /// interchange format for external tools.
-    pub fn to_edge_list(&self) -> String {
-        let mut out = format!("switches {}\n", self.switch_count());
-        for (a, b) in self.links() {
-            out.push_str(&format!("{a} {b}\n"));
-        }
-        out
-    }
-
-    /// Parses the [`Topology::to_edge_list`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for malformed input, or a
-    /// [`TopologyError`] (stringified) for invalid links.
-    pub fn from_edge_list(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty input")?;
-        let n: usize = header
-            .strip_prefix("switches ")
-            .ok_or("first line must be `switches <n>`")?
-            .trim()
-            .parse()
-            .map_err(|_| "bad switch count".to_string())?;
-        let mut topo = Topology::new(n);
-        for line in lines {
-            let mut it = line.split_whitespace();
-            let a: usize = it
-                .next()
-                .ok_or("missing endpoint")?
-                .parse()
-                .map_err(|_| format!("bad endpoint in {line:?}"))?;
-            let b: usize = it
-                .next()
-                .ok_or("missing endpoint")?
-                .parse()
-                .map_err(|_| format!("bad endpoint in {line:?}"))?;
-            topo.add_link(a, b).map_err(|e| e.to_string())?;
-        }
-        Ok(topo)
-    }
-}
-
-#[cfg(test)]
-mod edge_list_tests {
-    use super::*;
-
-    #[test]
-    fn round_trip() {
-        let t = Topology::from_links(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let text = t.to_edge_list();
-        let back = Topology::from_edge_list(&text).unwrap();
-        assert_eq!(back, t);
-        assert!(text.starts_with("switches 4\n"));
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(Topology::from_edge_list("").is_err());
-        assert!(Topology::from_edge_list("nodes 3\n").is_err());
-        assert!(Topology::from_edge_list("switches x\n").is_err());
-        assert!(Topology::from_edge_list("switches 2\n0\n").is_err());
-        assert!(Topology::from_edge_list("switches 2\n0 5\n").is_err());
-    }
-
-    #[test]
-    fn blank_lines_tolerated() {
-        let t = Topology::from_edge_list("switches 2\n\n0 1\n\n").unwrap();
-        assert!(t.has_link(0, 1));
-    }
-}
-
 #[cfg(test)]
 mod serde_tests {
     use super::*;

@@ -8,9 +8,10 @@
 //!   node's store is a plain map its reactor owns); it stays until the
 //!   benchmark's layer probe stops timing it.
 //! - [`reactor`]: level-triggered `epoll` readiness polling
-//!   ([`Poller`]) and partial-write absorption ([`WriteQueue`]) — the
-//!   nonblocking-I/O substrate the cluster node runtime and the chaos
-//!   fabric share.
+//!   ([`Poller`]), the [`Mailbox`] through which other threads reach a
+//!   reactor's state, and partial-write absorption ([`WriteQueue`]) —
+//!   the nonblocking-I/O substrate the cluster node runtime and the
+//!   chaos fabric share.
 //! - [`parallel_map`]: an ordered, chunked fork/join map over scoped
 //!   threads. Work is handed out in contiguous chunks (amortizing queue
 //!   synchronization over many items) and every worker accumulates its
@@ -31,7 +32,7 @@
 pub mod reactor;
 pub mod shard;
 
-pub use reactor::{Poller, WriteQueue};
+pub use reactor::{Mailbox, Poller, WriteQueue};
 pub use shard::ShardedMap;
 
 use std::sync::Mutex;

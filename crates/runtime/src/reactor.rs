@@ -7,10 +7,11 @@
 //! descriptors under opaque `u64` tokens, block in [`Poller::wait`], and
 //! get back the tokens that are readable or writable. An `eventfd`
 //! registered under [`WAKE_TOKEN`] lets other threads interrupt a
-//! blocked `wait` ([`Poller::wake`]) — how a node's public API (shutdown
-//! requests) reaches its reactor thread. [`connect_nonblocking`] starts
-//! an outbound TCP connect without waiting for the handshake, so a
-//! reactor can dial peers and learn the outcome from a writable event.
+//! blocked `wait` ([`Poller::wake`]). [`Mailbox`] builds on it: other
+//! threads reach the state a reactor thread owns by mailing it closures
+//! and waking it. [`connect_nonblocking`] starts an outbound TCP connect
+//! without waiting for the handshake, so a reactor can dial peers and
+//! learn the outcome from a writable event.
 //!
 //! [`WriteQueue`] is the other half of nonblocking I/O: a segmented
 //! byte queue that absorbs partial writes. Callers push whole frames;
@@ -30,6 +31,7 @@ use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{FromRawFd, RawFd};
 use std::os::raw::{c_int, c_uint, c_void};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 // Values from <sys/epoll.h> / <sys/eventfd.h> on Linux.
@@ -407,6 +409,64 @@ impl Drop for Poller {
 // the kernel serializes internally.
 unsafe impl Send for Poller {}
 unsafe impl Sync for Poller {}
+
+/// A closure mailed to the thread that owns a `T`; that thread runs it
+/// between two event batches.
+pub type Command<T> = Box<dyn FnOnce(&mut T) + Send>;
+
+/// The sending half of a reactor thread's mailbox: how other threads
+/// reach state the reactor owns outright. Every send wakes the
+/// reactor's poller; the reactor drains the receiving half after each
+/// [`Poller::wait`] and runs the commands in the order they were sent.
+pub struct Mailbox<T> {
+    commands: mpsc::Sender<Command<T>>,
+    poller: Arc<Poller>,
+}
+
+impl<T> Clone for Mailbox<T> {
+    fn clone(&self) -> Self {
+        Mailbox {
+            commands: self.commands.clone(),
+            poller: Arc::clone(&self.poller),
+        }
+    }
+}
+
+impl<T> Mailbox<T> {
+    /// A mailbox that wakes `poller`, and the receiving half its
+    /// reactor drains.
+    pub fn new(poller: Arc<Poller>) -> (Mailbox<T>, mpsc::Receiver<Command<T>>) {
+        let (commands, inbox) = mpsc::channel();
+        (Mailbox { commands, poller }, inbox)
+    }
+
+    /// Mails `command` without waiting for it to run. `false` once the
+    /// reactor has exited.
+    pub fn tell(&self, command: impl FnOnce(&mut T) + Send + 'static) -> bool {
+        let sent = self.commands.send(Box::new(command)).is_ok();
+        if sent {
+            self.poller.wake();
+        }
+        sent
+    }
+
+    /// Runs `query` on the reactor and waits for its answer: `None` once
+    /// the reactor has exited, because the dropped closure takes its
+    /// reply channel with it.
+    pub fn ask<R: Send + 'static>(
+        &self,
+        query: impl FnOnce(&mut T) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (reply, answer) = mpsc::channel();
+        let sent = self.tell(move |owner: &mut T| {
+            let _ = reply.send(query(owner));
+        });
+        if !sent {
+            return None;
+        }
+        answer.recv().ok()
+    }
+}
 
 /// Upper bound on the iovec array handed to one `write_vectored` call.
 /// Linux caps a writev at `UIO_MAXIOV` (1024) anyway; a small stack

@@ -63,14 +63,6 @@ pub struct Oracle {
     items: BTreeMap<DataId, Item>,
     extensions: BTreeMap<ServerId, ServerId>,
     tombstones: BTreeSet<DataId>,
-    /// The may-serve set of the read caches: payloads some node's cache
-    /// is allowed to answer with right now. Maintained by the same
-    /// discipline the real nodes follow — fill on a clean read
-    /// ([`Oracle::cache_fill`]), drop on every write ([`Oracle::place`]
-    /// invalidates before it records the new payload), flush on every
-    /// topology change (crash, leave, join) — so a cached read can
-    /// never resurrect a crash-tombstoned or superseded value.
-    cached: BTreeMap<DataId, Bytes>,
 }
 
 impl Oracle {
@@ -93,7 +85,6 @@ impl Oracle {
             items: BTreeMap::new(),
             extensions: net.active_extensions().into_iter().collect(),
             tombstones: BTreeSet::new(),
-            cached: BTreeMap::new(),
         }
     }
 
@@ -171,14 +162,10 @@ impl Oracle {
         self.extension_of(owner).unwrap_or(owner)
     }
 
-    /// Mirrors a successful placement. The write-through invalidation
-    /// happens here too: the cached copy is dropped *with* the write,
-    /// never surviving it, exactly as the owner broadcasts
-    /// `Invalidate` before acking.
+    /// Mirrors a successful placement.
     pub fn place(&mut self, id: DataId, payload: impl Into<Bytes>) {
         let loc = self.placement_target(&id);
         self.tombstones.remove(&id);
-        self.cached.remove(&id);
         self.items.insert(
             id,
             Item {
@@ -215,7 +202,6 @@ impl Oracle {
     /// changed migrates).
     pub fn join(&mut self, switch: usize, position: Point2, servers: usize) {
         self.members.insert(switch, Member { position, servers });
-        self.cache_flush();
         self.migrate();
     }
 
@@ -224,7 +210,6 @@ impl Oracle {
     /// when the crash removal failed connectivity checks (the real system
     /// drains the store before validating the removal).
     pub fn crash_drain(&mut self, switch: usize) {
-        self.cache_flush();
         let lost: Vec<DataId> = self
             .items
             .iter()
@@ -247,7 +232,6 @@ impl Oracle {
     /// orphans under the new membership, then migrate everything whose
     /// owner changed.
     pub fn leave(&mut self, switch: usize) {
-        self.cache_flush();
         let touching: Vec<ServerId> = self
             .extensions
             .iter()
@@ -272,47 +256,6 @@ impl Oracle {
             self.items.get_mut(&id).expect("item exists").loc = target;
         }
         self.migrate();
-    }
-
-    /// Mirrors a clean (detour-free, `Ok`) retrieval populating some
-    /// node's read cache: the currently stored payload enters the
-    /// may-serve set. Returns `false` (and caches nothing) when `id` is
-    /// not stored — a miss or a detoured stand-in answer admits
-    /// nothing, matching the nodes' admission filter.
-    pub fn cache_fill(&mut self, id: &DataId) -> bool {
-        match self.items.get(id) {
-            Some(item) => {
-                self.cached.insert(id.clone(), item.payload.clone());
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Mirrors an `Invalidate` frame for `id` (or a local overwrite on
-    /// an owner): the cached copy leaves the may-serve set.
-    pub fn cache_invalidate(&mut self, id: &DataId) {
-        self.cached.remove(id);
-    }
-
-    /// Mirrors the whole-cache flush every node performs when a new
-    /// dataplane is installed (crash, leave, join): nothing cached
-    /// before a topology change may be served after it.
-    pub fn cache_flush(&mut self) {
-        self.cached.clear();
-    }
-
-    /// What a cached read of `id` may answer right now, if anything.
-    /// Under the maintenance discipline above this is always the
-    /// currently stored payload — never a tombstoned or superseded one;
-    /// the cache-coherence tests assert exactly that.
-    pub fn cache_serve(&self, id: &DataId) -> Option<&Bytes> {
-        self.cached.get(id)
-    }
-
-    /// Ids currently in the may-serve set, ascending.
-    pub fn cached_ids(&self) -> impl Iterator<Item = &DataId> {
-        self.cached.keys()
     }
 
     /// Moves every item whose location is neither its owner nor its
@@ -406,110 +349,6 @@ mod tests {
         oracle.crash_drain(victim);
         assert_eq!(oracle.item_count(), before - at_victim);
         assert_eq!(oracle.tombstones().count(), at_victim);
-    }
-
-    #[test]
-    fn cache_fill_serves_until_the_next_write() {
-        let n = net(8, 9);
-        let mut oracle = Oracle::from_network(&n);
-        let id = DataId::new("cache/coherent");
-        assert!(!oracle.cache_fill(&id), "a miss admits nothing");
-        oracle.place(id.clone(), b"v1".as_ref());
-        assert!(oracle.cache_fill(&id));
-        assert_eq!(oracle.cache_serve(&id).unwrap().as_ref(), b"v1");
-        // The write-through invalidation is part of the write itself:
-        // after place, the stale copy is gone, not merely flagged.
-        oracle.place(id.clone(), b"v2".as_ref());
-        assert!(oracle.cache_serve(&id).is_none(), "superseded copy served");
-        assert!(oracle.cache_fill(&id));
-        assert_eq!(oracle.cache_serve(&id).unwrap().as_ref(), b"v2");
-        oracle.cache_invalidate(&id);
-        assert!(oracle.cache_serve(&id).is_none());
-    }
-
-    #[test]
-    fn crash_flush_prevents_tombstone_resurrection() {
-        let n = net(10, 11);
-        let mut oracle = Oracle::from_network(&n);
-        let id = DataId::new("cache/doomed");
-        oracle.place(id.clone(), b"precious".as_ref());
-        assert!(oracle.cache_fill(&id));
-        let victim = oracle.items().next().unwrap().1.loc.switch;
-        oracle.crash_drain(victim);
-        assert!(oracle.tombstones().any(|t| *t == id));
-        assert!(
-            oracle.cache_serve(&id).is_none(),
-            "a cached read resurrected a crash-tombstoned value"
-        );
-        assert_eq!(oracle.cached_ids().count(), 0, "crash flushes everything");
-    }
-
-    /// Drives fifty seeded churn schedules — writes over a small hot
-    /// key set, cache fills, crashes, leaves, re-joins — and asserts
-    /// after every step that anything the cache may serve is exactly
-    /// the currently stored payload: never tombstoned, never
-    /// superseded.
-    #[test]
-    fn cache_never_serves_stale_across_seeded_churn() {
-        for seed in 0u64..50 {
-            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
-            let mut step = move || {
-                // xorshift64: cheap, deterministic, dependency-free.
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            let n = net(8, 21 + seed % 3);
-            let mut oracle = Oracle::from_network(&n);
-            let keys: Vec<DataId> = (0..6)
-                .map(|k| DataId::new(format!("churn/{seed}/{k}")))
-                .collect();
-            for round in 0..120 {
-                let key = &keys[(step() % keys.len() as u64) as usize];
-                match step() % 10 {
-                    0..=3 => oracle.place(key.clone(), format!("{seed}/{round}")),
-                    4..=7 => {
-                        let _ = oracle.cache_fill(key);
-                    }
-                    8 => {
-                        let ids = oracle.member_ids();
-                        let victim = ids[(step() % ids.len() as u64) as usize];
-                        oracle.crash_drain(victim);
-                    }
-                    _ => {
-                        let ids = oracle.member_ids();
-                        if ids.len() > 2 {
-                            let leaver = ids[(step() % ids.len() as u64) as usize];
-                            let member = oracle.member(leaver).unwrap().clone();
-                            oracle.leave(leaver);
-                            oracle.join(leaver, member.position, member.servers);
-                        }
-                    }
-                }
-                for key in &keys {
-                    if let Some(served) = oracle.cache_serve(key) {
-                        let stored =
-                            oracle
-                                .items()
-                                .find(|(id, _)| *id == key)
-                                .unwrap_or_else(|| {
-                                    panic!(
-                                        "seed {seed} round {round}: cache serves a dropped {key}"
-                                    )
-                                });
-                        assert_eq!(
-                            served, &stored.1.payload,
-                            "seed {seed} round {round}: cache serves a superseded payload"
-                        );
-                        assert!(
-                            !oracle.tombstones().any(|t| t == key),
-                            "seed {seed} round {round}: cache serves a tombstoned id"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
