@@ -45,7 +45,7 @@ use gred_dataplane::{Packet, StatsSnapshot};
 use gred_hash::DataId;
 use gred_net::{ServerId, ServerPool, Topology};
 use gred_runtime::reactor::{Command, Events, Interest, Mailbox, Poller};
-use gred_testkit::{ChaosAction, ChaosPlan, TransportProbe};
+use gred_testkit::{ChaosAction, ChaosPlan, LinkMode, TransportProbe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -58,21 +58,6 @@ use std::time::{Duration, Instant};
 /// Domain-mixing constant: the chaos *workload* stream must differ from
 /// the chaos *plan* stream generated from the same seed.
 const WORKLOAD_DOMAIN: u64 = 0x5EED_C4A0_5FAB_0003;
-
-/// How a directed link currently treats traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkMode {
-    /// Transparent forwarding.
-    Open,
-    /// Connections reset; new dials are accepted and immediately closed,
-    /// so the dialer sees a fast EOF instead of a hang.
-    Severed,
-    /// Bytes are accepted and dropped; nothing comes back. The sender
-    /// discovers the fault only through its reply timeout.
-    BlackHole,
-    /// Chunks are forwarded after sitting in the proxy this long.
-    Delay(Duration),
-}
 
 /// One proxied connection: bytes flow client → `up` → server and
 /// server → `down` → client, each chunk stamped for delay injection.
@@ -428,11 +413,13 @@ pub struct ChaosConfig {
     pub kills: usize,
     /// Transient link faults (sever / black-hole / delay) injected.
     pub link_faults: usize,
-    /// Replicas per acknowledged write (the paper's `k`).
-    pub copies: u32,
-    /// Clean copies on distinct switches required before acking.
-    pub quorum: usize,
 }
+
+/// Replicas per acknowledged write (the paper's `k`).
+pub const COPIES: u32 = 2;
+
+/// Clean copies on distinct switches required before acking.
+pub const QUORUM: usize = 2;
 
 impl Default for ChaosConfig {
     /// The ISSUE's acceptance scenario: 16 switches, `k = 2`, 2 crashes,
@@ -444,8 +431,6 @@ impl Default for ChaosConfig {
             ops: 500,
             kills: 2,
             link_faults: 4,
-            copies: 2,
-            quorum: 2,
         }
     }
 }
@@ -637,7 +622,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
             if op >= recover_at {
                 recover(&mut cluster, &mut net, victim)?;
                 client = member_client(&cluster, &net).map_err(io::Error::other)?;
-                repair_after_crash(&mut client, &mut acked, victim, cfg, &mut outcome);
+                repair_after_crash(&mut client, &mut acked, victim, &mut outcome);
                 pending = None;
             }
         }
@@ -652,7 +637,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
                     if let Some((victim, _)) = pending.take() {
                         recover(&mut cluster, &mut net, victim)?;
                         client = member_client(&cluster, &net).map_err(io::Error::other)?;
-                        repair_after_crash(&mut client, &mut acked, victim, cfg, &mut outcome);
+                        repair_after_crash(&mut client, &mut acked, victim, &mut outcome);
                     }
                     let members = net.members().to_vec();
                     if members.len() <= 4 {
@@ -663,8 +648,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
                     outcome.killed.push(victim);
                     pending = Some((victim, op + RECOVERY_LAG));
                 }
-                link_action => {
-                    apply_link(&fabric, &net, link_action);
+                ChaosAction::Link { from, to, mode } => {
+                    apply_link(&fabric, &net, from, to, mode);
                     outcome.link_events += 1;
                 }
             }
@@ -675,7 +660,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
             let serial = outcome.acked_writes + outcome.write_errors;
             let id = DataId::new(format!("chaos-{}-{serial}", cfg.seed));
             let payload = format!("payload-{}-{serial}", cfg.seed).into_bytes();
-            match client.place_replicated(&id, payload.clone(), cfg.copies, cfg.quorum) {
+            match client.place_replicated(&id, payload.clone(), COPIES, QUORUM) {
                 Ok(placement) => {
                     outcome.acked_writes += 1;
                     acked.push(AckedWrite {
@@ -688,7 +673,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
             }
         } else {
             let entry = &acked[rng.gen_range(0..acked.len())];
-            match client.retrieve_replicated(&entry.id, cfg.copies) {
+            match client.retrieve_replicated(&entry.id, COPIES) {
                 Ok(reply) if reply.is_hit() && reply.payload.as_ref() == &entry.payload[..] => {
                     outcome.read_hits += 1;
                 }
@@ -705,7 +690,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
     if let Some((victim, _)) = pending.take() {
         recover(&mut cluster, &mut net, victim)?;
         client = member_client(&cluster, &net).map_err(io::Error::other)?;
-        repair_after_crash(&mut client, &mut acked, victim, cfg, &mut outcome);
+        repair_after_crash(&mut client, &mut acked, victim, &mut outcome);
     }
 
     // Final audit under healed links: every acknowledged write must read
@@ -715,7 +700,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
     thread::sleep(chaos_cluster_config().node.suspect_ttl + Duration::from_millis(50));
     let mut auditor = member_client(&cluster, &net).map_err(io::Error::other)?;
     for entry in &acked {
-        match auditor.retrieve_replicated(&entry.id, cfg.copies) {
+        match auditor.retrieve_replicated(&entry.id, COPIES) {
             Ok(reply) if reply.is_hit() && reply.payload.as_ref() == &entry.payload[..] => {}
             _ => outcome.lost_acked += 1,
         }
@@ -763,13 +748,13 @@ fn heal_probe(cluster: &Cluster, net: &GredNetwork, cfg: &ChaosConfig) -> Option
     let snapshots = cluster.scrape().ok()?;
     let after = ClusterHealth::aggregate(&snapshots);
     Some(HealProbe {
-        detours_before: before.detour_forwards,
-        detours_after: after.detour_forwards,
+        detours_before: before.hot.detour_forwards,
+        detours_after: after.hot.detour_forwards,
         suspect_links: after.suspects.len(),
         clean_writes,
         degraded_writes,
         nodes: after.nodes,
-        invalidations_delta: after.invalidations_rx - before.invalidations_rx,
+        invalidations_delta: after.hot.invalidations_rx - before.hot.invalidations_rx,
         snapshots,
     })
 }
@@ -811,19 +796,8 @@ fn member_client(cluster: &Cluster, net: &GredNetwork) -> Result<Client, ClientE
 
 /// Applies a plan's link action: resolves its abstract picks against
 /// live membership (`from == to` rotates `to` one member ahead) and
-/// sets the mode it names. A `KillNode` is not a link action.
-fn apply_link(fabric: &ChaosFabric, net: &GredNetwork, action: ChaosAction) {
-    let (from, to, mode) = match action {
-        ChaosAction::KillNode { .. } => return,
-        ChaosAction::SeverLink { from, to } => (from, to, LinkMode::Severed),
-        ChaosAction::BlackHoleLink { from, to } => (from, to, LinkMode::BlackHole),
-        ChaosAction::DelayLink { from, to, millis } => (
-            from,
-            to,
-            LinkMode::Delay(Duration::from_millis(u64::from(millis))),
-        ),
-        ChaosAction::HealLink { from, to } => (from, to, LinkMode::Open),
-    };
+/// sets `mode` on that directed link.
+fn apply_link(fabric: &ChaosFabric, net: &GredNetwork, from: u32, to: u32, mode: LinkMode) {
     let members = net.members();
     if members.len() < 2 {
         return;
@@ -845,14 +819,13 @@ fn repair_after_crash(
     client: &mut Client,
     acked: &mut [AckedWrite],
     victim: usize,
-    cfg: &ChaosConfig,
     outcome: &mut ChaosOutcome,
 ) {
     for entry in acked
         .iter_mut()
         .filter(|e| e.clean_switches.contains(&victim))
     {
-        let survivor = match client.retrieve_replicated(&entry.id, cfg.copies) {
+        let survivor = match client.retrieve_replicated(&entry.id, COPIES) {
             Ok(reply) if reply.is_hit() && reply.payload.as_ref() == &entry.payload[..] => true,
             Ok(reply) if reply.is_hit() => false,
             Ok(_) => false,
@@ -866,7 +839,7 @@ fn repair_after_crash(
             outcome.lost_acked += 1;
             continue;
         }
-        match client.place_replicated(&entry.id, entry.payload.clone(), cfg.copies, cfg.quorum) {
+        match client.place_replicated(&entry.id, entry.payload.clone(), COPIES, QUORUM) {
             Ok(placement) => {
                 entry.clean_switches = placement.clean_switches;
                 outcome.repairs += 1;
@@ -994,9 +967,9 @@ impl ChaosTransport {
                     self.clients.remove(&victim);
                     self.kills += 1;
                 }
-                link_action => {
+                ChaosAction::Link { from, to, mode } => {
                     if let Some(fabric) = &self.fabric {
-                        apply_link(fabric, net, link_action);
+                        apply_link(fabric, net, from, to, mode);
                     }
                 }
             }
@@ -1229,8 +1202,6 @@ mod tests {
             ops: 60,
             kills: 1,
             link_faults: 2,
-            copies: 2,
-            quorum: 2,
         })
         .unwrap();
         assert!(outcome.acked_writes > 0, "workload must make progress");
@@ -1248,7 +1219,6 @@ mod tests {
         let harness = gred_testkit::Harness::new(gred_testkit::HarnessConfig {
             switches: 8,
             max_switches: 10,
-            ..gred_testkit::HarnessConfig::default()
         });
         let seed = 47;
         (harness, seed, gred_testkit::generate(seed, 24))

@@ -46,9 +46,10 @@ use crate::frame::FrameError;
 use crate::pipelined::{Framing, PipeConn, PIPELINE_CHUNK};
 use crate::proto;
 use bytes::Bytes;
+use gred::plane::replication::nearest_first;
 use gred_dataplane::{AdminOp, DecodeError, Packet, PacketKind, ResponseStatus, StatsSnapshot};
 use gred_geometry::Point2;
-use gred_hash::{position::virtual_position, DataId};
+use gred_hash::DataId;
 use gred_net::ServerId;
 use std::io;
 use std::net::SocketAddr;
@@ -443,23 +444,15 @@ impl Client {
     }
 
     /// The order in which replica serials `0..count` of `id` should be
-    /// probed from the current access node: nearest replica position
-    /// first, by virtual-space distance from the access node. The sort
-    /// is stable, so equidistant serials (and the no-position fallback)
-    /// keep serial order. Replica `i` sits at
-    /// `virtual_position(id.replica(i))`, so the nearest one is the
-    /// cheapest greedy walk from here.
+    /// probed from the current access node: [`nearest_first`] from the
+    /// access node's virtual position, or serial order when the position
+    /// is unknown. The nearest replica is the cheapest greedy walk from
+    /// here.
     pub fn replica_order(&self, id: &DataId, count: u32) -> Vec<u32> {
-        let Some(&from) = self.positions.get(self.current) else {
-            return (0..count).collect();
-        };
-        // Each serial is hashed once, not once per comparison.
-        let mut by_distance: Vec<(f64, u32)> = (0..count)
-            .map(|serial| (replica_distance_squared(from, id, serial), serial))
-            .collect();
-        by_distance
-            .sort_by(|(da, _), (db, _)| da.partial_cmp(db).unwrap_or(std::cmp::Ordering::Equal));
-        by_distance.into_iter().map(|(_, serial)| serial).collect()
+        match self.positions.get(self.current) {
+            Some(&from) => nearest_first(from, id, count),
+            None => (0..count).collect(),
+        }
     }
 
     /// Retrieves `id` by walking its replica serials until one copy
@@ -682,14 +675,6 @@ impl Client {
     }
 }
 
-/// Squared virtual-space distance from `from` to replica `serial` of
-/// `id` — the sort key for [`Client::replica_order`]. Squared distance
-/// preserves the ordering and skips the square root.
-fn replica_distance_squared(from: Point2, id: &DataId, serial: u32) -> f64 {
-    let (x, y) = virtual_position(&id.replica(serial));
-    from.distance_squared(Point2::new(x, y))
-}
-
 /// Largest exponent the doubling backoff may reach; beyond it the sleep
 /// is pinned. Base 25ms shifted by 10 is already 25.6s — any larger
 /// retry budget used to overflow `Duration` in the multiply and panic
@@ -711,6 +696,7 @@ fn retry_backoff(base: Duration, attempts: u32) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gred_hash::position::virtual_position;
 
     #[test]
     fn retry_backoff_doubles_then_clamps_and_caps() {
@@ -930,13 +916,14 @@ mod tests {
         let client = offline_client(vec![Point2::new(x, y)]);
         let order = client.replica_order(&id, count);
         assert_eq!(order[0], 4, "nearest replica probed first: {order:?}");
-        let mut sorted: Vec<u32> = (0..count).collect();
-        sorted.sort_by(|&a, &b| {
-            replica_distance_squared(Point2::new(x, y), &id, a)
-                .partial_cmp(&replica_distance_squared(Point2::new(x, y), &id, b))
-                .unwrap()
-        });
-        assert_eq!(order, sorted);
+        let distance = |serial: u32| {
+            let (rx, ry) = virtual_position(&id.replica(serial));
+            Point2::new(x, y).distance_squared(Point2::new(rx, ry))
+        };
+        assert!(
+            order.windows(2).all(|w| distance(w[0]) <= distance(w[1])),
+            "nondecreasing distance: {order:?}"
+        );
         // Every serial still appears exactly once — steering reorders,
         // never drops.
         let mut seen = order.clone();

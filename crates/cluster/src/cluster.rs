@@ -13,9 +13,11 @@
 //! listener and links, and joins its reactor thread.
 
 use crate::client::{Client, ClientConfig, ClientError};
-use crate::node::{Node, NodeConfig, NodeReport};
+use crate::node::{Node, NodeConfig};
+use crate::observe::ClusterHealth;
 use bytes::Bytes;
 use gred::GredNetwork;
+use gred_dataplane::{NodeHotStats, StatsSnapshot};
 use gred_geometry::Point2;
 use gred_hash::DataId;
 use std::io;
@@ -38,58 +40,47 @@ pub struct ClusterConfig {
     pub client: ClientConfig,
 }
 
-/// Aggregated accounting from a graceful shutdown.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Aggregated accounting from a graceful shutdown: every node's final
+/// [`StatsSnapshot`], summed by [`ClusterHealth::aggregate`] like a live
+/// scrape.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    /// One report per node, in switch order.
-    pub nodes: Vec<NodeReport>,
+    /// One final snapshot per node, in switch order.
+    pub nodes: Vec<StatsSnapshot>,
 }
 
 impl ClusterReport {
+    /// The cluster totals of the final snapshots.
+    fn health(&self) -> ClusterHealth {
+        ClusterHealth::aggregate(&self.nodes)
+    }
+
     /// Requests dispatched across all nodes.
     pub fn total_requests(&self) -> u64 {
-        self.nodes.iter().map(|n| n.requests).sum()
+        self.health().requests
     }
 
     /// Requests that ended in an error response.
     pub fn total_errors(&self) -> u64 {
-        self.nodes.iter().map(|n| n.errors).sum()
-    }
-
-    /// Threads joined across all nodes: one reactor each.
-    pub fn workers_joined(&self) -> usize {
-        self.nodes.iter().map(|n| n.workers_joined).sum()
+        self.health().errors
     }
 
     /// Items stored across all nodes at shutdown.
     pub fn stored_items(&self) -> usize {
-        self.nodes.iter().map(|n| n.stored_items).sum()
+        self.health().stored_items as usize
     }
 
     /// Hot-path contention counters summed across all nodes. A healthy
     /// run keeps `link_reconnects` at zero.
-    pub fn hot_stats(&self) -> gred_dataplane::NodeHotStats {
-        self.nodes
-            .iter()
-            .map(|n| n.hot)
-            .fold(gred_dataplane::NodeHotStats::default(), |acc, h| {
-                acc.merged(h)
-            })
+    pub fn hot_stats(&self) -> NodeHotStats {
+        self.health().hot
     }
 }
 
 impl std::fmt::Display for ClusterReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} nodes, {} requests ({} errors), {} workers joined, {} items stored; {}",
-            self.nodes.len(),
-            self.total_requests(),
-            self.total_errors(),
-            self.workers_joined(),
-            self.stored_items(),
-            self.hot_stats(),
-        )
+        let health = self.health();
+        write!(f, "{health}; {}", health.hot)
     }
 }
 
@@ -249,7 +240,7 @@ impl Cluster {
     ///
     /// [`ClientError`] if any live node cannot be reached or returns a
     /// malformed snapshot.
-    pub fn scrape(&self) -> Result<Vec<gred_dataplane::StatsSnapshot>, ClientError> {
+    pub fn scrape(&self) -> Result<Vec<StatsSnapshot>, ClientError> {
         let mut snapshots = Vec::new();
         for (switch, _) in self.live_nodes() {
             let mut client = self.client(switch)?;
@@ -263,11 +254,10 @@ impl Cluster {
     /// discover the crash through dead links and mark the switch
     /// suspect; data survives only where replicas were placed.
     ///
-    /// Returns the final accounting, or `None` if the node was already
-    /// down.
-    pub fn crash_node(&mut self, switch: usize) -> Option<NodeReport> {
+    /// Returns the node's final snapshot, or `None` if the node was
+    /// already down.
+    pub fn crash_node(&mut self, switch: usize) -> Option<StatsSnapshot> {
         let mut node = self.nodes[switch].take()?;
-        node.request_shutdown();
         Some(node.shutdown())
     }
 
@@ -620,6 +610,30 @@ mod tests {
             "expected invalidation traffic: {hot}"
         );
         assert_eq!(report.total_errors(), 0);
+    }
+
+    /// The report a shutdown returns sums the nodes' final snapshots the
+    /// way a live scrape is summed: right after the workload, both agree.
+    #[test]
+    fn shutdown_report_matches_a_scrape_after_the_workload() {
+        let net = ring(5);
+        let cluster = Cluster::boot(&net, ClusterConfig::default()).unwrap();
+        let mut client = cluster.client(1).unwrap();
+        for i in 0..12 {
+            let id = DataId::new(format!("report-{i}"));
+            client.place(&id, b"v".as_ref()).unwrap();
+            client.retrieve(&id).unwrap();
+            client.retrieve(&id).unwrap();
+        }
+        drop(client);
+        let live = ClusterHealth::aggregate(&cluster.scrape().unwrap());
+        let report = cluster.shutdown();
+        assert_eq!(report.nodes.len(), 5);
+        assert_eq!(report.total_requests(), live.requests);
+        assert_eq!(report.total_errors(), live.errors);
+        assert_eq!(report.stored_items() as u64, live.stored_items);
+        assert_eq!(report.hot_stats(), live.hot);
+        assert!(live.hot.cache_hits > 0, "the workload exercised the cache");
     }
 
     #[test]

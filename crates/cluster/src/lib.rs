@@ -3,7 +3,7 @@
 //! gred-cluster: every GRED switch as a real TCP endpoint.
 //!
 //! The rest of the workspace exercises GRED's data plane in-process: the
-//! simulator calls [`SwitchDataplane::decide`] in a loop and moves packets
+//! simulator calls [`SwitchDataplane::step`] in a loop and moves packets
 //! between switches with function calls. This crate replaces those
 //! function calls with sockets. Each switch becomes a [`node::Node`] — a
 //! single-threaded reactor that listens on a TCP address, parses
@@ -23,7 +23,7 @@
 //! the in-process [`Route`](gred::Route) exactly. Everything runs on
 //! `std::net` — no async runtime, no new dependencies.
 //!
-//! [`SwitchDataplane::decide`]: gred_dataplane::SwitchDataplane::decide
+//! [`SwitchDataplane::step`]: gred_dataplane::SwitchDataplane::step
 
 pub mod admin;
 pub mod chaos;
@@ -39,10 +39,11 @@ pub mod proto;
 pub use admin::{admin_call, AdminServer};
 pub use chaos::{
     chaos_cluster_config, run_chaos, ChaosConfig, ChaosFabric, ChaosOutcome, ChaosTransport,
-    HealProbe, LinkMode,
+    HealProbe, COPIES, QUORUM,
 };
 pub use client::{AdminReply, Client, ClientConfig, ClientError, Reply};
 pub use cluster::{AddrRewrite, Cluster, ClusterConfig, ClusterReport};
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME_LEN, MUX_PREAMBLE};
-pub use node::{Node, NodeConfig, NodeReport};
+pub use gred_testkit::LinkMode;
+pub use node::{Node, NodeConfig};
 pub use observe::ClusterHealth;

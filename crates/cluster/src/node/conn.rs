@@ -3,10 +3,10 @@
 
 use super::call::{Call, Origin, Pending};
 use super::stats::Counters;
-use super::{NodeReport, State};
+use super::State;
 use crate::frame::{self, FrameDecoder, MUX_PREAMBLE};
 use crate::mux::Parked;
-use gred_dataplane::Packet;
+use gred_dataplane::{Packet, StatsSnapshot};
 use gred_runtime::reactor::{
     connect_nonblocking, Command, Event, Events, Interest, Poller, WriteQueue, WAKE_TOKEN,
 };
@@ -160,8 +160,10 @@ impl Reactor {
         }
     }
 
-    /// Serves until drained, then returns the final accounting.
-    pub(super) fn run(mut self) -> NodeReport {
+    /// Serves until drained, then returns the final snapshot — taken
+    /// after every connection closed, so its connection and backlog
+    /// gauges read zero.
+    pub(super) fn run(mut self) -> StatsSnapshot {
         let mut events = Events::with_capacity(1024);
         loop {
             self.free.append(&mut self.freed);
@@ -196,7 +198,7 @@ impl Reactor {
             self.close_conn(slot);
         }
         self.state.log("reactor stopped");
-        self.state.report()
+        self.wire_snapshot()
     }
 
     /// How long the next wait may block: until the earliest live

@@ -115,9 +115,9 @@
 //! and leaves the state exactly as a request does, and
 //! [`Node::stats_snapshot`] runs the code a wire `Stats` scrape runs.
 //! Once the reactor has exited nothing runs them: a verb is dropped, and
-//! an accessor answers from the final [`NodeReport`]
-//! ([`Node::stored_items`], [`Node::hot_stats`]) or with an empty value
-//! (zero, an empty list, a default snapshot) — it never waits.
+//! an accessor answers from the reactor's final [`StatsSnapshot`]
+//! ([`Node::stats_snapshot`], [`Node::stored_items`], [`Node::hot_stats`])
+//! or with an empty value (zero, an empty list) — it never waits.
 //!
 //! # Shutdown
 //!
@@ -126,7 +126,7 @@
 //! continuation is refused at once instead of running to its deadline)
 //! and stops reading, then keeps flushing until every response is on the
 //! wire — bounded by the peer reply timeout — before closing all
-//! connections and returning its final [`NodeReport`]. Joining the
+//! connections and returning its final [`StatsSnapshot`]. Joining the
 //! reactor joins the node.
 //!
 //! [`Cacheable::BySharer`]: gred_dataplane::Cacheable::BySharer
@@ -188,13 +188,6 @@ pub struct NodeConfig {
     /// How long a parked continuation waits for a peer's response before
     /// the node gives up on it.
     pub peer_reply_timeout: Duration,
-    /// Detour budget: once a packet has been forced off the true greedy
-    /// path this many times (suspect neighbors), the node aborts the
-    /// request with a [`ResponseStatus::Redirect`] instead of wandering —
-    /// the guarantee-violation case stays observable and bounded.
-    ///
-    /// [`ResponseStatus::Redirect`]: gred_dataplane::ResponseStatus::Redirect
-    pub max_detours: u16,
     /// How long a failed peer stays suspect before greedy forwarding
     /// optimistically retries it. Without the expiry, suspicion would be
     /// sticky: greedy avoids a suspect, so no request ever succeeds
@@ -219,7 +212,6 @@ impl Default for NodeConfig {
             poll_interval: Duration::from_millis(2),
             peer_connect_timeout: Duration::from_secs(1),
             peer_reply_timeout: Duration::from_secs(5),
-            max_detours: 8,
             suspect_ttl: Duration::from_secs(2),
             cache_bytes: 8 * 1024 * 1024,
             log_dir: std::env::var_os(LOG_DIR_ENV).map(PathBuf::from),
@@ -227,30 +219,13 @@ impl Default for NodeConfig {
     }
 }
 
-/// Final accounting returned by [`Node::shutdown`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NodeReport {
-    /// The switch id this node served.
-    pub id: usize,
-    /// Requests dispatched (greedy, relay, and server-addressed).
-    pub requests: u64,
-    /// Packets forwarded one greedy hop to a peer.
-    pub forwarded: u64,
-    /// Packets relayed along a virtual link.
-    pub relayed: u64,
-    /// Requests answered from the local store (placements stored plus
-    /// retrievals served, including misses).
-    pub delivered: u64,
-    /// Requests that ended in an error response at this node.
-    pub errors: u64,
-    /// Threads joined during shutdown: the reactor — exactly 1, and 0 on
-    /// a repeated shutdown.
-    pub workers_joined: usize,
-    /// Items in the local store at shutdown.
-    pub stored_items: usize,
-    /// Hot-path contention counters (see [`NodeHotStats`]).
-    pub hot: NodeHotStats,
-}
+/// Detour budget: once a packet has been forced off the true greedy
+/// path this many times (suspect neighbors), the node aborts the
+/// request with a [`ResponseStatus::Redirect`] instead of wandering —
+/// the guarantee-violation case stays observable and bounded.
+///
+/// [`ResponseStatus::Redirect`]: gred_dataplane::ResponseStatus::Redirect
+const MAX_DETOURS: u16 = 8;
 
 /// One stored item: which local server holds it, its payload, and who
 /// may cache it. The index matters because a range extension can store
@@ -360,9 +335,9 @@ pub struct Node {
     id: usize,
     addr: SocketAddr,
     mailbox: Mailbox<Reactor>,
-    reactor: Option<thread::JoinHandle<NodeReport>>,
-    /// The reactor's final accounting once joined; empty until then.
-    report: NodeReport,
+    reactor: Option<thread::JoinHandle<StatsSnapshot>>,
+    /// The reactor's final snapshot once joined; empty until then.
+    last: StatsSnapshot,
 }
 
 impl Node {
@@ -421,9 +396,9 @@ impl Node {
             addr,
             mailbox,
             reactor: Some(handle),
-            report: NodeReport {
-                id,
-                ..NodeReport::default()
+            last: StatsSnapshot {
+                switch: id as u32,
+                ..StatsSnapshot::default()
             },
         })
     }
@@ -527,28 +502,32 @@ impl Node {
     }
 
     /// Items currently in the local store; once the reactor has exited,
-    /// the count it reported (`0` before [`Node::shutdown`] joined it).
+    /// the count in its final snapshot (`0` before [`Node::shutdown`]
+    /// joined it).
     pub fn stored_items(&self) -> usize {
         self.mailbox
             .ask(|r| r.state.store.len())
-            .unwrap_or(self.report.stored_items)
+            .unwrap_or(self.last.stored_items as usize)
     }
 
     /// Current hot-path contention counters — readable while the node is
     /// serving, so tests can assert (for example) that a contended run
-    /// rebuilt no link. Once the reactor has exited, the counters it
-    /// reported (zero before [`Node::shutdown`] joined it).
+    /// rebuilt no link. Once the reactor has exited, the counters in its
+    /// final snapshot (zero before [`Node::shutdown`] joined it).
     pub fn hot_stats(&self) -> NodeHotStats {
         self.mailbox
             .ask(|r| r.state.hot_stats())
-            .unwrap_or(self.report.hot)
+            .unwrap_or(self.last.hot)
     }
 
     /// The same snapshot a wire `Stats` scrape would answer with, built
-    /// by the same code — the parity twin tests compare against. A
-    /// default (all-zero) snapshot once the reactor has exited.
+    /// by the same code — the parity twin tests compare against. Once
+    /// the reactor has exited, its final snapshot (empty before
+    /// [`Node::shutdown`] joined it).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.mailbox.ask(|r| r.wire_snapshot()).unwrap_or_default()
+        self.mailbox
+            .ask(|r| r.wire_snapshot())
+            .unwrap_or_else(|| self.last.clone())
     }
 
     /// Seeds the local store with an item held by local server `index` —
@@ -607,24 +586,18 @@ impl Node {
     /// Stops the node: signals shutdown and joins the reactor — which
     /// refuses whatever is still parked, flushes every response, closes
     /// the listener, the peer links and every connection, and returns
-    /// its final accounting. Idempotent.
-    pub fn shutdown(&mut self) -> NodeReport {
+    /// its final snapshot. Idempotent: a repeated call returns the same
+    /// snapshot.
+    pub fn shutdown(&mut self) -> StatsSnapshot {
         self.request_shutdown();
-        let joined = match self.reactor.take() {
-            Some(handle) => {
-                // A reactor that panicked leaves no accounting: the
-                // report stays empty.
-                if let Ok(report) = handle.join() {
-                    self.report = report;
-                }
-                1
+        if let Some(handle) = self.reactor.take() {
+            // A reactor that panicked leaves no accounting: the snapshot
+            // stays empty.
+            if let Ok(last) = handle.join() {
+                self.last = last;
             }
-            None => 0,
-        };
-        NodeReport {
-            workers_joined: joined,
-            ..self.report.clone()
         }
+        self.last.clone()
     }
 }
 

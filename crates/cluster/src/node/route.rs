@@ -10,7 +10,7 @@
 //!
 //! [`SwitchDataplane::step`]: gred_dataplane::SwitchDataplane::step
 
-use super::{Sharers, State, StoredItem};
+use super::{Sharers, State, StoredItem, MAX_DETOURS};
 use crate::proto;
 use bytes::Bytes;
 use gred_cache::Token;
@@ -150,7 +150,7 @@ impl State {
             // observably.
             self.counters.hot.detour_forwards += 1;
             packet.detours = packet.detours.saturating_add(1);
-            if packet.detours > self.cfg.max_detours {
+            if packet.detours > MAX_DETOURS {
                 return Step::respond(self.redirect(&packet, "detour budget exhausted"));
             }
         }

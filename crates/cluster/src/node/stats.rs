@@ -1,9 +1,9 @@
-//! The node's counters and the three views of them: the in-process hot
-//! counter block, the snapshot a wire `Stats` scrape answers with, and
-//! the final report.
+//! The node's counters and the two views of them: the in-process hot
+//! counter block and the snapshot a wire `Stats` scrape answers with,
+//! which is also the reactor's final accounting.
 
 use super::conn::Reactor;
-use super::{NodeReport, State};
+use super::State;
 use gred_dataplane::{LinkStats, NodeHotStats, StatsSnapshot};
 
 #[derive(Debug, Default)]
@@ -26,24 +26,6 @@ impl State {
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             ..self.counters.hot
-        }
-    }
-
-    /// The final accounting the reactor returns when it exits;
-    /// [`Node::shutdown`](super::Node::shutdown) fills in
-    /// `workers_joined`.
-    pub(super) fn report(&self) -> NodeReport {
-        let c = &self.counters;
-        NodeReport {
-            id: self.id,
-            requests: c.requests,
-            forwarded: c.forwarded,
-            relayed: c.relayed,
-            delivered: c.delivered,
-            errors: c.errors,
-            workers_joined: 0,
-            stored_items: self.store.len(),
-            hot: self.hot_stats(),
         }
     }
 }

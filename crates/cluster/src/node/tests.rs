@@ -149,7 +149,6 @@ fn single_node_place_then_retrieve() {
     assert_eq!(report.requests, 3);
     assert_eq!(report.errors, 0);
     assert_eq!(report.stored_items, 1);
-    assert_eq!(report.workers_joined, 1, "the reactor is the whole node");
     assert_eq!(report.hot.frames_decoded, 3);
 }
 
@@ -305,16 +304,20 @@ fn shutdown_is_idempotent_and_drains_workers() {
     let addr = node.addr();
     let _ = roundtrip(addr, &Packet::retrieval(DataId::new("k")));
     let first = node.shutdown();
-    assert_eq!(first.workers_joined, 1);
-    let second = node.shutdown();
-    assert_eq!(second.workers_joined, 0, "workers join exactly once");
+    assert_eq!(first.requests, 1);
+    assert_eq!(
+        (first.open_connections, first.queued_bytes),
+        (0, 0),
+        "the final snapshot is taken after every connection closed"
+    );
+    assert_eq!(node.shutdown(), first, "a repeated shutdown is a no-op");
     // The listener is closed: new connections are refused.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
 }
 
 /// Every accessor of a node whose reactor has exited returns at once:
 /// with an empty value while the reactor is drained but not joined, and
-/// from its final report once joined.
+/// from its final snapshot once joined.
 #[test]
 fn accessors_after_the_reactor_exits_answer_without_waiting() {
     let mut node = spawn_single(1);
@@ -325,11 +328,11 @@ fn accessors_after_the_reactor_exits_answer_without_waiting() {
     while !reactor.is_finished() {
         thread::yield_now();
     }
-    let check = |node: &Node, stored: usize, hot: NodeHotStats| {
-        assert_eq!(node.stored_items(), stored);
-        assert_eq!(node.hot_stats(), hot);
+    let check = |node: &Node, last: &StatsSnapshot| {
+        assert_eq!(node.stored_items(), last.stored_items as usize);
+        assert_eq!(node.hot_stats(), last.hot);
+        assert_eq!(&node.stats_snapshot(), last);
         assert_eq!(node.packets_processed(), 0);
-        assert_eq!(node.stats_snapshot(), StatsSnapshot::default());
         assert_eq!(node.suspect_peers(), Vec::<usize>::new());
         assert_eq!(node.extract_items(|_| true), Vec::new());
         assert_eq!(node.open_connections(), 0);
@@ -339,18 +342,11 @@ fn accessors_after_the_reactor_exits_answer_without_waiting() {
         node.preload(DataId::new("late"), 0, Bytes::new());
         node.request_shutdown();
     };
-    check(&node, 0, NodeHotStats::default());
-    let report = node.shutdown();
-    assert_eq!((report.workers_joined, report.stored_items), (1, 1));
-    assert_eq!(report.requests, 1);
-    check(&node, 1, report.hot);
-    assert_eq!(
-        node.shutdown(),
-        NodeReport {
-            workers_joined: 0,
-            ..report
-        }
-    );
+    check(&node, &StatsSnapshot::default());
+    let last = node.shutdown();
+    assert_eq!((last.requests, last.stored_items), (1, 1));
+    check(&node, &last);
+    assert_eq!(node.shutdown(), last);
 }
 
 #[test]
@@ -943,7 +939,6 @@ fn every_answer_carries_its_requests_position() {
             suspect_ttl: Duration::from_secs(60),
             ..test_config()
         };
-        let max_detours = cfg.max_detours;
         let mut node = forwarder(peer_addr, cfg);
         let ask = |request: Packet| {
             let reply = roundtrip(node.addr(), &request);
@@ -962,7 +957,7 @@ fn every_answer_carries_its_requests_position() {
         // with no detour budget left is redirected.
         on_state(&node, |state| state.mark_suspect(1));
         let mut spent = Packet::retrieval(DataId::new("pos/redirect"));
-        spent.detours = max_detours;
+        spent.detours = MAX_DETOURS;
         assert_eq!(ask(spent).status, ResponseStatus::Redirect);
         node.shutdown();
     });

@@ -23,28 +23,17 @@ pub struct ClusterHealth {
     pub errors: u64,
     /// Items stored across the cluster.
     pub stored_items: u64,
-    /// Forwarding decisions that routed around a suspect neighbor.
-    pub detour_forwards: u64,
     /// Detours per accepted request (`0.0` with no requests) — the
     /// live gauge of how far routing currently is from the paper's
     /// clean one-hop guarantee.
     pub detour_rate: f64,
-    /// Read-cache hits across the cluster.
-    pub cache_hits: u64,
-    /// Read-cache misses across the cluster.
-    pub cache_misses: u64,
     /// Hits per cache lookup (`0.0` with no lookups).
     pub cache_hit_rate: f64,
-    /// Invalidation notices received across the cluster — the receive
-    /// side of the write-coherence broadcast.
-    pub invalidations_rx: u64,
     /// Bytes queued in reactor write queues across the cluster, not
     /// yet written to any socket. This is the health snapshot's
     /// replica-lag proxy: replication acks ride the same write queues,
     /// so a growing backlog is unshipped replica traffic.
     pub write_backlog_bytes: u64,
-    /// Mux links rebuilt after RPC errors, summed over every node.
-    pub link_reconnects: u64,
     /// Live suspicion edges as `(reporter, suspected peer)` pairs, in
     /// reporter order. Empty in a healed cluster.
     pub suspects: Vec<(u32, u32)>,
@@ -52,7 +41,8 @@ pub struct ClusterHealth {
     /// paper's table-size metric, computed from live nodes instead of
     /// the in-process planes).
     pub table: TableStats,
-    /// Element-wise sum of every node's hot-path counters.
+    /// Element-wise sum of every node's hot-path counters: detours,
+    /// cache hits and misses, invalidations received, link reconnects.
     pub hot: NodeHotStats,
 }
 
@@ -64,14 +54,9 @@ impl Default for ClusterHealth {
             delivered: 0,
             errors: 0,
             stored_items: 0,
-            detour_forwards: 0,
             detour_rate: 0.0,
-            cache_hits: 0,
-            cache_misses: 0,
             cache_hit_rate: 0.0,
-            invalidations_rx: 0,
             write_backlog_bytes: 0,
-            link_reconnects: 0,
             suspects: Vec::new(),
             table: TableStats::from_counts(&[]),
             hot: NodeHotStats::default(),
@@ -92,12 +77,7 @@ impl ClusterHealth {
             health.delivered += snap.delivered;
             health.errors += snap.errors;
             health.stored_items += snap.stored_items;
-            health.detour_forwards += snap.hot.detour_forwards;
-            health.cache_hits += snap.hot.cache_hits;
-            health.cache_misses += snap.hot.cache_misses;
-            health.invalidations_rx += snap.hot.invalidations_rx;
             health.write_backlog_bytes += snap.queued_bytes;
-            health.link_reconnects += snap.hot.link_reconnects;
             health.hot = health.hot.merged(snap.hot);
             rows.push(snap.table_rows as usize);
             for link in &snap.links {
@@ -106,8 +86,9 @@ impl ClusterHealth {
                 }
             }
         }
-        health.detour_rate = rate(health.detour_forwards, health.requests);
-        health.cache_hit_rate = rate(health.cache_hits, health.cache_hits + health.cache_misses);
+        let hot = &health.hot;
+        health.detour_rate = rate(hot.detour_forwards, health.requests);
+        health.cache_hit_rate = rate(hot.cache_hits, hot.cache_hits + hot.cache_misses);
         health.table = TableStats::from_counts(&rows);
         health
     }
@@ -127,14 +108,14 @@ impl ClusterHealth {
             self.delivered,
             self.errors,
             self.stored_items,
-            self.detour_forwards,
+            self.hot.detour_forwards,
             self.detour_rate,
-            self.cache_hits,
-            self.cache_misses,
+            self.hot.cache_hits,
+            self.hot.cache_misses,
             self.cache_hit_rate,
-            self.invalidations_rx,
+            self.hot.invalidations_rx,
             self.write_backlog_bytes,
-            self.link_reconnects,
+            self.hot.link_reconnects,
         ));
         s.push_str(",\"suspects\":[");
         for (i, (reporter, peer)) in self.suspects.iter().enumerate() {
@@ -182,9 +163,9 @@ impl std::fmt::Display for ClusterHealth {
             self.stored_items,
             self.detour_rate,
             self.cache_hit_rate,
-            self.invalidations_rx,
+            self.hot.invalidations_rx,
             self.write_backlog_bytes,
-            self.link_reconnects,
+            self.hot.link_reconnects,
             self.suspects.len(),
         )
     }
@@ -225,12 +206,12 @@ mod tests {
         let health = ClusterHealth::aggregate(&[a, b]);
         assert_eq!(health.nodes, 2);
         assert_eq!(health.requests, 400);
-        assert_eq!(health.detour_forwards, 5);
+        assert_eq!(health.hot.detour_forwards, 5);
         assert!((health.detour_rate - 5.0 / 400.0).abs() < 1e-12);
-        assert_eq!(health.cache_hits, 40);
+        assert_eq!(health.hot.cache_hits, 40);
         assert!((health.cache_hit_rate - 40.0 / 100.0).abs() < 1e-12);
         assert_eq!(health.write_backlog_bytes, 100);
-        assert_eq!(health.link_reconnects, 1);
+        assert_eq!(health.hot.link_reconnects, 1);
         assert_eq!(health.suspects, vec![(3, 0)]);
         assert_eq!(health.table.switches, 2);
         assert_eq!(health.table.min, 8);

@@ -12,7 +12,24 @@ use crate::network::GredNetwork;
 use crate::plane::placement::PlacementReceipt;
 use crate::plane::retrieval::RetrievalResult;
 use bytes::Bytes;
+use gred_geometry::Point2;
 use gred_hash::DataId;
+
+/// Replica serials `0..copies` of `id` in the order a retrieval from the
+/// switch at virtual position `from` should probe them: by squared
+/// virtual-space distance from `from`, nearest first. The sort is stable,
+/// so equidistant serials keep serial order.
+pub fn nearest_first(from: Point2, id: &DataId, copies: u32) -> Vec<u32> {
+    // Each serial is hashed once, not once per comparison.
+    let mut by_distance: Vec<(f64, u32)> = (0..copies)
+        .map(|serial| {
+            let (x, y) = gred_hash::virtual_position(&id.replica(serial));
+            (from.distance_squared(Point2::new(x, y)), serial)
+        })
+        .collect();
+    by_distance.sort_by(|a, b| a.0.total_cmp(&b.0));
+    by_distance.into_iter().map(|(_, serial)| serial).collect()
+}
 
 impl GredNetwork {
     /// Places `copies` replicas of `id` (serial 0 is the primary).
@@ -77,18 +94,8 @@ impl GredNetwork {
                 .ok_or(GredError::UnknownSwitch {
                     switch: access_switch,
                 })?;
-
-        // Order replicas by virtual distance from the access switch.
-        let mut serials: Vec<(f64, u32)> = (0..copies)
-            .map(|serial| {
-                let p = self.position_of_id(&id.replica(serial));
-                (access_pos.distance(p), serial)
-            })
-            .collect();
-        serials.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
-
         let mut last_err = GredError::NotFound;
-        for (_, serial) in serials {
+        for serial in nearest_first(access_pos, id, copies) {
             match self.retrieve(&id.replica(serial), access_switch) {
                 Ok(found) => return Ok(found),
                 Err(GredError::NotFound) => last_err = GredError::NotFound,

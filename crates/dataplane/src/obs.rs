@@ -10,10 +10,10 @@
 //! count field alone — because scrape responses cross trust boundaries
 //! exactly like data packets.
 //!
-//! A [`StatsSnapshot`] is assembled by the node reactor *inline* (no
-//! dispatch-pool hop, no lock waits — see the node's inline-serve
-//! guarantee) and therefore only carries quantities readable from
-//! atomics, gauges, and try-locks.
+//! A [`StatsSnapshot`] is assembled by the node's reactor thread from
+//! the state it owns, between two event batches, so it never waits on
+//! anything. It is also the node's only accounting record: the reactor
+//! returns its last snapshot when it exits.
 
 use crate::cursor::{Cursor, DecodeError};
 use crate::stats::NodeHotStats;
@@ -35,9 +35,7 @@ fn versioned(bytes: &[u8]) -> Result<Cursor<'_>, DecodeError> {
 pub struct LinkStats {
     /// Peer switch id the link points at.
     pub peer: u32,
-    /// Whether a live multiplexed connection to the peer exists right
-    /// now. A link whose slot is momentarily locked by a connecting
-    /// thread is reported as connected — the scrape never waits.
+    /// Whether an established connection to the peer exists right now.
     pub connected: bool,
     /// Milliseconds until the peer's suspicion expires; `0` when the
     /// peer is not suspect.
@@ -47,7 +45,8 @@ pub struct LinkStats {
     pub reconnects: u64,
 }
 
-/// Everything one node exports in answer to a `Stats` scrape.
+/// Everything one node exports in answer to a `Stats` scrape, and the
+/// final accounting it returns when it stops.
 ///
 /// Field groups mirror where the numbers live on the node: the
 /// request-accounting counters, reactor gauges, the data-plane table
@@ -234,6 +233,49 @@ impl StatsSnapshot {
         }
         s.push_str("]}");
         s
+    }
+}
+
+impl std::fmt::Display for StatsSnapshot {
+    /// An operator-readable block: one line for the node, one per link.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "node {}: up {}ms | {} requests ({} delivered, {} errors) | \
+             {} stored | {} forwarded, {} relayed, {} detours | \
+             cache {}h/{}m ({} evictions, {} invalidations rx) | \
+             {} conns, {} queued bytes, {} workers | {} table rows",
+            self.switch,
+            self.uptime_ms,
+            self.requests,
+            self.delivered,
+            self.errors,
+            self.stored_items,
+            self.forwarded,
+            self.relayed,
+            self.hot.detour_forwards,
+            self.hot.cache_hits,
+            self.hot.cache_misses,
+            self.hot.cache_evictions,
+            self.hot.invalidations_rx,
+            self.open_connections,
+            self.queued_bytes,
+            self.dispatch_workers,
+            self.table_rows,
+        )?;
+        for link in &self.links {
+            write!(
+                f,
+                "\n  link -> {}: {}, {} reconnects",
+                link.peer,
+                if link.connected { "connected" } else { "down" },
+                link.reconnects,
+            )?;
+            if link.suspect_ms_left > 0 {
+                write!(f, ", suspect for {}ms", link.suspect_ms_left)?;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -31,8 +31,7 @@ pub enum PacketKind {
     Invalidate,
     /// Observability scrape: ask the receiving node for its live stats
     /// snapshot. Payload-free, never routed greedily, never relayed, and
-    /// served inline by the reactor — a scrape must not touch the
-    /// dispatch pool.
+    /// answered by the reactor from the state it owns.
     Stats,
     /// Answer to a [`Stats`](PacketKind::Stats) scrape. The payload is an
     /// encoded `StatsSnapshot` (see the `obs` module).

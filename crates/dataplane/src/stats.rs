@@ -23,8 +23,8 @@ pub struct NodeHotStats {
     /// is a plain map its reactor owns, with no lock to contend; always
     /// zero, kept (with its wire slot) because the benchmark reads it.
     pub store_shard_contention: u64,
-    /// Frames reassembled and parsed by this node (client connections,
-    /// multiplexed peer servers, and demux readers combined).
+    /// Frames reassembled and parsed by this node's reactor, on client
+    /// connections and peer links alike.
     pub frames_decoded: u64,
     /// Packet encodes served from an already-warm reusable buffer (the
     /// per-connection/per-link scratch `Vec` had capacity from a prior
@@ -41,7 +41,7 @@ pub struct NodeHotStats {
     /// was suspect or the detour budget ran out.
     pub redirects_issued: u64,
     /// Remote-destined retrievals answered from the node's read cache
-    /// (zero peer RPCs, zero dispatch-pool handoffs).
+    /// (zero peer frames).
     pub cache_hits: u64,
     /// Remote-destined retrievals that probed the read cache and had to
     /// forward anyway. Hit rate = hits / (hits + misses).

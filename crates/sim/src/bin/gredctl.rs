@@ -222,7 +222,7 @@ fn live_execute(addrs: &str, args: &[&str]) -> Result<String, String> {
                 if i > 0 {
                     out.push('\n');
                 }
-                out.push_str(&format_snapshot(snap));
+                out.push_str(&snap.to_string());
             }
             Ok(out)
         }
@@ -336,47 +336,6 @@ fn scrape_all(addrs: &[SocketAddr]) -> Result<Vec<StatsSnapshot>, String> {
             client.scrape().map_err(|e| format!("{addr}: {e}"))
         })
         .collect()
-}
-
-/// Renders one node's snapshot as an operator-readable block.
-fn format_snapshot(snap: &StatsSnapshot) -> String {
-    let mut out = format!(
-        "node {}: up {}ms | {} requests ({} delivered, {} errors) | \
-         {} stored | {} forwarded, {} relayed, {} detours | \
-         cache {}h/{}m ({} evictions, {} invalidations rx) | \
-         {} conns, {} queued bytes, {} workers | {} table rows",
-        snap.switch,
-        snap.uptime_ms,
-        snap.requests,
-        snap.delivered,
-        snap.errors,
-        snap.stored_items,
-        snap.forwarded,
-        snap.relayed,
-        snap.hot.detour_forwards,
-        snap.hot.cache_hits,
-        snap.hot.cache_misses,
-        snap.hot.cache_evictions,
-        snap.hot.invalidations_rx,
-        snap.open_connections,
-        snap.queued_bytes,
-        snap.dispatch_workers,
-        snap.table_rows,
-    );
-    for link in &snap.links {
-        out.push_str(&format!(
-            "\n  link -> {}: {}, {} reconnects{}",
-            link.peer,
-            if link.connected { "connected" } else { "down" },
-            link.reconnects,
-            if link.suspect_ms_left > 0 {
-                format!(", suspect for {}ms", link.suspect_ms_left)
-            } else {
-                String::new()
-            },
-        ));
-    }
-    out
 }
 
 const LIVE_USAGE: &str = "\

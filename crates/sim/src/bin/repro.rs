@@ -472,7 +472,7 @@ const EXPERIMENTS: &[Experiment] = &[
 ];
 
 /// An acceptance harness: prints its own text, so `all` leaves it out.
-/// All four take `--seed`, `--ops` and `--switches`; `run` gets those
+/// All three take `--seed`, `--ops` and `--switches`; `run` gets those
 /// three and the command line for whatever else it reads.
 struct Harness {
     name: &'static str,
@@ -495,7 +495,9 @@ const HARNESSES: &[Harness] = &[
         ops: 500,
         switches: 12,
         min_switches: 4,
-        run: |seed, ops, switches, _| run_cluster(seed, ops, switches),
+        run: |seed, ops, switches, args| {
+            run_cluster(seed, ops, switches, args.value("--json").map(PathBuf::from))
+        },
     },
     Harness {
         name: "chaos",
@@ -504,15 +506,6 @@ const HARNESSES: &[Harness] = &[
         min_switches: 5,
         run: |seed, ops, switches, args| {
             run_chaos_cmd(seed, ops, switches, args.number("--kills", 2) as usize)
-        },
-    },
-    Harness {
-        name: "stats",
-        ops: 100,
-        switches: 8,
-        min_switches: 4,
-        run: |seed, ops, switches, args| {
-            run_stats(seed, ops, switches, args.value("--json").map(PathBuf::from))
         },
     },
 ];
@@ -654,7 +647,6 @@ fn run_soak(seed: u64, ops: usize, switches: usize) {
     let harness = Harness::new(HarnessConfig {
         switches,
         max_switches: switches + 6,
-        ..HarnessConfig::default()
     });
     println!("soak: seed {seed}, {ops} ops, {switches} initial switches");
     let outcome = harness.run_seeded(seed, ops, None);
@@ -682,12 +674,16 @@ fn run_soak(seed: u64, ops: usize, switches: usize) {
     }
 }
 
-/// Boots a loopback TCP cluster (one node per switch) and drives a
-/// place/retrieve workload through it, cross-checking every reply
-/// against the in-process model. Exits 1 on any lost or wrong reply.
-fn run_cluster(seed: u64, ops: usize, switches: usize) {
+/// The cluster acceptance run: boots a loopback TCP cluster (one node
+/// per switch), drives a place/retrieve workload through it and checks
+/// every ack and payload against the in-process model, then scrapes
+/// every node purely over the wire and prints its snapshot and the
+/// cluster health. With `--json PATH` the scraped bundle is also written
+/// as JSON (the artifact the `stats-smoke` CI job uploads). Exits 1 on
+/// any lost or wrong reply and on any node error.
+fn run_cluster(seed: u64, ops: usize, switches: usize, json: Option<PathBuf>) {
     use gred::{GredConfig, GredNetwork};
-    use gred_cluster::{Client, Cluster, ClusterConfig};
+    use gred_cluster::{Client, Cluster, ClusterConfig, ClusterHealth};
     use gred_hash::DataId;
     use gred_net::{waxman_topology, ServerPool, WaxmanConfig};
     use std::collections::HashMap;
@@ -763,17 +759,25 @@ fn run_cluster(seed: u64, ops: usize, switches: usize) {
 
     let elapsed = started.elapsed();
     drop(clients);
-    let report = cluster.shutdown();
-    let total = 2 * ops;
-    println!("{report}");
-    let hot = report.hot_stats();
-    println!("hot path: {hot}");
-    if hot.link_reconnects > 0 {
+    let snapshots = cluster.scrape().expect("every node answers the scrape");
+    for snap in &snapshots {
+        println!("{snap}");
+    }
+    let health = ClusterHealth::aggregate(&snapshots);
+    println!("health: {health}");
+    println!("hot path: {}", health.hot);
+    if health.hot.link_reconnects > 0 {
         println!(
             "warning: a healthy run rebuilt peer links ({} reconnects)",
-            hot.link_reconnects
+            health.hot.link_reconnects
         );
     }
+    if let Some(path) = json {
+        std::fs::write(&path, health.to_json(&snapshots)).expect("snapshot JSON writes");
+        println!("wrote {}", path.display());
+    }
+    let report = cluster.shutdown();
+    let total = 2 * ops;
     println!(
         "workload: {total} requests in {:.3}s ({:.0} req/s), {lost} lost",
         elapsed.as_secs_f64(),
@@ -786,92 +790,13 @@ fn run_cluster(seed: u64, ops: usize, switches: usize) {
         );
         std::process::exit(1);
     }
-    println!("cluster passed: zero lost requests, graceful shutdown");
-}
-
-/// The observability acceptance run: boot a loopback cluster, run a
-/// small seeded workload, then scrape every node purely over the wire
-/// and print per-node, per-link, and cluster-health snapshots. With
-/// `--json PATH` the scraped snapshot bundle is also written as JSON
-/// (the artifact the `stats-smoke` CI job uploads).
-fn run_stats(seed: u64, ops: usize, switches: usize, json: Option<PathBuf>) {
-    use gred::{GredConfig, GredNetwork};
-    use gred_cluster::{Cluster, ClusterConfig, ClusterHealth};
-    use gred_hash::DataId;
-    use gred_net::{waxman_topology, ServerPool, WaxmanConfig};
-
-    let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(switches, seed));
-    let pool = ServerPool::uniform(switches, 2, u64::MAX);
-    let config = GredConfig {
-        auto_extend: false,
-        ..GredConfig::with_iterations(8).seeded(seed)
-    };
-    let net = GredNetwork::build(topo, pool, config).expect("seeded network builds");
-    let cluster = Cluster::boot(&net, ClusterConfig::default()).expect("cluster boots");
-    println!(
-        "stats: {} switches as loopback TCP nodes, seed {seed}, {ops} ops",
-        cluster.len()
-    );
-
-    let members = net.members().to_vec();
-    let mut client = cluster
-        .client_multi(&members)
-        .expect("workload client connects");
-    for i in 0..ops {
-        let id = DataId::new(format!("stats/{seed}/{i}"));
-        client
-            .place(&id, format!("payload/{i}").into_bytes())
-            .expect("seeded placement succeeds");
-        client.retrieve(&id).expect("seeded retrieval succeeds");
-    }
-
-    let snapshots = cluster.scrape().expect("every node answers the scrape");
-    for snap in &snapshots {
-        println!(
-            "node {}: up {}ms | {} requests ({} delivered, {} errors) | {} stored | \
-             {} detours | cache {}h/{}m | {} conns, {} queued bytes, {} workers | {} table rows",
-            snap.switch,
-            snap.uptime_ms,
-            snap.requests,
-            snap.delivered,
-            snap.errors,
-            snap.stored_items,
-            snap.hot.detour_forwards,
-            snap.hot.cache_hits,
-            snap.hot.cache_misses,
-            snap.open_connections,
-            snap.queued_bytes,
-            snap.dispatch_workers,
-            snap.table_rows,
-        );
-        for link in &snap.links {
-            println!(
-                "  link -> {}: {}, {} reconnects, suspect {}ms",
-                link.peer,
-                if link.connected { "connected" } else { "down" },
-                link.reconnects,
-                link.suspect_ms_left,
-            );
-        }
-    }
-    let health = ClusterHealth::aggregate(&snapshots);
-    println!("health: {health}");
-    if let Some(path) = json {
-        std::fs::write(&path, health.to_json(&snapshots)).expect("snapshot JSON writes");
-        println!("wrote {}", path.display());
-    }
-    let report = cluster.shutdown();
-    if report.total_errors() > 0 {
-        println!("stats FAILED: {} node errors", report.total_errors());
-        std::process::exit(1);
-    }
-    println!("stats passed: all nodes scraped over the wire");
+    println!("cluster passed: zero lost requests, every node scraped, graceful shutdown");
 }
 
 /// The chaos acceptance run: crash-tolerant serving under seeded node
 /// kills and link faults. Exits 1 when an acknowledged write is lost.
 fn run_chaos_cmd(seed: u64, ops: usize, switches: usize, kills: usize) {
-    use gred_cluster::{run_chaos, ChaosConfig};
+    use gred_cluster::{run_chaos, ChaosConfig, COPIES, QUORUM};
     use gred_testkit::ChaosPlan;
 
     let cfg = ChaosConfig {
@@ -883,8 +808,7 @@ fn run_chaos_cmd(seed: u64, ops: usize, switches: usize, kills: usize) {
     };
     println!(
         "chaos: seed {seed}, {ops} ops, {switches} switches, {kills} kills, \
-         k={} quorum={}",
-        cfg.copies, cfg.quorum
+         k={COPIES} quorum={QUORUM}"
     );
     if let Some(dir) = std::env::var_os("GRED_CHAOS_DIR") {
         let dir = PathBuf::from(dir);
@@ -904,7 +828,6 @@ fn run_chaos_cmd(seed: u64, ops: usize, switches: usize, kills: usize) {
     let outcome = run_chaos(&cfg).expect("chaos infrastructure boots");
     println!("{outcome}");
     println!("cluster: {}", outcome.report);
-    println!("hot path: {}", outcome.report.hot_stats());
     match &outcome.probe {
         Some(probe) => println!(
             "post-heal probe: detours {} -> {}, {} suspect links, \

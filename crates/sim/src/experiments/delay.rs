@@ -132,7 +132,7 @@ pub fn response_delay_with_queueing(
 ) -> Vec<DelayRow> {
     use crate::queueing::{fifo_delays, QueuedRequest};
 
-    let (topo, pool) = testbed_topology_with_pool();
+    let (topo, pool) = testbed_topology();
     let mut rows = Vec::new();
     for (system, name) in [
         (ComparedSystem::Gred { iterations: 50 }, "GRED"),
@@ -165,10 +165,6 @@ pub fn response_delay_with_queueing(
         }
     }
     rows
-}
-
-fn testbed_topology_with_pool() -> (gred_net::Topology, gred_net::ServerPool) {
-    testbed_topology()
 }
 
 #[cfg(test)]

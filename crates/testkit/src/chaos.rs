@@ -13,10 +13,28 @@
 //! `gred-cluster`'s chaos fabric.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::time::Duration;
 
 /// Domain-mixing constant so the chaos stream differs from the operation
 /// schedule generated from the same user-facing seed.
 const CHAOS_DOMAIN: u64 = 0x5EED_C4A0_5FAB_0002;
+
+/// How a directed link currently treats traffic. Each direction of a
+/// link has its own mode; the reverse direction is unaffected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkMode {
+    /// Transparent forwarding.
+    Open,
+    /// Connections reset; new dials are accepted and immediately closed,
+    /// so the dialer sees a fast EOF instead of a hang.
+    Severed,
+    /// Bytes are accepted and dropped; nothing comes back. The sender
+    /// discovers the fault only through its reply timeout.
+    BlackHole,
+    /// Chunks are forwarded after sitting in the proxy this long,
+    /// without reordering.
+    Delay(Duration),
+}
 
 /// One fault (or repair) to inject. Node and link endpoints are abstract
 /// picks, resolved modulo live membership by the runner at fire time.
@@ -28,37 +46,14 @@ pub enum ChaosAction {
         /// Abstract victim selector.
         pick: u32,
     },
-    /// Sever one directed link: new bytes are refused, in-flight
-    /// connections reset. The reverse direction stays up.
-    SeverLink {
+    /// Put one directed link into `mode`; [`LinkMode::Open`] heals it.
+    Link {
         /// Abstract source selector.
         from: u32,
         /// Abstract destination selector.
         to: u32,
-    },
-    /// Black-hole one directed link: bytes are accepted and silently
-    /// dropped, so the sender discovers the fault only by timeout.
-    BlackHoleLink {
-        /// Abstract source selector.
-        from: u32,
-        /// Abstract destination selector.
-        to: u32,
-    },
-    /// Delay one directed link by `millis` per chunk without reordering.
-    DelayLink {
-        /// Abstract source selector.
-        from: u32,
-        /// Abstract destination selector.
-        to: u32,
-        /// Added one-way latency in milliseconds.
-        millis: u16,
-    },
-    /// Restore one directed link to transparent forwarding.
-    HealLink {
-        /// Abstract source selector.
-        from: u32,
-        /// Abstract destination selector.
-        to: u32,
+        /// What the link does to traffic from now on.
+        mode: LinkMode,
     },
 }
 
@@ -114,20 +109,23 @@ impl ChaosPlan {
             let at_op = rng.gen_range(ops / 10..(ops * 9) / 10);
             let from = rng.gen_range(0u32..1_000_000);
             let to = rng.gen_range(0u32..1_000_000);
-            let action = match rng.gen_range(0u32..100) {
-                0..=39 => ChaosAction::SeverLink { from, to },
-                40..=69 => ChaosAction::BlackHoleLink { from, to },
-                _ => ChaosAction::DelayLink {
-                    from,
-                    to,
-                    millis: rng.gen_range(1u16..20),
-                },
+            let mode = match rng.gen_range(0u32..100) {
+                0..=39 => LinkMode::Severed,
+                40..=69 => LinkMode::BlackHole,
+                _ => LinkMode::Delay(Duration::from_millis(u64::from(rng.gen_range(1u16..20)))),
             };
-            events.push(ChaosEvent { at_op, action });
+            events.push(ChaosEvent {
+                at_op,
+                action: ChaosAction::Link { from, to, mode },
+            });
             let heal_after = rng.gen_range(ops / 20..ops / 5 + 2);
             events.push(ChaosEvent {
                 at_op: (at_op + heal_after).min(ops - 1),
-                action: ChaosAction::HealLink { from, to },
+                action: ChaosAction::Link {
+                    from,
+                    to,
+                    mode: LinkMode::Open,
+                },
             });
         }
 
@@ -174,23 +172,12 @@ mod tests {
     #[test]
     fn every_link_fault_heals() {
         let plan = ChaosPlan::generate(99, 500, 0, 8);
-        let faults = plan
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.action,
-                    ChaosAction::SeverLink { .. }
-                        | ChaosAction::BlackHoleLink { .. }
-                        | ChaosAction::DelayLink { .. }
-                )
-            })
-            .count();
-        let heals = plan
-            .events
-            .iter()
-            .filter(|e| matches!(e.action, ChaosAction::HealLink { .. }))
-            .count();
+        let modes = plan.events.iter().filter_map(|e| match e.action {
+            ChaosAction::Link { mode, .. } => Some(mode),
+            ChaosAction::KillNode { .. } => None,
+        });
+        let heals = modes.clone().filter(|&m| m == LinkMode::Open).count();
+        let faults = modes.count() - heals;
         assert_eq!(faults, 8);
         assert_eq!(heals, 8, "each fault schedules its own repair");
     }

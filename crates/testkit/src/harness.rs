@@ -10,34 +10,34 @@ use gred::{GredConfig, GredError, GredNetwork};
 use gred_hash::DataId;
 use gred_net::{waxman_topology, ServerId, ServerPool, WaxmanConfig};
 
+/// Servers behind each initial switch.
+const SERVERS_PER_SWITCH: usize = 2;
+
+/// Capacity of every server — large, so placements never fill them
+/// and capacity errors stay out of scope.
+const CAPACITY: u64 = 100_000;
+
+/// Leaves/crashes are skipped at or below this many members.
+const MIN_MEMBERS: usize = 4;
+
+/// C-regulation iterations for the initial build (kept small: the
+/// harness exercises protocol logic, not embedding quality).
+const REGULATION_ITERATIONS: usize = 2;
+
 /// Shape of the network a run starts from and the bounds it respects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessConfig {
     /// Initial switch count (Waxman topology, connectivity guaranteed).
     pub switches: usize,
-    /// Servers behind each initial switch.
-    pub servers_per_switch: usize,
-    /// Capacity of every server — large, so placements never fill them
-    /// and capacity errors stay out of scope.
-    pub capacity: u64,
     /// Joins are skipped once the topology reaches this many switches.
     pub max_switches: usize,
-    /// Leaves/crashes are skipped at or below this many members.
-    pub min_members: usize,
-    /// C-regulation iterations for the initial build (kept small: the
-    /// harness exercises protocol logic, not embedding quality).
-    pub regulation_iterations: usize,
 }
 
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
             switches: 10,
-            servers_per_switch: 2,
-            capacity: 100_000,
             max_switches: 16,
-            min_members: 4,
-            regulation_iterations: 2,
         }
     }
 }
@@ -188,10 +188,10 @@ impl Harness {
     ) -> RunOutcome {
         let cfg = &self.config;
         let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(cfg.switches, seed));
-        let pool = ServerPool::uniform(cfg.switches, cfg.servers_per_switch, cfg.capacity);
+        let pool = ServerPool::uniform(cfg.switches, SERVERS_PER_SWITCH, CAPACITY);
         let gred_cfg = GredConfig {
             auto_extend: false,
-            ..GredConfig::with_iterations(cfg.regulation_iterations).seeded(seed)
+            ..GredConfig::with_iterations(REGULATION_ITERATIONS).seeded(seed)
         };
         let mut net =
             GredNetwork::build(topo, pool, gred_cfg).expect("harness network always builds");
@@ -440,7 +440,7 @@ impl Harness {
                 if b != a {
                     links.push(b);
                 }
-                let capacities = vec![self.config.capacity; servers as usize];
+                let capacities = vec![CAPACITY; servers as usize];
                 match net.add_switch(&links, capacities) {
                     Ok(s) => {
                         let position = net
@@ -456,7 +456,7 @@ impl Harness {
                 }
             }
             Op::SwitchLeave { pick } => {
-                if members.len() <= self.config.min_members {
+                if members.len() <= MIN_MEMBERS {
                     stats.skipped += 1;
                     return v;
                 }
@@ -474,7 +474,7 @@ impl Harness {
                 }
             }
             Op::SwitchFail { pick } => {
-                if members.len() <= self.config.min_members {
+                if members.len() <= MIN_MEMBERS {
                     stats.skipped += 1;
                     return v;
                 }

@@ -37,7 +37,7 @@ pub mod oracle;
 pub mod schedule;
 pub mod transport;
 
-pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan};
+pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan, LinkMode};
 pub use counters::CounterWindow;
 pub use harness::{Failure, Harness, HarnessConfig, Mutation, RunOutcome, RunStats};
 pub use oracle::Oracle;

@@ -94,7 +94,6 @@ fn seed_matrix_socket_runs_keep_acked_writes() {
             ops: 80,
             kills: 1,
             link_faults: 2,
-            ..ChaosConfig::default()
         })
         .expect("chaos infrastructure boots");
         assert_eq!(
@@ -125,7 +124,6 @@ fn healed_cluster_counters_settle() {
             ops: 80,
             kills: 1,
             link_faults: 2,
-            ..ChaosConfig::default()
         })
         .expect("chaos infrastructure boots");
         let probe = outcome
@@ -368,7 +366,6 @@ fn probed_replay_survives_chaos_plan() {
     let harness = Harness::new(HarnessConfig {
         switches: 8,
         max_switches: 10,
-        ..HarnessConfig::default()
     });
     let seed = 47;
     let ops = generate(seed, 24);

@@ -148,7 +148,7 @@ fn loopback_cluster_matches_the_in_process_data_plane() {
         "every placed id is stored exactly once"
     );
     assert!(
-        report.workers_joined() > 0,
+        !report.nodes.is_empty(),
         "shutdown must join the connection workers"
     );
     assert_eq!(
@@ -535,7 +535,7 @@ fn flash_crowd_cache_converges_without_stale_serves() {
     assert!(ack.is_hit() && ack.is_clean(), "v2 write must be clean");
     let healed = scrape(&cluster);
     assert_eq!(
-        ClusterHealth::aggregate(&healed).invalidations_rx - after.invalidations_rx,
+        ClusterHealth::aggregate(&healed).hot.invalidations_rx - after.hot.invalidations_rx,
         REGION as u64,
         "one clean write must invalidate exactly the regional sharers"
     );

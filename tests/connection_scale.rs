@@ -185,7 +185,7 @@ fn ten_thousand_connections_on_bounded_threads() {
     }
     let report = node.shutdown();
     assert_eq!(
-        report.workers_joined, 1,
+        report.open_connections, 0,
         "shutdown joins exactly the reactor thread"
     );
 

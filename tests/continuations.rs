@@ -108,7 +108,7 @@ fn sixteen_nodes_under_forwarded_and_write_load_are_sixteen_threads() {
     );
 
     let report = cluster.shutdown();
-    assert_eq!(report.workers_joined(), SWITCHES);
+    assert_eq!(report.nodes.len(), SWITCHES);
     assert_eq!(report.total_errors(), 0);
     let hot = report.hot_stats();
     // Each overwrite invalidates the one access node that read the item
