@@ -491,6 +491,43 @@ pub fn embed_new_switch(
     Ok(p)
 }
 
+/// BFS sources of [`fit_scale`], evenly spaced over the members.
+const SCALE_FIT_SOURCES: usize = 16;
+
+/// The hop-to-virtual factor that best fits `positions` to `topo`: the
+/// least-squares `s` of `‖p_i − p_j‖ ≈ s · h_ij` over every member `j`
+/// and [`SCALE_FIT_SOURCES`] evenly spaced members `i`, which is
+/// `Σ d·h / Σ h²`. [`embed_new_switch`] needs it once C-regulation has
+/// moved the positions away from the embedding's own scale. The BFS rows
+/// run on `threads` workers and are summed in source order, so the result
+/// is the same for any thread count.
+///
+/// # Errors
+///
+/// [`GredError::Disconnected`] when a source cannot reach some member.
+pub(crate) fn fit_scale(
+    topo: &Topology,
+    members: &[usize],
+    positions: &[Point2],
+    threads: usize,
+) -> Result<f64, GredError> {
+    let step = members.len().div_ceil(SCALE_FIT_SOURCES).max(1);
+    let sources: Vec<usize> = (0..members.len()).step_by(step).collect();
+    let rows = gred_runtime::parallel_map(sources.clone(), threads, |i| topo.bfs_hops(members[i]));
+    let (mut dh, mut hh) = (0.0, 0.0);
+    for (&i, row) in sources.iter().zip(&rows) {
+        for (&m, &q) in members.iter().zip(positions) {
+            if row[m] == u32::MAX {
+                return Err(GredError::Disconnected);
+            }
+            let h = f64::from(row[m]);
+            dh += positions[i].distance(q) * h;
+            hh += h * h;
+        }
+    }
+    Ok(if hh > 0.0 { dh / hh } else { 1.0 })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,6 +642,19 @@ mod tests {
         assert_eq!(e.members, vec![0, 2]);
         // Distance covers 2 physical hops.
         assert!((e.positions[0].distance(e.positions[1]) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fit_scale_recovers_an_exact_hop_scale() {
+        let t = line(40);
+        let members: Vec<usize> = (0..40).collect();
+        let positions: Vec<Point2> = (0..40)
+            .map(|i| Point2::new(0.1 + 0.02 * i as f64, 0.5))
+            .collect();
+        for threads in [1, 4] {
+            let s = fit_scale(&t, &members, &positions, threads).unwrap();
+            assert!((s - 0.02).abs() < 1e-12, "threads {threads}: {s}");
+        }
     }
 
     #[test]

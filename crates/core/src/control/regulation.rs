@@ -6,6 +6,11 @@
 //! inside the unit square, and re-separates any positions that the
 //! sampling step left coincident (a site that attracted no samples does
 //! not move).
+//!
+//! When `T² < n` ([`CRegulationConfig::equalizes`]) the steps start from
+//! the rank grid (see [`gred_geometry::cvt`]); that stretches virtual
+//! distances, so the builder then refits the joiners' hop-to-virtual
+//! scale (`embedding::fit_scale`).
 
 use crate::control::embedding::separate_duplicates;
 use gred_geometry::{c_regulation_with, CRegulationConfig, Point2};
@@ -96,6 +101,28 @@ mod tests {
             for q in &refined[i + 1..] {
                 assert!(p.distance(*q) > 1e-5);
             }
+        }
+    }
+
+    #[test]
+    fn enough_iterations_keep_the_sampled_path_bit_for_bit() {
+        // Fingerprints of the positions the sampled steps alone produced
+        // from these inputs; with T² ≥ n the rank start must not run.
+        for (n, iterations, want) in [
+            (16, 4, 0xa169_41e2_5a17_7728_u64),
+            (100, 10, 0x7690_5fbf_d93b_0d4b),
+            (12, 20, 0x8c5b_6b9a_25d7_4ca7),
+        ] {
+            let pts = random_positions(n, n as u64);
+            let cfg = CRegulationConfig::with_iterations(iterations);
+            let got = refine_positions_with(&pts, &cfg, 3, 2);
+            let fingerprint = got
+                .iter()
+                .flat_map(|p| [p.x, p.y])
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+                    (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3)
+                });
+            assert_eq!(fingerprint, want, "n={n} T={iterations}");
         }
     }
 

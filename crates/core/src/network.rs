@@ -6,7 +6,7 @@ use crate::control::delta::{
     affected_members, strip_member_state, Batch, DeltaReport, TopologyChange,
 };
 use crate::control::embedding::{
-    embed_new_switch, m_position_landmark_with, m_position_with, separate_duplicates,
+    embed_new_switch, fit_scale, m_position_landmark_with, m_position_with, separate_duplicates,
     separate_joiner, Embedding,
 };
 use crate::control::installer::{
@@ -199,6 +199,13 @@ impl GredNetwork {
                 threads,
             )
         });
+        // Rank-equalized positions no longer match the embedding's
+        // hop-to-virtual factor; joiners need the one they do match.
+        let scale = if config.regulation.equalizes(member_count) {
+            fit_scale(&topology, &embedding.members, &refined, threads)?
+        } else {
+            embedding.scale
+        };
         let dt = report.phase("triangulation", member_count, || {
             DtGraph::build(embedding.members, &refined)
         })?;
@@ -213,7 +220,7 @@ impl GredNetwork {
             dataplanes,
             store: DataStore::new(),
             extensions: HashMap::new(),
-            scale: embedding.scale,
+            scale,
             longest_link,
         })
     }

@@ -15,7 +15,7 @@
 //! - [`delaunay`]: a flip-based Delaunay [`Triangulation`] with greedy
 //!   routing (the guaranteed-delivery property the paper relies on),
 //! - [`voronoi`]: Voronoi cells clipped to a bounding box,
-//! - [`cvt`]: Lloyd iteration and the paper's sampling-based C-regulation.
+//! - [`cvt`]: the paper's sampling-based C-regulation (Lloyd iteration).
 
 pub mod cvt;
 pub mod delaunay;
@@ -25,7 +25,7 @@ pub mod polygon;
 pub mod predicates;
 pub mod voronoi;
 
-pub use cvt::{c_regulation, c_regulation_with, cvt_energy_exact, lloyd_step, CRegulationConfig};
+pub use cvt::{c_regulation, c_regulation_with, cvt_energy_exact, CRegulationConfig};
 pub use delaunay::{empty_circumcircle_violation, DelaunayError, Triangulation};
 pub use hull::convex_hull;
 pub use point::Point2;
