@@ -6,11 +6,13 @@
 //! [`GredNetwork`], which no node owns. The [`AdminServer`] is that
 //! orchestrator made reachable: a tiny endpoint speaking the client's
 //! correlated mux protocol ([`crate::pipelined`]) that maps
-//! [`AdminOp`] verbs onto the existing live-reconfiguration API
-//! (`crash_node` + `crash_switch` + plane push, `restart_node`,
-//! `migrate_misplaced`, `add_switch` + `apply_join`, `remove_switch` +
-//! `apply_leave`), so chaos scenarios and operator runbooks can be
-//! driven entirely over TCP.
+//! [`AdminOp`] verbs onto the existing live-reconfiguration API, so
+//! chaos scenarios and operator runbooks can be driven entirely over
+//! TCP. Every verb that changes membership ends in the one cut,
+//! [`Cluster::apply_planes`]: `crash` after `crash_node` +
+//! `crash_switch`, `join` after `add_switch` + `restart_node` for the
+//! newcomer, `leave` after `remove_switch`, and `drain` on its own.
+//! `restart` is `restart_node`.
 //!
 //! The endpoint is deliberately serial: one serve thread owns the
 //! cluster and its model twin, and accepts and serves one connection at
@@ -240,7 +242,7 @@ fn apply_verb(state: &mut AdminState, op: &AdminOp) -> Packet {
             }
         }
         AdminOp::Drain => {
-            let (moved, dropped) = cluster.migrate_misplaced(net);
+            let (moved, dropped) = cluster.apply_planes(net);
             Ok(format!(
                 "drained: {moved} items re-homed, {dropped} dropped"
             ))
@@ -251,8 +253,11 @@ fn apply_verb(state: &mut AdminState, op: &AdminOp) -> Packet {
         } => {
             let links: Vec<usize> = neighbors.iter().map(|&n| n as usize).collect();
             match net.add_switch(&links, capacities.clone()) {
-                Ok(newcomer) => match cluster.apply_join(net) {
-                    Ok(moved) => Ok(format!("switch {newcomer} joined, {moved} items re-homed")),
+                Ok(newcomer) => match cluster.restart_node(newcomer, net) {
+                    Ok(_) => {
+                        let (moved, _) = cluster.apply_planes(net);
+                        Ok(format!("switch {newcomer} joined, {moved} items re-homed"))
+                    }
                     Err(e) => Err(format!("model joined but cluster boot failed: {e}")),
                 },
                 Err(e) => Err(format!("join refused: {e}")),
@@ -262,7 +267,7 @@ fn apply_verb(state: &mut AdminState, op: &AdminOp) -> Packet {
             let leaver = *switch as usize;
             match net.remove_switch(leaver) {
                 Ok(()) => {
-                    let moved = cluster.apply_leave(net);
+                    let (moved, _) = cluster.apply_planes(net);
                     Ok(format!("switch {leaver} left, {moved} items re-homed"))
                 }
                 Err(e) => Err(format!("leave refused: {e}")),

@@ -16,7 +16,7 @@
 //!   fabric, run a seeded replicated workload while a
 //!   [`ChaosPlan`](gred_testkit::ChaosPlan) kills nodes and breaks
 //!   links, drive crash recovery the way an operator would
-//!   (`crash_switch` on the model twin, plane push, transit revival,
+//!   (`crash_switch` on the model twin, `apply_planes`, transit revival,
 //!   read-repair), and audit every acknowledged write at the end. The
 //!   verdict is binary: an acknowledged write that cannot be read back
 //!   is a lost write; an unacknowledged failure is an error statistic.
@@ -620,9 +620,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
     for op in 0..cfg.ops {
         if let Some((victim, recover_at)) = pending {
             if op >= recover_at {
-                recover(&mut cluster, &mut net, victim)?;
-                client = member_client(&cluster, &net).map_err(io::Error::other)?;
-                repair_after_crash(&mut client, &mut acked, victim, &mut outcome);
+                client = recover(&mut cluster, &mut net, victim, &mut acked, &mut outcome)?;
                 pending = None;
             }
         }
@@ -635,9 +633,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
                     // the guarantee only covers crashes separated by
                     // repair, so recover the previous victim first.
                     if let Some((victim, _)) = pending.take() {
-                        recover(&mut cluster, &mut net, victim)?;
-                        client = member_client(&cluster, &net).map_err(io::Error::other)?;
-                        repair_after_crash(&mut client, &mut acked, victim, &mut outcome);
+                        client = recover(&mut cluster, &mut net, victim, &mut acked, &mut outcome)?;
                     }
                     let members = net.members().to_vec();
                     if members.len() <= 4 {
@@ -688,9 +684,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
     // recovered before the audit — the operator always finishes the
     // runbook.
     if let Some((victim, _)) = pending.take() {
-        recover(&mut cluster, &mut net, victim)?;
-        client = member_client(&cluster, &net).map_err(io::Error::other)?;
-        repair_after_crash(&mut client, &mut acked, victim, &mut outcome);
+        recover(&mut cluster, &mut net, victim, &mut acked, &mut outcome)?;
     }
 
     // Final audit under healed links: every acknowledged write must read
@@ -760,14 +754,22 @@ fn heal_probe(cluster: &Cluster, net: &GredNetwork, cfg: &ChaosConfig) -> Option
 }
 
 /// The operator runbook for a crashed node: mirror the crash on the
-/// model twin (victim becomes a transit plane, its data is gone), push
-/// the post-crash planes to every survivor, and revive the slot as a
-/// transit relay so multi-hop virtual links keep working.
-fn recover(cluster: &mut Cluster, net: &mut GredNetwork, victim: usize) -> io::Result<()> {
+/// model twin (victim becomes a transit plane, its data is gone), cut
+/// over to the post-crash planes, revive the slot as a transit relay so
+/// multi-hop virtual links keep working, repair, and reconnect.
+fn recover(
+    cluster: &mut Cluster,
+    net: &mut GredNetwork,
+    victim: usize,
+    acked: &mut [AckedWrite],
+    outcome: &mut ChaosOutcome,
+) -> io::Result<Client> {
     net.crash_switch(victim).map_err(io::Error::other)?;
     cluster.apply_planes(net);
     cluster.restart_node(victim, net)?;
-    Ok(())
+    let mut client = member_client(cluster, net).map_err(io::Error::other)?;
+    repair_after_crash(&mut client, acked, victim, outcome);
+    Ok(client)
 }
 
 /// Ring-with-chords topology: every switch links to its successor and to

@@ -15,11 +15,9 @@
 use crate::client::{Client, ClientConfig, ClientError};
 use crate::node::{Node, NodeConfig};
 use crate::observe::ClusterHealth;
-use bytes::Bytes;
 use gred::GredNetwork;
-use gred_dataplane::{NodeHotStats, StatsSnapshot};
+use gred_dataplane::{NodeHotStats, StatsSnapshot, SwitchDataplane};
 use gred_geometry::Point2;
-use gred_hash::DataId;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -140,29 +138,17 @@ impl Cluster {
             addrs.push(listener.local_addr()?);
             listeners.push(listener);
         }
-        let mut nodes = Vec::with_capacity(count);
-        for (switch, listener) in listeners.into_iter().enumerate() {
-            let plane = net.dataplanes()[switch].clone();
-            plane.reset_counters();
-            nodes.push(Some(Node::spawn(
-                switch,
-                plane,
-                peer_map(switch, &addrs, &rewrite),
-                listener,
-                cfg.node.clone(),
-            )?));
-        }
-        let positions = net.dataplanes().iter().map(|p| p.position()).collect();
-        let cluster = Cluster {
-            nodes,
+        let mut cluster = Cluster {
+            nodes: Vec::with_capacity(count),
             addrs,
-            positions,
+            positions: net.dataplanes().iter().map(|p| p.position()).collect(),
             node_cfg: cfg.node,
             client_cfg: cfg.client,
             rewrite,
         };
-        for (switch, items) in placed_items(net).into_iter().enumerate() {
-            cluster.node(switch).preload_many(items);
+        for (switch, listener) in listeners.into_iter().enumerate() {
+            let node = cluster.spawn(net, switch, listener)?;
+            cluster.nodes.push(Some(node));
         }
         Ok(cluster)
     }
@@ -264,8 +250,9 @@ impl Cluster {
     /// Boots a fresh node in slot `switch` from the model's *current*
     /// dataplane and store contents, then re-introduces it to every live
     /// peer (clearing their suspicion). After a `crash_switch` on the
-    /// model twin this revives the slot as a transit-only relay; after a
-    /// re-join it revives it as a full member.
+    /// model twin this revives the slot as a transit-only relay; after an
+    /// `add_switch` it boots the newcomer in a new slot, ready for the
+    /// [`Cluster::apply_planes`] cut that hands it its keys.
     ///
     /// # Errors
     ///
@@ -276,6 +263,11 @@ impl Cluster {
     /// If the slot is still occupied — call [`Cluster::crash_node`]
     /// first.
     pub fn restart_node(&mut self, switch: usize, net: &GredNetwork) -> io::Result<SocketAddr> {
+        while self.nodes.len() <= switch {
+            self.nodes.push(None);
+            self.addrs.push(SocketAddr::from((Ipv4Addr::LOCALHOST, 0)));
+            self.positions.push(Point2::ORIGIN);
+        }
         assert!(
             self.nodes[switch].is_none(),
             "node {switch} is still running"
@@ -284,17 +276,7 @@ impl Cluster {
         let addr = listener.local_addr()?;
         self.addrs[switch] = addr;
         self.positions[switch] = net.dataplanes()[switch].position();
-        let plane = net.dataplanes()[switch].clone();
-        plane.reset_counters();
-        let node = Node::spawn(
-            switch,
-            plane,
-            peer_map(switch, &self.addrs, &self.rewrite),
-            listener,
-            self.node_cfg.clone(),
-        )?;
-        node.preload_many(placed_items(net).swap_remove(switch));
-        self.nodes[switch] = Some(node);
+        self.nodes[switch] = Some(self.spawn(net, switch, listener)?);
         // Tell every live peer about the new listener; register_peer
         // also clears the suspect flag, restoring the one-hop routes.
         for (other, node) in self.live_nodes() {
@@ -305,77 +287,49 @@ impl Cluster {
         Ok(addr)
     }
 
-    /// Installs the model twin's current dataplanes on every live node —
-    /// the push half of a topology change (`crash_switch`, `add_switch`,
-    /// `remove_switch` applied to `net` first).
-    pub fn apply_planes(&self, net: &GredNetwork) {
-        let planes = net.dataplanes();
-        for (switch, node) in self.live_nodes() {
-            let plane = planes[switch].clone();
-            plane.reset_counters();
-            node.install_plane(plane);
-        }
-    }
-
-    /// Moves every stored item whose owner changed under the current
-    /// model topology onto its new owning node, returning how many items
-    /// migrated. Items owned by a crashed node are dropped (they are
-    /// unreachable anyway) and counted in the second tuple slot.
-    pub fn migrate_misplaced(&self, net: &GredNetwork) -> (usize, usize) {
-        let mut moved = 0;
-        let mut dropped = 0;
+    /// Cuts every live node over to the model twin's current dataplanes
+    /// (after `crash_switch`, `remove_switch`, or `add_switch` and
+    /// [`Cluster::restart_node`] for the newcomer) and moves every stored
+    /// item whose owner changed onto its new owner's node, as one atomic
+    /// cut: every live node is held first, so none serves a request until
+    /// all of them run the new plane and hold the items they now own.
+    /// Returns `(moved, dropped)`: items re-homed, and items whose new
+    /// owner is crashed (unreachable anyway).
+    pub fn apply_planes(&self, net: &GredNetwork) -> (usize, usize) {
+        let _held: Vec<_> = self.live_nodes().map(|(_, node)| node.hold()).collect();
+        let (mut moved, mut dropped) = (0, 0);
         let mut arrivals = vec![Vec::new(); self.nodes.len()];
         for (switch, node) in self.live_nodes() {
+            node.install_plane(fresh_plane(net, switch));
             let evicted = node.extract_items(|id| net.responsible_server(id).switch != switch);
             for (id, payload) in evicted {
                 let owner = net.responsible_server(&id);
-                match self.try_node(owner.switch) {
-                    Some(_) => arrivals[owner.switch].push((id, owner.index, payload)),
-                    None => dropped += 1,
+                if self.try_node(owner.switch).is_some() {
+                    arrivals[owner.switch].push((id, owner.index, payload));
+                    moved += 1;
+                } else {
+                    dropped += 1;
                 }
             }
         }
         for (switch, items) in arrivals.into_iter().enumerate() {
             if !items.is_empty() {
-                moved += items.len();
                 self.node(switch).preload_many(items);
             }
         }
         (moved, dropped)
     }
 
-    /// Applies a join that was already performed on the model twin
-    /// (`net.add_switch(..)`): boots nodes for any new switch slots,
-    /// pushes the refreshed dataplanes everywhere, and migrates the keys
-    /// whose owner moved to the newcomer.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors booting the new nodes.
-    pub fn apply_join(&mut self, net: &GredNetwork) -> io::Result<usize> {
-        let count = net.topology().switch_count();
-        while self.nodes.len() < count {
-            let switch = self.nodes.len();
-            self.nodes.push(None);
-            // Placeholders until restart_node fills the real values in.
-            self.addrs.push(SocketAddr::from((Ipv4Addr::LOCALHOST, 0)));
-            self.positions.push(Point2::ORIGIN);
-            self.restart_node(switch, net)?;
-        }
-        self.apply_planes(net);
-        let (moved, _) = self.migrate_misplaced(net);
-        Ok(moved)
-    }
-
-    /// Applies a leave that was already performed on the model twin
-    /// (`net.remove_switch(..)`): pushes the demoted (transit) plane to
-    /// the leaver and refreshed planes to everyone else, then migrates
-    /// the leaver's keys to their new owners. The leaver keeps running
-    /// as a relay, mirroring the model's transit plane.
-    pub fn apply_leave(&mut self, net: &GredNetwork) -> usize {
-        self.apply_planes(net);
-        let (moved, _) = self.migrate_misplaced(net);
-        moved
+    /// Spawns switch `switch`'s node on `listener`, serving the model's
+    /// current plane, and preloads what the model stores there.
+    fn spawn(&self, net: &GredNetwork, switch: usize, listener: TcpListener) -> io::Result<Node> {
+        let peers = peer_map(switch, &self.addrs, &self.rewrite);
+        let plane = fresh_plane(net, switch);
+        let node = Node::spawn(switch, plane, peers, listener, self.node_cfg.clone())?;
+        let placed = net.store().items_on(switch);
+        let items = placed.map(|(at, id, bytes)| (id.clone(), at.index, bytes.clone()));
+        node.preload_many(items.collect());
+        Ok(node)
     }
 
     /// Gracefully stops every node and returns the final accounting.
@@ -400,16 +354,11 @@ impl Cluster {
     }
 }
 
-/// What `net` has placed, as `(id, server index, payload)` lists indexed
-/// by switch — each node's preload, handed over in one command.
-fn placed_items(net: &GredNetwork) -> Vec<Vec<(DataId, usize, Bytes)>> {
-    let mut items = vec![Vec::new(); net.topology().switch_count()];
-    for (server, id) in net.store().all_locations() {
-        if let Some(payload) = net.store().get(server, &id) {
-            items[server.switch].push((id, server.index, payload.clone()));
-        }
-    }
-    items
+/// Switch `switch`'s plane in `net`, with zeroed counters for a node.
+fn fresh_plane(net: &GredNetwork, switch: usize) -> SwitchDataplane {
+    let plane = net.dataplanes()[switch].clone();
+    plane.reset_counters();
+    plane
 }
 
 /// The peer address map node `switch` should dial, with every non-self
@@ -533,7 +482,7 @@ mod tests {
     #[test]
     fn leave_migrates_keys_to_new_owners() {
         let mut net = ring(5);
-        let mut cluster = Cluster::boot(&net, ClusterConfig::default()).unwrap();
+        let cluster = Cluster::boot(&net, ClusterConfig::default()).unwrap();
         let mut client = cluster.client(0).unwrap();
         let ids: Vec<DataId> = (0..20).map(|i| DataId::new(format!("k{i}"))).collect();
         for id in &ids {
@@ -541,7 +490,9 @@ mod tests {
         }
 
         net.remove_switch(2).unwrap();
-        cluster.apply_leave(&net);
+        let (moved, dropped) = cluster.apply_planes(&net);
+        assert!(moved > 0, "the leaver owned some of the keys");
+        assert_eq!(dropped, 0);
 
         for id in &ids {
             let got = client.retrieve(id).unwrap();
@@ -561,7 +512,8 @@ mod tests {
         }
 
         let newcomer = net.add_switch(&[0, 2], vec![10_000, 10_000]).unwrap();
-        cluster.apply_join(&net).unwrap();
+        cluster.restart_node(newcomer, &net).unwrap();
+        cluster.apply_planes(&net);
         assert_eq!(cluster.len(), 5);
         assert!(cluster.try_node(newcomer).is_some());
 

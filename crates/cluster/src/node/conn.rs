@@ -119,6 +119,8 @@ pub(super) struct Reactor {
     /// and settled before the loop waits again.
     pub(super) touched: Vec<usize>,
     read_buf: Vec<u8>,
+    /// Held by a [`Hold`](super::Hold): run mailbox commands only.
+    pub(super) held: bool,
     pub(super) draining: bool,
     deadline: Option<Instant>,
     /// Accepts that fail with `EMFILE` before the listener is consulted
@@ -153,6 +155,7 @@ impl Reactor {
             orphans: Vec::new(),
             touched: Vec::new(),
             read_buf: vec![0u8; 64 * 1024],
+            held: false,
             draining: false,
             deadline: None,
             #[cfg(test)]
@@ -175,6 +178,15 @@ impl Reactor {
                 break;
             }
             while let Ok(command) = self.commands.try_recv() {
+                command(&mut self);
+            }
+            // The events already taken wait for the release: level
+            // triggering keeps their readiness, and a parked call keeps
+            // its deadline.
+            while self.held {
+                let Ok(command) = self.commands.recv() else {
+                    break;
+                };
                 command(&mut self);
             }
             for ev in events.iter() {

@@ -114,6 +114,8 @@
 //! (install a plane, re-point a peer, preload or extract items) finds
 //! and leaves the state exactly as a request does, and
 //! [`Node::stats_snapshot`] runs the code a wire `Stats` scrape runs.
+//! A held node (`Node::hold`) runs queued closures and nothing else
+//! until its guard drops, so several verbs land as one step.
 //! Once the reactor has exited nothing runs them: a verb is dropped, and
 //! an accessor answers from the reactor's final [`StatsSnapshot`]
 //! ([`Node::stats_snapshot`], [`Node::stored_items`], [`Node::hot_stats`])
@@ -442,6 +444,14 @@ impl Node {
         });
     }
 
+    /// Stops the node serving until the returned guard drops: from now on
+    /// the reactor runs mailbox commands and nothing else — no request,
+    /// no response, no timer. Returns at once if the reactor has exited.
+    pub(crate) fn hold(&self) -> Hold<'_> {
+        self.mailbox.ask(|r| r.held = true);
+        Hold(self)
+    }
+
     /// Registers (or re-points) the address of peer switch `switch`,
     /// growing the peer table when the switch is new. A link to the old
     /// address is dropped the next time the reactor reaches for it — the
@@ -480,7 +490,7 @@ impl Node {
     /// the migration half of live reconfiguration: after new tables are
     /// installed, keys this switch no longer owns are extracted here and
     /// re-placed on their new owners. Empty once the reactor has exited.
-    pub fn extract_items(&self, pred: impl Fn(&DataId) -> bool) -> Vec<(DataId, Bytes)> {
+    pub(crate) fn extract_items(&self, pred: impl Fn(&DataId) -> bool) -> Vec<(DataId, Bytes)> {
         // `pred` may borrow the caller's data, so it runs on this
         // thread: the reactor lists the ids, then removes those chosen.
         let ids = self
@@ -606,6 +616,15 @@ impl Drop for Node {
         if self.reactor.is_some() {
             let _ = self.shutdown();
         }
+    }
+}
+
+/// A node held by [`Node::hold`]; dropping it lets the node serve again.
+pub(crate) struct Hold<'a>(&'a Node);
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        self.0.mailbox.tell(|r| r.held = false);
     }
 }
 

@@ -337,6 +337,7 @@ fn accessors_after_the_reactor_exits_answer_without_waiting() {
         assert_eq!(node.extract_items(|_| true), Vec::new());
         assert_eq!(node.open_connections(), 0);
         assert_eq!(node.parked_continuations(), 0);
+        drop(node.hold());
         node.install_plane(SwitchDataplane::new(0, Point2::new(0.5, 0.5), 1));
         node.register_peer(1, node.addr());
         node.preload(DataId::new("late"), 0, Bytes::new());

@@ -84,6 +84,14 @@ impl DataStore {
             .unwrap_or_default()
     }
 
+    /// Every item stored on a server of `switch`, with its server.
+    pub fn items_on(&self, switch: usize) -> impl Iterator<Item = (ServerId, &DataId, &Bytes)> {
+        self.shelves
+            .iter()
+            .filter(move |(s, _)| s.switch == switch)
+            .flat_map(|(&s, shelf)| shelf.iter().map(move |(id, payload)| (s, id, payload)))
+    }
+
     /// Snapshot of every stored `(server, id)` pair (for migration scans).
     pub fn all_locations(&self) -> Vec<(ServerId, DataId)> {
         self.shelves
