@@ -26,9 +26,11 @@
 //!   schedule performs in-process is repeated over TCP, and any
 //!   divergence (wrong server, wrong payload, a hit where the model
 //!   misses) is reported in the harness's violation currency. Dynamics
-//!   and range extensions arrive as `resync`: the cluster is shut down
-//!   gracefully and rebooted from the network's current tables and
-//!   store. Built with [`ChaosTransport::new`] it sits behind a fabric
+//!   and range extensions arrive as `resync`, which cuts the running
+//!   cluster over the way an operator would: a node for each switch the
+//!   model added, then one [`Cluster::apply_planes`]; after the cut
+//!   every item the model stores must sit on the same server in the
+//!   cluster. Built with [`ChaosTransport::new`] it sits behind a fabric
 //!   and fires a chaos plan between operations — node kills revive
 //!   immediately from the model store (durable-restart semantics), so
 //!   the model comparison stays exact while every fault is masked — or
@@ -47,7 +49,7 @@ use gred_net::{ServerId, ServerPool, Topology};
 use gred_runtime::reactor::{Command, Events, Interest, Mailbox, Poller};
 use gred_testkit::{ChaosAction, ChaosPlan, LinkMode, TransportProbe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -852,7 +854,9 @@ fn repair_after_crash(
 }
 
 /// The [`TransportProbe`] that replays the harness schedule over a
-/// loopback cluster. With a fabric ([`new`](ChaosTransport::new)) a
+/// loopback cluster, booted once: each resync is an operator's cut plus
+/// a placement check (see the module docs). With a fabric
+/// ([`new`](ChaosTransport::new)) a
 /// [`ChaosPlan`] fires between operations: node kills are followed by an
 /// immediate revival preloaded from the model store (a durable restart),
 /// so the model comparison stays exact; link faults are left for
@@ -872,7 +876,8 @@ pub struct ChaosTransport {
     /// How one data request crosses the wire: [`Client::request`],
     /// except where a test swaps in another framing of the same packet.
     send: fn(&mut Client, &Packet) -> Result<Reply, ClientError>,
-    /// Clusters booted so far (≥ 1 after any op; +1 per resync).
+    /// Clusters booted so far: 1 after any op, since a resync cuts the
+    /// running cluster over instead of rebooting it.
     boots: usize,
     /// Chaos events fired so far.
     faults_fired: usize,
@@ -1072,20 +1077,43 @@ impl TransportProbe for ChaosTransport {
     }
 
     fn resync(&mut self, net: &GredNetwork) -> Vec<String> {
-        // Tear down gracefully — shutdown bugs get exercised for free.
-        self.clients.clear();
-        if let Some(cluster) = self.cluster.take() {
-            cluster.shutdown();
+        // Boot eagerly, so a boot failure surfaces on the step that
+        // changed the state, not on the next data op.
+        if let Err(e) = self.ensure(net) {
+            return vec![e];
         }
-        // Reboot eagerly so boot failures surface on the step that
-        // changed the state, not on the next data op. Behind a fabric,
-        // every proxy re-targets to the fresh listeners, and any
-        // in-flight fault modes stay applied.
-        match self.ensure(net) {
-            Ok(()) => Vec::new(),
-            Err(e) => vec![e],
+        let cluster = self.cluster.as_mut().expect("cluster just ensured");
+        let mut violations = Vec::new();
+        for joiner in cluster.len()..net.topology().switch_count() {
+            if let Err(e) = cluster.restart_node(joiner, net) {
+                violations.push(format!("transport: booting joiner {joiner} failed: {e}"));
+            }
         }
+        cluster.apply_planes(net);
+        violations.extend(misplaced(cluster, net));
+        violations
     }
+}
+
+/// Every item the model stores that the cluster does not hold on the
+/// same server. The cluster may hold more: to it a model crash is a
+/// leave, so it re-homes the copies the model dropped.
+fn misplaced(cluster: &Cluster, net: &GredNetwork) -> Vec<String> {
+    let held: HashSet<(DataId, ServerId)> = cluster
+        .live_nodes()
+        .flat_map(|(switch, node)| {
+            let ids = node.stored_ids().into_iter();
+            ids.map(move |(id, index)| (id, ServerId { switch, index }))
+        })
+        .collect();
+    net.store()
+        .all_locations()
+        .into_iter()
+        .filter(|(server, id)| !held.contains(&(id.clone(), *server)))
+        .map(|(server, id)| {
+            format!("transport: after the cut {id} is not on {server}, where the model keeps it")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1215,31 +1243,38 @@ mod tests {
         assert!(outcome.repro_line().contains("--seed 11"));
     }
 
-    fn replay_harness() -> (gred_testkit::Harness, u64, Vec<gred_testkit::Op>) {
-        // A short schedule with the default op mix: places, retrievals,
-        // extensions, and dynamics all cross the TCP path.
+    /// Replays seeds 43, 45, 47 and 49 (40 ops each, the default op mix)
+    /// over a direct cluster whose data requests cross the wire through
+    /// `send`. Places, retrievals, extensions and dynamics all cross the
+    /// TCP path; every resync must cut the one booted cluster over.
+    fn replay_harness(send: fn(&mut Client, &Packet) -> Result<Reply, ClientError>) {
         let harness = gred_testkit::Harness::new(gred_testkit::HarnessConfig {
             switches: 8,
             max_switches: 10,
         });
-        let seed = 47;
-        (harness, seed, gred_testkit::generate(seed, 24))
+        let (mut extended, mut left) = (0, 0);
+        for seed in [43, 45, 47, 49] {
+            let mut transport = ChaosTransport {
+                send,
+                ..ChaosTransport::direct(ClusterConfig::default())
+            };
+            let ops = gred_testkit::generate(seed, 40);
+            let outcome = harness.replay_probed(seed, &ops, &mut transport);
+            assert!(
+                outcome.failure.is_none(),
+                "seed {seed}: probed run diverged: {:?}",
+                outcome.failure
+            );
+            assert_eq!(transport.boots(), 1, "seed {seed}: a resync rebooted");
+            extended += outcome.stats.extended;
+            left += outcome.stats.left;
+        }
+        assert!(extended > 0 && left > 0, "the seeds must extend and leave");
     }
 
     #[test]
     fn probed_replay_matches_the_socket_cluster() {
-        let (harness, seed, ops) = replay_harness();
-        let mut transport = ChaosTransport::direct(ClusterConfig::default());
-        let outcome = harness.replay_probed(seed, &ops, &mut transport);
-        assert!(
-            outcome.failure.is_none(),
-            "probed run diverged: {:?}",
-            outcome.failure
-        );
-        assert!(
-            transport.boots() >= 1,
-            "at least one cluster must have booted"
-        );
+        replay_harness(Client::request);
     }
 
     /// A data request as a batch frame of one: the burst API leaves
@@ -1262,26 +1297,12 @@ mod tests {
         }
     }
 
-    /// The batch ≡ singles oracle: the *same* schedule, replayed with
+    /// The batch ≡ singles oracle: the *same* schedules, replayed with
     /// every data op crossing the batch container, must produce zero
     /// divergence from the in-process model — exactly like the
     /// single-request replay above.
     #[test]
     fn probed_replay_matches_the_batched_socket_cluster() {
-        let (harness, seed, ops) = replay_harness();
-        let mut transport = ChaosTransport {
-            send: batch_of_one,
-            ..ChaosTransport::direct(ClusterConfig::default())
-        };
-        let outcome = harness.replay_probed(seed, &ops, &mut transport);
-        assert!(
-            outcome.failure.is_none(),
-            "batched probed run diverged: {:?}",
-            outcome.failure
-        );
-        assert!(
-            transport.boots() >= 1,
-            "at least one cluster must have booted"
-        );
+        replay_harness(batch_of_one);
     }
 }

@@ -18,6 +18,7 @@ use crate::observe::ClusterHealth;
 use gred::GredNetwork;
 use gred_dataplane::{NodeHotStats, StatsSnapshot, SwitchDataplane};
 use gred_geometry::Point2;
+use gred_net::ServerId;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -288,24 +289,25 @@ impl Cluster {
     }
 
     /// Cuts every live node over to the model twin's current dataplanes
-    /// (after `crash_switch`, `remove_switch`, or `add_switch` and
-    /// [`Cluster::restart_node`] for the newcomer) and moves every stored
-    /// item whose owner changed onto its new owner's node, as one atomic
+    /// (after `crash_switch`, `remove_switch`, `extend_range`,
+    /// `retract_range`, or `add_switch` and [`Cluster::restart_node`] for
+    /// the newcomer) and moves every stored item that is no longer at
+    /// home ([`GredNetwork::home_of`]) onto its home's node, as one atomic
     /// cut: every live node is held first, so none serves a request until
     /// all of them run the new plane and hold the items they now own.
-    /// Returns `(moved, dropped)`: items re-homed, and items whose new
-    /// owner is crashed (unreachable anyway).
+    /// Returns `(moved, dropped)`: items re-homed, and items whose home
+    /// is crashed (unreachable anyway).
     pub fn apply_planes(&self, net: &GredNetwork) -> (usize, usize) {
         let _held: Vec<_> = self.live_nodes().map(|(_, node)| node.hold()).collect();
         let (mut moved, mut dropped) = (0, 0);
         let mut arrivals = vec![Vec::new(); self.nodes.len()];
         for (switch, node) in self.live_nodes() {
             node.install_plane(fresh_plane(net, switch));
-            let evicted = node.extract_items(|id| net.responsible_server(id).switch != switch);
-            for (id, payload) in evicted {
-                let owner = net.responsible_server(&id);
-                if self.try_node(owner.switch).is_some() {
-                    arrivals[owner.switch].push((id, owner.index, payload));
+            let evicted =
+                node.extract_items(|id, index| net.home_of(id, ServerId { switch, index }));
+            for (id, home, payload) in evicted {
+                if self.try_node(home.switch).is_some() {
+                    arrivals[home.switch].push((id, home.index, payload));
                     moved += 1;
                 } else {
                     dropped += 1;
@@ -521,6 +523,26 @@ mod tests {
             let got = client.retrieve(id).unwrap();
             assert!(got.is_hit(), "key survives the join");
         }
+        cluster.shutdown();
+    }
+
+    /// An idle cut moves nothing: the copy a takeover server holds for
+    /// an extended owner on another switch is at home there.
+    #[test]
+    fn idle_cut_keeps_a_takeover_copy_in_place() {
+        let mut net = ring(5);
+        let id = DataId::new("extended-key");
+        let owner = net.responsible_server(&id);
+        let takeover = net.extend_range(owner).unwrap();
+        assert_ne!(takeover.switch, owner.switch);
+        let cluster = Cluster::boot(&net, ClusterConfig::default()).unwrap();
+        let mut client = cluster.client(owner.switch).unwrap();
+        let ack = client.place(&id, b"x".as_ref()).unwrap();
+        assert_eq!(ack.ack_server(), Some(takeover));
+
+        assert_eq!(cluster.apply_planes(&net), (0, 0));
+        let held = cluster.node(takeover.switch).stored_ids();
+        assert_eq!(held, vec![(id, takeover.index)]);
         cluster.shutdown();
     }
 

@@ -146,6 +146,7 @@ use bytes::Bytes;
 use gred_cache::ReadCache;
 use gred_dataplane::{NodeHotStats, StatsSnapshot, SwitchDataplane};
 use gred_hash::DataId;
+use gred_net::ServerId;
 use gred_runtime::reactor::{set_listen_backlog, Interest, Mailbox, Poller};
 use std::collections::HashMap;
 use std::fs::File;
@@ -486,25 +487,38 @@ impl Node {
             .unwrap_or_default()
     }
 
-    /// Removes and returns every stored item whose id satisfies `pred` —
-    /// the migration half of live reconfiguration: after new tables are
-    /// installed, keys this switch no longer owns are extracted here and
-    /// re-placed on their new owners. Empty once the reactor has exited.
-    pub(crate) fn extract_items(&self, pred: impl Fn(&DataId) -> bool) -> Vec<(DataId, Bytes)> {
-        // `pred` may borrow the caller's data, so it runs on this
+    /// Every stored item as `(id, index of the local server holding it)`.
+    /// Empty once the reactor has exited.
+    pub(crate) fn stored_ids(&self) -> Vec<(DataId, usize)> {
+        let list = |r: &mut Reactor| {
+            let items = r.state.store.iter();
+            items.map(|(id, item)| (id.clone(), item.index)).collect()
+        };
+        self.mailbox.ask(list).unwrap_or_default()
+    }
+
+    /// Removes every stored item that `home(id, index)` sends elsewhere
+    /// and returns it with that target — the migration half of live
+    /// reconfiguration, run after new tables are installed (`None`: the
+    /// copy stays). Empty once the reactor has exited.
+    pub(crate) fn extract_items(
+        &self,
+        home: impl Fn(&DataId, usize) -> Option<ServerId>,
+    ) -> Vec<(DataId, ServerId, Bytes)> {
+        // `home` may borrow the caller's data, so it runs on this
         // thread: the reactor lists the ids, then removes those chosen.
-        let ids = self
-            .mailbox
-            .ask(|r| r.state.store.keys().cloned().collect::<Vec<_>>())
-            .unwrap_or_default();
-        let chosen: Vec<DataId> = ids.into_iter().filter(|id| pred(id)).collect();
+        let chosen: Vec<(DataId, ServerId)> = self
+            .stored_ids()
+            .into_iter()
+            .filter_map(|(id, index)| home(&id, index).map(|target| (id, target)))
+            .collect();
         self.mailbox
             .ask(move |r| {
                 chosen
                     .into_iter()
-                    .filter_map(|id| {
+                    .filter_map(|(id, target)| {
                         let item = r.state.store.remove(&id)?;
-                        Some((id, item.payload))
+                        Some((id, target, item.payload))
                     })
                     .collect()
             })

@@ -334,7 +334,8 @@ fn accessors_after_the_reactor_exits_answer_without_waiting() {
         assert_eq!(&node.stats_snapshot(), last);
         assert_eq!(node.packets_processed(), 0);
         assert_eq!(node.suspect_peers(), Vec::<usize>::new());
-        assert_eq!(node.extract_items(|_| true), Vec::new());
+        let everything = |_: &DataId, index| Some(ServerId { switch: 1, index });
+        assert_eq!(node.extract_items(everything), Vec::new());
         assert_eq!(node.open_connections(), 0);
         assert_eq!(node.parked_continuations(), 0);
         drop(node.hold());
@@ -720,9 +721,10 @@ fn writes_with_unknown_sharers_broadcast() {
     assert_eq!(cacheable(&preloaded), Cacheable::Anywhere);
     assert_eq!(write(&nodes, &preloaded, "v1"), everyone);
     assert_eq!(cacheable(&preloaded), Cacheable::BySharer);
-    let moved = nodes[0].extract_items(|k| *k == preloaded);
-    for (k, payload) in moved {
-        nodes[0].preload(k, 0, payload);
+    let moved = nodes[0]
+        .extract_items(|k, index| (*k == preloaded).then_some(ServerId { switch: 0, index }));
+    for (k, to, payload) in moved {
+        nodes[0].preload(k, to.index, payload);
     }
     assert_eq!(write(&nodes, &preloaded, "v2"), everyone);
     // A server-addressed (range extension) write, though `id` has no

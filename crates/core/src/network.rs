@@ -16,12 +16,11 @@ use crate::control::regulation::refine_positions_with;
 use crate::control::DtGraph;
 use crate::error::GredError;
 use crate::store::DataStore;
-use gred_dataplane::{link_hops, BrokenAt, SwitchDataplane, TableStats};
+use gred_dataplane::{link_hops, BrokenAt, ExtensionEntry, SwitchDataplane, TableStats};
 use gred_geometry::Point2;
 use gred_hash::DataId;
 use gred_net::{ServerId, ServerPool, Topology};
 use gred_runtime::BuildReport;
-use std::collections::HashMap;
 
 /// A complete GRED deployment over one edge network.
 ///
@@ -38,9 +37,6 @@ pub struct GredNetwork {
     dt: DtGraph,
     dataplanes: Vec<SwitchDataplane>,
     store: DataStore,
-    /// Active range extensions (controller's mirror of the switch
-    /// entries): original server → takeover server.
-    extensions: HashMap<ServerId, ServerId>,
     /// Virtual-distance-per-hop factor recorded by the embedding.
     scale: f64,
     /// Upper bound on the hop length of every installed virtual link:
@@ -219,7 +215,6 @@ impl GredNetwork {
             dt,
             dataplanes,
             store: DataStore::new(),
-            extensions: HashMap::new(),
             scale,
             longest_link,
         })
@@ -332,27 +327,31 @@ impl GredNetwork {
         self.store.remove(server, id)
     }
 
-    /// The takeover server currently extending `original`, if any.
+    /// The takeover server currently extending `original`, if any, as
+    /// the rewrite entry at `original`'s switch records it.
     pub fn extension_of(&self, original: ServerId) -> Option<ServerId> {
-        self.extensions.get(&original).copied()
+        self.dataplanes.get(original.switch)?.extension_of(original)
     }
 
     /// Every active range extension as `(original, takeover)` pairs,
-    /// sorted by the original server — the controller's view, for
-    /// external checkers comparing it against the switch tables.
+    /// sorted by the original server, read off the switch tables.
     pub fn active_extensions(&self) -> Vec<(ServerId, ServerId)> {
-        let mut out: Vec<(ServerId, ServerId)> =
-            self.extensions.iter().map(|(&o, &t)| (o, t)).collect();
-        out.sort();
-        out
+        self.dataplanes
+            .iter()
+            .flat_map(SwitchDataplane::extension_entries)
+            .map(|e| (e.original, e.takeover))
+            .collect()
     }
 
-    pub(crate) fn record_extension(&mut self, original: ServerId, takeover: ServerId) {
-        self.extensions.insert(original, takeover);
-    }
-
-    pub(crate) fn clear_extension(&mut self, original: ServerId) {
-        self.extensions.remove(&original);
+    /// Where a copy of `id` stored on `at` belongs: `None` while `at` is
+    /// the owner or the owner's takeover (a primary copy placed before
+    /// the extension may stay, retrieval queries both), otherwise the
+    /// takeover if the owner's range is extended, else the owner. Every
+    /// re-homing of a stored copy goes through this one rule.
+    pub fn home_of(&self, id: &DataId, at: ServerId) -> Option<ServerId> {
+        let owner = self.responsible_server(id);
+        let home = self.extension_of(owner).unwrap_or(owner);
+        (at != owner && at != home).then_some(home)
     }
 
     /// Forwarding-table statistics across all switches (Fig. 9(d)).
@@ -488,7 +487,7 @@ impl GredNetwork {
         }
 
         let members_total = dt.len();
-        self.commit(next.topology, next.pool, next.dt, planes, &next.left);
+        self.commit(next.topology, next.pool, next.dt, planes);
         Ok(DeltaReport {
             joined: next.joined,
             left: next.left,
@@ -575,16 +574,14 @@ impl GredNetwork {
     /// tables still route: items come home (or to wherever they belong)
     /// before the switch disappears.
     fn retract_touching(&mut self, left: &[usize]) {
-        for &l in left {
-            let touching: Vec<ServerId> = self
-                .extensions
-                .iter()
-                .filter(|(o, t)| o.switch == l || t.switch == l)
-                .map(|(&o, _)| o)
-                .collect();
-            for original in touching {
-                let _ = self.retract_range(original);
-            }
+        let touching: Vec<ServerId> = self
+            .active_extensions()
+            .into_iter()
+            .filter(|(o, t)| left.contains(&o.switch) || left.contains(&t.switch))
+            .map(|(o, _)| o)
+            .collect();
+        for original in touching {
+            let _ = self.retract_range(original);
         }
     }
 
@@ -599,35 +596,28 @@ impl GredNetwork {
             self.config.effective_threads(),
         )?;
         self.longest_link = longest_link;
-        self.reinstall_extensions(&mut planes);
-        self.commit(next.topology, next.pool, next.dt, planes, &next.left);
+        // The extensions carry over; those touching a leaver are gone.
+        for (original, takeover) in self.active_extensions() {
+            planes[original.switch].install_extension(ExtensionEntry { original, takeover });
+        }
+        self.commit(next.topology, next.pool, next.dt, planes);
         Ok(())
     }
 
-    /// Swaps in an evolved control plane with its installed `dataplanes`,
-    /// re-homes the data the leavers `left` behind and migrates every key
-    /// whose owner changed.
+    /// Swaps in an evolved control plane with its installed `dataplanes`
+    /// and migrates every key that no longer sits at home, the leavers'
+    /// included.
     fn commit(
         &mut self,
         topology: Topology,
         pool: ServerPool,
         dt: DtGraph,
         dataplanes: Vec<SwitchDataplane>,
-        left: &[usize],
     ) {
-        let orphans: Vec<_> = left
-            .iter()
-            .flat_map(|&l| self.store.drain_switch(l))
-            .collect();
         self.topology = topology;
         self.pool = pool;
         self.dt = dt;
         self.dataplanes = dataplanes;
-        for (id, payload) in orphans {
-            let owner = self.responsible_server(&id);
-            let target = self.extension_of(owner).unwrap_or(owner);
-            self.store.insert(target, id, payload);
-        }
         self.migrate_all();
     }
 
@@ -650,20 +640,15 @@ impl GredNetwork {
         self.remove_switch(switch)
     }
 
-    /// Moves every stored item to its current responsible server (used
-    /// after membership changes; only items whose owner changed move).
+    /// Moves every stored item that is not at home (see
+    /// [`Self::home_of`]) there — used after membership changes; only
+    /// items whose owner changed move.
     fn migrate_all(&mut self) {
-        let locations = self.store.all_locations();
-        for (server, id) in locations {
-            let owner = self.responsible_server(&id);
-            let target = self.extension_of(owner).unwrap_or(owner);
-            if server != target && server != owner {
+        for (server, id) in self.store.all_locations() {
+            if let Some(home) = self.home_of(&id, server) {
                 if let Some(payload) = self.store.remove(server, &id) {
-                    self.store.insert(target, id, payload);
+                    self.store.insert(home, id, payload);
                 }
-            } else if server == owner && target != owner {
-                // Owner's range is extended: primary copies placed before
-                // the extension may stay (retrieval queries both).
             }
         }
     }
@@ -696,9 +681,8 @@ impl GredNetwork {
     ///    count; non-members are transit planes,
     /// 2. every virtual-link (non-physical) neighbor entry has a complete
     ///    relay chain installed,
-    /// 3. the controller's extension map mirrors the switch entries,
-    /// 4. every stored item sits on its responsible server or on that
-    ///    server's recorded takeover.
+    /// 3. every stored item is at home (see [`Self::home_of`]): on its
+    ///    responsible server or on that server's takeover.
     pub fn verify_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
 
@@ -735,43 +719,15 @@ impl GredNetwork {
             }
         }
 
-        // 3. Extension mirror agreement.
-        for (&original, &takeover) in &self.extensions {
-            if self.dataplanes[original.switch].extension_of(original) != Some(takeover) {
-                problems.push(format!(
-                    "extension {original}->{takeover} missing from the switch table"
-                ));
-            }
-        }
-
-        // 4. Stored items sit where routing will look for them.
+        // 3. Stored items sit where routing will look for them.
         for (server, id) in self.store.all_locations() {
-            let owner = self.responsible_server(&id);
-            let takeover = self.extension_of(owner);
-            if server != owner && Some(server) != takeover {
+            if let Some(home) = self.home_of(&id, server) {
                 problems.push(format!(
-                    "item {id} stored on {server}, but owner is {owner} (takeover {takeover:?})"
+                    "item {id} stored on {server}, but its home is {home}"
                 ));
             }
         }
         problems
-    }
-
-    /// Re-installs extension rewrite entries into freshly rebuilt
-    /// `planes`, forgetting any whose original server is gone.
-    fn reinstall_extensions(&mut self, planes: &mut [SwitchDataplane]) {
-        let entries: Vec<(ServerId, ServerId)> =
-            self.extensions.iter().map(|(&o, &t)| (o, t)).collect();
-        for (original, takeover) in entries {
-            if original.switch < planes.len()
-                && planes[original.switch].server_count() > original.index
-            {
-                planes[original.switch]
-                    .install_extension(gred_dataplane::ExtensionEntry { original, takeover });
-            } else {
-                self.extensions.remove(&original);
-            }
-        }
     }
 }
 

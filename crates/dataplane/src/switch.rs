@@ -270,6 +270,12 @@ impl SwitchDataplane {
         self.extensions.lookup(&original).map(|e| e.takeover)
     }
 
+    /// Iterates over installed extension rewrites in original-server
+    /// order — the one record of which ranges are extended.
+    pub fn extension_entries(&self) -> impl Iterator<Item = &ExtensionEntry> {
+        self.extensions.iter().map(|(_, entry)| entry)
+    }
+
     /// Packets this switch has processed (greedy decisions + relays) —
     /// a P4-style counter for forwarding-load experiments.
     pub fn packets_processed(&self) -> u64 {

@@ -269,6 +269,8 @@ impl Harness {
         probe: &mut Option<&mut dyn TransportProbe>,
     ) -> Vec<String> {
         let mut v = Vec::new();
+        // Set by every op that changes forwarding or storage state.
+        let mut resync = false;
         let members = net.members().to_vec();
         let access = members[(seed as usize + step) % members.len()];
         match op {
@@ -372,9 +374,7 @@ impl Harness {
                         }
                         oracle.extend(original, takeover);
                         stats.extended += 1;
-                        if let Some(p) = probe.as_deref_mut() {
-                            v.extend(p.resync(net));
-                        }
+                        resync = true;
                     }
                     Err(GredError::AlreadyExtended { .. }) => {
                         if oracle.extension_of(original).is_none() {
@@ -389,44 +389,34 @@ impl Harness {
                 }
             }
             Op::RetractExtension { pick } => {
+                // Mostly an active extension; with none active, or on
+                // every fifth pick, any server (usually not extended).
                 let active = oracle.extensions();
-                if !active.is_empty() && pick % 5 != 0 {
-                    let (original, _) = active[pick as usize % active.len()];
-                    match net.retract_range(original) {
-                        Ok(()) => {
-                            oracle.retract(original);
-                            stats.retracted += 1;
-                            if let Some(p) = probe.as_deref_mut() {
-                                v.extend(p.resync(net));
-                            }
-                        }
-                        Err(e) => v.push(format!("retract {original}: {e}")),
-                    }
+                let original = if !active.is_empty() && pick % 5 != 0 {
+                    active[pick as usize % active.len()].0
                 } else {
                     let servers: Vec<ServerId> = net.pool().iter_ids().collect();
-                    let original = servers[pick as usize % servers.len()];
-                    match net.retract_range(original) {
-                        Ok(()) => {
-                            if oracle.extension_of(original).is_none() {
-                                v.push(format!(
-                                    "retract {original}: succeeded but oracle has no extension"
-                                ));
-                            }
-                            oracle.retract(original);
-                            stats.retracted += 1;
-                            if let Some(p) = probe.as_deref_mut() {
-                                v.extend(p.resync(net));
-                            }
+                    servers[pick as usize % servers.len()]
+                };
+                match net.retract_range(original) {
+                    Ok(()) => {
+                        if oracle.extension_of(original).is_none() {
+                            v.push(format!(
+                                "retract {original}: succeeded but oracle has no extension"
+                            ));
                         }
-                        Err(GredError::UnknownServer { .. }) => {
-                            if oracle.extension_of(original).is_some() {
-                                v.push(format!(
-                                    "retract {original}: UnknownServer but oracle has one active"
-                                ));
-                            }
-                        }
-                        Err(e) => v.push(format!("retract {original}: {e}")),
+                        oracle.retract(original);
+                        stats.retracted += 1;
+                        resync = true;
                     }
+                    Err(GredError::UnknownServer { .. }) => {
+                        if oracle.extension_of(original).is_some() {
+                            v.push(format!(
+                                "retract {original}: UnknownServer but oracle has one active"
+                            ));
+                        }
+                    }
+                    Err(e) => v.push(format!("retract {original}: {e}")),
                 }
             }
             Op::SwitchJoin { pick, servers } => {
@@ -448,9 +438,7 @@ impl Harness {
                             .expect("joined switch has a position");
                         oracle.join(s, position, servers as usize);
                         stats.joined += 1;
-                        if let Some(p) = probe.as_deref_mut() {
-                            v.extend(p.resync(net));
-                        }
+                        resync = true;
                     }
                     Err(e) => v.push(format!("join linked to {links:?}: {e}")),
                 }
@@ -465,9 +453,7 @@ impl Harness {
                     Ok(()) => {
                         oracle.leave(victim);
                         stats.left += 1;
-                        if let Some(p) = probe.as_deref_mut() {
-                            v.extend(p.resync(net));
-                        }
+                        resync = true;
                     }
                     Err(GredError::Disconnected) => stats.skipped += 1,
                     Err(e) => v.push(format!("remove switch {victim}: {e}")),
@@ -484,9 +470,7 @@ impl Harness {
                         oracle.crash_drain(victim);
                         oracle.leave(victim);
                         stats.crashed += 1;
-                        if let Some(p) = probe.as_deref_mut() {
-                            v.extend(p.resync(net));
-                        }
+                        resync = true;
                     }
                     Err(GredError::Disconnected) => {
                         // The real crash drains data *before* the failed
@@ -494,13 +478,14 @@ impl Harness {
                         // stays. Mirror exactly that.
                         oracle.crash_drain(victim);
                         stats.skipped += 1;
-                        if let Some(p) = probe.as_deref_mut() {
-                            v.extend(p.resync(net));
-                        }
+                        resync = true;
                     }
                     Err(e) => v.push(format!("crash switch {victim}: {e}")),
                 }
             }
+        }
+        if let (true, Some(p)) = (resync, probe.as_deref_mut()) {
+            v.extend(p.resync(net));
         }
         v
     }

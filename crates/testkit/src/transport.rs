@@ -23,7 +23,7 @@ use gred_net::ServerId;
 /// successfully, so implementations can trust `net` to reflect the
 /// post-op state. Dynamics (joins, leaves, crashes) and extension
 /// changes arrive as [`resync`](TransportProbe::resync): forwarding
-/// state changed and the transport must rebuild or reload it.
+/// state changed and the transport must cut over to it.
 pub trait TransportProbe {
     /// `id` was placed via `access` and landed on `expected`; replay the
     /// placement over the transport and compare.
@@ -51,6 +51,8 @@ pub trait TransportProbe {
     fn retrieve_missing(&mut self, net: &GredNetwork, access: usize, id: &DataId) -> Vec<String>;
 
     /// Forwarding or storage state changed (dynamics, extension
-    /// installed/retracted, crash drain): resynchronize with `net`.
+    /// installed/retracted, crash drain): cut the transport over to
+    /// `net`'s tables and re-home what it stores, then report every item
+    /// `net` stores that the transport does not hold on the same server.
     fn resync(&mut self, net: &GredNetwork) -> Vec<String>;
 }
