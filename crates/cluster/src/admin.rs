@@ -9,8 +9,8 @@
 //! [`AdminOp`] verbs onto the existing live-reconfiguration API, so
 //! chaos scenarios and operator runbooks can be driven entirely over
 //! TCP. Every verb that changes membership ends in the one cut,
-//! [`Cluster::apply_planes`]: `crash` after `crash_node` +
-//! `crash_switch`, `join` after `add_switch` + `restart_node` for the
+//! [`Cluster::apply_planes`]: `crash` after `crash_switch` +
+//! `crash_node`, `join` after `add_switch` + `restart_node` for the
 //! newcomer, `leave` after `remove_switch`, and `drain` on its own.
 //! `restart` is `restart_node`.
 //!
@@ -217,16 +217,18 @@ fn apply_verb(state: &mut AdminState, op: &AdminOp) -> Packet {
     let outcome: Result<String, String> = match op {
         AdminOp::Ping => Ok(format!("pong: {} live nodes", cluster.live_nodes().count())),
         AdminOp::Crash { switch } => {
+            // The model decides first: a refused crash kills no node.
             let victim = *switch as usize;
-            if cluster.crash_node(victim).is_none() {
+            if cluster.try_node(victim).is_none() {
                 Err(format!("switch {victim} is already down"))
             } else {
                 match net.crash_switch(victim) {
                     Ok(()) => {
+                        cluster.crash_node(victim);
                         cluster.apply_planes(net);
                         Ok(format!("crashed switch {victim}, planes pushed"))
                     }
-                    Err(e) => Err(format!("node killed but model refused crash: {e}")),
+                    Err(e) => Err(format!("crash refused: {e}")),
                 }
             }
         }
@@ -310,6 +312,21 @@ mod tests {
         }
         let pong = admin_call(admin.addr(), &AdminOp::Ping).unwrap();
         assert!(pong.ok && pong.message.starts_with("pong"), "{pong:?}");
+        admin.shutdown();
+    }
+
+    #[test]
+    fn a_refused_crash_kills_no_node() {
+        // Switch 1 is the cut vertex of the line 0-1-2.
+        let topo = Topology::from_links(3, &[(0, 1), (1, 2)]).unwrap();
+        let pool = ServerPool::uniform(3, 1, 100);
+        let net = GredNetwork::build(topo, pool, GredConfig::with_iterations(0)).unwrap();
+        let cluster = Cluster::boot(&net, ClusterConfig::default()).unwrap();
+        let admin = AdminServer::spawn(cluster, net).unwrap();
+        let reply = admin_call(admin.addr(), &AdminOp::Crash { switch: 1 }).unwrap();
+        assert!(!reply.ok, "{reply:?}");
+        let pong = admin_call(admin.addr(), &AdminOp::Ping).unwrap();
+        assert_eq!(pong.message, "pong: 3 live nodes");
         admin.shutdown();
     }
 

@@ -19,17 +19,11 @@ pub struct GredConfig {
     /// triggers a range extension to a neighbor switch's server
     /// (Section V-B). When false the caller manages extensions explicitly.
     pub auto_extend: bool,
-    /// Worker threads for the control-plane build pipeline (BFS rows,
-    /// C-regulation sample assignment, virtual-link path search). The
-    /// built network is bit-identical for every value; `0` is treated as
-    /// `1`. Use [`gred_runtime::default_threads`] to match the machine.
-    pub threads: usize,
     /// `Some(k)` embeds via landmark MDS: BFS from `k` seeded max-min
     /// landmarks plus trilateration, instead of the full all-pairs BFS
     /// and `O(n³)` eigendecomposition. `None` (the default) keeps the
     /// exact classical path. Small networks (`k >= members`) always use
-    /// the exact path, whatever this is set to. Like `threads`, the
-    /// chosen path is bit-identical for any worker count.
+    /// the exact path, whatever this is set to.
     pub landmarks: Option<usize>,
 }
 
@@ -39,7 +33,6 @@ impl Default for GredConfig {
             regulation: CRegulationConfig::default(),
             seed: 0xC0FFEE,
             auto_extend: true,
-            threads: 1,
             landmarks: None,
         }
     }
@@ -70,22 +63,11 @@ impl GredConfig {
         self
     }
 
-    /// Same configuration built on `threads` worker threads.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Same configuration embedding with `k` landmarks instead of the
     /// full classical MDS.
     pub fn landmarks(mut self, k: usize) -> Self {
         self.landmarks = Some(k);
         self
-    }
-
-    /// The effective worker count (`threads`, floored at 1).
-    pub fn effective_threads(&self) -> usize {
-        self.threads.max(1)
     }
 }
 
@@ -99,14 +81,7 @@ mod tests {
         assert_eq!(c.regulation.iterations, 50);
         assert_eq!(c.regulation.samples_per_iteration, 1000);
         assert!(c.auto_extend);
-        assert_eq!(c.threads, 1);
         assert_eq!(c.landmarks, None, "exact embedding by default");
-    }
-
-    #[test]
-    fn zero_threads_normalizes_to_one() {
-        assert_eq!(GredConfig::default().threads(0).effective_threads(), 1);
-        assert_eq!(GredConfig::default().threads(4).effective_threads(), 4);
     }
 
     #[test]

@@ -59,21 +59,6 @@ impl Embedding {
 /// - [`GredError::Disconnected`] when some member cannot reach another,
 /// - [`GredError::Embedding`] when MDS fails.
 pub fn m_position(topo: &Topology, members: &[usize]) -> Result<Embedding, GredError> {
-    m_position_with(topo, members, 1)
-}
-
-/// [`m_position`] with its per-member BFS rows computed on `threads`
-/// worker threads. Each row is an independent traversal, so the embedding
-/// is identical for any thread count.
-///
-/// # Errors
-///
-/// Same as [`m_position`].
-pub fn m_position_with(
-    topo: &Topology,
-    members: &[usize],
-    threads: usize,
-) -> Result<Embedding, GredError> {
     if members.is_empty() {
         return Err(GredError::NoStorageSwitches);
     }
@@ -89,12 +74,11 @@ pub fn m_position_with(
     }
 
     // Hop distances between members, routed over the full topology
-    // (transit switches shorten paths but are not embedded). Each
-    // member's row is one independent BFS — the build pipeline's first
-    // parallel phase.
-    let rows = gred_runtime::parallel_map(members.to_vec(), threads, |a| topo.bfs_hops(a));
+    // (transit switches shorten paths but are not embedded): one BFS
+    // per member.
     let mut l = Matrix::zeros(n, n);
-    for (i, hops) in rows.iter().enumerate() {
+    for (i, &a) in members.iter().enumerate() {
+        let hops = topo.bfs_hops(a);
         for (j, &b) in members.iter().enumerate() {
             let h = hops[b];
             if h == u32::MAX {
@@ -153,10 +137,11 @@ fn normalize_to_unit_square(coords: &[Vec<f64>]) -> (Vec<Point2>, f64) {
     (positions, scale)
 }
 
-/// Landmark BFS batches: each max-min sampling round picks a fixed-size
-/// batch of farthest members and traverses them together, so the batch
-/// composition (and therefore the whole embedding) is independent of the
-/// worker thread count.
+/// Landmarks chosen per max-min sampling round. Each round picks this
+/// many farthest members from the current min-distance frontier and only
+/// then folds their BFS rows into it, so the batch size decides which
+/// members become landmarks: changing it changes every landmark-built
+/// embedding.
 const LANDMARK_BATCH: usize = 8;
 
 /// [`m_position`] on the landmark path: BFS only from `landmarks` sampled
@@ -166,10 +151,10 @@ const LANDMARK_BATCH: usize = 8;
 ///
 /// Landmarks are chosen by deterministic seeded max-min (farthest-point)
 /// sampling in fixed batches of [`LANDMARK_BATCH`]: the seed picks the
-/// first landmark, each round BFSes one batch in parallel and only then
-/// updates the min-distance frontier, so `threads = 1 ≡ threads = N`
-/// bit-identically. When `landmarks >= members.len()` (or the network is
-/// too small to subsample) this falls back to the exact full path.
+/// first landmark, and each round BFSes one batch before it updates the
+/// min-distance frontier. When `landmarks >= members.len()` (or the
+/// network is too small to subsample) this falls back to the exact full
+/// path.
 ///
 /// When `report` is given, the three landmark phases are recorded as
 /// `landmark_bfs`, `landmark_embed`, and `trilateration` (the fallback
@@ -178,12 +163,11 @@ const LANDMARK_BATCH: usize = 8;
 /// # Errors
 ///
 /// Same as [`m_position`].
-pub fn m_position_landmark_with(
+pub fn m_position_landmark(
     topo: &Topology,
     members: &[usize],
     landmarks: usize,
     seed: u64,
-    threads: usize,
     report: Option<&mut gred_runtime::BuildReport>,
 ) -> Result<Embedding, GredError> {
     if members.is_empty() {
@@ -191,14 +175,14 @@ pub fn m_position_landmark_with(
     }
     // A caller that wants no report still runs the same phases, into one
     // that is dropped.
-    let mut unread = gred_runtime::BuildReport::new(threads);
+    let mut unread = gred_runtime::BuildReport::new();
     let report = report.unwrap_or(&mut unread);
     let n = members.len();
     let k = landmarks.clamp(3, n.max(3));
     if k >= n || n <= 3 {
         // Too few members to subsample: the exact path is both cheaper
         // and what the equivalence story expects.
-        return report.phase("embedding", n, || m_position_with(topo, members, threads));
+        return report.phase("embedding", n, || m_position(topo, members));
     }
 
     // Phase 1: seeded max-min landmark sampling with batched BFS rows.
@@ -220,16 +204,9 @@ pub fn m_position_landmark_with(
             // size, selected before any of the batch's rows land.
             let mut order: Vec<usize> = (0..n).filter(|&i| !chosen[i]).collect();
             order.sort_by_key(|&i| (std::cmp::Reverse(min_hops[i]), i));
-            let batch: Vec<usize> = order
-                .into_iter()
-                .take(LANDMARK_BATCH.min(k - landmark_members.len()))
-                .collect();
-            let batch_rows = gred_runtime::parallel_map(
-                batch.iter().map(|&i| members[i]).collect(),
-                threads,
-                |m| topo.bfs_hops(m),
-            );
-            for (&i, row) in batch.iter().zip(batch_rows) {
+            let batch = LANDMARK_BATCH.min(k - landmark_members.len());
+            for i in order.into_iter().take(batch) {
+                let row = topo.bfs_hops(members[i]);
                 chosen[i] = true;
                 landmark_members.push(members[i]);
                 for (j, h) in min_hops.iter_mut().enumerate() {
@@ -247,7 +224,7 @@ pub fn m_position_landmark_with(
 
     // Phase 3: trilaterate every member against the landmark frame.
     // Landmarks keep their exact classical coordinates; everyone else is
-    // placed from its BFS column. Chunked: one trilateration is ~k flops.
+    // placed from its BFS column.
     let landmark_index: std::collections::BTreeMap<usize, usize> = landmark_members
         .iter()
         .enumerate()
@@ -261,7 +238,7 @@ pub fn m_position_landmark_with(
         emb.place(&dists)
     };
     let coords = report.phase("trilateration", n - k, || {
-        gred_runtime::parallel_map_min_chunk(members.to_vec(), threads, 64, place)
+        members.iter().map(|&m| place(m)).collect::<Vec<_>>()
     });
     let (positions, scale) = normalize_to_unit_square(&coords);
 
@@ -497,10 +474,9 @@ const SCALE_FIT_SOURCES: usize = 16;
 /// The hop-to-virtual factor that best fits `positions` to `topo`: the
 /// least-squares `s` of `‖p_i − p_j‖ ≈ s · h_ij` over every member `j`
 /// and [`SCALE_FIT_SOURCES`] evenly spaced members `i`, which is
-/// `Σ d·h / Σ h²`. [`embed_new_switch`] needs it once C-regulation has
-/// moved the positions away from the embedding's own scale. The BFS rows
-/// run on `threads` workers and are summed in source order, so the result
-/// is the same for any thread count.
+/// `Σ d·h / Σ h²`, summed in source order. [`embed_new_switch`] needs it
+/// once C-regulation has moved the positions away from the embedding's
+/// own scale.
 ///
 /// # Errors
 ///
@@ -509,13 +485,11 @@ pub(crate) fn fit_scale(
     topo: &Topology,
     members: &[usize],
     positions: &[Point2],
-    threads: usize,
 ) -> Result<f64, GredError> {
     let step = members.len().div_ceil(SCALE_FIT_SOURCES).max(1);
-    let sources: Vec<usize> = (0..members.len()).step_by(step).collect();
-    let rows = gred_runtime::parallel_map(sources.clone(), threads, |i| topo.bfs_hops(members[i]));
     let (mut dh, mut hh) = (0.0, 0.0);
-    for (&i, row) in sources.iter().zip(&rows) {
+    for i in (0..members.len()).step_by(step) {
+        let row = topo.bfs_hops(members[i]);
         for (&m, &q) in members.iter().zip(positions) {
             if row[m] == u32::MAX {
                 return Err(GredError::Disconnected);
@@ -651,10 +625,8 @@ mod tests {
         let positions: Vec<Point2> = (0..40)
             .map(|i| Point2::new(0.1 + 0.02 * i as f64, 0.5))
             .collect();
-        for threads in [1, 4] {
-            let s = fit_scale(&t, &members, &positions, threads).unwrap();
-            assert!((s - 0.02).abs() < 1e-12, "threads {threads}: {s}");
-        }
+        let s = fit_scale(&t, &members, &positions).unwrap();
+        assert!((s - 0.02).abs() < 1e-12, "{s}");
     }
 
     #[test]
@@ -857,28 +829,16 @@ mod tests {
         let t = line(3);
         let members = vec![0, 1, 2];
         let full = m_position(&t, &members).unwrap();
-        let lm = m_position_landmark_with(&t, &members, 8, 42, 1, None).unwrap();
+        let lm = m_position_landmark(&t, &members, 8, 42, None).unwrap();
         assert_eq!(lm.positions, full.positions);
         assert_eq!(lm.scale, full.scale);
-    }
-
-    #[test]
-    fn landmark_is_bit_identical_across_thread_counts() {
-        let (t, _) = waxman_topology(&WaxmanConfig::with_switches(60, 11));
-        let members: Vec<usize> = (0..60).collect();
-        let serial = m_position_landmark_with(&t, &members, 12, 7, 1, None).unwrap();
-        for threads in [2usize, 4, 8] {
-            let parallel = m_position_landmark_with(&t, &members, 12, 7, threads, None).unwrap();
-            assert_eq!(serial.positions, parallel.positions, "threads={threads}");
-            assert_eq!(serial.scale, parallel.scale);
-        }
     }
 
     #[test]
     fn landmark_embedding_correlates_with_hops() {
         let (t, _) = waxman_topology(&WaxmanConfig::with_switches(50, 5));
         let members: Vec<usize> = (0..50).collect();
-        let e = m_position_landmark_with(&t, &members, 12, 2019, 1, None).unwrap();
+        let e = m_position_landmark(&t, &members, 12, 2019, None).unwrap();
         let m = t.shortest_path_matrix();
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -902,8 +862,8 @@ mod tests {
     fn landmark_records_phase_timings() {
         let (t, _) = waxman_topology(&WaxmanConfig::with_switches(40, 9));
         let members: Vec<usize> = (0..40).collect();
-        let mut report = gred_runtime::BuildReport::new(1);
-        let _ = m_position_landmark_with(&t, &members, 10, 0, 1, Some(&mut report)).unwrap();
+        let mut report = gred_runtime::BuildReport::new();
+        let _ = m_position_landmark(&t, &members, 10, 0, Some(&mut report)).unwrap();
         assert_eq!(report.phase_named("landmark_bfs").unwrap().items, 10);
         assert_eq!(report.phase_named("landmark_embed").unwrap().items, 10);
         assert_eq!(report.phase_named("trilateration").unwrap().items, 30);
@@ -915,7 +875,7 @@ mod tests {
         t.isolate(9);
         let members: Vec<usize> = (0..10).collect();
         assert_eq!(
-            m_position_landmark_with(&t, &members, 4, 0, 1, None).unwrap_err(),
+            m_position_landmark(&t, &members, 4, 0, None).unwrap_err(),
             GredError::Disconnected
         );
     }
@@ -924,7 +884,7 @@ mod tests {
     fn landmark_positions_stay_in_unit_square() {
         let (t, _) = waxman_topology(&WaxmanConfig::with_switches(80, 3));
         let members: Vec<usize> = (0..80).collect();
-        let e = m_position_landmark_with(&t, &members, 16, 1, 4, None).unwrap();
+        let e = m_position_landmark(&t, &members, 16, 1, None).unwrap();
         assert_eq!(e.positions.len(), 80);
         for p in &e.positions {
             assert!((0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y));

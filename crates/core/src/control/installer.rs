@@ -20,6 +20,11 @@ use gred_net::{ServerPool, Topology};
 /// Builds one data plane per switch and installs all GRED forwarding
 /// entries. Index `i` of the returned vector is switch `i`'s data plane;
 /// switches without servers get transit data planes (relay tuples only).
+/// Also returns the hop length of the longest virtual link installed.
+///
+/// Members are handled in ascending order, and path search breaks BFS
+/// ties toward smaller switch indices, so the installed tables are a
+/// pure function of the topology, pool and DT.
 ///
 /// # Errors
 ///
@@ -28,27 +33,6 @@ pub fn install_dataplanes(
     topo: &Topology,
     pool: &ServerPool,
     dt: &DtGraph,
-) -> Result<Vec<SwitchDataplane>, GredError> {
-    install_dataplanes_with(topo, pool, dt, 1).map(|(planes, _)| planes)
-}
-
-/// [`install_dataplanes`] with the per-member virtual-link shortest paths
-/// computed on `threads` worker threads. Also returns the hop length of
-/// the longest virtual link installed.
-///
-/// Only the path *search* runs concurrently; entries are applied to the
-/// data planes serially, in member order, so the installed tables are
-/// identical for any thread count (path search itself is deterministic —
-/// BFS breaking ties toward smaller switch indices).
-///
-/// # Errors
-///
-/// Same as [`install_dataplanes`].
-pub fn install_dataplanes_with(
-    topo: &Topology,
-    pool: &ServerPool,
-    dt: &DtGraph,
-    threads: usize,
 ) -> Result<(Vec<SwitchDataplane>, usize), GredError> {
     let n = topo.switch_count();
     let mut planes: Vec<SwitchDataplane> = (0..n)
@@ -58,18 +42,11 @@ pub fn install_dataplanes_with(
         })
         .collect();
 
-    // Phase 1 (parallel): per member, the shortest physical path to each
-    // multi-hop DT neighbor — the dominant cost of installation. Chunked
-    // so cheap members (few or no virtual links) amortize dispatch.
-    let paths_per_member =
-        gred_runtime::parallel_map_min_chunk(dt.members().to_vec(), threads, 8, |u| {
-            member_virtual_paths(topo, dt, u)
-        });
-
-    // Phase 2 (serial, member order): apply entries to the data planes.
+    // Per member, the shortest physical path to each multi-hop DT
+    // neighbor — the dominant cost of installation — then its entries.
     let mut longest = 0;
-    for (&u, member_paths) in dt.members().iter().zip(paths_per_member) {
-        let paths = member_paths.ok_or(GredError::Disconnected)?;
+    for &u in dt.members() {
+        let paths = member_virtual_paths(topo, dt, u).ok_or(GredError::Disconnected)?;
         longest = longest.max(apply_member_entries(&mut planes, topo, dt, u, paths));
     }
     for plane in &mut planes {
@@ -175,7 +152,7 @@ mod tests {
     #[test]
     fn virtual_link_installs_relays() {
         let (topo, pool, dt) = line_with_transit();
-        let planes = install_dataplanes(&topo, &pool, &dt).unwrap();
+        let planes = install_dataplanes(&topo, &pool, &dt).unwrap().0;
 
         // Endpoint 0 sees 3 as a non-physical neighbor via 1.
         let entries: Vec<&NeighborEntry> = planes[0].neighbor_entries().collect();
@@ -204,7 +181,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let planes = install_dataplanes(&topo, &pool, &dt).unwrap();
+        let planes = install_dataplanes(&topo, &pool, &dt).unwrap().0;
         for plane in planes.iter().take(3) {
             let entries: Vec<&NeighborEntry> = plane.neighbor_entries().collect();
             assert_eq!(entries.len(), 2, "triangle: each member sees both others");
@@ -216,7 +193,7 @@ mod tests {
     #[test]
     fn transit_plane_has_no_neighbors() {
         let (topo, pool, dt) = line_with_transit();
-        let planes = install_dataplanes(&topo, &pool, &dt).unwrap();
+        let planes = install_dataplanes(&topo, &pool, &dt).unwrap().0;
         assert_eq!(planes[1].neighbor_entries().count(), 0);
         assert_eq!(planes[1].server_count(), 0);
     }
@@ -254,7 +231,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let planes = install_dataplanes(&topo, &pool, &dt).unwrap();
+        let planes = install_dataplanes(&topo, &pool, &dt).unwrap().0;
         for plane in planes.iter().take(4) {
             assert_eq!(
                 plane.neighbor_entries().count(),

@@ -16,6 +16,6 @@ pub mod regulation;
 
 pub use delta::{DeltaReport, TopologyChange};
 pub use dt::DtGraph;
-pub use embedding::{m_position, m_position_landmark_with, m_position_with, Embedding};
-pub use installer::{install_dataplanes, install_dataplanes_with};
-pub use regulation::{refine_positions, refine_positions_with};
+pub use embedding::{m_position, m_position_landmark, Embedding};
+pub use installer::install_dataplanes;
+pub use regulation::refine_positions;

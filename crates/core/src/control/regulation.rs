@@ -13,7 +13,7 @@
 //! scale (`embedding::fit_scale`).
 
 use crate::control::embedding::separate_duplicates;
-use gred_geometry::{c_regulation_with, CRegulationConfig, Point2};
+use gred_geometry::{c_regulation, CRegulationConfig, Point2};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,23 +25,11 @@ pub fn refine_positions(
     config: &CRegulationConfig,
     seed: u64,
 ) -> Vec<Point2> {
-    refine_positions_with(positions, config, seed, 1)
-}
-
-/// [`refine_positions`] with the sample assignment fanned out over
-/// `threads` worker threads. Positions are bit-identical for any thread
-/// count (see [`c_regulation_with`]).
-pub fn refine_positions_with(
-    positions: &[Point2],
-    config: &CRegulationConfig,
-    seed: u64,
-    threads: usize,
-) -> Vec<Point2> {
     if config.iterations == 0 || positions.len() < 2 {
         return positions.to_vec();
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut refined = c_regulation_with(positions, config, &mut rng, threads);
+    let mut refined = c_regulation(positions, config, &mut rng);
     for p in &mut refined {
         *p = p.clamp_to(0.001, 0.999);
     }
@@ -115,7 +103,7 @@ mod tests {
         ] {
             let pts = random_positions(n, n as u64);
             let cfg = CRegulationConfig::with_iterations(iterations);
-            let got = refine_positions_with(&pts, &cfg, 3, 2);
+            let got = refine_positions(&pts, &cfg, 3);
             let fingerprint = got
                 .iter()
                 .flat_map(|p| [p.x, p.y])

@@ -6,13 +6,11 @@ use crate::control::delta::{
     affected_members, strip_member_state, Batch, DeltaReport, TopologyChange,
 };
 use crate::control::embedding::{
-    embed_new_switch, fit_scale, m_position_landmark_with, m_position_with, separate_duplicates,
+    embed_new_switch, fit_scale, m_position, m_position_landmark, separate_duplicates,
     separate_joiner, Embedding,
 };
-use crate::control::installer::{
-    apply_member_entries, install_dataplanes_with, member_virtual_paths,
-};
-use crate::control::regulation::refine_positions_with;
+use crate::control::installer::{apply_member_entries, install_dataplanes, member_virtual_paths};
+use crate::control::regulation::refine_positions;
 use crate::control::DtGraph;
 use crate::error::GredError;
 use crate::store::DataStore;
@@ -100,8 +98,7 @@ impl GredNetwork {
 
     /// [`GredNetwork::build`] returning the per-phase [`BuildReport`]
     /// alongside the network: wall time and work counters for the
-    /// embedding, regulation, triangulation, and installation phases,
-    /// each run on `config.threads` worker threads.
+    /// embedding, regulation, triangulation, and installation phases.
     ///
     /// # Errors
     ///
@@ -112,22 +109,14 @@ impl GredNetwork {
         config: GredConfig,
     ) -> Result<(Self, BuildReport), GredError> {
         let members = storage_switches(&topology, &pool)?;
-        let threads = config.effective_threads();
-        let mut report = BuildReport::new(threads);
+        let mut report = BuildReport::new();
         let embedding = match config.landmarks {
             // Landmark path records its own finer-grained phases
             // (landmark_bfs / landmark_embed / trilateration), or plain
             // "embedding" when it falls back to the exact path.
-            Some(k) => m_position_landmark_with(
-                &topology,
-                &members,
-                k,
-                config.seed,
-                threads,
-                Some(&mut report),
-            )?,
+            Some(k) => m_position_landmark(&topology, &members, k, config.seed, Some(&mut report))?,
             None => report.phase("embedding", members.len(), || {
-                m_position_with(&topology, &members, threads)
+                m_position(&topology, &members)
             })?,
         };
         let net = Self::from_embedding(topology, pool, config, embedding, &mut report)?;
@@ -171,7 +160,7 @@ impl GredNetwork {
             positions: given,
             scale: 1.0,
         };
-        let mut unread = BuildReport::new(config.effective_threads());
+        let mut unread = BuildReport::new();
         Self::from_embedding(topology, pool, config, embedding, &mut unread)
     }
 
@@ -184,21 +173,15 @@ impl GredNetwork {
         embedding: Embedding,
         report: &mut BuildReport,
     ) -> Result<Self, GredError> {
-        let threads = config.effective_threads();
         let member_count = embedding.members.len();
         let samples = config.regulation.iterations * config.regulation.samples_per_iteration;
         let refined = report.phase("regulation", samples, || {
-            refine_positions_with(
-                &embedding.positions,
-                &config.regulation,
-                config.seed,
-                threads,
-            )
+            refine_positions(&embedding.positions, &config.regulation, config.seed)
         });
         // Rank-equalized positions no longer match the embedding's
         // hop-to-virtual factor; joiners need the one they do match.
         let scale = if config.regulation.equalizes(member_count) {
-            fit_scale(&topology, &embedding.members, &refined, threads)?
+            fit_scale(&topology, &embedding.members, &refined)?
         } else {
             embedding.scale
         };
@@ -206,7 +189,7 @@ impl GredNetwork {
             DtGraph::build(embedding.members, &refined)
         })?;
         let (dataplanes, longest_link) = report.phase("installation", member_count, || {
-            install_dataplanes_with(&topology, &pool, &dt, threads)
+            install_dataplanes(&topology, &pool, &dt)
         })?;
         Ok(GredNetwork {
             topology,
@@ -428,7 +411,7 @@ impl GredNetwork {
         let (topo, dt, left) = (&next.topology, &next.dt, &next.left);
 
         // The affected set, against the pre-batch planes, and its path
-        // search (in parallel) — the last step that can fail.
+        // search — the last step that can fail.
         let affected: Vec<usize> = affected_members(&Batch {
             old_dt: &self.dt,
             new_dt: dt,
@@ -442,12 +425,9 @@ impl GredNetwork {
         })
         .into_iter()
         .collect();
-        let threads = self.config.effective_threads();
-        let paths_per_member: Vec<_> =
-            gred_runtime::parallel_map_min_chunk(affected.clone(), threads, 8, |u| {
-                member_virtual_paths(topo, dt, u)
-            })
-            .into_iter()
+        let paths_per_member: Vec<_> = affected
+            .iter()
+            .map(|&u| member_virtual_paths(topo, dt, u))
             .collect::<Option<_>>()
             .ok_or(GredError::Disconnected)?;
 
@@ -589,12 +569,7 @@ impl GredNetwork {
     /// on the evolved state.
     fn rebuild(&mut self, next: Evolved) -> Result<(), GredError> {
         self.retract_touching(&next.left);
-        let (mut planes, longest_link) = install_dataplanes_with(
-            &next.topology,
-            &next.pool,
-            &next.dt,
-            self.config.effective_threads(),
-        )?;
+        let (mut planes, longest_link) = install_dataplanes(&next.topology, &next.pool, &next.dt)?;
         self.longest_link = longest_link;
         // The extensions carry over; those touching a leaver are gone.
         for (original, takeover) in self.active_extensions() {
@@ -628,16 +603,18 @@ impl GredNetwork {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::remove_switch`].
+    /// Same as [`Self::remove_switch`]. A refused crash changes nothing:
+    /// the leave is validated before any item is dropped.
     pub fn crash_switch(&mut self, switch: usize) -> Result<(), GredError> {
         if !self.is_member(switch) {
             return Err(GredError::InvalidDynamics {
                 reason: "switch is not a DT member",
             });
         }
+        let next = self.evolve(&[TopologyChange::Leave { switch }])?;
         // Data dies with the node.
         let _ = self.store.drain_switch(switch);
-        self.remove_switch(switch)
+        self.rebuild(next)
     }
 
     /// Moves every stored item that is not at home (see
@@ -772,7 +749,6 @@ mod tests {
         let pool = ServerPool::uniform(16, 2, 100_000);
         let (net, report) =
             GredNetwork::build_reported(topo, pool, GredConfig::with_iterations(5)).unwrap();
-        assert_eq!(report.threads, 1);
         for phase in ["embedding", "regulation", "triangulation", "installation"] {
             let p = report
                 .phase_named(phase)
@@ -858,28 +834,6 @@ mod tests {
             })
             .collect();
         (positions, edges, tables)
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        for threads in [2, 3, 8] {
-            let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(24, 7));
-            let pool = ServerPool::uniform(24, 2, 100_000);
-            let serial = GredNetwork::build(
-                topo.clone(),
-                pool.clone(),
-                GredConfig::with_iterations(12).threads(1),
-            )
-            .unwrap();
-            let parallel =
-                GredNetwork::build(topo, pool, GredConfig::with_iterations(12).threads(threads))
-                    .unwrap();
-            assert_eq!(
-                network_fingerprint(&serial),
-                network_fingerprint(&parallel),
-                "threads={threads} diverged from serial build"
-            );
-        }
     }
 
     #[test]
@@ -977,6 +931,29 @@ mod tests {
             net.remove_switch(0),
             Err(GredError::InvalidDynamics { .. })
         ));
+    }
+
+    #[test]
+    fn refused_crash_keeps_the_victims_data() {
+        // Switch 1 is the line's cut vertex: its crash must be refused
+        // before a single one of its items is dropped.
+        let topo = Topology::from_links(3, &[(0, 1), (1, 2)]).unwrap();
+        let pool = ServerPool::uniform(3, 1, 100_000);
+        let mut net = GredNetwork::build(topo, pool, GredConfig::with_iterations(0)).unwrap();
+        for i in 0..60 {
+            net.place(&DataId::new(format!("cut{i}")), Bytes::new(), 0)
+                .unwrap();
+        }
+        assert!(
+            net.server_load(ServerId {
+                switch: 1,
+                index: 0
+            }) > 0
+        );
+        assert_eq!(net.crash_switch(1), Err(GredError::Disconnected));
+        assert!(net.is_member(1));
+        assert_eq!(net.store().total_items(), 60);
+        assert!(net.verify_invariants().is_empty());
     }
 
     #[test]

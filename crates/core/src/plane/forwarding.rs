@@ -51,57 +51,6 @@ impl Route {
     }
 }
 
-/// Reusable hop buffers for [`route_with`].
-///
-/// A load generator routing thousands of requests in a loop pays two
-/// heap allocations per call of [`route`] (the `switches` and `overlay`
-/// vectors). Holding one `RouteScratch` across the loop amortizes both:
-/// after the first few requests the buffers have grown to the longest
-/// walk seen and every later call allocates nothing.
-#[derive(Debug, Default)]
-pub struct RouteScratch {
-    switches: Vec<usize>,
-    overlay: Vec<usize>,
-}
-
-impl RouteScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> RouteScratch {
-        RouteScratch::default()
-    }
-
-    /// Every switch the last walk touched (access first, owner last).
-    pub fn switches(&self) -> &[usize] {
-        &self.switches
-    }
-
-    /// The last walk's greedy (overlay) switch sequence.
-    pub fn overlay(&self) -> &[usize] {
-        &self.overlay
-    }
-
-    /// Physical links the last walk traversed.
-    pub fn physical_hops(&self) -> u32 {
-        self.switches.len().saturating_sub(1) as u32
-    }
-
-    /// Greedy (overlay) hops the last walk took.
-    pub fn overlay_hops(&self) -> u32 {
-        self.overlay.len().saturating_sub(1) as u32
-    }
-}
-
-/// Where a walk ended: the part of a [`Route`] that is not a hop list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteEnd {
-    /// The owner switch (closest to the data position).
-    pub dest: usize,
-    /// The server `H(d) mod s` names at the owner switch.
-    pub server: ServerId,
-    /// The takeover server, when the named server's range is extended.
-    pub extended_to: Option<ServerId>,
-}
-
 /// Walks a request for `id` (hashing to `position`) from `from` until the
 /// owner switch is found.
 ///
@@ -148,76 +97,10 @@ pub fn route_avoiding(
     id: &DataId,
     alive: &dyn Fn(usize) -> bool,
 ) -> Result<(Route, u32), GredError> {
-    let mut switches = Vec::new();
-    let mut overlay = Vec::new();
-    let (end, detours) = walk(
-        planes,
-        from,
-        position,
-        id,
-        alive,
-        &mut switches,
-        &mut overlay,
-    )?;
-    let route = Route {
-        switches,
-        overlay,
-        dest: end.dest,
-        server: end.server,
-        extended_to: end.extended_to,
-    };
-    Ok((route, detours))
-}
-
-/// Allocation-free variant of [`route`] for hot loops: the hop lists are
-/// written into `scratch`'s reused buffers instead of fresh vectors, and
-/// the non-list part of the result comes back as a [`RouteEnd`].
-///
-/// The scratch contents are overwritten on every call (also on failed
-/// walks — partial progress is visible for debugging, but only the hop
-/// lists of a call that returned `Ok` are meaningful).
-///
-/// # Errors
-///
-/// Same conditions as [`route`].
-pub fn route_with(
-    planes: &[SwitchDataplane],
-    from: usize,
-    position: Point2,
-    id: &DataId,
-    scratch: &mut RouteScratch,
-) -> Result<RouteEnd, GredError> {
-    walk(
-        planes,
-        from,
-        position,
-        id,
-        &|_| true,
-        &mut scratch.switches,
-        &mut scratch.overlay,
-    )
-    .map(|(end, _)| end)
-}
-
-/// The one walk behind [`route`], [`route_with`] and [`route_avoiding`]:
-/// hands the packet's routing fields to [`SwitchDataplane::step`] at one
-/// switch after another. Clears and fills the caller's hop buffers and
-/// returns where the walk ended plus the number of detoured steps.
-fn walk(
-    planes: &[SwitchDataplane],
-    from: usize,
-    position: Point2,
-    id: &DataId,
-    alive: &dyn Fn(usize) -> bool,
-    switches: &mut Vec<usize>,
-    overlay: &mut Vec<usize>,
-) -> Result<(RouteEnd, u32), GredError> {
-    switches.clear();
-    overlay.clear();
     if from >= planes.len() {
         return Err(GredError::UnknownSwitch { switch: from });
     }
-    switches.push(from);
+    let (mut switches, mut overlay) = (vec![from], Vec::new());
     let (mut cur, mut relay, mut detours) = (from, None, 0u32);
     let missing = |at, relay: Option<RelayHeader>| GredError::RelayEntryMissing {
         at,
@@ -244,12 +127,14 @@ fn walk(
                 extended_to,
             }) => {
                 overlay.push(cur);
-                let end = RouteEnd {
+                let route = Route {
+                    switches,
+                    overlay,
                     dest: cur,
                     server,
                     extended_to,
                 };
-                return Ok((end, detours));
+                return Ok((route, detours));
             }
             Hop::Forward { to, relay } => {
                 overlay.push(cur);
@@ -280,7 +165,7 @@ mod tests {
             &[Point2::new(0.25, 0.5), Point2::new(0.75, 0.5)],
         )
         .unwrap();
-        install_dataplanes(&topo, &pool, &dt).unwrap()
+        install_dataplanes(&topo, &pool, &dt).unwrap().0
     }
 
     #[test]
@@ -323,54 +208,6 @@ mod tests {
         let planes = setup_line();
         let err = route(&planes, 9, Point2::new(0.5, 0.5), &DataId::new("k")).unwrap_err();
         assert_eq!(err, GredError::UnknownSwitch { switch: 9 });
-    }
-
-    #[test]
-    fn route_with_reuses_buffers_and_agrees_with_route() {
-        let planes = setup_line();
-        let mut scratch = RouteScratch::new();
-        for (i, pos) in [Point2::new(0.8, 0.5), Point2::new(0.2, 0.5)]
-            .into_iter()
-            .enumerate()
-        {
-            let id = DataId::new(format!("k{i}"));
-            let owned = route(&planes, 0, pos, &id).unwrap();
-            let end = route_with(&planes, 0, pos, &id, &mut scratch).unwrap();
-            assert_eq!(end.dest, owned.dest);
-            assert_eq!(end.server, owned.server);
-            assert_eq!(end.extended_to, owned.extended_to);
-            assert_eq!(scratch.switches(), owned.switches.as_slice());
-            assert_eq!(scratch.overlay(), owned.overlay.as_slice());
-            assert_eq!(scratch.physical_hops(), owned.physical_hops());
-            assert_eq!(scratch.overlay_hops(), owned.overlay_hops());
-        }
-        // The second walk was shorter than the first: the scratch must
-        // have been truncated, not appended to.
-        assert_eq!(scratch.switches(), &[0]);
-    }
-
-    #[test]
-    fn route_with_surfaces_the_same_errors() {
-        let planes = setup_line();
-        let mut scratch = RouteScratch::new();
-        let err = route_with(
-            &planes,
-            9,
-            Point2::new(0.5, 0.5),
-            &DataId::new("k"),
-            &mut scratch,
-        )
-        .unwrap_err();
-        assert_eq!(err, GredError::UnknownSwitch { switch: 9 });
-        let err = route_with(
-            &planes,
-            1,
-            Point2::new(0.5, 0.5),
-            &DataId::new("k"),
-            &mut scratch,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GredError::InvalidDynamics { .. }));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! representation is **canonical**: it is a pure function of the logical
 //! tuple set, independent of install order, so two controllers that
 //! install the same paths in different orders (full rebuild vs delta
-//! rebuild, any thread count) produce bit-identical tables.
+//! rebuild) produce bit-identical tables.
 
 use crate::entries::DtTuple;
 

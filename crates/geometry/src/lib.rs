@@ -25,7 +25,7 @@ pub mod polygon;
 pub mod predicates;
 pub mod voronoi;
 
-pub use cvt::{c_regulation, c_regulation_with, cvt_energy_exact, CRegulationConfig};
+pub use cvt::{c_regulation, cvt_energy_exact, CRegulationConfig};
 pub use delaunay::{empty_circumcircle_violation, DelaunayError, Triangulation};
 pub use hull::convex_hull;
 pub use point::Point2;

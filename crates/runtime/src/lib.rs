@@ -1,5 +1,5 @@
-//! Shared threading runtime for GRED's control plane and experiment
-//! harness.
+//! Shared runtime pieces for GRED's cluster nodes, experiment harness
+//! and control-plane instrumentation.
 //!
 //! Four pieces live here:
 //!
@@ -13,21 +13,20 @@
 //!   the nonblocking-I/O substrate the cluster node runtime and the
 //!   chaos fabric share.
 //! - [`parallel_map`]: an ordered, chunked fork/join map over scoped
-//!   threads. Work is handed out in contiguous chunks (amortizing queue
-//!   synchronization over many items) and every worker accumulates its
-//!   outputs locally, so the only shared state is the chunk queue; the
-//!   result vector is assembled once at join time.
-//!   [`parallel_map_min_chunk`] additionally floors the chunk size and
-//!   caps the worker count so cheap per-item work (BFS rows,
-//!   trilaterations) is not swamped by thread-spawn overhead.
+//!   threads, which the experiment harness uses to run independent sweep
+//!   points side by side. Work is handed out in contiguous chunks
+//!   (amortizing queue synchronization over many items) and every worker
+//!   accumulates its outputs locally, so the only shared state is the
+//!   chunk queue; the result vector is assembled once at join time.
 //! - [`BuildReport`]: per-phase wall-clock timing and work counters for
 //!   the control-plane build pipeline, so rebuild cost can be attributed
-//!   to embedding, regulation, triangulation, or installation.
+//!   to embedding, regulation, triangulation, or installation. The
+//!   build itself runs serially on the caller's thread.
 //!
 //! Determinism: `parallel_map` always returns outputs in input order and
-//! applies `f` to each item exactly once, so any pipeline whose per-item
-//! work is a pure function produces bit-identical results for every
-//! thread count, including the inline `threads == 1` path.
+//! applies `f` to each item exactly once, so a sweep whose per-item work
+//! is a pure function produces bit-identical results for every thread
+//! count, including the inline `threads == 1` path.
 
 pub mod reactor;
 pub mod shard;
@@ -59,46 +58,15 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_min_chunk(items, threads, 1, f)
-}
-
-/// [`parallel_map`] with a floor on the per-chunk item count.
-///
-/// Workers are scoped threads spawned per call, so when per-item work is
-/// cheap (a BFS row on a small graph, one trilateration) the dispatch
-/// overhead of `threads` spawns can exceed the work itself. `min_chunk`
-/// caps the worker count at `ceil(n / min_chunk)` and guarantees each
-/// dispatched batch carries at least `min_chunk` items, so per-worker
-/// batches amortize the spawn and queue cost. Output is identical to
-/// [`parallel_map`] for every `threads`/`min_chunk` combination — only
-/// the work partitioning changes.
-///
-/// ```
-/// let squares = gred_runtime::parallel_map_min_chunk(vec![1, 2, 3, 4], 8, 2, |x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn parallel_map_min_chunk<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    min_chunk: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
     let n = items.len();
-    let min_chunk = min_chunk.max(1);
-    let workers = threads.min(n.div_ceil(min_chunk));
+    let workers = threads.min(n);
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
 
     // Contiguous chunks, ~4 per worker so faster workers can steal
-    // extras from the queue while slower ones finish, but never smaller
-    // than the caller's amortization floor.
-    let chunk_len = n.div_ceil(workers * 4).max(min_chunk);
+    // extras from the queue while slower ones finish.
+    let chunk_len = n.div_ceil(workers * 4);
     let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(n.div_ceil(chunk_len));
     let mut iter = items.into_iter();
     let mut start = 0;
@@ -148,7 +116,7 @@ where
 }
 
 /// A reasonable default worker count: the available parallelism, capped
-/// at 8 (pipeline phases are coarse-grained).
+/// at 8 (sweep points are coarse-grained).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -174,19 +142,22 @@ pub struct PhaseReport {
 /// [`BuildReport::total_wall`].
 #[derive(Debug, Clone)]
 pub struct BuildReport {
-    /// Worker threads the build was configured with.
-    pub threads: usize,
     /// Completed phases, in execution order.
     pub phases: Vec<PhaseReport>,
     started: Instant,
     finished: Option<Instant>,
 }
 
+impl Default for BuildReport {
+    fn default() -> Self {
+        BuildReport::new()
+    }
+}
+
 impl BuildReport {
     /// An empty report; the total-wall clock starts now.
-    pub fn new(threads: usize) -> Self {
+    pub fn new() -> Self {
         BuildReport {
-            threads,
             phases: Vec::new(),
             started: Instant::now(),
             finished: None,
@@ -231,8 +202,7 @@ impl BuildReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"threads\":{},\"total_ms\":{:.3},\"phases\":[",
-            self.threads,
+            "{{\"total_ms\":{:.3},\"phases\":[",
             self.total_wall().as_secs_f64() * 1e3
         );
         for (i, p) in self.phases.iter().enumerate() {
@@ -257,9 +227,8 @@ impl BuildReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "build: {:.3} ms total, {} threads",
-            self.total_wall().as_secs_f64() * 1e3,
-            self.threads
+            "build: {:.3} ms total",
+            self.total_wall().as_secs_f64() * 1e3
         );
         for p in &self.phases {
             let _ = writeln!(
@@ -346,34 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn min_chunk_output_identical() {
-        let serial = parallel_map((0..143).collect::<Vec<i64>>(), 1, |x| x * 3 + 1);
-        for threads in [2usize, 4, 8] {
-            for min_chunk in [0usize, 1, 4, 16, 64, 1000] {
-                let out =
-                    parallel_map_min_chunk((0..143).collect(), threads, min_chunk, |x| x * 3 + 1);
-                assert_eq!(out, serial, "threads={threads} min_chunk={min_chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn min_chunk_caps_worker_count() {
-        // 10 items with min_chunk 8 must use at most ceil(10/8) = 2
-        // workers; count distinct thread ids to prove it.
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let ids = Mutex::new(HashSet::new());
-        let _ = parallel_map_min_chunk((0..10).collect::<Vec<i32>>(), 8, 8, |x| {
-            ids.lock().unwrap().insert(std::thread::current().id());
-            x
-        });
-        assert!(ids.lock().unwrap().len() <= 2);
-    }
-
-    #[test]
     fn build_report_records_phases() {
-        let mut report = BuildReport::new(4);
+        let mut report = BuildReport::new();
         let value = report.phase("bfs_matrix", 100, || {
             std::thread::sleep(Duration::from_millis(2));
             42
@@ -389,11 +332,10 @@ mod tests {
         assert!(report.total_wall() >= Duration::from_millis(1));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"threads\":4,"));
+        assert!(json.starts_with("{\"total_ms\":"));
         assert!(json.contains("\"name\":\"bfs_matrix\""));
         assert!(json.contains("\"items\":100"));
         let human = report.summary();
         assert!(human.contains("bfs_matrix"));
-        assert!(human.contains("4 threads"));
     }
 }

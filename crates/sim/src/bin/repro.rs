@@ -2,7 +2,7 @@
 //! repository's extension experiments.
 //!
 //! ```text
-//! repro <experiment> [--paper] [--csv <dir>] [--threads <n>]
+//! repro <experiment> [--paper] [--csv <dir>]
 //! repro soak [--seed <n>] [--ops <n>] [--switches <n>]
 //! repro cluster [--seed <n>] [--ops <n>] [--switches <n>]
 //! repro chaos [--seed <n>] [--ops <n>] [--switches <n>] [--kills <n>]
@@ -14,8 +14,6 @@
 //! --paper       run at the paper's full scale (minutes) instead of the
 //!               quick preset (seconds)
 //! --csv <dir>   also write each experiment's rows to <dir>/<name>.csv
-//! --threads <n> worker threads for build-report (default: the machine's
-//!               available parallelism, capped at 8)
 //!
 //! `soak` drives the gred-testkit model-based harness through one long
 //! seeded schedule (default seed 2019, 2000 ops, 12 switches), checking
@@ -138,12 +136,12 @@ impl Output {
 
 /// One table an experiment prints and, with `--csv`, writes to
 /// `<dir>/<csv>.csv`; `csv` is given only where the file is not named
-/// after the experiment. `rows` gets the scale and `--threads`.
+/// after the experiment. `rows` gets the scale.
 struct Table {
     csv: Option<&'static str>,
     title: &'static str,
     headers: &'static [&'static str],
-    rows: fn(&Scale, usize) -> Vec<Vec<String>>,
+    rows: fn(&Scale) -> Vec<Vec<String>>,
 }
 
 /// What running an experiment does.
@@ -170,7 +168,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: Some("fig7"),
             title: "Fig. 7(a)/(b): P4 testbed — stretch and load balance",
             headers: &["system", "mean stretch", "max/avg"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&testbed::testbed_experiment(
                     s.testbed_requests,
                     s.testbed_items,
@@ -185,7 +183,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 8: average response delay vs retrieval requests",
             headers: &["requests", "system", "avg delay (us)"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&delay::response_delay(
                     &s.delay_requests,
                     LatencyModel::default(),
@@ -200,7 +198,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 9(a): routing stretch vs network size",
             headers: &["switches", "system", "mean stretch", "ci90"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&stretch::stretch_vs_network_size(
                     &s.stretch_sizes,
                     s.stretch_items,
@@ -215,7 +213,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 9(b): routing stretch vs min degree",
             headers: &["min degree", "system", "mean stretch", "ci90"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&stretch::stretch_vs_min_degree(
                     &s.degrees,
                     s.degree_switches,
@@ -231,7 +229,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 9(c): stretch with range extension",
             headers: &["switches", "system", "mean stretch", "ci90"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&stretch::stretch_with_extension(
                     &s.stretch_sizes,
                     s.stretch_items,
@@ -246,7 +244,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 9(d): forwarding entries per switch vs network size",
             headers: &["switches", "mean entries", "ci90", "min", "max"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&table_entries::entries_vs_network_size(
                     &s.entry_sizes,
                     SEED,
@@ -260,7 +258,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 11(a): load balance vs number of servers",
             headers: &["servers", "system", "max/avg"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&load::load_vs_network_size(
                     &s.load_servers,
                     s.load_items,
@@ -275,7 +273,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 11(b): load balance vs number of items",
             headers: &["items", "system", "max/avg"],
-            rows: |s, _| cells(&load::load_vs_items(&s.item_sweep, s.sweep_servers, SEED)),
+            rows: |s| cells(&load::load_vs_items(&s.item_sweep, s.sweep_servers, SEED)),
         }]),
     },
     Experiment {
@@ -284,7 +282,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Fig. 11(c): load balance vs iterations T",
             headers: &["T", "system", "max/avg"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&load::load_vs_iterations(
                     &s.iteration_sweep,
                     s.load_items,
@@ -304,7 +302,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Extension: migration volume on join/leave (Section VI claim)",
             headers: &["switches", "event", "moved fraction", "fair share"],
-            rows: |s, _| cells(&churn::churn_migration(&s.churn_sizes, s.churn_items, SEED)),
+            rows: |s| cells(&churn::churn_migration(&s.churn_sizes, s.churn_items, SEED)),
         }]),
     },
     Experiment {
@@ -313,7 +311,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: Some("churn_owners"),
             title: "Extension: ownership churn on join — GRED vs Chord",
             headers: &["switches", "system", "moved fraction", "fair share"],
-            rows: |s, _| cells(&churn::owner_churn_comparison(&s.churn_sizes, 5_000, SEED)),
+            rows: |s| cells(&churn::owner_churn_comparison(&s.churn_sizes, 5_000, SEED)),
         }]),
     },
     Experiment {
@@ -322,7 +320,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Ablation: M-position vs oracle vs random coordinates",
             headers: &["switches", "source", "mean stretch", "ci90"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&embedding::embedding_ablation(
                     &s.stretch_sizes,
                     s.stretch_items,
@@ -337,7 +335,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Extension: response delay with FIFO server queueing",
             headers: &["requests", "system", "avg delay (us)"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&delay::response_delay_with_queueing(
                     &s.delay_requests,
                     LatencyModel::default(),
@@ -353,7 +351,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Extension: availability under edge-node crashes",
             headers: &["replicas", "failures", "availability"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&availability::availability_under_crashes(
                     &[1, 2, 3],
                     s.churn_sizes[0] / 5,
@@ -371,7 +369,7 @@ const EXPERIMENTS: &[Experiment] = &[
                 csv: None,
                 title: "Extension: request load under Zipf popularity, with hot-item replication",
                 headers: &["zipf s", "hot replicas", "request max/avg"],
-                rows: |s, _| {
+                rows: |s| {
                     cells(&hotspot::hotspot_request_load(
                         &[0.0, 0.8, 1.2],
                         &[1, 4],
@@ -386,7 +384,7 @@ const EXPERIMENTS: &[Experiment] = &[
                 csv: Some("flash_crowd"),
                 title: "Extension: regional flash crowd on a cold key, before/after replication",
                 headers: &["phase", "request max/avg", "peak share"],
-                rows: |s, _| {
+                rows: |s| {
                     cells(&hotspot::flash_crowd_request_load(
                         500,
                         s.load_items.min(10_000),
@@ -403,7 +401,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Extension: completion time under link contention — GRED vs Chord",
             headers: &["requests", "system", "mean completion (us)"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&contention::contention_completion(
                     &s.delay_requests,
                     1_000.0,
@@ -419,7 +417,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Extension: per-switch forwarding-load concentration",
             headers: &["system", "max/avg", "total switch visits"],
-            rows: |_, _| cells(&forwarding_load::forwarding_load(30, 2_000, SEED)),
+            rows: |_| cells(&forwarding_load::forwarding_load(30, 2_000, SEED)),
         }]),
     },
     Experiment {
@@ -428,7 +426,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Extension: GRED per-request stretch distribution",
             headers: &["quantile", "stretch"],
-            rows: |s, _| stretch_cdf_rows(s.load_items.min(2_000)),
+            rows: |s| stretch_cdf_rows(s.load_items.min(2_000)),
         }]),
     },
     Experiment {
@@ -442,7 +440,7 @@ const EXPERIMENTS: &[Experiment] = &[
                 "entry delta",
                 "newcomer entries",
             ],
-            rows: |s, _| cells(&control_overhead::join_overhead(&s.churn_sizes, SEED)),
+            rows: |s| cells(&control_overhead::join_overhead(&s.churn_sizes, SEED)),
         }]),
     },
     Experiment {
@@ -451,7 +449,7 @@ const EXPERIMENTS: &[Experiment] = &[
             csv: None,
             title: "Extension: heterogeneous server counts — why range extension exists",
             headers: &["system", "per-server max/avg"],
-            rows: |s, _| {
+            rows: |s| {
                 cells(&heterogeneity::heterogeneous_load(
                     25,
                     s.load_items.min(30_000),
@@ -464,9 +462,9 @@ const EXPERIMENTS: &[Experiment] = &[
         names: &["build-report"],
         run: Run::Tables(&[Table {
             csv: None,
-            title: "Instrumentation: control-plane build phases by variant and thread count",
-            headers: &["variant", "threads", "phase", "items", "wall (ms)"],
-            rows: |s, threads| build_report_rows(s.build_switches, threads),
+            title: "Instrumentation: control-plane build phases by variant",
+            headers: &["variant", "phase", "items", "wall (ms)"],
+            rows: |s| build_report_rows(s.build_switches),
         }]),
     },
 ];
@@ -554,57 +552,49 @@ fn print_extension_tables() {
     );
 }
 
-/// Builds a Waxman network with the exact and landmark control planes
-/// (serially and with `threads` workers), applies a churn batch through
+/// Builds a Waxman network with the exact and landmark control planes,
+/// applies a churn batch through
 /// the incremental delta path, and prints each [`gred::BuildReport`]
 /// (human summary + JSON line) plus the per-switch installed-entry
 /// distribution, returning per-phase table rows.
-fn build_report_rows(switches: usize, threads: usize) -> Vec<Vec<String>> {
+fn build_report_rows(switches: usize) -> Vec<Vec<String>> {
     use gred::{GredConfig, GredNetwork, TopologyChange};
     use gred_net::{waxman_topology, ServerPool, WaxmanConfig};
 
     let mut rows = Vec::new();
-    let mut thread_counts = vec![1];
-    if threads > 1 {
-        thread_counts.push(threads);
-    }
     // Enough pivots for a stable embedding, well under the member count.
     let landmarks = (switches / 5).clamp(8, 100);
-    for t in thread_counts {
-        for variant in ["full", "landmark"] {
-            let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(switches, SEED));
-            let pool = ServerPool::uniform(switches, 4, 10_000);
-            let mut config = GredConfig::default().threads(t);
-            if variant == "landmark" {
-                config = config.landmarks(landmarks);
-            }
-            let (net, report) = GredNetwork::build_reported(topo, pool, config)
-                .expect("Waxman build succeeds at report scale");
-            println!("{}", report.summary());
-            println!("{}", report.to_json());
-            let stats = net.table_stats();
-            println!(
-                "{variant} build, {t} threads: per-switch installed entries \
-                 min {} / p50 {} / max {} (mean {:.1} over {} switches)",
-                stats.min, stats.p50, stats.max, stats.mean, stats.switches
-            );
-            for phase in &report.phases {
-                rows.push(vec![
-                    variant.to_string(),
-                    t.to_string(),
-                    phase.name.to_string(),
-                    phase.items.to_string(),
-                    f3(phase.wall.as_secs_f64() * 1e3),
-                ]);
-            }
+    for variant in ["full", "landmark"] {
+        let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(switches, SEED));
+        let pool = ServerPool::uniform(switches, 4, 10_000);
+        let mut config = GredConfig::default();
+        if variant == "landmark" {
+            config = config.landmarks(landmarks);
+        }
+        let (net, report) = GredNetwork::build_reported(topo, pool, config)
+            .expect("Waxman build succeeds at report scale");
+        println!("{}", report.summary());
+        println!("{}", report.to_json());
+        let stats = net.table_stats();
+        println!(
+            "{variant} build: per-switch installed entries \
+             min {} / p50 {} / max {} (mean {:.1} over {} switches)",
+            stats.min, stats.p50, stats.max, stats.mean, stats.switches
+        );
+        for phase in &report.phases {
             rows.push(vec![
                 variant.to_string(),
-                t.to_string(),
-                "total".to_string(),
-                switches.to_string(),
-                f3(report.total_wall().as_secs_f64() * 1e3),
+                phase.name.to_string(),
+                phase.items.to_string(),
+                f3(phase.wall.as_secs_f64() * 1e3),
             ]);
         }
+        rows.push(vec![
+            variant.to_string(),
+            "total".to_string(),
+            switches.to_string(),
+            f3(report.total_wall().as_secs_f64() * 1e3),
+        ]);
     }
 
     // The incremental path: absorb a small join batch without a rebuild
@@ -630,7 +620,6 @@ fn build_report_rows(switches: usize, threads: usize) -> Vec<Vec<String>> {
     );
     rows.push(vec![
         "delta".to_string(),
-        "1".to_string(),
         "delta_apply".to_string(),
         report.affected.len().to_string(),
         f3(report.wall.as_secs_f64() * 1e3),
@@ -862,9 +851,8 @@ struct Args(Vec<String>);
 
 /// Flags that are followed by a value — which is therefore never the
 /// experiment name.
-const VALUE_FLAGS: [&str; 7] = [
+const VALUE_FLAGS: [&str; 6] = [
     "--csv",
-    "--threads",
     "--seed",
     "--ops",
     "--switches",
@@ -926,18 +914,13 @@ fn main() {
     let out = Output {
         csv_dir: args.value("--csv").map(PathBuf::from),
     };
-    let threads = args
-        .value("--threads")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(gred_runtime::default_threads)
-        .max(1);
     for experiment in chosen {
         match experiment.run {
             Run::Text(print) => print(),
             Run::Tables(tables) => {
                 for t in tables {
                     let csv = t.csv.unwrap_or(experiment.names[0]);
-                    out.emit(csv, t.title, t.headers, (t.rows)(&scale, threads));
+                    out.emit(csv, t.title, t.headers, (t.rows)(&scale));
                 }
             }
         }

@@ -39,21 +39,18 @@ impl Cells for ContentionRow {
 }
 
 /// Gathers the physical switch path of one request under each system.
-/// `scratch` holds the GRED walk's reused hop buffers; the returned path
-/// is an exact-size copy of the switch list.
 fn request_path(
     sut: &SystemUnderTest,
     chord: Option<&ChordNetwork>,
     id: &gred_hash::DataId,
     access: usize,
-    scratch: &mut gred::plane::forwarding::RouteScratch,
 ) -> Vec<usize> {
     match (sut.as_gred(), chord) {
         (Some(net), _) => {
             let pos = net.position_of_id(id);
-            gred::plane::forwarding::route_with(net.dataplanes(), access, pos, id, scratch)
-                .expect("routes");
-            scratch.switches().to_vec()
+            gred::plane::forwarding::route(net.dataplanes(), access, pos, id)
+                .expect("routes")
+                .switches
         }
         (None, Some(ring)) => {
             // Expand the overlay path into the physical switch walk.
@@ -111,14 +108,13 @@ pub fn contention_completion(
             let mut gen = ItemGenerator::new(format!("cont-{name}-{requests}"));
             let members: Vec<usize> = (0..30).collect();
             let mut picker = AccessPicker::new(&members, seed ^ requests as u64);
-            let mut scratch = gred::plane::forwarding::RouteScratch::new();
             let specs: Vec<JourneySpec> = (0..requests)
                 .map(|i| {
                     let id = gen.next_id();
                     let access = picker.pick();
                     JourneySpec {
                         start_us: window_us * (i as f64 / requests.max(1) as f64),
-                        path: request_path(sut, ring, &id, access, &mut scratch),
+                        path: request_path(sut, ring, &id, access),
                     }
                 })
                 .collect();

@@ -54,19 +54,11 @@ pub fn forwarding_load(switches: usize, requests: usize, seed: u64) -> Vec<Forwa
         let net = sut.as_gred().expect("gred");
         let mut gen = ItemGenerator::new("fload-gred");
         let mut picker = AccessPicker::new(&members, seed);
-        // Reused hop buffers: the per-request walk allocates nothing.
-        let mut scratch = gred::plane::forwarding::RouteScratch::new();
         for _ in 0..requests {
             let id = gen.next_id();
             let pos = net.position_of_id(&id);
-            let _ = gred::plane::forwarding::route_with(
-                net.dataplanes(),
-                picker.pick(),
-                pos,
-                &id,
-                &mut scratch,
-            )
-            .expect("routes");
+            gred::plane::forwarding::route(net.dataplanes(), picker.pick(), pos, &id)
+                .expect("routes");
         }
         let counts: Vec<u64> = net
             .dataplanes()

@@ -84,23 +84,7 @@ impl SystemUnderTest {
     /// accounting at scale).
     pub fn owner_server(&self, id: &DataId) -> ServerId {
         match &self.inner {
-            Inner::Gred(net) => {
-                // Greedy from a fixed member — O(√n) and provably the
-                // nearest switch, much faster than a brute-force scan for
-                // the paper's million-item load sweeps.
-                let start = net.members()[0];
-                let pos = net.position_of_id(id);
-                let owner = *net
-                    .dt()
-                    .greedy_route(start, pos)
-                    .last()
-                    .expect("route is nonempty");
-                let index = gred_hash::select_server(id, net.pool().servers_at(owner));
-                ServerId {
-                    switch: owner,
-                    index,
-                }
-            }
+            Inner::Gred(net) => net.responsible_server(id),
             Inner::Chord(chord) => chord.owner(id),
         }
     }

@@ -472,14 +472,8 @@ impl Harness {
                         stats.crashed += 1;
                         resync = true;
                     }
-                    Err(GredError::Disconnected) => {
-                        // The real crash drains data *before* the failed
-                        // connectivity check: data is lost, membership
-                        // stays. Mirror exactly that.
-                        oracle.crash_drain(victim);
-                        stats.skipped += 1;
-                        resync = true;
-                    }
+                    // A refused crash changes nothing, data included.
+                    Err(GredError::Disconnected) => stats.skipped += 1,
                     Err(e) => v.push(format!("crash switch {victim}: {e}")),
                 }
             }

@@ -8,10 +8,10 @@
 //! 2⁻³⁰ lattice and scan for the exactly-nearest member — so agreement
 //! with the real network is a theorem check, not a float coincidence.
 //!
-//! One asymmetry of the real system is mirrored faithfully: a *crash*
-//! drains the victim's data before the controller validates the removal,
-//! so a crash that fails connectivity checks loses data while membership
-//! stays intact ([`Oracle::crash_drain`] without [`Oracle::leave`]).
+//! A *crash* loses the victim's data: [`Oracle::crash_drain`] followed by
+//! [`Oracle::leave`]. The controller validates the removal before it
+//! drains anything, so a refused crash changes nothing and has no
+//! counterpart here.
 
 use bytes::Bytes;
 use gred_geometry::Point2;
@@ -206,9 +206,7 @@ impl Oracle {
     }
 
     /// Mirrors the data loss of a crash: everything stored on `switch`
-    /// becomes a tombstone. Called *before* [`Oracle::leave`], and alone
-    /// when the crash removal failed connectivity checks (the real system
-    /// drains the store before validating the removal).
+    /// becomes a tombstone. Called *before* [`Oracle::leave`].
     pub fn crash_drain(&mut self, switch: usize) {
         let lost: Vec<DataId> = self
             .items

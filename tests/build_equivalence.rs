@@ -1,8 +1,8 @@
-//! Property-based check that the threaded control-plane build is a pure
-//! optimization: for any topology, seed, and thread count, the network it
-//! produces is bit-identical to the serial build — same virtual positions,
-//! same Delaunay adjacency, same installed forwarding entries on every
-//! switch.
+//! Property-based check that the landmark knob is a no-op on networks too
+//! small to subsample: for any topology and seed, a build asking for more
+//! landmarks than members is bit-identical to the exact build — same
+//! virtual positions, same Delaunay adjacency, same installed forwarding
+//! entries on every switch.
 
 use gred::{GredConfig, GredNetwork};
 use gred_dataplane::{DtTuple, NeighborEntry};
@@ -39,62 +39,19 @@ fn fingerprint(net: &GredNetwork) -> Fingerprint {
     (positions, edges, tables)
 }
 
-fn build(switches: usize, seed: u64, iters: usize, threads: usize) -> GredNetwork {
+/// The seeded Waxman build, embedded on `landmarks` when given.
+fn build(switches: usize, seed: u64, landmarks: Option<usize>) -> GredNetwork {
     let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(switches, seed));
     let pool = ServerPool::uniform(switches, 2, u64::MAX);
-    let config = GredConfig::with_iterations(iters)
-        .seeded(seed)
-        .threads(threads);
-    GredNetwork::build(topo, pool, config).expect("Waxman topologies are connected")
-}
-
-fn build_landmark(
-    switches: usize,
-    seed: u64,
-    iters: usize,
-    threads: usize,
-    landmarks: usize,
-) -> GredNetwork {
-    let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(switches, seed));
-    let pool = ServerPool::uniform(switches, 2, u64::MAX);
-    let config = GredConfig::with_iterations(iters)
-        .seeded(seed)
-        .threads(threads)
-        .landmarks(landmarks);
+    let config = GredConfig {
+        landmarks,
+        ..GredConfig::with_iterations(5).seeded(seed)
+    };
     GredNetwork::build(topo, pool, config).expect("Waxman topologies are connected")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// threads=N must reproduce threads=1 exactly, across random network
-    /// shapes, RNG seeds, and regulation depths.
-    #[test]
-    fn threaded_build_matches_serial_build(
-        switches in 5usize..28,
-        seed in 0u64..1000,
-        iters in prop_oneof![Just(0usize), Just(5), Just(15)],
-        threads in 2usize..9,
-    ) {
-        let serial = fingerprint(&build(switches, seed, iters, 1));
-        let threaded = fingerprint(&build(switches, seed, iters, threads));
-        prop_assert_eq!(serial, threaded);
-    }
-
-    /// The landmark embedding path must be equally thread-count
-    /// independent: batched farthest-point sampling, trilateration, and
-    /// installation are all fixed-merge-order parallel maps.
-    #[test]
-    fn threaded_landmark_build_matches_serial_build(
-        switches in 30usize..48,
-        seed in 0u64..1000,
-        landmarks in 8usize..20,
-        threads in 2usize..9,
-    ) {
-        let serial = fingerprint(&build_landmark(switches, seed, 5, 1, landmarks));
-        let threaded = fingerprint(&build_landmark(switches, seed, 5, threads, landmarks));
-        prop_assert_eq!(serial, threaded);
-    }
 
     /// When `k >= members`, the landmark knob must be a no-op: the build
     /// falls back to the exact classical embedding bit for bit.
@@ -102,10 +59,9 @@ proptest! {
     fn oversized_landmark_count_falls_back_to_exact(
         switches in 5usize..20,
         seed in 0u64..1000,
-        threads in 1usize..5,
     ) {
-        let exact = fingerprint(&build(switches, seed, 5, threads));
-        let fallback = fingerprint(&build_landmark(switches, seed, 5, threads, 100));
+        let exact = fingerprint(&build(switches, seed, None));
+        let fallback = fingerprint(&build(switches, seed, Some(100)));
         prop_assert_eq!(exact, fallback);
     }
 }

@@ -8,7 +8,7 @@
 //! the plane; the distance matrix is the rotation-invariant artifact the
 //! DT and greedy forwarding actually consume.
 
-use gred::control::{m_position_landmark_with, m_position_with};
+use gred::control::{m_position, m_position_landmark};
 use gred::{GredConfig, GredNetwork};
 use gred_hash::DataId;
 use gred_net::{waxman_topology, ServerPool, WaxmanConfig};
@@ -51,9 +51,8 @@ fn landmark_embedding_preserves_pairwise_structure() {
         let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(switches, seed));
         let members: Vec<usize> = (0..switches).collect();
 
-        let full = m_position_with(&topo, &members, 1).expect("connected");
-        let landmark =
-            m_position_landmark_with(&topo, &members, k, seed, 1, None).expect("connected");
+        let full = m_position(&topo, &members).expect("connected");
+        let landmark = m_position_landmark(&topo, &members, k, seed, None).expect("connected");
 
         let df = pairwise(&full.positions);
         let dl = pairwise(&landmark.positions);
@@ -94,8 +93,8 @@ fn landmark_embedding_tracks_hops_nearly_as_well_as_full_mds() {
     for (switches, k, seed) in [(100usize, 20usize, 5u64), (120, 24, 7), (60, 12, 1)] {
         let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(switches, seed));
         let members: Vec<usize> = (0..switches).collect();
-        let full = m_position_with(&topo, &members, 1).expect("connected");
-        let lm = m_position_landmark_with(&topo, &members, k, seed, 1, None).expect("connected");
+        let full = m_position(&topo, &members).expect("connected");
+        let lm = m_position_landmark(&topo, &members, k, seed, None).expect("connected");
 
         let mut hops_flat = Vec::new();
         let mut full_d = Vec::new();
