@@ -6,18 +6,18 @@
 //! join or leave perturbs only a handful of DT cells. At thousands of
 //! switches that full reinstall dominates churn cost. This module is the
 //! control-plane half of [`crate::GredNetwork::apply_delta`]: it decides
-//! which members are *affected* by a batch of joins/leaves and strips
-//! their stale forwarding state, so only those cells are recomputed.
+//! which members are *affected* by a batch of joins/leaves and, inside
+//! each, which virtual links are stale; only those are searched again.
 //!
 //! Every step of a batch costs what the change touches, not what the
 //! network holds: the batch edits one copy of the DT in place, each join
 //! and leave re-triangulating only its own cell ([`DtGraph::join`],
 //! [`DtGraph::leave`]); a joiner is separated from the members alone;
 //! only the members a join or leave touched are checked for changed DT
-//! neighbors; the affected members' paths are searched before anything is
-//! mutated (so a disconnecting batch leaves the network untouched); and
-//! the installed planes are then patched in place rather than copied.
-//! What still costs O(members) per event is a pass over flat arrays:
+//! neighbors; the stale links are searched before anything is mutated
+//! (so a disconnecting batch leaves the network untouched); and the
+//! installed planes are then patched in place rather than copied. What
+//! still costs O(members) per event is a pass over flat arrays:
 //! [`crate::control::embedding::embed_new_switch`]'s stress descent, the
 //! joiner's BFS (one for the descent, one for trigger 4) and a leave's
 //! connectivity BFS.
@@ -33,31 +33,54 @@
 //!    physical member neighbors are greedy candidates even when they are
 //!    not DT-adjacent, so the candidate set changes either way,
 //! 3. one of its virtual-link relay chains ran through a leaver (the
-//!    leaver's own relay table names exactly the broken sources), or
+//!    leaver's own relay table names exactly the broken `(sour, dest)`
+//!    links), or
 //! 4. a joiner strictly shortens one of its virtual-link paths — the
-//!    from-scratch BFS would now route through the newcomer. Equal-length
-//!    alternatives keep the old path: a joining switch takes the largest
-//!    id, so it is appended at the end of its endpoints' neighbor sets
-//!    and cannot change BFS discovery order unless strictly closer.
+//!    from-scratch BFS would now route through the newcomer.
 //!
 //! Trigger 4 scans only members near the joiner. Every installed chain
-//! is a shortest path of the current topology (joins that shorten one
-//! reinstall it, leaves only lengthen paths and reinstall the chains they
-//! cut), so a link's two directions have the same length, at most `L`,
-//! the bound [`crate::GredNetwork`] keeps on installed link length (a
-//! full installation sets it, each delta raises it to its longest new
-//! path). A link `u`–`v` shortened
-//! through joiner `j` has `hops(j, u) + hops(j, v) < L`, so one endpoint
-//! lies within `⌊(L − 1)/2⌋` hops of `j`, and scanning that endpoint's
-//! entries finds the link.
+//! is a shortest path of the current topology (check 4 of
+//! [`crate::GredNetwork::verify_invariants`]; the keep rule below keeps
+//! it true), so a link's two directions have the same length, at most
+//! `L`, the bound [`crate::GredNetwork`] keeps on installed link length
+//! (a full installation sets it, each delta raises it to its longest new
+//! path). A link `u`–`v` shortened through joiner `j` has
+//! `hops(j, u) + hops(j, v) < L`, so one endpoint lies within
+//! `⌊(L − 1)/2⌋` hops of `j`, and scanning that endpoint's entries finds
+//! the link; both of its directions are named.
+//!
+//! # The unit of reuse is the link
+//!
+//! Inside an affected member `u`, the virtual link to `v` is kept
+//! verbatim — its neighbor entry and every relay tuple of its chain —
+//! when all of these hold:
+//!
+//! - `v` is still a DT neighbor of `u` with no direct link,
+//! - no leaver lies on the installed chain (trigger 3 did not name it),
+//! - no joiner `j` strictly shortens it, that is, `hops(j, u) +
+//!   hops(j, v)` is at least the chain's length (trigger 4 did not name
+//!   it).
+//!
+//! Everything else — new DT neighbors, chains through a leaver, and
+//! shortened links in both directions — is stripped and searched, all of
+//! a member's targets in one early-terminating BFS; a member with none
+//! runs no BFS. Physical entries are rewritten from the new topology.
+//!
+//! A kept chain is still a shortest path. Before the batch it was one,
+//! of length `d`. A leave only removes links, so a new path that avoids
+//! every joiner was a path before and is at least `d` long; a new path
+//! through a joiner `j` is at least `hops(j, u) + hops(j, v) ≥ d` long.
+//! With no leaver on it, the chain itself is still there. So stretch,
+//! load, owners and path lengths are what a full rebuild gives; only the
+//! choice between equal-length chains may differ.
 //!
 //! Everything outside the affected set keeps its installed entries
-//! verbatim. Leaves may still shift BFS tie-breaks elsewhere, so the
-//! invariant versus a full rebuild is *decision equivalence* — same
-//! members, positions, DT, owners, and path lengths — not bit-equality
-//! of relay tables (every kept chain remains a shortest path).
+//! verbatim too. The invariant versus a full rebuild is therefore
+//! *decision equivalence* — same members, positions, DT, owners, and
+//! path lengths — not bit-equality of relay tables.
 
 use crate::control::dt::DtGraph;
+use crate::control::installer::virtual_neighbors;
 use gred_dataplane::{link_hops, SwitchDataplane};
 use gred_net::Topology;
 use std::collections::BTreeSet;
@@ -97,6 +120,9 @@ pub struct DeltaReport {
     pub affected: Vec<usize>,
     /// Total members after the batch.
     pub members_total: usize,
+    /// Virtual links searched again (the rest of the affected members'
+    /// links kept their chains).
+    pub links_searched: usize,
     /// Stale relay tuples removed while stripping affected chains.
     pub relay_tuples_removed: usize,
     /// Wall time of the whole delta application.
@@ -132,18 +158,31 @@ pub(crate) struct Batch<'a> {
     pub longest_link: usize,
 }
 
-/// The members of `batch.new_dt` whose forwarding state must be
-/// recomputed (see the module docs for the four triggers). A joiner that
-/// also left within the batch has no plane and is skipped.
-pub(crate) fn affected_members(batch: &Batch) -> BTreeSet<usize> {
+/// What a batch invalidates (module docs).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Affected {
+    /// Members whose forwarding state is revisited (triggers 1–4).
+    pub members: BTreeSet<usize>,
+    /// Installed virtual links `(sour, dest)` that must be searched
+    /// again: those through a leaver (trigger 3) and those a joiner
+    /// strictly shortens, in both directions (trigger 4). Every other
+    /// installed link of an affected member keeps its chain.
+    pub stale: BTreeSet<(usize, usize)>,
+}
+
+/// What `batch` invalidates: the members of `batch.new_dt` whose
+/// forwarding state must be revisited and their stale links (see the
+/// module docs for the four triggers). A joiner that also left within
+/// the batch has no plane and is skipped.
+pub(crate) fn affected_members(batch: &Batch) -> Affected {
     affected_with(batch, shortened_near)
 }
 
-/// [`affected_members`] with trigger 4 computed by `shortened`.
+/// [`affected_members`] with trigger 4's links named by `shortened`.
 pub(crate) fn affected_with(
     batch: &Batch,
-    shortened: impl Fn(&Batch, usize, &BTreeSet<usize>) -> Vec<usize>,
-) -> BTreeSet<usize> {
+    shortened: impl Fn(&Batch, usize) -> Vec<(usize, usize)>,
+) -> Affected {
     let Batch {
         old_dt,
         new_dt,
@@ -154,15 +193,15 @@ pub(crate) fn affected_with(
         leavers,
         ..
     } = *batch;
-    let mut affected = BTreeSet::new();
+    let mut hit = Affected::default();
 
     // (1) DT adjacency changed, or the member is new.
     for &m in batch.touched {
-        if !new_dt.is_member(m) || affected.contains(&m) {
+        if !new_dt.is_member(m) || hit.members.contains(&m) {
             continue;
         }
         if !old_dt.is_member(m) || old_dt.neighbors_of(m) != new_dt.neighbors_of(m) {
-            affected.insert(m);
+            hit.members.insert(m);
         }
     }
 
@@ -174,45 +213,46 @@ pub(crate) fn affected_with(
         if j >= new_topo.switch_count() {
             continue;
         }
-        affected.extend(new_topo.neighbors(j).filter(|&nb| new_dt.is_member(nb)));
+        hit.members
+            .extend(new_topo.neighbors(j).filter(|&nb| new_dt.is_member(nb)));
     }
     for &l in leavers {
         if l >= old_topo.switch_count() {
             continue;
         }
-        affected.extend(old_topo.neighbors(l).filter(|&nb| new_dt.is_member(nb)));
+        hit.members
+            .extend(old_topo.neighbors(l).filter(|&nb| new_dt.is_member(nb)));
     }
 
     // (3) Chains through a leaver: every intermediate of a virtual-link
-    // path holds the path's tuple, so the leaver's relay table lists the
-    // sources whose chains it carried.
+    // path holds the path's tuple, so the leaver's relay table lists
+    // exactly the links whose chains it carried.
     for &l in leavers {
         let Some(plane) = planes.get(l) else { continue };
-        affected.extend(
-            plane
-                .relay_entries()
-                .map(|t| t.sour)
-                .filter(|&s| new_dt.is_member(s)),
-        );
-    }
-
-    // (4) Virtual links strictly shortened by a joiner. Both endpoints
-    // reinstall so the two directions stay consistent.
-    for &j in joiners {
-        if j < new_topo.switch_count() {
-            let found = shortened(batch, j, &affected);
-            affected.extend(found);
+        for t in plane.relay_entries().filter(|t| new_dt.is_member(t.sour)) {
+            hit.members.insert(t.sour);
+            hit.stale.insert((t.sour, t.dest));
         }
     }
-    affected
+
+    // (4) Virtual links strictly shortened by a joiner. Both directions
+    // are searched again, so the two stay the same length.
+    for &j in joiners {
+        if j < new_topo.switch_count() {
+            for (u, v) in shortened(batch, j) {
+                hit.members.insert(u);
+                hit.stale.insert((u, v));
+            }
+        }
+    }
+    hit
 }
 
-/// Trigger 4 for joiner `j`: both endpoints of every virtual link that a
-/// path through `j` strictly shortens, read off the members within
+/// Trigger 4 for joiner `j`: both directions of every virtual link that
+/// a path through `j` strictly shortens, read off the members within
 /// `⌊(L − 1)/2⌋` hops of `j` (module docs). A link is walked only when a
-/// path through `j` could beat the bound at all, and links whose
-/// endpoints are both `affected` already are skipped.
-fn shortened_near(batch: &Batch, j: usize, affected: &BTreeSet<usize>) -> Vec<usize> {
+/// path through `j` could beat the bound at all.
+fn shortened_near(batch: &Batch, j: usize) -> Vec<(usize, usize)> {
     let hops = batch.new_topo.bfs_hops(j);
     let radius = batch.longest_link.saturating_sub(1) / 2;
     let mut out = Vec::new();
@@ -225,37 +265,27 @@ fn shortened_near(batch: &Batch, j: usize, affected: &BTreeSet<usize>) -> Vec<us
         }
         for entry in plane.neighbor_entries().filter(|e| !e.physical) {
             let v = entry.neighbor;
-            if hops[v] == u32::MAX
-                || !batch.new_dt.is_member(v)
-                || (affected.contains(&u) && affected.contains(&v))
-            {
+            if hops[v] == u32::MAX || !batch.new_dt.is_member(v) {
                 continue;
             }
             let through = hops[u] as usize + hops[v] as usize;
             if through < batch.longest_link
                 && chain_len(batch.planes, u, entry.via, v).is_some_and(|old| through < old)
             {
-                out.extend([u, v]);
+                out.extend([(u, v), (v, u)]);
             }
         }
     }
     out
 }
 
-/// Trigger 4 over every unaffected member's links, however far from
-/// `j`: the oracle [`shortened_near`] is tested against.
+/// Trigger 4 over every member's links, however far from `j`: the
+/// oracle [`shortened_near`] is tested against.
 #[cfg(test)]
-pub(crate) fn shortened_anywhere(
-    batch: &Batch,
-    j: usize,
-    affected: &BTreeSet<usize>,
-) -> Vec<usize> {
+pub(crate) fn shortened_anywhere(batch: &Batch, j: usize) -> Vec<(usize, usize)> {
     let hops = batch.new_topo.bfs_hops(j);
     let mut out = Vec::new();
     for &u in batch.new_dt.members() {
-        if affected.contains(&u) {
-            continue;
-        }
         let Some(plane) = batch.planes.get(u) else {
             continue;
         };
@@ -266,7 +296,7 @@ pub(crate) fn shortened_anywhere(
             }
             let through = hops[u] as usize + hops[v] as usize;
             if chain_len(batch.planes, u, entry.via, v).is_some_and(|old| through < old) {
-                out.extend([u, v]);
+                out.extend([(u, v), (v, u)]);
             }
         }
     }
@@ -280,19 +310,43 @@ fn chain_len(planes: &[SwitchDataplane], u: usize, via: usize, v: usize) -> Opti
     link_hops(planes, u, via, v).ok()
 }
 
-/// Removes member `u`'s outgoing forwarding state: all neighbor entries,
-/// plus the relay tuples of each of its virtual-link chains (walked via
-/// the tuples themselves, removing as it goes). Returns the number of
-/// relay tuples removed. Planes of *other* members are untouched except
-/// for `u`'s tuples stored on them.
-pub(crate) fn strip_member_state(planes: &mut [SwitchDataplane], u: usize) -> usize {
+/// Affected member `u`'s virtual links after the batch, split by the keep
+/// rule (module docs): `(kept, searched)`. A link is kept when `u` has
+/// its chain installed and `stale` does not name it.
+pub(crate) fn split_links(
+    batch: &Batch,
+    stale: &BTreeSet<(usize, usize)>,
+    u: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let installed = |v: usize| {
+        batch
+            .planes
+            .get(u)
+            .is_some_and(|p| p.neighbor_entries().any(|e| e.neighbor == v && !e.physical))
+    };
+    virtual_neighbors(batch.new_topo, batch.new_dt, u)
+        .into_iter()
+        .partition(|&v| installed(v) && !stale.contains(&(u, v)))
+}
+
+/// Removes member `u`'s outgoing forwarding state except its links to
+/// `keep`: every other neighbor entry, plus the relay tuples of each of
+/// those virtual-link chains (walked via the tuples themselves, removing
+/// as it goes). Returns the number of relay tuples removed. Planes of
+/// *other* members are untouched except for `u`'s tuples stored on them.
+pub(crate) fn strip_member_state(
+    planes: &mut [SwitchDataplane],
+    u: usize,
+    keep: &[usize],
+) -> usize {
     let entries: Vec<(usize, usize, bool)> = planes[u]
         .neighbor_entries()
+        .filter(|e| !keep.contains(&e.neighbor))
         .map(|e| (e.neighbor, e.via, e.physical))
         .collect();
     let mut removed = 0;
-    planes[u].clear_neighbors();
     for (v, via, physical) in entries {
+        planes[u].remove_neighbor(v);
         if physical {
             continue;
         }
@@ -383,6 +437,7 @@ mod tests {
             touched: &touched,
             longest_link: planes.len(),
         })
+        .members
         .into_iter()
         .collect()
     }
@@ -399,7 +454,7 @@ mod tests {
     #[test]
     fn strip_removes_both_entries_and_chain_tuples() {
         let (_, _, mut planes) = line_planes();
-        let removed = strip_member_state(&mut planes, 0);
+        let removed = strip_member_state(&mut planes, 0, &[]);
         assert_eq!(removed, 2, "tuples at switches 1 and 2");
         assert_eq!(planes[0].neighbor_entries().count(), 0);
         assert_eq!(planes[1].relay_lookup(3, 0), None);
@@ -474,6 +529,7 @@ mod tests {
             left: vec![],
             affected: vec![3, 7, 10],
             members_total: 12,
+            links_searched: 4,
             relay_tuples_removed: 5,
             wall: Duration::from_millis(1),
         };

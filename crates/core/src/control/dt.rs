@@ -90,20 +90,6 @@ impl DtGraph {
         self.members[self.triangulation.nearest(p)]
     }
 
-    /// Greedy route from member `from` toward `p`, as switch ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not a member.
-    pub fn greedy_route(&self, from: usize, p: Point2) -> Vec<usize> {
-        let i = self.index_of(from).expect("switch is a DT member");
-        self.triangulation
-            .greedy_route(i, p)
-            .into_iter()
-            .map(|j| self.members[j])
-            .collect()
-    }
-
     /// All DT edges as `(smaller switch id, larger switch id)`.
     pub fn edges(&self) -> Vec<(usize, usize)> {
         self.triangulation
@@ -216,12 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn nearest_and_greedy_use_switch_ids() {
+    fn nearest_uses_switch_ids() {
         let dt = square_dt();
         assert_eq!(dt.nearest_switch(Point2::new(0.85, 0.88)), 9);
-        let route = dt.greedy_route(2, Point2::new(0.9, 0.9));
-        assert_eq!(*route.first().unwrap(), 2);
-        assert_eq!(*route.last().unwrap(), 9);
     }
 
     #[test]

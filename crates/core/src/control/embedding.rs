@@ -425,39 +425,54 @@ pub fn embed_new_switch(
     new_switch: usize,
 ) -> Result<Point2, GredError> {
     let hops = topo.bfs_hops(new_switch);
-    let mut known: Vec<(Point2, f64)> = Vec::new();
-    for (i, &m) in embedding.members.iter().enumerate() {
+    // Member coordinates and target distances, one flat array each.
+    let n = embedding.members.len();
+    let (mut qx, mut qy, mut want) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    for (&m, q) in embedding.members.iter().zip(&embedding.positions) {
         let h = hops[m];
         if h == u32::MAX {
             return Err(GredError::Disconnected);
         }
-        known.push((embedding.positions[i], f64::from(h) * embedding.scale));
+        qx.push(q.x);
+        qy.push(q.y);
+        want.push(f64::from(h) * embedding.scale);
     }
-    if known.is_empty() {
+    if n == 0 {
         return Ok(Point2::new(0.5, 0.5));
     }
 
     // Initialize at the centroid of the nearest members (by hops).
-    let min_h = known.iter().map(|&(_, d)| d).fold(f64::INFINITY, f64::min);
-    let near: Vec<Point2> = known
-        .iter()
-        .filter(|&&(_, d)| d <= min_h + embedding.scale)
-        .map(|&(p, _)| p)
+    let min_h = want.iter().copied().fold(f64::INFINITY, f64::min);
+    let near: Vec<Point2> = (0..n)
+        .filter(|&i| want[i] <= min_h + embedding.scale)
+        .map(|i| embedding.positions[i])
         .collect();
     let mut p = near.iter().fold(Point2::ORIGIN, |acc, &q| acc + q) * (1.0 / near.len() as f64);
 
-    // Gradient descent on the stress function.
+    // Gradient descent on the stress function. Each step takes two
+    // passes: every member's coefficient (independent, so the square
+    // roots and divisions vectorize), then the gradient summed in member
+    // order, which keeps every position bit-identical to a single pass.
+    let mut coeff = vec![0.0; n];
     let mut step = 0.2;
     for _ in 0..200 {
-        let mut grad = Point2::ORIGIN;
-        for &(q, want) in &known {
-            let d = p.distance(q).max(1e-9);
-            let coeff = 2.0 * (d - want) / d;
-            grad = grad + (p - q) * coeff;
+        for (((c, &x), &y), &w) in coeff.iter_mut().zip(&qx).zip(&qy).zip(&want) {
+            let (dx, dy) = (p.x - x, p.y - y);
+            let d = (dx * dx + dy * dy).sqrt().max(1e-9);
+            *c = 2.0 * (d - w) / d;
+        }
+        let (mut gx, mut gy) = (0.0, 0.0);
+        for ((&c, &x), &y) in coeff.iter().zip(&qx).zip(&qy) {
+            gx += (p.x - x) * c;
+            gy += (p.y - y) * c;
         }
         let next = Point2::new(
-            (p.x - step * grad.x / known.len() as f64).clamp(0.001, 0.999),
-            (p.y - step * grad.y / known.len() as f64).clamp(0.001, 0.999),
+            (p.x - step * gx / n as f64).clamp(0.001, 0.999),
+            (p.y - step * gy / n as f64).clamp(0.001, 0.999),
         );
         if p.distance(next) < 1e-9 {
             break;

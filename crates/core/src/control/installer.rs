@@ -46,7 +46,8 @@ pub fn install_dataplanes(
     // neighbor — the dominant cost of installation — then its entries.
     let mut longest = 0;
     for &u in dt.members() {
-        let paths = member_virtual_paths(topo, dt, u).ok_or(GredError::Disconnected)?;
+        let paths = virtual_paths(topo, u, &virtual_neighbors(topo, dt, u))
+            .ok_or(GredError::Disconnected)?;
         longest = longest.max(apply_member_entries(&mut planes, topo, dt, u, paths));
     }
     for plane in &mut planes {
@@ -55,35 +56,41 @@ pub fn install_dataplanes(
     Ok((planes, longest))
 }
 
-/// The shortest physical path from member `u` to each of its multi-hop DT
-/// neighbors, computed in a single early-terminating multi-target BFS
-/// (identical paths to per-neighbor [`Topology::shortest_path`], one
-/// graph traversal instead of one per neighbor). `None` when any DT
-/// neighbor is unreachable.
-pub(crate) fn member_virtual_paths(
-    topo: &Topology,
-    dt: &DtGraph,
-    u: usize,
-) -> Option<Vec<(usize, Vec<usize>)>> {
-    let targets: Vec<usize> = dt
-        .neighbors_of(u)
+/// Member `u`'s multi-hop DT neighbors: the DT neighbors it has no
+/// direct link to, each reached over a virtual link.
+pub(crate) fn virtual_neighbors(topo: &Topology, dt: &DtGraph, u: usize) -> Vec<usize> {
+    dt.neighbors_of(u)
         .into_iter()
         .filter(|&v| !topo.has_link(u, v))
-        .collect();
+        .collect()
+}
+
+/// The shortest physical path from member `u` to each of `targets`,
+/// computed in a single early-terminating multi-target BFS (identical
+/// paths to per-target [`Topology::shortest_path`], one graph traversal
+/// instead of one per target; no traversal at all for no targets).
+/// `None` when any target is unreachable.
+pub(crate) fn virtual_paths(
+    topo: &Topology,
+    u: usize,
+    targets: &[usize],
+) -> Option<Vec<(usize, Vec<usize>)>> {
     if targets.is_empty() {
         return Some(Vec::new());
     }
-    topo.shortest_paths_to(u, &targets)
+    topo.shortest_paths_to(u, targets)
         .into_iter()
-        .zip(&targets)
+        .zip(targets)
         .map(|(path, &v)| path.map(|p| (v, p)))
         .collect()
 }
 
 /// Applies member `u`'s forwarding entries to the data planes: physical
 /// member-neighbor entries, multi-hop DT neighbor entries, and relay
-/// tuples at every intermediate switch of each virtual-link path.
-/// Returns the hop length of `u`'s longest virtual link (0 if none).
+/// tuples at every intermediate switch of each virtual-link path in
+/// `member_paths`. Entries for other neighbors are left as they are.
+/// Returns the hop length of the longest path in `member_paths` (0 if
+/// none).
 pub(crate) fn apply_member_entries(
     planes: &mut [SwitchDataplane],
     topo: &Topology,

@@ -3,13 +3,13 @@
 
 use crate::config::GredConfig;
 use crate::control::delta::{
-    affected_members, strip_member_state, Batch, DeltaReport, TopologyChange,
+    affected_members, split_links, strip_member_state, Batch, DeltaReport, TopologyChange,
 };
 use crate::control::embedding::{
     embed_new_switch, fit_scale, m_position, m_position_landmark, separate_duplicates,
     separate_joiner, Embedding,
 };
-use crate::control::installer::{apply_member_entries, install_dataplanes, member_virtual_paths};
+use crate::control::installer::{apply_member_entries, install_dataplanes, virtual_paths};
 use crate::control::regulation::refine_positions;
 use crate::control::DtGraph;
 use crate::error::GredError;
@@ -410,9 +410,9 @@ impl GredNetwork {
         let next = self.evolve(changes)?;
         let (topo, dt, left) = (&next.topology, &next.dt, &next.left);
 
-        // The affected set, against the pre-batch planes, and its path
-        // search — the last step that can fail.
-        let affected: Vec<usize> = affected_members(&Batch {
+        // The affected set and its stale links, against the pre-batch
+        // planes, and their path search — the last step that can fail.
+        let batch = Batch {
             old_dt: &self.dt,
             new_dt: dt,
             old_topo: &self.topology,
@@ -422,29 +422,37 @@ impl GredNetwork {
             leavers: left,
             touched: &next.touched,
             longest_link: self.longest_link,
-        })
-        .into_iter()
-        .collect();
+        };
+        let hit = affected_members(&batch);
+        let affected: Vec<usize> = hit.members.iter().copied().collect();
+        let links: Vec<(Vec<usize>, Vec<usize>)> = affected
+            .iter()
+            .map(|&u| split_links(&batch, &hit.stale, u))
+            .collect();
         let paths_per_member: Vec<_> = affected
             .iter()
-            .map(|&u| member_virtual_paths(topo, dt, u))
+            .zip(&links)
+            .map(|(&u, (_, searched))| virtual_paths(topo, u, searched))
             .collect::<Option<_>>()
             .ok_or(GredError::Disconnected)?;
+        let links_searched = links.iter().map(|(_, searched)| searched.len()).sum();
 
         self.retract_touching(left);
-        // Strip stale state — affected members' outgoing chains, every
-        // leaver's chains, then the leaver planes themselves.
+        // Strip stale state — affected members' entries but their kept
+        // links, every leaver's chains, then the leaver planes themselves.
         let mut planes = std::mem::take(&mut self.dataplanes);
         let mut tuples_removed = 0;
-        for &u in affected.iter().chain(left) {
+        for (&u, (kept, _)) in affected.iter().zip(&links) {
             if u < planes.len() {
-                tuples_removed += strip_member_state(&mut planes, u);
+                tuples_removed += strip_member_state(&mut planes, u, kept);
             }
         }
-        for &l in left {
-            if l < planes.len() {
-                planes[l] = SwitchDataplane::transit(l);
-            }
+        let old_leavers: Vec<usize> = left.iter().copied().filter(|&l| l < planes.len()).collect();
+        for &l in &old_leavers {
+            tuples_removed += strip_member_state(&mut planes, l, &[]);
+        }
+        for &l in &old_leavers {
+            planes[l] = SwitchDataplane::transit(l);
         }
 
         // Fresh planes for joiners (a join-then-leave within the batch
@@ -458,8 +466,9 @@ impl GredNetwork {
             });
         }
 
-        // Reinstall only the affected cells, entries applied serially in
-        // member order — the same discipline as the full installer.
+        // Reinstall the searched links and every physical entry of the
+        // affected cells, applied serially in member order — the same
+        // discipline as the full installer.
         for (&u, member_paths) in affected.iter().zip(paths_per_member) {
             let longest = apply_member_entries(&mut planes, topo, dt, u, member_paths);
             self.longest_link = self.longest_link.max(longest);
@@ -473,6 +482,7 @@ impl GredNetwork {
             left: next.left,
             affected,
             members_total,
+            links_searched,
             relay_tuples_removed: tuples_removed,
             wall: start.elapsed(),
         })
@@ -659,7 +669,10 @@ impl GredNetwork {
     /// 2. every virtual-link (non-physical) neighbor entry has a complete
     ///    relay chain installed,
     /// 3. every stored item is at home (see [`Self::home_of`]): on its
-    ///    responsible server or on that server's takeover.
+    ///    responsible server or on that server's takeover,
+    /// 4. every complete relay chain is a shortest physical path: its hop
+    ///    count equals the BFS distance between its endpoints (what
+    ///    [`Self::apply_delta`] relies on to keep a chain).
     pub fn verify_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
 
@@ -683,15 +696,34 @@ impl GredNetwork {
             }
         }
 
-        // 2. Relay chains complete for every virtual-link entry.
+        // 2. Relay chains complete for every virtual-link entry, and
+        // 4. each complete one as short as the topology allows: one BFS
+        // per member, ending at its farthest DT neighbor.
         for &u in self.dt.members() {
+            let mut chains = Vec::new();
             for entry in self.dataplanes[u].neighbor_entries() {
                 if entry.physical {
                     continue;
                 }
                 let v = entry.neighbor;
-                if let Err(BrokenAt(at)) = link_hops(&self.dataplanes, u, entry.via, v) {
-                    problems.push(format!("virtual link {u}->{v}: relay chain broken at {at}"));
+                match link_hops(&self.dataplanes, u, entry.via, v) {
+                    Ok(hops) => chains.push((v, hops)),
+                    Err(BrokenAt(at)) => {
+                        problems.push(format!("virtual link {u}->{v}: relay chain broken at {at}"));
+                    }
+                }
+            }
+            if chains.is_empty() {
+                continue;
+            }
+            let targets: Vec<usize> = chains.iter().map(|&(v, _)| v).collect();
+            let shortest = self.topology.shortest_paths_to(u, &targets);
+            for ((v, hops), path) in chains.into_iter().zip(shortest) {
+                let distance = path.map(|p| p.len() - 1);
+                if distance != Some(hops) {
+                    problems.push(format!(
+                        "virtual link {u}->{v}: chain of {hops} hops, shortest path {distance:?}"
+                    ));
                 }
             }
         }
@@ -957,6 +989,38 @@ mod tests {
     }
 
     #[test]
+    fn verify_invariants_reports_a_detour_chain() {
+        // Members 0 and 3 over a 2-hop path 0-1-3 and a 3-hop one
+        // 0-2-4-3: the build installs 0->3 via 1. Rerouting it over the
+        // longer path keeps the chain complete but not shortest.
+        let topo = Topology::from_links(5, &[(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)]).unwrap();
+        let pool = ServerPool::from_capacities(vec![vec![10], vec![], vec![], vec![10], vec![]]);
+        let mut net = GredNetwork::build(topo, pool, GredConfig::with_iterations(0)).unwrap();
+        assert!(net.verify_invariants().is_empty());
+        let entry = *net.dataplanes()[0]
+            .neighbor_entries()
+            .find(|e| e.neighbor == 3)
+            .unwrap();
+        assert_eq!((entry.via, entry.physical), (1, false));
+        net.dataplane_debug_mut(1).remove_relay(3, 0).unwrap();
+        net.dataplane_debug_mut(0)
+            .install_neighbor(gred_dataplane::NeighborEntry { via: 2, ..entry });
+        for (at, pred, succ) in [(2, 0, 4), (4, 2, 3)] {
+            net.dataplane_debug_mut(at)
+                .install_relay(gred_dataplane::DtTuple {
+                    sour: 0,
+                    pred,
+                    succ,
+                    dest: 3,
+                });
+        }
+        assert_eq!(
+            net.verify_invariants(),
+            vec!["virtual link 0->3: chain of 3 hops, shortest path Some(2)".to_string()]
+        );
+    }
+
+    #[test]
     fn add_switch_validations() {
         let mut net = build_net(5, 6);
         assert!(matches!(
@@ -1172,10 +1236,13 @@ mod tests {
             let oracle = affected_with(&batch_view(&everyone), shortened_anywhere);
             let bounded = affected_members(&batch_view(&next.touched));
             assert_eq!(bounded, oracle, "batch {batch_no}");
-            let near_only = affected_with(&batch_view(&everyone), |_, _, _| Vec::new());
-            shortcuts += oracle.len() - near_only.len();
+            let near_only = affected_with(&batch_view(&everyone), |_, _| Vec::new());
+            shortcuts += oracle.members.len() - near_only.members.len();
             let report = net.apply_delta(&batch).unwrap();
-            assert_eq!(report.affected, oracle.into_iter().collect::<Vec<_>>());
+            assert_eq!(
+                report.affected,
+                oracle.members.into_iter().collect::<Vec<_>>()
+            );
             // The kept bound covers every installed chain.
             for (u, plane) in net.dataplanes.iter().enumerate() {
                 for e in plane.neighbor_entries().filter(|e| !e.physical) {

@@ -9,7 +9,8 @@
 //! repro stats [--seed <n>] [--ops <n>] [--switches <n>] [--json <path>]
 //!
 //! experiments: one per row of the `EXPERIMENTS` table below, or `all`
-//!              (the default); any other word prints the full list
+//!              (the default); any other word prints the full list, and
+//!              any flag not shown here the list of flags (exit 2)
 //!
 //! --paper       run at the paper's full scale (minutes) instead of the
 //!               quick preset (seconds)
@@ -611,11 +612,13 @@ fn build_report_rows(switches: usize) -> Vec<Vec<String>> {
         .collect();
     let report = net.apply_delta(&batch).expect("churn batch applies");
     println!(
-        "delta apply: {} joins, {} affected of {} members ({:.0}% reused), {:.3} ms",
+        "delta apply: {} joins, {} affected of {} members ({:.0}% reused), \
+         {} links searched, {:.3} ms",
         report.joined.len(),
         report.affected.len(),
         report.members_total,
         report.reuse_ratio() * 100.0,
+        report.links_searched,
         report.wall.as_secs_f64() * 1e3
     );
     rows.push(vec![
@@ -875,18 +878,41 @@ impl Args {
             .unwrap_or(default)
     }
 
+    /// Whether word `i` is the value of the flag before it.
+    fn is_value(&self, i: usize) -> bool {
+        i > 0 && VALUE_FLAGS.contains(&self.0[i - 1].as_str())
+    }
+
+    /// The first `--` word that is neither `--paper` nor one of
+    /// [`VALUE_FLAGS`], unless it stands as a flag's value.
+    fn unknown_flag(&self) -> Option<&str> {
+        let flags = self.0.iter().enumerate().filter(|&(i, word)| {
+            word.starts_with("--")
+                && word != "--paper"
+                && !VALUE_FLAGS.contains(&word.as_str())
+                && !self.is_value(i)
+        });
+        flags.map(|(_, word)| word.as_str()).next()
+    }
+
     /// The first word that is neither a flag nor a flag's value.
     fn experiment(&self) -> &str {
-        let words = self.0.iter().enumerate().filter(|&(i, word)| {
-            let follows_value_flag = i > 0 && VALUE_FLAGS.contains(&self.0[i - 1].as_str());
-            !word.starts_with("--") && !follows_value_flag
-        });
+        let words = self
+            .0
+            .iter()
+            .enumerate()
+            .filter(|&(i, word)| !word.starts_with("--") && !self.is_value(i));
         words.map(|(_, word)| word.as_str()).next().unwrap_or("all")
     }
 }
 
 fn main() {
     let args = Args(std::env::args().skip(1).collect());
+    if let Some(flag) = args.unknown_flag() {
+        eprintln!("unknown flag {flag:?}");
+        eprintln!("choose from: --paper {}", VALUE_FLAGS.join(" "));
+        std::process::exit(2);
+    }
     let name = args.experiment();
     if let Some(harness) = HARNESSES.iter().find(|harness| harness.name == name) {
         let seed = args.number("--seed", SEED);

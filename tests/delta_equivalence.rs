@@ -11,8 +11,10 @@
 //! checked bit-for-bit in the core crate's unit tests.
 
 use gred::{GredConfig, GredNetwork, TopologyChange};
+use gred_dataplane::DtTuple;
 use gred_hash::DataId;
 use gred_net::{waxman_topology, ServerPool, WaxmanConfig};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Deterministic LCG, so churn schedules are reproducible.
 struct Lcg(u64);
@@ -222,4 +224,189 @@ fn delta_localizes_work_on_large_networks() {
     );
     assert!(report.reuse_ratio() > 0.8);
     assert!(net.verify_invariants().is_empty());
+}
+
+/// Relay chain of one virtual link: each intermediate switch with the
+/// tuple installed there, in path order.
+type Chain = Vec<(usize, DtTuple)>;
+
+/// Every virtual link of `net`, `(sour, dest)`, with its relay chain.
+fn chains(net: &GredNetwork) -> BTreeMap<(usize, usize), Chain> {
+    let planes = net.dataplanes();
+    let mut out = BTreeMap::new();
+    for &u in net.members() {
+        for entry in planes[u].neighbor_entries().filter(|e| !e.physical) {
+            let (v, mut at) = (entry.neighbor, entry.via);
+            let mut chain = Vec::new();
+            while at != v {
+                let tuple = *planes[at].relay_lookup(v, u).expect("complete chain");
+                chain.push((at, tuple));
+                assert!(chain.len() < planes.len(), "chain {u}->{v} loops");
+                at = tuple.succ;
+            }
+            out.insert((u, v), chain);
+        }
+    }
+    out
+}
+
+/// The links of `after` whose chain is not the one `before` had.
+fn changed(
+    before: &BTreeMap<(usize, usize), Chain>,
+    after: &BTreeMap<(usize, usize), Chain>,
+) -> BTreeSet<(usize, usize)> {
+    let differs = |(link, chain): &(&(usize, usize), &Chain)| before.get(link) != Some(chain);
+    after
+        .iter()
+        .filter(differs)
+        .map(|(&link, _)| link)
+        .collect()
+}
+
+/// The links of `after` that `before` did not have.
+fn new_links(
+    before: &BTreeMap<(usize, usize), Chain>,
+    after: &BTreeMap<(usize, usize), Chain>,
+) -> BTreeSet<(usize, usize)> {
+    let new = after.keys().filter(|link| !before.contains_key(link));
+    new.copied().collect()
+}
+
+#[test]
+fn a_relay_leave_re_searches_exactly_the_chains_through_it() {
+    let net = base_network(60, 29);
+    let before = chains(&net);
+    // The member relaying the most chains whose leave is accepted.
+    let mut relays = net.members().to_vec();
+    relays.sort_by_key(|&m| std::cmp::Reverse(net.dataplanes()[m].relay_entries().count()));
+    let (leaver, after_net, report) = relays
+        .iter()
+        .find_map(|&l| {
+            let mut after = net.clone();
+            let report = after
+                .apply_delta(&[TopologyChange::Leave { switch: l }])
+                .ok()?;
+            Some((l, after, report))
+        })
+        .expect("some member can leave");
+    let after = chains(&after_net);
+
+    // Links through the leaver that survive it; none can keep its chain.
+    let through: BTreeSet<(usize, usize)> = before
+        .iter()
+        .filter(|(link, chain)| after.contains_key(link) && chain.iter().any(|&(s, _)| s == leaver))
+        .map(|(&link, _)| link)
+        .collect();
+    assert!(
+        !through.is_empty(),
+        "no surviving chain ran through {leaver}"
+    );
+    let new = new_links(&before, &after);
+    assert_eq!(changed(&before, &after), &through | &new);
+    assert_eq!(report.links_searched, through.len() + new.len());
+
+    // The same affected members' other links kept every tuple.
+    let kept = after
+        .iter()
+        .filter(|(link, chain)| {
+            report.affected.contains(&link.0) && before.get(link) == Some(chain)
+        })
+        .count();
+    assert!(kept > 0, "no affected member kept a link");
+    assert!(after_net.verify_invariants().is_empty());
+}
+
+#[test]
+fn a_shortcut_joiner_re_searches_exactly_the_shortened_link() {
+    let net = base_network(60, 31);
+    let before = chains(&net);
+    // The longest virtual link that a joiner wired to both ends leaves
+    // in the DT: it shrinks to two hops through the joiner.
+    let mut longest: Vec<(usize, usize)> = before.keys().copied().collect();
+    longest.sort_by_key(|link| std::cmp::Reverse(before[link].len()));
+    let ((u, v), after_net, report) = longest
+        .iter()
+        .take_while(|link| before[*link].len() >= 2)
+        .find_map(|&(u, v)| {
+            let mut after = net.clone();
+            let report = after
+                .apply_delta(&[TopologyChange::Join {
+                    links: vec![u, v],
+                    capacities: vec![u64::MAX],
+                }])
+                .expect("a join applies");
+            after
+                .dt()
+                .neighbors_of(u)
+                .contains(&v)
+                .then_some(((u, v), after, report))
+        })
+        .expect("some link of three or more hops stays in the DT");
+    let after = chains(&after_net);
+    let joiner = report.joined[0];
+    assert_eq!(
+        after[&(u, v)].iter().map(|&(s, _)| s).collect::<Vec<_>>(),
+        [joiner]
+    );
+    assert_eq!(
+        after[&(v, u)].iter().map(|&(s, _)| s).collect::<Vec<_>>(),
+        [joiner]
+    );
+
+    // Exactly the links the joiner strictly shortens were searched again,
+    // both directions of each; every other one kept its chain.
+    let topo = after_net.topology();
+    let shortened: BTreeSet<(usize, usize)> = before
+        .iter()
+        .filter(|(link, chain)| {
+            after.contains_key(link) && (topo.bfs_hops(link.0)[link.1] as usize) < chain.len() + 1
+        })
+        .map(|(&link, _)| link)
+        .collect();
+    assert!(shortened.contains(&(u, v)) && shortened.contains(&(v, u)));
+    assert!(shortened.iter().all(|&(a, b)| shortened.contains(&(b, a))));
+    let new = new_links(&before, &after);
+    assert_eq!(changed(&before, &after), &shortened | &new);
+    assert_eq!(report.links_searched, shortened.len() + new.len());
+    assert!(after_net.verify_invariants().is_empty());
+}
+
+#[test]
+fn every_chain_stays_a_shortest_path_under_churn() {
+    let (topo, _) = waxman_topology(&WaxmanConfig::with_switches(200, 2019));
+    let pool = ServerPool::uniform(200, 4, u64::MAX);
+    let config = GredConfig::with_iterations(10).seeded(2019).landmarks(16);
+    let mut net = GredNetwork::build(topo, pool, config).expect("base build");
+    let mut rng = Lcg(2019);
+    let mut applied = 0;
+    for round in 0..60 {
+        let members = net.members();
+        let mut links = vec![
+            members[rng.pick(members.len())],
+            members[rng.pick(members.len())],
+        ];
+        links.dedup();
+        let leaver = members[rng.pick(members.len())];
+        let batch = [
+            TopologyChange::Join {
+                links,
+                capacities: vec![u64::MAX; 4],
+            },
+            TopologyChange::Leave { switch: leaver },
+        ];
+        applied += usize::from(net.apply_delta(&batch).is_ok());
+        let findings = net.verify_invariants();
+        assert!(findings.is_empty(), "round {round}: {findings:?}");
+    }
+    assert!(applied > 50, "only {applied} of 60 batches applied");
+
+    // Check 4 of verify_invariants, by hand: every chain is as short as
+    // the topology allows.
+    let mut from = (usize::MAX, Vec::new());
+    for ((u, v), chain) in chains(&net) {
+        if from.0 != u {
+            from = (u, net.topology().bfs_hops(u));
+        }
+        assert_eq!(chain.len() + 1, from.1[v] as usize, "link {u}->{v}");
+    }
 }
