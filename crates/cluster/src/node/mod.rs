@@ -429,8 +429,8 @@ impl Node {
     /// Replaces the forwarding state with `plane` while the node keeps
     /// serving — the push half of live reconfiguration: the control
     /// plane recomputes tables after a join/leave/crash and installs
-    /// them here, mirroring what `gred::control::dynamics` does to the
-    /// in-process planes. Requests served before the install ran on the
+    /// them here, mirroring what `gred::GredNetwork::apply_delta` does
+    /// to the in-process planes. Requests served before the install ran on the
     /// old plane; every later one sees the new tables.
     pub fn install_plane(&self, plane: SwitchDataplane) {
         self.mailbox.ask(move |r| {

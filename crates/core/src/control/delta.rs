@@ -1,13 +1,12 @@
-//! Incremental ("delta") control-plane rebuilds for batched churn.
+//! Incremental ("delta") control-plane updates for joins and leaves.
 //!
-//! [`crate::GredNetwork::add_switch`] / `remove_switch` handle one event
-//! at a time and re-run the *entire* installation phase afterwards —
-//! every member's virtual-link paths are re-searched even though a single
-//! join or leave perturbs only a handful of DT cells. At thousands of
-//! switches that full reinstall dominates churn cost. This module is the
-//! control-plane half of [`crate::GredNetwork::apply_delta`]: it decides
-//! which members are *affected* by a batch of joins/leaves and, inside
-//! each, which virtual links are stale; only those are searched again.
+//! Every membership change is a [`crate::GredNetwork::apply_delta`]
+//! batch (`add_switch`, `remove_switch` and `crash_switch` are one-event
+//! batches); only the build runs the full installation, which searches
+//! every member's virtual-link paths. This module is the control-plane
+//! half of `apply_delta`: it decides which members are *affected* by a
+//! batch of joins/leaves and, inside each, which virtual links are stale;
+//! only those are searched again.
 //!
 //! Every step of a batch costs what the change touches, not what the
 //! network holds: the batch edits one copy of the DT in place, each join
@@ -43,8 +42,8 @@
 //! [`crate::GredNetwork::verify_invariants`]; the keep rule below keeps
 //! it true), so a link's two directions have the same length, at most
 //! `L`, the bound [`crate::GredNetwork`] keeps on installed link length
-//! (a full installation sets it, each delta raises it to its longest new
-//! path). A link `u`–`v` shortened through joiner `j` has
+//! (the build's full installation sets it, each delta raises it to its
+//! longest new path). A link `u`–`v` shortened through joiner `j` has
 //! `hops(j, u) + hops(j, v) < L`, so one endpoint lies within
 //! `⌊(L − 1)/2⌋` hops of `j`, and scanning that endpoint's entries finds
 //! the link; both of its directions are named.
@@ -71,11 +70,12 @@
 //! every joiner was a path before and is at least `d` long; a new path
 //! through a joiner `j` is at least `hops(j, u) + hops(j, v) ≥ d` long.
 //! With no leaver on it, the chain itself is still there. So stretch,
-//! load, owners and path lengths are what a full rebuild gives; only the
+//! load, owners and path lengths are what a full installation gives; only the
 //! choice between equal-length chains may differ.
 //!
 //! Everything outside the affected set keeps its installed entries
-//! verbatim too. The invariant versus a full rebuild is therefore
+//! verbatim too. The invariant versus a full installation on the same
+//! state is therefore
 //! *decision equivalence* — same members, positions, DT, owners, and
 //! path lengths — not bit-equality of relay tables.
 
@@ -107,7 +107,7 @@ pub enum TopologyChange {
     },
 }
 
-/// What a delta rebuild did — the observability record backing the
+/// What a delta update did — the observability record backing the
 /// `repro build-report` output and the scaling benchmarks.
 #[derive(Debug, Clone)]
 pub struct DeltaReport {

@@ -108,29 +108,24 @@ impl DtGraph {
     }
 
     /// Incremental join (paper Section VI), in place: inserts `switch` at
-    /// `position` without moving any existing site. When the new switch
-    /// id is larger than every current member (always true for
-    /// freshly-added switches) the triangulation is updated locally via
-    /// [`Triangulation::insert`]; otherwise the graph is rebuilt — the
-    /// resulting DT is identical either way.
+    /// `position` without moving any existing site, updating the
+    /// triangulation locally via [`Triangulation::insert`]. The joiner's
+    /// id must be larger than every current member's — always true for a
+    /// freshly added switch, which takes the next free id.
     ///
     /// # Errors
     ///
-    /// [`GredError::InvalidDynamics`] when `switch` is already a member;
-    /// triangulation errors otherwise. On error `self` is unchanged.
+    /// [`GredError::InvalidDynamics`] when `switch` is already a member
+    /// or sorts below one; triangulation errors otherwise. On error
+    /// `self` is unchanged.
     pub fn join(&mut self, switch: usize, position: Point2) -> Result<(), GredError> {
-        if self.is_member(switch) {
+        if self.members.last().is_some_and(|&m| switch <= m) {
             return Err(GredError::InvalidDynamics {
-                reason: "switch is already a DT member",
+                reason: "a joining switch must take an id above every member",
             });
         }
-        if self.members.last().is_some_and(|&m| switch > m) {
-            self.triangulation.insert(position)?;
-            self.members.push(switch);
-            return Ok(());
-        }
-        let change = crate::control::dynamics::join_membership(self, switch, position)?;
-        *self = DtGraph::build(change.members, &change.positions)?;
+        self.triangulation.insert(position)?;
+        self.members.push(switch);
         Ok(())
     }
 
@@ -250,7 +245,7 @@ mod join_tests {
     }
 
     #[test]
-    fn join_with_smaller_id_rebuilds() {
+    fn join_with_smaller_id_is_refused() {
         let dt = DtGraph::build(
             vec![4, 6, 8],
             &[
@@ -261,9 +256,13 @@ mod join_tests {
         )
         .unwrap();
         let mut joined = dt.clone();
-        joined.join(2, Point2::new(0.5, 0.4)).unwrap();
-        assert_eq!(joined.members(), &[2, 4, 6, 8]);
-        assert!(joined.is_member(2));
+        assert!(matches!(
+            joined.join(2, Point2::new(0.5, 0.4)),
+            Err(GredError::InvalidDynamics { .. })
+        ));
+        assert_eq!(joined.members(), dt.members());
+        assert_eq!(joined.triangulation().points(), dt.triangulation().points());
+        assert_eq!(joined.edges(), dt.edges());
     }
 
     #[test]

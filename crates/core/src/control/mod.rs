@@ -9,7 +9,6 @@
 
 pub mod delta;
 pub mod dt;
-pub mod dynamics;
 pub mod embedding;
 pub mod installer;
 pub mod regulation;

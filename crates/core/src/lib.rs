@@ -38,8 +38,8 @@
 //! - [`control`]: the SDN controller — network embedding
 //!   ([`control::embedding`]), CVT refinement ([`control::regulation`]),
 //!   the multi-hop DT ([`control::dt`]), forwarding-entry installation
-//!   ([`control::installer`]), and node join/leave
-//!   ([`control::dynamics`]),
+//!   ([`control::installer`]), and incremental node join/leave
+//!   ([`control::delta`]),
 //! - [`plane`]: the data plane in motion — network-wide greedy forwarding
 //!   walks ([`plane::forwarding`]), placement/retrieval, range extension
 //!   and replication,

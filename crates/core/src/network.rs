@@ -14,7 +14,7 @@ use crate::control::regulation::refine_positions;
 use crate::control::DtGraph;
 use crate::error::GredError;
 use crate::store::DataStore;
-use gred_dataplane::{link_hops, BrokenAt, ExtensionEntry, SwitchDataplane, TableStats};
+use gred_dataplane::{link_hops, BrokenAt, SwitchDataplane, TableStats};
 use gred_geometry::Point2;
 use gred_hash::DataId;
 use gred_net::{ServerId, ServerPool, Topology};
@@ -38,7 +38,7 @@ pub struct GredNetwork {
     /// Virtual-distance-per-hop factor recorded by the embedding.
     scale: f64,
     /// Upper bound on the hop length of every installed virtual link:
-    /// set by each full installation, raised by each delta. It bounds
+    /// set by the build, raised by each delta. It bounds
     /// how far from a joiner trigger 4 of [`crate::control::delta`]
     /// looks.
     longest_link: usize,
@@ -346,11 +346,10 @@ impl GredNetwork {
     // Network dynamics (paper Section VI).
     // ------------------------------------------------------------------
 
-    /// Adds a new edge node: a switch linked to `links`, carrying servers
-    /// with the given `capacities`. Existing switch positions are kept
-    /// fixed; the new switch is embedded locally, the DT updated, entries
-    /// reinstalled, and data whose owner changed migrates to the new
-    /// switch. Returns the new switch id.
+    /// Adds a new edge node, a one-event [`Self::apply_delta`] batch: a
+    /// switch linked to `links`, carrying servers with the given
+    /// `capacities`. Existing positions stay fixed, and data whose owner
+    /// changed migrates to the new switch. Returns the new switch id.
     ///
     /// # Errors
     ///
@@ -362,17 +361,16 @@ impl GredNetwork {
         links: &[usize],
         capacities: Vec<u64>,
     ) -> Result<usize, GredError> {
-        let next = self.evolve(&[TopologyChange::Join {
+        let report = self.apply_delta(&[TopologyChange::Join {
             links: links.to_vec(),
             capacities,
         }])?;
-        let new_switch = next.joined[0];
-        self.rebuild(next)?;
-        Ok(new_switch)
+        Ok(report.joined[0])
     }
 
-    /// Removes an edge node: switch `switch` loses its servers and links;
-    /// its data migrates to the remaining nearest switches.
+    /// Removes an edge node, a one-event [`Self::apply_delta`] batch:
+    /// switch `switch` loses its servers and links; its data migrates to
+    /// the remaining nearest switches.
     ///
     /// # Errors
     ///
@@ -381,25 +379,22 @@ impl GredNetwork {
     /// - [`GredError::Disconnected`] when removing it would disconnect the
     ///   remaining members.
     pub fn remove_switch(&mut self, switch: usize) -> Result<(), GredError> {
-        let next = self.evolve(&[TopologyChange::Leave { switch }])?;
-        self.rebuild(next)
+        self.apply_delta(&[TopologyChange::Leave { switch }])
+            .map(drop)
     }
 
-    /// Applies a batch of joins/leaves with an *incremental* control-plane
-    /// rebuild: positions stay fixed (joiners embedded locally), the DT is
-    /// updated through the incremental machinery, and only the *affected*
-    /// members' forwarding entries are recomputed — everyone else keeps
-    /// their installed state verbatim (see [`crate::control::delta`] for
-    /// the affected-set triggers). The per-event
-    /// [`Self::add_switch`]/[`Self::remove_switch`] path, which re-runs the
-    /// full installation each time, remains the fallback and the
-    /// equivalence oracle this path is tested against.
+    /// Applies a batch of joins/leaves — the one membership path — with an
+    /// *incremental* control-plane update: positions stay fixed (joiners
+    /// embedded locally), the DT is updated in place, and only the
+    /// *affected* members' forwarding entries are recomputed; everyone
+    /// else keeps their installed state verbatim (see
+    /// [`crate::control::delta`] for the affected-set triggers).
     ///
     /// Events apply in order; a later event may reference a switch created
     /// by an earlier `Join` in the same batch. On error nothing observable
     /// changes: the batch is evolved on clones and the affected members'
     /// paths are searched before anything is mutated; only then are the
-    /// installed planes patched in place.
+    /// installed planes patched in place and every key not at home moved.
     ///
     /// # Errors
     ///
@@ -476,7 +471,11 @@ impl GredNetwork {
         }
 
         let members_total = dt.len();
-        self.commit(next.topology, next.pool, next.dt, planes);
+        self.topology = next.topology;
+        self.pool = next.pool;
+        self.dt = next.dt;
+        self.dataplanes = planes;
+        self.migrate_all();
         Ok(DeltaReport {
             joined: next.joined,
             left: next.left,
@@ -575,37 +574,6 @@ impl GredNetwork {
         }
     }
 
-    /// The per-event path: every switch's entries installed from scratch
-    /// on the evolved state.
-    fn rebuild(&mut self, next: Evolved) -> Result<(), GredError> {
-        self.retract_touching(&next.left);
-        let (mut planes, longest_link) = install_dataplanes(&next.topology, &next.pool, &next.dt)?;
-        self.longest_link = longest_link;
-        // The extensions carry over; those touching a leaver are gone.
-        for (original, takeover) in self.active_extensions() {
-            planes[original.switch].install_extension(ExtensionEntry { original, takeover });
-        }
-        self.commit(next.topology, next.pool, next.dt, planes);
-        Ok(())
-    }
-
-    /// Swaps in an evolved control plane with its installed `dataplanes`
-    /// and migrates every key that no longer sits at home, the leavers'
-    /// included.
-    fn commit(
-        &mut self,
-        topology: Topology,
-        pool: ServerPool,
-        dt: DtGraph,
-        dataplanes: Vec<SwitchDataplane>,
-    ) {
-        self.topology = topology;
-        self.pool = pool;
-        self.dt = dt;
-        self.dataplanes = dataplanes;
-        self.migrate_all();
-    }
-
     /// An edge node *crashes*: unlike the graceful [`Self::remove_switch`],
     /// every item stored on the switch's servers is lost before the
     /// controller reacts. Used by fault-tolerance experiments to show what
@@ -616,15 +584,10 @@ impl GredNetwork {
     /// Same as [`Self::remove_switch`]. A refused crash changes nothing:
     /// the leave is validated before any item is dropped.
     pub fn crash_switch(&mut self, switch: usize) -> Result<(), GredError> {
-        if !self.is_member(switch) {
-            return Err(GredError::InvalidDynamics {
-                reason: "switch is not a DT member",
-            });
-        }
-        let next = self.evolve(&[TopologyChange::Leave { switch }])?;
+        self.evolve(&[TopologyChange::Leave { switch }])?;
         // Data dies with the node.
         let _ = self.store.drain_switch(switch);
-        self.rebuild(next)
+        self.remove_switch(switch)
     }
 
     /// Moves every stored item that is not at home (see
@@ -989,6 +952,28 @@ mod tests {
     }
 
     #[test]
+    fn crash_of_a_non_member_is_refused() {
+        // Switch 1 is transit and 7 does not exist: neither crash may
+        // drop or move an item.
+        let topo = Topology::from_links(3, &[(0, 1), (1, 2)]).unwrap();
+        let pool = ServerPool::from_capacities(vec![vec![100_000], vec![], vec![100_000]]);
+        let mut net = GredNetwork::build(topo, pool, GredConfig::with_iterations(0)).unwrap();
+        for i in 0..40 {
+            net.place(&DataId::new(format!("nm{i}")), Bytes::new(), 0)
+                .unwrap();
+        }
+        let before = net.store().all_locations();
+        for victim in [1, 7] {
+            let reason = "switch is not a DT member";
+            assert_eq!(
+                net.crash_switch(victim),
+                Err(GredError::InvalidDynamics { reason })
+            );
+            assert_eq!(net.store().all_locations(), before);
+        }
+    }
+
+    #[test]
     fn verify_invariants_reports_a_detour_chain() {
         // Members 0 and 3 over a 2-hop path 0-1-3 and a 3-hop one
         // 0-2-4-3: the build installs 0->3 via 1. Rerouting it over the
@@ -1038,16 +1023,18 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_join_batch_is_bit_identical_to_sequential() {
-        // Joins only: the delta path must reproduce the one-at-a-time
-        // path bit for bit (joins cannot shift BFS tie-breaks — the new
-        // switch takes the largest id).
-        let mut seq = build_net(16, 31);
+    fn apply_delta_join_batch_routes_like_a_full_install() {
+        // Joins only. A joiner can open an equal-length path that a
+        // from-scratch BFS finds first, so relay tables may differ from a
+        // full installation on the same state; the decisions may not:
+        // from every member, every key takes the same overlay route over
+        // the same number of physical hops.
+        use crate::plane::forwarding::route;
+        let mut net = build_net(16, 31);
         for i in 0..50 {
-            seq.place(&DataId::new(format!("jb{i}")), Bytes::new(), i % 16)
+            net.place(&DataId::new(format!("jb{i}")), Bytes::new(), i % 16)
                 .unwrap();
         }
-        let mut delta = seq.clone();
         let batch = vec![
             TopologyChange::Join {
                 links: vec![0, 5],
@@ -1058,21 +1045,27 @@ mod tests {
                 capacities: vec![100_000, 100_000],
             },
         ];
-        let report = delta.apply_delta(&batch).unwrap();
+        let report = net.apply_delta(&batch).unwrap();
         assert_eq!(report.joined, vec![16, 17]);
         assert!(report.left.is_empty());
-        assert!(report.affected.len() < delta.members().len(), "localized");
+        assert!(report.affected.len() < net.members().len(), "localized");
+        // Check 3: every placed key migrated home.
+        assert!(net.verify_invariants().is_empty());
 
-        seq.add_switch(&[0, 5], vec![100_000]).unwrap();
-        seq.add_switch(&[2, 16], vec![100_000, 100_000]).unwrap();
-        assert_eq!(network_fingerprint(&seq), network_fingerprint(&delta));
-        assert!(delta.verify_invariants().is_empty());
-        for i in 0..50 {
-            let id = DataId::new(format!("jb{i}"));
-            assert_eq!(
-                seq.retrieve(&id, 3).unwrap().server,
-                delta.retrieve(&id, 3).unwrap().server
-            );
+        let (full, _) = install_dataplanes(net.topology(), net.pool(), net.dt()).unwrap();
+        for i in 0..200 {
+            let id = DataId::new(format!("jr{i}"));
+            let position = net.position_of_id(&id);
+            for &m in net.members() {
+                let delta = route(net.dataplanes(), m, position, &id).unwrap();
+                let reference = route(&full, m, position, &id).unwrap();
+                assert_eq!(delta.overlay, reference.overlay, "key {i} from {m}");
+                assert_eq!(
+                    delta.physical_hops(),
+                    reference.physical_hops(),
+                    "key {i} from {m}"
+                );
+            }
         }
     }
 

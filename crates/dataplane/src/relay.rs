@@ -29,8 +29,8 @@
 //! searches and the installed footprint is counted, not stored. The
 //! representation is **canonical**: it is a pure function of the logical
 //! tuple set, independent of install order, so two controllers that
-//! install the same paths in different orders (full rebuild vs delta
-//! rebuild) produce bit-identical tables.
+//! install the same paths in different orders (the build's full
+//! installation vs a delta) produce bit-identical tables.
 
 use crate::entries::DtTuple;
 

@@ -186,12 +186,6 @@ impl SwitchDataplane {
             .binary_search_by_key(&neighbor, |e| e.neighbor)
     }
 
-    /// Removes every neighbor entry (controller-side maintenance before a
-    /// member's entries are reinstalled).
-    pub fn clear_neighbors(&mut self) {
-        self.neighbors.clear();
-    }
-
     /// Releases table storage beyond the installed entries (controller-side
     /// maintenance once a member's entries are installed).
     pub fn shrink_to_fit(&mut self) {
@@ -214,8 +208,8 @@ impl SwitchDataplane {
         self.relays.remove(dest, sour)
     }
 
-    /// Clears every relay tuple (used when the controller reinstalls paths
-    /// after a topology change).
+    /// Clears every relay tuple (fault-injection harnesses use it to break
+    /// every chain through a switch).
     pub fn clear_relays(&mut self) {
         self.relays.clear();
     }

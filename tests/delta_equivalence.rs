@@ -1,15 +1,19 @@
-//! Decision equivalence of the incremental delta rebuild against the
-//! sequential one-event-at-a-time dynamics path, under seeded churn.
+//! Decision equivalence of the incremental delta update under seeded
+//! churn, against two references: the same events applied one at a time
+//! (`add_switch`/`remove_switch`, each a one-event delta batch), and a
+//! full installation (`gred::control::install_dataplanes`) on the state
+//! the batch leaves behind.
 //!
 //! `GredNetwork::apply_delta` must produce a network that *behaves*
-//! exactly like applying the same events through
-//! `add_switch`/`remove_switch`: identical members, positions, DT
-//! adjacency, data ownership, overlay routes, and physical path lengths.
-//! Relay tables need not be bit-equal after leaves (removing a switch can
-//! re-break BFS ties among equal-length paths), which is why the oracle
-//! compares decisions, not tables; join-only batches *are* additionally
-//! checked bit-for-bit in the core crate's unit tests.
+//! exactly like both: identical members, positions, DT adjacency, data
+//! ownership, overlay routes, and physical path lengths. Relay tables
+//! need not be bit-equal — a leave can re-break BFS ties among
+//! equal-length paths, and a join can open an equal-length path a
+//! from-scratch search finds first — which is why the oracle compares
+//! decisions, not tables.
 
+use gred::control::install_dataplanes;
+use gred::plane::forwarding::route;
 use gred::{GredConfig, GredNetwork, TopologyChange};
 use gred_dataplane::DtTuple;
 use gred_hash::DataId;
@@ -164,6 +168,36 @@ fn seeded_churn_bursts_match_sequential_dynamics() {
             }
         }
         assert_decision_equivalent(&seq, &delta, &format!("seed{seed}"));
+    }
+}
+
+#[test]
+fn seeded_churn_bursts_route_like_a_full_install() {
+    for seed in [11u64, 23, 47, 91] {
+        let mut net = base_network(24, seed);
+        let mut rng = Lcg(seed ^ 0x5DEECE66D);
+        for round in 0..3 {
+            let batch = valid_batch(&net, &mut rng, 6);
+            net.apply_delta(&batch).expect("delta applies");
+            let (full, _) =
+                install_dataplanes(net.topology(), net.pool(), net.dt()).expect("full install");
+            for i in 0..60 {
+                let id = DataId::new(format!("full-{seed}-{i}"));
+                let position = net.position_of_id(&id);
+                for &m in net.members() {
+                    let tag = format!("seed {seed} round {round}: key {i} from {m}");
+                    let delta = route(net.dataplanes(), m, position, &id).expect("delta route");
+                    let reference = route(&full, m, position, &id).expect("full route");
+                    assert_eq!(delta.overlay, reference.overlay, "{tag}: overlay");
+                    assert_eq!(
+                        delta.physical_hops(),
+                        reference.physical_hops(),
+                        "{tag}: physical hops"
+                    );
+                    assert_eq!(delta.delivery(), reference.delivery(), "{tag}: server");
+                }
+            }
+        }
     }
 }
 
