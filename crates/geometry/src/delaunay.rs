@@ -19,14 +19,18 @@
 //! exact, so the flip algorithm provably terminates at the true Delaunay
 //! triangulation of the snapped points.
 //!
-//! Construction is flip-based: fan-triangulate the convex hull, insert
-//! interior points by triangle/edge splitting (each located by a walk
-//! across triangles), and restore the empty circumcircle property with
-//! Lawson edge flips. Degenerate inputs (all points collinear) fall back
-//! to the 1D Delaunay graph — the path along the sorted points — on which
-//! greedy routing still delivers. Joins and leaves update an existing
-//! triangulation in place ([`Triangulation::insert`],
-//! [`Triangulation::remove`]), touching only the triangles they replace.
+//! Construction is the join, repeated: triangulate a seed triangle — the
+//! two smallest points in sorted order plus the first later point off
+//! their line — then insert every other point in sorted order the way
+//! [`Triangulation::insert`] places a joiner. Each insertion locates the
+//! point by a walk across triangles, splits the triangle or edge it lands
+//! in (or fans it to the boundary edges it sees from outside), and
+//! restores the empty circumcircle property with Lawson edge flips.
+//! Degenerate inputs (all points collinear) fall back to the 1D Delaunay
+//! graph — the path along the sorted points — on which greedy routing
+//! still delivers. Joins and leaves update an existing triangulation in
+//! place ([`Triangulation::insert`], [`Triangulation::remove`]), touching
+//! only the triangles they replace.
 
 use crate::Point2;
 use std::collections::VecDeque;
@@ -441,9 +445,7 @@ impl Mesh {
 
     /// Lawson flip propagation from the seed edges. With exact predicates
     /// this terminates at a locally (hence globally) Delaunay state.
-    /// Returns the number of flips performed.
-    fn legalize(&mut self, seeds: Vec<(usize, usize)>) -> usize {
-        let mut flips = 0;
+    fn legalize(&mut self, seeds: Vec<(usize, usize)>) {
         let mut queue: VecDeque<(usize, usize)> = seeds.into();
         while let Some((a, b)) = queue.pop_front() {
             let Some((id1, id2)) = self.interior_edge(a, b) else {
@@ -480,7 +482,6 @@ impl Mesh {
             self.remove_tri(id2);
             self.add_tri([c, d, a]);
             self.add_tri([c, d, b]);
-            flips += 1;
             for e in [
                 edge_key(a, c),
                 edge_key(a, d),
@@ -490,25 +491,6 @@ impl Mesh {
                 queue.push_back(e);
             }
         }
-        flips
-    }
-
-    /// Every edge, sorted.
-    fn edges(&self) -> Vec<(usize, usize)> {
-        let mut all: Vec<(usize, usize)> = self
-            .live()
-            .flat_map(|(_, t)| [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])])
-            .map(|(a, b)| edge_key(a, b))
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
-    }
-
-    /// Re-runs legalization over every edge until no flip fires — a cheap
-    /// belt-and-braces pass that certifies the local Delaunay property.
-    fn legalize_to_fixed_point(&mut self) {
-        while self.legalize(self.edges()) > 0 {}
     }
 
     /// Deletes point `i`, which no triangle uses any more: points above
@@ -535,54 +517,6 @@ impl Mesh {
         self.tris = tris;
         self.free.clear();
     }
-}
-
-/// Convex hull (monotone chain) on the integer lattice, CCW, strict.
-fn int_convex_hull(pts: &[IPoint]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..pts.len()).collect();
-    idx.sort_by_key(|&i| pts[i]);
-    idx.dedup_by_key(|&mut i| pts[i]);
-    if idx.len() < 3 {
-        return idx;
-    }
-    let mut lower: Vec<usize> = Vec::new();
-    for &i in &idx {
-        while lower.len() >= 2
-            && iorient(
-                pts[lower[lower.len() - 2]],
-                pts[lower[lower.len() - 1]],
-                pts[i],
-            ) <= 0
-        {
-            lower.pop();
-        }
-        lower.push(i);
-    }
-    let mut upper: Vec<usize> = Vec::new();
-    for &i in idx.iter().rev() {
-        while upper.len() >= 2
-            && iorient(
-                pts[upper[upper.len() - 2]],
-                pts[upper[upper.len() - 1]],
-                pts[i],
-            ) <= 0
-        {
-            upper.pop();
-        }
-        upper.push(i);
-    }
-    lower.pop();
-    upper.pop();
-    lower.extend(upper);
-    if lower.len() < 3 {
-        let mut ends = vec![
-            *idx.first().expect("nonempty"),
-            *idx.last().expect("nonempty"),
-        ];
-        ends.dedup();
-        return ends;
-    }
-    lower
 }
 
 fn check_coordinate(p: Point2, index: usize) -> Result<(), DelaunayError> {
@@ -624,56 +558,42 @@ impl Triangulation {
             }
         }
 
-        let hull = int_convex_hull(&ipoints);
+        // Seed: the two smallest points plus the first later point off
+        // their line; every other point is a join into that triangle's DT.
+        let seed = order
+            .iter()
+            .skip(2)
+            .find(|&&c| iorient(ipoints[order[0]], ipoints[order[1]], ipoints[c]) != 0);
         let mut mesh = Mesh::new(ipoints);
-        if hull.len() < 3 {
+        let neighbors = match seed {
+            Some(&third) => {
+                mesh.add_tri([order[0], order[1], third]);
+                for &i in &order[2..] {
+                    if i != third {
+                        let placed = mesh.insert(i);
+                        debug_assert_eq!(placed, Ok(true), "point {i} was not placed");
+                    }
+                }
+                (0..snapped.len()).map(|v| mesh.adjacent(v)).collect()
+            }
             // Collinear (or < 3 points): Delaunay graph is the sorted path.
-            let mut neighbors = vec![Vec::new(); snapped.len()];
-            for w in order.windows(2) {
-                neighbors[w[0]].push(w[1]);
-                neighbors[w[1]].push(w[0]);
+            None => {
+                let mut neighbors = vec![Vec::new(); snapped.len()];
+                for w in order.windows(2) {
+                    neighbors[w[0]].push(w[1]);
+                    neighbors[w[1]].push(w[0]);
+                }
+                for list in &mut neighbors {
+                    list.sort_unstable();
+                }
+                neighbors
             }
-            for list in &mut neighbors {
-                list.sort_unstable();
-            }
-            return Ok(Triangulation {
-                points: snapped,
-                mesh,
-                neighbors,
-                collinear: true,
-            });
-        }
-
-        // Fan triangulation of the hull, then legalize it.
-        for i in 1..hull.len() - 1 {
-            mesh.add_tri([hull[0], hull[i], hull[i + 1]]);
-        }
-        let mut on_hull = vec![false; snapped.len()];
-        for &h in &hull {
-            on_hull[h] = true;
-        }
-        mesh.legalize(mesh.edges());
-
-        // Insert the remaining points (in sorted order for determinism).
-        // Non-hull points are interior to the hull, or on its boundary
-        // (collinear with a hull edge) — `locate` finds both exactly.
-        for &i in &order {
-            if !on_hull[i] {
-                let placed = mesh.insert(i);
-                debug_assert_eq!(
-                    placed,
-                    Ok(true),
-                    "non-hull point lies inside or on the hull"
-                );
-            }
-        }
-        mesh.legalize_to_fixed_point();
-        let neighbors = (0..snapped.len()).map(|v| mesh.adjacent(v)).collect();
+        };
         Ok(Triangulation {
             points: snapped,
             mesh,
             neighbors,
-            collinear: false,
+            collinear: seed.is_none(),
         })
     }
 
@@ -774,20 +694,11 @@ impl Triangulation {
     }
 
     /// Verifies the empty-circumcircle property for every triangle with
-    /// exact arithmetic (used by tests; O(n·t)). Returns the first
-    /// violation as `(triangle_index, offending_point)`, indexing
-    /// [`Triangulation::triangles`].
+    /// [`empty_circumcircle_violation`] (used by tests; O(n·t)). Returns
+    /// the first violation as `(triangle_index, offending_point)`,
+    /// indexing [`Triangulation::triangles`].
     pub fn delaunay_violation(&self) -> Option<(usize, usize)> {
-        let pts = &self.mesh.pts;
-        for (ti, t) in self.triangles().into_iter().enumerate() {
-            let (a, b, c) = (pts[t[0]], pts[t[1]], pts[t[2]]);
-            for (pi, &q) in pts.iter().enumerate() {
-                if !t.contains(&pi) && i_incircle(a, b, c, q) > 0 {
-                    return Some((ti, pi));
-                }
-            }
-        }
-        None
+        empty_circumcircle_violation(&self.points, &self.triangles())
     }
 
     /// Incremental insertion (the paper's Section VI join), in place: `p`
@@ -1056,7 +967,7 @@ mod tests {
 
     #[test]
     fn two_triangles_flip_to_delaunay() {
-        // Four points where the initial fan would pick the wrong diagonal.
+        // Four points whose long diagonal (0, 2) is not Delaunay.
         let pts = vec![
             Point2::new(0.0, 0.0),
             Point2::new(1.0, -0.1),
@@ -1394,29 +1305,18 @@ mod proptests {
             );
         }
 
-        /// The standalone circumcircle checker agrees with the
-        /// triangulation's own validity check on every generated set.
-        #[test]
-        fn prop_external_checker_agrees(
-            pts in proptest::collection::hash_set((0u32..1000, 0u32..1000), 3..50)
-        ) {
-            let pts: Vec<Point2> = pts
-                .into_iter()
-                .map(|(x, y)| Point2::new(f64::from(x) / 1000.0, f64::from(y) / 1000.0))
-                .collect();
-            let dt = Triangulation::new(&pts).unwrap();
-            prop_assert_eq!(
-                empty_circumcircle_violation(dt.points(), &dt.triangles()).is_none(),
-                dt.delaunay_violation().is_none()
-            );
-        }
-
         /// Collinear sets degrade to the sorted path: no triangles, every
-        /// interior point has degree 2, the ends degree 1.
+        /// interior point has degree 2, the ends degree 1. With points
+        /// added right of the line, the build's seed — the two smallest
+        /// points plus the first later point off their line — takes its
+        /// third point after the whole run, or last of all when only the
+        /// rightmost point is off the line; every point is still placed.
         #[test]
         fn prop_collinear_sets_form_path(
             xs in proptest::collection::hash_set(0u32..1000, 2..30),
             slope in 0u32..5, intercept in 0u32..100,
+            right in proptest::collection::hash_set((1000u32..1500, 0u32..8000), 0..20),
+            lift in 1u32..100,
         ) {
             // Power-of-two denominators quantize exactly onto the 2⁻³⁰
             // lattice, so collinearity survives coordinate snapping.
@@ -1438,6 +1338,27 @@ mod proptests {
             // A path: exactly two endpoints, everything else interior.
             prop_assert_eq!(by_degree[1], 2);
             prop_assert_eq!(by_degree[2], pts.len() - 2);
+
+            // The same line at a quarter scale, so that every in-circle
+            // determinant stays inside `i128`.
+            let at = |x: u32, y: u32| Point2::new(f64::from(x) / 4096.0, f64::from(y) / 4096.0);
+            let line = pts.iter().map(|&p| Point2::new(p.x / 4.0, p.y / 4.0));
+            let last = at(1500, 1500 * slope + intercept + lift);
+            let beyond: Vec<Point2> = right.iter().map(|&(x, y)| at(x, y)).chain([last]).collect();
+            for more in [&beyond[..], &[last]] {
+                let all: Vec<Point2> = line.clone().chain(more.iter().copied()).collect();
+                let dt = Triangulation::new(&all).unwrap();
+                prop_assert_eq!(dt.delaunay_violation(), None);
+                // Euler: t = 2n - b - 2, with b the points on the hull's
+                // edges (a supporting line meets the hull in one edge).
+                let hull = crate::convex_hull(&all);
+                let edges = hull.iter().zip(hull.iter().cycle().skip(1));
+                let on_edge = |p: Point2| {
+                    edges.clone().any(|(&u, &v)| crate::predicates::orient2d(all[u], all[v], p) == 0.0)
+                };
+                let b = all.iter().filter(|&&p| on_edge(p)).count();
+                prop_assert_eq!(dt.triangles().len(), 2 * all.len() - b - 2);
+            }
         }
 
         /// Duplicated points are rejected with `DuplicatePoint`, never a

@@ -4,9 +4,8 @@
 //! ```text
 //! repro <experiment> [--paper] [--csv <dir>]
 //! repro soak [--seed <n>] [--ops <n>] [--switches <n>]
-//! repro cluster [--seed <n>] [--ops <n>] [--switches <n>]
+//! repro cluster [--seed <n>] [--ops <n>] [--switches <n>] [--json <path>]
 //! repro chaos [--seed <n>] [--ops <n>] [--switches <n>] [--kills <n>]
-//! repro stats [--seed <n>] [--ops <n>] [--switches <n>] [--json <path>]
 //!
 //! experiments: one per row of the `EXPERIMENTS` table below, or `all`
 //!              (the default); any other word prints the full list, and
@@ -25,9 +24,10 @@
 //! `cluster` boots every switch of a seeded network as a real TCP node
 //! on loopback (gred-cluster), places `--ops` ids through rotating
 //! access nodes, retrieves them all back over the sockets, verifies each
-//! ack against the in-process model, and shuts the cluster down
-//! gracefully. Any lost request, wrong payload, or wrong owner exits
-//! nonzero.
+//! ack against the in-process model, scrapes every node purely over the
+//! wire and prints per-node snapshots and the cluster health (`--json`
+//! also writes them to a file), and shuts the cluster down gracefully.
+//! Any lost request, wrong payload, or wrong owner exits nonzero.
 //!
 //! `chaos` runs the crash-tolerance acceptance scenario: a loopback
 //! cluster behind a per-link fault fabric, a seeded replicated workload
@@ -37,10 +37,6 @@
 //! plan and workload are pure functions of `--seed`/`--ops`, so the
 //! printed repro line replays the same faults. Set `GRED_CHAOS_DIR` to
 //! also write the fault schedule to a file (CI uploads it on failure).
-//!
-//! `stats` boots a loopback cluster, runs a small seeded workload, then
-//! scrapes every node purely over the wire and prints per-node, per-link
-//! and cluster-health snapshots (`--json` also writes them to a file).
 //! ```
 
 use gred_net::LatencyModel;

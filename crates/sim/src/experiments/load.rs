@@ -39,14 +39,8 @@ pub fn measure_load(sut: &SystemUnderTest, items: usize, prefix: &str) -> f64 {
         *counts.entry(sut.owner_server(&gen.next_id())).or_default() += 1;
     }
     // Every server participates in the average, loaded or not.
-    let gred_servers = sut.as_gred().map(|n| n.pool().total_servers());
-    let total_servers = gred_servers.unwrap_or_else(|| {
-        // Chord runs over the same uniform pool; recover the count from
-        // the topology (10 servers per switch in the standard substrate).
-        sut.topology().switch_count() * 10
-    });
     let mut loads: Vec<u64> = counts.into_values().collect();
-    loads.resize(total_servers.max(loads.len()), 0);
+    loads.resize(sut.total_servers().max(loads.len()), 0);
     max_avg(&loads)
 }
 
@@ -180,6 +174,19 @@ mod tests {
         );
         // Flat references present for every T.
         assert_eq!(rows.iter().filter(|r| r.system == "Chord").count(), 2);
+    }
+
+    #[test]
+    fn average_counts_every_server_of_the_pool() {
+        // One item on 12 switches × 4 servers: max 1, average 1/48.
+        let (topo, pool) = substrate(12, 4, 3, 7);
+        for system in [
+            ComparedSystem::Chord { virtual_nodes: 1 },
+            ComparedSystem::Gred { iterations: 10 },
+        ] {
+            let sut = SystemUnderTest::build(topo.clone(), pool.clone(), system, 7);
+            assert_eq!(measure_load(&sut, 1, "pool"), 48.0, "{}", system.name());
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ impl ComparedSystem {
 #[derive(Debug)]
 pub struct SystemUnderTest {
     topology: Topology,
+    total_servers: usize,
     inner: Inner,
 }
 
@@ -60,6 +61,7 @@ impl SystemUnderTest {
     /// Panics when the underlying build fails (the experiment substrates
     /// are always valid: connected topologies, every switch with servers).
     pub fn build(topology: Topology, pool: ServerPool, system: ComparedSystem, seed: u64) -> Self {
+        let total_servers = pool.total_servers();
         let inner = match system {
             ComparedSystem::Gred { iterations } => {
                 let config = GredConfig::with_iterations(iterations).seeded(seed);
@@ -72,12 +74,21 @@ impl SystemUnderTest {
                 Inner::Chord(chord)
             }
         };
-        SystemUnderTest { topology, inner }
+        SystemUnderTest {
+            topology,
+            total_servers,
+            inner,
+        }
     }
 
     /// The physical topology the system runs over.
     pub fn topology(&self) -> &Topology {
         &self.topology
+    }
+
+    /// The number of servers in the pool the system was built over.
+    pub(crate) fn total_servers(&self) -> usize {
+        self.total_servers
     }
 
     /// The server that owns `id` (no data is stored; used for load

@@ -2,7 +2,9 @@
 //! churn, against two references: the same events applied one at a time
 //! (`add_switch`/`remove_switch`, each a one-event delta batch), and a
 //! full installation (`gred::control::install_dataplanes`) on the state
-//! the batch leaves behind.
+//! the batch leaves behind. The one-at-a-time reference runs the delta
+//! path too, so it checks batching and event order; the full
+//! installation is the reference for the delta's correctness.
 //!
 //! `GredNetwork::apply_delta` must produce a network that *behaves*
 //! exactly like both: identical members, positions, DT adjacency, data
@@ -139,6 +141,12 @@ fn assert_decision_equivalent(seq: &GredNetwork, delta: &GredNetwork, tag: &str)
     assert_eq!(seq_loads, delta_loads, "{tag}: server loads");
 }
 
+/// One `apply_delta` batch against the same events as one-event
+/// `apply_delta` batches (`add_switch`/`remove_switch`). Both sides run
+/// the delta path, so a fault in it shows on both alike: this checks
+/// batching and event order only (it still passes with trigger 4
+/// switched off). The correctness check of the delta itself is
+/// `seeded_churn_bursts_route_like_a_full_install`.
 #[test]
 fn seeded_churn_bursts_match_sequential_dynamics() {
     for seed in [11u64, 23, 47, 91] {
