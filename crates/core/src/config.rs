@@ -19,11 +19,12 @@ pub struct GredConfig {
     /// triggers a range extension to a neighbor switch's server
     /// (Section V-B). When false the caller manages extensions explicitly.
     pub auto_extend: bool,
-    /// `Some(k)` embeds via landmark MDS: BFS from `k` seeded max-min
-    /// landmarks plus trilateration, instead of the full all-pairs BFS
-    /// and `O(n³)` eigendecomposition. `None` (the default) keeps the
-    /// exact classical path. Small networks (`k >= members`) always use
-    /// the exact path, whatever this is set to.
+    /// How many members M-position embeds by classical MDS (the
+    /// landmarks); the rest are trilaterated against them. `Some(k)`
+    /// picks `k` seeded max-min landmarks, with BFS from those `k` only
+    /// and a `k × k` eigendecomposition. `None` (the default) makes every
+    /// member a landmark: the exact embedding, as does any
+    /// `k >= members`.
     pub landmarks: Option<usize>,
 }
 
@@ -63,8 +64,8 @@ impl GredConfig {
         self
     }
 
-    /// Same configuration embedding with `k` landmarks instead of the
-    /// full classical MDS.
+    /// Same configuration embedding with `k` landmarks instead of every
+    /// member.
     pub fn landmarks(mut self, k: usize) -> Self {
         self.landmarks = Some(k);
         self

@@ -7,6 +7,10 @@
 //! off `Q = E₂ Λ₂^{1/2}` — classical MDS. The embedded Euclidean distance
 //! between two switches is then (approximately) proportional to their
 //! network distance, which is what keeps greedy routing's stretch low.
+//! For large networks the matrix is formed over `k` landmark members only
+//! and every other member is trilaterated against them
+//! ([`m_position_landmark`]); the exact embedding ([`m_position`]) is the
+//! case where every member is a landmark.
 //!
 //! The raw MDS coordinates are centered at the origin with hop-scale
 //! units; we map them into the unit square with one uniform scale factor
@@ -15,7 +19,7 @@
 
 use crate::error::GredError;
 use gred_geometry::Point2;
-use gred_linalg::{classical_mds, landmark_mds, Matrix};
+use gred_linalg::{landmark_mds, Matrix};
 use gred_net::Topology;
 
 /// Margin kept between embedded points and the unit-square border, so CVT
@@ -51,7 +55,9 @@ impl Embedding {
     }
 }
 
-/// Runs M-position for the storage switches `members` of `topo`.
+/// Runs M-position for the storage switches `members` of `topo`: the
+/// exact embedding, which is [`m_position_landmark`] with every member a
+/// landmark.
 ///
 /// # Errors
 ///
@@ -59,52 +65,7 @@ impl Embedding {
 /// - [`GredError::Disconnected`] when some member cannot reach another,
 /// - [`GredError::Embedding`] when MDS fails.
 pub fn m_position(topo: &Topology, members: &[usize]) -> Result<Embedding, GredError> {
-    if members.is_empty() {
-        return Err(GredError::NoStorageSwitches);
-    }
-    let n = members.len();
-
-    // Trivial configurations that MDS cannot (or need not) handle.
-    if n == 1 {
-        return Ok(Embedding {
-            members: members.to_vec(),
-            positions: vec![Point2::new(0.5, 0.5)],
-            scale: 1.0,
-        });
-    }
-
-    // Hop distances between members, routed over the full topology
-    // (transit switches shorten paths but are not embedded): one BFS
-    // per member.
-    let mut l = Matrix::zeros(n, n);
-    for (i, &a) in members.iter().enumerate() {
-        let hops = topo.bfs_hops(a);
-        for (j, &b) in members.iter().enumerate() {
-            let h = hops[b];
-            if h == u32::MAX {
-                return Err(GredError::Disconnected);
-            }
-            l[(i, j)] = f64::from(h);
-        }
-    }
-
-    if n == 2 {
-        // A two-member network embeds on a horizontal segment.
-        return Ok(Embedding {
-            members: members.to_vec(),
-            positions: vec![Point2::new(0.25, 0.5), Point2::new(0.75, 0.5)],
-            scale: 0.5 / l[(0, 1)].max(1.0),
-        });
-    }
-
-    let coords = classical_mds(&l, 2)?;
-    let (positions, scale) = normalize_to_unit_square(&coords);
-
-    Ok(Embedding {
-        members: members.to_vec(),
-        positions,
-        scale,
-    })
+    m_position_landmark(topo, members, members.len(), 0, None)
 }
 
 /// Maps raw MDS coordinates into the unit square with one uniform scale
@@ -144,21 +105,22 @@ fn normalize_to_unit_square(coords: &[Vec<f64>]) -> (Vec<Point2>, f64) {
 /// embedding.
 const LANDMARK_BATCH: usize = 8;
 
-/// [`m_position`] on the landmark path: BFS only from `landmarks` sampled
-/// members, classical MDS on the small landmark distance matrix, and
-/// least-squares trilateration for every other member — `O(k·(V+E) + k³ +
-/// n·k)` instead of `O(n·(V+E) + n³)`.
+/// M-position from `landmarks` members: BFS only from the landmarks,
+/// classical MDS on the landmark distance matrix, and least-squares
+/// trilateration for every other member — `O(k·(V+E) + k³ + n·k)` for `k`
+/// landmarks among `n` members.
 ///
 /// Landmarks are chosen by deterministic seeded max-min (farthest-point)
 /// sampling in fixed batches of [`LANDMARK_BATCH`]: the seed picks the
 /// first landmark, and each round BFSes one batch before it updates the
-/// min-distance frontier. When `landmarks >= members.len()` (or the
-/// network is too small to subsample) this falls back to the exact full
-/// path.
+/// min-distance frontier. When `landmarks >= members.len()` (or `n <= 3`)
+/// every member is a landmark, in member order with no sampling, and
+/// nobody is trilaterated: that is the exact embedding, [`m_position`].
+/// One member sits at the centre and two on a horizontal segment, with
+/// no MDS.
 ///
-/// When `report` is given, the three landmark phases are recorded as
-/// `landmark_bfs`, `landmark_embed`, and `trilateration` (the fallback
-/// records the usual `embedding` phase instead).
+/// When `report` is given, the phases are recorded as `landmark_bfs`,
+/// `landmark_embed`, and `trilateration`.
 ///
 /// # Errors
 ///
@@ -178,19 +140,22 @@ pub fn m_position_landmark(
     let mut unread = gred_runtime::BuildReport::new();
     let report = report.unwrap_or(&mut unread);
     let n = members.len();
-    let k = landmarks.clamp(3, n.max(3));
-    if k >= n || n <= 3 {
-        // Too few members to subsample: the exact path is both cheaper
-        // and what the equivalence story expects.
-        return report.phase("embedding", n, || m_position(topo, members));
+    if n == 1 {
+        return Ok(Embedding {
+            members: members.to_vec(),
+            positions: vec![Point2::new(0.5, 0.5)],
+            scale: 1.0,
+        });
     }
+    let k = landmarks.clamp(3, n.max(3)).min(n);
 
-    // Phase 1: seeded max-min landmark sampling with batched BFS rows.
+    // Phase 1: seeded max-min landmark sampling with batched BFS rows;
+    // with every member a landmark, member order from the first.
     let mut chosen = vec![false; n];
     let mut landmark_members: Vec<usize> = Vec::with_capacity(k);
     let mut rows: Vec<Vec<u32>> = Vec::with_capacity(k);
     report.phase("landmark_bfs", k, || -> Result<(), GredError> {
-        let first = (seed % n as u64) as usize;
+        let first = if k < n { (seed % n as u64) as usize } else { 0 };
         chosen[first] = true;
         landmark_members.push(members[first]);
         rows.push(topo.bfs_hops(members[first]));
@@ -203,7 +168,9 @@ pub fn m_position_landmark(
             // Farthest-first batch: (min-hops desc, index asc), fixed
             // size, selected before any of the batch's rows land.
             let mut order: Vec<usize> = (0..n).filter(|&i| !chosen[i]).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(min_hops[i]), i));
+            if k < n {
+                order.sort_by_key(|&i| (std::cmp::Reverse(min_hops[i]), i));
+            }
             let batch = LANDMARK_BATCH.min(k - landmark_members.len());
             for i in order.into_iter().take(batch) {
                 let row = topo.bfs_hops(members[i]);
@@ -217,6 +184,13 @@ pub fn m_position_landmark(
         }
         Ok(())
     })?;
+    if n == 2 {
+        return Ok(Embedding {
+            members: members.to_vec(),
+            positions: vec![Point2::new(0.25, 0.5), Point2::new(0.75, 0.5)],
+            scale: 0.5 / f64::from(rows[0][members[1]]).max(1.0),
+        });
+    }
 
     // Phase 2: classical MDS on the k × k landmark distance matrix.
     let l = Matrix::from_fn(k, k, |i, j| f64::from(rows[i][landmark_members[j]]));

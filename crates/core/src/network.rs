@@ -6,8 +6,8 @@ use crate::control::delta::{
     affected_members, split_links, strip_member_state, Batch, DeltaReport, TopologyChange,
 };
 use crate::control::embedding::{
-    embed_new_switch, fit_scale, m_position, m_position_landmark, separate_duplicates,
-    separate_joiner, Embedding,
+    embed_new_switch, fit_scale, m_position_landmark, separate_duplicates, separate_joiner,
+    Embedding,
 };
 use crate::control::installer::{apply_member_entries, install_dataplanes, virtual_paths};
 use crate::control::regulation::refine_positions;
@@ -98,7 +98,8 @@ impl GredNetwork {
 
     /// [`GredNetwork::build`] returning the per-phase [`BuildReport`]
     /// alongside the network: wall time and work counters for the
-    /// embedding, regulation, triangulation, and installation phases.
+    /// embedding (`landmark_bfs`, `landmark_embed`, `trilateration`),
+    /// regulation, triangulation, and installation phases.
     ///
     /// # Errors
     ///
@@ -110,15 +111,9 @@ impl GredNetwork {
     ) -> Result<(Self, BuildReport), GredError> {
         let members = storage_switches(&topology, &pool)?;
         let mut report = BuildReport::new();
-        let embedding = match config.landmarks {
-            // Landmark path records its own finer-grained phases
-            // (landmark_bfs / landmark_embed / trilateration), or plain
-            // "embedding" when it falls back to the exact path.
-            Some(k) => m_position_landmark(&topology, &members, k, config.seed, Some(&mut report))?,
-            None => report.phase("embedding", members.len(), || {
-                m_position(&topology, &members)
-            })?,
-        };
+        let k = config.landmarks.unwrap_or(members.len());
+        let embedding =
+            m_position_landmark(&topology, &members, k, config.seed, Some(&mut report))?;
         let net = Self::from_embedding(topology, pool, config, embedding, &mut report)?;
         report.finish();
         Ok((net, report))
@@ -744,12 +739,20 @@ mod tests {
         let pool = ServerPool::uniform(16, 2, 100_000);
         let (net, report) =
             GredNetwork::build_reported(topo, pool, GredConfig::with_iterations(5)).unwrap();
-        for phase in ["embedding", "regulation", "triangulation", "installation"] {
+        for phase in [
+            "landmark_bfs",
+            "landmark_embed",
+            "regulation",
+            "triangulation",
+            "installation",
+        ] {
             let p = report
                 .phase_named(phase)
                 .unwrap_or_else(|| panic!("missing phase {phase}"));
             assert!(p.items > 0, "phase {phase} counted no work");
         }
+        // The exact embedding makes every member a landmark.
+        assert_eq!(report.phase_named("trilateration").unwrap().items, 0);
         assert!(report.total_wall() >= report.phases.iter().map(|p| p.wall).sum());
         assert!(!net.members().is_empty());
     }
@@ -770,7 +773,6 @@ mod tests {
                 "landmark build missing phase {phase}"
             );
         }
-        assert!(report.phase_named("embedding").is_none());
         assert!(net.verify_invariants().is_empty());
         // End-to-end routing still delivers on the approximate embedding.
         for i in 0..30 {

@@ -1,4 +1,4 @@
-//! Delaunay triangulation with greedy routing.
+//! Delaunay triangulation for greedy routing.
 //!
 //! GRED's guaranteed-delivery property (paper Section II-B) rests on a
 //! classical theorem: greedy forwarding on a Delaunay triangulation always
@@ -12,8 +12,10 @@
 //! on near-degenerate input and can corrupt an incremental triangulation
 //! (overlaps, holes, flip cycles). Instead of adaptive-precision floats, we
 //! snap every input coordinate to a lattice of spacing 2⁻³⁰ and evaluate all
-//! predicates in exact `i128` integer arithmetic: with 30-bit coordinates
-//! the degree-4 in-circle determinant is bounded by ~2¹²⁴, comfortably
+//! predicates in exact `i128` integer arithmetic. Input coordinates must
+//! lie in the box [−0.25, 1.25]² (GRED positions lie in the unit square):
+//! two snapped points then differ by at most 1.5·2³⁰ per axis, so the
+//! degree-4 in-circle determinant is bounded by 12·(1.5·2³⁰)⁴ ≈ 2^125.9,
 //! inside `i128`. The paper itself quantizes virtual-space positions to
 //! 4-byte fixed point, so a 2⁻³⁰ grid loses nothing. Every predicate is
 //! exact, so the flip algorithm provably terminates at the true Delaunay
@@ -39,9 +41,15 @@ use std::collections::VecDeque;
 /// `1 / QUANT_SCALE` (2⁻³⁰ ≈ 9.3e-10).
 const QUANT_SCALE: f64 = (1u64 << 30) as f64;
 
-/// Maximum admissible coordinate magnitude before quantization. Keeps
-/// quantized values within 30 bits of integer range plus sign.
-const MAX_COORD: f64 = 4096.0;
+/// Each input coordinate's admissible range: the box `COORD_RANGE²`
+/// around the unit square (where GRED positions lie) is as wide as the
+/// exact `i128` in-circle arithmetic holds (see the module docs).
+const COORD_RANGE: std::ops::RangeInclusive<f64> = -0.25..=1.25;
+
+/// Whether `p` lies in the admissible box (false for NaN and infinities).
+fn admissible(p: Point2) -> bool {
+    COORD_RANGE.contains(&p.x) && COORD_RANGE.contains(&p.y)
+}
 
 /// Integer lattice point.
 type IPoint = (i64, i64);
@@ -100,8 +108,9 @@ pub enum DelaunayError {
         /// Index of the second point of the coinciding pair.
         second: usize,
     },
-    /// An input coordinate was NaN, infinite, or larger in magnitude than
-    /// the supported range (±4096).
+    /// An input coordinate was NaN, infinite, or outside the admissible
+    /// box [−0.25, 1.25]² (the range the exact in-circle arithmetic
+    /// holds).
     InvalidCoordinate {
         /// Index of the offending point.
         index: usize,
@@ -128,7 +137,7 @@ impl std::fmt::Display for DelaunayError {
 impl std::error::Error for DelaunayError {}
 
 /// A Delaunay triangulation of a fixed point set, with the adjacency and
-/// greedy-routing queries GRED needs.
+/// nearest-point queries GRED needs.
 ///
 /// Coordinates are snapped to a 2⁻³⁰ lattice on construction (see the
 /// module docs); [`Triangulation::points`] returns the snapped positions.
@@ -143,9 +152,11 @@ impl std::error::Error for DelaunayError {}
 ///     Point2::new(1.0, 1.0),
 /// ];
 /// let dt = Triangulation::new(&pts)?;
-/// // Greedy routing from any node reaches the node nearest the target.
-/// let path = dt.greedy_route(0, Point2::new(0.95, 0.95));
-/// assert_eq!(*path.last().unwrap(), 3);
+/// // Greedy forwarding toward a target ends at the point nearest it; here
+/// // that is point 3, whose DT neighbors are the two adjacent corners.
+/// let target = Point2::new(0.95, 0.95);
+/// assert_eq!(dt.nearest(target), 3);
+/// assert_eq!(dt.neighbors(3).collect::<Vec<_>>(), vec![1, 2]);
 /// # Ok(())
 /// # }
 /// ```
@@ -520,7 +531,7 @@ impl Mesh {
 }
 
 fn check_coordinate(p: Point2, index: usize) -> Result<(), DelaunayError> {
-    if !p.is_finite() || p.x.abs() > MAX_COORD || p.y.abs() > MAX_COORD {
+    if !admissible(p) {
         return Err(DelaunayError::InvalidCoordinate { index });
     }
     Ok(())
@@ -654,43 +665,6 @@ impl Triangulation {
             }
         }
         best
-    }
-
-    /// Greedy route from point `from` toward position `target`: repeatedly
-    /// step to the neighbor strictly closer to `target`, stopping at a local
-    /// minimum. On a Delaunay triangulation the stopping point is the global
-    /// nearest point (guaranteed delivery).
-    ///
-    /// Returns the visited point indices, starting with `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is out of range.
-    pub fn greedy_route(&self, from: usize, target: Point2) -> Vec<usize> {
-        assert!(from < self.points.len(), "start index out of range");
-        let t = quantize(target);
-        let pts = &self.mesh.pts;
-        let mut path = vec![from];
-        let mut cur = from;
-        // Distance strictly decreases, so the walk visits ≤ n points.
-        for _ in 0..self.points.len() {
-            let cur_d = idist2(pts[cur], t);
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for n in self.neighbors(cur) {
-                let d = idist2(pts[n], t);
-                if d < best_d || (d == best_d && best != cur && pts[n] < pts[best]) {
-                    best = n;
-                    best_d = d;
-                }
-            }
-            if best == cur {
-                break;
-            }
-            path.push(best);
-            cur = best;
-        }
-        path
     }
 
     /// Verifies the empty-circumcircle property for every triangle with
@@ -870,10 +844,20 @@ impl Triangulation {
 /// Returns the first violation as `(triangle_index, offending_point_index)`
 /// — for a degenerate triangle the offending point is one of its own
 /// vertices — or `None` when every circumcircle is empty.
+///
+/// # Panics
+///
+/// Panics if a point lies outside the box [−0.25, 1.25]² that
+/// [`Triangulation::new`] admits: beyond it the exact arithmetic could
+/// overflow and answer wrongly.
 pub fn empty_circumcircle_violation(
     points: &[Point2],
     triangles: &[[usize; 3]],
 ) -> Option<(usize, usize)> {
+    assert!(
+        points.iter().all(|&p| admissible(p)),
+        "points outside [-0.25, 1.25]²"
+    );
     let ipts: Vec<IPoint> = points.iter().map(|&p| quantize(p)).collect();
     for (ti, t) in triangles.iter().enumerate() {
         let mut t = *t;
@@ -900,7 +884,6 @@ pub fn empty_circumcircle_violation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::nearest_index;
     use crate::predicates::orient2d;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -909,6 +892,23 @@ mod tests {
         (0..n)
             .map(|_| Point2::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
             .collect()
+    }
+
+    /// Asserts the premise of greedy delivery (paper Theorem 1), exactly
+    /// on the lattice: every point farther from `target` than the nearest
+    /// one has a DT neighbor strictly closer to it, so a greedy walk from
+    /// any point ends at a point as close as the nearest.
+    pub(super) fn assert_greedy_delivers(dt: &Triangulation, target: Point2) {
+        let t = quantize(target);
+        let pts = &dt.mesh.pts;
+        let best = idist2(pts[dt.nearest(target)], t);
+        for (i, &p) in pts.iter().enumerate() {
+            let d = idist2(p, t);
+            assert!(
+                d == best || dt.neighbors(i).any(|j| idist2(pts[j], t) < d),
+                "point {i} is a local minimum toward {target:?}"
+            );
+        }
     }
 
     #[test]
@@ -935,6 +935,42 @@ mod tests {
     }
 
     #[test]
+    fn the_admissible_box_holds_the_exact_arithmetic() {
+        // The box's corners and edge midpoints, then its centre: the
+        // widest spreads the in-circle determinant must hold. Debug
+        // builds check every `i128` product for overflow.
+        let (lo, hi) = COORD_RANGE.into_inner();
+        let coords = [lo, 0.5, hi];
+        let pts: Vec<Point2> = coords
+            .iter()
+            .flat_map(|&x| coords.map(|y| Point2::new(x, y)))
+            .filter(|&p| p != Point2::new(0.5, 0.5))
+            .collect();
+        let mut dt = Triangulation::new(&pts).unwrap();
+        assert_eq!(dt.delaunay_violation(), None);
+        dt.insert(Point2::new(0.5, 0.5)).unwrap();
+        assert_eq!(dt.delaunay_violation(), None);
+        for i in 0..dt.points().len() {
+            assert_eq!(dt.with_removed(i).unwrap().delaunay_violation(), None);
+        }
+        // One float past either end (its bits one up, for either sign) is
+        // refused by the build, a join and the checker.
+        let [below, above] = [lo, hi].map(|c| f64::from_bits(c.to_bits() + 1));
+        for outside in [Point2::new(above, 0.5), Point2::new(0.5, below)] {
+            assert_eq!(
+                Triangulation::new(&[Point2::new(0.5, 0.5), outside]).unwrap_err(),
+                DelaunayError::InvalidCoordinate { index: 1 }
+            );
+            assert_eq!(
+                dt.insert(outside).unwrap_err(),
+                DelaunayError::InvalidCoordinate { index: 9 }
+            );
+            let check = || empty_circumcircle_violation(&[outside], &[]);
+            assert!(std::panic::catch_unwind(check).is_err());
+        }
+    }
+
+    #[test]
     fn near_duplicates_quantize_to_duplicates() {
         let pts = vec![Point2::new(0.5, 0.5), Point2::new(0.5 + 1e-12, 0.5)];
         assert!(matches!(
@@ -948,21 +984,21 @@ mod tests {
         let dt = Triangulation::new(&[Point2::new(0.5, 0.5)]).unwrap();
         assert!(dt.is_collinear());
         assert_eq!(dt.degree(0), 0);
-        assert_eq!(dt.greedy_route(0, Point2::ORIGIN), vec![0]);
+        assert_eq!(dt.nearest(Point2::ORIGIN), 0);
     }
 
     #[test]
     fn collinear_points_form_path() {
         let pts = vec![
             Point2::new(0.0, 0.0),
-            Point2::new(2.0, 0.0),
             Point2::new(1.0, 0.0),
+            Point2::new(0.5, 0.0),
         ];
         let dt = Triangulation::new(&pts).unwrap();
         assert!(dt.is_collinear());
         assert_eq!(dt.edges(), vec![(0, 2), (1, 2)]);
-        // Greedy from left end to right end walks the path.
-        assert_eq!(dt.greedy_route(0, Point2::new(2.0, 0.0)), vec![0, 2, 1]);
+        // Greedy toward the right end walks the path.
+        assert_greedy_delivers(&dt, Point2::new(1.0, 0.0));
     }
 
     #[test]
@@ -970,9 +1006,9 @@ mod tests {
         // Four points whose long diagonal (0, 2) is not Delaunay.
         let pts = vec![
             Point2::new(0.0, 0.0),
-            Point2::new(1.0, -0.1),
-            Point2::new(2.0, 0.0),
-            Point2::new(1.0, 2.0),
+            Point2::new(0.5, -0.05),
+            Point2::new(1.0, 0.0),
+            Point2::new(0.5, 1.0),
         ];
         let dt = Triangulation::new(&pts).unwrap();
         assert_eq!(dt.triangles().len(), 2);
@@ -999,10 +1035,10 @@ mod tests {
     fn point_on_edge_is_handled() {
         let pts = vec![
             Point2::new(0.0, 0.0),
-            Point2::new(2.0, 0.0),
-            Point2::new(2.0, 2.0),
-            Point2::new(0.0, 2.0),
-            Point2::new(1.0, 1.0), // exactly on the fan diagonal
+            Point2::new(1.0, 0.0),
+            Point2::new(1.0, 1.0),
+            Point2::new(0.0, 1.0),
+            Point2::new(0.5, 0.5), // exactly on the fan diagonal
         ];
         let dt = Triangulation::new(&pts).unwrap();
         assert!(dt.delaunay_violation().is_none());
@@ -1011,7 +1047,7 @@ mod tests {
             .iter()
             .map(|t| orient2d(pts[t[0]], pts[t[1]], pts[t[2]]).abs() / 2.0)
             .sum();
-        assert!((total_area - 4.0).abs() < 1e-9, "area {total_area}");
+        assert!((total_area - 1.0).abs() < 1e-9, "area {total_area}");
     }
 
     #[test]
@@ -1019,10 +1055,10 @@ mod tests {
         // Fifth point exactly on the bottom hull edge.
         let pts = vec![
             Point2::new(0.0, 0.0),
-            Point2::new(2.0, 0.0),
-            Point2::new(2.0, 2.0),
-            Point2::new(0.0, 2.0),
             Point2::new(1.0, 0.0),
+            Point2::new(1.0, 1.0),
+            Point2::new(0.0, 1.0),
+            Point2::new(0.5, 0.0),
         ];
         let dt = Triangulation::new(&pts).unwrap();
         assert!(dt.delaunay_violation().is_none());
@@ -1032,7 +1068,7 @@ mod tests {
             .iter()
             .map(|t| orient2d(pts[t[0]], pts[t[1]], pts[t[2]]).abs() / 2.0)
             .sum();
-        assert!((total_area - 4.0).abs() < 1e-9, "area {total_area}");
+        assert!((total_area - 1.0).abs() < 1e-9, "area {total_area}");
     }
 
     #[test]
@@ -1100,31 +1136,10 @@ mod tests {
             let dt = Triangulation::new(&pts).unwrap();
             for _ in 0..50 {
                 let target = Point2::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-                let from = rng.gen_range(0..pts.len());
-                let path = dt.greedy_route(from, target);
-                let reached = *path.last().unwrap();
-                let nearest = nearest_index(dt.points(), target).unwrap();
-                assert_eq!(
-                    dt.points()[reached].distance_squared(target),
-                    dt.points()[nearest].distance_squared(target),
-                    "seed {seed}: greedy stopped at {reached}, nearest is {nearest}"
-                );
+                // The helper checks every start; the draw keeps the targets.
+                let _from = rng.gen_range(0..pts.len());
+                assert_greedy_delivers(&dt, target);
             }
-        }
-    }
-
-    #[test]
-    fn greedy_path_distances_strictly_decrease() {
-        let pts = random_points(60, 7);
-        let dt = Triangulation::new(&pts).unwrap();
-        let target = Point2::new(0.21, 0.83);
-        let path = dt.greedy_route(3, target);
-        for w in path.windows(2) {
-            assert!(
-                dt.points()[w[1]].distance_squared(target)
-                    < dt.points()[w[0]].distance_squared(target),
-                "greedy step did not decrease distance"
-            );
         }
     }
 
@@ -1215,13 +1230,9 @@ mod tests {
         let dt = Triangulation::new(&pts).unwrap();
         for _ in 0..200 {
             let target = Point2::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-            let from = rng.gen_range(0..pts.len());
-            let reached = *dt.greedy_route(from, target).last().unwrap();
-            let nearest = nearest_index(dt.points(), target).unwrap();
-            assert_eq!(
-                dt.points()[reached].distance_squared(target),
-                dt.points()[nearest].distance_squared(target)
-            );
+            // The helper checks every start; the draw keeps the targets.
+            let _from = rng.gen_range(0..pts.len());
+            assert_greedy_delivers(&dt, target);
         }
     }
 
@@ -1256,8 +1267,8 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::assert_greedy_delivers;
     use super::*;
-    use crate::point::nearest_index;
     use proptest::prelude::*;
 
     proptest! {
@@ -1288,7 +1299,6 @@ mod proptests {
         fn prop_greedy_delivers(
             pts in proptest::collection::hash_set((0u32..1000, 0u32..1000), 3..40),
             tx in 0u32..1000, ty in 0u32..1000,
-            start_pick in any::<prop::sample::Index>(),
         ) {
             let pts: Vec<Point2> = pts
                 .into_iter()
@@ -1296,13 +1306,7 @@ mod proptests {
                 .collect();
             let dt = Triangulation::new(&pts).unwrap();
             let target = Point2::new(f64::from(tx) / 1000.0, f64::from(ty) / 1000.0);
-            let start = start_pick.index(pts.len());
-            let reached = *dt.greedy_route(start, target).last().unwrap();
-            let nearest = nearest_index(dt.points(), target).unwrap();
-            prop_assert_eq!(
-                dt.points()[reached].distance_squared(target),
-                dt.points()[nearest].distance_squared(target)
-            );
+            assert_greedy_delivers(&dt, target);
         }
 
         /// Collinear sets degrade to the sorted path: no triangles, every
@@ -1323,8 +1327,8 @@ mod proptests {
             let pts: Vec<Point2> = xs
                 .into_iter()
                 .map(|x| {
-                    let fx = f64::from(x) / 1024.0;
-                    Point2::new(fx, fx * f64::from(slope) + f64::from(intercept) / 1024.0)
+                    let fx = f64::from(x) / 4096.0;
+                    Point2::new(fx, fx * f64::from(slope) + f64::from(intercept) / 4096.0)
                 })
                 .collect();
             let dt = Triangulation::new(&pts).unwrap();
@@ -1339,10 +1343,10 @@ mod proptests {
             prop_assert_eq!(by_degree[1], 2);
             prop_assert_eq!(by_degree[2], pts.len() - 2);
 
-            // The same line at a quarter scale, so that every in-circle
-            // determinant stays inside `i128`.
-            let at = |x: u32, y: u32| Point2::new(f64::from(x) / 4096.0, f64::from(y) / 4096.0);
-            let line = pts.iter().map(|&p| Point2::new(p.x / 4.0, p.y / 4.0));
+            // The same line at half scale, so that the points right of it
+            // stay in the admissible box.
+            let at = |x: u32, y: u32| Point2::new(f64::from(x) / 8192.0, f64::from(y) / 8192.0);
+            let line = pts.iter().map(|&p| Point2::new(p.x / 2.0, p.y / 2.0));
             let last = at(1500, 1500 * slope + intercept + lift);
             let beyond: Vec<Point2> = right.iter().map(|&(x, y)| at(x, y)).chain([last]).collect();
             for more in [&beyond[..], &[last]] {
@@ -1387,9 +1391,9 @@ mod proptests {
         // circumcircle of (0, 1, 2).
         let pts = vec![
             Point2::new(0.0, 0.0),
-            Point2::new(1.0, -0.1),
-            Point2::new(2.0, 0.0),
-            Point2::new(1.0, 2.0),
+            Point2::new(0.5, -0.05),
+            Point2::new(1.0, 0.0),
+            Point2::new(0.5, 1.0),
         ];
         let bad = vec![[0, 1, 2], [0, 2, 3]];
         assert!(empty_circumcircle_violation(&pts, &bad).is_some());
@@ -1441,14 +1445,19 @@ mod incremental_tests {
 
     #[test]
     fn exterior_insert_stays_delaunay_and_matches_rebuild() {
+        // The set at a quarter scale, so that every point lies in the
+        // admissible box.
         for seed in [9u64, 21, 33] {
-            let pts = random_points(20, seed);
+            let pts: Vec<Point2> = random_points(20, seed)
+                .into_iter()
+                .map(|p| p * 0.25)
+                .collect();
             let dt = Triangulation::new(&pts).unwrap();
             for outside in [
-                Point2::new(0.999, 0.999),
-                Point2::new(-0.25, 0.4),
-                Point2::new(0.5, 1.7),
-                Point2::new(-1.0, -1.0),
+                Point2::new(0.24975, 0.24975),
+                Point2::new(-0.0625, 0.1),
+                Point2::new(0.125, 0.425),
+                Point2::new(-0.25, -0.25),
             ] {
                 let inc = dt.with_inserted(outside).unwrap();
                 assert_eq!(inc.points().len(), 21);
@@ -1483,15 +1492,16 @@ mod incremental_tests {
     #[test]
     fn chained_exterior_inserts_stay_delaunay() {
         // Repeated hull extensions, including points collinear with a
-        // previously extended hull edge.
-        let pts = random_points(15, 4);
+        // previously extended hull edge; at a quarter scale, so that every
+        // point lies in the admissible box.
+        let pts: Vec<Point2> = random_points(15, 4).into_iter().map(|p| p * 0.25).collect();
         let mut dt = Triangulation::new(&pts).unwrap();
         for (i, q) in [
-            Point2::new(1.2, 0.5),
-            Point2::new(1.4, 0.5),
-            Point2::new(1.3, 1.3),
-            Point2::new(0.5, -0.7),
-            Point2::new(-0.4, 0.1),
+            Point2::new(0.3, 0.125),
+            Point2::new(0.35, 0.125),
+            Point2::new(0.325, 0.325),
+            Point2::new(0.125, -0.175),
+            Point2::new(-0.1, 0.025),
         ]
         .into_iter()
         .enumerate()

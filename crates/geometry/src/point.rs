@@ -69,11 +69,6 @@ impl Point2 {
             .then(self.y.partial_cmp(&other.y).unwrap_or(Ordering::Equal))
     }
 
-    /// Whether every coordinate is finite.
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
-    }
-
     /// Clamps the point into the axis-aligned box `[min, max]²`.
     pub fn clamp_to(self, min: f64, max: f64) -> Point2 {
         Point2::new(self.x.clamp(min, max), self.y.clamp(min, max))

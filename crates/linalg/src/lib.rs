@@ -13,12 +13,12 @@
 //!
 //! This crate provides exactly the pieces that pipeline needs and nothing
 //! more: a small dense [`Matrix`] type ([`matrix`]), a cyclic Jacobi
-//! eigensolver for symmetric matrices ([`eigen`]), classical MDS built on
-//! both ([`mds`]), and landmark MDS ([`mds_landmark`]) for large networks.
-//! Everything is implemented from scratch — full classical MDS runs Jacobi
-//! on the `n × n` matrix (comfortable up to a few hundred switches), while
-//! the landmark path only ever eigendecomposes a `k × k` landmark matrix
-//! and trilaterates the remaining points in `O(n·k)`.
+//! eigensolver for symmetric matrices ([`eigen`]), the double centring and
+//! error type of MDS ([`mds`]), and landmark MDS ([`mds_landmark`]), the
+//! one MDS: it embeds `k` landmarks classically and trilaterates the
+//! remaining points in `O(n·k)`. Everything is implemented from scratch.
+//! With every point a landmark it is full classical MDS, running Jacobi
+//! on the `n × n` matrix (comfortable up to a few hundred switches).
 
 pub mod eigen;
 pub mod matrix;
@@ -27,5 +27,5 @@ pub mod mds_landmark;
 
 pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use matrix::Matrix;
-pub use mds::{classical_mds, double_center, MdsError};
+pub use mds::{double_center, MdsError};
 pub use mds_landmark::{landmark_mds, LandmarkEmbedding};

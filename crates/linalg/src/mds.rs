@@ -10,11 +10,13 @@
 //!
 //! The paper embeds switch shortest-path hop distances into `m = 2`
 //! dimensions so that greedy routing in the virtual plane tracks shortest
-//! paths in the physical network.
+//! paths in the physical network. [`crate::landmark_mds`] runs these steps
+//! on the landmark distance matrix; with every point a landmark it is
+//! classical MDS.
 
-use crate::{symmetric_eigen, Matrix};
+use crate::Matrix;
 
-/// Error produced by [`classical_mds`].
+/// Error produced by [`crate::landmark_mds`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MdsError {
     /// The distance matrix was not square.
@@ -99,66 +101,20 @@ pub fn double_center(l: &Matrix) -> Matrix {
     })
 }
 
-/// Embeds the symmetric distance matrix `l` into `dims` dimensions.
-///
-/// Returns a vector of `n` coordinate vectors, each of length `dims`.
-/// Negative eigenvalues (which arise when `l` is non-Euclidean, as hop-count
-/// matrices usually are) are clamped to zero, as is standard for classical
-/// MDS; the corresponding axes contribute nothing.
-///
-/// # Errors
-///
-/// Returns an error when `l` is not square/symmetric, when `dims == 0`, or
-/// when there are fewer points than dimensions.
-///
-/// ```
-/// use gred_linalg::{classical_mds, Matrix};
-/// # fn main() -> Result<(), gred_linalg::MdsError> {
-/// // Three collinear points at 0, 3, 5.
-/// let l = Matrix::from_vec(3, 3, vec![0.0, 3.0, 5.0, 3.0, 0.0, 2.0, 5.0, 2.0, 0.0]);
-/// let pts = classical_mds(&l, 1)?;
-/// let d01 = (pts[0][0] - pts[1][0]).abs();
-/// assert!((d01 - 3.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn classical_mds(l: &Matrix, dims: usize) -> Result<Vec<Vec<f64>>, MdsError> {
-    if !l.is_square() {
-        return Err(MdsError::NotSquare {
-            rows: l.rows(),
-            cols: l.cols(),
-        });
-    }
-    if dims == 0 {
-        return Err(MdsError::ZeroDimensions);
-    }
-    let n = l.rows();
-    if n < dims {
-        return Err(MdsError::TooFewPoints { points: n, dims });
-    }
-    if !l.is_symmetric(1e-9) {
-        return Err(MdsError::NotSymmetric);
-    }
-
-    let b = double_center(l);
-    let e = symmetric_eigen(&b);
-
-    // Q = E_m Λ_m^{1/2}, clamping negative eigenvalues to zero.
-    let mut coords = vec![vec![0.0; dims]; n];
-    for (k, coord_axis) in (0..dims).enumerate() {
-        let lambda = e.values[k].max(0.0);
-        let scale = lambda.sqrt();
-        for (i, point) in coords.iter_mut().enumerate() {
-            point[coord_axis] = e.vectors[(i, k)] * scale;
-        }
-    }
-    Ok(coords)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::landmark_mds;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Classical MDS of `l`: its landmark embedding with every point a
+    /// landmark.
+    fn classical(l: &Matrix, dims: usize) -> Vec<Vec<f64>> {
+        let emb = landmark_mds(l, dims).unwrap();
+        (0..emb.landmark_count())
+            .map(|i| emb.landmark(i).to_vec())
+            .collect()
+    }
 
     fn dist(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
@@ -194,7 +150,7 @@ mod tests {
         ];
         let n = pts.len();
         let l = Matrix::from_fn(n, n, |i, j| dist(&pts[i], &pts[j]));
-        let out = classical_mds(&l, 2).unwrap();
+        let out = classical(&l, 2);
         for i in 0..n {
             for j in 0..n {
                 let want = dist(&pts[i], &pts[j]);
@@ -211,7 +167,7 @@ mod tests {
     fn embedding_is_centered() {
         let pts = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]];
         let l = Matrix::from_fn(3, 3, |i, j| dist(&pts[i], &pts[j]));
-        let out = classical_mds(&l, 2).unwrap();
+        let out = classical(&l, 2);
         for axis in 0..2 {
             let mean: f64 = out.iter().map(|p| p[axis]).sum::<f64>() / 3.0;
             assert!(mean.abs() < 1e-9);
@@ -223,7 +179,7 @@ mod tests {
         // A path graph's hop matrix is Euclidean in 1D and embeds exactly.
         let n = 6;
         let l = Matrix::from_fn(n, n, |i, j| (i as f64 - j as f64).abs());
-        let out = classical_mds(&l, 2).unwrap();
+        let out = classical(&l, 2);
         for i in 0..n {
             for j in 0..n {
                 let want = (i as f64 - j as f64).abs();
@@ -246,7 +202,7 @@ mod tests {
                 1.0, 2.0, 1.0, 0.0,
             ],
         );
-        let out = classical_mds(&l, 2).unwrap();
+        let out = classical(&l, 2);
         for p in &out {
             assert!(p.iter().all(|x| x.is_finite()));
         }
@@ -259,20 +215,21 @@ mod tests {
     #[test]
     fn error_cases() {
         let rect = Matrix::zeros(2, 3);
-        assert!(matches!(
-            classical_mds(&rect, 2),
-            Err(MdsError::NotSquare { rows: 2, cols: 3 })
-        ));
+        let err = |l: &Matrix, dims| landmark_mds(l, dims).err();
+        assert_eq!(
+            err(&rect, 2),
+            Some(MdsError::NotSquare { rows: 2, cols: 3 })
+        );
 
         let asym = Matrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]);
-        assert_eq!(classical_mds(&asym, 1), Err(MdsError::NotSymmetric));
+        assert_eq!(err(&asym, 1), Some(MdsError::NotSymmetric));
 
         let one = Matrix::from_vec(1, 1, vec![0.0]);
-        assert!(matches!(
-            classical_mds(&one, 2),
-            Err(MdsError::TooFewPoints { points: 1, dims: 2 })
-        ));
-        assert_eq!(classical_mds(&one, 0), Err(MdsError::ZeroDimensions));
+        assert_eq!(
+            err(&one, 2),
+            Some(MdsError::TooFewPoints { points: 1, dims: 2 })
+        );
+        assert_eq!(err(&one, 0), Some(MdsError::ZeroDimensions));
     }
 
     #[test]
@@ -290,7 +247,7 @@ mod tests {
                 .map(|_| [rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)])
                 .collect();
             let l = Matrix::from_fn(n, n, |i, j| dist(&pts[i], &pts[j]));
-            let out = classical_mds(&l, 2).unwrap();
+            let out = classical(&l, 2);
             for i in 0..n {
                 for j in 0..n {
                     let want = dist(&pts[i], &pts[j]);

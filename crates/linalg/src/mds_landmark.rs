@@ -7,7 +7,8 @@
 //! `k ≪ n` landmark points classically and then places every remaining
 //! point from its distances *to the landmarks alone*:
 //!
-//! 1. embed the `k × k` landmark distance matrix with [`classical_mds`],
+//! 1. embed the `k × k` landmark distance matrix by classical MDS
+//!    ([`crate::mds`]'s steps),
 //! 2. form the pseudo-inverse rows `pᵃ = vᵃ / √λₐ` from the landmark
 //!    eigenpairs,
 //! 3. place a point with squared landmark distances `δ` at
@@ -17,7 +18,9 @@
 //! Step 3 is the least-squares solution of the trilateration system, so
 //! a landmark fed its own distance column lands exactly on its classical
 //! coordinates (when the distances are Euclidean). The total cost is
-//! `O(k³ + n·k)` instead of `O(n³)`.
+//! `O(k³ + n·k)` instead of `O(n³)`. With every point a landmark
+//! (`k = n`) the landmark coordinates are the classical MDS embedding
+//! itself, which is how GRED's exact M-position runs.
 
 use crate::{double_center, symmetric_eigen, Matrix, MdsError};
 
@@ -26,26 +29,19 @@ use crate::{double_center, symmetric_eigen, Matrix, MdsError};
 #[derive(Debug, Clone)]
 pub struct LandmarkEmbedding {
     /// Classical MDS coordinates of the `k` landmarks (`k` rows of
-    /// `dims` entries, identical to [`classical_mds`] on the same
-    /// matrix).
+    /// `dims` entries).
     landmarks: Vec<Vec<f64>>,
     /// `dims` pseudo-inverse rows of length `k`: `pᵃ = vᵃ / √λₐ`, zeroed
     /// when the eigenvalue is non-positive or negligible.
     pseudo: Vec<Vec<f64>>,
     /// Column means of the squared landmark distance matrix.
     col_means: Vec<f64>,
-    dims: usize,
 }
 
 impl LandmarkEmbedding {
     /// Number of landmarks `k`.
     pub fn landmark_count(&self) -> usize {
         self.landmarks.len()
-    }
-
-    /// Embedding dimensionality.
-    pub fn dims(&self) -> usize {
-        self.dims
     }
 
     /// The classical MDS coordinates of landmark `i`.
@@ -71,7 +67,7 @@ impl LandmarkEmbedding {
             "expected {k} landmark distances, got {}",
             dists.len()
         );
-        let mut out = vec![0.0; self.dims];
+        let mut out = vec![0.0; self.pseudo.len()];
         for (axis, row) in self.pseudo.iter().enumerate() {
             let mut acc = 0.0;
             for j in 0..k {
@@ -87,16 +83,16 @@ impl LandmarkEmbedding {
 /// Builds a [`LandmarkEmbedding`] from the `k × k` landmark distance
 /// matrix.
 ///
-/// The landmark coordinates are bit-identical to
-/// [`classical_mds`]`(l, dims)`; the embedding additionally retains the
+/// The landmark coordinates are the classical MDS embedding of `l`
+/// (top-`dims` eigenpairs of the double-centred squared matrix, negative
+/// eigenvalues clamped to zero); the embedding additionally retains the
 /// eigenpairs needed to trilaterate non-landmark points via
 /// [`LandmarkEmbedding::place`].
 ///
 /// # Errors
 ///
-/// Returns the same [`MdsError`] cases as [`classical_mds`]: non-square
-/// or asymmetric input, zero dimensions, or fewer landmarks than
-/// dimensions.
+/// Returns an [`MdsError`] for non-square or asymmetric input, zero
+/// dimensions, or fewer landmarks than dimensions.
 ///
 /// ```
 /// use gred_linalg::{landmark_mds, Matrix};
@@ -143,7 +139,8 @@ pub fn landmark_mds(l: &Matrix, dims: usize) -> Result<LandmarkEmbedding, MdsErr
     let b = double_center(l);
     let e = symmetric_eigen(&b);
 
-    // Landmark coordinates exactly as classical_mds computes them.
+    // Landmark coordinates Q = E_m Λ_m^{1/2}, clamping negative
+    // eigenvalues to zero.
     let mut landmarks = vec![vec![0.0; dims]; k];
     for (a, coord_axis) in (0..dims).enumerate() {
         let lambda = e.values[a].max(0.0);
@@ -174,14 +171,12 @@ pub fn landmark_mds(l: &Matrix, dims: usize) -> Result<LandmarkEmbedding, MdsErr
         landmarks,
         pseudo,
         col_means,
-        dims,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classical_mds;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn dist(a: &[f64], b: &[f64]) -> f64 {
@@ -190,17 +185,6 @@ mod tests {
             .map(|(x, y)| (x - y) * (x - y))
             .sum::<f64>()
             .sqrt()
-    }
-
-    #[test]
-    fn landmark_coords_match_classical_mds_bitwise() {
-        let pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.7, 0.9]];
-        let l = Matrix::from_fn(4, 4, |i, j| dist(&pts[i], &pts[j]));
-        let emb = landmark_mds(&l, 2).unwrap();
-        let full = classical_mds(&l, 2).unwrap();
-        for (i, row) in full.iter().enumerate() {
-            assert_eq!(emb.landmark(i), row.as_slice(), "landmark {i}");
-        }
     }
 
     #[test]
@@ -301,29 +285,6 @@ mod tests {
         let near = dist(&placed, emb.landmark(0));
         let far = dist(&placed, emb.landmark(2));
         assert!(near < far, "near {near} vs far {far}");
-    }
-
-    #[test]
-    fn error_cases_match_classical_mds() {
-        let rect = Matrix::zeros(2, 3);
-        assert!(matches!(
-            landmark_mds(&rect, 2),
-            Err(MdsError::NotSquare { rows: 2, cols: 3 })
-        ));
-        let asym = Matrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]);
-        assert!(matches!(
-            landmark_mds(&asym, 1),
-            Err(MdsError::NotSymmetric)
-        ));
-        let one = Matrix::from_vec(1, 1, vec![0.0]);
-        assert!(matches!(
-            landmark_mds(&one, 2),
-            Err(MdsError::TooFewPoints { points: 1, dims: 2 })
-        ));
-        assert!(matches!(
-            landmark_mds(&one, 0),
-            Err(MdsError::ZeroDimensions)
-        ));
     }
 
     #[test]

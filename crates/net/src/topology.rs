@@ -53,42 +53,12 @@ impl std::error::Error for TopologyError {}
 ///
 /// Each switch's neighbors are a sorted, duplicate-free `Vec`: iteration
 /// is ascending (the BFS tie-break every path search relies on), a link
-/// test is a binary search, and a clone is one copy per switch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(try_from = "TopologyRepr", into = "TopologyRepr")]
+/// test is a binary search, and a clone is one copy per switch. There
+/// are no serde derives: a decoded neighbor list would bypass that
+/// invariant.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     adj: Vec<Vec<usize>>,
-}
-
-/// The serialized form of a [`Topology`]: one neighbor list per switch,
-/// the shape a derived `Serialize` has always written. Reading goes
-/// through [`Topology::from_links`], so unsorted, duplicate or one-sided
-/// lists come back as the sorted symmetric adjacency, and out-of-range
-/// ids or self-loops are refused.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TopologyRepr {
-    /// `adj[s]` lists the switches linked to `s`.
-    pub adj: Vec<Vec<usize>>,
-}
-
-impl TryFrom<TopologyRepr> for Topology {
-    type Error = TopologyError;
-
-    fn try_from(repr: TopologyRepr) -> Result<Self, TopologyError> {
-        let links: Vec<(usize, usize)> = repr
-            .adj
-            .iter()
-            .enumerate()
-            .flat_map(|(a, ns)| ns.iter().map(move |&b| (a, b)))
-            .collect();
-        Topology::from_links(repr.adj.len(), &links)
-    }
-}
-
-impl From<Topology> for TopologyRepr {
-    fn from(topology: Topology) -> Self {
-        TopologyRepr { adj: topology.adj }
-    }
 }
 
 impl Topology {
@@ -628,86 +598,5 @@ mod stats_tests {
         let one = Topology::new(1).stats();
         assert_eq!(one.diameter, None);
         assert_eq!(one.mean_degree, 0.0);
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-
-    /// `repr` as JSON, byte for byte what a derived `Serialize` writes
-    /// for `struct { adj: Vec<_> }` of integer sequences.
-    fn to_json(repr: &TopologyRepr) -> String {
-        let lists: Vec<String> = repr
-            .adj
-            .iter()
-            .map(|ns| {
-                let ids: Vec<String> = ns.iter().map(usize::to_string).collect();
-                format!("[{}]", ids.join(","))
-            })
-            .collect();
-        format!("{{\"adj\":[{}]}}", lists.join(","))
-    }
-
-    /// The inverse of [`to_json`] for well-formed input.
-    fn from_json(text: &str) -> TopologyRepr {
-        let body = text
-            .strip_prefix("{\"adj\":[")
-            .and_then(|t| t.strip_suffix("]}"))
-            .expect("an adj object");
-        let adj = if body.is_empty() {
-            Vec::new()
-        } else {
-            body.strip_prefix('[')
-                .and_then(|t| t.strip_suffix(']'))
-                .expect("a list of lists")
-                .split("],[")
-                .map(|list| {
-                    list.split(',')
-                        .filter(|id| !id.is_empty())
-                        .map(|id| id.parse().expect("an id"))
-                        .collect()
-                })
-                .collect()
-        };
-        TopologyRepr { adj }
-    }
-
-    #[test]
-    fn json_round_trip_keeps_the_derived_bytes() {
-        let t = Topology::from_links(4, &[(2, 0), (0, 1), (3, 0)]).unwrap();
-        let json = to_json(&t.clone().into());
-        assert_eq!(json, r#"{"adj":[[1,2,3],[0],[0],[0]]}"#);
-        assert_eq!(Topology::try_from(from_json(&json)).unwrap(), t);
-        let empty = to_json(&Topology::new(0).into());
-        assert_eq!(empty, r#"{"adj":[]}"#);
-        assert_eq!(
-            Topology::try_from(from_json(&empty)).unwrap(),
-            Topology::new(0)
-        );
-    }
-
-    #[test]
-    fn reading_restores_the_sorted_symmetric_invariant() {
-        // Unsorted, duplicated and one-sided lists read as the same
-        // topology their links describe.
-        let messy = from_json(r#"{"adj":[[3,1,1],[],[0],[]]}"#);
-        let t = Topology::try_from(messy).unwrap();
-        assert_eq!(
-            t,
-            Topology::from_links(4, &[(0, 1), (0, 3), (2, 0)]).unwrap()
-        );
-        assert_eq!(to_json(&t.into()), r#"{"adj":[[1,2,3],[0],[0],[0]]}"#);
-        assert_eq!(
-            Topology::try_from(from_json(r#"{"adj":[[5],[]]}"#)),
-            Err(TopologyError::SwitchOutOfRange {
-                switch: 5,
-                count: 2
-            })
-        );
-        assert_eq!(
-            Topology::try_from(from_json(r#"{"adj":[[0]]}"#)),
-            Err(TopologyError::SelfLoop { switch: 0 })
-        );
     }
 }
