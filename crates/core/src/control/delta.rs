@@ -9,17 +9,21 @@
 //! only those are searched again.
 //!
 //! Every step of a batch costs what the change touches, not what the
-//! network holds: the batch edits one copy of the DT in place, each join
-//! and leave re-triangulating only its own cell ([`DtGraph::join`],
-//! [`DtGraph::leave`]); a joiner is separated from the members alone;
-//! only the members a join or leave touched are checked for changed DT
-//! neighbors; the stale links are searched before anything is mutated
-//! (so a disconnecting batch leaves the network untouched); and the
-//! installed planes are then patched in place rather than copied. What
-//! still costs O(members) per event is a pass over flat arrays:
-//! [`crate::control::embedding::embed_new_switch`]'s stress descent, the
-//! joiner's BFS (one for the descent, one for trigger 4) and a leave's
-//! connectivity BFS.
+//! network holds, and nothing is copied whole. An admission pass applies
+//! the batch to the live topology, journaling each edit, and decides
+//! every refusal there; a refused batch is undone edit by edit, so it
+//! leaves the network untouched. The DT and server pool then take the
+//! batch in place, each join and leave re-triangulating only its own
+//! cell ([`DtGraph::join`], [`DtGraph::leave`]) and reporting the
+//! neighbor lists it rewrote, so only those members are checked for
+//! changed DT neighbors; a joiner is separated from the members alone;
+//! and the installed planes are patched in place. What still costs
+//! O(members) per event is a pass over flat arrays:
+//! [`crate::control::embedding::embed_new_switch`]'s stress descent and
+//! the member positions it reads, the joiner's BFS (one at admission for
+//! the descent, one for trigger 4), a leave's connectivity BFS, and a
+//! leave's renumbering of the triangulation's points, triangles and
+//! neighbor lists.
 //!
 //! A member is affected when any of the following holds:
 //!
@@ -83,7 +87,7 @@ use crate::control::dt::DtGraph;
 use crate::control::installer::virtual_neighbors;
 use gred_dataplane::{link_hops, SwitchDataplane};
 use gred_net::Topology;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// One churn event in a batch handed to
@@ -139,21 +143,21 @@ impl DeltaReport {
     }
 }
 
-/// One batch as the triggers see it: the control plane before and after,
-/// and what the batch did.
+/// One batch as the triggers see it: the control plane after it, the
+/// planes installed before it, and what the batch did.
 pub(crate) struct Batch<'a> {
-    pub old_dt: &'a DtGraph,
     pub new_dt: &'a DtGraph,
-    pub old_topo: &'a Topology,
     pub new_topo: &'a Topology,
+    /// For every member whose DT neighbor list an event rewrote, its list
+    /// before the batch (a joiner's: the one it joined with), by switch
+    /// id. Every other member kept its list.
+    pub replaced: &'a BTreeMap<usize, Vec<usize>>,
     /// The pre-batch installed planes; a joiner has none.
     pub planes: &'a [SwitchDataplane],
     pub joiners: &'a [usize],
     pub leavers: &'a [usize],
-    /// Every switch whose DT neighbors an event of the batch may have
-    /// changed: each joiner with its neighbors after joining, each
-    /// leaver's neighbors before leaving.
-    pub touched: &'a [usize],
+    /// Each leaver's physical links when it left, parallel to `leavers`.
+    pub leaver_links: &'a [Vec<usize>],
     /// Upper bound on the hop length of every installed virtual link.
     pub longest_link: usize,
 }
@@ -184,23 +188,23 @@ pub(crate) fn affected_with(
     shortened: impl Fn(&Batch, usize) -> Vec<(usize, usize)>,
 ) -> Affected {
     let Batch {
-        old_dt,
         new_dt,
-        old_topo,
         new_topo,
+        replaced,
         planes,
         joiners,
         leavers,
+        leaver_links,
         ..
     } = *batch;
     let mut hit = Affected::default();
 
-    // (1) DT adjacency changed, or the member is new.
-    for &m in batch.touched {
-        if !new_dt.is_member(m) || hit.members.contains(&m) {
-            continue;
-        }
-        if !old_dt.is_member(m) || old_dt.neighbors_of(m) != new_dt.neighbors_of(m) {
+    // (1) The member is new, or its DT adjacency changed: only a list an
+    // event rewrote can differ from the one before the batch.
+    hit.members
+        .extend(joiners.iter().copied().filter(|&j| new_dt.is_member(j)));
+    for (&m, old) in replaced {
+        if new_dt.is_member(m) && *old != new_dt.neighbors_of(m) {
             hit.members.insert(m);
         }
     }
@@ -216,12 +220,14 @@ pub(crate) fn affected_with(
         hit.members
             .extend(new_topo.neighbors(j).filter(|&nb| new_dt.is_member(nb)));
     }
-    for &l in leavers {
-        if l >= old_topo.switch_count() {
+    for (l, links) in leavers.iter().zip(leaver_links) {
+        // A switch that joined in this batch had no link before it and
+        // has none after: no member's candidates changed.
+        if joiners.contains(l) {
             continue;
         }
         hit.members
-            .extend(old_topo.neighbors(l).filter(|&nb| new_dt.is_member(nb)));
+            .extend(links.iter().copied().filter(|&nb| new_dt.is_member(nb)));
     }
 
     // (3) Chains through a leaver: every intermediate of a virtual-link
@@ -409,8 +415,8 @@ mod tests {
         (topo, dt, planes)
     }
 
-    /// [`affected_members`] with every member of either DT touched and
-    /// no bound on link length: triggers 1 and 4 check everyone.
+    /// [`affected_members`] with every member of the old DT replaced
+    /// and no bound on link length: triggers 1 and 4 check everyone.
     fn affected(
         old_dt: &DtGraph,
         new_dt: &DtGraph,
@@ -420,21 +426,23 @@ mod tests {
         joiners: &[usize],
         leavers: &[usize],
     ) -> Vec<usize> {
-        let touched: Vec<usize> = old_dt
+        let replaced: BTreeMap<usize, Vec<usize>> = old_dt
             .members()
             .iter()
-            .chain(new_dt.members())
-            .copied()
+            .map(|&m| (m, old_dt.neighbors_of(m)))
+            .collect();
+        let leaver_links: Vec<Vec<usize>> = leavers
+            .iter()
+            .map(|&l| old_topo.neighbors(l).collect())
             .collect();
         affected_members(&Batch {
-            old_dt,
             new_dt,
-            old_topo,
             new_topo,
+            replaced: &replaced,
             planes,
             joiners,
             leavers,
-            touched: &touched,
+            leaver_links: &leaver_links,
             longest_link: planes.len(),
         })
         .members

@@ -6,7 +6,7 @@
 //! embedding after C-regulation.
 
 use crate::error::GredError;
-use gred_geometry::{Point2, Triangulation};
+use gred_geometry::{Point2, Rewritten, Triangulation};
 
 /// The DT of the storage switches in the virtual space.
 #[derive(Debug, Clone)]
@@ -113,45 +113,68 @@ impl DtGraph {
     /// id must be larger than every current member's — always true for a
     /// freshly added switch, which takes the next free id.
     ///
+    /// Returns the neighbor lists it rewrote, in switch ids.
+    ///
     /// # Errors
     ///
     /// [`GredError::InvalidDynamics`] when `switch` is already a member
     /// or sorts below one; triangulation errors otherwise. On error
     /// `self` is unchanged.
-    pub fn join(&mut self, switch: usize, position: Point2) -> Result<(), GredError> {
+    pub fn join(&mut self, switch: usize, position: Point2) -> Result<Rewritten, GredError> {
         if self.members.last().is_some_and(|&m| switch <= m) {
             return Err(GredError::InvalidDynamics {
                 reason: "a joining switch must take an id above every member",
             });
         }
-        self.triangulation.insert(position)?;
+        let replaced = self.triangulation.insert(position)?;
+        let replaced = self.to_switches(replaced);
         self.members.push(switch);
-        Ok(())
+        Ok(replaced)
     }
 
     /// Incremental leave (paper Section VI), in place: removes `switch`,
     /// and only its DT cell is re-triangulated, via
     /// [`Triangulation::remove`]. No other member moves.
     ///
+    /// Returns the neighbor lists it rewrote, in switch ids.
+    ///
     /// # Errors
     ///
     /// [`GredError::InvalidDynamics`] when `switch` is not a member or is
     /// the last one; `self` is then unchanged.
-    pub fn leave(&mut self, switch: usize) -> Result<(), GredError> {
-        let Some(idx) = self.index_of(switch) else {
-            return Err(GredError::InvalidDynamics {
-                reason: "switch is not a DT member",
-            });
-        };
-        if self.len() == 1 {
-            return Err(GredError::InvalidDynamics {
-                reason: "cannot remove the last storage switch",
-            });
-        }
-        self.triangulation.remove(idx)?;
+    pub fn leave(&mut self, switch: usize) -> Result<Rewritten, GredError> {
+        let idx = leaving_index(&self.members, switch)?;
+        let replaced = self.triangulation.remove(idx)?;
+        let replaced = self.to_switches(replaced);
         self.members.remove(idx);
-        Ok(())
+        Ok(replaced)
     }
+
+    /// The triangulation's `(index, neighbor indices)` pairs as switch ids.
+    fn to_switches(&self, pairs: Rewritten) -> Rewritten {
+        let id = |i: usize| self.members[i];
+        let ids = |list: Vec<usize>| list.into_iter().map(id).collect();
+        pairs
+            .into_iter()
+            .map(|(v, list)| (id(v), ids(list)))
+            .collect()
+    }
+}
+
+/// The index of `switch` in the ascending `members`, if it may leave:
+/// [`GredError::InvalidDynamics`] when it is no member or the last one.
+pub(crate) fn leaving_index(members: &[usize], switch: usize) -> Result<usize, GredError> {
+    let Ok(idx) = members.binary_search(&switch) else {
+        return Err(GredError::InvalidDynamics {
+            reason: "switch is not a DT member",
+        });
+    };
+    if members.len() == 1 {
+        return Err(GredError::InvalidDynamics {
+            reason: "cannot remove the last storage switch",
+        });
+    }
+    Ok(idx)
 }
 
 #[cfg(test)]

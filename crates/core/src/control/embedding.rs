@@ -393,12 +393,14 @@ pub(crate) fn separate_joiner(members: &[Point2], mut p: Point2) -> Point2 {
 /// members, where `h_j` is the hop distance. This is the local equivalent
 /// of re-running M-position without moving anyone else (paper Section VI:
 /// "the new edge node has no effect on the other edge nodes").
-pub fn embed_new_switch(
-    topo: &Topology,
-    embedding: &Embedding,
-    new_switch: usize,
-) -> Result<Point2, GredError> {
-    let hops = topo.bfs_hops(new_switch);
+///
+/// `hops` is the new switch's BFS row ([`Topology::bfs_hops`]), indexed
+/// by switch id.
+///
+/// # Errors
+///
+/// [`GredError::Disconnected`] when `hops` leaves a member unreached.
+pub fn embed_new_switch(hops: &[u32], embedding: &Embedding) -> Result<Point2, GredError> {
     // Member coordinates and target distances, one flat array each.
     let n = embedding.members.len();
     let (mut qx, mut qy, mut want) = (
@@ -623,7 +625,7 @@ mod tests {
         let t = line(6);
         let members: Vec<usize> = (0..5).collect(); // 5 not yet a member
         let e = m_position(&t, &members).unwrap();
-        let p = embed_new_switch(&t, &e, 5).unwrap();
+        let p = embed_new_switch(&t.bfs_hops(5), &e).unwrap();
         // Switch 5 hangs off switch 4, so its position should be closest
         // to switch 4's.
         let d4 = p.distance(e.positions[4]);

@@ -5,6 +5,7 @@ use crate::config::GredConfig;
 use crate::control::delta::{
     affected_members, split_links, strip_member_state, Batch, DeltaReport, TopologyChange,
 };
+use crate::control::dt::leaving_index;
 use crate::control::embedding::{
     embed_new_switch, fit_scale, m_position_landmark, separate_duplicates, separate_joiner,
     Embedding,
@@ -19,6 +20,7 @@ use gred_geometry::Point2;
 use gred_hash::DataId;
 use gred_net::{ServerId, ServerPool, Topology};
 use gred_runtime::BuildReport;
+use std::collections::BTreeMap;
 
 /// A complete GRED deployment over one edge network.
 ///
@@ -44,20 +46,30 @@ pub struct GredNetwork {
     longest_link: usize,
 }
 
-/// Topology, pool and DT after a batch of joins and leaves, not yet
-/// installed on any switch.
-struct Evolved {
-    topology: Topology,
-    pool: ServerPool,
-    dt: DtGraph,
-    /// Switch ids created by joins, in order.
-    joined: Vec<usize>,
-    /// Switch ids removed by leaves, in order.
-    left: Vec<usize>,
-    /// Switches whose DT neighbors an event may have changed: each
-    /// joiner with its neighbors after joining, each leaver's neighbors
-    /// before leaving.
-    touched: Vec<usize>,
+/// One event of a batch as [`GredNetwork::admit`] applied it to the
+/// topology, with what `evolve` and `undo` need.
+enum Edit {
+    /// A new switch, the servers it brings, and its BFS hop row from when
+    /// it joined (a later leave in the batch may change distances).
+    Join {
+        switch: usize,
+        capacities: Vec<u64>,
+        hops: Vec<u32>,
+    },
+    /// A departed switch and the links it lost.
+    Leave { switch: usize, links: Vec<usize> },
+}
+
+/// The switches `edits` added and removed, each in order.
+fn joined_and_left(edits: &[Edit]) -> (Vec<usize>, Vec<usize>) {
+    let (mut joined, mut left) = (Vec::new(), Vec::new());
+    for edit in edits {
+        match *edit {
+            Edit::Join { switch, .. } => joined.push(switch),
+            Edit::Leave { switch, .. } => left.push(switch),
+        }
+    }
+    (joined, left)
 }
 
 /// The storage switches (those with a server) of a pool that describes
@@ -387,9 +399,11 @@ impl GredNetwork {
     ///
     /// Events apply in order; a later event may reference a switch created
     /// by an earlier `Join` in the same batch. On error nothing observable
-    /// changes: the batch is evolved on clones and the affected members'
-    /// paths are searched before anything is mutated; only then are the
-    /// installed planes patched in place and every key not at home moved.
+    /// changes: an admission pass first applies the batch to the topology
+    /// alone and decides every refusal there, undoing its edits (last
+    /// first) before it returns the error. Every later step cannot fail:
+    /// the DT and pool take the batch in place, and the installed planes
+    /// are patched in place before every key not at home moves.
     ///
     /// # Errors
     ///
@@ -397,20 +411,21 @@ impl GredNetwork {
     /// [`Self::remove_switch`].
     pub fn apply_delta(&mut self, changes: &[TopologyChange]) -> Result<DeltaReport, GredError> {
         let start = std::time::Instant::now();
-        let next = self.evolve(changes)?;
-        let (topo, dt, left) = (&next.topology, &next.dt, &next.left);
+        let edits = self.admit(changes)?;
+        let (joined, left) = joined_and_left(&edits);
+        self.retract_touching(&left);
+        let (replaced, leaver_links) = self.evolve(edits);
 
         // The affected set and its stale links, against the pre-batch
-        // planes, and their path search — the last step that can fail.
+        // planes, and their path search.
         let batch = Batch {
-            old_dt: &self.dt,
-            new_dt: dt,
-            old_topo: &self.topology,
-            new_topo: topo,
+            new_dt: &self.dt,
+            new_topo: &self.topology,
+            replaced: &replaced,
             planes: &self.dataplanes,
-            joiners: &next.joined,
-            leavers: left,
-            touched: &next.touched,
+            joiners: &joined,
+            leavers: &left,
+            leaver_links: &leaver_links,
             longest_link: self.longest_link,
         };
         let hit = affected_members(&batch);
@@ -419,27 +434,28 @@ impl GredNetwork {
             .iter()
             .map(|&u| split_links(&batch, &hit.stale, u))
             .collect();
+        let (topo, dt) = (&self.topology, &self.dt);
         let paths_per_member: Vec<_> = affected
             .iter()
             .zip(&links)
-            .map(|(&u, (_, searched))| virtual_paths(topo, u, searched))
-            .collect::<Option<_>>()
-            .ok_or(GredError::Disconnected)?;
+            .map(|(&u, (_, searched))| {
+                virtual_paths(topo, u, searched).expect("admitted members stay connected")
+            })
+            .collect();
         let links_searched = links.iter().map(|(_, searched)| searched.len()).sum();
 
-        self.retract_touching(left);
         // Strip stale state — affected members' entries but their kept
         // links, every leaver's chains, then the leaver planes themselves.
-        let mut planes = std::mem::take(&mut self.dataplanes);
+        let planes = &mut self.dataplanes;
         let mut tuples_removed = 0;
         for (&u, (kept, _)) in affected.iter().zip(&links) {
             if u < planes.len() {
-                tuples_removed += strip_member_state(&mut planes, u, kept);
+                tuples_removed += strip_member_state(planes, u, kept);
             }
         }
         let old_leavers: Vec<usize> = left.iter().copied().filter(|&l| l < planes.len()).collect();
         for &l in &old_leavers {
-            tuples_removed += strip_member_state(&mut planes, l, &[]);
+            tuples_removed += strip_member_state(planes, l, &[]);
         }
         for &l in &old_leavers {
             planes[l] = SwitchDataplane::transit(l);
@@ -449,8 +465,8 @@ impl GredNetwork {
         // ends up transit).
         for s in planes.len()..topo.switch_count() {
             planes.push(match dt.position_of(s) {
-                Some(pos) if next.pool.servers_at(s) > 0 => {
-                    SwitchDataplane::new(s, pos, next.pool.servers_at(s))
+                Some(pos) if self.pool.servers_at(s) > 0 => {
+                    SwitchDataplane::new(s, pos, self.pool.servers_at(s))
                 }
                 _ => SwitchDataplane::transit(s),
             });
@@ -460,20 +476,15 @@ impl GredNetwork {
         // affected cells, applied serially in member order — the same
         // discipline as the full installer.
         for (&u, member_paths) in affected.iter().zip(paths_per_member) {
-            let longest = apply_member_entries(&mut planes, topo, dt, u, member_paths);
+            let longest = apply_member_entries(planes, topo, dt, u, member_paths);
             self.longest_link = self.longest_link.max(longest);
-            planes[u].shrink_to_fit();
         }
 
         let members_total = dt.len();
-        self.topology = next.topology;
-        self.pool = next.pool;
-        self.dt = next.dt;
-        self.dataplanes = planes;
         self.migrate_all();
         Ok(DeltaReport {
-            joined: next.joined,
-            left: next.left,
+            joined,
+            left,
             affected,
             members_total,
             links_searched,
@@ -482,76 +493,136 @@ impl GredNetwork {
         })
     }
 
-    /// Topology, pool, DT and positions after `changes`, event by event
-    /// (each join is embedded against the state its predecessors left
-    /// behind). Works on clones: a refused event leaves `self` untouched.
-    fn evolve(&self, changes: &[TopologyChange]) -> Result<Evolved, GredError> {
-        let mut topo = self.topology.clone();
-        let mut pool = self.pool.clone();
-        // The batch's one DT copy; every event edits it in place.
-        let mut dt = self.dt.clone();
-        let mut joined = Vec::new();
-        let mut left = Vec::new();
-        let mut touched = Vec::new();
+    /// The admission pass of [`Self::apply_delta`]: applies `changes` to
+    /// the topology alone, in order, and decides every refusal there. On
+    /// error every edit made so far is undone, so `self` is unchanged.
+    fn admit(&mut self, changes: &[TopologyChange]) -> Result<Vec<Edit>, GredError> {
+        let mut members = self.dt.members().to_vec();
+        let mut edits = Vec::with_capacity(changes.len());
         for change in changes {
-            match change {
-                TopologyChange::Join { links, capacities } => {
-                    if capacities.is_empty() {
-                        return Err(GredError::InvalidDynamics {
-                            reason: "a joining edge node needs at least one server",
-                        });
-                    }
-                    if links.is_empty() {
-                        return Err(GredError::InvalidDynamics {
-                            reason: "a joining switch needs at least one link",
-                        });
-                    }
-                    let new_switch = topo.add_switch();
-                    for &l in links {
-                        topo.add_link(new_switch, l)?;
-                    }
-                    // Embed the newcomer against the fixed existing
-                    // positions, then move it clear of all of them.
-                    let view = Embedding {
-                        members: dt.members().to_vec(),
-                        positions: dt
-                            .members()
-                            .iter()
-                            .map(|&m| dt.position_of(m).expect("member has position"))
-                            .collect(),
-                        scale: self.scale,
-                    };
-                    let position = embed_new_switch(&topo, &view, new_switch)?;
-                    dt.join(new_switch, separate_joiner(&view.positions, position))?;
-                    touched.push(new_switch);
-                    touched.extend(dt.neighbors_of(new_switch));
-                    pool.push_switch(capacities.clone());
-                    joined.push(new_switch);
+            if let Err(e) = self.admit_event(change, &mut members, &mut edits) {
+                self.undo(edits);
+                return Err(e);
+            }
+        }
+        Ok(edits)
+    }
+
+    /// One event of [`Self::admit`], checked against the working member
+    /// list `members`; its edit is journaled before a check can refuse it.
+    fn admit_event(
+        &mut self,
+        change: &TopologyChange,
+        members: &mut Vec<usize>,
+        edits: &mut Vec<Edit>,
+    ) -> Result<(), GredError> {
+        let topo = &mut self.topology;
+        match change {
+            TopologyChange::Join { links, capacities } => {
+                if capacities.is_empty() {
+                    return Err(GredError::InvalidDynamics {
+                        reason: "a joining edge node needs at least one server",
+                    });
                 }
-                TopologyChange::Leave { switch } => {
-                    if dt.is_member(*switch) {
-                        touched.extend(dt.neighbors_of(*switch));
-                    }
-                    dt.leave(*switch)?;
-                    // The remaining members must stay mutually reachable.
-                    topo.isolate(*switch);
-                    let hops = topo.bfs_hops(dt.members()[0]);
-                    if dt.members().iter().any(|&m| hops[m] == u32::MAX) {
-                        return Err(GredError::Disconnected);
-                    }
-                    pool.clear_switch(*switch);
-                    left.push(*switch);
+                if links.is_empty() {
+                    return Err(GredError::InvalidDynamics {
+                        reason: "a joining switch needs at least one link",
+                    });
+                }
+                let switch = topo.add_switch();
+                let linked = links.iter().try_for_each(|&l| topo.add_link(switch, l));
+                let hops = topo.bfs_hops(switch);
+                // The joiner must reach every member it is embedded against.
+                let reaches = members.iter().all(|&m| hops[m] != u32::MAX);
+                let capacities = capacities.clone();
+                edits.push(Edit::Join {
+                    switch,
+                    capacities,
+                    hops,
+                });
+                linked?;
+                if !reaches {
+                    return Err(GredError::Disconnected);
+                }
+                members.push(switch);
+            }
+            TopologyChange::Leave { switch } => {
+                members.remove(leaving_index(members, *switch)?);
+                let links = topo.isolate(*switch);
+                edits.push(Edit::Leave {
+                    switch: *switch,
+                    links,
+                });
+                // The remaining members must stay mutually reachable.
+                let hops = topo.bfs_hops(members[0]);
+                if members.iter().any(|&m| hops[m] == u32::MAX) {
+                    return Err(GredError::Disconnected);
                 }
             }
         }
-        Ok(Evolved {
-            topology: topo,
-            pool,
-            dt,
-            joined,
-            left,
-            touched,
-        })
+        Ok(())
+    }
+
+    /// Takes `edits` back off the topology, last first.
+    fn undo(&mut self, edits: Vec<Edit>) {
+        for edit in edits.into_iter().rev() {
+            match edit {
+                Edit::Join { switch, .. } => {
+                    self.topology.isolate(switch);
+                    self.topology.pop_switch();
+                }
+                Edit::Leave { switch, links } => {
+                    for n in links {
+                        self.topology
+                            .add_link(switch, n)
+                            .expect("a removed link is valid");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Applies admitted `edits` to the DT and pool in place, each joiner
+    /// embedded from its saved hop row. Returns the pre-batch DT
+    /// neighbors of every member an event rewrote (see [`Batch`]) and
+    /// each leaver's lost links.
+    fn evolve(&mut self, edits: Vec<Edit>) -> (BTreeMap<usize, Vec<usize>>, Vec<Vec<usize>>) {
+        let mut replaced = BTreeMap::new();
+        let mut leaver_links = Vec::new();
+        for edit in edits {
+            let rewritten = match edit {
+                Edit::Join {
+                    switch,
+                    capacities,
+                    hops,
+                } => {
+                    // Embed the newcomer against the fixed existing
+                    // positions, then move it clear of all of them.
+                    let view = Embedding {
+                        members: self.dt.members().to_vec(),
+                        positions: self.dt.triangulation().points().to_vec(),
+                        scale: self.scale,
+                    };
+                    let position =
+                        embed_new_switch(&hops, &view).expect("an admitted joiner reaches members");
+                    self.pool.push_switch(capacities);
+                    self.dt
+                        .join(switch, separate_joiner(&view.positions, position))
+                        .expect("a separated joiner sits inside the unit square, apart")
+                }
+                Edit::Leave { switch, links } => {
+                    self.pool.clear_switch(switch);
+                    leaver_links.push(links);
+                    self.dt
+                        .leave(switch)
+                        .expect("an admitted leaver is a member, not the last")
+                }
+            };
+            for (m, old) in rewritten {
+                replaced.entry(m).or_insert(old);
+            }
+        }
+        (replaced, leaver_links)
     }
 
     /// Retracts every range extension touching a leaver while the old
@@ -579,7 +650,8 @@ impl GredNetwork {
     /// Same as [`Self::remove_switch`]. A refused crash changes nothing:
     /// the leave is validated before any item is dropped.
     pub fn crash_switch(&mut self, switch: usize) -> Result<(), GredError> {
-        self.evolve(&[TopologyChange::Leave { switch }])?;
+        let edits = self.admit(&[TopologyChange::Leave { switch }])?;
+        self.undo(edits);
         // Data dies with the node.
         let _ = self.store.drain_switch(switch);
         self.remove_switch(switch)
@@ -1179,7 +1251,7 @@ mod tests {
     #[test]
     fn bounded_triggers_match_the_full_scans() {
         // Seeded join+leave churn. For every batch, the affected set
-        // apply_delta computes (trigger 1 over the touched members only,
+        // apply_delta computes (trigger 1 over the rewritten lists only,
         // trigger 4 over the members near each joiner) equals trigger 1
         // over every member and trigger 4 over every installed link.
         use crate::control::delta::{affected_with, shortened_anywhere};
@@ -1208,28 +1280,29 @@ mod tests {
                     capacities: vec![100_000],
                 },
             ];
-            let Ok(next) = net.evolve(&batch) else {
+            let mut next = net.clone();
+            let Ok(edits) = next.admit(&batch) else {
                 continue;
             };
-            let everyone: Vec<usize> = net
+            let (joined, left) = joined_and_left(&edits);
+            let (replaced, leaver_links) = next.evolve(edits);
+            let everyone: BTreeMap<usize, Vec<usize>> = net
                 .members()
                 .iter()
-                .chain(next.dt.members())
-                .copied()
+                .map(|&m| (m, net.dt.neighbors_of(m)))
                 .collect();
-            let batch_view = |touched| Batch {
-                old_dt: &net.dt,
+            let batch_view = |replaced| Batch {
                 new_dt: &next.dt,
-                old_topo: &net.topology,
                 new_topo: &next.topology,
+                replaced,
                 planes: &net.dataplanes,
-                joiners: &next.joined,
-                leavers: &next.left,
-                touched,
+                joiners: &joined,
+                leavers: &left,
+                leaver_links: &leaver_links,
                 longest_link: net.longest_link,
             };
             let oracle = affected_with(&batch_view(&everyone), shortened_anywhere);
-            let bounded = affected_members(&batch_view(&next.touched));
+            let bounded = affected_members(&batch_view(&replaced));
             assert_eq!(bounded, oracle, "batch {batch_no}");
             let near_only = affected_with(&batch_view(&everyone), |_, _| Vec::new());
             shortcuts += oracle.members.len() - near_only.members.len();

@@ -171,6 +171,11 @@ pub struct Triangulation {
     collinear: bool,
 }
 
+/// The neighbor lists an update of a [`Triangulation`] overwrote, as
+/// `(point, list before the update)` pairs; every point not listed keeps
+/// its list.
+pub type Rewritten = Vec<(usize, Vec<usize>)>;
+
 fn edge_key(a: usize, b: usize) -> (usize, usize) {
     if a < b {
         (a, b)
@@ -684,11 +689,14 @@ impl Triangulation {
     /// result is identical either way because a point set has a unique
     /// DT (up to co-circular ties).
     ///
+    /// Returns the lists it rewrote: one per neighbor of `p`, or one per
+    /// existing point after a rebuild.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Triangulation::new`]; on error `self` is
     /// unchanged.
-    pub fn insert(&mut self, p: Point2) -> Result<(), DelaunayError> {
+    pub fn insert(&mut self, p: Point2) -> Result<Rewritten, DelaunayError> {
         let n = self.points.len();
         check_coordinate(p, n)?;
         let ip = quantize(p);
@@ -698,11 +706,10 @@ impl Triangulation {
             match self.mesh.insert(n) {
                 Ok(true) => {
                     self.points.push(unquantize(ip));
-                    self.neighbors.push(Vec::new());
-                    for v in std::iter::once(n).chain(self.mesh.adjacent(n)) {
-                        self.neighbors[v] = self.mesh.adjacent(v);
-                    }
-                    return Ok(());
+                    let spokes = self.mesh.adjacent(n);
+                    let replaced = spokes.iter().map(|&v| self.refresh(v)).collect();
+                    self.neighbors.push(spokes);
+                    return Ok(replaced);
                 }
                 outcome => {
                     self.mesh.pts.pop();
@@ -717,8 +724,17 @@ impl Triangulation {
         // rebuild from scratch.
         let mut pts = self.points.clone();
         pts.push(p);
-        *self = Triangulation::new(&pts)?;
-        Ok(())
+        let old = std::mem::replace(self, Triangulation::new(&pts)?).neighbors;
+        Ok(old.into_iter().enumerate().collect())
+    }
+
+    /// Recomputes point `v`'s neighbor list from the mesh, returning `v`
+    /// with its old list.
+    fn refresh(&mut self, v: usize) -> (usize, Vec<usize>) {
+        (
+            v,
+            std::mem::replace(&mut self.neighbors[v], self.mesh.adjacent(v)),
+        )
     }
 
     /// [`Triangulation::insert`] on a copy.
@@ -747,6 +763,10 @@ impl Triangulation {
     /// remainder fall back to a full rebuild. The result is the DT of the
     /// remaining points either way (up to co-circular ties).
     ///
+    /// Returns the lists it rewrote, in indices from before the removal:
+    /// one per neighbor of `i`, or one per remaining point after a
+    /// rebuild. Every other list is kept, shifted with the indices.
+    ///
     /// # Errors
     ///
     /// [`DelaunayError::Empty`] when `i` is the only point; `self` is
@@ -755,13 +775,17 @@ impl Triangulation {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn remove(&mut self, i: usize) -> Result<(), DelaunayError> {
+    pub fn remove(&mut self, i: usize) -> Result<Rewritten, DelaunayError> {
         assert!(i < self.points.len(), "point index out of range");
         let rebuild = |this: &mut Triangulation| {
             let mut pts = this.points.clone();
             pts.remove(i);
-            *this = Triangulation::new(&pts)?;
-            Ok(())
+            let old = std::mem::replace(this, Triangulation::new(&pts)?).neighbors;
+            Ok(old
+                .into_iter()
+                .enumerate()
+                .filter(|&(v, _)| v != i)
+                .collect())
         };
         if self.collinear {
             return rebuild(self);
@@ -802,9 +826,7 @@ impl Triangulation {
         for t in fill {
             self.mesh.add_tri(t);
         }
-        for &v in &link {
-            self.neighbors[v] = self.mesh.adjacent(v);
-        }
+        let replaced = link.iter().map(|&v| self.refresh(v)).collect();
         self.mesh.delete_point(i);
         self.points.remove(i);
         self.neighbors.remove(i);
@@ -813,7 +835,7 @@ impl Triangulation {
                 *v -= 1;
             }
         }
-        Ok(())
+        Ok(replaced)
     }
 
     /// [`Triangulation::remove`] on a copy.
@@ -1640,6 +1662,41 @@ mod incremental_tests {
                 .collect();
             proptest::prop_assume!(pts.len() >= 2 && Triangulation::new(&pts).is_ok());
             check_every_removal(&pts);
+        }
+
+        /// An insert or a remove reports exactly the neighbor lists it
+        /// rewrote: each listed pair carries the list from before the
+        /// event, and every unlisted point keeps its list, mapped through
+        /// the index shift.
+        #[test]
+        fn prop_events_report_every_rewritten_list(
+            cells in proptest::collection::hash_set((0u32..1000, 0u32..1000), 3..40),
+            joiner in (0u32..1000, 0u32..1000),
+            victim in proptest::prelude::any::<proptest::sample::Index>(),
+            remove in proptest::prelude::any::<bool>(),
+        ) {
+            let at = |(x, y): (u32, u32)| Point2::new(f64::from(x) / 1000.0, f64::from(y) / 1000.0);
+            proptest::prop_assume!(remove || !cells.contains(&joiner));
+            let pts: Vec<Point2> = cells.into_iter().map(at).collect();
+            let before = Triangulation::new(&pts).unwrap();
+            let mut after = before.clone();
+            let (replaced, gone) = if remove {
+                let i = victim.index(pts.len());
+                (after.remove(i).unwrap(), Some(i))
+            } else {
+                (after.insert(at(joiner)).unwrap(), None)
+            };
+            let shift = |v: usize| if gone.is_some_and(|i| v > i) { v - 1 } else { v };
+            for (v, old) in &replaced {
+                proptest::prop_assert!(Some(*v) != gone);
+                proptest::prop_assert_eq!(old, &before.neighbors(*v).collect::<Vec<_>>());
+            }
+            for v in (0..pts.len()).filter(|&v| Some(v) != gone) {
+                if replaced.iter().all(|(w, _)| *w != v) {
+                    let kept: Vec<usize> = before.neighbors(v).map(shift).collect();
+                    proptest::prop_assert_eq!(after.neighbors(shift(v)).collect::<Vec<_>>(), kept);
+                }
+            }
         }
     }
 

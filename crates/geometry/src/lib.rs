@@ -26,7 +26,7 @@ pub mod predicates;
 pub mod voronoi;
 
 pub use cvt::{c_regulation, cvt_energy_exact, CRegulationConfig};
-pub use delaunay::{empty_circumcircle_violation, DelaunayError, Triangulation};
+pub use delaunay::{empty_circumcircle_violation, DelaunayError, Rewritten, Triangulation};
 pub use hull::convex_hull;
 pub use point::Point2;
 pub use polygon::Polygon;

@@ -303,18 +303,33 @@ impl Topology {
         self.bfs_hops(0).iter().all(|&d| d != u32::MAX)
     }
 
+    /// Removes the last switch, which must have no links: undoes an
+    /// [`Topology::add_switch`] once [`Topology::isolate`] has removed
+    /// the new switch's links.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology is empty or the last switch has a link.
+    pub fn pop_switch(&mut self) {
+        let last = self.adj.pop().expect("a switch to pop");
+        assert!(last.is_empty(), "popped switch still has links");
+    }
+
     /// Removes switch `s`'s links (the switch index remains valid but
-    /// isolated). Used to model switch failure.
+    /// isolated) and returns its former neighbors, ascending. Used to
+    /// model switch failure.
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range.
-    pub fn isolate(&mut self, s: usize) {
+    pub fn isolate(&mut self, s: usize) -> Vec<usize> {
         assert!(s < self.adj.len(), "switch {s} out of range");
-        for n in std::mem::take(&mut self.adj[s]) {
+        let links = std::mem::take(&mut self.adj[s]);
+        for &n in &links {
             let at = self.adj[n].binary_search(&s).expect("links are symmetric");
             self.adj[n].remove(at);
         }
+        links
     }
 }
 

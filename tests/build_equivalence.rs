@@ -1,8 +1,10 @@
 //! Property-based check that the landmark knob is a no-op on networks too
-//! small to subsample: for any topology and seed, a build asking for more
-//! landmarks than members is bit-identical to the exact build — same
-//! virtual positions, same Delaunay adjacency, same installed forwarding
-//! entries on every switch.
+//! small to subsample: both builds run the one M-position
+//! (`m_position_landmark`) with every member a landmark, so for any
+//! topology and seed a build asking for more landmarks than members
+//! ignores the landmark seed and is bit-identical to the `landmarks:
+//! None` build — same virtual positions, same Delaunay adjacency, same
+//! installed forwarding entries on every switch.
 
 use gred::{GredConfig, GredNetwork};
 use gred_dataplane::{DtTuple, NeighborEntry};
@@ -53,8 +55,9 @@ fn build(switches: usize, seed: u64, landmarks: Option<usize>) -> GredNetwork {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// When `k >= members`, the landmark knob must be a no-op: the build
-    /// falls back to the exact classical embedding bit for bit.
+    /// When `k >= members`, the landmark knob must be a no-op: an
+    /// oversized `k` ignores the landmark seed and equals `landmarks:
+    /// None` bit for bit.
     #[test]
     fn oversized_landmark_count_falls_back_to_exact(
         switches in 5usize..20,

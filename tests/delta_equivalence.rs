@@ -16,10 +16,10 @@
 
 use gred::control::install_dataplanes;
 use gred::plane::forwarding::route;
-use gred::{GredConfig, GredNetwork, TopologyChange};
+use gred::{GredConfig, GredError, GredNetwork, TopologyChange};
 use gred_dataplane::DtTuple;
 use gred_hash::DataId;
-use gred_net::{waxman_topology, ServerPool, WaxmanConfig};
+use gred_net::{waxman_topology, ServerPool, TopologyError, WaxmanConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Deterministic LCG, so churn schedules are reproducible.
@@ -451,4 +451,140 @@ fn every_chain_stays_a_shortest_path_under_churn() {
         }
         assert_eq!(chain.len() + 1, from.1[v] as usize, "link {u}->{v}");
     }
+}
+
+/// Everything a refused batch must leave as it was: the topology, the
+/// members and their positions, the DT edges, every plane's neighbor and
+/// relay entries, and the store.
+type Snapshot = (
+    gred_net::Topology,
+    Vec<(usize, gred_geometry::Point2)>,
+    Vec<(usize, usize)>,
+    Vec<(Vec<gred_dataplane::NeighborEntry>, Vec<DtTuple>)>,
+    Vec<(gred_net::ServerId, DataId)>,
+);
+
+fn snapshot(net: &GredNetwork) -> Snapshot {
+    let positions = net
+        .members()
+        .iter()
+        .map(|&m| (m, net.position_of_switch(m).expect("member position")))
+        .collect();
+    let tables = net
+        .dataplanes()
+        .iter()
+        .map(|p| {
+            (
+                p.neighbor_entries().copied().collect(),
+                p.relay_entries().copied().collect(),
+            )
+        })
+        .collect();
+    (
+        net.topology().clone(),
+        positions,
+        net.dt().edges(),
+        tables,
+        net.store().all_locations(),
+    )
+}
+
+/// A member whose leave the network accepts on its own.
+fn removable_member(net: &GredNetwork) -> usize {
+    let members = net.members();
+    *members[1..]
+        .iter()
+        .find(|&&m| net.clone().remove_switch(m).is_ok())
+        .expect("a removable member")
+}
+
+#[test]
+fn a_batch_refused_mid_way_changes_nothing() {
+    // Each batch is refused at its second or third event, after earlier
+    // events edited the topology: the refusal must undo them all.
+    for seed in [3, 17] {
+        let mut net = base_network(24, seed);
+        let n = net.topology().switch_count();
+        let anchor = net.members()[0];
+        let victim = removable_member(&net);
+        let join = |links: Vec<usize>| TopologyChange::Join {
+            links,
+            capacities: vec![u64::MAX],
+        };
+        let refused = [
+            // The joiner hangs off `anchor` alone, so `anchor` leaving
+            // cuts it off from every other member.
+            (
+                vec![join(vec![anchor]), TopologyChange::Leave { switch: anchor }],
+                GredError::Disconnected,
+            ),
+            // The second joiner's first link is made before its second
+            // one is refused.
+            (
+                vec![join(vec![1, 2]), join(vec![0, n + 99])],
+                GredError::Topology(TopologyError::SwitchOutOfRange {
+                    switch: n + 99,
+                    count: n + 2,
+                }),
+            ),
+            // `victim` is no member any more when it leaves again.
+            (
+                vec![
+                    join(vec![2]),
+                    TopologyChange::Leave { switch: victim },
+                    TopologyChange::Leave { switch: victim },
+                ],
+                GredError::InvalidDynamics {
+                    reason: "switch is not a DT member",
+                },
+            ),
+        ];
+        for (batch, expected) in refused {
+            let before = snapshot(&net);
+            assert_eq!(
+                net.apply_delta(&batch).unwrap_err(),
+                expected,
+                "seed {seed}"
+            );
+            assert!(
+                snapshot(&net) == before,
+                "seed {seed}: {expected:?} changed state"
+            );
+        }
+        assert!(net.verify_invariants().is_empty());
+        // The network still takes a valid batch afterwards.
+        let report = net
+            .apply_delta(&[
+                join(vec![anchor, 1]),
+                TopologyChange::Leave { switch: victim },
+            ])
+            .expect("a valid batch");
+        assert_eq!(report.joined, vec![n]);
+        assert!(net.verify_invariants().is_empty());
+    }
+}
+
+#[test]
+fn a_refused_crash_changes_nothing() {
+    // A pendant hangs off `anchor` alone, so `anchor` is a cut vertex:
+    // its crash is refused before any item or edit is lost.
+    let mut net = base_network(20, 5);
+    let mut held = BTreeMap::new();
+    for (server, _) in net.store().all_locations() {
+        *held.entry(server.switch).or_insert(0) += 1;
+    }
+    let (&anchor, _) = held.iter().max_by_key(|&(_, count)| *count).expect("items");
+    net.add_switch(&[anchor], vec![u64::MAX])
+        .expect("pendant joins");
+    let held = net
+        .store()
+        .all_locations()
+        .iter()
+        .filter(|(s, _)| s.switch == anchor)
+        .count();
+    assert!(held > 0, "the victim holds items");
+    let before = snapshot(&net);
+    assert_eq!(net.crash_switch(anchor), Err(GredError::Disconnected));
+    assert!(snapshot(&net) == before);
+    assert!(net.verify_invariants().is_empty());
 }
