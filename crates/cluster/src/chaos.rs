@@ -726,7 +726,7 @@ fn heal_probe(cluster: &Cluster, net: &GredNetwork, cfg: &ChaosConfig) -> Option
     for (switch, _) in cluster.live_nodes() {
         let mut reader = cluster.client(switch).ok()?;
         for id in &ids {
-            // A transit relay refuses; a member answers `NotFound`.
+            // A transit switch refuses; a member answers `NotFound`.
             let _ = reader.retrieve(id);
         }
     }
@@ -756,9 +756,10 @@ fn heal_probe(cluster: &Cluster, net: &GredNetwork, cfg: &ChaosConfig) -> Option
 }
 
 /// The operator runbook for a crashed node: mirror the crash on the
-/// model twin (victim becomes a transit plane, its data is gone), cut
-/// over to the post-crash planes, revive the slot as a transit relay so
-/// multi-hop virtual links keep working, repair, and reconnect.
+/// model twin (victim loses its links and becomes an empty transit
+/// plane, its data is gone, every chain through it is re-routed), cut
+/// over to the post-crash planes, revive the slot as an isolated transit
+/// switch that relays nothing, repair, and reconnect.
 fn recover(
     cluster: &mut Cluster,
     net: &mut GredNetwork,
@@ -790,7 +791,7 @@ fn chaos_network(cfg: &ChaosConfig) -> io::Result<GredNetwork> {
 }
 
 /// A client rotating across four live member switches — killed slots
-/// (revived as transit relays) are not used as access nodes.
+/// (revived as isolated transit switches) are not used as access nodes.
 fn member_client(cluster: &Cluster, net: &GredNetwork) -> Result<Client, ClientError> {
     let members = net.members();
     let stride = (members.len() / 4).max(1);

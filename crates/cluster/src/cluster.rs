@@ -251,7 +251,10 @@ impl Cluster {
     /// Boots a fresh node in slot `switch` from the model's *current*
     /// dataplane and store contents, then re-introduces it to every live
     /// peer (clearing their suspicion). After a `crash_switch` on the
-    /// model twin this revives the slot as a transit-only relay; after an
+    /// model twin this revives the slot as an isolated transit switch: a
+    /// crash is a leave, so the model dropped its links and re-routed
+    /// every chain through it, and the revived node relays nothing. It
+    /// answers scrapes and pings and refuses data requests. After an
     /// `add_switch` it boots the newcomer in a new slot, ready for the
     /// [`Cluster::apply_planes`] cut that hands it its keys.
     ///
@@ -458,7 +461,8 @@ mod tests {
         client.place(&id, b"v".as_ref()).unwrap();
 
         // Kill the owner, mirror the crash on the model twin, push the
-        // post-crash planes, and revive the slot as a transit relay.
+        // post-crash planes, and revive the slot as an isolated transit
+        // switch that relays nothing.
         assert!(cluster.crash_node(owner.switch).is_some());
         assert!(cluster.crash_node(owner.switch).is_none(), "already down");
         net.crash_switch(owner.switch).unwrap();

@@ -1048,6 +1048,35 @@ mod tests {
     }
 
     #[test]
+    fn a_crashed_relay_relays_nothing() {
+        // A crash is a leave: the victim loses every link, its plane
+        // becomes an empty transit plane, and every chain that ran
+        // through it is re-searched on a topology where it has none.
+        let net = build_net(30, 11);
+        let (v, crashed) = net
+            .members()
+            .iter()
+            .filter(|&&v| net.dataplanes()[v].relay_entries().next().is_some())
+            .find_map(|&v| {
+                let mut crashed = net.clone();
+                crashed.crash_switch(v).ok().map(|()| (v, crashed))
+            })
+            .expect("a relaying member crashes without a partition");
+        assert_eq!(crashed.topology().degree(v), 0);
+        let plane = &crashed.dataplanes()[v];
+        assert_eq!(plane.neighbor_entries().count(), 0);
+        assert_eq!(plane.relay_entries().count(), 0);
+        for p in crashed.dataplanes() {
+            assert!(
+                p.relay_entries().all(|t| t.pred != v && t.succ != v),
+                "switch {} still relays through {v}",
+                p.id()
+            );
+        }
+        assert!(crashed.verify_invariants().is_empty());
+    }
+
+    #[test]
     fn verify_invariants_reports_a_detour_chain() {
         // Members 0 and 3 over a 2-hop path 0-1-3 and a 3-hop one
         // 0-2-4-3: the build installs 0->3 via 1. Rerouting it over the

@@ -13,17 +13,17 @@
 //!   reads through, and the one [`DecodeError`] they all fail with,
 //! - [`packet`]: GRED packet headers (placement/retrieval/response tags,
 //!   data id and virtual position, virtual-link relay header, payload),
-//! - [`table`]: a generic exact-match match-action table with entry
-//!   accounting (forwarding-table size is one of the paper's metrics),
 //! - [`relay`]: the prefix-compressed relay table — per-destination
 //!   wildcard defaults plus exception entries, keeping installed counts
 //!   sub-linear in the number of relayed paths,
 //! - [`entries`]: the concrete entry types GRED installs,
-//! - [`switch`]: the per-switch data plane — tables plus the greedy
-//!   next-hop selection pipeline (Algorithm 2's data-plane half),
+//! - [`switch`]: the per-switch data plane — the neighbor, relay and
+//!   extension tables, each a sorted `Vec` of its own entries, with
+//!   entry accounting (forwarding-table size is one of the paper's
+//!   metrics),
 //! - [`step`]: the one per-switch step — relay-header handling
-//!   (Section V-A) then the greedy pipeline — that the in-process model
-//!   walks and a cluster node wraps,
+//!   (Section V-A) then the greedy stage (Algorithm 2's data-plane
+//!   half) — that the in-process model walks and a cluster node wraps,
 //! - [`stats`]: per-switch and network-wide table-occupancy statistics
 //!   (Fig. 9(d)),
 //! - [`obs`]: observability payloads — the stats snapshot a node serves
@@ -41,7 +41,6 @@ pub mod relay;
 pub mod stats;
 pub mod step;
 pub mod switch;
-pub mod table;
 pub mod wire;
 
 pub use cursor::{Cursor, DecodeError};
@@ -51,6 +50,5 @@ pub use packet::{Cacheable, Packet, PacketKind, RelayHeader, ResponseStatus};
 pub use relay::RelayTable;
 pub use stats::{NodeHotStats, TableStats};
 pub use step::{link_hops, BrokenAt, Delivery, Hop, Refusal};
-pub use switch::{ForwardDecision, SwitchDataplane};
-pub use table::MatchActionTable;
+pub use switch::SwitchDataplane;
 pub use wire::{encode, encode_into, parse, parse_bytes};

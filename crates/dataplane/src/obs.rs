@@ -350,7 +350,7 @@ pub enum AdminOp {
         /// Victim switch id.
         switch: u32,
     },
-    /// Restart a previously crashed `switch` as a transit relay.
+    /// Restart a previously crashed `switch` as an isolated transit switch.
     Restart {
         /// Slot to revive.
         switch: u32,

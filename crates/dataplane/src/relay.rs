@@ -43,7 +43,6 @@ pub struct RelayTable {
     /// Installed entries: one wildcard per destination plus one per
     /// exception.
     installed: usize,
-    high_water: usize,
 }
 
 impl Default for RelayTable {
@@ -58,7 +57,6 @@ impl RelayTable {
         RelayTable {
             tuples: Vec::new(),
             installed: 0,
-            high_water: 0,
         }
     }
 
@@ -89,7 +87,6 @@ impl RelayTable {
         let before = self.installed_for(dest);
         let out = edit(&mut self.tuples);
         self.installed = self.installed + self.installed_for(dest) - before;
-        self.high_water = self.high_water.max(self.installed);
         out
     }
 
@@ -113,7 +110,7 @@ impl RelayTable {
         let at = self.slot(dest, sour).ok()?;
         Some(self.edit_run(dest, |tuples| {
             let removed = tuples.remove(at);
-            crate::table::release_slack(tuples);
+            crate::switch::release_slack(tuples);
             removed
         }))
     }
@@ -158,11 +155,6 @@ impl RelayTable {
     /// exported for the paper's entry-count metric.
     pub fn installed_len(&self) -> usize {
         self.installed
-    }
-
-    /// Highest installed-entry count ever reached.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// Releases storage beyond the installed tuples.
@@ -300,15 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_high_water() {
+    fn clear_empties_the_table() {
         let mut table = RelayTable::new();
         table.insert(t(1, 0, 7, 9));
         table.insert(t(2, 0, 8, 9));
-        assert_eq!(table.high_water(), 2);
         table.clear();
         assert!(table.is_empty());
         assert_eq!(table.installed_len(), 0);
-        assert_eq!(table.high_water(), 2, "high water survives clear");
         assert_eq!(table.next_hop(9, 1), None);
     }
 

@@ -11,8 +11,9 @@
 //! virtual link for the controller's audits, next to the code that
 //! forwards along it.
 
+use crate::entries::NeighborEntry;
 use crate::packet::RelayHeader;
-use crate::switch::{ForwardDecision, SwitchDataplane};
+use crate::switch::SwitchDataplane;
 use gred_geometry::Point2;
 use gred_hash::DataId;
 use gred_net::ServerId;
@@ -98,13 +99,23 @@ impl SwitchDataplane {
     ///   `relay` to its `succ` ([`Hop::Relay`]);
     /// - `relay` names this switch as the link's `dest`: pop the header
     ///   and fall through to the greedy pipeline;
-    /// - no header: run [`decide_avoiding`](Self::decide_avoiding), and
-    ///   when it picks a multi-hop DT neighbor set the header
-    ///   `<dest: neighbor, sour: self, relay: first hop>`.
+    /// - no header: run the greedy stage, and when it picks a multi-hop
+    ///   DT neighbor set the header `<dest: neighbor, sour: self, relay:
+    ///   first hop>`.
     ///
-    /// The `bool` is `decide_avoiding`'s detour flag (always `false` on a
-    /// relay leg). `packets_processed` counts one per greedy decision and
-    /// one per relay lookup, nothing for a `WrongSwitch` or
+    /// Neighbors for which `alive` returns `false` are treated as absent,
+    /// so the greedy stage falls back to the next-best neighbor (or local
+    /// delivery) instead of forwarding into a suspect peer. The `bool`
+    /// says whether that *detoured* — whether the unfiltered stage would
+    /// have chosen differently (always `false` on a relay leg). Filtering
+    /// can only remove forwarding candidates, so every filtered step
+    /// still strictly decreases the `(distance², lex)` measure toward the
+    /// data position: the walk cannot cycle, whatever each node's local
+    /// view of liveness is. A detoured delivery may land off the true
+    /// greedy owner, which callers surface as a `Degraded` response.
+    ///
+    /// `packets_processed` counts one per greedy decision and one per
+    /// relay lookup, nothing for a `WrongSwitch` or
     /// `TransitGreedy` refusal.
     pub fn step(
         &self,
@@ -131,29 +142,82 @@ impl SwitchDataplane {
         if self.server_count() == 0 {
             return Err(Refusal::TransitGreedy);
         }
-        let (decision, detoured) = self.decide_avoiding(position, id, alive);
-        let hop = match decision {
-            ForwardDecision::DeliverLocal {
-                server,
-                extended_to,
-            } => Hop::Deliver(Delivery {
-                server,
-                extended_to,
-            }),
-            ForwardDecision::Forward {
-                neighbor,
-                next_hop,
-                virtual_link,
-            } => Hop::Forward {
-                to: next_hop,
-                relay: virtual_link.then_some(RelayHeader {
-                    dest: neighbor,
+        Ok(self.greedy(position, id, alive))
+    }
+
+    /// The greedy stage alone, with every neighbor alive: what a packet
+    /// with no relay header gets from [`step`](Self::step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a transit switch (no servers): transit switches
+    /// only relay; the controller never makes them DT members.
+    pub fn decide(&self, data_position: Point2, id: &DataId) -> Hop {
+        assert!(
+            self.server_count() > 0,
+            "transit switch {} cannot run the greedy placement pipeline",
+            self.id()
+        );
+        self.greedy(data_position, id, &|_| true).0
+    }
+
+    /// Algorithm 2: compare every neighbor's distance to the data position
+    /// against this switch's own; forward to the strictly closer minimum,
+    /// or deliver locally when none is closer. Distance ties between
+    /// neighbors break by lexicographic coordinate rank, the paper's
+    /// Voronoi-edge tie-break. Returns the hop and the detour flag.
+    fn greedy(&self, position: Point2, id: &DataId, alive: &dyn Fn(usize) -> bool) -> (Hop, bool) {
+        self.count_packet();
+        let own = self.position().distance_squared(position);
+        // Track the best live candidate (the decision) and the best
+        // unfiltered candidate (to detect detours) in one pass.
+        let mut best: Option<&NeighborEntry> = None;
+        let mut best_d = own;
+        let mut best_all: Option<&NeighborEntry> = None;
+        let mut best_all_d = own;
+        for entry in self.neighbor_entries() {
+            let d = entry.position.distance_squared(position);
+            let better = |cur: Option<&NeighborEntry>, cur_d: f64| match cur {
+                _ if d < cur_d => true,
+                Some(c) if d == cur_d => {
+                    entry.position.lex_cmp(c.position) == std::cmp::Ordering::Less
+                }
+                _ => false,
+            };
+            if better(best_all, best_all_d) {
+                best_all = Some(entry);
+                best_all_d = d;
+            }
+            if alive(entry.neighbor) && better(best, best_d) {
+                best = Some(entry);
+                best_d = d;
+            }
+        }
+        let chosen = best.filter(|_| best_d < own);
+        let unfiltered = best_all.filter(|_| best_all_d < own);
+        let detoured = chosen.map(|e| e.neighbor) != unfiltered.map(|e| e.neighbor);
+        let hop = match chosen {
+            Some(entry) => Hop::Forward {
+                to: entry.via,
+                relay: (!entry.physical).then_some(RelayHeader {
+                    dest: entry.neighbor,
                     sour: self.id(),
-                    relay: next_hop,
+                    relay: entry.via,
                 }),
             },
+            None => {
+                let index = gred_hash::select_server(id, self.server_count());
+                let server = ServerId {
+                    switch: self.id(),
+                    index,
+                };
+                Hop::Deliver(Delivery {
+                    server,
+                    extended_to: self.extension_of(server),
+                })
+            }
         };
-        Ok((hop, detoured))
+        (hop, detoured)
     }
 }
 

@@ -1,14 +1,14 @@
 //! The per-switch GRED data plane.
 //!
-//! Each switch holds three match-action tables and a greedy decision
-//! pipeline (the data-plane half of the paper's Algorithm 2):
+//! Each switch holds three match-action tables, which the greedy stage
+//! (the data-plane half of the paper's Algorithm 2) reads:
 //!
 //! 1. **Neighbor table** — one entry per physical neighbor and per
 //!    multi-hop DT neighbor, carrying the neighbor's virtual-space
 //!    coordinates and the first-hop switch used to reach it. The P4
 //!    prototype evaluates one match-action stage per neighbor to find the
-//!    one closest to the packet's data position; `decide` performs the
-//!    same computation.
+//!    one closest to the packet's data position; the greedy stage performs
+//!    the same computation.
 //! 2. **Relay table** — virtual-link tuples `<sour, pred, succ, dest>`,
 //!    matched by `(dest, sour)` when the switch is an intermediate relay.
 //!    Stored compressed ([`RelayTable`]): one wildcard rule per
@@ -19,50 +19,25 @@
 //! 3. **Extension table** — range-extension rewrites (paper Tables I/II)
 //!    consulted when the switch delivers locally.
 //!
-//! This module holds the tables and the lookups on them. What a switch
-//! *does* with a packet — relay-header handling, then [`decide_avoiding`]
-//! — is [`SwitchDataplane::step`] in [`crate::step`], the only caller of
-//! the data-path lookups outside tests and benchmarks.
+//! Every table is a `Vec` of its own entries sorted by the entry's key:
+//! a lookup is a binary search, iteration is in key order, and a table
+//! of a few dozen entries costs one allocation.
 //!
-//! [`decide_avoiding`]: SwitchDataplane::decide_avoiding
+//! This module holds the tables and the lookups on them. What a switch
+//! *does* with a packet — relay-header handling, then the greedy stage —
+//! is [`SwitchDataplane::step`] in [`crate::step`], the only caller of
+//! the data-path lookups outside tests and benchmarks.
 
 use crate::entries::{DtTuple, ExtensionEntry, NeighborEntry};
 use crate::relay::RelayTable;
-use crate::table::MatchActionTable;
 use gred_geometry::Point2;
-use gred_hash::DataId;
 use gred_net::ServerId;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The outcome of the greedy pipeline for one packet at one switch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ForwardDecision {
-    /// Forward toward DT/physical neighbor `neighbor`, sending the packet
-    /// to `next_hop` first (equal to `neighbor` for physical neighbors;
-    /// the first relay of a virtual link otherwise).
-    Forward {
-        /// The DT/physical neighbor chosen by the greedy comparison.
-        neighbor: usize,
-        /// First-hop switch toward that neighbor.
-        next_hop: usize,
-        /// Whether the forwarding enters a multi-hop virtual link.
-        virtual_link: bool,
-    },
-    /// This switch is closest to the data position: deliver to the local
-    /// server selected by `H(d) mod s`, plus the takeover server when a
-    /// range extension is installed for it.
-    DeliverLocal {
-        /// The server `H(d) mod s` selects.
-        server: ServerId,
-        /// Takeover server, when `server`'s range was extended.
-        extended_to: Option<ServerId>,
-    },
-}
 
 /// One switch's data plane: position, tables, and the greedy pipeline.
 ///
 /// ```
-/// use gred_dataplane::{NeighborEntry, SwitchDataplane, ForwardDecision};
+/// use gred_dataplane::{Hop, NeighborEntry, SwitchDataplane};
 /// use gred_geometry::Point2;
 /// use gred_hash::DataId;
 ///
@@ -75,7 +50,7 @@ pub enum ForwardDecision {
 /// });
 /// // A data item hashing near (0.9, 0.9) is forwarded to switch 1.
 /// match sw.decide(Point2::new(0.85, 0.95), &DataId::new("k")) {
-///     ForwardDecision::Forward { neighbor, .. } => assert_eq!(neighbor, 1),
+///     Hop::Forward { to, .. } => assert_eq!(to, 1),
 ///     other => panic!("expected forward, got {other:?}"),
 /// }
 /// ```
@@ -88,7 +63,8 @@ pub struct SwitchDataplane {
     /// the entry, so the table stores nothing else.
     neighbors: Vec<NeighborEntry>,
     relays: RelayTable,
-    extensions: MatchActionTable<ServerId, ExtensionEntry>,
+    /// Sorted by `original`, one entry per extended server.
+    extensions: Vec<ExtensionEntry>,
     /// P4-style counter: packets this switch processed (greedy decisions
     /// plus virtual-link relays).
     processed: AtomicU64,
@@ -116,7 +92,7 @@ impl SwitchDataplane {
     ///
     /// Panics if `server_count == 0`; a GRED placement switch always has
     /// at least one server (pure transit switches do not join the DT and
-    /// never call `decide`, but still need a well-formed data plane — pass
+    /// never run the greedy stage, but still need a well-formed data plane — pass
     /// their real attached count or use [`SwitchDataplane::transit`]).
     pub fn new(id: usize, position: Point2, server_count: usize) -> Self {
         assert!(
@@ -129,7 +105,7 @@ impl SwitchDataplane {
             server_count,
             neighbors: Vec::new(),
             relays: RelayTable::new(),
-            extensions: MatchActionTable::new("gred_extensions"),
+            extensions: Vec::new(),
             processed: AtomicU64::new(0),
         }
     }
@@ -145,7 +121,7 @@ impl SwitchDataplane {
             server_count: 0,
             neighbors: Vec::new(),
             relays: RelayTable::new(),
-            extensions: MatchActionTable::new("gred_extensions"),
+            extensions: Vec::new(),
             processed: AtomicU64::new(0),
         }
     }
@@ -177,7 +153,7 @@ impl SwitchDataplane {
     pub fn remove_neighbor(&mut self, neighbor: usize) -> Option<NeighborEntry> {
         let at = self.neighbor_slot(neighbor).ok()?;
         let entry = self.neighbors.remove(at);
-        crate::table::release_slack(&mut self.neighbors);
+        release_slack(&mut self.neighbors);
         Some(entry)
     }
 
@@ -227,7 +203,7 @@ impl SwitchDataplane {
     /// `dest` alone (as the paper describes) when the exact path entry is
     /// missing.
     pub fn relay_next(&self, dest: usize, sour: usize) -> Option<usize> {
-        self.processed.fetch_add(1, Ordering::Relaxed);
+        self.count_packet();
         self.relays.next_hop(dest, sour)
     }
 
@@ -251,29 +227,46 @@ impl SwitchDataplane {
             entry.original.switch, self.id,
             "extension rewrites are installed at the overloaded server's switch"
         );
-        self.extensions.insert(entry.original, entry);
+        match self.extension_slot(entry.original) {
+            Ok(at) => self.extensions[at] = entry,
+            Err(at) => self.extensions.insert(at, entry),
+        }
     }
 
     /// Removes the extension rewrite for `original` (load drained back).
     pub fn remove_extension(&mut self, original: ServerId) -> Option<ExtensionEntry> {
-        self.extensions.remove(&original)
+        let at = self.extension_slot(original).ok()?;
+        let entry = self.extensions.remove(at);
+        release_slack(&mut self.extensions);
+        Some(entry)
+    }
+
+    fn extension_slot(&self, original: ServerId) -> Result<usize, usize> {
+        self.extensions
+            .binary_search_by_key(&original, |e| e.original)
     }
 
     /// The takeover server for `original`, if its range is extended.
     pub fn extension_of(&self, original: ServerId) -> Option<ServerId> {
-        self.extensions.lookup(&original).map(|e| e.takeover)
+        let at = self.extension_slot(original).ok()?;
+        Some(self.extensions[at].takeover)
     }
 
     /// Iterates over installed extension rewrites in original-server
     /// order — the one record of which ranges are extended.
     pub fn extension_entries(&self) -> impl Iterator<Item = &ExtensionEntry> {
-        self.extensions.iter().map(|(_, entry)| entry)
+        self.extensions.iter()
     }
 
     /// Packets this switch has processed (greedy decisions + relays) —
     /// a P4-style counter for forwarding-load experiments.
     pub fn packets_processed(&self) -> u64 {
         self.processed.load(Ordering::Relaxed)
+    }
+
+    /// Counts one packet on the P4-style counter.
+    pub(crate) fn count_packet(&self) {
+        self.processed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Resets the packet counter.
@@ -297,111 +290,23 @@ impl SwitchDataplane {
             self.extensions.len(),
         )
     }
+}
 
-    /// The greedy pipeline (Algorithm 2): compare every neighbor's
-    /// distance to the data position against this switch's own; forward to
-    /// the strictly closer minimum, or deliver locally when none is closer.
-    ///
-    /// Distance ties between neighbors break by lexicographic coordinate
-    /// rank, the paper's Voronoi-edge tie-break.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a transit switch (no servers): transit switches
-    /// only relay; the controller never makes them DT members.
-    pub fn decide(&self, data_position: Point2, id: &DataId) -> ForwardDecision {
-        self.decide_avoiding(data_position, id, &|_| true).0
-    }
-
-    /// The greedy pipeline with a liveness filter: neighbors for which
-    /// `alive` returns `false` are treated as absent, so the walk falls
-    /// back to the next-best neighbor (or local delivery) instead of
-    /// forwarding into a suspect peer.
-    ///
-    /// Returns the decision and whether it *detoured* — i.e. whether the
-    /// unfiltered pipeline would have chosen differently. Filtering can
-    /// only remove forwarding candidates, so every filtered step still
-    /// strictly decreases the `(distance², lex)` measure toward the data
-    /// position: the walk cannot cycle, whatever each node's local view
-    /// of liveness is. A detoured delivery may land off the true greedy
-    /// owner, which callers surface as a `Degraded` response.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a transit switch (no servers), exactly like
-    /// [`decide`](Self::decide); [`step`](Self::step) refuses such a
-    /// packet before it gets here.
-    pub fn decide_avoiding(
-        &self,
-        data_position: Point2,
-        id: &DataId,
-        alive: &dyn Fn(usize) -> bool,
-    ) -> (ForwardDecision, bool) {
-        assert!(
-            self.server_count > 0,
-            "transit switch {} cannot run the greedy placement pipeline",
-            self.id
-        );
-        self.processed.fetch_add(1, Ordering::Relaxed);
-        let own = self.position.distance_squared(data_position);
-        // Track the best live candidate (the decision) and the best
-        // unfiltered candidate (to detect detours) in one pass.
-        let mut best: Option<&NeighborEntry> = None;
-        let mut best_d = own;
-        let mut best_all: Option<&NeighborEntry> = None;
-        let mut best_all_d = own;
-        for entry in &self.neighbors {
-            let d = entry.position.distance_squared(data_position);
-            let better = |cur: Option<&NeighborEntry>, cur_d: f64| match cur {
-                _ if d < cur_d => true,
-                Some(c) if d == cur_d => {
-                    entry.position.lex_cmp(c.position) == std::cmp::Ordering::Less
-                }
-                _ => false,
-            };
-            if better(best_all, best_all_d) {
-                best_all = Some(entry);
-                best_all_d = d;
-            }
-            if alive(entry.neighbor) && better(best, best_d) {
-                best = Some(entry);
-                best_d = d;
-            }
-        }
-        let chosen = match best {
-            Some(entry) if best_d < own => Some(entry.neighbor),
-            _ => None,
-        };
-        let unfiltered = match best_all {
-            Some(entry) if best_all_d < own => Some(entry.neighbor),
-            _ => None,
-        };
-        let detoured = chosen != unfiltered;
-        let decision = match best {
-            Some(entry) if best_d < own => ForwardDecision::Forward {
-                neighbor: entry.neighbor,
-                next_hop: entry.via,
-                virtual_link: !entry.physical,
-            },
-            _ => {
-                let index = gred_hash::select_server(id, self.server_count);
-                let server = ServerId {
-                    switch: self.id,
-                    index,
-                };
-                ForwardDecision::DeliverLocal {
-                    server,
-                    extended_to: self.extension_of(server),
-                }
-            }
-        };
-        (decision, detoured)
+/// Halves `v`'s storage once it is three-quarters empty, so a table that
+/// shrinks under churn gives memory back without reallocating on every
+/// removal.
+pub(crate) fn release_slack<T>(v: &mut Vec<T>) {
+    if v.len() * 4 <= v.capacity() {
+        v.shrink_to(v.len() * 2);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::RelayHeader;
+    use crate::step::{Delivery, Hop};
+    use gred_hash::DataId;
 
     fn entry(neighbor: usize, x: f64, y: f64) -> NeighborEntry {
         NeighborEntry {
@@ -419,10 +324,10 @@ mod tests {
         sw.install_neighbor(entry(2, 1.0, 1.0));
         let id = DataId::new("k");
         match sw.decide(Point2::new(0.5, 0.52), &id) {
-            ForwardDecision::DeliverLocal {
+            Hop::Deliver(Delivery {
                 server,
                 extended_to,
-            } => {
+            }) => {
                 assert_eq!(server.switch, 3);
                 assert_eq!(server.index, gred_hash::select_server(&id, 4));
                 assert_eq!(extended_to, None);
@@ -436,18 +341,10 @@ mod tests {
         let mut sw = SwitchDataplane::new(0, Point2::new(0.0, 0.0), 1);
         sw.install_neighbor(entry(1, 0.5, 0.5));
         sw.install_neighbor(entry(2, 1.0, 1.0));
-        match sw.decide(Point2::new(0.9, 0.9), &DataId::new("k")) {
-            ForwardDecision::Forward {
-                neighbor,
-                next_hop,
-                virtual_link,
-            } => {
-                assert_eq!(neighbor, 2);
-                assert_eq!(next_hop, 2);
-                assert!(!virtual_link);
-            }
-            other => panic!("expected forward, got {other:?}"),
-        }
+        assert_eq!(
+            sw.decide(Point2::new(0.9, 0.9), &DataId::new("k")),
+            Hop::Forward { to: 2, relay: None }
+        );
     }
 
     #[test]
@@ -459,18 +356,18 @@ mod tests {
             via: 2,
             physical: false,
         });
-        match sw.decide(Point2::new(0.8, 0.8), &DataId::new("k")) {
-            ForwardDecision::Forward {
-                neighbor,
-                next_hop,
-                virtual_link,
-            } => {
-                assert_eq!(neighbor, 5);
-                assert_eq!(next_hop, 2);
-                assert!(virtual_link);
+        let relay = RelayHeader {
+            dest: 5,
+            sour: 0,
+            relay: 2,
+        };
+        assert_eq!(
+            sw.decide(Point2::new(0.8, 0.8), &DataId::new("k")),
+            Hop::Forward {
+                to: 2,
+                relay: Some(relay)
             }
-            other => panic!("expected virtual-link forward, got {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -479,12 +376,11 @@ mod tests {
         sw.install_neighbor(entry(1, 0.4, 0.6));
         sw.install_neighbor(entry(2, 0.6, 0.4));
         // Target equidistant from both neighbors.
-        match sw.decide(Point2::new(0.5, 0.5), &DataId::new("k")) {
-            ForwardDecision::Forward { neighbor, .. } => {
-                assert_eq!(neighbor, 1, "lex-smaller position (0.4, 0.6) wins");
-            }
-            other => panic!("expected forward, got {other:?}"),
-        }
+        assert_eq!(
+            sw.decide(Point2::new(0.5, 0.5), &DataId::new("k")),
+            Hop::Forward { to: 1, relay: None },
+            "lex-smaller position (0.4, 0.6) wins"
+        );
     }
 
     #[test]
@@ -499,16 +395,13 @@ mod tests {
             index: 1,
         };
         sw.install_extension(ExtensionEntry { original, takeover });
-        match sw.decide(Point2::new(0.5, 0.5), &DataId::new("k")) {
-            ForwardDecision::DeliverLocal {
-                server,
-                extended_to,
-            } => {
-                assert_eq!(server, original);
-                assert_eq!(extended_to, Some(takeover));
-            }
-            other => panic!("expected local delivery, got {other:?}"),
-        }
+        assert_eq!(
+            sw.decide(Point2::new(0.5, 0.5), &DataId::new("k")),
+            Hop::Deliver(Delivery {
+                server: original,
+                extended_to: Some(takeover)
+            })
+        );
         // Retract and verify it is gone.
         assert!(sw.remove_extension(original).is_some());
         assert_eq!(sw.extension_of(original), None);
@@ -585,47 +478,80 @@ mod tests {
     }
 
     #[test]
-    fn decide_avoiding_skips_suspect_neighbors() {
+    fn step_skips_suspect_neighbors() {
         let mut sw = SwitchDataplane::new(0, Point2::new(0.0, 0.0), 1);
         sw.install_neighbor(entry(1, 0.5, 0.5));
         sw.install_neighbor(entry(2, 0.9, 0.9));
         let id = DataId::new("k");
         let target = Point2::new(1.0, 1.0);
+        let forward = |to| Hop::Forward { to, relay: None };
 
         // All alive: the closest neighbor (2) wins, no detour.
-        let (d, detoured) = sw.decide_avoiding(target, &id, &|_| true);
-        assert!(matches!(d, ForwardDecision::Forward { neighbor: 2, .. }));
-        assert!(!detoured);
+        assert_eq!(
+            sw.step(target, &id, None, &|_| true),
+            Ok((forward(2), false))
+        );
 
         // Best neighbor suspect: fall back to the next-best, flagged.
-        let (d, detoured) = sw.decide_avoiding(target, &id, &|n| n != 2);
-        assert!(matches!(d, ForwardDecision::Forward { neighbor: 1, .. }));
-        assert!(detoured, "skipping the true greedy hop is a detour");
+        assert_eq!(
+            sw.step(target, &id, None, &|n| n != 2),
+            Ok((forward(1), true)),
+            "skipping the true greedy hop is a detour"
+        );
 
         // Every closer neighbor suspect: deliver locally, flagged.
-        let (d, detoured) = sw.decide_avoiding(target, &id, &|_| false);
-        assert!(matches!(d, ForwardDecision::DeliverLocal { .. }));
+        let (hop, detoured) = sw.step(target, &id, None, &|_| false).unwrap();
+        assert!(matches!(hop, Hop::Deliver(_)));
         assert!(detoured);
 
         // Suspecting a neighbor the pipeline would not pick anyway is
         // not a detour.
-        let (d, detoured) = sw.decide_avoiding(target, &id, &|n| n != 1);
-        assert!(matches!(d, ForwardDecision::Forward { neighbor: 2, .. }));
-        assert!(!detoured);
+        assert_eq!(
+            sw.step(target, &id, None, &|n| n != 1),
+            Ok((forward(2), false))
+        );
     }
 
     #[test]
-    fn decide_avoiding_local_minimum_never_detours() {
+    fn step_local_minimum_never_detours() {
         let mut sw = SwitchDataplane::new(3, Point2::new(0.5, 0.5), 2);
         sw.install_neighbor(entry(1, 0.0, 0.0));
         let id = DataId::new("k");
         // The switch itself is nearest: delivery, detour-free, under any
         // filter (filtering cannot create a forwarding candidate).
         for alive in [true, false] {
-            let (d, detoured) = sw.decide_avoiding(Point2::new(0.5, 0.51), &id, &|_| alive);
-            assert!(matches!(d, ForwardDecision::DeliverLocal { .. }));
+            let (hop, detoured) = sw
+                .step(Point2::new(0.5, 0.51), &id, None, &|_| alive)
+                .unwrap();
+            assert!(matches!(hop, Hop::Deliver(_)));
             assert!(!detoured);
         }
+    }
+
+    #[test]
+    fn extension_table_is_keyed_by_the_original_server() {
+        let mut sw = SwitchDataplane::new(0, Point2::ORIGIN, 3);
+        let server = |switch, index| ServerId { switch, index };
+        let extend = |index, takeover| ExtensionEntry {
+            original: server(0, index),
+            takeover,
+        };
+        // Installed out of order, iterated in original-server order.
+        sw.install_extension(extend(2, server(5, 0)));
+        sw.install_extension(extend(0, server(6, 1)));
+        let originals: Vec<usize> = sw.extension_entries().map(|e| e.original.index).collect();
+        assert_eq!(originals, [0, 2]);
+        // A re-install replaces the takeover, not duplicates the entry.
+        sw.install_extension(extend(2, server(7, 0)));
+        assert_eq!(sw.extension_of(server(0, 2)), Some(server(7, 0)));
+        assert_eq!(sw.entry_breakdown().2, 2);
+        // A removal returns the entry; a second finds nothing.
+        assert_eq!(
+            sw.remove_extension(server(0, 2)),
+            Some(extend(2, server(7, 0)))
+        );
+        assert_eq!(sw.remove_extension(server(0, 2)), None);
+        assert_eq!(sw.extension_entries().count(), 1);
     }
 
     #[test]

@@ -737,17 +737,6 @@ impl Triangulation {
         )
     }
 
-    /// [`Triangulation::insert`] on a copy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Triangulation::new`].
-    pub fn with_inserted(&self, p: Point2) -> Result<Triangulation, DelaunayError> {
-        let mut grown = self.clone();
-        grown.insert(p)?;
-        Ok(grown)
-    }
-
     /// Incremental deletion (the paper's Section VI leave), in place:
     /// removes point `i`, re-triangulating only the hole its star leaves.
     /// Points above `i` move down one index; every point keeps its
@@ -836,21 +825,6 @@ impl Triangulation {
             }
         }
         Ok(replaced)
-    }
-
-    /// [`Triangulation::remove`] on a copy.
-    ///
-    /// # Errors
-    ///
-    /// [`DelaunayError::Empty`] when `i` is the only point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn with_removed(&self, i: usize) -> Result<Triangulation, DelaunayError> {
-        let mut shrunk = self.clone();
-        shrunk.remove(i)?;
-        Ok(shrunk)
     }
 }
 
@@ -973,7 +947,9 @@ mod tests {
         dt.insert(Point2::new(0.5, 0.5)).unwrap();
         assert_eq!(dt.delaunay_violation(), None);
         for i in 0..dt.points().len() {
-            assert_eq!(dt.with_removed(i).unwrap().delaunay_violation(), None);
+            let mut removed = dt.clone();
+            removed.remove(i).unwrap();
+            assert_eq!(removed.delaunay_violation(), None);
         }
         // One float past either end (its bits one up, for either sign) is
         // refused by the build, a join and the checker.
@@ -1456,7 +1432,8 @@ mod incremental_tests {
             let mut rng = StdRng::seed_from_u64(100 + seed);
             // Interior point (well inside the hull of random points).
             let p = Point2::new(rng.gen_range(0.4..0.6), rng.gen_range(0.4..0.6));
-            let incremental = dt.with_inserted(p).unwrap();
+            let mut incremental = dt.clone();
+            incremental.insert(p).unwrap();
             let mut all = pts.clone();
             all.push(p);
             let scratch = Triangulation::new(&all).unwrap();
@@ -1481,7 +1458,8 @@ mod incremental_tests {
                 Point2::new(0.125, 0.425),
                 Point2::new(-0.25, -0.25),
             ] {
-                let inc = dt.with_inserted(outside).unwrap();
+                let mut inc = dt.clone();
+                inc.insert(outside).unwrap();
                 assert_eq!(inc.points().len(), 21);
                 assert_eq!(inc.delaunay_violation(), None);
                 let mut all = pts.clone();
@@ -1503,8 +1481,8 @@ mod incremental_tests {
             Point2::new(1.0, 0.0),
             Point2::new(0.0, 1.0),
         ];
-        let dt = Triangulation::new(&pts).unwrap();
-        let grown = dt.with_inserted(Point2::new(0.5, 0.0)).unwrap();
+        let mut grown = Triangulation::new(&pts).unwrap();
+        grown.insert(Point2::new(0.5, 0.0)).unwrap();
         assert_eq!(grown.triangles().len(), 2);
         assert_eq!(grown.delaunay_violation(), None);
         let nb: Vec<usize> = grown.neighbors(3).collect();
@@ -1528,7 +1506,7 @@ mod incremental_tests {
         .into_iter()
         .enumerate()
         {
-            dt = dt.with_inserted(q).unwrap();
+            dt.insert(q).unwrap();
             assert_eq!(dt.points().len(), 16 + i);
             assert_eq!(dt.delaunay_violation(), None, "after insert {i}");
         }
@@ -1537,9 +1515,9 @@ mod incremental_tests {
     #[test]
     fn duplicate_insert_rejected() {
         let pts = random_points(10, 11);
-        let dt = Triangulation::new(&pts).unwrap();
+        let mut dt = Triangulation::new(&pts).unwrap();
         assert!(matches!(
-            dt.with_inserted(pts[3]),
+            dt.insert(pts[3]),
             Err(DelaunayError::DuplicatePoint { first: 3, .. })
         ));
     }
@@ -1551,9 +1529,9 @@ mod incremental_tests {
             Point2::new(0.5, 0.5),
             Point2::new(0.9, 0.5),
         ];
-        let dt = Triangulation::new(&pts).unwrap();
-        assert!(dt.is_collinear());
-        let grown = dt.with_inserted(Point2::new(0.5, 0.9)).unwrap();
+        let mut grown = Triangulation::new(&pts).unwrap();
+        assert!(grown.is_collinear());
+        grown.insert(Point2::new(0.5, 0.9)).unwrap();
         assert!(!grown.is_collinear());
         assert_eq!(grown.triangles().len(), 2);
     }
@@ -1565,14 +1543,16 @@ mod incremental_tests {
         let dt = Triangulation::new(pts).unwrap();
         let n = pts.len();
         for i in 0..n {
-            let removed = dt.with_removed(i).unwrap();
+            let mut removed = dt.clone();
+            removed.remove(i).unwrap();
             let mut rest = pts.to_vec();
             rest.remove(i);
             let scratch = Triangulation::new(&rest).unwrap();
             assert_eq!(removed.delaunay_violation(), None, "removing {i}");
             assert_eq!(removed.is_collinear(), scratch.is_collinear());
             assert_eq!(edge_set(&removed), edge_set(&scratch), "removing {i}");
-            let back = removed.with_inserted(pts[i]).unwrap();
+            let mut back = removed.clone();
+            back.insert(pts[i]).unwrap();
             let up = |j: usize| match j {
                 _ if j == n - 1 => i,
                 _ if j >= i => j + 1,
@@ -1605,14 +1585,14 @@ mod incremental_tests {
         let pts: Vec<Point2> = [(0.1, 0.5), (0.5, 0.5), (0.9, 0.5), (0.3, 0.5), (0.5, 0.9)]
             .map(|(x, y)| Point2::new(x, y))
             .to_vec();
-        let line = Triangulation::new(&pts).unwrap().with_removed(4).unwrap();
+        let mut line = Triangulation::new(&pts).unwrap();
+        line.remove(4).unwrap();
         assert!(line.is_collinear());
         assert_eq!(line.edges(), vec![(0, 3), (1, 2), (1, 3)]);
-        let mut dt = line;
-        while dt.points().len() > 1 {
-            dt = dt.with_removed(0).unwrap();
+        while line.points().len() > 1 {
+            line.remove(0).unwrap();
         }
-        assert_eq!(dt.with_removed(0).unwrap_err(), DelaunayError::Empty);
+        assert_eq!(line.remove(0).unwrap_err(), DelaunayError::Empty);
     }
 
     proptest::proptest! {
@@ -1638,7 +1618,8 @@ mod incremental_tests {
             };
             let dt = Triangulation::new(&pts).unwrap();
             for i in 0..pts.len() {
-                let removed = dt.with_removed(i).unwrap();
+                let mut removed = dt.clone();
+                removed.remove(i).unwrap();
                 let mut rest = pts.clone();
                 rest.remove(i);
                 let scratch = Triangulation::new(&rest).unwrap();
@@ -1705,11 +1686,11 @@ mod incremental_tests {
         let mut dt = Triangulation::new(&random_points(10, 13)).unwrap();
         let extra = random_points(15, 14);
         for p in extra {
-            dt = match dt.with_inserted(p) {
-                Ok(next) => next,
+            match dt.insert(p) {
+                Ok(_) => {}
                 Err(DelaunayError::DuplicatePoint { .. }) => continue,
                 Err(e) => panic!("unexpected: {e}"),
-            };
+            }
             assert_eq!(dt.delaunay_violation(), None);
         }
         assert!(dt.points().len() >= 20);

@@ -184,47 +184,17 @@ impl Topology {
     ///
     /// Panics if `a` or `b` is out of range.
     pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
-        assert!(
-            a < self.adj.len() && b < self.adj.len(),
-            "endpoint out of range"
-        );
-        if a == b {
-            return Some(vec![a]);
-        }
-        let mut prev = vec![usize::MAX; self.adj.len()];
-        let mut seen = vec![false; self.adj.len()];
-        seen[a] = true;
-        let mut q = VecDeque::from([a]);
-        while let Some(u) = q.pop_front() {
-            for &v in &self.adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    prev[v] = u;
-                    if v == b {
-                        let mut path = vec![b];
-                        let mut cur = b;
-                        while cur != a {
-                            cur = prev[cur];
-                            path.push(cur);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        None
+        self.shortest_paths_to(a, &[b]).pop().flatten()
     }
 
     /// Shortest paths from `a` to each of `targets` in a single BFS that
     /// terminates as soon as every target is discovered.
     ///
-    /// Each returned path is identical to [`Topology::shortest_path`]`(a,
-    /// target)` — the BFS visits neighbors in the same ascending order, so
-    /// the predecessor tree (and therefore every tie-break) matches the
-    /// single-target search exactly. Entry `i` is `None` when `targets[i]`
-    /// is unreachable.
+    /// [`Topology::shortest_path`] is its one-target case. The BFS visits
+    /// neighbors in ascending order, so the predecessor tree (and
+    /// therefore every tie-break) does not depend on which other targets
+    /// are asked for. Entry `i` is `None` when `targets[i]` is
+    /// unreachable.
     ///
     /// The controller's installer asks for paths from one member to all of
     /// its DT neighbors; doing that in one bounded BFS instead of one full
@@ -250,7 +220,8 @@ impl Topology {
         let mut prev = vec![usize::MAX; self.adj.len()];
         let mut seen = vec![false; self.adj.len()];
         seen[a] = true;
-        let mut q = VecDeque::from([a]);
+        // Every target is `a` itself: there is nothing to search for.
+        let mut q = VecDeque::from_iter((remaining > 0).then_some(a));
         'bfs: while let Some(u) = q.pop_front() {
             for &v in &self.adj[u] {
                 if !seen[v] {
