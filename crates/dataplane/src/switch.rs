@@ -386,14 +386,7 @@ mod tests {
     #[test]
     fn extension_rewrite_applies_on_delivery() {
         let mut sw = SwitchDataplane::new(1, Point2::new(0.5, 0.5), 1);
-        let original = ServerId {
-            switch: 1,
-            index: 0,
-        };
-        let takeover = ServerId {
-            switch: 2,
-            index: 1,
-        };
+        let (original, takeover) = (server(1, 0), server(2, 1));
         sw.install_extension(ExtensionEntry { original, takeover });
         assert_eq!(
             sw.decide(Point2::new(0.5, 0.5), &DataId::new("k")),
@@ -412,14 +405,8 @@ mod tests {
     fn extension_for_foreign_switch_panics() {
         let mut sw = SwitchDataplane::new(1, Point2::ORIGIN, 1);
         sw.install_extension(ExtensionEntry {
-            original: ServerId {
-                switch: 9,
-                index: 0,
-            },
-            takeover: ServerId {
-                switch: 2,
-                index: 0,
-            },
+            original: server(9, 0),
+            takeover: server(2, 0),
         });
     }
 
@@ -451,16 +438,7 @@ mod tests {
             succ: 1,
             dest: 5,
         });
-        sw.install_extension(ExtensionEntry {
-            original: ServerId {
-                switch: 0,
-                index: 1,
-            },
-            takeover: ServerId {
-                switch: 1,
-                index: 0,
-            },
-        });
+        sw.install_extension(extend(1, server(1, 0)));
         assert_eq!(sw.entry_count(), 4);
         assert_eq!(sw.entry_breakdown(), (2, 1, 1));
         // Reinstalling a neighbor replaces, not duplicates.
@@ -528,28 +506,37 @@ mod tests {
         }
     }
 
+    fn server(switch: usize, index: usize) -> ServerId {
+        ServerId { switch, index }
+    }
+
+    fn extend(index: usize, takeover: ServerId) -> ExtensionEntry {
+        let original = server(0, index);
+        ExtensionEntry { original, takeover }
+    }
+
     #[test]
-    fn extension_table_is_keyed_by_the_original_server() {
+    fn extension_table_iterates_in_original_order() {
         let mut sw = SwitchDataplane::new(0, Point2::ORIGIN, 3);
-        let server = |switch, index| ServerId { switch, index };
-        let extend = |index, takeover| ExtensionEntry {
-            original: server(0, index),
-            takeover,
-        };
-        // Installed out of order, iterated in original-server order.
+        for index in [2, 0, 1] {
+            sw.install_extension(extend(index, server(5, index)));
+        }
+        let originals: Vec<usize> = sw.extension_entries().map(|e| e.original.index).collect();
+        assert_eq!(originals, [0, 1, 2]);
+    }
+
+    #[test]
+    fn extension_table_replaces_and_removes_by_original() {
+        let mut sw = SwitchDataplane::new(0, Point2::ORIGIN, 3);
         sw.install_extension(extend(2, server(5, 0)));
         sw.install_extension(extend(0, server(6, 1)));
-        let originals: Vec<usize> = sw.extension_entries().map(|e| e.original.index).collect();
-        assert_eq!(originals, [0, 2]);
         // A re-install replaces the takeover, not duplicates the entry.
         sw.install_extension(extend(2, server(7, 0)));
         assert_eq!(sw.extension_of(server(0, 2)), Some(server(7, 0)));
         assert_eq!(sw.entry_breakdown().2, 2);
         // A removal returns the entry; a second finds nothing.
-        assert_eq!(
-            sw.remove_extension(server(0, 2)),
-            Some(extend(2, server(7, 0)))
-        );
+        let removed = sw.remove_extension(server(0, 2));
+        assert_eq!(removed, Some(extend(2, server(7, 0))));
         assert_eq!(sw.remove_extension(server(0, 2)), None);
         assert_eq!(sw.extension_entries().count(), 1);
     }
